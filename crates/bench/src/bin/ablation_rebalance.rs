@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use trillium_bench::{emit_json, section, HarnessArgs};
-use trillium_core::driver::{run_distributed_rebalanced, RebalanceConfig, RunResult};
+use trillium_core::driver::{run_distributed_composed, RebalanceConfig, RunConfig, RunResult};
 use trillium_core::prelude::*;
 use trillium_geometry::voxelize::VoxelizeConfig;
 use trillium_geometry::{VascularTree, VascularTreeParams};
@@ -64,29 +64,22 @@ fn main() {
     );
 
     let epoch = 5;
-    let off = run_distributed_rebalanced(
-        &vascular_scenario(args.full),
-        RANKS,
-        1,
-        steps,
-        RebalanceConfig { every_n_steps: epoch, ..RebalanceConfig::monitor_only() },
-    );
-    let on = run_distributed_rebalanced(
-        &vascular_scenario(args.full),
-        RANKS,
-        1,
-        steps,
-        RebalanceConfig {
-            every_n_steps: epoch,
-            // Fire on the initial ~2.5x skew but not on the granularity-
-            // limited residual (~1.3-1.5 with ~7 heterogeneous blocks per
-            // rank): re-firing on the residual churns blocks for no gain.
-            threshold: 1.6,
-            hysteresis: 2,
-            cooldown_epochs: 3,
-            ..RebalanceConfig::default()
-        },
-    );
+    let run = |rebalance: RebalanceConfig| {
+        let cfg = RunConfig { rebalance: Some(rebalance), ..RunConfig::default() };
+        run_distributed_composed(&vascular_scenario(args.full), RANKS, 1, steps, &[], &cfg)
+            .expect("unfaulted run")
+    };
+    let off = run(RebalanceConfig { every_n_steps: epoch, ..RebalanceConfig::monitor_only() });
+    let on = run(RebalanceConfig {
+        every_n_steps: epoch,
+        // Fire on the initial ~2.5x skew but not on the granularity-
+        // limited residual (~1.3-1.5 with ~7 heterogeneous blocks per
+        // rank): re-firing on the residual churns blocks for no gain.
+        threshold: 1.6,
+        hysteresis: 2,
+        cooldown_epochs: 3,
+        ..RebalanceConfig::default()
+    });
     assert!(!off.has_nan() && !on.has_nan(), "run went unstable");
 
     let (m_off, m_on) = (mlups(&off), mlups(&on));

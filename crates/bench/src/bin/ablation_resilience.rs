@@ -86,25 +86,28 @@ fn main() {
     let cfg = DriverConfig { collect_pdfs: true, ..DriverConfig::default() };
     let truth = run_distributed_with(&vascular_scenario(args.full), RANKS, 1, steps, &[], cfg);
 
-    let rc = ResilienceConfig {
-        checkpoint_every: 8,
-        fault: Some(fault),
+    let rc = RunConfig {
         driver: cfg,
-        ..ResilienceConfig::default()
+        resilience: Some(ResilienceConfig {
+            checkpoint_every: 8,
+            fault: Some(fault),
+            ..ResilienceConfig::default()
+        }),
+        ..RunConfig::default()
     };
     let scenario = vascular_scenario(args.full);
-    let faulted = run_distributed_resilient(&scenario, RANKS, 1, steps, &[], &rc)
+    let faulted = run_distributed_composed(&scenario, RANKS, 1, steps, &[], &rc)
         .expect("capped faults are recoverable");
-    let replay = run_distributed_resilient(&scenario, RANKS, 1, steps, &[], &rc)
+    let replay = run_distributed_composed(&scenario, RANKS, 1, steps, &[], &rc)
         .expect("capped faults are recoverable");
 
-    let bitwise = truth.pdf_dump() == faulted.run.pdf_dump();
+    let bitwise = truth.pdf_dump() == faulted.pdf_dump();
     let trace = faulted.failure_trace();
     let reproducible = trace == replay.failure_trace();
     assert!(bitwise, "recovery must converge to the unfaulted state bitwise");
     assert!(reproducible, "same fault seed must reproduce the identical failure trace");
-    assert!(!faulted.run.has_nan(), "run went unstable");
-    assert!(faulted.run.mass_drift().abs() < 1e-9, "mass drift {}", faulted.run.mass_drift());
+    assert!(!faulted.has_nan(), "run went unstable");
+    assert!(faulted.mass_drift().abs() < 1e-9, "mass drift {}", faulted.mass_drift());
 
     println!();
     println!(
@@ -127,7 +130,7 @@ fn main() {
         faulted.replayed_steps(),
         faulted.checkpoints(),
         trace.len(),
-        faulted.run.mass_drift().abs()
+        faulted.mass_drift().abs()
     );
     println!();
     println!(
@@ -178,7 +181,7 @@ fn main() {
                 "fault_events": trace.len(),
                 "bitwise_identical": bitwise,
                 "trace_reproducible": reproducible,
-                "mass_drift": faulted.run.mass_drift(),
+                "mass_drift": faulted.mass_drift(),
                 "model": machine_rows
                     .iter()
                     .map(|(name, rows)| serde_json::json!({"machine": name, "rows": rows}))

@@ -23,9 +23,9 @@
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use trillium_core::driver::{
-    run_distributed_rebalanced, run_distributed_with, DriverConfig, RebalanceConfig, RunResult,
+    run_distributed_composed, DriverConfig, RebalanceConfig, RunConfig, RunResult,
 };
-use trillium_core::recovery::{run_distributed_resilient, ResilienceConfig};
+use trillium_core::recovery::ResilienceConfig;
 use trillium_core::scenario::{KernelChoice, Scenario};
 use trillium_field::CellFlags;
 use trillium_kernels::Collision;
@@ -218,9 +218,9 @@ impl CellOutcome {
 }
 
 /// Macroscopic velocities reassembled from a run's PDF dump, addressable
-/// by global cell coordinate. Works for every schedule — including the
-/// rebalanced one, whose probe list is empty — because the dump is
-/// sorted by block id, independent of final ownership.
+/// by global cell coordinate. Works identically for every schedule
+/// because the dump is sorted by block id, independent of final
+/// ownership.
 pub struct MacroField {
     cells: [usize; 3],
     blocks: HashMap<[i64; 3], Vec<[f64; 3]>>,
@@ -371,40 +371,18 @@ pub fn drive(
     force_mask: Option<CellFlags>,
     sched: Schedule,
 ) -> RunResult {
-    match sched {
-        Schedule::Sync | Schedule::Overlapped => {
-            let cfg = DriverConfig {
-                overlap: matches!(sched, Schedule::Overlapped),
-                collect_pdfs: true,
-                obs: ObsConfig::off(),
-                force_mask,
-            };
-            run_distributed_with(scenario, NUM_PROCS, 1, steps, &[], cfg)
-        }
-        Schedule::Rebalanced => {
-            let cfg = RebalanceConfig {
-                collect_pdfs: true,
-                obs: ObsConfig::off(),
-                force_mask,
-                ..Default::default()
-            };
-            run_distributed_rebalanced(scenario, NUM_PROCS, 1, steps, cfg)
-        }
-        Schedule::Resilient => {
-            let rc = ResilienceConfig {
-                driver: DriverConfig {
-                    collect_pdfs: true,
-                    obs: ObsConfig::off(),
-                    force_mask,
-                    ..DriverConfig::default()
-                },
-                ..ResilienceConfig::default()
-            };
-            run_distributed_resilient(scenario, NUM_PROCS, 1, steps, &[], &rc)
-                .expect("clean resilient run cannot fail")
-                .run
-        }
-    }
+    let cfg = RunConfig {
+        driver: DriverConfig {
+            overlap: sched == Schedule::Overlapped,
+            collect_pdfs: true,
+            obs: ObsConfig::off(),
+            force_mask,
+        },
+        rebalance: (sched == Schedule::Rebalanced).then(RebalanceConfig::default),
+        resilience: (sched == Schedule::Resilient).then(ResilienceConfig::default),
+    };
+    run_distributed_composed(scenario, NUM_PROCS, 1, steps, &[], &cfg)
+        .unwrap_or_else(|e| panic!("unfaulted {} run failed: {e}", sched.label()))
 }
 
 /// Runs one cell of the validation matrix and judges it against the

@@ -145,6 +145,9 @@ pub struct Communicator {
     pending: HashMap<(u32, u64), VecDeque<Vec<u8>>>,
     /// Sequence counter making collective tags unique per operation.
     pub(crate) coll_seq: u64,
+    /// Upper bound on each blocking receive inside a collective
+    /// (None = wait until the message or a known failure).
+    coll_timeout: Option<Duration>,
     /// Fault-injection plan for this rank's sends (None = clean).
     plan: Option<FaultPlan>,
     /// True when any rank of this world injects faults: enables
@@ -474,7 +477,18 @@ impl Communicator {
     /// [`CommError`] the caller can degrade on, instead of the panic
     /// that would poison every other tenant of the process.
     pub(crate) fn try_recv_raw(&mut self, from: u32, tag: u64) -> Result<Vec<u8>, CommError> {
-        self.recv_match(&[(from, tag)], None).map(|(_, m)| m)
+        let deadline = self.coll_timeout.map(|d| Instant::now() + d);
+        self.recv_match(&[(from, tag)], deadline).map(|(_, m)| m)
+    }
+
+    /// Bounds every blocking receive inside the `try_*` collectives by
+    /// `timeout`, so a collective frame lost to a fault surfaces as
+    /// [`CommError::Timeout`] instead of a hang. Collective frames
+    /// travel the data plane — injected drops apply to them — so a
+    /// caller that runs collectives under a fault plan must set this
+    /// and be prepared to roll back.
+    pub fn set_collective_timeout(&mut self, timeout: Option<Duration>) {
+        self.coll_timeout = timeout;
     }
 
     /// Blocking receive of the *first available* message among `expected`
@@ -497,10 +511,7 @@ impl Communicator {
         &mut self,
         expected: &[(u32, u64)],
     ) -> Result<(usize, Vec<u8>), CommError> {
-        for &(_, tag) in expected {
-            assert!(tag < COLLECTIVE_TAG_BASE, "user tags must stay below the collective range");
-        }
-        self.recv_match(expected, None)
+        self.recv_any_within(expected, None)
     }
 
     /// [`Communicator::recv_any_result`] with an upper bound on the wait.
@@ -509,10 +520,20 @@ impl Communicator {
         expected: &[(u32, u64)],
         timeout: Duration,
     ) -> Result<(usize, Vec<u8>), CommError> {
+        self.recv_any_within(expected, Some(timeout))
+    }
+
+    /// [`Communicator::recv_any_result`], bounded by `patience` when
+    /// there is one — for callers whose deadline is itself optional.
+    pub fn recv_any_within(
+        &mut self,
+        expected: &[(u32, u64)],
+        patience: Option<Duration>,
+    ) -> Result<(usize, Vec<u8>), CommError> {
         for &(_, tag) in expected {
             assert!(tag < COLLECTIVE_TAG_BASE, "user tags must stay below the collective range");
         }
-        self.recv_match(expected, Some(Instant::now() + timeout))
+        self.recv_match(expected, patience.map(|d| Instant::now() + d))
     }
 
     /// Non-blocking [`Communicator::recv_any`]: returns the first already
@@ -998,6 +1019,7 @@ impl World {
                 receiver,
                 pending: HashMap::new(),
                 coll_seq: 0,
+                coll_timeout: None,
                 plan: fault.clone().map(|cfg| FaultPlan::new(cfg, rank as u32)),
                 dedup,
                 seq_out: vec![0; size as usize],
@@ -1211,12 +1233,15 @@ mod tests {
     fn try_recv_does_not_block() {
         let out = World::run(2, |mut c| {
             if c.rank() == 0 {
-                // Nothing sent yet: must be None.
+                // Nothing sent yet — rank 1 waits for the go below, so
+                // this holds under any thread schedule: must be None.
                 let empty = c.try_recv(1, 9).is_none();
+                c.send(1, 8, Vec::new());
                 // Synchronize: wait for the real message.
                 let m = c.recv(1, 9);
                 empty && m == vec![1]
             } else {
+                c.recv(0, 8);
                 c.send(0, 9, vec![1]);
                 true
             }

@@ -9,6 +9,12 @@
 //! which is how the "% time spent for MPI communication" curves of Fig 6
 //! are produced for real runs.
 //!
+//! There is one loop: [`RankLoop`] is the per-rank state,
+//! [`RankLoop::step`] the step pipeline (synchronous or overlapped),
+//! [`RankLoop::finish`] the fold into a [`RankResult`]. Rebalancing and
+//! resilience are two optional after-step hooks [`drive_rank`] composes
+//! onto it, each present iff its part of the [`RunConfig`] is.
+//!
 //! All timing goes through the `trillium-obs` span layer: one
 //! [`Recorder`] per rank accumulates disjoint per-category totals
 //! (kernel, boundary, ghost work, exposed stall), feeds the metrics
@@ -17,14 +23,18 @@
 //! [`RunResult::chrome_trace`].
 
 use crate::blocksim::BlockSim;
-use crate::migrate::execute_migrations;
+use crate::migrate::{execute_migrations, MigrationError};
+use crate::recovery::{RankResilience, RecoveryError, Resilience, ResilienceConfig};
 use crate::scenario::Scenario;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use trillium_blockforest::{
     dir_index, distribute, BlockId, BlockLink, DistributedForest, SetupForest, NEIGHBOR_DIRS,
 };
-use trillium_comm::{pack_face_with, unpack_face_with, Communicator, CrossingTable, World};
+use trillium_comm::{
+    pack_face_with, unpack_face_with, CommError, Communicator, CrossingTable, FaultEvent, World,
+};
 use trillium_field::{CellFlags, PdfField};
 use trillium_kernels::SweepStats;
 use trillium_lattice::{Relaxation, D3Q19};
@@ -107,9 +117,12 @@ pub struct RankResult {
     /// …), and — under [`ObsConfig::events`] — the captured trace
     /// events. `None` only when [`ObsConfig::off`] disabled recording.
     pub obs: Option<RankObs>,
-    /// Runtime-rebalance accounting, present only for runs started via
-    /// [`run_distributed_rebalanced`].
+    /// Runtime-rebalance accounting, present iff the run had a rebalance
+    /// hook ([`RunConfig::rebalance`]).
     pub rebalance: Option<RebalanceReport>,
+    /// Resilience accounting, present iff the run had a resilience hook
+    /// ([`RunConfig::resilience`]).
+    pub resilience: Option<RankResilience>,
 }
 
 impl RankResult {
@@ -142,15 +155,6 @@ pub struct RebalanceConfig {
     pub ewma_alpha: f64,
     /// Planner knobs (graph-gain floor, partitioner seed, minimum ratio).
     pub plan: PlanOptions,
-    /// Observability toggle (see [`DriverConfig::obs`]).
-    pub obs: ObsConfig,
-    /// Dump every block's final interior PDFs (see
-    /// [`DriverConfig::collect_pdfs`]); `RunResult::pdf_dump` sorts by
-    /// block id, so the dump compares equal across migration histories.
-    pub collect_pdfs: bool,
-    /// Measure the per-step momentum-exchange force on matching boundary
-    /// cells (see [`DriverConfig::force_mask`]).
-    pub force_mask: Option<CellFlags>,
 }
 
 impl Default for RebalanceConfig {
@@ -162,9 +166,6 @@ impl Default for RebalanceConfig {
             cooldown_epochs: 2,
             ewma_alpha: 0.25,
             plan: PlanOptions::default(),
-            obs: ObsConfig::default(),
-            collect_pdfs: false,
-            force_mask: None,
         }
     }
 }
@@ -362,6 +363,36 @@ impl RunResult {
         self.ranks.first().and_then(|r| r.rebalance.as_ref()).map(|rb| rb.rebalances).unwrap_or(0)
     }
 
+    /// Rollback recoveries of the run (max over ranks; identical on all
+    /// in a completed run). Zero without a resilience hook.
+    pub fn recoveries(&self) -> u32 {
+        self.resilience().map(|r| r.recoveries).max().unwrap_or(0)
+    }
+
+    /// Total steps re-executed across ranks due to rollbacks.
+    pub fn replayed_steps(&self) -> u64 {
+        self.resilience().map(|r| r.replayed_steps).sum()
+    }
+
+    /// Checkpoints taken (rank 0's count, the initial state included).
+    pub fn checkpoints(&self) -> u32 {
+        self.resilience().next().map(|r| r.checkpoints).unwrap_or(0)
+    }
+
+    /// The whole run's failure trace as `(rank, event)`, rank-ordered.
+    /// Two runs with the same scenario and fault seed produce identical
+    /// traces — the deterministic-simulation property the fault layer
+    /// guarantees.
+    pub fn failure_trace(&self) -> Vec<(u32, FaultEvent)> {
+        self.resilience()
+            .flat_map(|r| r.fault_events.iter().map(move |e| (r.rank, e.clone())))
+            .collect()
+    }
+
+    fn resilience(&self) -> impl Iterator<Item = &RankResilience> {
+        self.ranks.iter().filter_map(|r| r.resilience.as_ref())
+    }
+
     /// Critical-path *work* seconds: the maximum over ranks of the time
     /// spent computing (kernel + boundary sweeps), doing ghost-exchange
     /// work, and running rebalance epochs (all-reduce, planning,
@@ -461,6 +492,19 @@ impl DriverConfig {
     }
 }
 
+/// How a run executes: the step schedule plus the two optional
+/// after-step hooks — three independent choices; a hook exists iff its
+/// part is `Some`.
+#[derive(Clone, Debug, Default)]
+pub struct RunConfig {
+    /// The step schedule and what the run records.
+    pub driver: DriverConfig,
+    /// Runtime load balancing: measured per-block costs, migration.
+    pub rebalance: Option<RebalanceConfig>,
+    /// Bounded waits, coordinated checkpoints and rollback recovery.
+    pub resilience: Option<ResilienceConfig>,
+}
+
 /// Message tag for a ghost message destined for block `dst` arriving from
 /// its neighbor in direction `d` (receiver perspective). The low bits
 /// carry the direction; bit 5 carries the *step parity*, so a fast
@@ -478,16 +522,17 @@ pub(crate) fn ghost_tag(dst: BlockId, d: [i8; 3], parity: u64) -> u64 {
 /// Everything a per-rank worker needs to join one distributed run of a
 /// scenario: the balanced setup forest, one distributed view per rank,
 /// and the shared trace epoch. Built once by whoever launches the
-/// cohort — [`run_distributed_with`] for the classic one-run-per-call
-/// API, or a multi-tenant scheduler (`trillium-jobs`) that ships the
-/// plan to pooled rank workers — then shared read-only across them.
+/// cohort — [`run_distributed_composed`] for the classic
+/// one-run-per-call API, or a multi-tenant scheduler (`trillium-jobs`)
+/// that ships the plan to pooled rank workers — then shared read-only
+/// across them.
 ///
 /// Nothing here is process-global: each plan belongs to exactly one
 /// run, so any number of runs can be planned and driven concurrently
 /// in one process.
 pub struct RunPlan {
-    /// The balanced setup forest (cloned per rank by the rebalanced
-    /// schedule, which mutates ownership as blocks migrate).
+    /// The balanced setup forest (cloned by a rank at its first
+    /// migration; from then on its copy tracks ownership).
     pub forest: SetupForest,
     /// Per-rank block views, indexed by rank.
     pub views: Vec<DistributedForest>,
@@ -498,8 +543,7 @@ pub struct RunPlan {
 
 /// Plans a distributed run of `scenario` on `num_procs` ranks: builds
 /// and balances the forest and precomputes the per-rank views. The
-/// returned plan feeds [`drive_rank`] / [`drive_rank_rebalanced`] /
-/// [`crate::recovery::drive_rank_resilient`] — one call per rank, on
+/// returned plan feeds [`drive_rank`] — one call per rank, on
 /// communicators from `World::connect`.
 pub fn plan_run(scenario: &Scenario, num_procs: u32) -> RunPlan {
     let forest = scenario.make_forest(num_procs);
@@ -508,11 +552,18 @@ pub fn plan_run(scenario: &Scenario, num_procs: u32) -> RunPlan {
 }
 
 /// Runs one rank of a distributed simulation on a caller-provided
-/// communicator — the re-entrant per-rank entry point behind
-/// [`run_distributed_with`]. The communicator decides which rank this
-/// is; the plan must have been built for the communicator's world size.
-/// Safe to invoke any number of times concurrently in one process, one
-/// cohort per plan.
+/// communicator — the one time loop, and the re-entrant per-rank entry
+/// point behind every `run_distributed_*`. The communicator decides
+/// which rank this is; the plan must have been built for its world
+/// size. Safe to invoke any number of times concurrently in one
+/// process, one cohort per plan.
+///
+/// Per step: [`RankLoop::step`], the rebalance hook, the resilience
+/// hook. Under a resilience hook every blocking receive is bounded by
+/// [`ResilienceConfig::step_timeout`] and a [`CommError`] anywhere rolls
+/// the cohort back; without one it ends the run as
+/// [`RecoveryError::Comm`]. Fault plans travel with the communicator
+/// (`World::connect`), so [`ResilienceConfig::fault`] is not read here.
 pub fn drive_rank(
     comm: Communicator,
     plan: &RunPlan,
@@ -520,17 +571,111 @@ pub fn drive_rank(
     threads_per_rank: usize,
     steps: u64,
     probes: &[[i64; 3]],
-    cfg: DriverConfig,
-) -> RankResult {
-    let view = &plan.views[comm.rank() as usize];
-    rank_loop(comm, view, scenario, threads_per_rank, steps, probes, cfg, plan.epoch)
+    cfg: &RunConfig,
+) -> Result<RankResult, RecoveryError> {
+    let rank = comm.rank();
+    let mut lp = RankLoop::new(comm, plan, scenario, threads_per_rank, cfg.driver);
+    let mut rebalance = cfg.rebalance.map(Rebalancer::new);
+    let mut resilience = cfg.resilience.as_ref().map(|rc| Resilience::new(rc, &lp));
+    let deadline = cfg.resilience.as_ref().map(|rc| rc.step_timeout);
+    lp.comm.set_collective_timeout(deadline);
+
+    let mut t: u64 = 0;
+    // The pending clause is load-bearing: a failure at the *final*
+    // agreement (t already == steps) must loop this rank back into the
+    // recovery barrier — exiting would strand the rolled-back peers there.
+    while t < steps || resilience.as_ref().is_some_and(|r| r.pending) {
+        if let Some(res) = &mut resilience {
+            // A fail-stop crash scheduled for this step fires before any
+            // sends: `crash_due` broadcasts the failure notes and the
+            // victim recovers like everyone else — modeling the
+            // replacement process restarted from the pool.
+            if res.pending || lp.comm.crash_due(t) {
+                let span = lp.rec.open(SpanKind::Recovery);
+                let restored = res.rollback(&mut lp, t);
+                lp.rec.close(span);
+                t = restored?;
+                if let Some(rb) = &mut rebalance {
+                    rb.rolled_back(t);
+                }
+                continue;
+            }
+        }
+
+        // The step and the rebalance hook share the `Step` span. Failed
+        // steps spend real time too, so they land in the histogram.
+        lp.rec.set_step(t);
+        let span = lp.rec.open(SpanKind::Step);
+        let mut stepped = lp.step(t, deadline).map_err(MigrationError::Comm);
+        if let (Ok(()), Some(rb)) = (&stepped, &mut rebalance) {
+            stepped = rb.after_step(&mut lp, t + 1, deadline);
+        }
+        lp.rec.metrics().observe("driver.step_seconds", lp.rec.close(span));
+        if stepped.is_ok() {
+            t += 1;
+            if let Some(res) = &mut resilience {
+                stepped = res.after_step(&mut lp, t, steps).map_err(MigrationError::Comm);
+            }
+        }
+        match (stepped, &mut resilience) {
+            (Ok(()), _) => {}
+            // The torn state is discarded by the rollback; peers see their
+            // next timeout classified as Interrupted.
+            (Err(MigrationError::Comm(_)), Some(res)) => {
+                lp.comm.request_recovery();
+                res.pending = true;
+            }
+            (Err(MigrationError::Comm(error)), None) => {
+                return Err(RecoveryError::Comm { rank, error })
+            }
+            (Err(error), _) => return Err(RecoveryError::Migration { rank, error }),
+        }
+    }
+
+    let rebalance = rebalance.map(|rb| rb.finish(&lp));
+    let resilience = resilience.map(|res| res.finish(&lp));
+    Ok(lp.finish(probes, rebalance, resilience))
 }
 
 /// Runs `scenario` on `num_procs` ranks (threads) with
 /// `threads_per_rank`-fold block parallelism inside each rank, for
-/// `steps` time steps, under the given [`DriverConfig`]. `probes` are
-/// global cell coordinates whose final velocities are reported by the
-/// owning rank.
+/// `steps` time steps, under any composition of schedule and hooks —
+/// the general entry every other `run_distributed_*` wraps. `probes` are
+/// global cells whose final velocities are reported by whichever rank
+/// owns them at the end. [`ResilienceConfig::fault`], if set, is
+/// installed on every rank.
+///
+/// Terminal conditions come back as [`RecoveryError`], the lowest-ranked
+/// report when several ranks fail together (they usually do: a dead
+/// peer and a recovery are both global events).
+pub fn run_distributed_composed(
+    scenario: &Scenario,
+    num_procs: u32,
+    threads_per_rank: usize,
+    steps: u64,
+    probes: &[[i64; 3]],
+    cfg: &RunConfig,
+) -> Result<RunResult, RecoveryError> {
+    let plan = plan_run(scenario, num_procs);
+    let f = |comm: Communicator| {
+        drive_rank(comm, &plan, scenario, threads_per_rank, steps, probes, cfg)
+    };
+    let results = match cfg.resilience.as_ref().and_then(|rc| rc.fault.clone()) {
+        Some(fault) => World::run_with_faults(num_procs, fault, f),
+        None => World::run(num_procs, f),
+    };
+    let ranks = results.into_iter().collect::<Result<_, _>>()?;
+    Ok(RunResult { steps, ranks })
+}
+
+/// Runs `scenario` under the given [`DriverConfig`] with no hooks. See
+/// [`run_distributed_composed`].
+///
+/// # Panics
+///
+/// This signature predates the typed error and stays infallible, so a
+/// dead peer's [`RecoveryError::Comm`] becomes a panic here — the one
+/// place the time loop converts an error into one.
 pub fn run_distributed_with(
     scenario: &Scenario,
     num_procs: u32,
@@ -539,11 +684,9 @@ pub fn run_distributed_with(
     probes: &[[i64; 3]],
     cfg: DriverConfig,
 ) -> RunResult {
-    let plan = plan_run(scenario, num_procs);
-    let results = World::run(num_procs, |comm| {
-        drive_rank(comm, &plan, scenario, threads_per_rank, steps, probes, cfg)
-    });
-    RunResult { steps, ranks: results }
+    let cfg = RunConfig { driver: cfg, ..RunConfig::default() };
+    run_distributed_composed(scenario, num_procs, threads_per_rank, steps, probes, &cfg)
+        .unwrap_or_else(|e| panic!("run without a resilience hook failed: {e}"))
 }
 
 /// Runs `scenario` with the default (synchronous) schedule. See
@@ -577,177 +720,350 @@ pub fn run_distributed(
 
 /// Metric name of the hidden-communication accumulator (seconds of
 /// compute executed while ghost messages were in flight).
-pub(crate) const M_OVERLAP_HIDDEN: &str = "driver.overlap_hidden_seconds";
-/// Metric name of the per-step wall-time histogram.
-pub(crate) const M_STEP_SECONDS: &str = "driver.step_seconds";
+const M_OVERLAP_HIDDEN: &str = "driver.overlap_hidden_seconds";
 
-/// Timing fields of a [`RankResult`], folded out of a finished
-/// [`Recorder`]: the comm counters are pushed into the metrics
-/// registry, the per-kind span totals map onto the (disjoint)
-/// category fields, and the snapshot itself is kept unless recording
-/// was off.
-pub(crate) struct FoldedObs {
-    pub(crate) kernel: f64,
-    pub(crate) comm: f64,
-    pub(crate) boundary: f64,
-    pub(crate) overlap_hidden: f64,
-    pub(crate) stall: f64,
-    pub(crate) wall: f64,
-    pub(crate) obs: Option<RankObs>,
-}
-
-pub(crate) fn fold_obs(rec: Recorder, comm: &Communicator) -> FoldedObs {
-    let c = comm.counters();
-    let m = rec.metrics();
-    m.add("comm.messages_sent", c.messages_sent);
-    m.add("comm.bytes_sent", c.bytes_sent);
-    m.add("comm.ctrl_messages_sent", c.ctrl_messages_sent);
-    let enabled = rec.config().enabled();
-    let wall = rec.wall();
-    let obs = rec.finish();
-    FoldedObs {
-        kernel: obs.total(SpanKind::Kernel)
-            + obs.total(SpanKind::KernelInterior)
-            + obs.total(SpanKind::KernelShell),
-        comm: obs.total(SpanKind::GhostPack) + obs.total(SpanKind::GhostDrain),
-        boundary: obs.total(SpanKind::Boundary),
-        overlap_hidden: obs.metrics.fcounter(M_OVERLAP_HIDDEN),
-        stall: obs.total(SpanKind::Stall),
-        wall,
-        obs: enabled.then_some(obs),
-    }
-}
-
-/// Count blocks whose requested in-place kernel silently resolved to
-/// pull (sparse storage cannot run the AA-pattern) and surface the total
-/// as the `kernel.fallback_pull` metric, so a carved run that asked for
-/// `KernelChoice::InPlace` is observable rather than quietly slower.
-pub(crate) fn count_kernel_fallbacks(rec: &Recorder, blocks: &[BlockSim]) {
-    let n = blocks.iter().filter(|b| b.fell_back_to_pull()).count() as u64;
-    if n > 0 {
-        rec.metrics().add("kernel.fallback_pull", n);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rank_loop(
-    mut comm: Communicator,
-    view: &DistributedForest,
-    scenario: &Scenario,
-    threads_per_rank: usize,
-    steps: u64,
-    probes: &[[i64; 3]],
+/// One rank's time-loop state: everything a step reads or writes, built
+/// once per run and lent to the hooks between steps. `blocks`, `view`
+/// and `index_of` always describe the same blocks in the same order.
+pub struct RankLoop<'a> {
+    pub(crate) comm: Communicator,
+    pub(crate) scenario: &'a Scenario,
+    /// The global owner assignment and this rank's view of it (blocks and
+    /// links): the plan's, borrowed, until a migration changes them.
+    pub(crate) forest: Cow<'a, SetupForest>,
+    pub(crate) view: Cow<'a, DistributedForest>,
+    pub(crate) blocks: Vec<BlockSim>,
+    index_of: HashMap<BlockId, usize>,
+    ctx: GhostCtx,
+    pub(crate) rec: Recorder,
+    pub(crate) stats: SweepStats,
+    pub(crate) force_series: Vec<[f64; 3]>,
     cfg: DriverConfig,
-    epoch: Instant,
-) -> RankResult {
-    let rank = comm.rank();
-    let rec = Recorder::with_epoch(rank, cfg.obs, epoch);
-    // Build local blocks.
-    let mut blocks: Vec<BlockSim> = view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
-    count_kernel_fallbacks(&rec, &blocks);
-    let index_of: HashMap<BlockId, usize> =
-        view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
-
-    let mass_initial: f64 = blocks.iter().map(BlockSim::fluid_mass).sum();
-    let energy_initial: f64 = blocks.iter().map(BlockSim::kinetic_energy).sum();
-    let mut stats = SweepStats::default();
-    let mut ctx = GhostCtx::new();
-    let mut force_series: Vec<[f64; 3]> = Vec::new();
-    let rel = scenario.relaxation;
-
-    for t in 0..steps {
-        rec.set_step(t);
-        let step_span = rec.span(SpanKind::Step);
-        if cfg.overlap {
-            overlapped_step(
-                &mut comm,
-                view,
-                &mut blocks,
-                &index_of,
-                &mut ctx,
-                t,
-                rel,
-                threads_per_rank,
-                &rec,
-                &mut stats,
-                None,
-                cfg.force_mask,
-                &mut force_series,
-            )
-            .expect("deadline-free step cannot fail");
-        } else {
-            // ---- ghost exchange ---------------------------------------
-            let _ =
-                exchange_ghosts(&mut comm, view, &mut blocks, &index_of, &mut ctx, t, None, &rec)
-                    .expect("deadline-free exchange cannot fail");
-
-            // ---- boundary sweep ---------------------------------------
-            {
-                let _b = rec.span(SpanKind::Boundary);
-                for_each_block(&mut blocks, threads_per_rank, |b| b.apply_boundaries());
-            }
-            if let Some(mask) = cfg.force_mask {
-                force_series.push(measure_forces(&blocks, mask));
-            }
-
-            // ---- stream-collide ---------------------------------------
-            let kernel = rec.span(SpanKind::Kernel);
-            let step_stats: Vec<SweepStats> =
-                map_each_block(&mut blocks, threads_per_rank, move |b| b.stream_collide(rel));
-            drop(kernel);
-            for s in step_stats {
-                stats.merge(s);
-            }
-        }
-        rec.metrics().observe(M_STEP_SECONDS, step_span.finish());
-    }
-
-    let probe_out = locate_probes(scenario, view, &blocks, probes);
-    let pdfs = if cfg.collect_pdfs { dump_pdfs(view, &blocks) } else { Vec::new() };
-    let mass_final: f64 = blocks.iter().map(BlockSim::fluid_mass).sum();
-    let energy_final: f64 = blocks.iter().map(BlockSim::kinetic_energy).sum();
-    let has_nan = blocks.iter().any(BlockSim::has_nan);
-    let f = fold_obs(rec, &comm);
-    RankResult {
-        rank,
-        num_blocks: blocks.len(),
-        stats,
-        kernel_time: f.kernel,
-        comm_time: f.comm,
-        boundary_time: f.boundary,
-        overlap_hidden: f.overlap_hidden,
-        ghost_stall_time: f.stall,
-        mass_initial,
-        mass_final,
-        energy_initial,
-        energy_final,
-        force_series,
-        probes: probe_out,
-        pdfs,
-        has_nan,
-        wall_time: f.wall,
-        obs: f.obs,
-        rebalance: None,
-    }
+    threads: usize,
+    mass_initial: f64,
+    energy_initial: f64,
 }
 
-/// Sums the masked momentum-exchange force over `blocks` in block order
-/// — the deterministic fold every schedule reproduces. Valid only while
-/// the pre-sweep populations are intact (after the boundary sweep,
-/// before stream-collide).
-pub(crate) fn measure_forces(blocks: &[BlockSim], mask: CellFlags) -> [f64; 3] {
-    let mut out = [0.0; 3];
-    for b in blocks {
-        let f = b.boundary_force(mask);
-        for d in 0..3 {
-            out[d] += f[d];
+/// Block id → position in the view (and the matching block vector).
+fn index_blocks(view: &DistributedForest) -> HashMap<BlockId, usize> {
+    view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect()
+}
+
+impl<'a> RankLoop<'a> {
+    /// Builds this rank's blocks (the rank is the communicator's) and
+    /// the loop state around them.
+    pub fn new(
+        comm: Communicator,
+        plan: &'a RunPlan,
+        scenario: &'a Scenario,
+        threads_per_rank: usize,
+        cfg: DriverConfig,
+    ) -> Self {
+        let rec = Recorder::with_epoch(comm.rank(), cfg.obs, plan.epoch);
+        let view = &plan.views[comm.rank() as usize];
+        let blocks: Vec<BlockSim> = view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
+        // A requested in-place kernel silently resolves to pull on sparse
+        // storage; count it so a carved run is observably slower.
+        let fallbacks = blocks.iter().filter(|b| b.fell_back_to_pull()).count() as u64;
+        if fallbacks > 0 {
+            rec.metrics().add("kernel.fallback_pull", fallbacks);
+        }
+        RankLoop {
+            mass_initial: blocks.iter().map(BlockSim::fluid_mass).sum(),
+            energy_initial: blocks.iter().map(BlockSim::kinetic_energy).sum(),
+            index_of: index_blocks(view),
+            comm,
+            scenario,
+            forest: Cow::Borrowed(&plan.forest),
+            view: Cow::Borrowed(view),
+            blocks,
+            ctx: GhostCtx::new(),
+            rec,
+            stats: SweepStats::default(),
+            force_series: Vec::new(),
+            cfg,
+            threads: threads_per_rank,
         }
     }
-    out
+
+    /// Puts this rank under `owners` (one rank per forest block, in
+    /// forest order) and rebuilds view and index; the caller makes the
+    /// blocks match. No-op (and no forest clone) if nothing changes.
+    pub(crate) fn set_owners(&mut self, owners: &[u32]) {
+        if self.forest.blocks.iter().map(|b| b.rank).ne(owners.iter().copied()) {
+            for (b, &r) in self.forest.to_mut().blocks.iter_mut().zip(owners) {
+                b.rank = r;
+            }
+            let rank = self.comm.rank() as usize;
+            self.view = Cow::Owned(distribute(&self.forest).swap_remove(rank));
+            self.index_of = index_blocks(&self.view);
+        }
+    }
+
+    /// This rank's blocks, in view order.
+    pub fn blocks(&self) -> &[BlockSim] {
+        &self.blocks
+    }
+
+    /// Mutable access to the blocks (not to their number or order).
+    pub fn blocks_mut(&mut self) -> &mut [BlockSim] {
+        &mut self.blocks
+    }
+
+    /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
+    ///
+    /// The pack-and-post phase is common: every face is packed, remote
+    /// ones are sent, same-rank ones unpacked on the spot. The schedules
+    /// differ in the drain. *Synchronous*: receive in posting order, then
+    /// sweep whole blocks. *Overlapped*: sweep every interior core (whose
+    /// pull stencil never reads the ghost layer) while the messages are
+    /// in flight, then drain in **arrival order** and finish each block's
+    /// boundary shell the moment its last message lands. The two are
+    /// bitwise identical: the interior/shell split partitions each block
+    /// exactly once (the `region_partition_is_bitwise_identical` tests of
+    /// `trillium-kernels`), the boundary split is order-independent
+    /// (`trillium-kernels::boundary`), and ghost slabs of distinct
+    /// directions are disjoint, so arrival-order unpacking is race-free.
+    ///
+    /// A `deadline` bounds every blocking receive. Any error leaves the
+    /// blocks in a torn mid-step state for the caller to discard (by
+    /// restoring a checkpoint) or give up on.
+    pub fn step(&mut self, t: u64, deadline: Option<Duration>) -> Result<(), CommError> {
+        // ---- pack and post ------------------------------------------------
+        // Packs read interior slabs only, unpacks write ghost slabs only,
+        // so the two phases are race-free and equal to any interleaving.
+        let pack = self.rec.span(SpanKind::GhostPack);
+        let ctx = &mut self.ctx;
+        ctx.begin_step(self.blocks.len());
+        for (bi, lb) in self.view.blocks.iter().enumerate() {
+            for (li, link) in lb.links.iter().enumerate() {
+                let d = NEIGHBOR_DIRS[li];
+                if ctx.table.qs(d).is_empty() {
+                    continue; // corner links carry nothing for D3Q19
+                }
+                // The neighbor receives from direction −d.
+                let rev = [-d[0], -d[1], -d[2]];
+                match link {
+                    BlockLink::Border => {}
+                    BlockLink::Local(nid) => {
+                        let buf = ctx.pack(&self.blocks[bi], d);
+                        ctx.local.push((self.index_of[nid], rev, buf));
+                    }
+                    BlockLink::Remote(nid, r) => {
+                        let buf = ctx.pack(&self.blocks[bi], d);
+                        self.comm.send(*r, ghost_tag(*nid, rev, t), buf);
+                        // Symmetric link: we will receive the neighbor's
+                        // data for our ghost slab in direction d.
+                        ctx.pairs.push((*r, ghost_tag(lb.id, d, t)));
+                        ctx.meta.push((bi, d));
+                        ctx.outstanding[bi] += 1;
+                    }
+                }
+            }
+        }
+        // End of the send phase: release fault-delayed messages now, at a
+        // program point, so failure behavior stays deterministic.
+        self.comm.flush_delayed();
+        // Same-rank links complete immediately.
+        let local = std::mem::take(&mut ctx.local);
+        for (bi, d, buf) in local {
+            ctx.unpack(&mut self.blocks[bi], d, buf);
+        }
+        ctx.pack_seconds = pack.finish();
+
+        // ---- drain + compute: the only schedule-dependent part -----------
+        if self.cfg.overlap {
+            self.sweep_while_draining(deadline)?;
+        } else {
+            self.drain_then_sweep(deadline)?;
+        }
+
+        // ---- accounting (infallible: one force sample per completed step) --
+        if self.cfg.force_mask.is_some() {
+            // Folded in block order: the same additions, in the same
+            // sequence, under either schedule.
+            let mut f = [0.0; 3];
+            for bf in &self.ctx.forces {
+                for d in 0..3 {
+                    f[d] += bf[d];
+                }
+            }
+            self.force_series.push(f);
+        }
+        for (bi, b) in self.blocks.iter().enumerate() {
+            // Region sweeps cannot attribute fluid-ness per sub-span;
+            // both schedules report the totals of a full sweep.
+            let (cells, fluid_cells) = b.sweep_counts();
+            self.stats.merge(SweepStats { cells, fluid_cells, seconds: self.ctx.seconds[bi] });
+        }
+        Ok(())
+    }
+
+    /// The synchronous drain: blocking receives in posting order, then
+    /// the boundary sweep and the fused stream–collide over whole blocks.
+    fn drain_then_sweep(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
+        let (rec, ctx) = (&self.rec, &mut self.ctx);
+        // The drain span covers unpacking; blocked waits are carved out
+        // into disjoint `Stall` spans — exposed stall in the sense of
+        // [`RankResult::ghost_stall_time`], since the whole stream-collide
+        // sweep is still pending — so `comm_time` never includes them.
+        let mut drain = rec.span(SpanKind::GhostDrain);
+        for i in 0..ctx.pairs.len() {
+            let (from, tag) = ctx.pairs[i];
+            let (bi, d) = ctx.meta[i];
+            let data = match self.comm.try_recv(from, tag) {
+                Some(data) => data,
+                None => {
+                    let stall = rec.span(SpanKind::Stall);
+                    let res = self.comm.recv_any_within(&[(from, tag)], deadline);
+                    drain.exclude(stall.finish());
+                    res?.1
+                }
+            };
+            ctx.unpack(&mut self.blocks[bi], d, data);
+        }
+        drain.finish();
+
+        {
+            let _b = rec.span(SpanKind::Boundary);
+            map_each_block(&mut self.blocks, self.threads, |b| b.apply_boundaries());
+        }
+        // Forces are read from the pre-sweep populations: after the full
+        // boundary sweep, before stream-collide.
+        if let Some(mask) = self.cfg.force_mask {
+            for (bi, b) in self.blocks.iter().enumerate() {
+                ctx.forces[bi] = b.boundary_force(mask);
+            }
+        }
+        let rel = self.scenario.relaxation;
+        let kernel = rec.span(SpanKind::Kernel);
+        let swept = map_each_block(&mut self.blocks, self.threads, move |b| b.stream_collide(rel));
+        drop(kernel);
+        for (bi, s) in swept.iter().enumerate() {
+            ctx.seconds[bi] = s.seconds;
+        }
+        Ok(())
+    }
+
+    /// The overlapped drain: interior prep and interior sweeps hide the
+    /// messages in flight, shells finish as ghost layers complete, and
+    /// all double buffers swap at the end.
+    fn sweep_while_draining(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
+        let (rec, ctx, blocks) = (&self.rec, &mut self.ctx, &mut self.blocks);
+        let (rel, mask, threads) = (self.scenario.relaxation, self.cfg.force_mask, self.threads);
+        let in_flight = !ctx.pairs.is_empty();
+
+        // ---- overlap window: interior prep + interior sweeps ---------------
+        let t_hide = rec.clock();
+        {
+            let _b = rec.span(SpanKind::Boundary);
+            map_each_block(blocks, threads, |b| b.apply_boundaries_interior());
+        }
+        let kernel = rec.span(SpanKind::KernelInterior);
+        let interior = map_each_block(blocks, threads, move |b| b.stream_collide_interior(rel));
+        drop(kernel);
+        for (bi, s) in interior.iter().enumerate() {
+            ctx.seconds[bi] = s.seconds;
+        }
+        if in_flight {
+            rec.metrics().acc(M_OVERLAP_HIDDEN, rec.clock() - t_hide);
+        }
+
+        // Blocks with no outstanding remote messages (ghosts already
+        // complete from local links) finish their shells now — still
+        // inside the overlap window of the other blocks' messages.
+        for bi in 0..blocks.len() {
+            if ctx.outstanding[bi] == 0 {
+                let hidden = finish_shell(&mut blocks[bi], bi, rel, ctx, rec, mask);
+                if in_flight {
+                    rec.metrics().acc(M_OVERLAP_HIDDEN, hidden);
+                }
+            }
+        }
+
+        // ---- drain: arrival order, finish shells as blocks complete --------
+        while !ctx.pairs.is_empty() {
+            // Blocking here is *not* an exposed stall: every interior is
+            // already swept and every block with a complete ghost layer
+            // has finished its shell, so no runnable local work remains.
+            // The wait is neighbor imbalance and lands in `comm_time` (see
+            // [`RankResult::ghost_stall_time`]).
+            let drain = rec.span(SpanKind::GhostDrain);
+            let (i, data) = match self.comm.try_recv_any(&ctx.pairs) {
+                Some(hit) => hit,
+                None => self.comm.recv_any_within(&ctx.pairs, deadline)?,
+            };
+            let (bi, d) = ctx.meta[i];
+            ctx.pairs.swap_remove(i);
+            ctx.meta.swap_remove(i);
+            ctx.unpack(&mut blocks[bi], d, data);
+            drain.finish();
+            ctx.outstanding[bi] -= 1;
+            if ctx.outstanding[bi] == 0 {
+                let hidden = finish_shell(&mut blocks[bi], bi, rel, ctx, rec, mask);
+                if !ctx.pairs.is_empty() {
+                    rec.metrics().acc(M_OVERLAP_HIDDEN, hidden);
+                }
+            }
+        }
+        map_each_block(blocks, threads, |b| b.swap_buffers());
+        Ok(())
+    }
+
+    /// Folds the finished loop into this rank's [`RankResult`]: probes
+    /// located against the *current* view (they follow migrated blocks),
+    /// the optional PDF dump, conservation totals, and the span totals
+    /// mapped onto the (disjoint) timing fields.
+    pub fn finish(
+        self,
+        probes: &[[i64; 3]],
+        rebalance: Option<RebalanceReport>,
+        resilience: Option<RankResilience>,
+    ) -> RankResult {
+        let (view, blocks, rec) = (&*self.view, &self.blocks, self.rec);
+        // Read the blocks first: that work is part of the rank's wall time.
+        let probes = locate_probes(self.scenario, view, blocks, probes);
+        let pdfs = if self.cfg.collect_pdfs { dump_pdfs(view, blocks) } else { Vec::new() };
+        let mass_final = blocks.iter().map(BlockSim::fluid_mass).sum();
+        let energy_final = blocks.iter().map(BlockSim::kinetic_energy).sum();
+        let has_nan = blocks.iter().any(BlockSim::has_nan);
+        let c = self.comm.counters();
+        let m = rec.metrics();
+        m.add("comm.messages_sent", c.messages_sent);
+        m.add("comm.bytes_sent", c.bytes_sent);
+        m.add("comm.ctrl_messages_sent", c.ctrl_messages_sent);
+        let enabled = rec.config().enabled();
+        let wall_time = rec.wall();
+        let obs = rec.finish();
+        RankResult {
+            rank: self.comm.rank(),
+            num_blocks: blocks.len(),
+            stats: self.stats,
+            kernel_time: obs.total(SpanKind::Kernel)
+                + obs.total(SpanKind::KernelInterior)
+                + obs.total(SpanKind::KernelShell),
+            comm_time: obs.total(SpanKind::GhostPack) + obs.total(SpanKind::GhostDrain),
+            boundary_time: obs.total(SpanKind::Boundary),
+            overlap_hidden: obs.metrics.fcounter(M_OVERLAP_HIDDEN),
+            ghost_stall_time: obs.total(SpanKind::Stall),
+            mass_initial: self.mass_initial,
+            mass_final,
+            energy_initial: self.energy_initial,
+            energy_final,
+            force_series: self.force_series,
+            probes,
+            pdfs,
+            has_nan,
+            wall_time,
+            obs: enabled.then_some(obs),
+            rebalance,
+            resilience,
+        }
+    }
 }
 
 /// Serializes every block's interior PDFs for bitwise comparison.
-pub(crate) fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64>)> {
+fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64>)> {
     view.blocks
         .iter()
         .zip(blocks)
@@ -761,167 +1077,6 @@ pub(crate) fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u
             (lb.id.pack(), vals)
         })
         .collect()
-}
-
-/// One time step of the overlapped schedule:
-///
-/// 1. pack and post *all* sends (remote links), unpack same-rank links;
-/// 2. while the remote messages are in flight, run the interior boundary
-///    prep (obstacle cells, which never read the ghost layer) and the
-///    interior-core stream–collide on every local block;
-/// 3. drain the expected ghost messages in **arrival order** via
-///    [`Communicator::recv_any`] — not in the fixed posting order the
-///    synchronous path blocks on — and finish each block's ghost boundary
-///    prep + shell sweep the moment its last message lands, so shell
-///    compute of early-completing blocks also hides late arrivals;
-/// 4. swap all double buffers.
-///
-/// The result is bitwise identical to the synchronous schedule: the
-/// interior/shell split partitions each block exactly once (pinned in
-/// `trillium-kernels::dispatch`), the boundary split is order-independent
-/// (pinned in `trillium-kernels::boundary`), and ghost slabs of distinct
-/// directions are disjoint, so arrival-order unpacking is race-free.
-///
-/// With `timeout == Some(d)` every blocking receive in the drain is
-/// bounded by `d` (the resilient schedule); an error leaves the blocks
-/// in a torn mid-step state that the caller is expected to discard by
-/// restoring a checkpoint. With `timeout == None` the call cannot fail
-/// (a dead peer panics inside the infallible receive instead).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn overlapped_step(
-    comm: &mut Communicator,
-    view: &DistributedForest,
-    blocks: &mut [BlockSim],
-    index_of: &HashMap<BlockId, usize>,
-    ctx: &mut GhostCtx,
-    step: u64,
-    rel: Relaxation,
-    threads: usize,
-    rec: &Recorder,
-    stats: &mut SweepStats,
-    timeout: Option<Duration>,
-    force_mask: Option<CellFlags>,
-    force_series: &mut Vec<[f64; 3]>,
-) -> Result<(), trillium_comm::CommError> {
-    // ---- post sends ---------------------------------------------------
-    let pack = rec.span(SpanKind::GhostPack);
-    ctx.begin_step(blocks.len());
-    for (bi, lb) in view.blocks.iter().enumerate() {
-        for (li, link) in lb.links.iter().enumerate() {
-            let d = NEIGHBOR_DIRS[li];
-            if ctx.table.qs(d).is_empty() {
-                continue; // corner links carry nothing for D3Q19
-            }
-            let rev = [-d[0], -d[1], -d[2]];
-            match link {
-                BlockLink::Border => {}
-                BlockLink::Local(nid) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    ctx.local.push((index_of[nid], rev, buf));
-                }
-                BlockLink::Remote(nid, r) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    comm.send(*r, ghost_tag(*nid, rev, step), buf);
-                    ctx.pairs.push((*r, ghost_tag(lb.id, d, step)));
-                    ctx.meta.push((bi, d));
-                    ctx.outstanding[bi] += 1;
-                }
-            }
-        }
-    }
-    // End of the send phase: release fault-delayed messages now, at a
-    // program point, so failure behavior stays deterministic.
-    comm.flush_delayed();
-    // Same-rank links complete immediately.
-    let local = std::mem::take(&mut ctx.local);
-    for (bi, d, buf) in local {
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &buf);
-        ctx.recycle(buf);
-    }
-    pack.finish();
-    let in_flight = !ctx.pairs.is_empty();
-
-    // ---- overlap window: interior prep + interior sweeps ---------------
-    let t_hide = rec.clock();
-    {
-        let _b = rec.span(SpanKind::Boundary);
-        for_each_block(blocks, threads, |b| b.apply_boundaries_interior());
-    }
-    let kernel = rec.span(SpanKind::KernelInterior);
-    let interior: Vec<SweepStats> =
-        map_each_block(blocks, threads, move |b| b.stream_collide_interior(rel));
-    drop(kernel);
-    for (bi, s) in interior.iter().enumerate() {
-        ctx.seconds[bi] = s.seconds;
-    }
-    if in_flight {
-        rec.metrics().acc(M_OVERLAP_HIDDEN, rec.clock() - t_hide);
-    }
-
-    // Blocks with no outstanding remote messages (ghosts already complete
-    // from local links) finish their shells now — still inside the
-    // overlap window of the other blocks' messages.
-    for bi in 0..blocks.len() {
-        if ctx.outstanding[bi] == 0 {
-            let hidden = finish_shell(&mut blocks[bi], bi, rel, ctx, rec, force_mask);
-            if in_flight {
-                rec.metrics().acc(M_OVERLAP_HIDDEN, hidden);
-            }
-        }
-    }
-
-    // ---- drain: arrival order, finish shells as blocks complete --------
-    while !ctx.pairs.is_empty() {
-        // Blocking here is *not* an exposed stall: every interior is
-        // already swept and every block with a complete ghost layer has
-        // finished its shell, so no runnable local work remains. The
-        // wait is neighbor imbalance and lands in `comm_time` (see
-        // [`RankResult::ghost_stall_time`]).
-        let drain = rec.span(SpanKind::GhostDrain);
-        let (i, data) = match comm.try_recv_any(&ctx.pairs) {
-            Some(hit) => hit,
-            None => match timeout {
-                None => comm.recv_any(&ctx.pairs),
-                Some(d) => comm.recv_any_timeout(&ctx.pairs, d)?,
-            },
-        };
-        let (bi, d) = ctx.meta[i];
-        ctx.pairs.swap_remove(i);
-        ctx.meta.swap_remove(i);
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &data);
-        ctx.recycle(data);
-        drain.finish();
-        ctx.outstanding[bi] -= 1;
-        if ctx.outstanding[bi] == 0 {
-            let hidden = finish_shell(&mut blocks[bi], bi, rel, ctx, rec, force_mask);
-            if !ctx.pairs.is_empty() {
-                rec.metrics().acc(M_OVERLAP_HIDDEN, hidden);
-            }
-        }
-    }
-
-    // ---- swap + accounting --------------------------------------------
-    for_each_block(blocks, threads, |b| b.swap_buffers());
-    if force_mask.is_some() {
-        // Fold per-block forces in block order — the same additions, in
-        // the same sequence, as the synchronous schedule's fold.
-        let mut f = [0.0; 3];
-        for bf in &ctx.forces {
-            for d in 0..3 {
-                f[d] += bf[d];
-            }
-        }
-        force_series.push(f);
-    }
-    for (bi, b) in blocks.iter().enumerate() {
-        // Region sweeps count traversed cells but cannot attribute
-        // fluid-ness per sub-span; report the same totals as a full sweep.
-        let (cells, fluid_cells) = b.sweep_counts();
-        stats.merge(SweepStats { cells, fluid_cells, seconds: ctx.seconds[bi] });
-    }
-    Ok(())
 }
 
 /// Ghost boundary prep + shell sweep for one block whose ghost layer just
@@ -952,7 +1107,7 @@ fn finish_shell(
 }
 
 /// Evaluates the probes this rank owns (global cell → velocity).
-pub(crate) fn locate_probes(
+fn locate_probes(
     scenario: &Scenario,
     view: &DistributedForest,
     blocks: &[BlockSim],
@@ -976,222 +1131,139 @@ pub(crate) fn locate_probes(
     out
 }
 
-/// Runs `scenario` with the runtime load balancer enabled: per-block
-/// costs are measured every step, the global imbalance is checked every
-/// [`RebalanceConfig::every_n_steps`] steps, and blocks migrate between
-/// ranks (state and all) when the measured imbalance persists. See
-/// `trillium-rebalance` for the monitoring/planning machinery and
-/// [`crate::migrate`] for the transfer protocol.
-pub fn run_distributed_rebalanced(
-    scenario: &Scenario,
-    num_procs: u32,
-    threads_per_rank: usize,
-    steps: u64,
+/// The rebalance hook: feeds the per-block cost model after every step
+/// and, every [`RebalanceConfig::every_n_steps`] steps, measures the
+/// global imbalance and migrates blocks (state and all) when it persists
+/// — planning by `trillium-rebalance`, transfer by [`crate::migrate`].
+struct Rebalancer {
     cfg: RebalanceConfig,
-) -> RunResult {
-    let plan = plan_run(scenario, num_procs);
-    let results = World::run(num_procs, |comm| {
-        drive_rank_rebalanced(comm, &plan, scenario, threads_per_rank, steps, cfg)
-    });
-    RunResult { steps, ranks: results }
+    model: EwmaCostModel,
+    detector: ImbalanceDetector,
+    report: RebalanceReport,
 }
 
-/// Runs one rank of a load-balanced distributed simulation on a
-/// caller-provided communicator — the re-entrant per-rank entry point
-/// behind [`run_distributed_rebalanced`]. Each rank clones the plan's
-/// forest and its own view, since the rebalanced schedule mutates
-/// ownership as blocks migrate.
-pub fn drive_rank_rebalanced(
-    comm: Communicator,
-    plan: &RunPlan,
-    scenario: &Scenario,
-    threads_per_rank: usize,
-    steps: u64,
-    cfg: RebalanceConfig,
-) -> RankResult {
-    let rank = comm.rank() as usize;
-    rank_loop_rebalanced(
-        comm,
-        plan.forest.clone(),
-        plan.views[rank].clone(),
-        scenario,
-        threads_per_rank,
-        steps,
-        cfg,
-        plan.epoch,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rank_loop_rebalanced(
-    mut comm: Communicator,
-    mut forest: SetupForest,
-    mut view: DistributedForest,
-    scenario: &Scenario,
-    threads_per_rank: usize,
-    steps: u64,
-    cfg: RebalanceConfig,
-    epoch: Instant,
-) -> RankResult {
-    let rank = comm.rank();
-    let size = comm.size();
-    let rec = Recorder::with_epoch(rank, cfg.obs, epoch);
-    let mut blocks: Vec<BlockSim> = view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
-    count_kernel_fallbacks(&rec, &blocks);
-    let mut index_of: HashMap<BlockId, usize> =
-        view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
-
-    let mass_initial: f64 = blocks.iter().map(BlockSim::fluid_mass).sum();
-    let energy_initial: f64 = blocks.iter().map(BlockSim::kinetic_energy).sum();
-    let mut stats = SweepStats::default();
-    let mut force_series: Vec<[f64; 3]> = Vec::new();
-
-    let mut model = EwmaCostModel::new(cfg.ewma_alpha);
-    let mut detector =
-        ImbalanceDetector::new(cfg.threshold, cfg.hysteresis).with_cooldown(cfg.cooldown_epochs);
-    let mut report = RebalanceReport::default();
-    let mut ctx = GhostCtx::new();
-
-    for t in 0..steps {
-        rec.set_step(t);
-        let step_span = rec.span(SpanKind::Step);
-        let (ghost_work, _ghost_stall) =
-            exchange_ghosts(&mut comm, &view, &mut blocks, &index_of, &mut ctx, t, None, &rec)
-                .expect("deadline-free exchange cannot fail");
-        report.comm_work_time += ghost_work;
-
-        {
-            let _b = rec.span(SpanKind::Boundary);
-            for_each_block(&mut blocks, threads_per_rank, |b| b.apply_boundaries());
+impl Rebalancer {
+    fn new(cfg: RebalanceConfig) -> Self {
+        Rebalancer {
+            model: EwmaCostModel::new(cfg.ewma_alpha),
+            detector: ImbalanceDetector::new(cfg.threshold, cfg.hysteresis)
+                .with_cooldown(cfg.cooldown_epochs),
+            report: RebalanceReport::default(),
+            cfg,
         }
-        if let Some(mask) = cfg.force_mask {
-            force_series.push(measure_forces(&blocks, mask));
+    }
+
+    /// Called once `done` steps are complete.
+    fn after_step(
+        &mut self,
+        lp: &mut RankLoop,
+        done: u64,
+        deadline: Option<Duration>,
+    ) -> Result<(), MigrationError> {
+        // Feed the cost model from what the step measured under either
+        // schedule: each block's sweep seconds plus an equal share of the
+        // pack-and-post *work* — not the blocked wait, which an
+        // underloaded rank spends on its overloaded neighbors and which
+        // would make every rank look equally busy.
+        let ghost_work = lp.ctx.pack_seconds;
+        self.report.comm_work_time += ghost_work;
+        let share = if lp.blocks.is_empty() { 0.0 } else { ghost_work / lp.blocks.len() as f64 };
+        for (lb, secs) in lp.view.blocks.iter().zip(&lp.ctx.seconds) {
+            self.model.update(lb.id.pack(), secs + share);
         }
-
-        let kernel = rec.span(SpanKind::Kernel);
-        let rel = scenario.relaxation;
-        let step_stats: Vec<SweepStats> =
-            map_each_block(&mut blocks, threads_per_rank, move |b| b.stream_collide(rel));
-        drop(kernel);
-
-        // Feed the cost model: each block's measured sweep time plus an
-        // equal share of this step's ghost-exchange *work* (not the time
-        // spent blocked waiting for neighbors — see [`exchange_ghosts`]).
-        let ghost_share = if blocks.is_empty() { 0.0 } else { ghost_work / blocks.len() as f64 };
-        for (bi, s) in step_stats.iter().enumerate() {
-            model.update(view.blocks[bi].id.pack(), s.seconds + ghost_share);
-            stats.merge(*s);
+        if done % self.cfg.every_n_steps.max(1) != 0 {
+            return Ok(());
         }
+        // Epoch work (allreduce, gather, plan, migration) is its own
+        // span — coordination overhead, not ghost-exchange time.
+        let span = lp.rec.open(SpanKind::RebalanceEpoch);
+        let out = self.epoch(lp, done, deadline);
+        self.report.epoch_time += lp.rec.close(span);
+        out
+    }
 
-        // ---- epoch boundary: measure, decide, maybe migrate -----------
-        if (t + 1) % cfg.every_n_steps.max(1) == 0 {
-            let epoch_span = rec.span(SpanKind::RebalanceEpoch);
-            let (_, max, sum) = comm.allreduce_minmaxsum_f64(model.total());
-            let ratio = if sum > 0.0 { max * size as f64 / sum } else { 1.0 };
-            let mut migrated = 0u32;
-            // The ratio is bitwise identical on every rank (same gathered
-            // values folded in the same order), so the detector decision
-            // and the plan need no extra agreement round.
-            if detector.observe(ratio) {
-                let records: Vec<BlockRecord> = view
-                    .blocks
-                    .iter()
-                    .enumerate()
-                    .map(|(bi, lb)| BlockRecord {
-                        id: lb.id.pack(),
-                        owner: rank,
-                        coords: [lb.coords[0] as u32, lb.coords[1] as u32, lb.coords[2] as u32],
-                        level: lb.id.level(),
-                        cost: model.cost(lb.id.pack()),
-                        fluid_cells: blocks[bi].fluid_cells() as u64,
-                    })
-                    .collect();
-                let gathered = comm.allgather_bytes(encode_records(&records));
-                let all: Vec<BlockRecord> =
-                    gathered.iter().flat_map(|b| decode_records(b)).collect();
-                let mut plan = plan_rebalance(all, size, &cfg.plan);
-                // Drop structurally invalid migrations instead of letting
-                // the transfer protocol panic on them. The plan is computed
-                // from identical input on every rank, so the dropped set is
-                // identical too and the protocol stays symmetric.
-                let dropped = plan.sanitize();
-                rec.metrics().add("rebalance.plan_skipped", dropped.len() as u64);
-                if !plan.migrations.is_empty() {
-                    migrated = plan.migrations.len() as u32;
-                    for m in &plan.migrations {
-                        if m.from == rank {
-                            model.forget(m.id);
-                        }
-                    }
-                    let ms = execute_migrations(
-                        &mut comm,
-                        &plan,
-                        &mut forest,
-                        &mut view,
-                        &mut blocks,
-                        &mut index_of,
-                        scenario.boundary,
-                        &rec,
-                    );
-                    // Received blocks are rebuilt from the wire format,
-                    // which carries neither the collision operator nor
-                    // the backend (both scenario-global); re-stamp every
-                    // block.
-                    for b in blocks.iter_mut() {
-                        b.collision = scenario.collision;
-                        b.backend = scenario.backend;
-                    }
-                    report.migrations_out += ms.sent;
-                    report.migrations_in += ms.received;
-                    report.rebalances += 1;
-                    rec.metrics().add("rebalance.migrations_out", ms.sent as u64);
-                    rec.metrics().add("rebalance.migrations_in", ms.received as u64);
-                    rec.metrics().add("rebalance.rounds", 1);
+    /// Epoch boundary: measure, decide, maybe migrate.
+    fn epoch(
+        &mut self,
+        lp: &mut RankLoop,
+        done: u64,
+        deadline: Option<Duration>,
+    ) -> Result<(), MigrationError> {
+        let (rank, size) = (lp.comm.rank(), lp.comm.size());
+        let (_, max, sum) = lp.comm.try_allreduce_minmaxsum_f64(self.model.total())?;
+        let ratio = if sum > 0.0 { max * size as f64 / sum } else { 1.0 };
+        let mut migrated = 0u32;
+        // The ratio is bitwise identical on every rank (same gathered
+        // values folded in the same order), so the detector decision and
+        // the plan need no extra agreement round.
+        if self.detector.observe(ratio) {
+            let records: Vec<BlockRecord> = lp
+                .view
+                .blocks
+                .iter()
+                .zip(&lp.blocks)
+                .map(|(lb, b)| BlockRecord {
+                    id: lb.id.pack(),
+                    owner: rank,
+                    coords: [lb.coords[0] as u32, lb.coords[1] as u32, lb.coords[2] as u32],
+                    level: lb.id.level(),
+                    cost: self.model.cost(lb.id.pack()),
+                    fluid_cells: b.fluid_cells() as u64,
+                })
+                .collect();
+            let gathered = lp.comm.try_allgather_bytes(encode_records(&records))?;
+            let all: Vec<BlockRecord> = gathered.iter().flat_map(|b| decode_records(b)).collect();
+            let mut plan = plan_rebalance(all, size, &self.cfg.plan);
+            // Drop structurally invalid migrations instead of letting the
+            // transfer protocol fail on them. The plan is computed from
+            // identical input on every rank, so the dropped set is
+            // identical too and the protocol stays symmetric.
+            let dropped = plan.sanitize();
+            lp.rec.metrics().add("rebalance.plan_skipped", dropped.len() as u64);
+            if !plan.migrations.is_empty() {
+                migrated = plan.migrations.len() as u32;
+                for m in plan.migrations.iter().filter(|m| m.from == rank) {
+                    self.model.forget(m.id);
                 }
+                let span = lp.rec.open(SpanKind::Migration);
+                let ms = execute_migrations(lp, &plan, deadline);
+                lp.rec.close(span);
+                let ms = ms?;
+                self.report.migrations_out += ms.sent;
+                self.report.migrations_in += ms.received;
+                self.report.rebalances += 1;
+                lp.rec.metrics().add("rebalance.migrations_out", ms.sent as u64);
+                lp.rec.metrics().add("rebalance.migrations_in", ms.received as u64);
+                lp.rec.metrics().add("rebalance.rounds", 1);
             }
-            // Epoch work (allreduce, gather, plan, migration) is its own
-            // span — it is coordination overhead, not ghost-exchange time,
-            // so it no longer inflates `comm_time`.
-            report.epoch_time += epoch_span.finish();
-            report.epochs.push(EpochReport { step: t + 1, ratio, migrated });
         }
-        rec.metrics().observe(M_STEP_SECONDS, step_span.finish());
+        self.report.epochs.push(EpochReport { step: done, ratio, migrated });
+        Ok(())
     }
 
-    report.final_costs = view
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(bi, lb)| (lb.id.pack(), model.cost(lb.id.pack()), blocks[bi].fluid_cells() as u64))
-        .collect();
-    for (id, cost, _) in &report.final_costs {
-        rec.metrics().gauge(&format!("rebalance.block_cost.{id}"), *cost);
+    /// The cohort rolled back to `step`, possibly onto another owner
+    /// assignment. Cost model and detector start over — on every rank
+    /// alike, so decisions stay in lockstep even if the failure tore an
+    /// epoch only some ranks observed — and the epochs about to be
+    /// replayed leave the history.
+    fn rolled_back(&mut self, step: u64) {
+        let report = std::mem::take(&mut self.report);
+        *self = Rebalancer { report, ..Rebalancer::new(self.cfg) };
+        self.report.epochs.retain(|e| e.step <= step);
     }
 
-    let mass_final: f64 = blocks.iter().map(BlockSim::fluid_mass).sum();
-    let energy_final: f64 = blocks.iter().map(BlockSim::kinetic_energy).sum();
-    let has_nan = blocks.iter().any(BlockSim::has_nan);
-    let f = fold_obs(rec, &comm);
-    RankResult {
-        rank,
-        num_blocks: blocks.len(),
-        stats,
-        kernel_time: f.kernel,
-        comm_time: f.comm,
-        boundary_time: f.boundary,
-        overlap_hidden: f.overlap_hidden,
-        ghost_stall_time: f.stall,
-        mass_initial,
-        mass_final,
-        energy_initial,
-        energy_final,
-        force_series,
-        probes: Vec::new(),
-        pdfs: if cfg.collect_pdfs { dump_pdfs(&view, &blocks) } else { Vec::new() },
-        has_nan,
-        wall_time: f.wall,
-        obs: f.obs,
-        rebalance: Some(report),
+    fn finish(mut self, lp: &RankLoop) -> RebalanceReport {
+        self.report.final_costs = lp
+            .view
+            .blocks
+            .iter()
+            .zip(&lp.blocks)
+            .map(|(lb, b)| (lb.id.pack(), self.model.cost(lb.id.pack()), b.fluid_cells() as u64))
+            .collect();
+        for (id, cost, _) in &self.report.final_costs {
+            lp.rec.metrics().gauge(&format!("rebalance.block_cost.{id}"), *cost);
+        }
+        self.report
     }
 }
 
@@ -1201,7 +1273,7 @@ fn rank_loop_rebalanced(
 /// warm-up. Received payloads are recycled into the next step's send
 /// buffers — the per-step send and receive counts are equal (every remote
 /// link is symmetric), so the pool reaches a steady state after one step.
-pub(crate) struct GhostCtx {
+struct GhostCtx {
     table: CrossingTable,
     pool: Vec<Vec<u8>>,
     /// `(from, tag)` pairs still outstanding, parallel to `meta`.
@@ -1212,15 +1284,18 @@ pub(crate) struct GhostCtx {
     local: Vec<(usize, [i8; 3], Vec<u8>)>,
     /// Outstanding remote messages per local block.
     outstanding: Vec<u32>,
-    /// Accumulated sweep seconds per local block this step.
+    /// Sweep seconds per local block this step.
     seconds: Vec<f64>,
-    /// Per-block masked boundary force this step (overlapped schedule:
-    /// written in `finish_shell`, folded in block order at step end).
+    /// Per-block masked boundary force this step, folded in block order
+    /// at step end.
     forces: Vec<[f64; 3]>,
+    /// Seconds of this step's pack-and-post phase: this rank's own
+    /// exchange effort, excluding every blocked wait.
+    pack_seconds: f64,
 }
 
 impl GhostCtx {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         GhostCtx {
             table: CrossingTable::new::<D3Q19>(),
             pool: Vec::new(),
@@ -1230,6 +1305,7 @@ impl GhostCtx {
             outstanding: Vec::new(),
             seconds: Vec::new(),
             forces: Vec::new(),
+            pack_seconds: 0.0,
         }
     }
 
@@ -1246,114 +1322,20 @@ impl GhostCtx {
         self.forces.resize(num_blocks, [0.0; 3]);
     }
 
-    fn take_buf(&mut self) -> Vec<u8> {
-        let mut b = self.pool.pop().unwrap_or_default();
-        b.clear();
-        b
+    /// Packs `block`'s interior slab facing `d` into a pooled buffer.
+    fn pack(&mut self, block: &BlockSim, d: [i8; 3]) -> Vec<u8> {
+        let mut buf = self.pool.pop().unwrap_or_default();
+        buf.clear();
+        pack_face_with::<D3Q19, _>(&block.src, d, self.table.qs(d), &mut buf);
+        buf
     }
 
-    fn recycle(&mut self, buf: Vec<u8>) {
-        self.pool.push(buf);
+    /// Unpacks `data` into `block`'s ghost slab in direction `d` and
+    /// returns the buffer to the pool.
+    fn unpack(&mut self, block: &mut BlockSim, d: [i8; 3], data: Vec<u8>) {
+        unpack_face_with::<D3Q19, _>(&mut block.src, d, self.table.qs_reversed(d), &data);
+        self.pool.push(data);
     }
-}
-
-/// One full ghost exchange on the source fields of all local blocks —
-/// the *synchronous* schedule: everything is packed and sent, then the
-/// expected messages are drained in posting order with blocking receives.
-///
-/// Returns `(work, stall)` seconds: `work` is this rank's own exchange
-/// effort — packing, sending, and local unpacking — excluding the time
-/// blocked in `recv` waiting for neighbors. The distinction matters for
-/// load measurement: an underloaded rank spends most of the exchange
-/// *waiting* for its overloaded neighbors, and counting that wait as
-/// local cost would make every rank look equally busy and hide the
-/// imbalance completely. `stall` is the time blocked on messages that had
-/// not yet arrived when asked for — exposed stall in the sense of
-/// [`RankResult::ghost_stall_time`], since the synchronous schedule runs
-/// this exchange with the whole stream-collide sweep still pending.
-///
-/// With `timeout == Some(d)` each blocking receive is bounded by `d`
-/// (resilient schedule; on error the caller discards the torn state and
-/// restores a checkpoint); with `None` the call cannot return an error.
-pub(crate) fn exchange_ghosts(
-    comm: &mut Communicator,
-    view: &DistributedForest,
-    blocks: &mut [BlockSim],
-    index_of: &HashMap<BlockId, usize>,
-    ctx: &mut GhostCtx,
-    step: u64,
-    timeout: Option<Duration>,
-    rec: &Recorder,
-) -> Result<(f64, f64), trillium_comm::CommError> {
-    // Phase 1: pack everything. Local transfers are buffered the same way
-    // as remote ones; packs read interior slabs only, unpacks write ghost
-    // slabs only, so a two-phase scheme is race-free and identical in
-    // result to any interleaving.
-    let pack = rec.span(SpanKind::GhostPack);
-    ctx.begin_step(blocks.len());
-    for (bi, lb) in view.blocks.iter().enumerate() {
-        for (li, link) in lb.links.iter().enumerate() {
-            let d = NEIGHBOR_DIRS[li];
-            if ctx.table.qs(d).is_empty() {
-                continue; // corner links carry nothing for D3Q19
-            }
-            let rev = [-d[0], -d[1], -d[2]];
-            match link {
-                BlockLink::Border => {}
-                BlockLink::Local(nid) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    // The neighbor receives from direction −d.
-                    ctx.local.push((index_of[nid], rev, buf));
-                }
-                BlockLink::Remote(nid, r) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    comm.send(*r, ghost_tag(*nid, rev, step), buf);
-                    // Symmetric link: we will receive the neighbor's data
-                    // for our ghost slab in direction d.
-                    ctx.pairs.push((*r, ghost_tag(lb.id, d, step)));
-                    ctx.meta.push((bi, d));
-                }
-            }
-        }
-    }
-    // End of the send phase: release fault-delayed messages now, at a
-    // program point, so failure behavior stays deterministic.
-    comm.flush_delayed();
-    // Phase 2: unpack local transfers and receive remote ones.
-    let local = std::mem::take(&mut ctx.local);
-    for (bi, d, buf) in local {
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &buf);
-        ctx.recycle(buf);
-    }
-    let work = pack.finish();
-    let mut stall = 0.0;
-    // The drain span covers unpacking; blocked waits are carved out into
-    // disjoint `Stall` spans so `comm_time` never includes exposed stall.
-    let mut drain = rec.span(SpanKind::GhostDrain);
-    for i in 0..ctx.pairs.len() {
-        let (from, tag) = ctx.pairs[i];
-        let (bi, d) = ctx.meta[i];
-        let data = match comm.try_recv(from, tag) {
-            Some(data) => data,
-            None => {
-                let sg = rec.span(SpanKind::Stall);
-                let res = match timeout {
-                    None => Ok(comm.recv(from, tag)),
-                    Some(dl) => comm.recv_timeout(from, tag, dl),
-                };
-                let s = sg.finish();
-                drain.exclude(s);
-                stall += s;
-                res?
-            }
-        };
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &data);
-        ctx.recycle(data);
-    }
-    drain.finish();
-    Ok((work, stall))
 }
 
 /// Splits `items` into exactly `min(parts, len)` contiguous slices whose
@@ -1378,31 +1360,9 @@ fn balanced_parts<T>(items: &mut [T], parts: usize) -> Vec<&mut [T]> {
 }
 
 /// Applies `f` to every block, optionally with thread parallelism (the
-/// hybrid MPI+OpenMP analogue: one rank, several threads over its blocks).
-pub(crate) fn for_each_block<F: Fn(&mut BlockSim) + Sync>(
-    blocks: &mut [BlockSim],
-    threads: usize,
-    f: F,
-) {
-    if threads <= 1 || blocks.len() <= 1 {
-        for b in blocks.iter_mut() {
-            f(b);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for part in balanced_parts(blocks, threads) {
-                scope.spawn(|| {
-                    for b in part {
-                        f(b);
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// Like [`for_each_block`] but collecting results in block order.
-pub(crate) fn map_each_block<T: Send, F: Fn(&mut BlockSim) -> T + Sync>(
+/// hybrid MPI+OpenMP analogue: one rank, several threads over its
+/// blocks), collecting the results in block order.
+fn map_each_block<T: Send, F: Fn(&mut BlockSim) -> T + Sync>(
     blocks: &mut [BlockSim],
     threads: usize,
     f: F,

@@ -25,18 +25,20 @@
 //! * [`scenario`] — scenario builders: lid-driven cavity and channel flow
 //!   (the paper's §4.2 benchmarks), plus arbitrary signed-distance domains
 //!   with colored boundary conditions (§2.3/§4.3),
-//! * [`driver`] — the distributed time loop over a communicator: ghost
-//!   exchange, boundary sweep, fused stream–collide, buffer swap,
+//! * [`driver`] — the one distributed time loop over a communicator:
+//!   per-rank state, the step pipeline (ghost exchange, boundary sweep,
+//!   fused stream–collide, buffer swap; synchronous or overlapped), and
+//!   the composition of the rebalance and resilience hooks onto it,
 //! * [`loadbalance`] — block-graph construction and graph-partitioning
 //!   balancing (the METIS path of §2.3),
 //! * [`migrate`] — distributed block migration: serialized PDF + flag
-//!   state moves between ranks when the runtime rebalancer
+//!   state moves between ranks when the rebalance hook
 //!   (`trillium-rebalance`, wired into [`driver`]) fires,
 //! * [`pipeline`] — the end-to-end setup pipeline from a signed-distance
 //!   domain to a balanced, distributed, voxelized simulation,
-//! * [`recovery`] — checkpoint/restart resilience: bounded-wait ghost
-//!   exchange, coordinated forest checkpoints, and rollback recovery
-//!   under deterministic fault injection.
+//! * [`recovery`] — the resilience hook: bounded waits, coordinated
+//!   forest checkpoints, and rollback recovery under deterministic
+//!   fault injection.
 
 pub mod blocksim;
 pub mod checkpoint;
@@ -52,14 +54,15 @@ pub mod scenario;
 pub mod prelude {
     pub use crate::blocksim::{BlockSim, UpdateScheme};
     pub use crate::driver::{
-        drive_rank, drive_rank_rebalanced, plan_run, run_distributed, run_distributed_rebalanced,
-        run_distributed_with, DriverConfig, RankResult, RebalanceConfig, RunPlan, RunResult,
+        drive_rank, plan_run, run_distributed, run_distributed_composed, run_distributed_with,
+        DriverConfig, RankLoop, RankResult, RebalanceConfig, RunConfig, RunPlan, RunResult,
     };
     pub use crate::loadbalance::{block_graph, graph_balance};
+    pub use crate::migrate::MigrationError;
     pub use crate::pipeline::{setup_domain, DomainSetup};
     pub use crate::recovery::{
-        drive_rank_resilient, run_distributed_resilient, RankResilience, RecoveryError,
-        ResilienceConfig, ResilientRunResult,
+        run_distributed_resilient, RankResilience, RecoveryError, ResilienceConfig,
+        ResilientRunResult,
     };
     pub use crate::scenario::{BalanceStrategy, KernelChoice, Scenario};
     pub use trillium_comm::{CommError, CrashSpec, FaultConfig, FaultEvent};

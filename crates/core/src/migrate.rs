@@ -15,12 +15,11 @@
 //! never be confused with either.
 
 use crate::blocksim::BlockSim;
-use crate::checkpoint::{restore_block_full, save_block_full};
+use crate::checkpoint::{restore_block_full, save_block_full, RestoreError};
+use crate::driver::RankLoop;
 use std::collections::{HashMap, HashSet};
-use trillium_blockforest::{distribute, BlockId, DistributedForest, SetupForest};
-use trillium_comm::Communicator;
-use trillium_kernels::BoundaryParams;
-use trillium_obs::{Recorder, SpanKind};
+use std::time::Duration;
+use trillium_comm::CommError;
 use trillium_rebalance::{Migration, RebalancePlan};
 
 /// Base of the migration tag space: ghost tags are `packed_id << 5 | dir`
@@ -29,10 +28,63 @@ use trillium_rebalance::{Migration, RebalancePlan};
 pub const MIGRATION_TAG_BASE: u64 = 1 << 47;
 
 /// Tag of the message carrying block `id` (packed) to its new owner.
-pub fn migration_tag(packed_id: u64) -> u64 {
-    assert!(packed_id < MIGRATION_TAG_BASE, "block ID too large for migration tags");
-    MIGRATION_TAG_BASE | packed_id
+fn migration_tag(packed_id: u64) -> Result<u64, MigrationError> {
+    if packed_id >= MIGRATION_TAG_BASE {
+        return Err(MigrationError::IdTooLarge(packed_id));
+    }
+    Ok(MIGRATION_TAG_BASE | packed_id)
 }
+
+/// Why a rebalance epoch or its migration round could not complete. The
+/// loop state is torn afterwards (blocks may already be on the wire):
+/// a resilient run rolls a [`MigrationError::Comm`] back, everything
+/// else ends the run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MigrationError {
+    /// A receive of the epoch (load all-reduce, record all-gather, block
+    /// payload) failed or ran past its deadline.
+    Comm(CommError),
+    /// The packed block id does not fit the migration tag space.
+    IdTooLarge(u64),
+    /// A valid migration names this rank as source of a block it does
+    /// not hold.
+    NotHeld(u64),
+    /// The new assignment gives this rank a block that neither stayed
+    /// nor arrives by a migration.
+    Unplanned(u64),
+    /// A received block payload failed to deserialize.
+    Restore {
+        /// Packed id of the block.
+        id: u64,
+        /// The decode failure.
+        error: RestoreError,
+    },
+    /// Blocks this rank kept are missing from its rebuilt view.
+    Orphaned(usize),
+}
+
+impl From<CommError> for MigrationError {
+    fn from(e: CommError) -> Self {
+        MigrationError::Comm(e)
+    }
+}
+
+impl std::fmt::Display for MigrationError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MigrationError::Comm(e) => write!(f, "rebalance epoch: {e}"),
+            MigrationError::IdTooLarge(id) => write!(f, "block {id} exceeds the migration tags"),
+            MigrationError::NotHeld(id) => write!(f, "block {id} to send is not held here"),
+            MigrationError::Unplanned(id) => write!(f, "block {id} appeared without a migration"),
+            MigrationError::Restore { id, error } => {
+                write!(f, "migrated block {id} failed to restore: {error:?}")
+            }
+            MigrationError::Orphaned(n) => write!(f, "{n} owned blocks missing from the new view"),
+        }
+    }
+}
+
+impl std::error::Error for MigrationError {}
 
 /// Outcome of one migration round on this rank.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,37 +102,29 @@ pub struct MigrationStats {
     pub skipped: u32,
 }
 
-/// Executes `plan` on this rank: sends away blocks it no longer owns,
-/// receives blocks it gained, updates the shared owner assignment in
-/// `forest`, and rebuilds this rank's `view` (and with it the ghost
-/// schedule). `blocks` and `index_of` are remapped to the new view's
-/// block order.
+/// Executes `plan` on this rank's loop state: sends away blocks it no
+/// longer owns, receives blocks it gained, and puts the state under the
+/// new owner assignment — view (and with it the ghost schedule), block
+/// vector and index all in the new order.
 ///
 /// Every rank must call this with the same plan in the same step, like a
 /// collective. Sends are posted before any receive, so the exchange
-/// cannot deadlock regardless of the migration pattern.
+/// cannot deadlock regardless of the migration pattern; with a
+/// `deadline` every payload receive is bounded by it.
 ///
 /// Migrations that fail [`RebalancePlan::validate_migration`] are
 /// *skipped*, not executed (counted in [`MigrationStats::skipped`]) —
 /// and the corresponding ownership change is suppressed too, so an
 /// invalid entry in a hand-built or decoded plan degrades to a no-op
-/// instead of a panic or a stranded receiver. Validation is a pure
+/// instead of an error or a stranded receiver. Validation is a pure
 /// function of the shared plan, so every rank skips the same set.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_migrations(
-    comm: &mut Communicator,
+    lp: &mut RankLoop,
     plan: &RebalancePlan,
-    forest: &mut SetupForest,
-    view: &mut DistributedForest,
-    blocks: &mut Vec<BlockSim>,
-    index_of: &mut HashMap<BlockId, usize>,
-    boundary: BoundaryParams,
-    rec: &Recorder,
-) -> MigrationStats {
-    let _mg = rec.span(SpanKind::Migration);
-    let rank = comm.rank();
+    deadline: Option<Duration>,
+) -> Result<MigrationStats, MigrationError> {
+    let rank = lp.comm.rank();
     let mut stats = MigrationStats::default();
-    let old_ids: Vec<u64> = view.blocks.iter().map(|b| b.id.pack()).collect();
     let valid: HashSet<u64> = plan
         .migrations
         .iter()
@@ -88,24 +132,19 @@ pub fn execute_migrations(
         .map(|m| m.id)
         .collect();
 
-    // Phase 1: post all outgoing blocks.
-    let mut outgoing: Vec<usize> = Vec::new();
-    for m in &plan.migrations {
-        if m.from != rank {
-            continue;
-        }
+    // Phase 1: take the block vector apart by id and post the outgoing
+    // blocks.
+    let mut held: HashMap<u64, BlockSim> =
+        lp.view.blocks.iter().map(|b| b.id.pack()).zip(lp.blocks.drain(..)).collect();
+    for m in plan.migrations.iter().filter(|m| m.from == rank) {
         if !valid.contains(&m.id) {
             stats.skipped += 1;
             continue;
         }
-        let bi = *index_of
-            .get(&BlockId::unpack(m.id))
-            .expect("valid migration names this rank as owner of a block it does not hold");
-        let payload = save_block_full(&blocks[bi]);
+        let payload = save_block_full(&held.remove(&m.id).ok_or(MigrationError::NotHeld(m.id))?);
         stats.sent += 1;
         stats.bytes_sent += payload.len() as u64;
-        comm.send(m.to, migration_tag(m.id), payload);
-        outgoing.push(bi);
+        lp.comm.send(m.to, migration_tag(m.id)?, payload);
     }
 
     // Phase 2: apply the new assignment to the global forest and rebuild
@@ -121,45 +160,41 @@ pub fn execute_migrations(
         .filter(|(r, &a)| a == r.owner || valid.contains(&r.id))
         .map(|(r, &a)| (r.id, a))
         .collect();
-    for b in &mut forest.blocks {
-        if let Some(&r) = new_owner.get(&b.id.pack()) {
-            b.rank = r;
-        }
-    }
-    let mut views = distribute(forest);
-    *view = views.swap_remove(rank as usize);
+    let owners: Vec<u32> = lp
+        .forest
+        .blocks
+        .iter()
+        .map(|b| new_owner.get(&b.id.pack()).copied().unwrap_or(b.rank))
+        .collect();
+    lp.set_owners(&owners);
 
-    // Phase 3: rebuild the local block vector in the new view's order,
-    // reusing surviving blocks and receiving migrated ones.
+    // Phase 3: rebuild the block vector in the new view's order from the
+    // blocks that stayed and the ones that arrive.
     let incoming: HashMap<u64, &Migration> = plan
         .migrations
         .iter()
         .filter(|m| m.to == rank && valid.contains(&m.id))
         .map(|m| (m.id, m))
         .collect();
-    let mut surviving: HashMap<u64, BlockSim> = blocks
-        .drain(..)
-        .enumerate()
-        .filter(|(bi, _)| !outgoing.contains(bi))
-        .map(|(bi, b)| (old_ids[bi], b))
-        .collect();
-    for lb in &view.blocks {
-        let packed = lb.id.pack();
-        let sim = match surviving.remove(&packed) {
+    for lb in &lp.view.blocks {
+        let id = lb.id.pack();
+        let sim = match held.remove(&id) {
             Some(sim) => sim,
             None => {
-                let m = incoming
-                    .get(&packed)
-                    .unwrap_or_else(|| panic!("block {packed} appeared without a migration"));
-                let data = comm.recv(m.from, migration_tag(packed));
+                let m = incoming.get(&id).ok_or(MigrationError::Unplanned(id))?;
+                let (_, data) =
+                    lp.comm.recv_any_within(&[(m.from, migration_tag(id)?)], deadline)?;
                 stats.received += 1;
-                restore_block_full(&data, boundary).expect("migrated block failed to restore")
+                let mut sim = restore_block_full(&data, lp.scenario.boundary)
+                    .map_err(|error| MigrationError::Restore { id, error })?;
+                lp.scenario.stamp(&mut sim);
+                sim
             }
         };
-        blocks.push(sim);
+        lp.blocks.push(sim);
     }
-    assert!(surviving.is_empty(), "owned blocks missing from the rebuilt view");
-
-    *index_of = view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
-    stats
+    if !held.is_empty() {
+        return Err(MigrationError::Orphaned(held.len()));
+    }
+    Ok(stats)
 }

@@ -4,24 +4,27 @@
 //! cores) for hours; at that scale component failure is a *when*, not
 //! an *if*, and waLBerla answers it by checkpointing its fully
 //! distributed block structure. This module is that answer for our
-//! thread-backed substrate: [`run_distributed_resilient`] wraps the
-//! driver schedules (synchronous and overlapped) with
+//! thread-backed substrate: the resilience hook of the time loop
+//! ([`crate::driver::drive_rank`]), composable with either step
+//! schedule and with runtime rebalancing. It adds
 //!
-//! * **bounded waits** — every ghost receive carries
+//! * **bounded waits** — every blocking receive (ghost drain, rebalance
+//!   collectives, migration payloads) carries
 //!   [`ResilienceConfig::step_timeout`], so a dead or wedged neighbor
-//!   surfaces as a [`trillium_comm::CommError`] instead of a hang;
+//!   surfaces as a [`CommError`] instead of a hang;
 //! * **coordinated checkpointing** — every
 //!   [`ResilienceConfig::checkpoint_every`] steps the cohort runs
-//!   [`Communicator::agree_all`], which doubles as a barrier: a `true`
+//!   `Communicator::agree_all`, which doubles as a barrier: a `true`
 //!   verdict proves every rank reached the same step with no data
 //!   message in flight, so the per-rank [`save_forest`] snapshots taken
 //!   right after form a globally consistent cut;
 //! * **rollback recovery** — on any failure (fail-stop crash announced
 //!   by the fault plan, receive timeout, failed agreement) every rank
-//!   joins [`Communicator::recovery_sync`], drains all stale traffic,
-//!   restores its slice from the last checkpoint and replays. Replay is
-//!   deterministic, so the final state is bitwise identical to an
-//!   unfaulted run — pinned by the `resilience` integration tests.
+//!   joins `Communicator::recovery_sync`, drains all stale traffic,
+//!   restores its slice (and the owner assignment it was taken under)
+//!   from the last checkpoint and replays. Replay is deterministic, so
+//!   the final state is bitwise identical to an unfaulted run — pinned
+//!   by the `resilience` integration tests.
 //!
 //! Recovery converges because injected message faults draw fresh
 //! sequence numbers on replay (a capped or probabilistic plan
@@ -30,29 +33,23 @@
 //! a machine with a given MTBF — is answered by `scaling::resilience`
 //! (Young/Daly), not here.
 
-use crate::blocksim::BlockSim;
 use crate::checkpoint::{restore_forest, save_forest, RestoreError};
-use crate::driver::{
-    dump_pdfs, exchange_ghosts, fold_obs, for_each_block, locate_probes, map_each_block,
-    measure_forces, overlapped_step, plan_run, DriverConfig, GhostCtx, RankResult, RunPlan,
-    RunResult, M_STEP_SECONDS,
-};
+use crate::driver::{run_distributed_composed, RankLoop, RunConfig, RunResult};
+use crate::migrate::MigrationError;
 use crate::scenario::Scenario;
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
-use trillium_blockforest::{BlockId, DistributedForest};
-use trillium_comm::{CommError, Communicator, FaultConfig, FaultEvent, World};
+use std::time::Duration;
+use trillium_comm::{CommError, FaultConfig, FaultEvent};
 use trillium_kernels::SweepStats;
-use trillium_obs::{Recorder, SpanKind};
+use trillium_obs::SpanKind;
 
-/// Configuration of the resilient schedule.
+/// Configuration of the resilience hook.
 #[derive(Clone, Debug)]
 pub struct ResilienceConfig {
     /// Steps between coordinated checkpoints (K). The initial state
     /// counts as checkpoint zero, so recovery is possible from step one.
     pub checkpoint_every: u64,
-    /// Upper bound on any single ghost receive and on the checkpoint
-    /// agreement — the failure detector's patience.
+    /// Upper bound on any single blocking receive of a step or epoch and
+    /// on the checkpoint agreement — the failure detector's patience.
     pub step_timeout: Duration,
     /// Upper bound on each wait inside the recovery barrier. Must
     /// comfortably exceed [`ResilienceConfig::step_timeout`]: a rank
@@ -64,10 +61,8 @@ pub struct ResilienceConfig {
     /// forever against a persistent failure.
     pub max_recoveries: u32,
     /// Deterministic fault plan installed on every rank (None = clean
-    /// run; the resilient schedule then only adds the timeouts).
+    /// run; the hook then only adds the timeouts and checkpoints).
     pub fault: Option<FaultConfig>,
-    /// The wrapped schedule (synchronous or overlapped, PDF dumps).
-    pub driver: DriverConfig,
 }
 
 impl Default for ResilienceConfig {
@@ -78,17 +73,33 @@ impl Default for ResilienceConfig {
             recovery_timeout: Duration::from_secs(30),
             max_recoveries: 16,
             fault: None,
-            driver: DriverConfig::default(),
         }
     }
 }
 
-/// Terminal resilience failures: conditions the rollback protocol
-/// cannot recover from, surfaced to the caller as an error instead of a
-/// rank panic (which would poison the whole thread-backed world and
-/// hide the cause behind a generic join failure).
+/// Terminal failures of the time loop: conditions it cannot — or, with
+/// no resilience hook, may not — recover from, surfaced to the caller as
+/// an error instead of a rank panic (which would poison the whole
+/// thread-backed world and hide the cause behind a generic join
+/// failure).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryError {
+    /// A receive failed and the run has no resilience hook to roll back
+    /// with.
+    Comm {
+        /// Rank reporting the failure.
+        rank: u32,
+        /// The communication failure.
+        error: CommError,
+    },
+    /// A rebalance epoch failed for a reason no rollback fixes (see
+    /// [`MigrationError`]).
+    Migration {
+        /// Rank reporting the failure.
+        rank: u32,
+        /// What went wrong.
+        error: MigrationError,
+    },
     /// The cohort exhausted [`ResilienceConfig::max_recoveries`]
     /// rollbacks without completing the run — a persistent failure no
     /// amount of replay fixes.
@@ -130,6 +141,8 @@ pub enum RecoveryError {
 impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RecoveryError::Comm { rank, error } => write!(f, "rank {rank}: {error}"),
+            RecoveryError::Migration { rank, error } => write!(f, "rank {rank}: {error}"),
             RecoveryError::TooManyRecoveries { rank, attempts } => {
                 write!(f, "rank {rank}: gave up after {attempts} recoveries")
             }
@@ -149,7 +162,7 @@ impl std::fmt::Display for RecoveryError {
 impl std::error::Error for RecoveryError {}
 
 /// Per-rank resilience accounting.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RankResilience {
     /// Rank index.
     pub rank: u32,
@@ -165,57 +178,20 @@ pub struct RankResilience {
     pub fault_events: Vec<FaultEvent>,
 }
 
-/// Outcome of a resilient run: the usual [`RunResult`] plus the
-/// resilience ledger.
+/// Outcome of [`run_distributed_resilient`]: the [`RunResult`], whose
+/// ranks carry the resilience ledger ([`RunResult::recoveries`] and
+/// friends).
 #[derive(Clone, Debug)]
 pub struct ResilientRunResult {
     /// Per-rank simulation results (steps counts the survivor timeline,
     /// not replays).
     pub run: RunResult,
-    /// Per-rank resilience accounting, ordered by rank.
-    pub reports: Vec<RankResilience>,
 }
 
-impl ResilientRunResult {
-    /// Global recovery count (max over ranks; identical on all in a
-    /// completed run).
-    pub fn recoveries(&self) -> u32 {
-        self.reports.iter().map(|r| r.recoveries).max().unwrap_or(0)
-    }
-
-    /// Total steps re-executed across ranks.
-    pub fn replayed_steps(&self) -> u64 {
-        self.reports.iter().map(|r| r.replayed_steps).sum()
-    }
-
-    /// Checkpoints taken (rank 0's count).
-    pub fn checkpoints(&self) -> u32 {
-        self.reports.first().map(|r| r.checkpoints).unwrap_or(0)
-    }
-
-    /// The whole run's failure trace as `(rank, event)`, rank-ordered.
-    /// Two runs with the same scenario and fault seed produce identical
-    /// traces — the deterministic-simulation property the fault layer
-    /// guarantees.
-    pub fn failure_trace(&self) -> Vec<(u32, FaultEvent)> {
-        self.reports
-            .iter()
-            .flat_map(|r| r.fault_events.iter().map(move |e| (r.rank, e.clone())))
-            .collect()
-    }
-}
-
-/// Runs `scenario` under the resilient schedule: bounded-wait ghost
-/// exchange, a coordinated checkpoint every
-/// [`ResilienceConfig::checkpoint_every`] steps, and rollback recovery
-/// on failure. With [`ResilienceConfig::fault`] set, the deterministic
-/// fault plan is installed on every rank. Results (probes, PDFs, mass)
-/// are bitwise identical to the corresponding non-resilient run.
-///
-/// Unrecoverable conditions (recovery budget exhausted, a broken
-/// recovery barrier, unreadable stable storage) come back as
-/// [`RecoveryError`] — the lowest-ranked report when several ranks fail
-/// together, which they usually do: recovery is a global event.
+/// Runs `scenario` on the synchronous schedule under the resilience
+/// hook alone: [`run_distributed_composed`] with only
+/// [`RunConfig::resilience`] set. Results (probes, PDFs, mass) are
+/// bitwise identical to the corresponding unhooked run.
 pub fn run_distributed_resilient(
     scenario: &Scenario,
     num_procs: u32,
@@ -224,252 +200,154 @@ pub fn run_distributed_resilient(
     probes: &[[i64; 3]],
     cfg: &ResilienceConfig,
 ) -> Result<ResilientRunResult, RecoveryError> {
-    let plan = plan_run(scenario, num_procs);
-    let f = |comm: Communicator| {
-        drive_rank_resilient(comm, &plan, scenario, threads_per_rank, steps, probes, cfg)
-    };
-    let results = match &cfg.fault {
-        Some(fc) => World::run_with_faults(num_procs, fc.clone(), f),
-        None => World::run(num_procs, f),
-    };
-    let mut ranks = Vec::with_capacity(results.len());
-    let mut reports = Vec::with_capacity(results.len());
-    for r in results {
-        let (rank, rep) = r?;
-        ranks.push(rank);
-        reports.push(rep);
-    }
-    Ok(ResilientRunResult { run: RunResult { steps, ranks }, reports })
+    let cfg = RunConfig { resilience: Some(cfg.clone()), ..RunConfig::default() };
+    run_distributed_composed(scenario, num_procs, threads_per_rank, steps, probes, &cfg)
+        .map(|run| ResilientRunResult { run })
 }
 
-/// Runs one rank of a resilient distributed simulation on a
-/// caller-provided communicator — the re-entrant per-rank entry point
-/// behind [`run_distributed_resilient`]. Fault plans travel with the
-/// communicator (install them via `World::connect`'s fault argument),
-/// so the config's [`ResilienceConfig::fault`] field is not consulted
-/// here.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_rank_resilient(
-    comm: Communicator,
-    plan: &RunPlan,
-    scenario: &Scenario,
-    threads_per_rank: usize,
-    steps: u64,
-    probes: &[[i64; 3]],
-    cfg: &ResilienceConfig,
-) -> Result<(RankResult, RankResilience), RecoveryError> {
-    let view = &plan.views[comm.rank() as usize];
-    resilient_rank_loop(comm, view, scenario, threads_per_rank, steps, probes, cfg, plan.epoch)
+/// One retained checkpoint: this rank's part of a globally consistent
+/// cut. In a real deployment the buffer lives on the parallel file
+/// system; here the in-memory copy models stable storage that survives
+/// the fail-stop crash (the "restarted from the pool" replacement
+/// re-reads it).
+struct Checkpoint {
+    step: u64,
+    /// The [`save_forest`] buffer of the local blocks, in view order.
+    bytes: Vec<u8>,
+    stats: SweepStats,
+    /// Owner of every forest block at the cut, in forest order — what
+    /// the view was derived from; a rollback may cross a migration round.
+    owners: Vec<u32>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn resilient_rank_loop(
-    mut comm: Communicator,
-    view: &DistributedForest,
-    scenario: &Scenario,
-    threads: usize,
-    steps: u64,
-    probes: &[[i64; 3]],
-    rc: &ResilienceConfig,
-    epoch: Instant,
-) -> Result<(RankResult, RankResilience), RecoveryError> {
-    let rank = comm.rank();
-    let rec = Recorder::with_epoch(rank, rc.driver.obs, epoch);
-    let mut blocks: Vec<BlockSim> = view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
-    crate::driver::count_kernel_fallbacks(&rec, &blocks);
-    let index_of: HashMap<BlockId, usize> =
-        view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
-    let ids: Vec<u64> = view.blocks.iter().map(|b| b.id.pack()).collect();
-
-    let mass_initial: f64 = blocks.iter().map(BlockSim::fluid_mass).sum();
-    let energy_initial: f64 = blocks.iter().map(BlockSim::kinetic_energy).sum();
-    let mut stats = SweepStats::default();
-    let mut ctx = GhostCtx::new();
-    let mut force_series: Vec<[f64; 3]> = Vec::new();
-    let rel = scenario.relaxation;
-    let k = rc.checkpoint_every.max(1);
-    let snap = |blocks: &[BlockSim], t: u64| {
-        let framed: Vec<(u64, &BlockSim)> = ids.iter().copied().zip(blocks.iter()).collect();
-        save_forest(t, &framed)
-    };
-
-    // Checkpoint zero: the initial state, before any step. In a real
-    // deployment this buffer lives on the parallel file system; here the
-    // in-memory copy models stable storage that survives the fail-stop
-    // crash (the "restarted from the pool" replacement re-reads it).
-    // The runtime keeps the newest THREE checkpoints, not one: a
-    // checkpoint agreement can be torn by a failure (some ranks receive
-    // the commit verdict, a straggler times out first), and consecutive
-    // torn commits stagger the per-rank histories by up to two epochs.
-    // Recovery then negotiates the newest step *everyone* still owns —
-    // `recovery_sync` intersects the full held-step sets, so a snapshot
-    // this rank committed eagerly is never picked unless every peer
-    // holds it too. Three deep is the smallest history for which the
-    // intersection provably stays non-empty under that staggering.
-    let mut ckpts: Vec<(u64, Vec<u8>, SweepStats)> = vec![(0, snap(&blocks, 0), stats)];
-    let mut rep = RankResilience {
-        rank,
-        recoveries: 0,
-        replayed_steps: 0,
-        checkpoints: 1,
-        fault_events: Vec::new(),
-    };
-
-    let mut t: u64 = 0;
-    let mut need_recovery = false;
-    // `|| need_recovery` is load-bearing: a failure at the *final*
-    // agreement (t already == steps) must loop this rank back into
-    // recovery_sync — exiting instead would strand the rolled-back
-    // peers in the recovery barrier and abort the whole run.
-    while t < steps || need_recovery {
-        // A fail-stop crash scheduled for this step fires before any
-        // sends; `crash_due` broadcasts the failure notes (the emulated
-        // failure detector) and the victim falls through to recovery —
-        // modeling the replacement process restarted from the pool.
-        if need_recovery || comm.crash_due(t) {
-            // The whole rollback (barrier, restore, bookkeeping) is one
-            // `Recovery` span; the guard closes at the `continue`.
-            let _rg = rec.span(SpanKind::Recovery);
-            need_recovery = false;
-            // Give up *before* attempting one more rollback: the
-            // previous formulation incremented first and reported
-            // `recoveries - 1`, so the panic message was one short of
-            // the rollbacks actually burned when the budget ran out.
-            if rep.recoveries >= rc.max_recoveries {
-                return Err(RecoveryError::TooManyRecoveries { rank, attempts: rep.recoveries });
-            }
-            rep.recoveries += 1;
-            let held: Vec<u64> = ckpts.iter().map(|c| c.0).collect();
-            let restore_step = comm
-                .recovery_sync(rc.recovery_timeout, &held)
-                .map_err(|error| RecoveryError::CohortUnrecoverable { rank, error })?;
-            // Snapshots newer than the agreed cut were committed on only
-            // part of the cohort — inconsistent, discard them.
-            ckpts.retain(|c| c.0 <= restore_step);
-            let (_, bytes, ckpt_stats) = match ckpts.last() {
-                Some(c) if c.0 == restore_step => c,
-                _ => return Err(RecoveryError::MissingCheckpoint { rank, step: restore_step }),
-            };
-            let (_, restored) = restore_forest(bytes, scenario.boundary)
-                .map_err(|error| RecoveryError::CorruptCheckpoint { rank, error })?;
-            blocks = restored.into_iter().map(|(_, b)| b).collect();
-            debug_assert_eq!(blocks.len(), view.blocks.len());
-            // Checkpoint wire format carries neither the collision
-            // operator nor the backend (both scenario-global); re-stamp
-            // so replay collides identically.
-            for b in &mut blocks {
-                b.collision = scenario.collision;
-                b.backend = scenario.backend;
-            }
-            rep.replayed_steps += t.saturating_sub(restore_step);
-            t = restore_step;
-            stats = *ckpt_stats;
-            // One force sample lands per completed step, so replaying
-            // from `restore_step` must drop the samples of the undone
-            // steps — replay then re-records them bitwise identically.
-            force_series.truncate(restore_step as usize);
-            continue;
+impl Checkpoint {
+    fn take(lp: &RankLoop, step: u64) -> Self {
+        let framed: Vec<_> = lp.view.blocks.iter().map(|b| b.id.pack()).zip(&lp.blocks).collect();
+        Checkpoint {
+            step,
+            bytes: save_forest(step, &framed),
+            stats: lp.stats,
+            owners: lp.forest.blocks.iter().map(|b| b.rank).collect(),
         }
+    }
+}
 
-        // One time step under the wrapped schedule, every receive
-        // bounded by the step timeout. An error leaves the blocks in a
-        // torn mid-step state — discarded by the rollback.
-        rec.set_step(t);
-        let step_span = rec.span(SpanKind::Step);
-        let step_result = if rc.driver.overlap {
-            overlapped_step(
-                &mut comm,
-                view,
-                &mut blocks,
-                &index_of,
-                &mut ctx,
-                t,
-                rel,
-                threads,
-                &rec,
-                &mut stats,
-                Some(rc.step_timeout),
-                rc.driver.force_mask,
-                &mut force_series,
-            )
-        } else {
-            (|| {
-                let _ = exchange_ghosts(
-                    &mut comm,
-                    view,
-                    &mut blocks,
-                    &index_of,
-                    &mut ctx,
-                    t,
-                    Some(rc.step_timeout),
-                    &rec,
-                )?;
-                {
-                    let _b = rec.span(SpanKind::Boundary);
-                    for_each_block(&mut blocks, threads, |b| b.apply_boundaries());
-                }
-                // Everything after the exchange is infallible, so the
-                // sample count stays one per *completed* step.
-                if let Some(mask) = rc.driver.force_mask {
-                    force_series.push(measure_forces(&blocks, mask));
-                }
-                let kernel = rec.span(SpanKind::Kernel);
-                let step_stats: Vec<SweepStats> =
-                    map_each_block(&mut blocks, threads, move |b| b.stream_collide(rel));
-                drop(kernel);
-                for s in step_stats {
-                    stats.merge(s);
-                }
-                Ok(())
-            })()
+/// The resilience hook: crash check and rollback before a step,
+/// checkpoint agreement after it.
+pub(crate) struct Resilience<'c> {
+    cfg: &'c ResilienceConfig,
+    /// The newest THREE checkpoints, not one: a checkpoint agreement can
+    /// be torn by a failure (some ranks receive the commit verdict, a
+    /// straggler times out first), and consecutive torn commits stagger
+    /// the per-rank histories by up to two epochs. Recovery then
+    /// negotiates the newest step *everyone* still owns —
+    /// `recovery_sync` intersects the full held-step sets, so a snapshot
+    /// this rank committed eagerly is never picked unless every peer
+    /// holds it too. Three deep is the smallest history for which the
+    /// intersection provably stays non-empty under that staggering.
+    ckpts: Vec<Checkpoint>,
+    report: RankResilience,
+    /// A failure was seen; the loop must roll back before its next step.
+    pub(crate) pending: bool,
+}
+
+impl<'c> Resilience<'c> {
+    /// Takes checkpoint zero — the initial state, before any step — so
+    /// recovery is possible from step one.
+    pub(crate) fn new(cfg: &'c ResilienceConfig, lp: &RankLoop) -> Self {
+        Resilience {
+            cfg,
+            ckpts: vec![Checkpoint::take(lp, 0)],
+            report: RankResilience { rank: lp.comm.rank(), checkpoints: 1, ..Default::default() },
+            pending: false,
+        }
+    }
+
+    /// Joins the recovery barrier at step `t`, restores the newest
+    /// checkpoint the whole cohort holds, and returns its step — where
+    /// the loop resumes. The caller wraps it in the `Recovery` span.
+    pub(crate) fn rollback(&mut self, lp: &mut RankLoop, t: u64) -> Result<u64, RecoveryError> {
+        let rank = lp.comm.rank();
+        self.pending = false;
+        // Give up *before* attempting one more rollback, so `attempts`
+        // is the number of rollbacks actually burned.
+        if self.report.recoveries >= self.cfg.max_recoveries {
+            return Err(RecoveryError::TooManyRecoveries {
+                rank,
+                attempts: self.report.recoveries,
+            });
+        }
+        self.report.recoveries += 1;
+        let held: Vec<u64> = self.ckpts.iter().map(|c| c.step).collect();
+        let restore_step = lp
+            .comm
+            .recovery_sync(self.cfg.recovery_timeout, &held)
+            .map_err(|error| RecoveryError::CohortUnrecoverable { rank, error })?;
+        // Snapshots newer than the agreed cut were committed on only
+        // part of the cohort — inconsistent, discard them.
+        self.ckpts.retain(|c| c.step <= restore_step);
+        let ck = match self.ckpts.last() {
+            Some(c) if c.step == restore_step => c,
+            _ => return Err(RecoveryError::MissingCheckpoint { rank, step: restore_step }),
         };
-        // Replayed (failed) steps still spend real time; record them in
-        // the step histogram like any other.
-        rec.metrics().observe(M_STEP_SECONDS, step_span.finish());
-        if step_result.is_err() {
-            // Tell the cohort (peers see their next timeout classified
-            // as Interrupted) and roll back.
-            comm.request_recovery();
-            need_recovery = true;
-            continue;
+        let (_, restored) = restore_forest(&ck.bytes, lp.scenario.boundary)
+            .map_err(|error| RecoveryError::CorruptCheckpoint { rank, error })?;
+        // Back onto the owner assignment the snapshot was taken under:
+        // the view is a pure function of it, so it lists exactly the saved
+        // blocks, in the saved order.
+        lp.set_owners(&ck.owners);
+        debug_assert!(restored.iter().map(|r| r.0).eq(lp.view.blocks.iter().map(|b| b.id.pack())));
+        lp.blocks = restored.into_iter().map(|(_, b)| b).collect();
+        // Replay must collide identically.
+        for b in &mut lp.blocks {
+            lp.scenario.stamp(b);
         }
-        t += 1;
-
-        // Checkpoint epoch: the agreement doubles as a barrier, so a
-        // true verdict makes the per-rank snapshots a consistent global
-        // cut. The final step always agrees (but never snapshots); a
-        // failed final agreement re-enters the loop via `need_recovery`,
-        // rolls back, replays, and re-agrees at `t == steps` — so a rank
-        // only exits once the whole cohort reached the end cleanly.
-        if t % k == 0 || t == steps {
-            let _cg = rec.span(SpanKind::Checkpoint);
-            match comm.agree_all(true, rc.step_timeout) {
-                Ok(true) => {
-                    if t % k == 0 && t < steps {
-                        ckpts.push((t, snap(&blocks, t), stats));
-                        if ckpts.len() > 3 {
-                            ckpts.remove(0);
-                        }
-                        rep.checkpoints += 1;
-                    }
-                }
-                Ok(false) | Err(_) => {
-                    comm.request_recovery();
-                    need_recovery = true;
-                }
-            }
-        }
+        lp.stats = ck.stats;
+        // One force sample lands per completed step, so replaying from
+        // `restore_step` must drop the samples of the undone steps —
+        // replay then re-records them bitwise identically.
+        lp.force_series.truncate(restore_step as usize);
+        self.report.replayed_steps += t.saturating_sub(restore_step);
+        Ok(restore_step)
     }
 
-    let probe_out = locate_probes(scenario, view, &blocks, probes);
-    let pdfs = if rc.driver.collect_pdfs { dump_pdfs(view, &blocks) } else { Vec::new() };
-    let mass_final: f64 = blocks.iter().map(BlockSim::fluid_mass).sum();
-    let energy_final: f64 = blocks.iter().map(BlockSim::kinetic_energy).sum();
-    let has_nan = blocks.iter().any(BlockSim::has_nan);
-    rep.fault_events = comm.fault_events();
-    {
-        let m = rec.metrics();
-        for e in &rep.fault_events {
+    /// Checkpoint epoch, once `t` steps are complete: the agreement
+    /// doubles as a barrier, so a true verdict makes the per-rank
+    /// snapshots a consistent global cut. The final step always agrees
+    /// (but never snapshots); a failed final agreement keeps the loop
+    /// alive through the pending rollback, replays, and re-agrees at
+    /// `t == steps` — so a rank only exits once the whole cohort reached
+    /// the end cleanly.
+    pub(crate) fn after_step(
+        &mut self,
+        lp: &mut RankLoop,
+        t: u64,
+        steps: u64,
+    ) -> Result<(), CommError> {
+        let k = self.cfg.checkpoint_every.max(1);
+        if t % k != 0 && t != steps {
+            return Ok(());
+        }
+        let _cg = lp.rec.span(SpanKind::Checkpoint);
+        if !lp.comm.agree_all(true, self.cfg.step_timeout)? {
+            // A peer missed the round; the root abandoned it.
+            return Err(CommError::Timeout);
+        }
+        if t % k == 0 && t < steps {
+            self.ckpts.push(Checkpoint::take(lp, t));
+            if self.ckpts.len() > 3 {
+                self.ckpts.remove(0);
+            }
+            self.report.checkpoints += 1;
+        }
+        Ok(())
+    }
+
+    /// Closes the ledger and mirrors it into the metrics registry.
+    pub(crate) fn finish(mut self, lp: &RankLoop) -> RankResilience {
+        self.report.fault_events = lp.comm.fault_events();
+        let m = lp.rec.metrics();
+        for e in &self.report.fault_events {
             match e {
                 FaultEvent::Dropped { .. } => m.add("fault.drops", 1),
                 FaultEvent::Duplicated { .. } => m.add("fault.dups", 1),
@@ -477,61 +355,44 @@ fn resilient_rank_loop(
                 FaultEvent::Crashed { .. } => m.add("fault.crashes", 1),
             }
         }
-        m.add("resilience.checkpoints", u64::from(rep.checkpoints));
-        m.add("resilience.rollbacks", u64::from(rep.recoveries));
-        m.add("resilience.replayed_steps", rep.replayed_steps);
+        m.add("resilience.checkpoints", u64::from(self.report.checkpoints));
+        m.add("resilience.rollbacks", u64::from(self.report.recoveries));
+        m.add("resilience.replayed_steps", self.report.replayed_steps);
+        self.report
     }
-    let f = fold_obs(rec, &comm);
-    Ok((
-        RankResult {
-            rank,
-            num_blocks: blocks.len(),
-            stats,
-            kernel_time: f.kernel,
-            comm_time: f.comm,
-            boundary_time: f.boundary,
-            overlap_hidden: f.overlap_hidden,
-            ghost_stall_time: f.stall,
-            mass_initial,
-            mass_final,
-            energy_initial,
-            energy_final,
-            force_series,
-            probes: probe_out,
-            pdfs,
-            has_nan,
-            wall_time: f.wall,
-            obs: f.obs,
-            rebalance: None,
-        },
-        rep,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_distributed_with;
+    use crate::driver::{run_distributed_with, DriverConfig};
 
     fn pdf_cfg() -> DriverConfig {
         DriverConfig { collect_pdfs: true, ..DriverConfig::default() }
+    }
+
+    /// A resilient synchronous run that dumps its PDFs.
+    fn run_resilient(
+        scenario: &Scenario,
+        ranks: u32,
+        steps: u64,
+        rc: ResilienceConfig,
+    ) -> Result<RunResult, RecoveryError> {
+        let cfg = RunConfig { driver: pdf_cfg(), resilience: Some(rc), ..RunConfig::default() };
+        run_distributed_composed(scenario, ranks, 1, steps, &[], &cfg)
     }
 
     #[test]
     fn clean_resilient_run_matches_plain_driver_bitwise() {
         let scenario = Scenario::lid_driven_cavity(16, 2, 0.05, 0.08);
         let plain = run_distributed_with(&scenario, 4, 1, 12, &[], pdf_cfg());
-        let rc = ResilienceConfig {
-            checkpoint_every: 5,
-            driver: pdf_cfg(),
-            ..ResilienceConfig::default()
-        };
-        let res = run_distributed_resilient(&scenario, 4, 1, 12, &[], &rc).expect("clean run");
+        let rc = ResilienceConfig { checkpoint_every: 5, ..ResilienceConfig::default() };
+        let res = run_resilient(&scenario, 4, 12, rc).expect("clean run");
         assert_eq!(res.recoveries(), 0);
         assert_eq!(res.replayed_steps(), 0);
         // initial + steps 5 and 10
         assert_eq!(res.checkpoints(), 3);
-        assert_eq!(plain.pdf_dump(), res.run.pdf_dump());
+        assert_eq!(plain.pdf_dump(), res.pdf_dump());
     }
 
     #[test]
@@ -542,15 +403,13 @@ mod tests {
             checkpoint_every: 4,
             step_timeout: Duration::from_secs(2),
             fault: Some(FaultConfig::new(7).with_crash(2, 6)),
-            driver: pdf_cfg(),
             ..ResilienceConfig::default()
         };
-        let res =
-            run_distributed_resilient(&scenario, 4, 1, 10, &[], &rc).expect("crash is recoverable");
+        let res = run_resilient(&scenario, 4, 10, rc).expect("crash is recoverable");
         assert_eq!(res.recoveries(), 1);
         // Rolled back from step 6 to the step-4 checkpoint on every rank.
         assert_eq!(res.replayed_steps(), 4 * 2);
-        assert_eq!(plain.pdf_dump(), res.run.pdf_dump());
+        assert_eq!(plain.pdf_dump(), res.pdf_dump());
         assert!(res
             .failure_trace()
             .iter()
@@ -578,13 +437,12 @@ mod tests {
                 step_timeout: Duration::from_secs(1),
                 recovery_timeout: Duration::from_secs(10),
                 fault: Some(FaultConfig::new(seed).with_drops(0.02).with_fault_cap(1)),
-                driver: pdf_cfg(),
                 ..ResilienceConfig::default()
             };
-            let res = run_distributed_resilient(&scenario, 2, 1, 1, &[], &rc)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let res =
+                run_resilient(&scenario, 2, 1, rc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(res.recoveries(), 1, "seed {seed}: the drop must cause one rollback");
-            assert_eq!(plain.pdf_dump(), res.run.pdf_dump(), "seed {seed}: replay must converge");
+            assert_eq!(plain.pdf_dump(), res.pdf_dump(), "seed {seed}: replay must converge");
         }
     }
 
@@ -600,10 +458,9 @@ mod tests {
             recovery_timeout: Duration::from_secs(4),
             max_recoveries: 0,
             fault: Some(FaultConfig::new(7).with_crash(2, 6)),
-            ..ResilienceConfig::default()
         };
-        let err = run_distributed_resilient(&scenario, 4, 1, 10, &[], &rc)
-            .expect_err("zero budget cannot absorb a crash");
+        let err =
+            run_resilient(&scenario, 4, 10, rc).expect_err("zero budget cannot absorb a crash");
         match err {
             RecoveryError::TooManyRecoveries { attempts, .. } => {
                 assert_eq!(attempts, 0, "budget checked before burning another rollback");
@@ -634,13 +491,12 @@ mod tests {
                 step_timeout: Duration::from_millis(500),
                 recovery_timeout: Duration::from_secs(5),
                 fault: Some(FaultConfig::new(seed).with_drops(0.03).with_fault_cap(3)),
-                driver: pdf_cfg(),
                 ..ResilienceConfig::default()
             };
-            match run_distributed_resilient(&scenario, 4, 1, 14, &[], &rc) {
+            match run_resilient(&scenario, 4, 14, rc) {
                 Ok(res) => assert_eq!(
                     plain.pdf_dump(),
-                    res.run.pdf_dump(),
+                    res.pdf_dump(),
                     "seed {seed}: replay must converge bitwise"
                 ),
                 Err(e @ RecoveryError::MissingCheckpoint { .. }) => {

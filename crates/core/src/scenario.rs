@@ -413,9 +413,16 @@ impl Scenario {
             self.u0,
             self.kernel.scheme(),
         );
+        self.stamp(&mut sim);
+        sim
+    }
+
+    /// Stamps the scenario-global collision operator and backend onto a
+    /// block. Neither travels in the block wire format, so every block
+    /// rebuilt from bytes (migration, checkpoint restore) is re-stamped.
+    pub(crate) fn stamp(&self, sim: &mut BlockSim) {
         sim.collision = self.collision;
         sim.backend = self.backend;
-        sim
     }
 
     /// Builds the simulation state of one local block.

@@ -48,9 +48,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trillium_comm::{FaultConfig, World};
 use trillium_core::driver::{
-    drive_rank, drive_rank_rebalanced, plan_run, DriverConfig, RebalanceConfig, RunResult,
+    drive_rank, plan_run, DriverConfig, RebalanceConfig, RunConfig, RunResult,
 };
-use trillium_core::recovery::{drive_rank_resilient, ResilienceConfig};
+use trillium_core::recovery::ResilienceConfig;
 use trillium_rebalance::{plan_rebalance, BlockRecord, EwmaCostModel, PlanOptions};
 
 /// Service-assigned job handle, unique per service instance.
@@ -472,6 +472,36 @@ fn run_lane(
     let _ = done.send(LaneReport { lane, outcomes });
 }
 
+/// The one place a job's schedule becomes a run configuration: the
+/// step schedule plus at most one hook, the fault plan (if any) riding
+/// in the resilience part.
+fn run_config(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration) -> RunConfig {
+    RunConfig {
+        driver: DriverConfig {
+            collect_pdfs: spec.collect_pdfs,
+            overlap: spec.schedule == Schedule::Overlapped,
+            ..DriverConfig::default()
+        },
+        rebalance: (spec.schedule == Schedule::Rebalanced).then(RebalanceConfig::default),
+        resilience: (spec.schedule == Schedule::Resilient).then(|| ResilienceConfig {
+            step_timeout,
+            recovery_timeout,
+            checkpoint_every: 4,
+            max_recoveries: match spec.fault {
+                Some(f) if !f.recover => 0,
+                _ => ResilienceConfig::default().max_recoveries,
+            },
+            fault: spec.fault.map(|f| {
+                let fc = FaultConfig::new(f.seed);
+                match f.crash {
+                    Some((rank, step)) => fc.with_crash(rank, step),
+                    None => fc,
+                }
+            }),
+        }),
+    }
+}
+
 /// Runs one job on its own freshly wired cohort, with every rank under
 /// `catch_unwind`. This is the failure-isolation boundary: whatever
 /// happens inside — a kernel panic, a poisoned collective, an
@@ -480,70 +510,18 @@ fn run_lane(
 fn run_job(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration) -> JobResult {
     let scenario = spec.to_scenario();
     let plan = plan_run(&scenario, spec.ranks);
-    let fault = spec.fault.map(|f| {
-        let fc = FaultConfig::new(f.seed);
-        match f.crash {
-            Some((rank, step)) => fc.with_crash(rank, step),
-            None => fc,
-        }
-    });
-    let driver = DriverConfig {
-        collect_pdfs: spec.collect_pdfs,
-        overlap: spec.schedule == Schedule::Overlapped,
-        ..DriverConfig::default()
-    };
+    let cfg = run_config(spec, step_timeout, recovery_timeout);
+    let fault = cfg.resilience.as_ref().and_then(|rc| rc.fault.clone());
     let comms = World::connect(spec.ranks, fault);
 
-    let mut recoveries = 0u32;
-    let mut ranks = Vec::with_capacity(comms.len());
     let per_rank: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
             .map(|comm| {
-                let (plan, scenario) = (&plan, &scenario);
+                let (plan, scenario, cfg) = (&plan, &scenario, &cfg);
                 scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(move || match spec.schedule {
-                        Schedule::Sync | Schedule::Overlapped => Ok((
-                            drive_rank(comm, plan, scenario, spec.threads, spec.steps, &[], driver),
-                            0,
-                        )),
-                        Schedule::Rebalanced => Ok((
-                            drive_rank_rebalanced(
-                                comm,
-                                plan,
-                                scenario,
-                                spec.threads,
-                                spec.steps,
-                                RebalanceConfig {
-                                    collect_pdfs: spec.collect_pdfs,
-                                    ..RebalanceConfig::default()
-                                },
-                            ),
-                            0,
-                        )),
-                        Schedule::Resilient => {
-                            let rc = ResilienceConfig {
-                                step_timeout,
-                                recovery_timeout,
-                                checkpoint_every: 4,
-                                max_recoveries: match spec.fault {
-                                    Some(f) if !f.recover => 0,
-                                    _ => ResilienceConfig::default().max_recoveries,
-                                },
-                                fault: None, // installed via World::connect
-                                driver,
-                            };
-                            drive_rank_resilient(
-                                comm,
-                                plan,
-                                scenario,
-                                spec.threads,
-                                spec.steps,
-                                &[],
-                                &rc,
-                            )
-                            .map(|(r, rep)| (r, rep.recoveries))
-                        }
+                    catch_unwind(AssertUnwindSafe(move || {
+                        drive_rank(comm, plan, scenario, spec.threads, spec.steps, &[], cfg)
                     }))
                 })
             })
@@ -551,15 +529,11 @@ fn run_job(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration) -
         handles.into_iter().map(|h| h.join().expect("rank thread itself never dies")).collect()
     });
 
+    let mut ranks = Vec::with_capacity(per_rank.len());
     for r in per_rank {
         match r {
-            Ok(Ok((rank_result, recs))) => {
-                recoveries = recoveries.max(recs);
-                ranks.push(rank_result);
-            }
-            Ok(Err(recovery_err)) => {
-                return JobResult::Failed { error: recovery_err.to_string() };
-            }
+            Ok(Ok(rank_result)) => ranks.push(rank_result),
+            Ok(Err(run_err)) => return JobResult::Failed { error: run_err.to_string() },
             Err(panic_payload) => {
                 let msg = panic_payload
                     .downcast_ref::<String>()
@@ -570,7 +544,8 @@ fn run_job(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration) -
             }
         }
     }
-    JobResult::Completed { run: RunResult { steps: spec.steps, ranks }, recoveries }
+    let run = RunResult { steps: spec.steps, ranks };
+    JobResult::Completed { recoveries: run.recoveries(), run }
 }
 
 #[cfg(test)]

@@ -41,5 +41,5 @@ pub mod span;
 pub mod trace;
 
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use span::{ObsConfig, RankObs, Recorder, Span, SpanKind};
+pub use span::{ObsConfig, OpenSpan, RankObs, Recorder, Span, SpanKind};
 pub use trace::{chrome_trace, chrome_trace_string, TraceEvent};

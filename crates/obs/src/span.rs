@@ -170,8 +170,30 @@ impl Recorder {
     /// Opens a span of `kind`; the guard records on drop (or
     /// [`Span::finish`]). No-op when the recorder is disabled.
     pub fn span(&self, kind: SpanKind) -> Span<'_> {
+        Span { rec: self, open: self.open(kind) }
+    }
+
+    /// Opens a span that does not borrow the recorder, for a span that
+    /// must stay open across calls taking the recorder's owner by `&mut`
+    /// (a whole time step, a rebalance epoch). Records only when handed
+    /// back to [`Recorder::close`]; a dropped [`OpenSpan`] records
+    /// nothing.
+    pub fn open(&self, kind: SpanKind) -> OpenSpan {
         let start = if self.cfg.enabled() { Some(Instant::now()) } else { None };
-        Span { rec: self, kind, start, excluded: 0.0 }
+        OpenSpan { kind, start, excluded: 0.0 }
+    }
+
+    /// Closes a span from [`Recorder::open`] and returns its attributed
+    /// seconds (elapsed minus exclusions; 0.0 when disabled).
+    pub fn close(&self, mut span: OpenSpan) -> f64 {
+        match span.start.take() {
+            Some(start) => {
+                let elapsed = start.elapsed().as_secs_f64();
+                self.record(span.kind, start, elapsed, span.excluded);
+                (elapsed - span.excluded).max(0.0)
+            }
+            None => 0.0,
+        }
     }
 
     /// Seconds since the shared epoch (0.0 when disabled). For derived
@@ -238,13 +260,19 @@ impl Recorder {
     }
 }
 
+/// A started, not yet recorded span: the plain data behind [`Span`],
+/// closed with [`Recorder::close`].
+pub struct OpenSpan {
+    kind: SpanKind,
+    start: Option<Instant>,
+    excluded: f64,
+}
+
 /// RAII span guard: measures from creation to drop, minus any
 /// [`Span::exclude`]d seconds.
 pub struct Span<'r> {
     rec: &'r Recorder,
-    kind: SpanKind,
-    start: Option<Instant>,
-    excluded: f64,
+    open: OpenSpan,
 }
 
 impl Span<'_> {
@@ -252,26 +280,20 @@ impl Span<'_> {
     /// nested span of a different kind already claimed them, keeping
     /// top-level categories disjoint.
     pub fn exclude(&mut self, secs: f64) {
-        self.excluded += secs;
+        self.open.excluded += secs;
     }
 
     /// Closes the span now and returns its attributed seconds (elapsed
     /// minus exclusions; 0.0 when the recorder is disabled).
     pub fn finish(mut self) -> f64 {
-        let secs = self.close();
-        std::mem::forget(self);
-        secs
+        self.close()
     }
 
+    /// Records at most once: the start time is taken, so the drop that
+    /// follows [`Span::finish`] finds nothing left to record.
     fn close(&mut self) -> f64 {
-        match self.start.take() {
-            Some(start) => {
-                let elapsed = start.elapsed().as_secs_f64();
-                self.rec.record(self.kind, start, elapsed, self.excluded);
-                (elapsed - self.excluded).max(0.0)
-            }
-            None => 0.0,
-        }
+        let open = OpenSpan { start: self.open.start.take(), ..self.open };
+        self.rec.close(open)
     }
 }
 

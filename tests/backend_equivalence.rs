@@ -9,7 +9,7 @@
 //! perturbing the physics by a single ULP.
 
 use trillium_core::driver::{
-    run_distributed_rebalanced, run_distributed_with, DriverConfig, RebalanceConfig,
+    run_distributed_composed, run_distributed_with, DriverConfig, RebalanceConfig, RunConfig,
 };
 use trillium_core::prelude::*;
 
@@ -59,18 +59,12 @@ fn backends_agree_on_sync_and_overlapped_schedules() {
     }
 }
 
-/// The rebalanced schedule migrates blocks between ranks; the received
+/// The rebalance hook migrates blocks between ranks; the received
 /// block is re-stamped with the scenario backend, so the run must stay
-/// bitwise equal to the sync reference on every backend.
+/// bitwise equal to the sync reference on every backend — rebalancing
+/// the synchronous and the overlapped schedule alike.
 #[test]
 fn backends_agree_under_rebalancing_migrations() {
-    let cfg = || RebalanceConfig {
-        every_n_steps: 5,
-        threshold: 1.3,
-        hysteresis: 2,
-        collect_pdfs: true,
-        ..RebalanceConfig::default()
-    };
     let reference = run_distributed_with(
         &cavity(KernelChoice::Pull, BackendKind::Avx2),
         2,
@@ -80,13 +74,30 @@ fn backends_agree_under_rebalancing_migrations() {
         pdf_cfg(false),
     );
     for backend in BackendKind::ALL {
-        let skewed = cavity(KernelChoice::Pull, backend).with_skewed_balance(0.9);
-        let run = run_distributed_rebalanced(&skewed, 2, 1, STEPS, cfg());
-        assert!(
-            run.total_migrations() >= 1,
-            "the skewed assignment must trigger at least one migration ({backend:?})"
-        );
-        assert_eq!(reference.pdf_dump(), run.pdf_dump(), "rebalanced {backend:?}");
+        for overlap in [false, true] {
+            let cfg = RunConfig {
+                driver: pdf_cfg(overlap),
+                rebalance: Some(RebalanceConfig {
+                    every_n_steps: 5,
+                    threshold: 1.3,
+                    hysteresis: 2,
+                    ..RebalanceConfig::default()
+                }),
+                ..RunConfig::default()
+            };
+            let skewed = cavity(KernelChoice::Pull, backend).with_skewed_balance(0.9);
+            let run =
+                run_distributed_composed(&skewed, 2, 1, STEPS, &[], &cfg).expect("unfaulted run");
+            assert!(
+                run.total_migrations() > 0,
+                "the skewed assignment must trigger a migration ({backend:?} overlap={overlap})"
+            );
+            assert_eq!(
+                reference.pdf_dump(),
+                run.pdf_dump(),
+                "rebalanced {backend:?} overlap={overlap}"
+            );
+        }
     }
 }
 
@@ -104,23 +115,26 @@ fn backends_agree_through_fault_recovery() {
         pdf_cfg(false),
     );
     for backend in BackendKind::ALL {
-        let rc = ResilienceConfig {
-            checkpoint_every: 5,
-            fault: Some(FaultConfig::new(11).with_crash(1, 13)),
+        let cfg = RunConfig {
             driver: pdf_cfg(false),
-            ..ResilienceConfig::default()
+            resilience: Some(ResilienceConfig {
+                checkpoint_every: 5,
+                fault: Some(FaultConfig::new(11).with_crash(1, 13)),
+                ..ResilienceConfig::default()
+            }),
+            ..RunConfig::default()
         };
-        let res = run_distributed_resilient(
+        let res = run_distributed_composed(
             &cavity(KernelChoice::InPlace, backend),
             4,
             1,
             STEPS,
             &[],
-            &rc,
+            &cfg,
         )
         .expect("single crash is recoverable");
         assert_eq!(res.recoveries(), 1, "the injected crash must cause one rollback");
-        assert_eq!(reference.pdf_dump(), res.run.pdf_dump(), "resilient {backend:?}");
+        assert_eq!(reference.pdf_dump(), res.pdf_dump(), "resilient {backend:?}");
     }
 }
 

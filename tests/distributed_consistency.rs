@@ -224,17 +224,20 @@ fn overlapped_checkpoint_restart_matches_sync_reference() {
     assert!(!reference.has_nan());
     // Crash rank 1 at step 13: recovery restores the step-12 checkpoint,
     // which was itself written after 12 overlapped steps.
-    let rc = ResilienceConfig {
-        checkpoint_every: 6,
-        fault: Some(FaultConfig::new(11).with_crash(1, 13)),
+    let cfg = RunConfig {
         driver: DriverConfig { overlap: true, collect_pdfs: true, ..Default::default() },
-        ..ResilienceConfig::default()
+        resilience: Some(ResilienceConfig {
+            checkpoint_every: 6,
+            fault: Some(FaultConfig::new(11).with_crash(1, 13)),
+            ..ResilienceConfig::default()
+        }),
+        ..RunConfig::default()
     };
-    let res = run_distributed_resilient(&scenario(), 4, 1, 24, &[], &rc).expect("recoverable");
+    let res = run_distributed_composed(&scenario(), 4, 1, 24, &[], &cfg).expect("recoverable");
     assert_eq!(res.recoveries(), 1, "the injected crash must trigger one recovery");
     assert_eq!(
         reference.pdf_dump(),
-        res.run.pdf_dump(),
+        res.pdf_dump(),
         "restart from an overlapped-schedule checkpoint deviates from the sync reference"
     );
 }

@@ -1,13 +1,13 @@
 //! The in-place (AA-pattern) tier's correctness contract: every driver
 //! schedule must produce PDFs bitwise identical to the two-field pull
-//! reference — synchronous, overlapped, rebalanced (with real block
-//! migrations), and resilient under injected faults. The single-buffer
+//! reference — synchronous, overlapped, rebalanced on either of them
+//! (with real block migrations), and resilient under injected faults. The single-buffer
 //! update touches the field layer (parity-mapped accessors), the kernels,
 //! ghost exchange, checkpointing and migration; this test pins the whole
 //! stack at once.
 
 use trillium_core::driver::{
-    run_distributed_rebalanced, run_distributed_with, DriverConfig, RebalanceConfig,
+    run_distributed_composed, run_distributed_with, DriverConfig, RebalanceConfig, RunConfig,
 };
 use trillium_core::prelude::*;
 
@@ -42,29 +42,41 @@ fn inplace_matches_pull_on_sync_and_overlapped_schedules() {
     }
 }
 
-/// The rebalanced schedule migrates whole in-place blocks (single-buffer
+/// The rebalance hook migrates whole in-place blocks (single-buffer
 /// wire format, parity byte included) and must still end bitwise equal
-/// to the pull reference, whatever the migration history was.
+/// to the pull reference, whatever the migration history was — under
+/// the synchronous and the overlapped schedule alike.
 #[test]
 fn inplace_matches_pull_under_rebalancing_migrations() {
-    let cfg = || RebalanceConfig {
-        every_n_steps: 5,
-        threshold: 1.3,
-        hysteresis: 2,
-        collect_pdfs: true,
-        ..RebalanceConfig::default()
-    };
-    let skew = |k: KernelChoice| cavity(k).with_skewed_balance(0.9);
     let reference =
         run_distributed_with(&cavity(KernelChoice::Pull), 2, 1, STEPS, &[], pdf_cfg(false));
-    let pull = run_distributed_rebalanced(&skew(KernelChoice::Pull), 2, 1, STEPS, cfg());
-    let inplace = run_distributed_rebalanced(&skew(KernelChoice::InPlace), 2, 1, STEPS, cfg());
-    assert!(
-        inplace.total_migrations() >= 1,
-        "the skewed assignment must trigger at least one migration"
-    );
-    assert_eq!(reference.pdf_dump(), pull.pdf_dump(), "rebalanced pull vs sync pull");
-    assert_eq!(reference.pdf_dump(), inplace.pdf_dump(), "rebalanced in-place vs sync pull");
+    for overlap in [false, true] {
+        let run = |k: KernelChoice| {
+            let cfg = RunConfig {
+                driver: pdf_cfg(overlap),
+                rebalance: Some(RebalanceConfig {
+                    every_n_steps: 5,
+                    threshold: 1.3,
+                    hysteresis: 2,
+                    ..RebalanceConfig::default()
+                }),
+                ..RunConfig::default()
+            };
+            run_distributed_composed(&cavity(k).with_skewed_balance(0.9), 2, 1, STEPS, &[], &cfg)
+                .expect("unfaulted run")
+        };
+        let (pull, inplace) = (run(KernelChoice::Pull), run(KernelChoice::InPlace));
+        assert!(
+            inplace.total_migrations() > 0,
+            "overlap={overlap}: the skewed assignment must trigger at least one migration"
+        );
+        assert_eq!(reference.pdf_dump(), pull.pdf_dump(), "rebalanced pull, overlap={overlap}");
+        assert_eq!(
+            reference.pdf_dump(),
+            inplace.pdf_dump(),
+            "rebalanced in-place, overlap={overlap}"
+        );
+    }
 }
 
 /// The resilient schedule: in-place blocks checkpoint one buffer plus a
@@ -74,29 +86,26 @@ fn inplace_matches_pull_under_rebalancing_migrations() {
 fn inplace_matches_pull_through_fault_recovery() {
     let reference =
         run_distributed_with(&cavity(KernelChoice::Pull), 4, 1, STEPS, &[], pdf_cfg(false));
-    let rc = ResilienceConfig {
+    let resilient = |rc: ResilienceConfig| {
+        let cfg =
+            RunConfig { driver: pdf_cfg(false), resilience: Some(rc), ..RunConfig::default() };
+        run_distributed_composed(&cavity(KernelChoice::InPlace), 4, 1, STEPS, &[], &cfg)
+    };
+    let res = resilient(ResilienceConfig {
         checkpoint_every: 5,
         fault: Some(FaultConfig::new(11).with_crash(1, 13)),
-        driver: pdf_cfg(false),
         ..ResilienceConfig::default()
-    };
-    let res = run_distributed_resilient(&cavity(KernelChoice::InPlace), 4, 1, STEPS, &[], &rc)
-        .expect("single crash is recoverable");
+    })
+    .expect("single crash is recoverable");
     assert_eq!(res.recoveries(), 1, "the injected crash must cause one rollback");
     // The rollback restored a step-10 checkpoint whose in-place blocks
     // were serialized as a single buffer with even parity; replay through
     // odd parities must still land exactly on the reference.
-    assert_eq!(reference.pdf_dump(), res.run.pdf_dump());
+    assert_eq!(reference.pdf_dump(), res.pdf_dump());
 
     // And a clean resilient in-place run (checkpointing only, no faults)
     // is bitwise identical too.
-    let clean_rc = ResilienceConfig {
-        checkpoint_every: 7,
-        driver: pdf_cfg(false),
-        ..ResilienceConfig::default()
-    };
-    let clean =
-        run_distributed_resilient(&cavity(KernelChoice::InPlace), 4, 1, STEPS, &[], &clean_rc)
-            .expect("clean run");
-    assert_eq!(reference.pdf_dump(), clean.run.pdf_dump());
+    let clean = resilient(ResilienceConfig { checkpoint_every: 7, ..ResilienceConfig::default() })
+        .expect("clean run");
+    assert_eq!(reference.pdf_dump(), clean.pdf_dump());
 }

@@ -9,15 +9,38 @@
 //! the scheme byte on the wire and the end-to-end bitwise equivalence
 //! of a mid-run odd-parity migration against the unmigrated run.
 
-use std::collections::HashMap;
-use trillium_blockforest::distribute;
 use trillium_comm::World;
-use trillium_core::checkpoint::save_block_full;
-use trillium_core::driver::{run_distributed_with, RebalanceConfig};
-use trillium_core::migrate::execute_migrations;
+use trillium_core::checkpoint::{save_block_full, RestoreError};
+use trillium_core::driver::{run_distributed_composed, run_distributed_with, RebalanceConfig};
+use trillium_core::migrate::{execute_migrations, MIGRATION_TAG_BASE};
 use trillium_core::prelude::*;
-use trillium_obs::{ObsConfig, Recorder};
 use trillium_rebalance::{BlockRecord, Migration, PlanMethod, RebalancePlan};
+
+/// The hand-built plan every rank executes: the single block of
+/// `run_plan` moves from `src` to `dst`.
+fn move_only_block(run_plan: &RunPlan, src: u32, dst: u32) -> RebalancePlan {
+    let records: Vec<BlockRecord> = run_plan
+        .forest
+        .blocks
+        .iter()
+        .map(|b| BlockRecord {
+            id: b.id.pack(),
+            owner: b.rank,
+            coords: [0, 0, 0],
+            level: b.id.level(),
+            cost: 1.0,
+            fluid_cells: 1,
+        })
+        .collect();
+    RebalancePlan {
+        assignment: vec![dst],
+        migrations: vec![Migration { id: records[0].id, from: src, to: dst }],
+        records,
+        method: PlanMethod::NoOp,
+        old_ratio: 1.0,
+        new_ratio: 1.0,
+    }
+}
 
 /// One 16³ in-place block: no neighbors, so a rank can step it locally
 /// (boundary sweep + fused stream–collide) with no ghost exchange.
@@ -37,17 +60,16 @@ const SCHEME_BYTE_OFFSET: usize = 20;
 fn inplace_block_migrated_at_odd_parity_is_bitwise_preserved() {
     let scenario = single_block_scenario();
     let rel = scenario.relaxation;
-    let forest0 = scenario.make_forest(2);
-    let views = distribute(&forest0);
+    let run_plan = plan_run(&scenario, 2);
     // The static balancer picks the owner; the test only needs the other
     // rank as destination.
-    let src = forest0.blocks[0].rank;
+    let src = run_plan.forest.blocks[0].rank;
     let dst = 1 - src;
-    assert_eq!(views[src as usize].blocks.len(), 1);
+    assert_eq!(run_plan.views[src as usize].blocks.len(), 1);
 
     // Unmigrated reference: 6 steps on one rank.
     let solo = {
-        let mut block = scenario.build_block(&views[src as usize].blocks[0]);
+        let mut block = scenario.build_block(&run_plan.views[src as usize].blocks[0]);
         for _ in 0..6 {
             block.apply_boundaries();
             block.stream_collide(rel);
@@ -55,25 +77,22 @@ fn inplace_block_migrated_at_odd_parity_is_bitwise_preserved() {
         save_block_full(&block)
     };
 
-    let results = World::run(2, |mut comm| {
+    let plan = move_only_block(&run_plan, src, dst);
+    let results = World::run(2, |comm| {
         let rank = comm.rank();
-        let mut forest = forest0.clone();
-        let mut view = views[rank as usize].clone();
-        let mut blocks: Vec<BlockSim> =
-            view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
-        let mut index_of: HashMap<_, _> =
-            view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
+        let mut lp = RankLoop::new(comm, &run_plan, &scenario, 1, DriverConfig::default());
 
         // The owner advances the block an odd number of steps, so the
         // parity bit is set when the block goes on the wire.
         if rank == src {
+            let block = &mut lp.blocks_mut()[0];
             for _ in 0..3 {
-                blocks[0].apply_boundaries();
-                blocks[0].stream_collide(rel);
+                block.apply_boundaries();
+                block.stream_collide(rel);
             }
-            assert_eq!(blocks[0].scheme, UpdateScheme::InPlace);
-            assert!(blocks[0].src.parity(), "3 in-place steps must leave odd parity");
-            let payload = save_block_full(&blocks[0]);
+            assert_eq!(block.scheme, UpdateScheme::InPlace);
+            assert!(block.src.parity(), "3 in-place steps must leave odd parity");
+            let payload = save_block_full(block);
             assert_eq!(
                 payload[SCHEME_BYTE_OFFSET], 2,
                 "odd-parity in-place block must serialize scheme byte 2"
@@ -81,54 +100,24 @@ fn inplace_block_migrated_at_odd_parity_is_bitwise_preserved() {
         }
 
         // Every rank executes the same hand-built plan: the block moves
-        // from rank 0 to rank 1 mid-run.
-        let records: Vec<BlockRecord> = forest
-            .blocks
-            .iter()
-            .map(|b| BlockRecord {
-                id: b.id.pack(),
-                owner: b.rank,
-                coords: [0, 0, 0],
-                level: b.id.level(),
-                cost: 1.0,
-                fluid_cells: 1,
-            })
-            .collect();
-        let moved = records[0].id;
-        let plan = RebalancePlan {
-            assignment: vec![dst],
-            migrations: vec![Migration { id: moved, from: src, to: dst }],
-            records,
-            method: PlanMethod::NoOp,
-            old_ratio: 1.0,
-            new_ratio: 1.0,
-        };
-        let rec = Recorder::new(rank, ObsConfig::default());
-        let stats = execute_migrations(
-            &mut comm,
-            &plan,
-            &mut forest,
-            &mut view,
-            &mut blocks,
-            &mut index_of,
-            scenario.boundary,
-            &rec,
-        );
+        // from `src` to `dst` mid-run.
+        let stats = execute_migrations(&mut lp, &plan, None).expect("the plan is valid");
 
         if rank == dst {
             assert_eq!(stats.received, 1);
+            let block = &mut lp.blocks_mut()[0];
             assert!(
-                blocks[0].src.parity(),
+                block.src.parity(),
                 "migration dropped the parity bit: the restored block came back even"
             );
             for _ in 0..3 {
-                blocks[0].apply_boundaries();
-                blocks[0].stream_collide(rel);
+                block.apply_boundaries();
+                block.stream_collide(rel);
             }
-            Some(save_block_full(&blocks[0]))
+            Some(save_block_full(block))
         } else {
             assert_eq!(stats.sent, 1);
-            assert!(blocks.is_empty(), "the source rank gave its only block away");
+            assert!(lp.blocks().is_empty(), "the source rank gave its only block away");
             None
         }
     });
@@ -141,10 +130,40 @@ fn inplace_block_migrated_at_odd_parity_is_bitwise_preserved() {
     );
 }
 
-/// Driver-level version: a skewed in-place run under the runtime
-/// rebalancer with an odd epoch length, so blocks migrate mid-run at
-/// odd parity. The final PDFs must match the same run without any
-/// migration, bit for bit.
+/// A migration payload cut short on the wire must come back as a typed
+/// error on the receiver — it used to be an `expect` on the restore.
+#[test]
+fn truncated_migration_payload_is_a_typed_error() {
+    let scenario = single_block_scenario();
+    let run_plan = plan_run(&scenario, 2);
+    let src = run_plan.forest.blocks[0].rank;
+    let dst = 1 - src;
+    let plan = move_only_block(&run_plan, src, dst);
+    let id = plan.migrations[0].id;
+
+    let results = World::run(2, |mut comm| {
+        if comm.rank() == src {
+            // Stand in for the sender: the right tag, half the bytes.
+            let block = scenario.build_block(&run_plan.views[src as usize].blocks[0]);
+            let mut payload = save_block_full(&block);
+            payload.truncate(payload.len() / 2);
+            comm.send(dst, MIGRATION_TAG_BASE | id, payload);
+            None
+        } else {
+            let mut lp = RankLoop::new(comm, &run_plan, &scenario, 1, DriverConfig::default());
+            Some(execute_migrations(&mut lp, &plan, None))
+        }
+    });
+    assert_eq!(
+        results[dst as usize],
+        Some(Err(MigrationError::Restore { id, error: RestoreError::Truncated }))
+    );
+}
+
+/// Driver-level version: a skewed in-place run under the rebalance hook
+/// with an odd epoch length, so blocks migrate mid-run at odd parity —
+/// on the synchronous and the overlapped schedule. The final PDFs must
+/// match the same run without any migration, bit for bit.
 #[test]
 fn rebalanced_inplace_run_with_odd_epochs_matches_plain_run_bitwise() {
     let scenario = || {
@@ -153,32 +172,27 @@ fn rebalanced_inplace_run_with_odd_epochs_matches_plain_run_bitwise() {
             .with_skewed_balance(0.9)
     };
     const STEPS: u64 = 24;
-    let plain = run_distributed_with(
-        &scenario(),
-        2,
-        1,
-        STEPS,
-        &[],
-        DriverConfig { collect_pdfs: true, ..DriverConfig::default() },
-    );
-    let rebalanced = run_distributed_rebalanced(
-        &scenario(),
-        2,
-        1,
-        STEPS,
-        RebalanceConfig {
-            every_n_steps: 3,
-            threshold: 1.3,
-            hysteresis: 2,
-            collect_pdfs: true,
-            ..RebalanceConfig::default()
-        },
-    );
-    assert!(rebalanced.total_migrations() >= 1, "skewed run must migrate");
-    assert!(!rebalanced.has_nan());
-    assert_eq!(
-        plain.pdf_dump(),
-        rebalanced.pdf_dump(),
-        "mid-run in-place migration changed the computed physics"
-    );
+    let pdfs = |overlap| DriverConfig { overlap, collect_pdfs: true, ..DriverConfig::default() };
+    let plain = run_distributed_with(&scenario(), 2, 1, STEPS, &[], pdfs(false));
+    for overlap in [false, true] {
+        let cfg = RunConfig {
+            driver: pdfs(overlap),
+            rebalance: Some(RebalanceConfig {
+                every_n_steps: 3,
+                threshold: 1.3,
+                hysteresis: 2,
+                ..RebalanceConfig::default()
+            }),
+            ..RunConfig::default()
+        };
+        let rebalanced =
+            run_distributed_composed(&scenario(), 2, 1, STEPS, &[], &cfg).expect("unfaulted run");
+        assert!(rebalanced.total_migrations() > 0, "skewed run must migrate (overlap={overlap})");
+        assert!(!rebalanced.has_nan());
+        assert_eq!(
+            plain.pdf_dump(),
+            rebalanced.pdf_dump(),
+            "mid-run in-place migration changed the computed physics (overlap={overlap})"
+        );
+    }
 }

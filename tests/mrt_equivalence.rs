@@ -11,9 +11,10 @@
 //! hundred steps stays finite under MRT + LES.
 
 use trillium_core::driver::{
-    run_distributed_rebalanced, run_distributed_with, DriverConfig, RebalanceConfig, RunResult,
+    run_distributed_composed, run_distributed_with, DriverConfig, RebalanceConfig, RunConfig,
+    RunResult,
 };
-use trillium_core::recovery::{run_distributed_resilient, ResilienceConfig};
+use trillium_core::recovery::ResilienceConfig;
 use trillium_core::scenario::{KernelChoice, Scenario};
 use trillium_kernels::Collision;
 use trillium_obs::ObsConfig;
@@ -57,35 +58,40 @@ fn check_all_schedules(op: Collision) {
     assert_bitwise("overlapped", &reference, &overlapped);
 
     // Aggressive rebalancing on a deliberately skewed initial assignment
-    // so migrations actually fire mid-run.
-    let rebalanced = run_distributed_rebalanced(
-        &make(KernelChoice::Pull).with_skewed_balance(0.9),
-        PROCS,
-        1,
-        STEPS,
-        RebalanceConfig {
-            every_n_steps: 5,
-            threshold: 1.0,
-            hysteresis: 1,
-            cooldown_epochs: 1,
-            collect_pdfs: true,
-            obs: ObsConfig::off(),
-            ..Default::default()
-        },
-    );
-    assert!(rebalanced.total_migrations() > 0, "rebalance never fired; gate is vacuous");
-    assert_bitwise("rebalanced", &reference, &rebalanced);
+    // so migrations actually fire mid-run, under both step schedules.
+    for overlap in [false, true] {
+        let cfg = RunConfig {
+            driver: DriverConfig { overlap, ..plain(true) },
+            rebalance: Some(RebalanceConfig {
+                every_n_steps: 5,
+                threshold: 1.0,
+                hysteresis: 1,
+                cooldown_epochs: 1,
+                ..Default::default()
+            }),
+            ..RunConfig::default()
+        };
+        let skewed = make(KernelChoice::Pull).with_skewed_balance(0.9);
+        let rebalanced =
+            run_distributed_composed(&skewed, PROCS, 1, STEPS, &[], &cfg).expect("unfaulted run");
+        assert!(rebalanced.total_migrations() > 0, "rebalance never fired; gate is vacuous");
+        assert_bitwise(&format!("rebalanced, overlap={overlap}"), &reference, &rebalanced);
+    }
 
-    let resilient = run_distributed_resilient(
+    let resilient = run_distributed_composed(
         &make(KernelChoice::Pull),
         PROCS,
         1,
         STEPS,
         &[],
-        &ResilienceConfig { driver: plain(true), ..Default::default() },
+        &RunConfig {
+            driver: plain(true),
+            resilience: Some(ResilienceConfig::default()),
+            ..RunConfig::default()
+        },
     )
     .expect("clean resilient run");
-    assert_bitwise("resilient", &reference, &resilient.run);
+    assert_bitwise("resilient", &reference, &resilient);
 
     let inplace =
         run_distributed_with(&make(KernelChoice::InPlace), PROCS, 1, STEPS, &[], plain(true));

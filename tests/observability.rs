@@ -13,10 +13,9 @@
 
 use std::time::Duration;
 use trillium_core::driver::{
-    run_distributed_rebalanced, run_distributed_with, RebalanceConfig, RunResult,
+    run_distributed_composed, run_distributed_with, RebalanceConfig, RunResult,
 };
 use trillium_core::prelude::*;
-use trillium_core::recovery::ResilienceConfig;
 use trillium_obs::SpanKind;
 
 /// Slack for comparing span sums against wall time: the categories are
@@ -113,27 +112,28 @@ fn overlapped_schedule_keeps_timing_invariants_and_hides_stall() {
 fn resilient_schedules_keep_timing_invariants() {
     for overlap in [false, true] {
         let schedule = if overlap { "resilient-overlapped" } else { "resilient-sync" };
-        let rc = ResilienceConfig {
-            checkpoint_every: 5,
-            step_timeout: Duration::from_secs(5),
-            driver: if overlap { DriverConfig::overlapped() } else { DriverConfig::default() },
-            ..ResilienceConfig::default()
+        let cfg = RunConfig {
+            driver: DriverConfig { overlap, ..DriverConfig::default() },
+            resilience: Some(ResilienceConfig {
+                checkpoint_every: 5,
+                step_timeout: Duration::from_secs(5),
+                ..ResilienceConfig::default()
+            }),
+            ..RunConfig::default()
         };
-        let res =
-            trillium_core::recovery::run_distributed_resilient(&skewed(), 4, 1, STEPS, &[], &rc)
-                .expect("recoverable");
-        check_invariants(&res.run, schedule);
+        let res = run_distributed_composed(&skewed(), 4, 1, STEPS, &[], &cfg).expect("recoverable");
+        check_invariants(&res, schedule);
         // Checkpoint spans were recorded (initial snapshot has no span;
         // agreements at steps 5, 10 and 12 do).
-        for rr in &res.run.ranks {
+        for rr in &res.ranks {
             let obs = rr.obs.as_ref().unwrap();
             assert!(obs.count(SpanKind::Checkpoint) >= 3, "{schedule}: missing checkpoints");
         }
         // The resilience ledger is mirrored into the metrics registry.
-        let m = res.run.metrics();
+        let m = res.metrics();
         assert_eq!(
             m.counter("resilience.checkpoints"),
-            res.run.ranks.len() as u64 * u64::from(res.checkpoints())
+            res.ranks.len() as u64 * u64::from(res.checkpoints())
         );
         assert_eq!(m.counter("resilience.rollbacks"), 0);
     }
@@ -149,11 +149,11 @@ fn faulted_resilient_run_counts_rollbacks_and_fault_events() {
     };
     let res = trillium_core::recovery::run_distributed_resilient(&skewed(), 4, 1, STEPS, &[], &rc)
         .expect("recoverable");
-    assert_eq!(res.recoveries(), 1);
+    assert_eq!(res.run.recoveries(), 1);
     let m = res.run.metrics();
     assert_eq!(m.counter("fault.crashes"), 1, "the injected crash must be counted");
     assert_eq!(m.counter("resilience.rollbacks"), 4, "every rank rolls back once");
-    assert_eq!(m.counter("resilience.replayed_steps"), res.replayed_steps());
+    assert_eq!(m.counter("resilience.replayed_steps"), res.run.replayed_steps());
     // Recovery spans were recorded on every rank.
     for rr in &res.run.ranks {
         assert!(rr.obs.as_ref().unwrap().count(SpanKind::Recovery) >= 1);
@@ -162,19 +162,24 @@ fn faulted_resilient_run_counts_rollbacks_and_fault_events() {
 
 #[test]
 fn rebalanced_run_records_migration_metrics() {
-    let cfg = RebalanceConfig {
-        every_n_steps: 5,
-        threshold: 1.3,
-        hysteresis: 2,
-        ..RebalanceConfig::default()
+    let cfg = RunConfig {
+        rebalance: Some(RebalanceConfig {
+            every_n_steps: 5,
+            threshold: 1.3,
+            hysteresis: 2,
+            ..RebalanceConfig::default()
+        }),
+        ..RunConfig::default()
     };
-    let r = run_distributed_rebalanced(
+    let r = run_distributed_composed(
         &Scenario::lid_driven_cavity(16, 2, 0.06, 0.08).with_skewed_balance(0.9),
         2,
         1,
         40,
-        cfg,
-    );
+        &[],
+        &cfg,
+    )
+    .expect("unfaulted run");
     assert!(r.total_migrations() >= 1, "skewed run must migrate");
     let m = r.metrics();
     assert!(m.counter("rebalance.rounds") >= 1);

@@ -97,14 +97,15 @@ fn manual_cohorts_via_connect_and_drive_rank_match_solo() {
 
     let launch = |scenario: &Scenario| -> RunResult {
         let plan = plan_run(scenario, 2);
+        let cfg = RunConfig { driver: overlapped_pdfs(), ..RunConfig::default() };
         let comms = World::connect(2, None);
         let ranks = std::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .into_iter()
                 .map(|comm| {
-                    let plan = &plan;
+                    let (plan, cfg) = (&plan, &cfg);
                     scope.spawn(move || {
-                        drive_rank(comm, plan, scenario, 1, STEPS, &[], overlapped_pdfs())
+                        drive_rank(comm, plan, scenario, 1, STEPS, &[], cfg).expect("no faults")
                     })
                 })
                 .collect();

@@ -5,10 +5,8 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use trillium_core::driver::{run_distributed_with, DriverConfig};
+use trillium_core::driver::{run_distributed_composed, run_distributed_with, RebalanceConfig};
 use trillium_core::prelude::*;
-use trillium_core::recovery::run_distributed_resilient;
-use trillium_core::recovery::ResilienceConfig;
 use trillium_geometry::voxelize::VoxelizeConfig;
 use trillium_geometry::{VascularTree, VascularTreeParams};
 
@@ -38,13 +36,21 @@ fn pdf_cfg() -> DriverConfig {
     DriverConfig { collect_pdfs: true, ..DriverConfig::default() }
 }
 
-fn resilient_cfg(fault: FaultConfig) -> ResilienceConfig {
-    ResilienceConfig {
-        checkpoint_every: 7,
-        fault: Some(fault),
+fn resilient_cfg(fault: FaultConfig) -> RunConfig {
+    RunConfig {
         driver: pdf_cfg(),
-        ..ResilienceConfig::default()
+        resilience: Some(ResilienceConfig {
+            checkpoint_every: 7,
+            fault: Some(fault),
+            ..ResilienceConfig::default()
+        }),
+        ..RunConfig::default()
     }
+}
+
+/// A resilient run of the vascular tree on [`RANKS`] ranks.
+fn run_resilient(probes: &[[i64; 3]], cfg: &RunConfig) -> Result<RunResult, RecoveryError> {
+    run_distributed_composed(&vascular(), RANKS, 1, STEPS, probes, cfg)
 }
 
 /// The headline acceptance: a 4-rank vascular run in which one rank
@@ -58,18 +64,13 @@ fn rank_crash_recovers_bitwise_identical_to_unfaulted_run() {
     assert!(!truth.has_nan());
 
     let rc = resilient_cfg(FaultConfig::new(42).with_crash(2, 17));
-    let res = run_distributed_resilient(&vascular(), RANKS, 1, STEPS, &probes, &rc)
-        .expect("clean resilient run");
+    let res = run_resilient(&probes, &rc).expect("clean resilient run");
 
     assert_eq!(res.recoveries(), 1, "the injected crash must trigger exactly one recovery");
     assert!(res.replayed_steps() > 0, "rollback must replay the lost window");
-    assert_eq!(truth.pdf_dump(), res.run.pdf_dump(), "recovered PDFs differ from ground truth");
-    assert_eq!(truth.probes(), res.run.probes(), "recovered probes differ from ground truth");
-    assert_eq!(
-        truth.mass_drift().to_bits(),
-        res.run.mass_drift().to_bits(),
-        "mass accounting differs"
-    );
+    assert_eq!(truth.pdf_dump(), res.pdf_dump(), "recovered PDFs differ from ground truth");
+    assert_eq!(truth.probes(), res.probes(), "recovered probes differ from ground truth");
+    assert_eq!(truth.mass_drift().to_bits(), res.mass_drift().to_bits(), "mass accounting differs");
 }
 
 /// Determinism of the failure itself: running the identical fault seed
@@ -82,17 +83,14 @@ fn same_fault_seed_reproduces_identical_failure_trace() {
         .with_drops(0.02)
         .with_reordering(0.05, 2)
         .with_fault_cap(8);
-    let a =
-        run_distributed_resilient(&vascular(), RANKS, 1, STEPS, &[], &resilient_cfg(fault.clone()))
-            .expect("capped faults are recoverable");
-    let b = run_distributed_resilient(&vascular(), RANKS, 1, STEPS, &[], &resilient_cfg(fault))
-        .expect("capped faults are recoverable");
+    let a = run_resilient(&[], &resilient_cfg(fault.clone())).expect("capped faults recover");
+    let b = run_resilient(&[], &resilient_cfg(fault)).expect("capped faults recover");
     let (ta, tb) = (a.failure_trace(), b.failure_trace());
     assert!(!ta.is_empty(), "the fault plan must have injected something");
     assert_eq!(ta, tb, "failure traces diverge across reruns of the same seed");
     assert_eq!(a.recoveries(), b.recoveries());
     assert_eq!(a.replayed_steps(), b.replayed_steps());
-    assert_eq!(a.run.pdf_dump(), b.run.pdf_dump());
+    assert_eq!(a.pdf_dump(), b.pdf_dump());
 }
 
 /// Message-level faults (drops and reordering, capped so the network
@@ -106,12 +104,11 @@ fn dropped_and_reordered_messages_recover_exactly() {
         FaultConfig::new(9).with_drops(0.01).with_reordering(0.04, 3).with_fault_cap(6),
     );
     // Drops are detected by timeout; keep it short so the test is fast.
-    rc.step_timeout = Duration::from_secs(2);
-    let res = run_distributed_resilient(&vascular(), RANKS, 1, STEPS, &[], &rc)
-        .expect("capped faults are recoverable");
-    assert_eq!(truth.pdf_dump(), res.run.pdf_dump());
-    assert!(res.run.mass_drift().abs() < 1e-9);
-    assert!(!res.run.has_nan());
+    rc.resilience.as_mut().unwrap().step_timeout = Duration::from_secs(2);
+    let res = run_resilient(&[], &rc).expect("capped faults are recoverable");
+    assert_eq!(truth.pdf_dump(), res.pdf_dump());
+    assert!(res.mass_drift().abs() < 1e-9);
+    assert!(!res.has_nan());
 }
 
 /// Regression for the silent-deadlock failure mode: a 4-rank run in
@@ -168,14 +165,94 @@ fn rank_panic_surfaces_as_error_within_watchdog_budget() {
 fn overlap_and_sync_resilient_schedules_agree_under_faults() {
     let truth = run_distributed_with(&vascular(), RANKS, 1, STEPS, &[], pdf_cfg());
     let fault = FaultConfig::new(77).with_crash(3, 9);
-    let sync =
-        run_distributed_resilient(&vascular(), RANKS, 1, STEPS, &[], &resilient_cfg(fault.clone()))
-            .expect("capped faults are recoverable");
+    let sync = run_resilient(&[], &resilient_cfg(fault.clone())).expect("capped faults recover");
     let mut over_cfg = resilient_cfg(fault);
-    over_cfg.driver = DriverConfig { overlap: true, collect_pdfs: true, ..Default::default() };
-    let over = run_distributed_resilient(&vascular(), RANKS, 1, STEPS, &[], &over_cfg)
-        .expect("capped faults are recoverable");
-    assert_eq!(truth.pdf_dump(), sync.run.pdf_dump());
-    assert_eq!(truth.pdf_dump(), over.run.pdf_dump());
+    over_cfg.driver.overlap = true;
+    let over = run_resilient(&[], &over_cfg).expect("capped faults are recoverable");
+    assert_eq!(truth.pdf_dump(), sync.pdf_dump());
+    assert_eq!(truth.pdf_dump(), over.pdf_dump());
     assert_eq!(sync.recoveries(), over.recoveries());
+}
+
+/// The skewed cavity of the rebalance suites (7 of 8 blocks on rank 0)
+/// under all three choices at once: overlapped steps, a rebalance hook
+/// that migrates at step 10 (epochs of 5, hysteresis 2), a resilience
+/// hook checkpointing every 4.
+fn composed_cfg(fault: FaultConfig) -> (Scenario, RunConfig) {
+    let cfg = RunConfig {
+        driver: DriverConfig { overlap: true, ..pdf_cfg() },
+        rebalance: Some(RebalanceConfig {
+            every_n_steps: 5,
+            threshold: 1.3,
+            hysteresis: 2,
+            cooldown_epochs: 0,
+            ..RebalanceConfig::default()
+        }),
+        resilience: Some(ResilienceConfig {
+            checkpoint_every: 4,
+            step_timeout: Duration::from_millis(500),
+            recovery_timeout: Duration::from_secs(5),
+            fault: Some(fault),
+            ..ResilienceConfig::default()
+        }),
+    };
+    (Scenario::lid_driven_cavity(16, 2, 0.05, 0.08).with_skewed_balance(0.9), cfg)
+}
+
+/// Overlapped + rebalanced + resilient, with the crash injected right
+/// *after* a migration round: rank 1 dies at step 11, the newest common
+/// checkpoint (step 8) predates the step-10 migration, so the rollback
+/// must put the blocks back under the owner assignment the checkpoint
+/// was taken under before it replays — and the replay migrates again.
+/// The end state is the plain synchronous run's, bit for bit.
+#[test]
+fn composed_schedule_recovers_bitwise_from_a_crash_after_a_migration() {
+    let (scenario, cfg) = composed_cfg(FaultConfig::new(5).with_crash(1, 11));
+    let probes: Vec<[i64; 3]> = vec![[1, 1, 1], [8, 8, 14], [15, 15, 15]];
+    let truth = run_distributed_with(&scenario, 2, 1, STEPS, &probes, pdf_cfg());
+    let res = run_distributed_composed(&scenario, 2, 1, STEPS, &probes, &cfg)
+        .expect("a single crash is recoverable");
+    assert_eq!(res.recoveries(), 1, "the injected crash must cause one rollback");
+    assert!(
+        res.rebalance_count() >= 2,
+        "expected a migration round before the crash and one in the replay, got {}",
+        res.rebalance_count()
+    );
+    assert!(res.total_migrations() > 0);
+    assert_eq!(truth.pdf_dump(), res.pdf_dump(), "composed recovery deviates from the plain run");
+    assert_eq!(truth.probes(), res.probes(), "probes must follow their blocks through it all");
+}
+
+/// No composition may hang: under capped message drops — which now also
+/// hit the rebalance collectives and migration payloads — every seed
+/// must come back, within the watchdog budget, either converged (bitwise
+/// equal to the plain run) or with a typed [`RecoveryError`].
+#[test]
+fn composed_schedule_drop_seed_scan_terminates_typed() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let guard = std::thread::spawn(move || {
+        let (scenario, _) = composed_cfg(FaultConfig::new(0));
+        let truth = run_distributed_with(&scenario, 2, 1, STEPS, &[], pdf_cfg());
+        let mut rollbacks = 0;
+        for seed in 0..8u64 {
+            let (_, cfg) = composed_cfg(FaultConfig::new(seed).with_drops(0.03).with_fault_cap(3));
+            match run_distributed_composed(&scenario, 2, 1, STEPS, &[], &cfg) {
+                Ok(res) => {
+                    assert_eq!(truth.pdf_dump(), res.pdf_dump(), "seed {seed} diverged");
+                    println!(
+                        "seed {seed}: {} rollbacks, {} blocks migrated",
+                        res.recoveries(),
+                        res.total_migrations()
+                    );
+                    rollbacks += res.recoveries();
+                }
+                Err(e) => println!("seed {seed}: typed failure: {e}"),
+            }
+        }
+        assert!(rollbacks > 0, "no drop ever landed; the scan is vacuous");
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(120))
+        .expect("a composed run hung (or panicked) instead of returning");
+    guard.join().unwrap();
 }
