@@ -2,10 +2,12 @@
 
 use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shape, SoaPdfField};
 use trillium_kernels::{
-    apply_boundaries, apply_boundaries_ghost, apply_boundaries_interior, Backend, BackendKind,
-    BoundaryParams, Collision, SweepStats,
+    Backend, BackendKind, BoundaryLinks, BoundaryParams, Collision, SweepStats,
 };
 use trillium_lattice::{Relaxation, D3Q19};
+
+#[cfg(debug_assertions)]
+use crate::checkpoint::flag_digest;
 
 /// Which compute kernel a block uses for its interior sweep.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -44,11 +46,16 @@ pub struct BlockSim {
     /// Destination PDF field (unused between steps under
     /// [`UpdateScheme::InPlace`]).
     pub dst: SoaPdfField<D3Q19>,
-    /// Cell classification.
+    /// Cell classification. The boundary link list is derived from this
+    /// field and [`BlockSim::boundary`] at construction: after editing
+    /// which cells are walls of which kind, call
+    /// [`BlockSim::rebuild_boundary_links`] (`intervals` and `kernel` are
+    /// derived from the *fluid* cells and have no such path).
     pub flags: FlagField,
     /// Row intervals for the sparse kernel (built from `flags`).
     pub intervals: RowIntervals,
-    /// Boundary-condition parameters.
+    /// Boundary-condition parameters. Baked into the boundary link list:
+    /// call [`BlockSim::rebuild_boundary_links`] after editing them.
     pub boundary: BoundaryParams,
     /// Kernel choice for this block.
     pub kernel: BlockKernel,
@@ -72,6 +79,18 @@ pub struct BlockSim {
     /// [`BoundaryParams`], it is *not* part of the checkpoint wire format
     /// and is re-stamped by whoever rebuilds a block.
     pub collision: Collision,
+    /// The boundary links of `flags` under `boundary`; every boundary
+    /// sweep and force evaluation walks this list.
+    links: BoundaryLinks,
+    /// [`flag_digest`] of `flags` when `links` was built.
+    #[cfg(debug_assertions)]
+    links_digest: u64,
+}
+
+/// Builds the link list of a block. No allocatable block comes near the
+/// 32-bit offset limit (19 · 609³ PDFs are 34 GB per buffer).
+fn build_links(flags: &FlagField, boundary: &BoundaryParams) -> BoundaryLinks {
+    BoundaryLinks::build(flags, boundary).expect("block fits 32-bit boundary link offsets")
 }
 
 impl BlockSim {
@@ -94,6 +113,7 @@ impl BlockSim {
         scheme: UpdateScheme,
     ) -> Self {
         let shape = flags.shape();
+        let links = build_links(&flags, &boundary);
         let mut src = SoaPdfField::new(shape);
         let dst = SoaPdfField::new(shape);
         src.fill_equilibrium(rho, u);
@@ -111,6 +131,9 @@ impl BlockSim {
             shape,
             src,
             dst,
+            links,
+            #[cfg(debug_assertions)]
+            links_digest: flag_digest(&flags),
             flags,
             intervals,
             boundary,
@@ -164,10 +187,37 @@ impl BlockSim {
         }
     }
 
+    /// The boundary link list every boundary sweep of this block walks.
+    pub fn boundary_links(&self) -> &BoundaryLinks {
+        &self.links
+    }
+
+    /// Rebuilds the boundary link list from `flags` and `boundary`: the
+    /// one sanctioned path after editing either field.
+    pub fn rebuild_boundary_links(&mut self) {
+        self.links = build_links(&self.flags, &self.boundary);
+        #[cfg(debug_assertions)]
+        {
+            self.links_digest = flag_digest(&self.flags);
+        }
+    }
+
+    /// Debug builds fail here when `flags` or `boundary` were edited
+    /// without [`BlockSim::rebuild_boundary_links`], instead of silently
+    /// sweeping a stale list.
+    fn check_links_current(&self) {
+        #[cfg(debug_assertions)]
+        assert!(
+            *self.links.params() == self.boundary && self.links_digest == flag_digest(&self.flags),
+            "flags or boundary edited without rebuild_boundary_links()"
+        );
+    }
+
     /// Runs the boundary sweep on the source field (call after ghost
     /// synchronization, before [`BlockSim::stream_collide`]).
     pub fn apply_boundaries(&mut self) {
-        apply_boundaries::<D3Q19, _>(&mut self.src, &self.flags, &self.boundary);
+        self.check_links_current();
+        self.links.apply(&mut self.src);
     }
 
     /// Boundary sweep restricted to *interior* wall cells (obstacles).
@@ -177,13 +227,15 @@ impl BlockSim {
     /// after the block's ghost slabs have been unpacked; the two together
     /// are bitwise identical to one [`BlockSim::apply_boundaries`].
     pub fn apply_boundaries_interior(&mut self) {
-        apply_boundaries_interior::<D3Q19, _>(&mut self.src, &self.flags, &self.boundary);
+        self.check_links_current();
+        self.links.apply_interior(&mut self.src);
     }
 
     /// Boundary sweep restricted to *ghost-layer* wall cells. Must run
     /// after the ghost exchange for this block has completed.
     pub fn apply_boundaries_ghost(&mut self) {
-        apply_boundaries_ghost::<D3Q19, _>(&mut self.src, &self.flags, &self.boundary);
+        self.check_links_current();
+        self.links.apply_ghost(&mut self.src);
     }
 
     /// Makes the block periodic along the selected axes by copying its own
@@ -368,11 +420,8 @@ impl BlockSim {
     /// (drag/lift evaluation). Call between [`BlockSim::apply_boundaries`]
     /// and [`BlockSim::stream_collide`].
     pub fn boundary_force(&self, mask: CellFlags) -> [f64; 3] {
-        trillium_kernels::boundary::momentum_exchange_force::<D3Q19, _>(
-            &self.src,
-            &self.flags,
-            mask,
-        )
+        self.check_links_current();
+        self.links.force(&self.src, mask)
     }
 
     /// True if the interior contains a non-finite PDF (stability check).
@@ -402,19 +451,14 @@ pub fn boxed_block_flags(shape: Shape, border_flags: [Option<CellFlags>; 6]) -> 
     for (x, y, z) in shape.with_ghosts().iter() {
         flags.set_flags(x, y, z, CellFlags::FLUID);
     }
-    let g = shape.ghost as i32;
     let (nx, ny, nz) = (shape.nx as i32, shape.ny as i32, shape.nz as i32);
     for (x, y, z) in shape.with_ghosts().iter() {
         let mut wall: Option<CellFlags> = None;
+        // On edges and corners the last matching closed face wins, so the
+        // lid on +z overrides the side walls.
         let mut check = |cond: bool, f: Option<CellFlags>| {
-            if cond {
-                if let Some(f) = f {
-                    // Later faces override earlier ones only if unset, so
-                    // edges prefer the first matching face; for our
-                    // scenarios (lid on +z overriding side walls) we let
-                    // the last match win instead.
-                    wall = Some(f);
-                }
+            if cond && f.is_some() {
+                wall = f;
             }
         };
         check(x < 0, border_flags[0]);
@@ -423,7 +467,6 @@ pub fn boxed_block_flags(shape: Shape, border_flags: [Option<CellFlags>; 6]) -> 
         check(y >= ny, border_flags[3]);
         check(z < 0, border_flags[4]);
         check(z >= nz, border_flags[5]);
-        let _ = g;
         if let Some(f) = wall {
             flags.set_flags(x, y, z, f);
         }

@@ -68,7 +68,7 @@ pub fn save_block(block: &BlockSim) -> Vec<u8> {
     buf.put_u32_le(s.ny as u32);
     buf.put_u32_le(s.nz as u32);
     buf.put_u32_le(s.ghost as u32);
-    buf.put_u64_le(flag_digest(block));
+    buf.put_u64_le(flag_digest(&block.flags));
     buf.put_u8(scheme_byte(block));
     for v in block.src.data() {
         buf.put_f64_le(*v);
@@ -112,7 +112,7 @@ pub fn restore_block(block: &mut BlockSim, data: &[u8]) -> Result<(), RestoreErr
     if (nx as usize, ny as usize, nz as usize, ghost as usize) != (s.nx, s.ny, s.nz, s.ghost) {
         return Err(RestoreError::ShapeMismatch);
     }
-    if buf.get_u64_le() != flag_digest(block) {
+    if buf.get_u64_le() != flag_digest(&block.flags) {
         return Err(RestoreError::FlagMismatch);
     }
     let scheme = buf.get_u8();
@@ -265,10 +265,10 @@ pub fn restore_forest(
     Ok((step, out))
 }
 
-/// FNV-1a digest of the flag field (cheap structural fingerprint).
-fn flag_digest(block: &BlockSim) -> u64 {
+/// FNV-1a digest of a flag field (cheap structural fingerprint).
+pub(crate) fn flag_digest(flags: &trillium_field::FlagField) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in block.flags.data() {
+    for &b in flags.data() {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
@@ -348,6 +348,7 @@ mod tests {
         assert_eq!(a.src.data(), b.src.data());
         assert_eq!(a.dst.data(), b.dst.data());
         assert_eq!(a.fluid_cells(), b.fluid_cells());
+        assert_eq!(a.boundary_links(), b.boundary_links());
         for _ in 0..10 {
             a.apply_boundaries();
             a.stream_collide(rel);
@@ -462,6 +463,7 @@ mod tests {
         assert_eq!(d.scheme, UpdateScheme::InPlace);
         assert!(d.src.parity());
         assert_eq!(d.src.data(), b.src.data());
+        assert_eq!(d.boundary_links(), b.boundary_links());
     }
 
     #[test]

@@ -768,7 +768,7 @@ impl<'a> RankLoop<'a> {
         if fallbacks > 0 {
             rec.metrics().add("kernel.fallback_pull", fallbacks);
         }
-        RankLoop {
+        let lp = RankLoop {
             mass_initial: blocks.iter().map(BlockSim::fluid_mass).sum(),
             energy_initial: blocks.iter().map(BlockSim::kinetic_energy).sum(),
             index_of: index_blocks(view),
@@ -783,7 +783,22 @@ impl<'a> RankLoop<'a> {
             force_series: Vec::new(),
             cfg,
             threads: threads_per_rank,
+        };
+        lp.gauge_boundary_links();
+        lp
+    }
+
+    /// Sets the gauges `boundary.links` / `boundary.links_ghost`: the
+    /// boundary work per step of this rank's current blocks. Call again
+    /// whenever the block vector was replaced.
+    pub(crate) fn gauge_boundary_links(&self) {
+        let (mut links, mut ghost) = (0, 0);
+        for b in &self.blocks {
+            links += b.boundary_links().len();
+            ghost += b.boundary_links().ghost_len();
         }
+        self.rec.metrics().gauge("boundary.links", links as f64);
+        self.rec.metrics().gauge("boundary.links_ghost", ghost as f64);
     }
 
     /// Puts this rank under `owners` (one rank per forest block, in
@@ -957,7 +972,11 @@ impl<'a> RankLoop<'a> {
         let t_hide = rec.clock();
         {
             let _b = rec.span(SpanKind::Boundary);
-            map_each_block(blocks, threads, |b| b.apply_boundaries_interior());
+            // Walls in the ghost layer only (every cavity): nothing to
+            // prepare here, so no worker fan-out either.
+            if blocks.iter().any(|b| b.boundary_links().interior_len() > 0) {
+                map_each_block(blocks, threads, |b| b.apply_boundaries_interior());
+            }
         }
         let kernel = rec.span(SpanKind::KernelInterior);
         let interior = map_each_block(blocks, threads, move |b| b.stream_collide_interior(rel));
@@ -1229,6 +1248,7 @@ impl Rebalancer {
                 let ms = execute_migrations(lp, &plan, deadline);
                 lp.rec.close(span);
                 let ms = ms?;
+                lp.gauge_boundary_links();
                 self.report.migrations_out += ms.sent;
                 self.report.migrations_in += ms.received;
                 self.report.rebalances += 1;

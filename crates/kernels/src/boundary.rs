@@ -5,10 +5,11 @@
 //!
 //! All compute kernels in this crate pull unconditionally from all 19
 //! neighbors. Boundary conditions are realized by a *preparatory sweep*
-//! that runs before the compute sweep of each time step: for every boundary
-//! cell `w` and every direction `q` whose target `w + c_q` is an interior
-//! fluid cell, the preparatory sweep writes into `f[w][q]` exactly the
-//! value the fluid cell must receive when it pulls direction `q` from `w`:
+//! that runs before the compute sweep of each time step: for every
+//! **link** — a boundary cell `w` and a direction `q` whose target
+//! `x = w + c_q` is an interior fluid cell — it writes into `f[w][q]`
+//! exactly the value the fluid cell must receive when it pulls direction
+//! `q` from `w`:
 //!
 //! * **no slip**: `f[w][q] = f̃[x][q̄]` — plain reflection of the fluid
 //!   cell's post-collision PDF,
@@ -23,10 +24,43 @@
 //! Because the hull of the fluid region is computed with a morphological
 //! dilation w.r.t. the stencil (paper §2.3), every pull of a fluid cell hits
 //! either a fluid or a boundary cell — never an unclassified one.
+//!
+//! The links are a property of the block's *surface* and do not change
+//! between steps, so the simulation does not search for them every step:
+//! [`BoundaryLinks::build`] scans the flag bytes once per block and the
+//! sweeps of a run walk the resulting list (as waLBerla's
+//! `BoundaryHandling` index lists do).
+//!
+//! **One list for both storage parities.** A link is the pair of raw
+//! `SoaPdfField` offsets `a = q·n + idx(w)` and `b = q̄·n + idx(x)`
+//! (`n` = allocated cells). At even parity logical `(w, q)` lives at `a`
+//! and logical `(x, q̄)` at `b`. At odd parity (AA pattern) logical
+//! `(c, k)` is stored at `(c + c_k, k̄)`, which sends `(w, q)` to `b` and
+//! `(x, q̄)` to `a`: the same two slots with their roles swapped. The sweep
+//! therefore reads the parity once and does `d[a] ← g(d[b])` or
+//! `d[b] ← g(d[a])`; the offsets are valid for any buffer of the block's
+//! shape.
+//!
+//! **Order.** Links are stored in contiguous *runs* of equal (wall in ghost
+//! layer?, wall flag byte, `q`), runs sorted by that key, links inside a
+//! run by the wall cell's linear index. All runs of interior wall cells
+//! (in-block obstacles) precede all runs of ghost-layer wall cells (domain
+//! hull); the two slices are the [`BoundaryLinks::apply_interior`] /
+//! [`BoundaryLinks::apply_ghost`] halves of the overlapped schedule. Every
+//! written slot belongs to exactly one link and every read slot holds a
+//! logical fluid-cell PDF, so the PDF result does not depend on this
+//! order; the force sum of [`BoundaryLinks::force`] does, which makes the
+//! order part of the list's definition.
+//!
+//! The flag-scanning [`apply_boundaries`] / [`momentum_exchange_force`]
+//! remain as the implementation for arbitrary lattice models and layouts
+//! and as the oracle the list is tested against bit for bit.
 
-use trillium_field::{CellFlags, FlagField, FlagOps, PdfField};
+use std::ops::Range;
+use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, Shape, SoaPdfField};
+use trillium_lattice::d3q19::{C, INVERSE, Q};
 use trillium_lattice::equilibrium::equilibrium_even;
-use trillium_lattice::LatticeModel;
+use trillium_lattice::{LatticeModel, D3Q19};
 
 /// Parameters of the boundary conditions of one block.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -46,19 +80,31 @@ impl Default for BoundaryParams {
     }
 }
 
-/// Which wall cells a preparatory sweep visits; see
-/// [`apply_boundaries_interior`] / [`apply_boundaries_ghost`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum WallSelection {
-    /// All wall cells (ghost layer and interior obstacles).
-    All,
-    /// Only wall cells at interior coordinates (obstacles).
-    Interior,
-    /// Only wall cells in the ghost layer.
-    Ghost,
+impl BoundaryParams {
+    /// The velocity bounce-back term `6 w_q (c_q · u_w)` of direction `q`.
+    #[inline(always)]
+    fn velocity_term<M: LatticeModel>(&self, q: usize) -> f64 {
+        let c = M::velocities()[q];
+        let cu = c[0] as f64 * self.wall_velocity[0]
+            + c[1] as f64 * self.wall_velocity[1]
+            + c[2] as f64 * self.wall_velocity[2];
+        6.0 * M::w(q) * cu
+    }
+
+    /// The prescribed density of a pressure wall cell with flags `flag`.
+    #[inline(always)]
+    fn wall_density(&self, flag: CellFlags) -> f64 {
+        if flag.intersects(CellFlags::PRESSURE) {
+            self.pressure_density
+        } else {
+            self.pressure_density_alt
+        }
+    }
 }
 
-/// Runs the preparatory boundary sweep on the (source) field `f`.
+/// Runs the preparatory boundary sweep on the (source) field `f` by
+/// scanning the flag field: the generic-lattice, any-layout
+/// implementation and the test oracle of [`BoundaryLinks::apply`].
 ///
 /// Must be called after ghost-layer synchronization and before the
 /// stream–collide sweep of every time step.
@@ -67,60 +113,9 @@ pub fn apply_boundaries<M: LatticeModel, F: PdfField<M>>(
     flags: &FlagField,
     params: &BoundaryParams,
 ) {
-    apply_boundaries_selected::<M, F>(f, flags, params, WallSelection::All)
-}
-
-/// The preparatory sweep restricted to wall cells at *interior*
-/// coordinates (in-block obstacles). These cells are never written by
-/// ghost-layer unpacking, and every value written depends only on interior
-/// fluid PDFs, so this half can run before ghost synchronization
-/// completes — the boundary-prep part of the communication-hiding step.
-pub fn apply_boundaries_interior<M: LatticeModel, F: PdfField<M>>(
-    f: &mut F,
-    flags: &FlagField,
-    params: &BoundaryParams,
-) {
-    apply_boundaries_selected::<M, F>(f, flags, params, WallSelection::Interior)
-}
-
-/// The preparatory sweep restricted to wall cells in the *ghost layer*
-/// (domain hull and remote wall slabs). Must run after ghost unpacking:
-/// on wall cells inside exchanged slabs the boundary value overwrites the
-/// neighbor's PDFs, exactly as in the synchronous step order. Together
-/// with [`apply_boundaries_interior`] this visits every wall cell that
-/// [`apply_boundaries`] visits, exactly once, writing bitwise the same
-/// values (each `(w, q)` write depends only on interior fluid PDFs, which
-/// neither half modifies).
-pub fn apply_boundaries_ghost<M: LatticeModel, F: PdfField<M>>(
-    f: &mut F,
-    flags: &FlagField,
-    params: &BoundaryParams,
-) {
-    apply_boundaries_selected::<M, F>(f, flags, params, WallSelection::Ghost)
-}
-
-fn apply_boundaries_selected<M: LatticeModel, F: PdfField<M>>(
-    f: &mut F,
-    flags: &FlagField,
-    params: &BoundaryParams,
-    sel: WallSelection,
-) {
     let shape = f.shape();
-    let mut fluid_pdfs = vec![0.0; M::Q];
+    let mut fluid_pdfs = [0.0; 32];
     for (wx, wy, wz) in shape.with_ghosts().iter() {
-        match sel {
-            WallSelection::All => {}
-            WallSelection::Interior => {
-                if !shape.is_interior(wx, wy, wz) {
-                    continue;
-                }
-            }
-            WallSelection::Ghost => {
-                if shape.is_interior(wx, wy, wz) {
-                    continue;
-                }
-            }
-        }
         let flag = flags.flags(wx, wy, wz);
         if !flag.is_boundary() {
             continue;
@@ -131,27 +126,18 @@ fn apply_boundaries_selected<M: LatticeModel, F: PdfField<M>>(
             if !shape.is_interior(tx, ty, tz) || !flags.flags(tx, ty, tz).is_fluid() {
                 continue;
             }
-            let qi = M::inv(q);
-            let reflected = f.get(tx, ty, tz, qi);
+            let reflected = f.get(tx, ty, tz, M::inv(q));
             let value = if flag.intersects(CellFlags::NOSLIP) {
                 reflected
             } else if flag.intersects(CellFlags::VELOCITY) {
-                let cu = c[0] as f64 * params.wall_velocity[0]
-                    + c[1] as f64 * params.wall_velocity[1]
-                    + c[2] as f64 * params.wall_velocity[2];
-                reflected + 6.0 * M::w(q) * cu
+                reflected + params.velocity_term::<M>(q)
             } else {
                 // PRESSURE / PRESSURE_ALT: anti bounce back against the
                 // symmetric equilibrium at the prescribed density and the
                 // fluid neighbor's velocity.
-                let rho_w = if flag.intersects(CellFlags::PRESSURE) {
-                    params.pressure_density
-                } else {
-                    params.pressure_density_alt
-                };
-                f.get_cell(tx, ty, tz, &mut fluid_pdfs);
-                let u = trillium_lattice::velocity::<M>(&fluid_pdfs);
-                -reflected + 2.0 * equilibrium_even::<M>(q, rho_w, u)
+                f.get_cell(tx, ty, tz, &mut fluid_pdfs[..M::Q]);
+                let u = trillium_lattice::velocity::<M>(&fluid_pdfs[..M::Q]);
+                -reflected + 2.0 * equilibrium_even::<M>(q, params.wall_density(flag), u)
             };
             f.set(wx, wy, wz, q, value);
         }
@@ -168,7 +154,8 @@ fn apply_boundaries_selected<M: LatticeModel, F: PdfField<M>>(
 ///
 /// Returns the force in lattice units (momentum per time step). Used for
 /// drag/lift evaluation on obstacles and walls — the quantity a coupled
-/// rigid-body engine (the paper's `pe`) consumes.
+/// rigid-body engine (the paper's `pe`) consumes. This is the flag-scan
+/// oracle of [`BoundaryLinks::force`].
 pub fn momentum_exchange_force<M: LatticeModel, F: PdfField<M>>(
     f: &F,
     flags: &FlagField,
@@ -199,11 +186,326 @@ pub fn momentum_exchange_force<M: LatticeModel, F: PdfField<M>>(
     force
 }
 
+/// One link: the raw storage offsets of `(w, q)` and `(x, q̄)` in a
+/// `SoaPdfField<D3Q19>` (see the module docs).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Link {
+    wall: u32,
+    fluid: u32,
+}
+
+impl Link {
+    /// `(written, read)` slot of the preparatory sweep at parity `odd`.
+    #[inline(always)]
+    fn slots(self, odd: bool) -> (usize, usize) {
+        if odd {
+            (self.fluid as usize, self.wall as usize)
+        } else {
+            (self.wall as usize, self.fluid as usize)
+        }
+    }
+}
+
+/// A contiguous run of links with the same wall flag byte and direction;
+/// it ends at link `end` and starts where the previous run ends.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Run {
+    flag: CellFlags,
+    q: u8,
+    end: u32,
+}
+
+/// The positions of the set bits of `mask`, ascending.
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// A block too large for 32-bit link offsets (`19 · alloc_cells > u32::MAX`,
+/// beyond ~609³ cells).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct LinkOffsetOverflow {
+    /// The shape that was rejected.
+    pub shape: Shape,
+}
+
+impl std::fmt::Display for LinkOffsetOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?} exceeds the 32-bit boundary link offsets", self.shape)
+    }
+}
+
+impl std::error::Error for LinkOffsetOverflow {}
+
+/// The boundary links of one block, built once from its flag field and
+/// boundary parameters; see the module docs for layout and order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BoundaryLinks {
+    shape: Shape,
+    params: BoundaryParams,
+    links: Vec<Link>,
+    runs: Vec<Run>,
+    /// Runs `..ghost_run` belong to interior wall cells, the rest to
+    /// ghost-layer wall cells.
+    ghost_run: usize,
+}
+
+impl BoundaryLinks {
+    /// Collects the links of `flags`. Cost: one pass over the flag bytes
+    /// plus, per boundary cell, one neighbor test for each direction that
+    /// leads into the interior; a block without boundary cells allocates
+    /// nothing.
+    pub fn build(flags: &FlagField, params: &BoundaryParams) -> Result<Self, LinkOffsetOverflow> {
+        let shape = flags.shape();
+        let n = shape.alloc_cells();
+        // The largest offset is `Q·n − 1`; with this check every `as u32`
+        // below is lossless.
+        if n.checked_mul(Q).is_none_or(|slots| u32::try_from(slots).is_err()) {
+            return Err(LinkOffsetOverflow { shape });
+        }
+        let cell_flags = flags.data();
+        let g = shape.ghost as i32;
+        let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
+        let hop: [isize; Q] = C.map(|c| c[0] as isize + c[1] as isize * sy + c[2] as isize * sz);
+        // `along[a][c + 1]`: the directions whose component on axis `a` is
+        // `c`; `inward(a, w, n)`: those that lead from coordinate `w` into
+        // `0..n` on that axis. A wall cell in the ghost layer is left with
+        // at most 5 of the 18 directions to test.
+        let mut along = [[0u32; 3]; 3];
+        for q in 1..Q {
+            for a in 0..3 {
+                along[a][(C[q][a] + 1) as usize] |= 1 << q;
+            }
+        }
+        let inward = |a: usize, w: i32, n: usize| {
+            (0..3)
+                .filter(|&c| (0..n as i32).contains(&(w + c - 1)))
+                .fold(0, |m, c| m | along[a][c as usize])
+        };
+
+        // Pass 1: the wall cells that have links, in scan (= storage) order,
+        // grouped by (wall in ghost layer?, flag byte); bit `q` of `dirs`
+        // marks the link `(cell, q)`. `group_of` finds a cell's group
+        // without a search.
+        struct Group {
+            key: (bool, u8),
+            walls: Vec<(u32, u32)>, // (cell, dirs)
+            count: [u32; Q],
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        let mut group_of = [usize::MAX; 2 * 256];
+        for wz in -g..shape.nz as i32 + g {
+            for wy in -g..shape.ny as i32 + g {
+                let row = shape.idx(-g, wy, wz);
+                let inward_yz = inward(1, wy, shape.ny) & inward(2, wz, shape.nz);
+                for (i, &byte) in cell_flags[row..row + shape.ax()].iter().enumerate() {
+                    if !CellFlags(byte).is_boundary() {
+                        continue;
+                    }
+                    let (w, wx) = (row + i, i as i32 - g);
+                    let ghost = !shape.is_interior(wx, wy, wz);
+                    let slot = &mut group_of[ghost as usize * 256 + byte as usize];
+                    if *slot == usize::MAX {
+                        *slot = groups.len();
+                        groups.push(Group { key: (ghost, byte), walls: Vec::new(), count: [0; Q] });
+                    }
+                    let group = &mut groups[*slot];
+                    let mut dirs = 0;
+                    // Inward on all three axes: the target is an interior
+                    // cell, `w + hop[q]` its index.
+                    for q in set_bits(inward_yz & inward(0, wx, shape.nx)) {
+                        if CellFlags(cell_flags[w.wrapping_add_signed(hop[q])]).is_fluid() {
+                            dirs |= 1 << q;
+                            group.count[q] += 1;
+                        }
+                    }
+                    if dirs != 0 {
+                        group.walls.push((w as u32, dirs));
+                    }
+                }
+            }
+        }
+
+        // Pass 2: lay the runs out in key order and scatter each link to
+        // the next free place of its run.
+        groups.sort_unstable_by_key(|group| group.key);
+        let total = groups.iter().flat_map(|group| group.count).sum::<u32>();
+        let mut list = BoundaryLinks {
+            shape,
+            params: *params,
+            links: vec![Link { wall: 0, fluid: 0 }; total as usize],
+            runs: Vec::new(),
+            ghost_run: 0,
+        };
+        let mut end = 0;
+        for group in &groups {
+            let mut next = [0; Q];
+            for q in (1..Q).filter(|&q| group.count[q] > 0) {
+                next[q] = end as usize;
+                end += group.count[q];
+                list.runs.push(Run { flag: CellFlags(group.key.1), q: q as u8, end });
+                if !group.key.0 {
+                    list.ghost_run = list.runs.len();
+                }
+            }
+            for &(w, dirs) in &group.walls {
+                for q in set_bits(dirs) {
+                    let x = (w as usize).wrapping_add_signed(hop[q]);
+                    list.links[next[q]] =
+                        Link { wall: (q * n) as u32 + w, fluid: (INVERSE[q] * n + x) as u32 };
+                    next[q] += 1;
+                }
+            }
+        }
+        Ok(list)
+    }
+
+    /// The parameters the list was built with.
+    pub fn params(&self) -> &BoundaryParams {
+        &self.params
+    }
+
+    /// Number of links.
+    pub fn len(&self) -> usize {
+        self.links.len()
+    }
+
+    /// True for a block without walls.
+    pub fn is_empty(&self) -> bool {
+        self.links.is_empty()
+    }
+
+    /// Number of links whose wall cell is an interior cell (obstacles).
+    pub fn interior_len(&self) -> usize {
+        self.ghost_run.checked_sub(1).map_or(0, |last| self.runs[last].end as usize)
+    }
+
+    /// Number of links whose wall cell lies in the ghost layer.
+    pub fn ghost_len(&self) -> usize {
+        self.len() - self.interior_len()
+    }
+
+    /// The preparatory sweep over all links. Call after ghost-layer
+    /// synchronization and before the stream–collide sweep of every step;
+    /// `f` may be any buffer of the block's shape, at either parity.
+    pub fn apply(&self, f: &mut SoaPdfField<D3Q19>) {
+        self.apply_runs(f, 0..self.runs.len())
+    }
+
+    /// The sweep restricted to interior wall cells (in-block obstacles).
+    /// These cells are never written by ghost-layer unpacking and every
+    /// value written depends only on interior fluid PDFs, so this half
+    /// can run before ghost synchronization completes — the boundary-prep
+    /// part of the communication-hiding step.
+    pub fn apply_interior(&self, f: &mut SoaPdfField<D3Q19>) {
+        self.apply_runs(f, 0..self.ghost_run)
+    }
+
+    /// The sweep restricted to ghost-layer wall cells (domain hull and
+    /// remote wall slabs). Must run after ghost unpacking: on wall cells
+    /// inside exchanged slabs the boundary value overwrites the
+    /// neighbor's PDFs, exactly as in the synchronous step order. Together
+    /// with [`BoundaryLinks::apply_interior`], in either order, it is
+    /// bitwise [`BoundaryLinks::apply`].
+    pub fn apply_ghost(&self, f: &mut SoaPdfField<D3Q19>) {
+        self.apply_runs(f, self.ghost_run..self.runs.len())
+    }
+
+    /// The runs `range` with their links.
+    fn runs_with_links(&self, range: Range<usize>) -> impl Iterator<Item = (Run, &[Link])> {
+        let mut start = range.start.checked_sub(1).map_or(0, |prev| self.runs[prev].end as usize);
+        self.runs[range].iter().map(move |&run| {
+            let links = &self.links[start..run.end as usize];
+            start = run.end as usize;
+            (run, links)
+        })
+    }
+
+    fn apply_runs(&self, f: &mut SoaPdfField<D3Q19>, range: Range<usize>) {
+        assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
+        let odd = f.parity();
+        let d = f.data_mut();
+        for (run, links) in self.runs_with_links(range) {
+            let q = run.q as usize;
+            if run.flag.intersects(CellFlags::NOSLIP) {
+                // A pure copy: `+ 0.0` would turn −0.0 into +0.0.
+                for l in links {
+                    let (dst, src) = l.slots(odd);
+                    d[dst] = d[src];
+                }
+            } else if run.flag.intersects(CellFlags::VELOCITY) {
+                let term = self.params.velocity_term::<D3Q19>(q);
+                for l in links {
+                    let (dst, src) = l.slots(odd);
+                    d[dst] = d[src] + term;
+                }
+            } else {
+                let rho_w = self.params.wall_density(run.flag);
+                let n = self.shape.alloc_cells();
+                for l in links {
+                    let (dst, src) = l.slots(odd);
+                    let pdfs = self.logical_cell(d, odd, l.fluid as usize - INVERSE[q] * n);
+                    let u = trillium_lattice::velocity::<D3Q19>(&pdfs);
+                    d[dst] = -d[src] + 2.0 * equilibrium_even::<D3Q19>(q, rho_w, u);
+                }
+            }
+        }
+    }
+
+    /// The 19 logical PDFs of the interior cell with linear index `cell`,
+    /// read from raw storage `d` at parity `odd`.
+    #[inline(always)]
+    fn logical_cell(&self, d: &[f64], odd: bool, cell: usize) -> [f64; Q] {
+        let n = self.shape.alloc_cells();
+        let (sy, sz) = (self.shape.stride_y() as isize, self.shape.stride_z() as isize);
+        std::array::from_fn(|k| {
+            if odd {
+                let hop = C[k][0] as isize + C[k][1] as isize * sy + C[k][2] as isize * sz;
+                d[INVERSE[k] * n + cell.wrapping_add_signed(hop)]
+            } else {
+                d[k * n + cell]
+            }
+        })
+    }
+
+    /// Momentum-exchange force on the wall cells whose flag byte
+    /// intersects `mask`; same definition and call point as
+    /// [`momentum_exchange_force`]. Each matching run sums
+    /// `f̃_{q̄}(x) + f_q(w)` over its links in list order and contributes
+    /// that sum times `c_{q̄}`, runs in list order. The two PDFs of a link
+    /// are its two slots at either parity and `+` commutes, so the result
+    /// is bitwise the same for a pull and an in-place block.
+    pub fn force(&self, f: &SoaPdfField<D3Q19>, mask: CellFlags) -> [f64; 3] {
+        assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
+        let d = f.data();
+        let mut force = [0.0; 3];
+        for (run, links) in self.runs_with_links(0..self.runs.len()) {
+            if !run.flag.intersects(mask) {
+                continue;
+            }
+            let mut exchanged = 0.0;
+            for l in links {
+                exchanged += d[l.fluid as usize] + d[l.wall as usize];
+            }
+            let ci = C[INVERSE[run.q as usize]];
+            for k in 0..3 {
+                force[k] += exchanged * ci[k] as f64;
+            }
+        }
+        force
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generic;
-    use trillium_field::{AosPdfField, Shape};
+    use trillium_field::AosPdfField;
     use trillium_lattice::{Relaxation, D3Q19, MAGIC_TRT};
 
     /// Builds a fully enclosed box: interior all fluid, the ghost layer is
@@ -312,47 +614,185 @@ mod tests {
         assert!(u_top[0] > 5.0 * u_bot[0].abs());
     }
 
-    /// The split preparatory sweep (interior wall cells, then ghost-layer
-    /// wall cells) must write bitwise the same field as the single full
-    /// sweep — in either order, since all writes depend only on fluid
-    /// PDFs. This is the property the overlapped driver relies on.
-    #[test]
-    fn split_boundary_sweep_is_bitwise_identical() {
-        let shape = Shape::cube(6);
-        let mut flags = boxed_flags(shape, CellFlags::NOSLIP);
-        // An interior obstacle so the interior half is non-trivial.
-        flags.set_flags(2, 3, 3, CellFlags::NOSLIP);
-        flags.set_flags(3, 3, 3, CellFlags::VELOCITY);
-        // A pressure opening on one ghost face.
-        for y in -1..=(shape.ny as i32) {
-            for z in -1..=(shape.nz as i32) {
-                flags.set_flags(-1, y, z, CellFlags::PRESSURE);
+    /// The five wall configurations of the oracle matrix on one shape: a
+    /// box of each boundary kind, and a mixed one with pressure openings,
+    /// a lid and an interior obstacle (so the interior slice is non-empty).
+    fn oracle_cases(shape: Shape) -> Vec<(&'static str, FlagField)> {
+        let face = |flags: &mut FlagField, x: i32, wall: CellFlags| {
+            for y in -1..=(shape.ny as i32) {
+                for z in -1..=(shape.nz as i32) {
+                    flags.set_flags(x, y, z, wall);
+                }
+            }
+        };
+        let mut mixed = boxed_flags(shape, CellFlags::NOSLIP);
+        face(&mut mixed, -1, CellFlags::PRESSURE);
+        face(&mut mixed, shape.nx as i32, CellFlags::PRESSURE_ALT);
+        for x in -1..=(shape.nx as i32) {
+            for y in -1..=(shape.ny as i32) {
+                mixed.set_flags(x, y, shape.nz as i32, CellFlags::VELOCITY);
             }
         }
-        let mut full = AosPdfField::<D3Q19>::new(shape);
-        full.fill_equilibrium(1.0, [0.0; 3]);
-        for (i, v) in full.data_mut().iter_mut().enumerate() {
+        mixed.set_flags(2, 3, 2, CellFlags(CellFlags::OBSTACLE.0 | CellFlags::NOSLIP.0));
+        mixed.set_flags(3, 3, 2, CellFlags(CellFlags::OBSTACLE.0 | CellFlags::NOSLIP.0));
+        mixed.set_flags(4, 2, 3, CellFlags::VELOCITY);
+        mixed.set_flags(5, 1, 1, CellFlags::PRESSURE);
+        vec![
+            ("no-slip", boxed_flags(shape, CellFlags::NOSLIP)),
+            ("velocity", boxed_flags(shape, CellFlags::VELOCITY)),
+            ("pressure", boxed_flags(shape, CellFlags::PRESSURE)),
+            ("pressure-alt", boxed_flags(shape, CellFlags::PRESSURE_ALT)),
+            ("mixed", mixed),
+        ]
+    }
+
+    fn oracle_params() -> BoundaryParams {
+        BoundaryParams {
+            wall_velocity: [0.03, -0.01, 0.02],
+            pressure_density: 1.02,
+            pressure_density_alt: 0.97,
+        }
+    }
+
+    fn perturbed(shape: Shape) -> SoaPdfField<D3Q19> {
+        let mut f = SoaPdfField::<D3Q19>::new(shape);
+        f.fill_equilibrium(1.0, [0.02, -0.01, 0.015]);
+        for (i, v) in f.data_mut().iter_mut().enumerate() {
             *v += 1e-4 * (((i * 2654435761) % 997) as f64 / 997.0 - 0.5);
         }
-        let mut split_a = full.clone();
-        let mut split_b = full.clone();
-        let params = BoundaryParams {
-            wall_velocity: [0.03, -0.01, 0.0],
-            pressure_density: 1.02,
-            ..Default::default()
-        };
-        apply_boundaries::<D3Q19, _>(&mut full, &flags, &params);
-        apply_boundaries_interior::<D3Q19, _>(&mut split_a, &flags, &params);
-        apply_boundaries_ghost::<D3Q19, _>(&mut split_a, &flags, &params);
-        apply_boundaries_ghost::<D3Q19, _>(&mut split_b, &flags, &params);
-        apply_boundaries_interior::<D3Q19, _>(&mut split_b, &flags, &params);
-        for (x, y, z) in shape.with_ghosts().iter() {
-            for q in 0..19 {
-                let r = full.get(x, y, z, q);
-                assert!(r == split_a.get(x, y, z, q), "interior-first at ({x},{y},{z}) q={q}");
-                assert!(r == split_b.get(x, y, z, q), "ghost-first at ({x},{y},{z}) q={q}");
+        f
+    }
+
+    fn assert_same_bits(a: &SoaPdfField<D3Q19>, b: &SoaPdfField<D3Q19>, what: &str) {
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert!(x.to_bits() == y.to_bits(), "{what}: slot {i} differs ({x} vs {y})");
+        }
+    }
+
+    /// One stream–collide step of `f`: two-field pull, or the in-place AA
+    /// sweep (which flips the storage parity).
+    fn advance(f: &mut SoaPdfField<D3Q19>, inplace: bool, rel: Relaxation) {
+        if inplace {
+            crate::inplace::stream_collide_trt(f, rel);
+            f.set_parity(!f.parity());
+        } else {
+            let mut dst = f.clone();
+            crate::soa::stream_collide_trt(f, &mut dst, rel);
+            f.swap(&mut dst);
+        }
+    }
+
+    /// The link list writes bitwise what the flag scan writes — compared
+    /// over the whole storage after every boundary sweep of 12 interleaved
+    /// steps — for every boundary kind, on a pull field and on an in-place
+    /// field running through both parities; and the interior and ghost
+    /// slices, in either order, equal the full list.
+    #[test]
+    fn link_list_matches_flag_scan_bitwise() {
+        let shape = Shape::new(7, 6, 5, 1);
+        let params = oracle_params();
+        let rel = Relaxation::trt_from_tau(0.85, MAGIC_TRT);
+        for (name, flags) in oracle_cases(shape) {
+            let links = BoundaryLinks::build(&flags, &params).unwrap();
+            assert!(!links.is_empty());
+            assert_eq!(links.interior_len() > 0, name == "mixed");
+            for inplace in [false, true] {
+                let mut scan = perturbed(shape);
+                let mut list = scan.clone();
+                for step in 0..12 {
+                    let what = format!("{name} inplace={inplace} step {step}");
+                    let (mut interior_first, mut ghost_first) = (list.clone(), list.clone());
+                    apply_boundaries::<D3Q19, _>(&mut scan, &flags, &params);
+                    links.apply(&mut list);
+                    assert_same_bits(&scan, &list, &what);
+                    links.apply_interior(&mut interior_first);
+                    links.apply_ghost(&mut interior_first);
+                    assert_same_bits(&scan, &interior_first, &what);
+                    links.apply_ghost(&mut ghost_first);
+                    links.apply_interior(&mut ghost_first);
+                    assert_same_bits(&scan, &ghost_first, &what);
+                    advance(&mut scan, inplace, rel);
+                    advance(&mut list, inplace, rel);
+                    assert_eq!(list.parity(), inplace && step % 2 == 0);
+                }
             }
         }
+    }
+
+    /// The force summed over the list equals the flag-scan force up to
+    /// summation order, for every mask and at both parities, and is
+    /// bitwise the same for the pull and the in-place storage of a state.
+    #[test]
+    fn link_list_force_matches_flag_scan() {
+        let shape = Shape::new(7, 6, 5, 1);
+        let params = oracle_params();
+        let rel = Relaxation::trt_from_tau(0.85, MAGIC_TRT);
+        let (_, flags) = oracle_cases(shape).pop().unwrap();
+        let links = BoundaryLinks::build(&flags, &params).unwrap();
+        let mut pull = perturbed(shape);
+        let mut aa = pull.clone();
+        for step in 0..4 {
+            links.apply(&mut pull);
+            links.apply(&mut aa);
+            for mask in [
+                CellFlags::NOSLIP,
+                CellFlags::VELOCITY,
+                CellFlags::OBSTACLE,
+                CellFlags(CellFlags::PRESSURE.0 | CellFlags::PRESSURE_ALT.0),
+            ] {
+                let scanned = momentum_exchange_force::<D3Q19, _>(&aa, &flags, mask);
+                let listed = links.force(&aa, mask);
+                assert_eq!(listed, links.force(&pull, mask), "step {step} {mask:?}");
+                let scale = scanned.iter().fold(0.0f64, |m, c| m.max(c.abs()));
+                assert!(scale > 0.0);
+                for d in 0..3 {
+                    assert!(
+                        (listed[d] - scanned[d]).abs() <= 1e-12 * scale,
+                        "step {step} {mask:?}: {listed:?} vs {scanned:?}"
+                    );
+                }
+            }
+            advance(&mut pull, false, rel);
+            advance(&mut aa, true, rel);
+        }
+    }
+
+    /// Interior wall links come first, ghost-layer wall links last, and a
+    /// block without walls allocates nothing.
+    #[test]
+    fn links_are_partitioned_and_empty_without_walls() {
+        let shape = Shape::cube(4);
+        let params = BoundaryParams::default();
+        let mut flags = boxed_flags(shape, CellFlags::NOSLIP);
+        let hull = BoundaryLinks::build(&flags, &params).unwrap();
+        // Pulls that leave the interior: 6 axis directions × 16 cells and
+        // 12 diagonals × 28 cells, all served by ghost-layer wall cells.
+        assert_eq!((hull.len(), hull.interior_len(), hull.ghost_len()), (432, 0, 432));
+        // An obstacle at a border cell: 5 of its 18 neighbors are ghosts,
+        // and it is no longer the target of those 5 hull links.
+        flags.set_flags(0, 1, 1, CellFlags::NOSLIP);
+        let carved = BoundaryLinks::build(&flags, &params).unwrap();
+        assert_eq!((carved.interior_len(), carved.ghost_len()), (18 - 5, 432 - 5));
+        let open = BoundaryLinks::build(&FlagField::filled(shape, CellFlags::FLUID.0), &params);
+        let open = open.unwrap();
+        assert!(open.is_empty());
+        assert_eq!(open.links.capacity() + open.runs.capacity(), 0);
+    }
+
+    /// 19 · cells beyond `u32::MAX` is refused, not wrapped. (The flag
+    /// bytes are lazily zero-mapped; `build` returns before reading them.)
+    #[test]
+    fn oversized_shape_is_rejected() {
+        let shape = Shape::new(1, 1, 26_000_000, 1);
+        assert!(shape.alloc_cells() * 19 > u32::MAX as usize);
+        let flags = FlagField::new(shape);
+        assert_eq!(
+            BoundaryLinks::build(&flags, &BoundaryParams::default()),
+            Err(LinkOffsetOverflow { shape })
+        );
+        let fits = Shape::new(1, 1, 25_000_000, 1);
+        assert!(fits.alloc_cells() * 19 <= u32::MAX as usize);
+        assert!(BoundaryLinks::build(&FlagField::new(fits), &BoundaryParams::default()).is_ok());
     }
 
     /// Pressure anti bounce back drives the local density toward the

@@ -36,8 +36,8 @@
 //! sweep, tracked by `SoaPdfField::parity`. It halves the per-update
 //! memory traffic (no write-allocate stream, no second buffer) and is
 //! bitwise identical to the resolved pull tier step for step. The
-//! preparatory boundary sweep works unchanged at both parities through the
-//! parity-mapped field accessors.
+//! per-block boundary link list serves both parities: at odd parity the
+//! two storage slots of a link swap roles ([`boundary`]).
 
 pub mod avx;
 pub mod backend;
@@ -52,9 +52,7 @@ pub mod sparse;
 pub mod stats;
 
 pub use backend::{Avx2Backend, Backend, BackendKind, PortableBackend, WorkgroupBackend};
-pub use boundary::{
-    apply_boundaries, apply_boundaries_ghost, apply_boundaries_interior, BoundaryParams,
-};
+pub use boundary::{apply_boundaries, BoundaryLinks, BoundaryParams};
 pub use dispatch::{
     sweep_aos, sweep_aos_region, sweep_inplace, sweep_inplace_region, sweep_soa, sweep_soa_region,
     Tier,

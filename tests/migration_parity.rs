@@ -110,6 +110,11 @@ fn inplace_block_migrated_at_odd_parity_is_bitwise_preserved() {
                 block.src.parity(),
                 "migration dropped the parity bit: the restored block came back even"
             );
+            // The arriving block carries the boundary link list a fresh
+            // build of the same block has.
+            let fresh = scenario.build_block(&run_plan.views[src as usize].blocks[0]);
+            assert_eq!(block.boundary_links(), fresh.boundary_links());
+            assert!(!block.boundary_links().is_empty());
             for _ in 0..3 {
                 block.apply_boundaries();
                 block.stream_collide(rel);

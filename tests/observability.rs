@@ -186,6 +186,17 @@ fn rebalanced_run_records_migration_metrics() {
     assert_eq!(m.counter("rebalance.migrations_in"), m.counter("rebalance.migrations_out"));
     assert!(m.counter("rebalance.migrations_in") as u32 >= 1);
     assert_eq!(m.counter("rebalance.plan_skipped"), 0, "planner output needs no sanitizing");
+    // The boundary work gauges follow the blocks: all 8 blocks of the
+    // 2×2×2 cavity are corner blocks with equally many links, so after
+    // the migrations the gauge over the *final* block count agrees
+    // between the ranks only if it was refreshed.
+    let per_block = |name: &str| -> Vec<f64> {
+        let of = |rr: &RankResult| rr.obs.as_ref().unwrap().metrics.gauge(name).unwrap();
+        r.ranks.iter().map(|rr| of(rr) / rr.num_blocks as f64).collect()
+    };
+    let links = per_block("boundary.links");
+    assert!(links[0] > 0.0 && links[0] == links[1], "links per block: {links:?}");
+    assert_eq!(per_block("boundary.links_ghost"), links, "cavity walls are all ghost cells");
     // Every surviving block published its measured cost as a gauge.
     let gauges = m.gauges.iter().filter(|(n, _)| n.starts_with("rebalance.block_cost.")).count();
     assert_eq!(gauges, 8, "one cost gauge per block");
