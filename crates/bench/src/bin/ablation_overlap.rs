@@ -24,36 +24,11 @@
 //! wall time and MLUPS barely move; the stall fraction is the
 //! scheduler-independent signal. Pass `--json` for raw data.
 
-use std::sync::Arc;
-use trillium_bench::{emit_json, section, HarnessArgs};
+use trillium_bench::{emit_json, section, vascular_scenario, HarnessArgs};
 use trillium_core::driver::{run_distributed_with, DriverConfig, RunResult};
-use trillium_core::prelude::*;
-use trillium_geometry::voxelize::VoxelizeConfig;
-use trillium_geometry::{VascularTree, VascularTreeParams};
 
 const RANKS: u32 = 4;
 const SKEW: f64 = 0.7;
-
-fn vascular_scenario(full: bool) -> Scenario {
-    let tree = VascularTree::generate(&VascularTreeParams {
-        generations: if full { 6 } else { 4 },
-        root_radius: 1.2,
-        root_length: 7.0,
-        ..Default::default()
-    });
-    let dx = if full { 0.1 } else { 0.25 };
-    Scenario::from_sdf(
-        "vascular-overlap",
-        Arc::new(tree),
-        dx,
-        [16, 16, 16],
-        0.06,
-        [0.0, 0.0, 0.05],
-        1.0,
-        VoxelizeConfig::default(),
-    )
-    .with_skewed_balance(SKEW)
-}
 
 /// Achieved MLUPS over the per-rank critical path (kernel + comm +
 /// boundary, max over ranks).
@@ -75,19 +50,13 @@ fn main() {
         100.0 * SKEW
     );
 
-    let sync = run_distributed_with(
-        &vascular_scenario(args.full),
-        RANKS,
-        1,
-        steps,
-        &[],
-        DriverConfig::default(),
-    );
+    let scenario = vascular_scenario("vascular-overlap", args.full).with_skewed_balance(SKEW);
+    let sync = run_distributed_with(&scenario, RANKS, 1, steps, &[], DriverConfig::default());
     let mut over_cfg = DriverConfig::overlapped();
     if args.trace.is_some() {
         over_cfg = over_cfg.with_trace();
     }
-    let over = run_distributed_with(&vascular_scenario(args.full), RANKS, 1, steps, &[], over_cfg);
+    let over = run_distributed_with(&scenario, RANKS, 1, steps, &[], over_cfg);
     if let Some(path) = &args.trace {
         std::fs::write(path, over.chrome_trace().to_string()).expect("write chrome trace");
         println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");

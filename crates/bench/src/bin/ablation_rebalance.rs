@@ -11,36 +11,11 @@
 //! Reports achieved MLUPS, the measured max/avg load-ratio history, and
 //! the final per-block measured costs. Pass `--json` for the raw series.
 
-use std::sync::Arc;
-use trillium_bench::{emit_json, section, HarnessArgs};
+use trillium_bench::{emit_json, section, vascular_scenario, HarnessArgs};
 use trillium_core::driver::{run_distributed_composed, RebalanceConfig, RunConfig, RunResult};
-use trillium_core::prelude::*;
-use trillium_geometry::voxelize::VoxelizeConfig;
-use trillium_geometry::{VascularTree, VascularTreeParams};
 
 const RANKS: u32 = 4;
 const SKEW: f64 = 0.7;
-
-fn vascular_scenario(full: bool) -> Scenario {
-    let tree = VascularTree::generate(&VascularTreeParams {
-        generations: if full { 6 } else { 4 },
-        root_radius: 1.2,
-        root_length: 7.0,
-        ..Default::default()
-    });
-    let dx = if full { 0.1 } else { 0.25 };
-    Scenario::from_sdf(
-        "vascular-rebalance",
-        Arc::new(tree),
-        dx,
-        [16, 16, 16],
-        0.06,
-        [0.0, 0.0, 0.05],
-        1.0,
-        VoxelizeConfig::default(),
-    )
-    .with_skewed_balance(SKEW)
-}
 
 /// Achieved MLUPS over the critical-path *work* time: the slowest rank's
 /// compute + ghost-work + rebalance-epoch seconds (`RunResult::work_wall`).
@@ -64,10 +39,10 @@ fn main() {
     );
 
     let epoch = 5;
+    let scenario = vascular_scenario("vascular-rebalance", args.full).with_skewed_balance(SKEW);
     let run = |rebalance: RebalanceConfig| {
         let cfg = RunConfig { rebalance: Some(rebalance), ..RunConfig::default() };
-        run_distributed_composed(&vascular_scenario(args.full), RANKS, 1, steps, &[], &cfg)
-            .expect("unfaulted run")
+        run_distributed_composed(&scenario, RANKS, 1, steps, &[], &cfg).expect("unfaulted run")
     };
     let off = run(RebalanceConfig { every_n_steps: epoch, ..RebalanceConfig::monitor_only() });
     let on = run(RebalanceConfig {

@@ -22,37 +22,14 @@
 //! *minutes* because 28k nodes fail a few times a day. Pass `--json`
 //! for raw data.
 
-use std::sync::Arc;
-use trillium_bench::{emit_json, section, HarnessArgs};
+use trillium_bench::{emit_json, section, vascular_scenario, HarnessArgs};
 use trillium_core::driver::{run_distributed_with, DriverConfig};
 use trillium_core::prelude::*;
 use trillium_core::recovery::ResilienceConfig;
-use trillium_geometry::voxelize::VoxelizeConfig;
-use trillium_geometry::{VascularTree, VascularTreeParams};
 use trillium_machine::MachineSpec;
 use trillium_scaling::resilience::{resilience_series, ResilienceModel};
 
 const RANKS: u32 = 4;
-
-fn vascular_scenario(full: bool) -> Scenario {
-    let tree = VascularTree::generate(&VascularTreeParams {
-        generations: if full { 6 } else { 4 },
-        root_radius: 1.2,
-        root_length: 7.0,
-        ..Default::default()
-    });
-    let dx = if full { 0.1 } else { 0.25 };
-    Scenario::from_sdf(
-        "vascular-resilience",
-        Arc::new(tree),
-        dx,
-        [16, 16, 16],
-        0.06,
-        [0.0, 0.0, 0.05],
-        1.0,
-        VoxelizeConfig::default(),
-    )
-}
 
 /// Reads `--flag value` from the raw argument list.
 fn arg_value(name: &str) -> Option<String> {
@@ -84,7 +61,8 @@ fn main() {
     );
 
     let cfg = DriverConfig { collect_pdfs: true, ..DriverConfig::default() };
-    let truth = run_distributed_with(&vascular_scenario(args.full), RANKS, 1, steps, &[], cfg);
+    let scenario = vascular_scenario("vascular-resilience", args.full);
+    let truth = run_distributed_with(&scenario, RANKS, 1, steps, &[], cfg);
 
     let rc = RunConfig {
         driver: cfg,
@@ -95,7 +73,6 @@ fn main() {
         }),
         ..RunConfig::default()
     };
-    let scenario = vascular_scenario(args.full);
     let faulted = run_distributed_composed(&scenario, RANKS, 1, steps, &[], &rc)
         .expect("capped faults are recoverable");
     let replay = run_distributed_composed(&scenario, RANKS, 1, steps, &[], &rc)

@@ -9,8 +9,12 @@
 pub mod validation;
 
 use serde_json::Value;
+use std::sync::Arc;
 use std::time::Instant;
+use trillium_core::scenario::Scenario;
 use trillium_field::{PdfField, Shape, SoaPdfField};
+use trillium_geometry::voxelize::VoxelizeConfig;
+use trillium_geometry::{VascularTree, VascularTreeParams};
 use trillium_kernels::SweepStats;
 use trillium_lattice::{Relaxation, D3Q19};
 
@@ -98,6 +102,28 @@ pub fn bench_fields(n: usize) -> (SoaPdfField<D3Q19>, SoaPdfField<D3Q19>) {
 /// The standard relaxation used by all benchmarks (TRT, paper's choice).
 pub fn bench_relaxation() -> Relaxation {
     Relaxation::trt_from_viscosity(0.05)
+}
+
+/// The synthetic vascular tree the schedule ablations run on: 16³-cell
+/// blocks, inflow along the root axis; four generations at `dx` 0.25,
+/// or six at 0.1 when `full`.
+pub fn vascular_scenario(name: &str, full: bool) -> Scenario {
+    let tree = VascularTree::generate(&VascularTreeParams {
+        generations: if full { 6 } else { 4 },
+        root_radius: 1.2,
+        root_length: 7.0,
+        ..Default::default()
+    });
+    Scenario::from_sdf(
+        name,
+        Arc::new(tree),
+        if full { 0.1 } else { 0.25 },
+        [16, 16, 16],
+        0.06,
+        [0.0, 0.0, 0.05],
+        1.0,
+        VoxelizeConfig::default(),
+    )
 }
 
 #[cfg(test)]

@@ -36,7 +36,9 @@ pub fn morton_balance(forest: &mut SetupForest, num_processes: u32) {
     // positions nest.
     let max_level = forest.blocks.iter().map(|b| b.id.level()).max().unwrap_or(0);
     let mut order: Vec<usize> = (0..forest.blocks.len()).collect();
-    order.sort_by_key(|&i| {
+    // Cached: the key is a 42-round bit interleave, far too dear to
+    // recompute at every comparison.
+    order.sort_by_cached_key(|&i| {
         let b = &forest.blocks[i];
         let c = b.coords;
         let shift = (max_level - b.id.level()) as u64;
@@ -155,6 +157,37 @@ mod tests {
         let w = f.rank_workloads();
         assert!(w.iter().all(|&x| (x - 8.0 * 1000.0).abs() < 1e-9), "{w:?}");
         assert!((f.imbalance() - 1.0).abs() < 1e-12);
+    }
+
+    /// The assignments of the uncached-key sort this function used to
+    /// do, recorded before the switch to `sort_by_cached_key`: a
+    /// two-level refined forest block by block, and a 16³ uniform forest
+    /// (the `cavity_smallblocks` shape) as an FNV-1a hash of its ranks.
+    #[test]
+    fn assignment_is_pinned_on_mixed_level_and_uniform_forests() {
+        const MIXED_RANKS: [u32; 22] =
+            [0, 0, 1, 2, 2, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
+        const UNIFORM_HASH: [(u32, u64); 2] = [(2, 0x1856f46de9286b25), (7, 0xbe35385988536cc1)];
+
+        let domain = Aabb::new(vec3(0.0, 0.0, 0.0), vec3(2.0, 2.0, 2.0));
+        let mut mixed = SetupForest::uniform(domain, [2, 2, 2], [16, 16, 16]);
+        let target = mixed.blocks[3].id;
+        mixed.refine_where(|b| b.id == target);
+        let child = mixed.blocks.iter().find(|b| b.id.level() == 1).unwrap().id;
+        mixed.refine_where(|b| b.id == child);
+        morton_balance(&mut mixed, 4);
+        let ranks: Vec<u32> = mixed.blocks.iter().map(|b| b.rank).collect();
+        assert_eq!(ranks, MIXED_RANKS);
+
+        let domain = Aabb::new(vec3(0.0, 0.0, 0.0), vec3(16.0, 16.0, 16.0));
+        let mut uniform = SetupForest::uniform(domain, [16, 16, 16], [8, 8, 8]);
+        for (procs, expected) in UNIFORM_HASH {
+            morton_balance(&mut uniform, procs);
+            let hash = uniform.blocks.iter().fold(0xcbf29ce484222325u64, |h, b| {
+                (h ^ b.rank as u64).wrapping_mul(0x100000001b3)
+            });
+            assert_eq!(hash, expected, "{procs} ranks");
+        }
     }
 
     #[test]

@@ -519,13 +519,12 @@ pub(crate) fn ghost_tag(dst: BlockId, d: [i8; 3], parity: u64) -> u64 {
     (packed << 6) | ((parity & 1) << 5) | dir_index(d) as u64
 }
 
-/// Everything a per-rank worker needs to join one distributed run of a
-/// scenario: the balanced setup forest, one distributed view per rank,
-/// and the shared trace epoch. Built once by whoever launches the
-/// cohort — [`run_distributed_composed`] for the classic
-/// one-run-per-call API, or a multi-tenant scheduler (`trillium-jobs`)
-/// that ships the plan to pooled rank workers — then shared read-only
-/// across them.
+/// Everything a per-rank worker needs to join one distributed run: the
+/// balanced setup forest — the one hand-over between set-up and run —
+/// one distributed view per rank, and the shared trace epoch. Built once
+/// by whoever launches the cohort ([`run_planned`], or a multi-tenant
+/// scheduler that ships the plan to pooled rank workers), then shared
+/// read-only across them.
 ///
 /// Nothing here is process-global: each plan belongs to exactly one
 /// run, so any number of runs can be planned and driven concurrently
@@ -541,14 +540,44 @@ pub struct RunPlan {
     pub epoch: Instant,
 }
 
-/// Plans a distributed run of `scenario` on `num_procs` ranks: builds
-/// and balances the forest and precomputes the per-rank views. The
-/// returned plan feeds [`drive_rank`] — one call per rank, on
+impl RunPlan {
+    /// The plan of a run on `forest` as balanced — by a scenario's
+    /// balancer ([`plan_run`]) or by an earlier set-up whose forest file
+    /// (`trillium_blockforest::file`) was loaded. The file does not
+    /// carry periodicity: restore it with `SetupForest::with_periodic`
+    /// before planning a periodic scenario.
+    ///
+    /// # Panics
+    ///
+    /// If the forest is unbalanced or refined (see
+    /// [`trillium_blockforest::distribute`]).
+    pub fn from_forest(forest: SetupForest) -> Self {
+        let views = distribute(&forest);
+        RunPlan { forest, views, epoch: Instant::now() }
+    }
+
+    /// Why this plan cannot drive `scenario` on `world_size` ranks, if it
+    /// cannot: a forest from another set-up must fail before the first
+    /// message, not as an index panic or a hang in the ghost exchange.
+    fn mismatch(&self, scenario: &Scenario, world_size: u32) -> Option<&'static str> {
+        if self.forest.num_processes != world_size {
+            Some("number of ranks")
+        } else if self.forest.cells_per_block != scenario.cells {
+            Some("cells per block")
+        } else if self.forest.periodic != scenario.periodic {
+            Some("periodicity")
+        } else {
+            None
+        }
+    }
+}
+
+/// Plans a distributed run of `scenario` on `num_procs` ranks from the
+/// scenario's own balanced forest. The returned plan feeds
+/// [`run_planned`], or [`drive_rank`] — one call per rank, on
 /// communicators from `World::connect`.
 pub fn plan_run(scenario: &Scenario, num_procs: u32) -> RunPlan {
-    let forest = scenario.make_forest(num_procs);
-    let views = distribute(&forest);
-    RunPlan { forest, views, epoch: Instant::now() }
+    RunPlan::from_forest(scenario.make_forest(num_procs))
 }
 
 /// Runs one rank of a distributed simulation on a caller-provided
@@ -556,7 +585,8 @@ pub fn plan_run(scenario: &Scenario, num_procs: u32) -> RunPlan {
 /// point behind every `run_distributed_*`. The communicator decides
 /// which rank this is; the plan must have been built for its world
 /// size. Safe to invoke any number of times concurrently in one
-/// process, one cohort per plan.
+/// process, one cohort per plan. A plan that does not fit the world
+/// size or the scenario is [`RecoveryError::PlanMismatch`].
 ///
 /// Per step: [`RankLoop::step`], the rebalance hook, the resilience
 /// hook. Under a resilience hook every blocking receive is bounded by
@@ -574,6 +604,9 @@ pub fn drive_rank(
     cfg: &RunConfig,
 ) -> Result<RankResult, RecoveryError> {
     let rank = comm.rank();
+    if let Some(what) = plan.mismatch(scenario, comm.size()) {
+        return Err(RecoveryError::PlanMismatch { rank, what });
+    }
     let mut lp = RankLoop::new(comm, plan, scenario, threads_per_rank, cfg.driver);
     let mut rebalance = cfg.rebalance.map(Rebalancer::new);
     let mut resilience = cfg.resilience.as_ref().map(|rc| Resilience::new(rc, &lp));
@@ -637,17 +670,37 @@ pub fn drive_rank(
     Ok(lp.finish(probes, rebalance, resilience))
 }
 
-/// Runs `scenario` on `num_procs` ranks (threads) with
+/// Runs `scenario` on the ranks (threads) of `plan` with
 /// `threads_per_rank`-fold block parallelism inside each rank, for
 /// `steps` time steps, under any composition of schedule and hooks —
-/// the general entry every other `run_distributed_*` wraps. `probes` are
-/// global cells whose final velocities are reported by whichever rank
-/// owns them at the end. [`ResilienceConfig::fault`], if set, is
-/// installed on every rank.
+/// the entry every `run_distributed_*` ends in. `probes` are global
+/// cells whose final velocities are reported by whichever rank owns them
+/// at the end. [`ResilienceConfig::fault`], if set, is installed on
+/// every rank.
 ///
 /// Terminal conditions come back as [`RecoveryError`], the lowest-ranked
 /// report when several ranks fail together (they usually do: a dead
 /// peer and a recovery are both global events).
+pub fn run_planned(
+    plan: &RunPlan,
+    scenario: &Scenario,
+    threads_per_rank: usize,
+    steps: u64,
+    probes: &[[i64; 3]],
+    cfg: &RunConfig,
+) -> Result<RunResult, RecoveryError> {
+    let num_procs = plan.forest.num_processes;
+    let f =
+        |comm: Communicator| drive_rank(comm, plan, scenario, threads_per_rank, steps, probes, cfg);
+    let results = match cfg.resilience.as_ref().and_then(|rc| rc.fault.clone()) {
+        Some(fault) => World::run_with_faults(num_procs, fault, f),
+        None => World::run(num_procs, f),
+    };
+    let ranks = results.into_iter().collect::<Result<_, _>>()?;
+    Ok(RunResult { steps, ranks })
+}
+
+/// [`run_planned`] on the scenario's own plan for `num_procs` ranks.
 pub fn run_distributed_composed(
     scenario: &Scenario,
     num_procs: u32,
@@ -656,16 +709,7 @@ pub fn run_distributed_composed(
     probes: &[[i64; 3]],
     cfg: &RunConfig,
 ) -> Result<RunResult, RecoveryError> {
-    let plan = plan_run(scenario, num_procs);
-    let f = |comm: Communicator| {
-        drive_rank(comm, &plan, scenario, threads_per_rank, steps, probes, cfg)
-    };
-    let results = match cfg.resilience.as_ref().and_then(|rc| rc.fault.clone()) {
-        Some(fault) => World::run_with_faults(num_procs, fault, f),
-        None => World::run(num_procs, f),
-    };
-    let ranks = results.into_iter().collect::<Result<_, _>>()?;
-    Ok(RunResult { steps, ranks })
+    run_planned(&plan_run(scenario, num_procs), scenario, threads_per_rank, steps, probes, cfg)
 }
 
 /// Runs `scenario` under the given [`DriverConfig`] with no hooks. See

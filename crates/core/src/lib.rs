@@ -29,13 +29,14 @@
 //!   per-rank state, the step pipeline (ghost exchange, boundary sweep,
 //!   fused stream–collide, buffer swap; synchronous or overlapped), and
 //!   the composition of the rebalance and resilience hooks onto it,
-//! * [`loadbalance`] — block-graph construction and graph-partitioning
-//!   balancing (the METIS path of §2.3),
+//! * [`loadbalance`] — the static [`Balancer`](loadbalance::Balancer)
+//!   (Morton, skewed, or graph partitioning — the METIS path of §2.3)
+//!   and the block graph it partitions,
 //! * [`migrate`] — distributed block migration: serialized PDF + flag
 //!   state moves between ranks when the rebalance hook
 //!   (`trillium-rebalance`, wired into [`driver`]) fires,
 //! * [`pipeline`] — the end-to-end setup pipeline from a signed-distance
-//!   domain to a balanced, distributed, voxelized simulation,
+//!   domain to the balanced forest every run of it is planned from,
 //! * [`recovery`] — the resilience hook: bounded waits, coordinated
 //!   forest checkpoints, and rollback recovery under deterministic
 //!   fault injection.
@@ -55,16 +56,17 @@ pub mod prelude {
     pub use crate::blocksim::{BlockSim, UpdateScheme};
     pub use crate::driver::{
         drive_rank, plan_run, run_distributed, run_distributed_composed, run_distributed_with,
-        DriverConfig, RankLoop, RankResult, RebalanceConfig, RunConfig, RunPlan, RunResult,
+        run_planned, DriverConfig, RankLoop, RankResult, RebalanceConfig, RunConfig, RunPlan,
+        RunResult,
     };
-    pub use crate::loadbalance::{block_graph, graph_balance};
+    pub use crate::loadbalance::{block_graph, edge_cut, graph_balance, Balancer};
     pub use crate::migrate::MigrationError;
     pub use crate::pipeline::{setup_domain, DomainSetup};
     pub use crate::recovery::{
         run_distributed_resilient, RankResilience, RecoveryError, ResilienceConfig,
         ResilientRunResult,
     };
-    pub use crate::scenario::{BalanceStrategy, KernelChoice, Scenario};
+    pub use crate::scenario::{KernelChoice, Scenario};
     pub use trillium_comm::{CommError, CrashSpec, FaultConfig, FaultEvent};
     pub use trillium_field::{CellFlags, PdfField};
     pub use trillium_kernels::{BackendKind, BoundaryParams, Collision};

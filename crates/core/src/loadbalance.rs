@@ -1,4 +1,6 @@
-//! Graph-partitioning load balancing of the block forest (paper §2.3).
+//! Static load balancing of the block forest (paper §2.3): the one
+//! [`Balancer`] every set-up path goes through, and the graph
+//! partitioning behind its `Graph` variant.
 //!
 //! "We assign each block the number of its fluid cells as workload and
 //! assign weights to the communication graph that are proportional to the
@@ -8,10 +10,44 @@
 //! forest and balances it with the in-tree multilevel partitioner.
 
 use std::collections::HashMap;
-use trillium_blockforest::{balance_with, SetupForest};
+use trillium_blockforest::{balance_with, morton_balance, skewed_balance, SetupForest};
 use trillium_comm::pdfs_crossing;
 use trillium_lattice::D3Q19;
 use trillium_partition::{partition_kway, Graph, PartitionOptions};
+
+/// How blocks are assigned to processes before a run. It lives here and
+/// not in `trillium-blockforest` because the graph variant needs the
+/// partitioner and the lattice's per-direction PDF counts, neither of
+/// which the forest knows.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum Balancer {
+    /// Morton space-filling curve cut into equal workload quotas (fast,
+    /// locality-preserving; the default).
+    Morton,
+    /// Deliberately skewed Morton cut: rank 0 gets this fraction of the
+    /// total workload, the rest is split evenly. Exists to exercise the
+    /// runtime rebalancer — a stand-in for estimator error on complex
+    /// geometries, where static cell counts mispredict measured cost.
+    Skewed(f64),
+    /// Multilevel graph partitioning (the METIS path): balances fluid
+    /// cells and minimizes the ghost volume crossing rank boundaries.
+    Graph,
+}
+
+impl Balancer {
+    /// Assigns every block of `forest` to one of `num_procs` ranks. The
+    /// graph partitioner runs with a fixed seed, so one forest always
+    /// gets one partition, in every process.
+    pub fn apply(self, forest: &mut SetupForest, num_procs: u32) {
+        match self {
+            Balancer::Morton => morton_balance(forest, num_procs),
+            Balancer::Skewed(fraction) => skewed_balance(forest, num_procs, fraction),
+            Balancer::Graph => {
+                graph_balance(forest, num_procs, 1);
+            }
+        }
+    }
+}
 
 /// Builds the block communication graph: vertices are blocks weighted by
 /// fluid cells; edges join adjacent blocks (uniform level) weighted by
@@ -45,6 +81,14 @@ pub fn block_graph(forest: &SetupForest) -> Graph {
     Graph::from_edges(forest.blocks.len(), &edges, Some(vwgt))
 }
 
+/// The edge cut of the forest's current assignment: ghost volume between
+/// blocks of different ranks, in doubles per step and direction. A run
+/// sends 16 B per step for each (8 B, once each way).
+pub fn edge_cut(forest: &SetupForest) -> f64 {
+    let owners: Vec<u32> = forest.blocks.iter().map(|b| b.rank).collect();
+    block_graph(forest).edge_cut(&owners)
+}
+
 /// Balances the forest onto `num_processes` ranks with the multilevel
 /// graph partitioner. Returns the edge cut (communication volume between
 /// different ranks, in doubles per step).
@@ -60,7 +104,6 @@ pub fn graph_balance(forest: &mut SetupForest, num_processes: u32, seed: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trillium_blockforest::morton_balance;
     use trillium_geometry::vec3::vec3;
     use trillium_geometry::Aabb;
 
@@ -101,9 +144,7 @@ mod tests {
 
         let mut fm = uniform_forest(4);
         morton_balance(&mut fm, 8);
-        let g = block_graph(&fm);
-        let assign: Vec<u32> = fm.blocks.iter().map(|b| b.rank).collect();
-        let cut_morton = g.edge_cut(&assign);
+        let cut_morton = edge_cut(&fm);
         assert!(cut_graph <= 1.5 * cut_morton, "graph cut {cut_graph} vs morton cut {cut_morton}");
     }
 

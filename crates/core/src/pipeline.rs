@@ -1,33 +1,27 @@
 //! The end-to-end initialization pipeline of paper §2.3.
 //!
 //! mesh / implicit domain → block forest (hierarchical intersection
-//! filtering) → partition-parameter search (optional) → load balancing
-//! (Morton curve or graph partitioner) → per-rank distributed views →
-//! per-block voxelization (done lazily by the scenario when the driver
-//! builds blocks).
+//! filtering, once, in [`Scenario::from_sdf`]) → load balancing (the
+//! scenario's [`Balancer`]) → per-rank distributed views → per-block
+//! voxelization (done lazily by the scenario when the driver builds
+//! blocks). The balanced forest is the one artifact handed from set-up
+//! to run: [`plan_run`] on the returned scenario yields it again, and a
+//! saved copy feeds [`RunPlan::from_forest`](crate::driver::RunPlan::from_forest).
 
+use crate::driver::plan_run;
+pub use crate::loadbalance::Balancer;
 use crate::scenario::Scenario;
 use std::sync::Arc;
-use trillium_blockforest::{
-    distribute, morton_balance, search_weak_partition, DistributedForest, SetupForest,
-};
+use trillium_blockforest::{DistributedForest, SetupForest};
 use trillium_field::CellFlags;
 use trillium_geometry::voxelize::VoxelizeConfig;
 use trillium_geometry::{SignedDistance, VascularTree};
 
-/// How blocks are balanced onto processes.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Balancer {
-    /// Morton space-filling curve (fast, locality-preserving).
-    Morton,
-    /// Multilevel graph partitioning (the METIS path).
-    Graph,
-}
-
 /// A fully prepared domain: forest, per-rank views and the scenario that
 /// builds block state.
 pub struct DomainSetup {
-    /// The balanced global forest (setup phase artifact).
+    /// The balanced global forest (setup phase artifact) — what
+    /// `plan_run(&self.scenario, num_procs)` plans from.
     pub forest: SetupForest,
     /// Per-rank distributed views.
     pub views: Vec<DistributedForest>,
@@ -71,16 +65,10 @@ pub fn setup_domain(
         ..Default::default()
     };
     let scenario =
-        Scenario::from_sdf(name, sdf.clone(), dx, cells_per_block, viscosity, inflow, 1.0, config);
-    let mut forest = SetupForest::from_domain(sdf.as_ref(), dx, cells_per_block);
-    match balancer {
-        Balancer::Morton => morton_balance(&mut forest, num_procs),
-        Balancer::Graph => {
-            crate::loadbalance::graph_balance(&mut forest, num_procs, 1);
-        }
-    }
-    let views = distribute(&forest);
-    DomainSetup { forest, views, scenario, dx }
+        Scenario::from_sdf(name, sdf, dx, cells_per_block, viscosity, inflow, 1.0, config)
+            .with_balancer(balancer);
+    let plan = plan_run(&scenario, num_procs);
+    DomainSetup { forest: plan.forest, views: plan.views, scenario, dx }
 }
 
 /// Hybrid-parallel domain classification (paper §2.3): "the process of
@@ -165,22 +153,6 @@ pub fn parallel_classify<S: SignedDistance + ?Sized>(
     SetupForest { domain, roots, cells_per_block, blocks, num_processes: 0, periodic: [false; 3] }
 }
 
-/// Weak-scaling setup: searches the resolution whose partitioning yields
-/// (up to) `target_blocks` blocks of the given size, then balances onto
-/// `num_procs` ranks. This is the paper's "one block per process" weak
-/// scaling configuration when `target_blocks == num_procs`.
-pub fn setup_weak_scaling(
-    sdf: &dyn SignedDistance,
-    cells_per_block: [usize; 3],
-    target_blocks: usize,
-    num_procs: u32,
-) -> (SetupForest, f64) {
-    let search = search_weak_partition(sdf, cells_per_block, target_blocks, 28);
-    let mut forest = search.forest;
-    morton_balance(&mut forest, num_procs);
-    (forest, search.dx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,17 +194,6 @@ mod tests {
         // (checked indirectly: mass grows then stabilizes or flow exists;
         // here we check the run executed real fluid work)
         assert!(r.total_stats().fluid_cells > 0);
-    }
-
-    #[test]
-    fn weak_scaling_setup_targets_one_block_per_process() {
-        let s =
-            AnalyticSdf::Capsule { a: vec3(0.0, 0.0, 0.0), b: vec3(5.0, 0.0, 0.0), radius: 0.4 };
-        let (forest, dx) = setup_weak_scaling(&s, [8, 8, 8], 32, 32);
-        assert!(forest.num_blocks() <= 32);
-        assert!(forest.num_blocks() >= 16);
-        assert!(dx > 0.0);
-        assert_eq!(forest.num_processes, 32);
     }
 
     /// The §2.3 hybrid-parallel initialization: any rank count produces

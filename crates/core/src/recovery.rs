@@ -128,6 +128,14 @@ pub enum RecoveryError {
         /// The step the cohort agreed to restore.
         step: u64,
     },
+    /// The plan handed to `drive_rank` was built for another run — a
+    /// forest file from a different set-up.
+    PlanMismatch {
+        /// Rank reporting the mismatch (every rank does).
+        rank: u32,
+        /// What differs between the plan and the world or scenario.
+        what: &'static str,
+    },
     /// A locally held checkpoint failed to deserialize — stable storage
     /// corruption.
     CorruptCheckpoint {
@@ -151,6 +159,9 @@ impl std::fmt::Display for RecoveryError {
             }
             RecoveryError::MissingCheckpoint { rank, step } => {
                 write!(f, "rank {rank}: negotiated checkpoint for step {step} not held locally")
+            }
+            RecoveryError::PlanMismatch { rank, what } => {
+                write!(f, "rank {rank}: the run plan was built for another {what}")
             }
             RecoveryError::CorruptCheckpoint { rank, error } => {
                 write!(f, "rank {rank}: checkpoint unreadable: {error:?}")

@@ -9,8 +9,9 @@
 //!   the §4.3 configuration.
 
 use crate::blocksim::{boxed_block_flags, BlockSim, UpdateScheme};
+use crate::loadbalance::Balancer;
 use std::sync::Arc;
-use trillium_blockforest::{morton_balance, skewed_balance, LocalBlock, SetupForest};
+use trillium_blockforest::{LocalBlock, SetupForest};
 use trillium_field::{CellFlags, FlagOps, Shape};
 use trillium_geometry::vec3::vec3;
 use trillium_geometry::voxelize::{voxelize_block, VoxelizeConfig};
@@ -43,24 +44,13 @@ impl KernelChoice {
     }
 }
 
-/// How the initial (static) balancer assigns blocks to ranks.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum BalanceStrategy {
-    /// Morton-curve cut with equal workload quotas (default).
-    Morton,
-    /// Deliberately skewed: rank 0 gets `fraction` of the total workload,
-    /// the rest is split evenly. Exists to exercise the runtime
-    /// rebalancer — a realistic stand-in for estimator error on complex
-    /// geometries, where static cell counts mispredict measured cost.
-    Skewed(f64),
-}
-
 /// A complete simulation scenario: domain, discretization, physics.
 pub struct Scenario {
     /// Scenario name for reports.
     pub name: String,
-    /// Block grid dimensions (root blocks per axis) for box scenarios;
-    /// ignored for SDF domains (the forest is derived from the geometry).
+    /// Block grid dimensions (root blocks per axis); for SDF domains the
+    /// candidate root grid around the geometry, of which the forest keeps
+    /// the blocks that hold fluid.
     pub blocks: [usize; 3],
     /// Cells per block per axis.
     pub cells: [usize; 3],
@@ -73,7 +63,7 @@ pub struct Scenario {
     /// Initial velocity.
     pub u0: [f64; 3],
     /// Static balancer used by [`Scenario::make_forest`].
-    pub balance: BalanceStrategy,
+    pub balance: Balancer,
     /// Kernel/update-scheme choice for the blocks.
     pub kernel: KernelChoice,
     /// Collision operator stamped onto every block (scenario-global, like
@@ -102,6 +92,9 @@ enum Kind {
         sdf: Arc<dyn SignedDistance>,
         config: VoxelizeConfig,
         dx: f64,
+        /// The unbalanced forest: the one classification of the domain,
+        /// made by [`Scenario::from_sdf`].
+        forest: SetupForest,
     },
     TaylorGreen {
         /// Velocity amplitude of the initial vortex array.
@@ -134,7 +127,7 @@ impl Scenario {
             },
             rho0: 1.0,
             u0: [0.0; 3],
-            balance: BalanceStrategy::Morton,
+            balance: Balancer::Morton,
             kernel: KernelChoice::Auto,
             collision: Collision::Trt,
             backend: BackendKind::default(),
@@ -183,7 +176,7 @@ impl Scenario {
             boundary: BoundaryParams { wall_velocity: [inflow, 0.0, 0.0], ..Default::default() },
             rho0: 1.0,
             u0: [0.0; 3],
-            balance: BalanceStrategy::Morton,
+            balance: Balancer::Morton,
             kernel: KernelChoice::Auto,
             collision: Collision::Trt,
             backend: BackendKind::default(),
@@ -211,7 +204,7 @@ impl Scenario {
             boundary: BoundaryParams::default(),
             rho0: 1.0,
             u0: [0.0; 3],
-            balance: BalanceStrategy::Morton,
+            balance: Balancer::Morton,
             kernel: KernelChoice::Auto,
             collision: Collision::Trt,
             backend: BackendKind::default(),
@@ -241,7 +234,7 @@ impl Scenario {
             },
             rho0: 1.0,
             u0: [0.0; 3],
-            balance: BalanceStrategy::Morton,
+            balance: Balancer::Morton,
             kernel: KernelChoice::Auto,
             collision: Collision::Trt,
             backend: BackendKind::default(),
@@ -277,7 +270,7 @@ impl Scenario {
             boundary: BoundaryParams { wall_velocity: [inflow, 0.0, 0.0], ..Default::default() },
             rho0: 1.0,
             u0: [inflow, 0.0, 0.0],
-            balance: BalanceStrategy::Morton,
+            balance: Balancer::Morton,
             kernel: KernelChoice::Auto,
             collision: Collision::Trt,
             backend: BackendKind::default(),
@@ -294,7 +287,8 @@ impl Scenario {
     /// A complex-geometry scenario from a signed-distance domain: blocks
     /// are voxelized against `sdf` with `config` mapping surface colors to
     /// boundary conditions; `inflow`/`outflow_rho` fill the boundary
-    /// parameters.
+    /// parameters. Classifies the domain into blocks here, once; every
+    /// [`Scenario::make_forest`] starts from that forest.
     pub fn from_sdf(
         name: &str,
         sdf: Arc<dyn SignedDistance>,
@@ -305,9 +299,10 @@ impl Scenario {
         outflow_rho: f64,
         config: VoxelizeConfig,
     ) -> Self {
+        let forest = SetupForest::from_domain(sdf.as_ref(), dx, cells_per_block);
         Scenario {
             name: name.to_string(),
-            blocks: [0; 3],
+            blocks: forest.roots,
             cells: cells_per_block,
             relaxation: Relaxation::trt_from_viscosity(viscosity),
             boundary: BoundaryParams {
@@ -317,45 +312,40 @@ impl Scenario {
             },
             rho0: 1.0,
             u0: [0.0; 3],
-            balance: BalanceStrategy::Morton,
+            balance: Balancer::Morton,
             kernel: KernelChoice::Auto,
             collision: Collision::Trt,
             backend: BackendKind::default(),
             periodic: [false; 3],
-            kind: Kind::Domain { sdf, config, dx },
+            kind: Kind::Domain { sdf, config, dx, forest },
         }
     }
 
-    /// Builds the (balanced) setup forest for `num_procs` processes.
+    /// The setup forest balanced onto `num_procs` processes by
+    /// [`Scenario::balance`] — the forest a run of this scenario is
+    /// planned from.
     pub fn make_forest(&self, num_procs: u32) -> SetupForest {
         let mut forest = match &self.kind {
-            Kind::Cavity
-            | Kind::Channel { .. }
-            | Kind::TaylorGreen { .. }
-            | Kind::Poiseuille
-            | Kind::VonKarman { .. } => {
-                let ext = vec3(
-                    (self.blocks[0] * self.cells[0]) as f64,
-                    (self.blocks[1] * self.cells[1]) as f64,
-                    (self.blocks[2] * self.cells[2]) as f64,
-                );
-                SetupForest::uniform(Aabb::new(Vec3::ZERO, ext), self.blocks, self.cells)
+            Kind::Domain { forest, .. } => forest.clone(),
+            _ => {
+                let [x, y, z] = self.global_cells().map(|n| n as f64);
+                SetupForest::uniform(Aabb::new(Vec3::ZERO, vec3(x, y, z)), self.blocks, self.cells)
                     .with_periodic(self.periodic)
             }
-            Kind::Domain { sdf, dx, .. } => SetupForest::from_domain(sdf.as_ref(), *dx, self.cells),
         };
-        match self.balance {
-            BalanceStrategy::Morton => morton_balance(&mut forest, num_procs),
-            BalanceStrategy::Skewed(fraction) => skewed_balance(&mut forest, num_procs, fraction),
-        }
+        self.balance.apply(&mut forest, num_procs);
         forest
     }
 
-    /// Replaces the static balancer with the deliberately skewed one (see
-    /// [`BalanceStrategy::Skewed`]).
-    pub fn with_skewed_balance(mut self, fraction: f64) -> Self {
-        self.balance = BalanceStrategy::Skewed(fraction);
+    /// Selects the static balancer.
+    pub fn with_balancer(mut self, balance: Balancer) -> Self {
+        self.balance = balance;
         self
+    }
+
+    /// [`Balancer::Skewed`] by its fraction.
+    pub fn with_skewed_balance(self, fraction: f64) -> Self {
+        self.with_balancer(Balancer::Skewed(fraction))
     }
 
     /// Selects the PDF update scheme built into every block (see
@@ -475,7 +465,7 @@ impl Scenario {
                 }
                 self.finish_block(flags)
             }
-            Kind::Domain { sdf, config, dx } => {
+            Kind::Domain { sdf, config, dx, .. } => {
                 let flags = voxelize_block(sdf.as_ref(), lb.aabb.min, *dx, shape, config);
                 self.finish_block(flags)
             }
@@ -594,7 +584,7 @@ impl Scenario {
         ]
     }
 
-    /// Global cell extents (box scenarios).
+    /// Global cell extents of the root grid.
     pub fn global_cells(&self) -> [usize; 3] {
         [
             self.blocks[0] * self.cells[0],
@@ -667,6 +657,7 @@ mod tests {
         );
         let f = s.make_forest(2);
         assert!(f.num_blocks() >= 8);
+        assert_eq!(s.global_cells(), f.roots.map(|r| 8 * r), "the root grid in cells");
         let views = distribute(&f);
         let fluid: usize = views
             .iter()

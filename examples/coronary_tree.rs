@@ -76,6 +76,14 @@ fn main() {
         100.0 * result.comm_fraction()
     );
 
+    // The run executes on the partition the set-up computed: every double
+    // of its edge cut crosses a rank boundary once per direction, 8 B each.
+    println!(
+        "ghost exchange: {} B/step measured, 16 B x edge cut {} predicted",
+        result.metrics().counter("comm.bytes_sent") / steps,
+        edge_cut(&setup.forest)
+    );
+
     // Perfusion check: the inlet drives mass into the tree.
     let drift = result.mass_drift();
     println!("net mass change from in/outflow: {:.3e} (inflow-driven)", drift);

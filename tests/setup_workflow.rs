@@ -43,42 +43,46 @@ fn one_reader_broadcast_setup() {
     }
 }
 
-/// The whole simulate-from-file path: build + balance + save on the
-/// "setup machine", then load and run the simulation — results identical
-/// to the direct path.
+/// The whole simulate-from-file path: balance (graph partitioner) + save
+/// on the "setup machine", then load, plan from the loaded forest and
+/// run the one time loop — on the file's assignment, with results
+/// bitwise identical to the direct path.
 #[test]
 fn simulate_from_saved_forest_matches_direct() {
-    let scenario = Scenario::lid_driven_cavity(16, 2, 0.06, 0.07);
+    let cavity = || Scenario::lid_driven_cavity(16, 2, 0.06, 0.07);
     let probes: Vec<[i64; 3]> = vec![[4, 4, 4], [11, 12, 13]];
+    let cfg = RunConfig {
+        driver: DriverConfig { collect_pdfs: true, ..DriverConfig::default() },
+        ..RunConfig::default()
+    };
 
-    // Direct path.
-    let direct = trillium_core::driver::run_distributed_probed(&scenario, 4, 1, 20, &probes);
+    let balanced = cavity().with_balancer(Balancer::Graph);
+    let direct = run_distributed_composed(&balanced, 4, 1, 20, &probes, &cfg).unwrap();
 
-    // File path: same forest via save/load (the scenario rebuilds blocks
-    // from the distributed views identically).
-    let forest = scenario.make_forest(4);
-    let bytes = file::save(&forest);
-    let loaded = file::load(&bytes).unwrap();
-    let views = distribute(&loaded);
-    let results = World::run(4, |comm| {
-        let view = &views[comm.rank() as usize];
-        // Rebuild blocks exactly as the driver does and compare state
-        // structurally (full driver reuse is covered elsewhere; here the
-        // loaded forest must produce identical block layouts).
-        view.blocks
-            .iter()
-            .map(|lb| {
-                let sim = scenario.build_block(lb);
-                (lb.id, sim.fluid_cells())
-            })
-            .collect::<Vec<_>>()
-    });
-    let loaded_blocks: usize = results.iter().map(|r| r.len()).sum();
-    assert_eq!(loaded_blocks, 8);
-    for r in results.iter().flatten() {
-        assert_eq!(r.1, 8 * 8 * 8, "cavity blocks are fully fluid");
+    // The file is all that crosses over: the running side's scenario
+    // keeps its default balancer and never applies it.
+    let bytes = file::save(&balanced.make_forest(4));
+    let plan = RunPlan::from_forest(file::load(&bytes).unwrap());
+    let scenario = cavity();
+    let from_file = run_planned(&plan, &scenario, 1, 20, &probes, &cfg).unwrap();
+
+    assert_eq!(from_file.probes(), direct.probes());
+    assert!(from_file.pdf_dump() == direct.pdf_dump(), "PDFs differ from the direct path");
+    for (rank, view) in from_file.ranks.iter().zip(&plan.views) {
+        let ran: Vec<u64> = rank.pdfs.iter().map(|(id, _)| *id).collect();
+        let planned: Vec<u64> = view.blocks.iter().map(|b| b.id.pack()).collect();
+        assert_eq!(ran, planned, "rank {} did not run the file's blocks", view.rank);
     }
-    assert!(!direct.has_nan());
+
+    // A forest balanced for four ranks on a world of two is refused by
+    // every rank before any message is sent.
+    let refused = World::run(2, |comm| drive_rank(comm, &plan, &scenario, 1, 20, &[], &cfg));
+    for (rank, r) in refused.into_iter().enumerate() {
+        assert!(
+            matches!(r, Err(RecoveryError::PlanMismatch { rank: at, .. }) if at as usize == rank),
+            "rank {rank} accepted a four-rank plan on two ranks"
+        );
+    }
 }
 
 /// Refined (mixed-level) forests: the data structures support octree

@@ -2,11 +2,12 @@
 //! mesh-based SDF → block forest → voxelization → distributed flow
 //! simulation — every §2.3 stage, chained.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use trillium_core::pipeline::{setup_domain, Balancer};
+use trillium_core::pipeline::setup_domain;
 use trillium_core::prelude::*;
 use trillium_geometry::vec3::vec3;
-use trillium_geometry::{MeshSdf, SignedDistance, VascularTree, VascularTreeParams};
+use trillium_geometry::{Aabb, MeshSdf, SignedDistance, VascularTree, VascularTreeParams, Vec3};
 
 fn small_tree() -> VascularTree {
     VascularTree::generate(&VascularTreeParams {
@@ -157,14 +158,98 @@ fn carved_inplace_request_surfaces_pull_fallback() {
 /// budget refines dx and captures more fluid cells.
 #[test]
 fn partition_refinement_increases_resolution() {
-    use trillium_core::pipeline::setup_weak_scaling;
+    use trillium_blockforest::search_weak_partition;
     let tree = small_tree();
-    let (f1, dx1) = setup_weak_scaling(&tree, [8, 8, 8], 32, 32);
-    let (f2, dx2) = setup_weak_scaling(&tree, [8, 8, 8], 256, 256);
-    assert!(dx2 < dx1);
-    assert!(f2.total_workload() > f1.total_workload());
+    let coarse = search_weak_partition(&tree, [8, 8, 8], 32, 28);
+    let fine = search_weak_partition(&tree, [8, 8, 8], 256, 28);
+    assert!(fine.dx < coarse.dx);
+    assert!(fine.forest.total_workload() > coarse.forest.total_workload());
     // Fluid volume is invariant: workload × dx³ approximately constant.
-    let v1 = f1.total_workload() * dx1.powi(3);
-    let v2 = f2.total_workload() * dx2.powi(3);
+    let v1 = coarse.forest.total_workload() * coarse.dx.powi(3);
+    let v2 = fine.forest.total_workload() * fine.dx.powi(3);
     assert!((v1 - v2).abs() / v1 < 0.25, "volumes {v1} vs {v2}");
+}
+
+/// The tree behind a counter of distance queries, to tell which stage
+/// of the pipeline asks the geometry.
+struct CountingSdf {
+    inner: VascularTree,
+    queries: AtomicU64,
+}
+
+impl CountingSdf {
+    fn queries(&self) -> u64 {
+        self.queries.load(Ordering::Relaxed)
+    }
+}
+
+impl SignedDistance for CountingSdf {
+    fn signed_distance(&self, p: Vec3) -> f64 {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.inner.signed_distance(p)
+    }
+    fn bounding_box(&self) -> Aabb {
+        self.inner.bounding_box()
+    }
+    fn contains(&self, p: Vec3) -> bool {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.inner.contains(p)
+    }
+    fn boundary_color(&self, p: Vec3) -> u32 {
+        self.inner.boundary_color(p)
+    }
+}
+
+/// The partition the set-up computes is the one the time loop runs on:
+/// under either balancer the plan repeats the set-up's assignment
+/// without asking the geometry again, the bytes the ranks exchange are
+/// the partitioner's predicted cut (each cut double crosses once per
+/// direction, 8 B each), the graph cut is no worse than Morton's — and
+/// since ownership is not physics, both runs end in the same PDFs.
+#[test]
+fn graph_partition_reaches_the_time_loop() {
+    const RANKS: u32 = 4;
+    const STEPS: u64 = 10;
+    let run = |balancer: Balancer| {
+        let sdf = Arc::new(CountingSdf { inner: small_tree(), queries: AtomicU64::new(0) });
+        let setup = setup_domain(
+            "tree-partition",
+            sdf.clone(),
+            0.3,
+            [8, 8, 8],
+            RANKS,
+            balancer,
+            0.08,
+            [0.0, 0.0, 0.04],
+        );
+        let classified = sdf.queries();
+        assert!(classified > 0);
+
+        let owners = |f: &trillium_blockforest::SetupForest| -> Vec<u32> {
+            f.blocks.iter().map(|b| b.rank).collect()
+        };
+        let plan = plan_run(&setup.scenario, RANKS);
+        assert_eq!(owners(&plan.forest), owners(&setup.forest), "{balancer:?}");
+        assert_eq!(owners(&setup.scenario.make_forest(RANKS)), owners(&setup.forest));
+        assert_eq!(sdf.queries(), classified, "planning classified the domain again");
+
+        // What voxelizing every block once asks of the geometry; a run
+        // may ask exactly that much more.
+        for lb in plan.views.iter().flat_map(|v| &v.blocks) {
+            setup.scenario.build_block(lb);
+        }
+        let voxelized = sdf.queries() - classified;
+        let cfg = DriverConfig { collect_pdfs: true, ..DriverConfig::default() };
+        let result = run_distributed_with(&setup.scenario, RANKS, 1, STEPS, &[], cfg);
+        assert_eq!(sdf.queries() - classified, 2 * voxelized, "the run classified again");
+
+        let cut = edge_cut(&setup.forest);
+        let bytes = result.metrics().counter("comm.bytes_sent");
+        assert_eq!(bytes as f64, 16.0 * cut * STEPS as f64, "{balancer:?}");
+        (cut, result.pdf_dump())
+    };
+    let (cut_morton, pdfs_morton) = run(Balancer::Morton);
+    let (cut_graph, pdfs_graph) = run(Balancer::Graph);
+    assert!(cut_graph <= cut_morton, "graph cut {cut_graph} above morton cut {cut_morton}");
+    assert!(pdfs_morton == pdfs_graph, "ownership changed the physics");
 }
