@@ -377,7 +377,7 @@ impl Scenario {
     /// Selects the compute backend stamped onto every block. Backends are
     /// bitwise equivalent; pick [`BackendKind::Workgroup`] to exercise
     /// the GPU-style execution shape, [`BackendKind::Portable`] to pin
-    /// the intrinsics-free path.
+    /// the kernels compiled for the baseline instruction set.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self

@@ -236,10 +236,20 @@ impl<M: LatticeModel> SoaPdfField<M> {
         &mut self.data
     }
 
-    /// Splits the storage into `Q` per-direction mutable grids.
-    pub fn dirs_mut(&mut self) -> Vec<&mut [f64]> {
+    /// The `Q` per-direction grids as a line table (`N` must be `M::Q`;
+    /// a fixed-size array, so a sweep builds it without allocating).
+    pub fn dirs<const N: usize>(&self) -> [&[f64]; N] {
+        assert_eq!(N, M::Q, "line table size must equal the model's Q");
         let n = self.shape.alloc_cells();
-        self.data.chunks_exact_mut(n).collect()
+        std::array::from_fn(|q| &self.data[q * n..(q + 1) * n])
+    }
+
+    /// Splits the storage into the `Q` per-direction mutable grids (`N`
+    /// must be `M::Q`); see [`SoaPdfField::dirs`].
+    pub fn dirs_mut<const N: usize>(&mut self) -> [&mut [f64]; N] {
+        assert_eq!(N, M::Q, "line table size must equal the model's Q");
+        let mut grids = self.data.chunks_exact_mut(self.shape.alloc_cells());
+        std::array::from_fn(|_| grids.next().expect("storage holds Q grids"))
     }
 
     /// Swaps storage with another field of identical shape (A/B pattern).

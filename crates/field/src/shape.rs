@@ -153,26 +153,24 @@ impl Shape {
     /// ghost layer, decomposed into at most six disjoint slabs (low/high
     /// per axis, each inner slab clipped against the outer ones). The
     /// union of the returned regions and the core covers the interior
-    /// exactly once; empty slabs are omitted.
-    pub fn shell_regions(&self, reach: usize) -> Vec<Region> {
+    /// exactly once; empty slabs are omitted. Nothing is allocated: the
+    /// overlapped schedule asks for the shell of every block every step.
+    pub fn shell_regions(&self, reach: usize) -> impl Iterator<Item = Region> {
         let core = self.interior_core(reach);
         let (nx, ny, nz) = (self.nx as i32, self.ny as i32, self.nz as i32);
-        let mut out = Vec::with_capacity(6);
-        let mut push = |r: Region| {
-            if !r.is_empty() {
-                out.push(r);
-            }
-        };
-        // z-low and z-high slabs span the full xy extent.
-        push(Region::new(0..nx, 0..ny, 0..core.z.start));
-        push(Region::new(0..nx, 0..ny, core.z.end..nz));
-        // y slabs are clipped to the core z range.
-        push(Region::new(0..nx, 0..core.y.start, core.z.clone()));
-        push(Region::new(0..nx, core.y.end..ny, core.z.clone()));
-        // x slabs are clipped to the core y and z ranges.
-        push(Region::new(0..core.x.start, core.y.clone(), core.z.clone()));
-        push(Region::new(core.x.end..nx, core.y.clone(), core.z.clone()));
-        out
+        [
+            // z-low and z-high slabs span the full xy extent.
+            Region::new(0..nx, 0..ny, 0..core.z.start),
+            Region::new(0..nx, 0..ny, core.z.end..nz),
+            // y slabs are clipped to the core z range.
+            Region::new(0..nx, 0..core.y.start, core.z.clone()),
+            Region::new(0..nx, core.y.end..ny, core.z.clone()),
+            // x slabs are clipped to the core y and z ranges.
+            Region::new(0..core.x.start, core.y.clone(), core.z.clone()),
+            Region::new(core.x.end..nx, core.y.clone(), core.z.clone()),
+        ]
+        .into_iter()
+        .filter(|r| !r.is_empty())
     }
 
     /// The slab of ghost cells lying beyond the face/edge/corner in
@@ -266,13 +264,12 @@ mod tests {
         for (nx, ny, nz) in [(8, 8, 8), (4, 5, 6), (2, 7, 3), (1, 1, 1), (2, 2, 2), (16, 3, 1)] {
             let s = Shape::new(nx, ny, nz, 1);
             let core = s.interior_core(1);
-            let shells = s.shell_regions(1);
             let mut count = vec![0u32; s.interior_cells()];
             let lin = |x: i32, y: i32, z: i32| (z as usize * ny + y as usize) * nx + x as usize;
             for (x, y, z) in core.iter() {
                 count[lin(x, y, z)] += 1;
             }
-            for r in &shells {
+            for r in s.shell_regions(1) {
                 for (x, y, z) in r.iter() {
                     count[lin(x, y, z)] += 1;
                 }
@@ -296,7 +293,7 @@ mod tests {
     fn tiny_block_has_empty_core_and_full_shell() {
         let s = Shape::new(2, 2, 2, 1);
         assert!(s.interior_core(1).is_empty());
-        let shell_cells: usize = s.shell_regions(1).iter().map(Region::num_cells).sum();
+        let shell_cells: usize = s.shell_regions(1).map(|r| r.num_cells()).sum();
         assert_eq!(shell_cells, s.interior_cells());
     }
 

@@ -2,20 +2,20 @@
 //! nodes.
 //!
 //! The kernel modules of this crate implement one *tier ladder*
-//! (generic → specialized → SoA → AVX2 → in-place) for a homogeneous CPU.
-//! Heterogeneous machines add a second axis: the *backend* a block's
+//! (generic → specialized → SoA split loops → in-place) for a homogeneous
+//! CPU. Heterogeneous machines add a second axis: the *backend* a block's
 //! sweeps execute on. Following the patch-based heterogeneous GPU–CPU
 //! designs (Feichtinger et al.), every block carries a [`BackendKind`]
 //! and the driver dispatches its sweeps through the matching [`Backend`]
 //! implementation:
 //!
-//! * [`PortableBackend`] — the portable split-loop SoA kernels
-//!   ([`crate::soa`], the scalar paths of [`crate::inplace`]); runs on
-//!   any host.
-//! * [`Avx2Backend`] — the AVX2+FMA intrinsics paths ([`crate::avx`],
-//!   the vectorized paths of [`crate::inplace`]); resolves to
-//!   [`PortableBackend`] when the CPU lacks AVX2+FMA (same contract as
-//!   [`crate::dispatch::Tier::resolve`]).
+//! * [`BackendKind::Portable`] — [`CpuBackend`] on the portable instance
+//!   of the split-loop row bodies ([`crate::soa`], [`crate::inplace`]);
+//!   runs on any host.
+//! * [`BackendKind::Avx2`] — [`CpuBackend`] on the same row bodies
+//!   compiled for AVX2+FMA ([`crate::avx`]), for dense rows, sparse spans
+//!   and the in-place sweeps alike; runs the portable instance when the
+//!   CPU lacks AVX2+FMA ([`BackendKind::resolve`] says which one ran).
 //! * [`WorkgroupBackend`] — a GPU-*style* execution shape run on the CPU
 //!   for correctness: the sweep region is tiled into fixed-size
 //!   work-groups (the CTA/thread-block analogue), iterated in grid
@@ -30,10 +30,10 @@
 //! All three backends produce **bitwise identical** PDFs. Two properties
 //! make this hold:
 //!
-//! 1. the portable kernels perform the *same fused (`mul_add`) operation
-//!    sequence* as the AVX2 lanes and their scalar tails, and
-//!    `f64::mul_add` is the IEEE correctly-rounded fused operation on
-//!    every host;
+//! 1. the two CPU backends run *one* row body, whose `f64::mul_add` is the
+//!    IEEE correctly-rounded fused operation whether it compiles to a
+//!    `vfmadd` lane or to a libm call, and vectorization keeps each cell's
+//!    operation sequence;
 //! 2. sweeping any partition of the interior region by region is bitwise
 //!    identical to one full sweep (the slot-ownership/element-wise
 //!    argument pinned by `region_partition_is_bitwise_identical`), so
@@ -46,6 +46,7 @@
 //! recovery guarantees. The `backend_equivalence` gate in CI pins the
 //! equivalence across all four driver schedules.
 
+use crate::soa::Isa;
 use crate::stats::SweepStats;
 use crate::Collision;
 use trillium_field::{PdfField, Region, RowIntervals, SoaPdfField};
@@ -60,8 +61,8 @@ use trillium_lattice::{Relaxation, D3Q19};
 pub enum BackendKind {
     /// Portable split-loop SoA kernels; runs anywhere.
     Portable,
-    /// AVX2+FMA intrinsics; resolves to `Portable` without AVX2+FMA.
-    /// The default — identical to the pre-backend dispatch behavior.
+    /// The same kernels compiled for AVX2+FMA; resolves to `Portable`
+    /// without AVX2+FMA. The default.
     #[default]
     Avx2,
     /// GPU-style work-group-tiled execution (CPU emulation; the GPU-class
@@ -95,9 +96,8 @@ impl BackendKind {
 
     /// The backend that actually executes on the running host:
     /// [`BackendKind::Avx2`] degrades to [`BackendKind::Portable`] when
-    /// the CPU lacks AVX2+FMA. Like `Tier::resolve`, reports must label
-    /// series with the *resolved* backend so measurements are never
-    /// misattributed.
+    /// the CPU lacks AVX2+FMA. Reports must label series with the
+    /// *resolved* backend so measurements are never misattributed.
     pub fn resolve(self) -> BackendKind {
         match self {
             BackendKind::Avx2 if !crate::avx::available() => BackendKind::Portable,
@@ -108,8 +108,8 @@ impl BackendKind {
     /// The dispatch object for this backend.
     pub fn dispatch(self) -> &'static dyn Backend {
         match self {
-            BackendKind::Portable => &PortableBackend,
-            BackendKind::Avx2 => &Avx2Backend,
+            BackendKind::Portable => &PORTABLE,
+            BackendKind::Avx2 => &CpuBackend(Isa::Avx2Fma),
             BackendKind::Workgroup => &WorkgroupBackend,
         }
     }
@@ -202,13 +202,20 @@ pub trait Backend: Sync {
     }
 }
 
-/// Portable split-loop backend (no intrinsics anywhere on the sweep
-/// path); the reference the other backends must match bitwise.
-pub struct PortableBackend;
+/// A CPU backend: the split-loop row kernels compiled for one instruction
+/// set. [`BackendKind::Portable`] and [`BackendKind::Avx2`] dispatch to
+/// its two values, which differ in nothing else — dense rows, sparse
+/// spans and the in-place sweeps all run the same row bodies, bit for bit
+/// (the portable value is the reference the others must match), and the
+/// MRT family its one shared per-cell routine.
+pub struct CpuBackend(Isa);
 
-impl Backend for PortableBackend {
+impl Backend for CpuBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Portable
+        match self.0 {
+            Isa::Portable => BackendKind::Portable,
+            Isa::Avx2Fma => BackendKind::Avx2,
+        }
     }
 
     fn sweep_pull_region(
@@ -222,7 +229,7 @@ impl Backend for PortableBackend {
         if collision.is_mrt() {
             crate::mrt::stream_collide_mrt_region(src, dst, rel, collision.smagorinsky(), region)
         } else {
-            crate::soa::stream_collide_trt_region(src, dst, rel, region)
+            crate::soa::pull_trt(self.0, src, dst, rel, None, region)
         }
     }
 
@@ -236,7 +243,7 @@ impl Backend for PortableBackend {
         if collision.is_mrt() {
             crate::mrt::stream_collide_mrt_inplace_region(f, rel, collision.smagorinsky(), region)
         } else {
-            crate::inplace::stream_collide_trt_portable_region(f, rel, region)
+            crate::inplace::trt(self.0, f, rel, region)
         }
     }
 
@@ -259,65 +266,13 @@ impl Backend for PortableBackend {
                 region,
             )
         } else {
-            crate::sparse::stream_collide_trt_row_intervals_region(src, dst, intervals, rel, region)
+            crate::soa::pull_trt(self.0, src, dst, rel, Some(intervals), region)
         }
     }
 }
 
-/// AVX2+FMA backend: the hand-vectorized paths, with built-in resolution
-/// to the portable kernels on hosts without AVX2+FMA.
-pub struct Avx2Backend;
-
-impl Backend for Avx2Backend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Avx2
-    }
-
-    fn sweep_pull_region(
-        &self,
-        collision: Collision,
-        src: &SoaPdfField<D3Q19>,
-        dst: &mut SoaPdfField<D3Q19>,
-        rel: Relaxation,
-        region: &Region,
-    ) -> SweepStats {
-        if collision.is_mrt() {
-            // The MRT moment-space sweep is a single shared scalar
-            // routine; there is no intrinsics variant to select.
-            crate::mrt::stream_collide_mrt_region(src, dst, rel, collision.smagorinsky(), region)
-        } else {
-            crate::avx::stream_collide_trt_region(src, dst, rel, region)
-        }
-    }
-
-    fn sweep_inplace_region(
-        &self,
-        collision: Collision,
-        f: &mut SoaPdfField<D3Q19>,
-        rel: Relaxation,
-        region: &Region,
-    ) -> SweepStats {
-        if collision.is_mrt() {
-            crate::mrt::stream_collide_mrt_inplace_region(f, rel, collision.smagorinsky(), region)
-        } else {
-            crate::inplace::stream_collide_trt_region(f, rel, region)
-        }
-    }
-
-    fn sweep_sparse_region(
-        &self,
-        collision: Collision,
-        src: &SoaPdfField<D3Q19>,
-        dst: &mut SoaPdfField<D3Q19>,
-        intervals: &RowIntervals,
-        rel: Relaxation,
-        region: &Region,
-    ) -> SweepStats {
-        // The row-interval kernel is shared: its spans are swept by the
-        // same split-loop passes on both CPU backends.
-        PortableBackend.sweep_sparse_region(collision, src, dst, intervals, rel, region)
-    }
-}
+/// The portable CPU backend, which the work-groups are swept with.
+const PORTABLE: CpuBackend = CpuBackend(Isa::Portable);
 
 /// Work-group edge lengths in cells: 32 cells along x (a coalesced
 /// warp-width row run) × 2 × 2 rows — 128 cells per group, the classic
@@ -374,7 +329,7 @@ impl Backend for WorkgroupBackend {
         region: &Region,
     ) -> SweepStats {
         Self::for_each_group(region, |group| {
-            PortableBackend.sweep_pull_region(collision, src, dst, rel, group)
+            PORTABLE.sweep_pull_region(collision, src, dst, rel, group)
         })
     }
 
@@ -386,7 +341,7 @@ impl Backend for WorkgroupBackend {
         region: &Region,
     ) -> SweepStats {
         Self::for_each_group(region, |group| {
-            PortableBackend.sweep_inplace_region(collision, f, rel, group)
+            PORTABLE.sweep_inplace_region(collision, f, rel, group)
         })
     }
 
@@ -400,7 +355,7 @@ impl Backend for WorkgroupBackend {
         region: &Region,
     ) -> SweepStats {
         Self::for_each_group(region, |group| {
-            PortableBackend.sweep_sparse_region(collision, src, dst, intervals, rel, group)
+            PORTABLE.sweep_sparse_region(collision, src, dst, intervals, rel, group)
         })
     }
 }
@@ -408,7 +363,7 @@ impl Backend for WorkgroupBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, Shape};
+    use trillium_field::{AosPdfField, CellFlags, FlagField, FlagOps, PdfField, Shape};
     use trillium_lattice::MAGIC_TRT;
 
     fn perturbed(shape: Shape) -> SoaPdfField<D3Q19> {
@@ -481,33 +436,191 @@ mod tests {
         }
     }
 
-    /// Backend equality on a sparse (row-interval) block, and the
-    /// full-sweep stats convention holds for every backend.
-    #[test]
-    fn backends_agree_bitwise_on_sparse() {
-        let shape = Shape::cube(8);
+    /// Rows of every span length 1..=17 starting at every x offset 0..=3,
+    /// so the vector/remainder cut of the row body lands on every position.
+    fn span_ladder(shape: Shape) -> RowIntervals {
         let mut flags = FlagField::new(shape);
-        for (x, y, z) in shape.interior().iter() {
-            if (y - 3).abs() <= 1 && (z - 3).abs() <= 1 {
-                flags.set_flags(x, y, z, CellFlags::FLUID);
+        for len in 1..=17 {
+            for start in 0..=3 {
+                for x in start..start + len {
+                    flags.set_flags(x, len - 1, start, CellFlags::FLUID);
+                }
             }
         }
-        let intervals = RowIntervals::build(&flags);
+        RowIntervals::build(&flags)
+    }
+
+    /// Backend equality on a sparse (row-interval) block — full sweep,
+    /// the overlapped schedule's 7-region partition, and a region that
+    /// cuts inside the spans — and the full-sweep stats convention.
+    #[test]
+    fn backends_agree_bitwise_on_sparse() {
+        if !crate::avx::available() {
+            println!("note: no AVX2+FMA on this host; Avx2 runs the portable instance here");
+        }
+        let shape = Shape::new(22, 17, 4, 1);
+        let intervals = span_ladder(shape);
+        assert_eq!(intervals.num_rows(), 17 * 4);
         let src = perturbed(shape);
+        let cut = Region::new(2..9, 0..17, 0..4);
         for collision in Collision::ALL {
             let rel = rel_for(collision);
-            let mut reference: Option<SoaPdfField<D3Q19>> = None;
+            let mut reference: Option<[SoaPdfField<D3Q19>; 2]> = None;
             for kind in BackendKind::ALL {
-                let mut dst = SoaPdfField::<D3Q19>::new(shape);
-                let stats =
-                    kind.dispatch().sweep_sparse(collision, &src, &mut dst, &intervals, rel);
+                let be = kind.dispatch();
+                let mut full = SoaPdfField::<D3Q19>::new(shape);
+                let stats = be.sweep_sparse(collision, &src, &mut full, &intervals, rel);
                 assert_eq!(stats.fluid_cells, intervals.fluid_cells as u64, "{kind:?}");
                 assert_eq!(stats.cells, intervals.covered_cells() as u64, "{kind:?}");
+
+                let mut split = SoaPdfField::<D3Q19>::new(shape);
+                let mut cells = 0;
+                for r in std::iter::once(shape.interior_core(1)).chain(shape.shell_regions(1)) {
+                    cells += be
+                        .sweep_sparse_region(collision, &src, &mut split, &intervals, rel, &r)
+                        .cells;
+                }
+                assert_eq!(cells, stats.cells, "{kind:?}/{collision:?}: covered once");
+                assert_eq!(full.data(), split.data(), "{kind:?}/{collision:?}: partition");
+
+                let mut clipped = SoaPdfField::<D3Q19>::new(shape);
+                be.sweep_sparse_region(collision, &src, &mut clipped, &intervals, rel, &cut);
                 match &reference {
-                    None => reference = Some(dst),
-                    Some(r) => {
-                        assert_eq!(r.data(), dst.data(), "{kind:?}/{collision:?} deviates")
+                    None => reference = Some([full, clipped]),
+                    Some([r_full, r_clipped]) => {
+                        assert_eq!(r_full.data(), full.data(), "{kind:?}/{collision:?} deviates");
+                        assert_eq!(
+                            r_clipped.data(),
+                            clipped.data(),
+                            "{kind:?}/{collision:?} deviates on the cut region"
+                        );
                     }
+                }
+            }
+        }
+    }
+
+    /// Interior values of an AoS field in storage order.
+    fn interior_values(f: &impl PdfField<D3Q19>) -> Vec<f64> {
+        let it = f.shape().interior();
+        it.iter()
+            .flat_map(|(x, y, z)| (0..19).map(move |q| (x, y, z, q)))
+            .map(|(x, y, z, q)| f.get(x, y, z, q))
+            .collect()
+    }
+
+    /// One sweep of an AoS tier (`specialized`: the D3Q19 kernel, else the
+    /// generic one; the MRT family has one layout-generic routine).
+    fn sweep_aos(
+        specialized: bool,
+        collision: Collision,
+        src: &AosPdfField<D3Q19>,
+        dst: &mut AosPdfField<D3Q19>,
+        rel: Relaxation,
+        region: &Region,
+    ) -> SweepStats {
+        use crate::{d3q19, generic, mrt};
+        match (collision, specialized) {
+            (Collision::Srt, false) => generic::stream_collide_srt_region(src, dst, rel, region),
+            (Collision::Trt, false) => generic::stream_collide_trt_region(src, dst, rel, region),
+            (Collision::Srt, true) => d3q19::stream_collide_srt_region(src, dst, rel, region),
+            (Collision::Trt, true) => d3q19::stream_collide_trt_region(src, dst, rel, region),
+            (c, _) => mrt::stream_collide_mrt_region(src, dst, rel, c.smagorinsky(), region),
+        }
+    }
+
+    /// The tier ladder computes one thing: both AoS tiers and every
+    /// backend's pull and in-place sweep agree on the interior, for every
+    /// collision operator.
+    #[test]
+    fn every_tier_agrees_with_the_generic_kernel() {
+        let shape = Shape::cube(5);
+        let soa = perturbed(shape);
+        let mut aos = AosPdfField::<D3Q19>::new(shape);
+        trillium_field::pdf::copy_pdf_field(&soa, &mut aos);
+        for collision in Collision::ALL {
+            let rel = rel_for(collision);
+            let mut results = Vec::new();
+            for specialized in [false, true] {
+                let mut dst = AosPdfField::<D3Q19>::new(shape);
+                sweep_aos(specialized, collision, &aos, &mut dst, rel, &shape.interior());
+                results.push((format!("aos specialized={specialized}"), interior_values(&dst)));
+            }
+            for kind in BackendKind::ALL {
+                let mut dst = SoaPdfField::<D3Q19>::new(shape);
+                kind.dispatch().sweep_pull(collision, &soa, &mut dst, rel);
+                results.push((format!("{kind:?} pull"), interior_values(&dst)));
+                // Single buffer: read the logical values through the
+                // parity-mapped accessors of the rotated layout.
+                let mut f = soa.clone();
+                kind.dispatch().sweep_inplace(collision, &mut f, rel);
+                f.set_parity(true);
+                results.push((format!("{kind:?} in-place"), interior_values(&f)));
+            }
+            let (_, reference) = &results[0];
+            for (name, values) in &results[1..] {
+                for (a, b) in reference.iter().zip(values) {
+                    assert!((a - b).abs() < 1e-13, "{name}/{collision:?} deviates");
+                }
+            }
+        }
+    }
+
+    /// Sweeping the interior core plus the boundary shells must equal one
+    /// full sweep *bitwise* for every tier, backend, scheme and collision
+    /// operator — not just to tolerance. The overlapped driver depends on
+    /// this exactness to keep its schedule bit-identical to the
+    /// synchronous one.
+    #[test]
+    fn region_partition_is_bitwise_identical() {
+        // Odd nx so the vector/remainder cut differs between full rows and
+        // shell sub-rows.
+        let shape = Shape::new(11, 6, 5, 1);
+        let soa = perturbed(shape);
+        let mut aos = AosPdfField::<D3Q19>::new(shape);
+        trillium_field::pdf::copy_pdf_field(&soa, &mut aos);
+        let parts: Vec<Region> =
+            std::iter::once(shape.interior_core(1)).chain(shape.shell_regions(1)).collect();
+        assert_eq!(parts.len(), 7);
+        let interior_cells = shape.interior_cells() as u64;
+        for collision in Collision::ALL {
+            let rel = rel_for(collision);
+            for specialized in [false, true] {
+                let mut full = AosPdfField::<D3Q19>::new(shape);
+                let mut split = AosPdfField::<D3Q19>::new(shape);
+                sweep_aos(specialized, collision, &aos, &mut full, rel, &shape.interior());
+                let cells: u64 = parts
+                    .iter()
+                    .map(|r| sweep_aos(specialized, collision, &aos, &mut split, rel, r).cells)
+                    .sum();
+                assert_eq!(cells, interior_cells, "aos/{collision:?} cell count");
+                assert_eq!(full.data(), split.data(), "aos {specialized}/{collision:?} differs");
+            }
+            for kind in BackendKind::ALL {
+                let be = kind.dispatch();
+                let mut full = SoaPdfField::<D3Q19>::new(shape);
+                let mut split = SoaPdfField::<D3Q19>::new(shape);
+                be.sweep_pull(collision, &soa, &mut full, rel);
+                let cells: u64 = parts
+                    .iter()
+                    .map(|r| be.sweep_pull_region(collision, &soa, &mut split, rel, r).cells)
+                    .sum();
+                assert_eq!(cells, interior_cells, "{kind:?}/{collision:?} cell count");
+                assert_eq!(full.data(), split.data(), "{kind:?}/{collision:?} pull differs");
+
+                for parity in [false, true] {
+                    let (mut full, mut split) = (soa.clone(), soa.clone());
+                    full.set_parity(parity);
+                    split.set_parity(parity);
+                    be.sweep_inplace(collision, &mut full, rel);
+                    for r in &parts {
+                        be.sweep_inplace_region(collision, &mut split, rel, r);
+                    }
+                    assert_eq!(
+                        full.data(),
+                        split.data(),
+                        "{kind:?}/{collision:?} in-place parity {parity} differs"
+                    );
                 }
             }
         }

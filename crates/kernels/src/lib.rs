@@ -12,9 +12,17 @@
 //! 3. [`soa`] — the SIMD tier: Structure-of-Arrays layout with the inner
 //!    loop split and the update performed in a by-direction rather than
 //!    by-cell manner, reducing concurrent load/store streams so the
-//!    compiler vectorizes the inner loops (the "SIMD" curves). [`avx`]
-//!    provides an explicit AVX2+FMA intrinsics variant with runtime
-//!    feature detection.
+//!    compiler vectorizes the inner loops (the "SIMD" curves). The row
+//!    body — one contiguous x-run of cells, fed full rows by a dense
+//!    block and clipped spans by a sparse one — is written once and
+//!    compiled twice: [`soa`] exposes the portable instance, [`avx`] the
+//!    one compiled for AVX2+FMA behind runtime feature detection. There
+//!    is no hand-written vector code. The portable instance is several
+//!    times slower not for lack of it but because a `mul_add` compiled
+//!    without the `fma` feature is a call into libm, which also keeps
+//!    the loops scalar (8.8 vs 34 MLUP/s on a 96³ block on the
+//!    development host); it is the bitwise oracle and what a host without
+//!    AVX2+FMA runs.
 //!
 //! Each tier implements both collision operators, SRT and TRT; with
 //! `λ_e = λ_o` the TRT kernels reduce exactly to SRT.
@@ -29,11 +37,11 @@
 //! that writes the appropriate values into boundary cells of the source
 //! field so the compute kernels can pull unconditionally.
 //!
-//! [`inplace`] adds the single-buffer *AA-pattern* alternative
-//! ([`dispatch::Tier::InPlace`]): the storage convention alternates
-//! between a transport sweep (pull-identical reads, stores rotated one hop
-//! downstream into the opposite direction's grid) and a purely cell-local
-//! sweep, tracked by `SoaPdfField::parity`. It halves the per-update
+//! [`inplace`] adds the single-buffer *AA-pattern* alternative (tier 4;
+//! `KernelChoice::InPlace` at the block level): the storage convention
+//! alternates between a transport sweep (pull-identical reads, stores
+//! rotated one hop downstream into the opposite direction's grid) and a
+//! purely cell-local sweep, tracked by `SoaPdfField::parity`. It halves the per-update
 //! memory traffic (no write-allocate stream, no second buffer) and is
 //! bitwise identical to the resolved pull tier step for step. The
 //! per-block boundary link list serves both parities: at odd parity the
@@ -43,7 +51,6 @@ pub mod avx;
 pub mod backend;
 pub mod boundary;
 pub mod d3q19;
-pub mod dispatch;
 pub mod generic;
 pub mod inplace;
 pub mod mrt;
@@ -51,12 +58,8 @@ pub mod soa;
 pub mod sparse;
 pub mod stats;
 
-pub use backend::{Avx2Backend, Backend, BackendKind, PortableBackend, WorkgroupBackend};
+pub use backend::{Backend, BackendKind, CpuBackend, WorkgroupBackend};
 pub use boundary::{apply_boundaries, BoundaryLinks, BoundaryParams};
-pub use dispatch::{
-    sweep_aos, sweep_aos_region, sweep_inplace, sweep_inplace_region, sweep_soa, sweep_soa_region,
-    Tier,
-};
 pub use stats::SweepStats;
 
 /// Which collision operator a kernel run uses; all are parameterized by a

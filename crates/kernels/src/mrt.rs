@@ -26,6 +26,7 @@
 //! shared collision; `None` runs plain MRT with the rates derived from
 //! the [`Relaxation`].
 
+use crate::soa::pull_offsets;
 use crate::stats::SweepStats;
 use trillium_field::{PdfField, Region, RowIntervals, SoaPdfField};
 use trillium_lattice::d3q19::{C, INVERSE, Q};
@@ -107,13 +108,9 @@ pub fn stream_collide_mrt_row_intervals_region(
     assert!(shape.ghost >= 1);
     debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
     let rates = MrtRates::from_relaxation(rel);
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let mut off = [0isize; Q];
-    for q in 0..Q {
-        off[q] = C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz;
-    }
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
+    let off = pull_offsets(&shape);
+    let sdirs: [&[f64]; Q] = src.dirs();
+    let ddirs: [&mut [f64]; Q] = dst.dirs_mut();
     let mut covered = 0usize;
 
     for span in &intervals.spans {
@@ -169,43 +166,30 @@ pub fn stream_collide_mrt_inplace_region(
     assert!(shape.ghost >= 1);
     debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
     let rates = MrtRates::from_relaxation(rel);
-    let alloc = shape.alloc_cells();
-    let data = field.data_mut().as_mut_ptr();
-    let lines: Vec<*mut f64> = (0..Q).map(|q| unsafe { data.add(q * alloc) }).collect();
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let mut off = [0isize; Q];
-    for q in 0..Q {
-        off[q] = C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz;
-    }
+    let off = pull_offsets(&shape);
+    let lines: [&mut [f64]; Q] = field.dirs_mut();
 
+    // Slot ownership (one reader == one writer == this cell, see
+    // [`crate::inplace`]) makes gather-then-scatter order-free at both
+    // parities.
     let mut f = [0.0; Q];
-    for z in region.z.clone() {
-        for y in region.y.clone() {
-            for x in region.x.clone() {
-                let base = shape.idx(x, y, z) as isize;
-                // SAFETY: interior cells with ghost >= 1 keep base ± off[q]
-                // inside the allocation; slot ownership (one reader ==
-                // one writer == this cell) makes gather-then-scatter
-                // race-free at both parities.
-                unsafe {
-                    if parity {
-                        for q in 0..Q {
-                            f[q] = *lines[INVERSE[q]].offset(base);
-                        }
-                        collide(&mut f, &rates, smagorinsky);
-                        for q in 0..Q {
-                            *lines[q].offset(base) = f[q];
-                        }
-                    } else {
-                        for q in 0..Q {
-                            f[q] = *lines[q].offset(base - off[q]);
-                        }
-                        collide(&mut f, &rates, smagorinsky);
-                        for q in 0..Q {
-                            *lines[INVERSE[q]].offset(base + off[q]) = f[q];
-                        }
-                    }
-                }
+    for (x, y, z) in region.iter() {
+        let base = shape.idx(x, y, z) as isize;
+        if parity {
+            for q in 0..Q {
+                f[q] = lines[INVERSE[q]][base as usize];
+            }
+            collide(&mut f, &rates, smagorinsky);
+            for q in 0..Q {
+                lines[q][base as usize] = f[q];
+            }
+        } else {
+            for q in 0..Q {
+                f[q] = lines[q][(base - off[q]) as usize];
+            }
+            collide(&mut f, &rates, smagorinsky);
+            for q in 0..Q {
+                lines[INVERSE[q]][(base + off[q]) as usize] = f[q];
             }
         }
     }
@@ -314,7 +298,7 @@ mod tests {
         let src = perturbed(shape);
         let rel = Relaxation::trt_from_viscosity(0.02);
         let core = shape.interior_core(1);
-        let shells = shape.shell_regions(1);
+        let shells: Vec<Region> = shape.shell_regions(1).collect();
 
         // Pull.
         let mut full = SoaPdfField::<D3Q19>::new(shape);

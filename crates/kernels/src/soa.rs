@@ -1,120 +1,318 @@
-//! Tier 3: SIMD-friendly kernels on Structure-of-Arrays fields.
+//! Tier 3: the split-loop row kernel on Structure-of-Arrays fields.
 //!
 //! The paper (§4.1) describes the transformation enabling vectorization:
 //! the SoA layout stores all PDFs of one direction contiguously, and the
 //! innermost loop is *split*, performing the update "in a by-direction
 //! rather than a by-cell manner", which "significantly reduces the number
 //! of concurrent load/store streams". This module implements that
-//! transformation portably: each x-row is processed in passes —
+//! transformation once, over one contiguous *x-run* of cells:
 //!
-//! 1. a *moment pass* per direction accumulating density and momentum into
-//!    row scratch buffers (1 load stream + 4 scratch streams),
+//! 1. a *moment pass* accumulating density and momentum into row scratch
+//!    buffers, split by direction into three sub-passes of six or seven
+//!    load streams each (plus the four scratch streams),
 //! 2. a *finalize pass* turning momenta into velocities and the shared
 //!    equilibrium base term,
 //! 3. a *pair pass* per antiparallel direction pair applying the TRT (or
 //!    SRT) collision and storing both destinations.
 //!
-//! All inner loops are branch-free, stride-1 loops over `f64` slices that
-//! LLVM auto-vectorizes; [`crate::avx`] provides a hand-vectorized AVX2+FMA
-//! variant of the same structure. Because the pull offset of a direction is
-//! constant along a row, "streaming" is expressed as reading each source
-//! line at a shifted base index — no gather instructions are needed.
+//! All inner loops are branch-free, stride-1 loops over `f64` slices.
+//! Because the pull offset of a direction is constant along a row,
+//! "streaming" is expressed as reading each source line at a shifted base
+//! index — no gather instructions are needed. The x-run is the only
+//! primitive: a dense [`Region`] feeds the body full rows, a sparse block's
+//! [`RowIntervals`] feed it clipped spans.
+//!
+//! # One body, one instance per instruction set
+//!
+//! The paper hand-vectorized this loop nest because in 2013 the
+//! transformation "couldn't be done automatically by any of the
+//! compilers". On split loops over SoA slices today's LLVM does it, given
+//! one thing: the `fma` target feature. Every `f64::mul_add` compiled
+//! *without* it is a call into libm's `fma()`, which is slow by itself and
+//! keeps the loop scalar. So each sweep is written once as an
+//! `#[inline(always)]` body and instantiated twice (`per_isa!`): plain —
+//! the portable tier, runs on any host and is the bitwise oracle — and
+//! inside a `#[target_feature(enable = "avx2", enable = "fma")]` function
+//! behind [`crate::avx::available`]. `mul_add` is the exactly rounded
+//! fused operation either way and vectorization keeps each cell's
+//! operation sequence, so the two instances agree bit for bit — what the
+//! backend equivalence gates pin — and so does any partition of a row into
+//! runs. This module's public sweeps are the portable instance;
+//! [`crate::avx`] exposes the AVX2+FMA one.
 
 use crate::stats::SweepStats;
-use trillium_field::{PdfField, Region, Shape, SoaPdfField};
-use trillium_lattice::d3q19::{dir, C, Q, W as WEIGHTS};
+use std::cell::RefCell;
+use trillium_field::{PdfField, Region, RowIntervals, Shape, SoaPdfField};
+use trillium_lattice::d3q19::{C, PAIRS, Q, W as WEIGHTS};
 use trillium_lattice::{Relaxation, D3Q19};
 
-/// Reusable per-row scratch buffers for the split-loop kernels.
-pub struct RowScratch {
-    /// Density per cell of the current row.
-    pub rho: Vec<f64>,
-    /// Velocity x (momenta during accumulation).
-    pub ux: Vec<f64>,
+/// Per-row scratch of the split loops: the moments of the current x-run.
+#[derive(Default)]
+pub(crate) struct RowScratch {
+    /// Density per cell of the current run.
+    rho: Vec<f64>,
+    /// Velocity x (momentum during accumulation).
+    ux: Vec<f64>,
     /// Velocity y.
-    pub uy: Vec<f64>,
+    uy: Vec<f64>,
     /// Velocity z.
-    pub uz: Vec<f64>,
+    uz: Vec<f64>,
     /// Shared equilibrium base term `1 − 1.5 u²`.
-    pub base: Vec<f64>,
+    base: Vec<f64>,
+}
+
+thread_local! {
+    /// One scratch per thread, kept across sweeps so the hot path does not
+    /// allocate (seven region sweeps per block and step when overlapped).
+    static SCRATCH: RefCell<RowScratch> = RefCell::default();
 }
 
 impl RowScratch {
-    /// Allocates scratch for rows of length `nx`.
-    pub fn new(nx: usize) -> Self {
-        RowScratch {
-            rho: vec![0.0; nx],
-            ux: vec![0.0; nx],
-            uy: vec![0.0; nx],
-            uz: vec![0.0; nx],
-            base: vec![0.0; nx],
+    /// Takes this thread's scratch, grown to hold runs of `n` cells. Hand
+    /// it back with [`RowScratch::put_back`]; one that is not (a panicking
+    /// sweep) is simply allocated again.
+    pub(crate) fn take(n: usize) -> RowScratch {
+        let mut scr = SCRATCH.take();
+        if scr.rho.len() < n {
+            let RowScratch { rho, ux, uy, uz, base } = &mut scr;
+            for v in [rho, ux, uy, uz, base] {
+                v.resize(n, 0.0);
+            }
         }
+        scr
+    }
+
+    /// Returns the scratch to its thread for the next sweep.
+    pub(crate) fn put_back(self) {
+        SCRATCH.set(self);
     }
 }
 
-/// Linear base index (into a direction grid) of the cell `(x, y, z)` —
-/// the first cell of the (sub-)row being processed.
-#[inline(always)]
-fn row_base(shape: &Shape, x: i32, y: i32, z: i32) -> usize {
-    shape.idx(x, y, z)
+/// Instruction set a sweep instance is compiled for.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The target's baseline features; runs anywhere.
+    Portable,
+    /// AVX2+FMA; runs the portable instance on a CPU without them.
+    Avx2Fma,
 }
 
-/// The pull-shifted source line of direction `q` for a row starting at
-/// linear index `base`, `n` cells long.
-#[inline(always)]
-fn src_line<'a>(
-    dirs: &'a [&'a [f64]],
-    q: usize,
-    base: usize,
-    sy: isize,
-    sz: isize,
-    n: usize,
-) -> &'a [f64] {
-    let off = C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz;
-    let start = (base as isize - off) as usize;
-    &dirs[q][start..start + n]
+/// Instantiates one `#[inline(always)]` sweep body per instruction set and
+/// defines `fn name(isa: Isa, args..)` selecting between the instances.
+macro_rules! per_isa {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty $body:block) => {
+        $(#[$doc])*
+        $vis fn $name(isa: $crate::soa::Isa, $($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            if isa == $crate::soa::Isa::Avx2Fma && $crate::avx::available() {
+                #[target_feature(enable = "avx2", enable = "fma")]
+                fn avx2_fma($($arg: $ty),*) -> $ret $body
+                // SAFETY: the CPU was just checked to support AVX2 and FMA,
+                // the only requirement of calling the instance.
+                return unsafe { avx2_fma($($arg),*) };
+            }
+            let _ = isa; // read on x86-64 only
+            $body
+        }
+    };
+}
+pub(crate) use per_isa;
+
+/// The collision of one cell, direction pair by direction pair — the only
+/// place a collision operator's arithmetic is written for the SoA tiers.
+pub(crate) trait Collide: Copy {
+    /// Post-collision value of the rest direction.
+    fn rest(self, f0: f64, rho: f64, base: f64) -> f64;
+
+    /// Post-collision values of the antiparallel pair `(a, ā)` — `cw` is
+    /// the velocity `c_a` and its weight — from the streamed-in `fa`, `fb`.
+    fn pair(
+        self,
+        fa: f64,
+        fb: f64,
+        cw: ([f64; 3], f64),
+        rho: f64,
+        u: [f64; 3],
+        base: f64,
+    ) -> (f64, f64);
 }
 
-/// Accumulates ρ and momentum over all directions into the scratch rows,
-/// then converts to velocity and the equilibrium base term.
+/// Two-relaxation-time collision (SRT when the rates are equal).
+#[derive(Copy, Clone)]
+pub(crate) struct Trt {
+    le: f64,
+    lo: f64,
+}
+
+impl Trt {
+    pub(crate) fn new(rel: Relaxation) -> Self {
+        Trt { le: rel.lambda_e, lo: rel.lambda_o }
+    }
+}
+
+impl Collide for Trt {
+    #[inline(always)]
+    fn rest(self, f0: f64, rho: f64, base: f64) -> f64 {
+        // Purely even relaxation.
+        let feq = WEIGHTS[0] * (rho * base);
+        self.le.mul_add(f0 - feq, f0)
+    }
+
+    #[inline(always)]
+    fn pair(
+        self,
+        fa: f64,
+        fb: f64,
+        (c, w): ([f64; 3], f64),
+        rho: f64,
+        u: [f64; 3],
+        base: f64,
+    ) -> (f64, f64) {
+        let cu = c[2].mul_add(u[2], c[1].mul_add(u[1], c[0] * u[0]));
+        let t = w * rho;
+        let feq_even = t * (4.5f64.mul_add(cu * cu, base));
+        let feq_odd = (3.0 * t) * cu;
+        let d_even = self.le * (0.5 * (fa + fb) - feq_even);
+        let d_odd = self.lo * (0.5 * (fa - fb) - feq_odd);
+        (fa + (d_even + d_odd), fb + (d_even - d_odd))
+    }
+}
+
+/// Single-relaxation-time collision in its by-direction form (the "SRT"
+/// curves of Fig. 3): each direction relaxes towards its own equilibrium.
+#[derive(Copy, Clone)]
+pub(crate) struct Srt {
+    omega: f64,
+    om1: f64,
+}
+
+impl Srt {
+    pub(crate) fn new(rel: Relaxation) -> Self {
+        assert!(rel.is_srt(), "SRT kernel requires equal relaxation rates");
+        let omega = -rel.lambda_e;
+        Srt { omega, om1: 1.0 - omega }
+    }
+
+    #[inline(always)]
+    fn relax(self, f: f64, c: [f64; 3], tw: f64, rho: f64, u: [f64; 3], base: f64) -> f64 {
+        let cu = c[2].mul_add(u[2], c[1].mul_add(u[1], c[0] * u[0]));
+        let inner = 3.0f64.mul_add(cu, 4.5f64.mul_add(cu * cu, base));
+        self.om1.mul_add(f, (tw * rho) * inner)
+    }
+}
+
+impl Collide for Srt {
+    #[inline(always)]
+    fn rest(self, f0: f64, rho: f64, base: f64) -> f64 {
+        // cu = 0 for the rest direction, so the bracket is the base term.
+        self.om1.mul_add(f0, ((self.omega * WEIGHTS[0]) * rho) * base)
+    }
+
+    #[inline(always)]
+    fn pair(
+        self,
+        fa: f64,
+        fb: f64,
+        (c, w): ([f64; 3], f64),
+        rho: f64,
+        u: [f64; 3],
+        base: f64,
+    ) -> (f64, f64) {
+        let tw = self.omega * w;
+        // c_ā = −c_a, spelled `0 − c` so that a zero component is +0.0 as
+        // in the velocity table.
+        let cb = [0.0 - c[0], 0.0 - c[1], 0.0 - c[2]];
+        (self.relax(fa, c, tw, rho, u, base), self.relax(fb, cb, tw, rho, u, base))
+    }
+}
+
+/// Pull offset of every direction in linear-index units: the value of
+/// direction `q` streaming into cell `i` sits at `i − off[q]`.
 #[inline(always)]
-fn moment_passes(
-    sdirs: &[&[f64]],
-    base: usize,
-    sy: isize,
-    sz: isize,
-    n: usize,
-    scr: &mut RowScratch,
-) {
-    let (rho, ux, uy, uz) =
-        (&mut scr.rho[..n], &mut scr.ux[..n], &mut scr.uy[..n], &mut scr.uz[..n]);
-    rho.fill(0.0);
-    ux.fill(0.0);
-    uy.fill(0.0);
-    uz.fill(0.0);
-    for q in 0..Q {
-        let s = src_line(sdirs, q, base, sy, sz, n);
-        let (cx, cy, cz) = (C[q][0] as f64, C[q][1] as f64, C[q][2] as f64);
-        // One load stream, up to four scratch streams. The fused `mul_add`
-        // and the explicit skip of zero velocity components mirror the
-        // AVX2+FMA kernel operation for operation, so the portable and
-        // vectorized tiers produce bitwise identical PDFs — the property
-        // the backend equivalence gate pins.
-        for x in 0..n {
-            let v = s[x];
-            rho[x] += v;
-            if cx != 0.0 {
-                ux[x] = cx.mul_add(v, ux[x]);
-            }
-            if cy != 0.0 {
-                uy[x] = cy.mul_add(v, uy[x]);
-            }
-            if cz != 0.0 {
-                uz[x] = cz.mul_add(v, uz[x]);
+pub(crate) fn pull_offsets(shape: &Shape) -> [isize; Q] {
+    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
+    std::array::from_fn(|q| C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz)
+}
+
+/// Velocity (as `f64`) and weight of direction `q`.
+#[inline(always)]
+pub(crate) fn velocity_weight(q: usize) -> ([f64; 3], f64) {
+    (C[q].map(f64::from), WEIGHTS[q])
+}
+
+/// The finished moments of one x-run, as parallel slices of its length.
+#[derive(Copy, Clone)]
+pub(crate) struct Moments<'a> {
+    rho: &'a [f64],
+    ux: &'a [f64],
+    uy: &'a [f64],
+    uz: &'a [f64],
+    /// Shared equilibrium base term `1 − 1.5 u²`.
+    base: &'a [f64],
+}
+
+// Every pass below takes each stream it writes (and each field stream it
+// reads) as its own slice parameter: a `&mut [f64]` parameter is what tells
+// the compiler that nothing else the loop touches overlaps it, so the loop
+// vectorizes without a run-time overlap test — which would cost more than
+// the loop itself on the short runs of a sparse block.
+
+/// Defines one sub-pass of the moment pass: `fn $name(s.., rho, ux, uy,
+/// uz)` adds the listed directions, in order, onto the four scratch
+/// streams (`[true]`: starts the sums from zero instead of reading them).
+/// Zero velocity components are skipped, not multiplied — decided when the
+/// pass is compiled, the directions being constants. Per cell the sums see
+/// their terms in direction order 0..19 however the directions are grouped;
+/// the grouping only bounds the concurrent load streams (§4.1) while
+/// keeping the number of short loops per run small.
+macro_rules! accumulate_pass {
+    (fn $name:ident[$init:literal]($($s:ident = $q:literal),*)) => {
+        #[inline(always)]
+        #[allow(clippy::too_many_arguments)]
+        fn $name(
+            $($s: &[f64],)*
+            rho: &mut [f64],
+            ux: &mut [f64],
+            uy: &mut [f64],
+            uz: &mut [f64],
+        ) {
+            let n = rho.len();
+            $(let $s = &$s[..n];)*
+            let (ux, uy, uz) = (&mut ux[..n], &mut uy[..n], &mut uz[..n]);
+            for x in 0..n {
+                let (mut r, mut jx, mut jy, mut jz) =
+                    if $init { (0.0, 0.0, 0.0, 0.0) } else { (rho[x], ux[x], uy[x], uz[x]) };
+                $(
+                    let v = $s[x];
+                    r += v;
+                    if C[$q][0] != 0 {
+                        jx = f64::from(C[$q][0]).mul_add(v, jx);
+                    }
+                    if C[$q][1] != 0 {
+                        jy = f64::from(C[$q][1]).mul_add(v, jy);
+                    }
+                    if C[$q][2] != 0 {
+                        jz = f64::from(C[$q][2]).mul_add(v, jz);
+                    }
+                )*
+                rho[x] = r;
+                ux[x] = jx;
+                uy[x] = jy;
+                uz[x] = jz;
             }
         }
-    }
-    let bb = &mut scr.base[..n];
+    };
+}
+
+accumulate_pass!(fn accumulate_0_6[true](s0 = 0, s1 = 1, s2 = 2, s3 = 3, s4 = 4, s5 = 5, s6 = 6));
+accumulate_pass!(fn accumulate_7_12[false](s7 = 7, s8 = 8, s9 = 9, s10 = 10, s11 = 11, s12 = 12));
+accumulate_pass!(fn accumulate_13_18[false](s13 = 13, s14 = 14, s15 = 15, s16 = 16, s17 = 17, s18 = 18));
+
+/// Finalize pass: momenta to velocities and the equilibrium base term.
+#[inline(always)]
+fn finalize(rho: &[f64], ux: &mut [f64], uy: &mut [f64], uz: &mut [f64], base: &mut [f64]) {
+    let n = rho.len();
+    let (ux, uy, uz, base) = (&mut ux[..n], &mut uy[..n], &mut uz[..n], &mut base[..n]);
     for x in 0..n {
         let inv = 1.0 / rho[x];
         let vx = ux[x] * inv;
@@ -124,44 +322,198 @@ fn moment_passes(
         uy[x] = vy;
         uz[x] = vz;
         let u2 = vz.mul_add(vz, vy.mul_add(vy, vx * vx));
-        bb[x] = (-1.5f64).mul_add(u2, 1.0);
+        base[x] = (-1.5f64).mul_add(u2, 1.0);
     }
 }
 
-/// TRT pair pass over one row: applies the collision to the antiparallel
-/// pair `(a, b)` and stores both destination lines.
+/// Moment and finalize passes over one x-run: accumulates ρ and momentum
+/// of the `n` cells whose streamed-in populations of direction `q` are
+/// `s[q]`, then converts to velocity and the equilibrium base term.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn trt_pair_row(
+pub(crate) fn moment_passes<'a>(s: &[&[f64]; Q], n: usize, scr: &'a mut RowScratch) -> Moments<'a> {
+    let RowScratch { rho, ux, uy, uz, base } = scr;
+    let (rho, ux, uy, uz, base) =
+        (&mut rho[..n], &mut ux[..n], &mut uy[..n], &mut uz[..n], &mut base[..n]);
+    accumulate_0_6(s[0], s[1], s[2], s[3], s[4], s[5], s[6], rho, ux, uy, uz);
+    accumulate_7_12(s[7], s[8], s[9], s[10], s[11], s[12], rho, ux, uy, uz);
+    accumulate_13_18(s[13], s[14], s[15], s[16], s[17], s[18], rho, ux, uy, uz);
+    finalize(rho, ux, uy, uz, base);
+    Moments { rho, ux, uy, uz, base }
+}
+
+/// Rest-direction pass: `d0 ← collide(s0)`.
+#[inline(always)]
+fn rest_pass<P: Collide>(op: P, s0: &[f64], d0: &mut [f64], m: Moments) {
+    let n = d0.len();
+    let (s0, rho, base) = (&s0[..n], &m.rho[..n], &m.base[..n]);
+    for x in 0..n {
+        d0[x] = op.rest(s0[x], rho[x], base[x]);
+    }
+}
+
+/// Pair pass: collides the antiparallel pair `(a, ā)` — `cw` is `c_a` and
+/// its weight — streamed in as `sa`, `sb` and stores both destination runs.
+#[inline(always)]
+fn pair_pass<P: Collide>(
+    op: P,
+    cw: ([f64; 3], f64),
     sa: &[f64],
     sb: &[f64],
     da: &mut [f64],
     db: &mut [f64],
-    c: [f64; 3],
-    wq: f64,
-    scr: &RowScratch,
-    le: f64,
-    lo: f64,
-    n: usize,
+    m: Moments,
 ) {
-    let (rho, ux, uy, uz, base) =
-        (&scr.rho[..n], &scr.ux[..n], &scr.uy[..n], &scr.uz[..n], &scr.base[..n]);
+    let n = da.len();
+    let (sa, sb, db) = (&sa[..n], &sb[..n], &mut db[..n]);
+    let (rho, ux, uy, uz, base) = (&m.rho[..n], &m.ux[..n], &m.uy[..n], &m.uz[..n], &m.base[..n]);
     for x in 0..n {
-        let cu = c[2].mul_add(uz[x], c[1].mul_add(uy[x], c[0] * ux[x]));
-        let t = wq * rho[x];
-        let feq_even = t * (4.5f64.mul_add(cu * cu, base[x]));
-        let feq_odd = (3.0 * t) * cu;
-        let fa = sa[x];
-        let fb = sb[x];
-        let d_even = le * (0.5 * (fa + fb) - feq_even);
-        let d_odd = lo * (0.5 * (fa - fb) - feq_odd);
-        da[x] = fa + (d_even + d_odd);
-        db[x] = fb + (d_even - d_odd);
+        (da[x], db[x]) = op.pair(sa[x], sb[x], cw, rho[x], [ux[x], uy[x], uz[x]], base[x]);
+    }
+}
+
+/// [`rest_pass`] on a single buffer: the slot is read, then overwritten.
+#[inline(always)]
+pub(crate) fn rest_pass_inplace<P: Collide>(op: P, p0: &mut [f64], m: Moments) {
+    let n = p0.len();
+    let (rho, base) = (&m.rho[..n], &m.base[..n]);
+    for x in 0..n {
+        p0[x] = op.rest(p0[x], rho[x], base[x]);
+    }
+}
+
+/// [`pair_pass`] on a single buffer: the two populations of a cell are
+/// read, then swap runs — `pa` holds `f_a` and receives `f̃_ā`, `pb` holds
+/// `f_ā` and receives `f̃_a`.
+#[inline(always)]
+pub(crate) fn pair_pass_inplace<P: Collide>(
+    op: P,
+    cw: ([f64; 3], f64),
+    pa: &mut [f64],
+    pb: &mut [f64],
+    m: Moments,
+) {
+    let n = pa.len();
+    let pb = &mut pb[..n];
+    let (rho, ux, uy, uz, base) = (&m.rho[..n], &m.ux[..n], &m.uy[..n], &m.uz[..n], &m.base[..n]);
+    for x in 0..n {
+        (pb[x], pa[x]) = op.pair(pa[x], pb[x], cw, rho[x], [ux[x], uy[x], uz[x]], base[x]);
+    }
+}
+
+/// The two-field pull row body: stream–collide of the `n` cells starting
+/// at linear index `base`, reading `sdirs` and writing `ddirs`.
+#[inline(always)]
+fn pull_row<P: Collide>(
+    op: P,
+    sdirs: &[&[f64]; Q],
+    ddirs: &mut [&mut [f64]; Q],
+    off: &[isize; Q],
+    base: usize,
+    n: usize,
+    scr: &mut RowScratch,
+) {
+    // The pull-shifted source run of every direction.
+    let mut s: [&[f64]; Q] = [&[]; Q];
+    for q in 0..Q {
+        let start = (base as isize - off[q]) as usize;
+        s[q] = &sdirs[q][start..start + n];
+    }
+    let m = moment_passes(&s, n, scr);
+
+    rest_pass(op, s[0], &mut ddirs[0][base..base + n], m);
+    for &(a, b) in PAIRS.iter() {
+        // Split the destination table to borrow two lines at once.
+        debug_assert!(a < b);
+        let (lo_half, hi_half) = ddirs.split_at_mut(b);
+        let (da, db) = (&mut lo_half[a][base..base + n], &mut hi_half[0][base..base + n]);
+        pair_pass(op, velocity_weight(a), s[a], s[b], da, db, m);
+    }
+}
+
+/// The two-field pull sweep over the x-runs of `region` (a subset of the
+/// interior): its full rows, or — for a sparse block — the spans of
+/// `intervals` clipped against it. Returns the cells traversed.
+#[inline(always)]
+fn sweep_pull<P: Collide>(
+    op: P,
+    src: &SoaPdfField<D3Q19>,
+    dst: &mut SoaPdfField<D3Q19>,
+    intervals: Option<&RowIntervals>,
+    region: &Region,
+) -> SweepStats {
+    assert_eq!(src.shape(), dst.shape());
+    let shape = src.shape();
+    assert!(shape.ghost >= 1);
+    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
+    let off = pull_offsets(&shape);
+    let sdirs: [&[f64]; Q] = src.dirs();
+    let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
+    let mut scr = RowScratch::take(region.x.len());
+    let mut cells = 0;
+
+    match intervals {
+        None => {
+            let n = region.x.len();
+            if n > 0 {
+                for z in region.z.clone() {
+                    for y in region.y.clone() {
+                        let base = shape.idx(region.x.start, y, z);
+                        pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
+                    }
+                }
+                cells = region.num_cells();
+            }
+        }
+        Some(intervals) => {
+            for span in &intervals.spans {
+                if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
+                    continue;
+                }
+                let x_begin = span.x_begin.max(region.x.start);
+                let x_end = span.x_end.min(region.x.end);
+                if x_end <= x_begin {
+                    continue;
+                }
+                let n = (x_end - x_begin) as usize;
+                let base = shape.idx(x_begin, span.y, span.z);
+                pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
+                cells += n;
+            }
+        }
+    }
+    scr.put_back();
+    SweepStats::dense(cells as u64)
+}
+
+per_isa! {
+    /// TRT pull sweep over the x-runs of `region` — full rows, or the
+    /// clipped spans of `intervals` — compiled for `isa`.
+    pub(crate) fn pull_trt(
+        src: &SoaPdfField<D3Q19>,
+        dst: &mut SoaPdfField<D3Q19>,
+        rel: Relaxation,
+        intervals: Option<&RowIntervals>,
+        region: &Region,
+    ) -> SweepStats {
+        sweep_pull(Trt::new(rel), src, dst, intervals, region)
+    }
+}
+
+per_isa! {
+    /// SRT (by-direction form) pull sweep over the rows of `region`,
+    /// compiled for `isa`.
+    pub(crate) fn pull_srt(
+        src: &SoaPdfField<D3Q19>,
+        dst: &mut SoaPdfField<D3Q19>,
+        rel: Relaxation,
+        region: &Region,
+    ) -> SweepStats {
+        sweep_pull(Srt::new(rel), src, dst, None, region)
     }
 }
 
 /// One fused stream–collide sweep with the TRT operator on SoA fields,
-/// split-loop / by-direction (the paper's "SIMD" tier, portable variant).
+/// split-loop / by-direction (the paper's "SIMD" tier, portable instance).
 pub fn stream_collide_trt(
     src: &SoaPdfField<D3Q19>,
     dst: &mut SoaPdfField<D3Q19>,
@@ -180,57 +532,11 @@ pub fn stream_collide_trt_region(
     rel: Relaxation,
     region: &Region,
 ) -> SweepStats {
-    assert_eq!(src.shape(), dst.shape());
-    let shape = src.shape();
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let n = region.x.len();
-    if n == 0 {
-        return SweepStats::dense(0);
-    }
-    let mut scr = RowScratch::new(n);
-
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
-
-    for z in region.z.clone() {
-        for y in region.y.clone() {
-            let base = row_base(&shape, region.x.start, y, z);
-            moment_passes(&sdirs, base, sy, sz, n, &mut scr);
-
-            // Rest direction: purely even relaxation.
-            {
-                let s0 = src_line(&sdirs, dir::C, base, sy, sz, n);
-                let d0 = &mut ddirs[dir::C][base..base + n];
-                let w0 = WEIGHTS[0];
-                for x in 0..n {
-                    let feq = w0 * (scr.rho[x] * scr.base[x]);
-                    d0[x] = le.mul_add(s0[x] - feq, s0[x]);
-                }
-            }
-
-            // Antiparallel pairs.
-            for &(a, b) in trillium_lattice::d3q19::PAIRS.iter() {
-                let sa = src_line(&sdirs, a, base, sy, sz, n);
-                let sb = src_line(&sdirs, b, base, sy, sz, n);
-                // Split the destination vector to borrow two lines at once.
-                let (da, db) = {
-                    debug_assert!(a < b);
-                    let (lo_half, hi_half) = ddirs.split_at_mut(b);
-                    (&mut lo_half[a][base..base + n], &mut hi_half[0][base..base + n])
-                };
-                let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-                trt_pair_row(sa, sb, da, db, c, WEIGHTS[a], &scr, le, lo, n);
-            }
-        }
-    }
-    SweepStats::dense(region.num_cells() as u64)
+    pull_trt(Isa::Portable, src, dst, rel, None, region)
 }
 
 /// One fused stream–collide sweep with the SRT operator on SoA fields,
-/// split-loop / by-direction.
+/// split-loop / by-direction (portable instance).
 pub fn stream_collide_srt(
     src: &SoaPdfField<D3Q19>,
     dst: &mut SoaPdfField<D3Q19>,
@@ -247,42 +553,7 @@ pub fn stream_collide_srt_region(
     rel: Relaxation,
     region: &Region,
 ) -> SweepStats {
-    assert!(rel.is_srt(), "SRT kernel requires equal relaxation rates");
-    assert_eq!(src.shape(), dst.shape());
-    let shape = src.shape();
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let omega = -rel.lambda_e;
-    let om1 = 1.0 - omega;
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let n = region.x.len();
-    if n == 0 {
-        return SweepStats::dense(0);
-    }
-    let mut scr = RowScratch::new(n);
-
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
-
-    for z in region.z.clone() {
-        for y in region.y.clone() {
-            let base = row_base(&shape, region.x.start, y, z);
-            moment_passes(&sdirs, base, sy, sz, n, &mut scr);
-            for q in 0..Q {
-                let s = src_line(&sdirs, q, base, sy, sz, n);
-                let d = &mut ddirs[q][base..base + n];
-                let (cx, cy, cz) = (C[q][0] as f64, C[q][1] as f64, C[q][2] as f64);
-                let tw = omega * WEIGHTS[q];
-                for x in 0..n {
-                    let cu = cz.mul_add(scr.uz[x], cy.mul_add(scr.uy[x], cx * scr.ux[x]));
-                    let inner = 3.0f64.mul_add(cu, 4.5f64.mul_add(cu * cu, scr.base[x]));
-                    let t = tw * scr.rho[x];
-                    d[x] = om1.mul_add(s[x], t * inner);
-                }
-            }
-        }
-    }
-    SweepStats::dense(region.num_cells() as u64)
+    pull_srt(Isa::Portable, src, dst, rel, region)
 }
 
 #[cfg(test)]

@@ -23,27 +23,17 @@
 //! cells (LUPS) from processed fluid cells (FLUPS).
 
 use crate::d3q19::collide_trt_cell;
-use crate::soa::RowScratch;
+use crate::soa::{pull_offsets, pull_trt, Isa};
 use crate::stats::SweepStats;
 use trillium_field::{FlagField, FlagOps, FluidCellList, PdfField, RowIntervals, SoaPdfField};
-use trillium_lattice::d3q19::{dir, C, PAIRS, Q, W as WEIGHTS};
+use trillium_lattice::d3q19::Q;
 use trillium_lattice::{Relaxation, D3Q19};
-
-/// Per-direction pull offsets in cell units for a SoA field.
-#[inline(always)]
-fn offsets(sy: isize, sz: isize) -> [isize; Q] {
-    let mut off = [0isize; Q];
-    for q in 0..Q {
-        off[q] = C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz;
-    }
-    off
-}
 
 /// Scalar stream–collide of a single cell on SoA storage.
 #[inline(always)]
 fn update_cell(
-    sdirs: &[&[f64]],
-    ddirs: &mut [&mut [f64]],
+    sdirs: &[&[f64]; Q],
+    ddirs: &mut [&mut [f64]; Q],
     cell: usize,
     off: &[isize; Q],
     le: f64,
@@ -73,10 +63,10 @@ pub fn stream_collide_trt_conditional(
     assert_eq!(src.shape(), dst.shape());
     assert_eq!(src.shape(), flags.shape());
     let shape = src.shape();
-    let off = offsets(shape.stride_y() as isize, shape.stride_z() as isize);
+    let off = pull_offsets(&shape);
     let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
+    let sdirs: [&[f64]; Q] = src.dirs();
+    let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
     let mut fluid = 0u64;
     for (x, y, z) in shape.interior().iter() {
         if flags.flags(x, y, z).is_fluid() {
@@ -96,10 +86,10 @@ pub fn stream_collide_trt_cell_list(
 ) -> SweepStats {
     assert_eq!(src.shape(), dst.shape());
     let shape = src.shape();
-    let off = offsets(shape.stride_y() as isize, shape.stride_z() as isize);
+    let off = pull_offsets(&shape);
     let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
+    let sdirs: [&[f64]; Q] = src.dirs();
+    let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
     for &(x, y, z) in &list.cells {
         update_cell(&sdirs, &mut ddirs, shape.idx(x, y, z), &off, le, lo);
     }
@@ -123,9 +113,12 @@ pub fn stream_collide_trt_row_intervals(
 /// [`stream_collide_trt_row_intervals`] restricted to the spans' overlap
 /// with `region` (a subset of the interior). Each span is clipped against
 /// the region's x range and skipped when its row lies outside the region's
-/// y/z ranges; the per-cell arithmetic is element-wise, so sweeping a
-/// partition of the interior region by region is bitwise identical to one
-/// full interval sweep.
+/// y/z ranges, and what is left is one x-run of the row body of
+/// [`crate::soa`] — the kernel of a dense row, fed a shorter run (portable
+/// instance here; a block's backend picks the instruction set). The
+/// per-cell arithmetic is element-wise, so sweeping a partition of the
+/// interior region by region is bitwise identical to one full interval
+/// sweep.
 pub fn stream_collide_trt_row_intervals_region(
     src: &SoaPdfField<D3Q19>,
     dst: &mut SoaPdfField<D3Q19>,
@@ -133,106 +126,10 @@ pub fn stream_collide_trt_row_intervals_region(
     rel: Relaxation,
     region: &trillium_field::Region,
 ) -> SweepStats {
-    assert_eq!(src.shape(), dst.shape());
-    let shape = src.shape();
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let mut scr = RowScratch::new(shape.nx);
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
-    let mut covered = 0usize;
-
-    for span in &intervals.spans {
-        if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
-            continue;
-        }
-        let x_begin = span.x_begin.max(region.x.start);
-        let x_end = span.x_end.min(region.x.end);
-        if x_end <= x_begin {
-            continue;
-        }
-        let n = (x_end - x_begin) as usize;
-        covered += n;
-        let base = shape.idx(x_begin, span.y, span.z);
-
-        // Moment pass over the span.
-        {
-            let (rho, ux, uy, uz) =
-                (&mut scr.rho[..n], &mut scr.ux[..n], &mut scr.uy[..n], &mut scr.uz[..n]);
-            rho.fill(0.0);
-            ux.fill(0.0);
-            uy.fill(0.0);
-            uz.fill(0.0);
-            for q in 0..Q {
-                let offq = C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz;
-                let s = &sdirs[q][(base as isize - offq) as usize..][..n];
-                let (cx, cy, cz) = (C[q][0] as f64, C[q][1] as f64, C[q][2] as f64);
-                for x in 0..n {
-                    let v = s[x];
-                    rho[x] += v;
-                    if cx != 0.0 {
-                        ux[x] = cx.mul_add(v, ux[x]);
-                    }
-                    if cy != 0.0 {
-                        uy[x] = cy.mul_add(v, uy[x]);
-                    }
-                    if cz != 0.0 {
-                        uz[x] = cz.mul_add(v, uz[x]);
-                    }
-                }
-            }
-            let bb = &mut scr.base[..n];
-            for x in 0..n {
-                let inv = 1.0 / rho[x];
-                let (vx, vy, vz) = (ux[x] * inv, uy[x] * inv, uz[x] * inv);
-                ux[x] = vx;
-                uy[x] = vy;
-                uz[x] = vz;
-                let u2 = vz.mul_add(vz, vy.mul_add(vy, vx * vx));
-                bb[x] = (-1.5f64).mul_add(u2, 1.0);
-            }
-        }
-
-        // Rest direction.
-        {
-            let s0 = &sdirs[dir::C][base..base + n];
-            let d0 = &mut ddirs[dir::C][base..base + n];
-            for x in 0..n {
-                let feq = WEIGHTS[0] * (scr.rho[x] * scr.base[x]);
-                d0[x] = le.mul_add(s0[x] - feq, s0[x]);
-            }
-        }
-
-        // Antiparallel pairs.
-        for &(a, b) in PAIRS.iter() {
-            let offa = C[a][0] as isize + C[a][1] as isize * sy + C[a][2] as isize * sz;
-            let sa = &sdirs[a][(base as isize - offa) as usize..][..n];
-            let sb = &sdirs[b][(base as isize + offa) as usize..][..n];
-            let (da, db) = {
-                let (lo_half, hi_half) = ddirs.split_at_mut(b);
-                (&mut lo_half[a][base..base + n], &mut hi_half[0][base..base + n])
-            };
-            let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-            let wq = WEIGHTS[a];
-            for x in 0..n {
-                let cu = c[2].mul_add(scr.uz[x], c[1].mul_add(scr.uy[x], c[0] * scr.ux[x]));
-                let t = wq * scr.rho[x];
-                let feq_even = t * (4.5f64.mul_add(cu * cu, scr.base[x]));
-                let feq_odd = (3.0 * t) * cu;
-                let (fa, fb) = (sa[x], sb[x]);
-                let d_even = le * (0.5 * (fa + fb) - feq_even);
-                let d_odd = lo * (0.5 * (fa - fb) - feq_odd);
-                da[x] = fa + (d_even + d_odd);
-                db[x] = fb + (d_even - d_odd);
-            }
-        }
-    }
     // Fluid-ness is not tracked per sub-span, so the region variant
     // reports traversed (covered) cells for both counters; the full-sweep
     // wrapper replaces them with the exact interval totals.
-    SweepStats { cells: covered as u64, fluid_cells: covered as u64, seconds: 0.0 }
+    pull_trt(Isa::Portable, src, dst, rel, Some(intervals), region)
 }
 
 #[cfg(test)]
@@ -331,9 +228,9 @@ mod tests {
         let core = shape.interior_core(1);
         let mut cells =
             stream_collide_trt_row_intervals_region(&src, &mut split, &intervals, rel, &core).cells;
-        for r in &shape.shell_regions(1) {
-            cells +=
-                stream_collide_trt_row_intervals_region(&src, &mut split, &intervals, rel, r).cells;
+        for r in shape.shell_regions(1) {
+            cells += stream_collide_trt_row_intervals_region(&src, &mut split, &intervals, rel, &r)
+                .cells;
         }
         assert_eq!(cells, s_full.cells, "covered cells traversed exactly once");
         for (x, y, z) in shape.interior().iter() {

@@ -154,3 +154,49 @@ fn backends_agree_with_mrt_les() {
         assert_eq!(reference.pdf_dump(), run.pdf_dump(), "mrt-les {backend:?}");
     }
 }
+
+/// A carved vascular tree runs the sparse row-interval sweep, which the
+/// AVX2 backend compiles for its own instruction set: under the overlapped
+/// schedule on two ranks (core and shell regions clip the spans) it must
+/// land on the portable backend's PDFs bit for bit.
+#[test]
+fn backends_agree_on_a_carved_tree() {
+    use std::sync::Arc;
+    use trillium_core::pipeline::setup_domain;
+    use trillium_geometry::{VascularTree, VascularTreeParams};
+
+    if !trillium_kernels::avx::available() {
+        println!("skipped: no AVX2+FMA on this host, both backends would run the portable kernels");
+        return;
+    }
+    let tree = Arc::new(VascularTree::generate(&VascularTreeParams {
+        generations: 3,
+        segments_per_branch: 2,
+        root_radius: 1.2,
+        root_length: 6.0,
+        tortuosity: 0.2,
+        ..Default::default()
+    }));
+    let run = |backend| {
+        let setup = setup_domain(
+            "tree-backends",
+            tree.clone(),
+            0.3,
+            [8, 8, 8],
+            2,
+            Balancer::Graph,
+            0.08,
+            [0.0, 0.0, 0.04],
+        );
+        assert!(setup.fluid_fraction() < 0.9, "need partially covered blocks to carve");
+        let scenario = setup.scenario.with_backend(backend);
+        run_distributed_with(&scenario, 2, 1, STEPS, &[], pdf_cfg(true))
+    };
+    let portable = run(BackendKind::Portable);
+    assert!(!portable.has_nan());
+    assert!(
+        portable.total_stats().cells > portable.total_stats().fluid_cells,
+        "no sparse sweep ran"
+    );
+    assert_eq!(portable.pdf_dump(), run(BackendKind::Avx2).pdf_dump(), "carved tree, overlapped");
+}
