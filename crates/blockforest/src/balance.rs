@@ -1,21 +1,30 @@
-//! Initial, static load balancing of setup blocks onto processes.
+//! Placement of blocks onto processes along the Morton curve.
 //!
-//! Two strategies are provided, mirroring the paper:
+//! The paper balances one way (§2.3): order the blocks along a
+//! space-filling curve and cut the curve so that every process receives
+//! its share of the workload. This module holds that mechanism once —
+//! [`curve_order`] and [`cut_curve`] — and every placement in the
+//! workspace is a caller that differs only in the quotas it passes:
 //!
-//! * [`morton_balance`] — blocks are ordered along a Morton (Z-order)
-//!   space-filling curve and the curve is cut into contiguous chunks of
-//!   (approximately) equal workload. Fast, locality-preserving, the
-//!   default for dense regular domains.
-//! * graph partitioning (METIS in the paper) lives in the `partition`
-//!   crate and is plugged in through [`balance_with`]; it additionally
-//!   minimizes the communication volume between processes.
+//! * [`morton_balance`] — equal shares of the fluid-cell workload (the
+//!   static set-up balancer);
+//! * [`skewed_balance`] — `[f, (1-f)/(n-1), …]`, the deliberately
+//!   unbalanced fixture the run-time rebalancer is tested against;
+//! * `trillium_rebalance::plan_rebalance`'s curve fallback — equal shares
+//!   of the *measured* cost;
+//! * `trillium_rebalance::hetero::plan_rebalance_hetero` — shares
+//!   proportional to each rank's speed.
+//!
+//! Graph partitioning (METIS in the paper) lives in the `partition`
+//! crate and is plugged in through [`balance_with`]; it additionally
+//! minimizes the communication volume between processes.
 
 use crate::setup::SetupForest;
 
 /// Interleaves the lower 42 bits of three coordinates into a Morton code
 /// (x in bit 0, y in bit 1, z in bit 2 of each triple). Setup-phase only,
 /// so the straightforward bit loop is plenty fast.
-pub fn morton_code(x: u64, y: u64, z: u64) -> u128 {
+fn morton_code(x: u64, y: u64, z: u64) -> u128 {
     let mut out = 0u128;
     for i in 0..42u32 {
         out |= (((x >> i) & 1) as u128) << (3 * i)
@@ -25,6 +34,65 @@ pub fn morton_code(x: u64, y: u64, z: u64) -> u128 {
     out
 }
 
+/// The indices `0..len` in Morton-curve order. `block(i)` returns item
+/// `i`'s grid coordinates on its own refinement level, that level, and a
+/// unique id that breaks ties (a refined block and its first descendant
+/// share a curve position). Coordinates are scaled to the finest level
+/// present so curve positions of mixed-level forests nest.
+pub fn curve_order<I: Ord>(len: usize, block: impl Fn(usize) -> ([u64; 3], u8, I)) -> Vec<usize> {
+    let max_level = (0..len).map(|i| block(i).1).max().unwrap_or(0);
+    let mut order: Vec<usize> = (0..len).collect();
+    // Cached: the key is a 42-round bit interleave, far too dear to
+    // recompute at every comparison.
+    order.sort_by_cached_key(|&i| {
+        let (c, level, id) = block(i);
+        let shift = (max_level - level) as u64;
+        (morton_code(c[0] << shift, c[1] << shift, c[2] << shift), id)
+    });
+    order
+}
+
+/// What the quotas handed to [`cut_curve`] measure, one entry per rank
+/// (the last rank's is never read: it takes whatever is left).
+#[derive(Clone, Copy, Debug)]
+pub enum Quotas<'a> {
+    /// `ends[r]` is the curve position — workload summed from the start
+    /// of the curve — where rank `r`'s chunk ideally ends. A chunk that
+    /// runs over or under is made up for by the next one.
+    Ends(&'a [f64]),
+    /// `sizes[r]` is the workload of rank `r`'s chunk, measured from
+    /// where rank `r - 1`'s chunk actually ended.
+    Sizes(&'a [f64]),
+}
+
+/// Cuts a curve into one contiguous chunk per rank and returns the rank
+/// of every item (indexed like `weight`, not like `order`). The rank
+/// advances when the *midpoint* of an item crosses the current rank's
+/// quota, so an item straddling a boundary goes to the side that holds
+/// the larger part of it; ranks may stay empty when there are fewer
+/// items than ranks.
+pub fn cut_curve(order: &[usize], weight: impl Fn(usize) -> f64, quotas: Quotas<'_>) -> Vec<u32> {
+    let (quota, restart) = match quotas {
+        Quotas::Ends(ends) => (ends, false),
+        Quotas::Sizes(sizes) => (sizes, true),
+    };
+    let mut ranks = vec![0u32; order.len()];
+    let mut acc = 0.0;
+    let mut rank = 0usize;
+    for &i in order {
+        let w = weight(i);
+        while rank + 1 < quota.len() && acc + 0.5 * w >= quota[rank] {
+            rank += 1;
+            if restart {
+                acc = 0.0;
+            }
+        }
+        ranks[i] = rank as u32;
+        acc += w;
+    }
+    ranks
+}
+
 /// Assigns blocks to `num_processes` ranks by cutting the Morton curve into
 /// chunks of approximately equal workload. Every rank receives a contiguous
 /// curve segment, so blocks on one process neighbor each other spatially
@@ -32,35 +100,14 @@ pub fn morton_code(x: u64, y: u64, z: u64) -> u128 {
 /// fast local communication", §2.3).
 pub fn morton_balance(forest: &mut SetupForest, num_processes: u32) {
     assert!(num_processes > 0);
-    // Mixed-level forests: scale coordinates to the finest level so curve
-    // positions nest.
-    let max_level = forest.blocks.iter().map(|b| b.id.level()).max().unwrap_or(0);
-    let mut order: Vec<usize> = (0..forest.blocks.len()).collect();
-    // Cached: the key is a 42-round bit interleave, far too dear to
-    // recompute at every comparison.
-    order.sort_by_cached_key(|&i| {
-        let b = &forest.blocks[i];
-        let c = b.coords;
-        let shift = (max_level - b.id.level()) as u64;
-        (morton_code((c[0] as u64) << shift, (c[1] as u64) << shift, (c[2] as u64) << shift), b.id)
+    let blocks = &forest.blocks;
+    let order = curve_order(blocks.len(), |i| {
+        (blocks[i].coords.map(|c| c as u64), blocks[i].id.level(), blocks[i].id)
     });
-
-    let total: f64 = forest.total_workload();
-    let per_rank = total / num_processes as f64;
-    let mut acc = 0.0;
-    let mut rank = 0u32;
-    for &i in &order {
-        // Advance to the rank whose quota this block's start falls into,
-        // never beyond the last rank.
-        while rank + 1 < num_processes
-            && acc + forest.blocks[i].workload * 0.5 >= per_rank * (rank + 1) as f64
-        {
-            rank += 1;
-        }
-        forest.blocks[i].rank = rank;
-        acc += forest.blocks[i].workload;
-    }
-    forest.num_processes = num_processes;
+    let per_rank = forest.total_workload() / num_processes as f64;
+    let ends: Vec<f64> = (0..num_processes).map(|r| per_rank * (r + 1) as f64).collect();
+    let ranks = cut_curve(&order, |i| blocks[i].workload, Quotas::Ends(&ends));
+    balance_with(forest, num_processes, |i| ranks[i]);
 }
 
 /// Deliberately *unbalances* the Morton assignment: rank 0 receives the
@@ -76,26 +123,17 @@ pub fn skewed_balance(forest: &mut SetupForest, num_processes: u32, fraction: f6
     if num_processes == 1 {
         return;
     }
-    // Re-cut the curve: rank 0's quota is `fraction` of the total, the
-    // others share the remainder. Reuse the Morton order by sorting rank
-    // assignments (morton_balance made them contiguous along the curve).
+    // Re-cut the balanced chunks in rank order (blocks by id inside a
+    // chunk): rank 0's share is `fraction`, the others split the rest.
+    let blocks = &forest.blocks;
+    let mut order: Vec<usize> = (0..blocks.len()).collect();
+    order.sort_by_key(|&i| (blocks[i].rank, blocks[i].id));
     let total = forest.total_workload();
-    let mut order: Vec<usize> = (0..forest.blocks.len()).collect();
-    order.sort_by_key(|&i| (forest.blocks[i].rank, forest.blocks[i].id));
-    let rest = total * (1.0 - fraction) / (num_processes - 1) as f64;
-    let quota = |rank: u32| if rank == 0 { total * fraction } else { rest };
-    let mut rank = 0u32;
-    let mut acc = 0.0;
-    for &i in &order {
-        let w = forest.blocks[i].workload;
-        while rank + 1 < num_processes && acc + 0.5 * w >= quota(rank) {
-            rank += 1;
-            acc = 0.0;
-        }
-        forest.blocks[i].rank = rank;
-        acc += w;
-    }
-    forest.num_processes = num_processes;
+    let mut sizes =
+        vec![total * (1.0 - fraction) / (num_processes - 1) as f64; num_processes as usize];
+    sizes[0] = total * fraction;
+    let ranks = cut_curve(&order, |i| blocks[i].workload, Quotas::Sizes(&sizes));
+    balance_with(forest, num_processes, |i| ranks[i]);
 }
 
 /// Balances with a caller-supplied assignment function mapping each block

@@ -95,22 +95,6 @@ impl DistributedForest {
         self.blocks.len()
     }
 
-    /// The set of ranks this process exchanges ghost data with.
-    pub fn neighbor_ranks(&self) -> Vec<u32> {
-        let mut ranks: Vec<u32> = self
-            .blocks
-            .iter()
-            .flat_map(|b| b.links.iter())
-            .filter_map(|l| match l {
-                BlockLink::Remote(_, r) => Some(*r),
-                _ => None,
-            })
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        ranks
-    }
-
     /// An upper bound on the amount of forest metadata this process holds,
     /// in "knowledge units" (own blocks + remote links). Used by tests to
     /// assert the O(local) memory property.

@@ -92,6 +92,14 @@ pub enum LoadError {
     BadMagic,
     /// The data ended prematurely or a field is inconsistent.
     Truncated,
+    /// A record field width outside the 1..=8 bytes [`save`] writes, or
+    /// a rank width that is not the minimal one for the process count.
+    FieldWidth,
+    /// The root grid has no blocks along an axis.
+    EmptyRootGrid,
+    /// A block is assigned to a rank the file's process count does not
+    /// have (every block of a file that claims zero processes is).
+    RankOutOfRange,
 }
 
 /// Deserializes a forest written by [`save`], reconstructing block boxes,
@@ -124,12 +132,28 @@ pub fn load(data: &[u8]) -> Result<SetupForest, LoadError> {
     let idw = buf.get_u8() as usize;
     let rkw = buf.get_u8() as usize;
     let wkw = buf.get_u8() as usize;
-    need(&buf, num_blocks * (idw + rkw + wkw))?;
+    // The header is as untrusted as the length: check everything the
+    // record loop (and `distribute` after it) would index, divide or
+    // allocate by before doing so. The rank width is a function of the
+    // process count by the format's definition, so a flipped bit in
+    // either is caught here, not as four billion per-process tables.
+    if [idw, rkw, wkw].iter().any(|w| !(1..=8).contains(w))
+        || rkw != byte_width(num_processes.saturating_sub(1) as u64)
+    {
+        return Err(LoadError::FieldWidth);
+    }
+    if roots.contains(&0) {
+        return Err(LoadError::EmptyRootGrid);
+    }
+    need(&buf, num_blocks.checked_mul(idw + rkw + wkw).ok_or(LoadError::Truncated)?)?;
 
     let mut blocks = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         let id = BlockId::unpack(get_uint(&mut buf, idw));
-        let rank = get_uint(&mut buf, rkw) as u32;
+        let rank = get_uint(&mut buf, rkw);
+        if rank >= num_processes as u64 {
+            return Err(LoadError::RankOutOfRange);
+        }
         let workload = get_uint(&mut buf, wkw) as f64;
         // Geometry, coordinates and coverage flags are derived from the
         // ID — the file stores only the bytes that carry information.
@@ -139,24 +163,11 @@ pub fn load(data: &[u8]) -> Result<SetupForest, LoadError> {
             cells_per_block,
             id,
             workload,
-            rank,
+            rank as u32,
         ));
     }
     // Periodicity is scenario metadata, not stored in the file format.
     Ok(SetupForest { domain, roots, cells_per_block, blocks, num_processes, periodic: [false; 3] })
-}
-
-/// Convenience: save to a filesystem path.
-pub fn save_to_path(forest: &SetupForest, path: &std::path::Path) -> std::io::Result<usize> {
-    let data = save(forest);
-    std::fs::write(path, &data)?;
-    Ok(data.len())
-}
-
-/// Convenience: load from a filesystem path.
-pub fn load_from_path(path: &std::path::Path) -> std::io::Result<SetupForest> {
-    let data = std::fs::read(path)?;
-    load(&data).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))
 }
 
 #[cfg(test)]
@@ -231,15 +242,76 @@ mod tests {
         assert_eq!(data[header + 1], 3);
     }
 
+    /// Offsets of the header fields after the magic and the domain box.
+    const ROOTS: usize = 4 + 48;
+    const NUM_PROCESSES: usize = ROOTS + 12 + 12;
+    const NUM_BLOCKS: usize = NUM_PROCESSES + 4;
+    const WIDTHS: usize = NUM_BLOCKS + 8;
+
     #[test]
     fn corrupted_data_is_rejected() {
         let f = sample_forest();
-        let mut data = save(&f);
-        assert_eq!(load(&data[..3]).unwrap_err(), LoadError::BadMagic);
-        data[0] = b'X';
-        assert_eq!(load(&data).unwrap_err(), LoadError::BadMagic);
         let data = save(&f);
+        assert_eq!(load(&data[..3]).unwrap_err(), LoadError::BadMagic);
+        let mutated = |at: usize, bytes: &[u8]| {
+            let mut d = data.clone();
+            d[at..at + bytes.len()].copy_from_slice(bytes);
+            load(&d).map(|f| f.num_blocks())
+        };
+        assert_eq!(mutated(0, b"X"), Err(LoadError::BadMagic));
         assert_eq!(load(&data[..data.len() - 2]).unwrap_err(), LoadError::Truncated);
+        // One header defect each: a width the reader cannot decode, a
+        // width `save` never writes, a record count whose byte size
+        // overflows (and one that merely exceeds the data), an axis
+        // without root blocks, no processes or more than the rank width
+        // can name, a rank beyond the last one.
+        assert_eq!(mutated(WIDTHS, &[9]), Err(LoadError::FieldWidth));
+        assert_eq!(mutated(WIDTHS + 1, &[0]), Err(LoadError::FieldWidth));
+        assert_eq!(mutated(NUM_BLOCKS, &[0xff; 8]), Err(LoadError::Truncated));
+        assert_eq!(mutated(NUM_BLOCKS, &[0, 1, 0, 0, 0, 0, 0, 0]), Err(LoadError::Truncated));
+        assert_eq!(mutated(ROOTS + 4, &[0; 4]), Err(LoadError::EmptyRootGrid));
+        assert_eq!(mutated(NUM_PROCESSES, &[0; 4]), Err(LoadError::RankOutOfRange));
+        assert_eq!(mutated(NUM_PROCESSES, &[0, 0, 0, 1]), Err(LoadError::FieldWidth));
+        let first_rank = WIDTHS + 3 + data[WIDTHS] as usize;
+        assert_eq!(mutated(first_rank, &[12]), Err(LoadError::RankOutOfRange));
+        assert_eq!(mutated(first_rank, &[11]), Ok(f.num_blocks()));
+    }
+
+    /// Whatever bytes arrive, `load` answers with a typed error or with a
+    /// forest the run can be planned from (`RunPlan::from_forest` is
+    /// `distribute`), never with a panic or an allocation sized by the
+    /// file's say-so.
+    #[test]
+    fn mutated_files_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let domain = Aabb::new(vec3(0.0, 0.0, 0.0), vec3(3.0, 2.0, 2.0));
+        let mut f = SetupForest::uniform(domain, [3, 2, 2], [8, 8, 8]);
+        morton_balance(&mut f, 5);
+        let data = save(&f);
+        let mut rng = StdRng::seed_from_u64(0x7bf1);
+        let (mut loaded, mut planned) = (0, 0);
+        for _ in 0..1000 {
+            let mut d = data.clone();
+            for _ in 0..rng.gen_range(1..4) {
+                // Half the hits land in the header, where the damage is.
+                let span = if rng.gen_bool(0.5) { WIDTHS + 3 } else { d.len() };
+                d[rng.gen_range(4..span)] = rng.gen_range(0..=255u8);
+            }
+            if rng.gen_bool(0.1) {
+                d.truncate(rng.gen_range(0..d.len()));
+            }
+            let Ok(forest) = load(&d) else { continue };
+            loaded += 1;
+            // A flipped level nibble makes a valid *refined* forest, which
+            // `distribute` documents it does not take.
+            if forest.is_uniform_level() {
+                let views = crate::distribute(&forest);
+                assert_eq!(views.len(), forest.num_processes as usize);
+                planned += 1;
+            }
+        }
+        assert!(loaded > 100 && planned > 50, "{loaded} loaded, {planned} planned");
     }
 
     /// Size check against the paper's headline: a forest with half a

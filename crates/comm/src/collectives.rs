@@ -153,16 +153,6 @@ impl Communicator {
         self.try_allreduce_sum_f64(value).unwrap_or_else(|e| self.coll_panic("allreduce_sum", e))
     }
 
-    /// Fallible [`Communicator::allreduce_max_f64`].
-    pub fn try_allreduce_max_f64(&mut self, value: f64) -> Result<f64, CommError> {
-        Ok(self.try_allgather_f64(value)?.into_iter().fold(f64::NEG_INFINITY, f64::max))
-    }
-
-    /// All-reduce of a single `f64` with maximum.
-    pub fn allreduce_max_f64(&mut self, value: f64) -> f64 {
-        self.try_allreduce_max_f64(value).unwrap_or_else(|e| self.coll_panic("allreduce_max", e))
-    }
-
     /// Fallible [`Communicator::allreduce_minmaxsum_f64`].
     pub fn try_allreduce_minmaxsum_f64(
         &mut self,
@@ -187,64 +177,6 @@ impl Communicator {
     pub fn allreduce_minmaxsum_f64(&mut self, value: f64) -> (f64, f64, f64) {
         self.try_allreduce_minmaxsum_f64(value)
             .unwrap_or_else(|e| self.coll_panic("allreduce_minmaxsum", e))
-    }
-
-    /// Fallible [`Communicator::gather_bytes`].
-    pub fn try_gather_bytes(
-        &mut self,
-        root: u32,
-        data: Vec<u8>,
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        let tag = self.next_coll_tag();
-        if self.rank() == root {
-            let mut all = vec![Vec::new(); self.size() as usize];
-            all[root as usize] = data;
-            for r in 0..self.size() {
-                if r != root {
-                    all[r as usize] = self.try_recv_raw(r, tag)?;
-                }
-            }
-            Ok(all)
-        } else {
-            self.send_raw(root, tag, data);
-            Ok(Vec::new())
-        }
-    }
-
-    /// Gathers one byte payload from every rank onto `root` only (other
-    /// ranks receive an empty vector). Rank-ordered on the root.
-    pub fn gather_bytes(&mut self, root: u32, data: Vec<u8>) -> Vec<Vec<u8>> {
-        self.try_gather_bytes(root, data).unwrap_or_else(|e| self.coll_panic("gather_bytes", e))
-    }
-
-    /// Fallible [`Communicator::scatter_bytes`].
-    pub fn try_scatter_bytes(
-        &mut self,
-        root: u32,
-        chunks: Option<Vec<Vec<u8>>>,
-    ) -> Result<Vec<u8>, CommError> {
-        let tag = self.next_coll_tag();
-        if self.rank() == root {
-            let chunks = chunks.expect("root must provide the scatter payloads");
-            assert_eq!(chunks.len(), self.size() as usize, "one chunk per rank");
-            let mut mine = Vec::new();
-            for (r, chunk) in chunks.into_iter().enumerate() {
-                if r as u32 == root {
-                    mine = chunk;
-                } else {
-                    self.send_raw(r as u32, tag, chunk);
-                }
-            }
-            Ok(mine)
-        } else {
-            self.try_recv_raw(root, tag)
-        }
-    }
-
-    /// Scatters per-rank byte payloads from `root`: rank `i` receives
-    /// `chunks[i]`. Non-root ranks pass `None`.
-    pub fn scatter_bytes(&mut self, root: u32, chunks: Option<Vec<Vec<u8>>>) -> Vec<u8> {
-        self.try_scatter_bytes(root, chunks).unwrap_or_else(|e| self.coll_panic("scatter_bytes", e))
     }
 
     /// Fallible [`Communicator::allreduce_sum_u64`].
@@ -318,8 +250,6 @@ mod tests {
     fn reductions() {
         let sums = World::run(6, |mut c| c.allreduce_sum_f64((c.rank() + 1) as f64));
         assert!(sums.iter().all(|&s| s == 21.0));
-        let maxs = World::run(6, |mut c| c.allreduce_max_f64(-(c.rank() as f64)));
-        assert!(maxs.iter().all(|&m| m == 0.0));
         let usums = World::run(4, |mut c| c.allreduce_sum_u64(1 << c.rank()));
         assert!(usums.iter().all(|&s| s == 0b1111));
     }
@@ -335,43 +265,18 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter() {
-        let out = World::run(4, |mut c| {
-            // Gather rank-tagged payloads onto rank 1.
-            let gathered = c.gather_bytes(1, vec![c.rank() as u8; (c.rank() + 1) as usize]);
-            if c.rank() == 1 {
-                assert_eq!(gathered[0], vec![0]);
-                assert_eq!(gathered[2], vec![2, 2, 2]);
-                assert_eq!(gathered[3], vec![3, 3, 3, 3]);
-            } else {
-                assert!(gathered.is_empty());
-            }
-            // Scatter distinct chunks from rank 0.
-            let chunks = if c.rank() == 0 {
-                Some((0..4u8).map(|r| vec![r * 10, r * 10 + 1]).collect())
-            } else {
-                None
-            };
-            c.scatter_bytes(0, chunks)
-        });
-        for (r, chunk) in out.iter().enumerate() {
-            assert_eq!(chunk, &vec![r as u8 * 10, r as u8 * 10 + 1]);
-        }
-    }
-
-    #[test]
     fn consecutive_collectives_do_not_cross_match() {
         let out = World::run(3, |mut c| {
             let a = c.allreduce_sum_f64(1.0);
             let b = c.allreduce_sum_f64(10.0);
             c.barrier();
-            let d = c.allreduce_max_f64(c.rank() as f64);
+            let d = c.allreduce_sum_f64(c.rank() as f64);
             (a, b, d)
         });
         for (a, b, d) in out {
             assert_eq!(a, 3.0);
             assert_eq!(b, 30.0);
-            assert_eq!(d, 2.0);
+            assert_eq!(d, 3.0);
         }
     }
 

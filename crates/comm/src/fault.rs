@@ -25,7 +25,7 @@ pub struct CrashSpec {
 }
 
 /// Seed-driven fault-injection configuration, shared by every rank of a
-/// [`crate::World::run_with_faults`] run.
+/// faulted cohort ([`crate::World::run_fallible`], [`crate::World::connect`]).
 #[derive(Clone, Debug)]
 pub struct FaultConfig {
     /// Seed of the deterministic fault stream.

@@ -8,7 +8,7 @@
 //!   into an immediate panic instead of the silent deadlock a crashed
 //!   peer used to cause;
 //! * timeout variants ([`Communicator::recv_timeout`],
-//!   [`Communicator::recv_any_timeout`]) bound every wait;
+//!   [`Communicator::recv_any_within`]) bound every wait;
 //! * a poisoned-communicator state: once a peer is known dead (its
 //!   panic guard or fail-stop crash broadcast a control note), receives
 //!   from it fail fast with [`CommError::RankDown`];
@@ -502,29 +502,12 @@ impl Communicator {
     /// stalling on a fixed receive order. FIFO order per `(from, tag)` is
     /// preserved in all cases. Panics if an expected peer is down.
     pub fn recv_any(&mut self, expected: &[(u32, u64)]) -> (usize, Vec<u8>) {
-        self.recv_any_result(expected)
+        self.recv_any_within(expected, None)
             .unwrap_or_else(|e| panic!("rank {}: recv_any: {e}", self.rank))
     }
 
-    /// Fallible [`Communicator::recv_any`].
-    pub fn recv_any_result(
-        &mut self,
-        expected: &[(u32, u64)],
-    ) -> Result<(usize, Vec<u8>), CommError> {
-        self.recv_any_within(expected, None)
-    }
-
-    /// [`Communicator::recv_any_result`] with an upper bound on the wait.
-    pub fn recv_any_timeout(
-        &mut self,
-        expected: &[(u32, u64)],
-        timeout: Duration,
-    ) -> Result<(usize, Vec<u8>), CommError> {
-        self.recv_any_within(expected, Some(timeout))
-    }
-
-    /// [`Communicator::recv_any_result`], bounded by `patience` when
-    /// there is one — for callers whose deadline is itself optional.
+    /// Fallible [`Communicator::recv_any`], bounded by `patience` when
+    /// there is one.
     pub fn recv_any_within(
         &mut self,
         expected: &[(u32, u64)],
@@ -580,11 +563,6 @@ impl Communicator {
     }
 
     // ---- failure state and the recovery protocol ----------------------
-
-    /// True if `r` is known to be down.
-    pub fn is_rank_down(&self, r: u32) -> bool {
-        self.dead.contains(&r)
-    }
 
     /// Ranks currently known to be down, ascending.
     pub fn dead_ranks(&self) -> Vec<u32> {
@@ -941,26 +919,11 @@ impl World {
             .collect()
     }
 
-    /// [`World::run`] with the deterministic fault plan `cfg` installed
-    /// on every rank.
-    pub fn run_with_faults<T, F>(size: u32, cfg: FaultConfig, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Communicator) -> T + Send + Sync,
-    {
-        Self::run_inner(size, Some(cfg), f)
-            .into_iter()
-            .map(|r| match r {
-                Ok(t) => t,
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect()
-    }
-
     /// Panic-tolerant [`World::run`]: a rank that panics yields
     /// `Err(message)` instead of aborting the whole world, and its
     /// panic guard notifies the survivors so their receives fail fast.
-    /// Optional faults as in [`World::run_with_faults`].
+    /// `fault`, if any, is the deterministic fault plan installed on
+    /// every rank.
     pub fn run_fallible<T, F>(size: u32, fault: Option<FaultConfig>, f: F) -> Vec<Result<T, String>>
     where
         T: Send,
@@ -1086,6 +1049,16 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A world under the fault plan `cfg` whose ranks must not panic.
+    fn run_faulted<T: Send>(
+        size: u32,
+        cfg: FaultConfig,
+        f: impl Fn(Communicator) -> T + Send + Sync,
+    ) -> Vec<T> {
+        let results = World::run_fallible(size, Some(cfg), f);
+        results.into_iter().map(|r| r.expect("no rank panics")).collect()
+    }
 
     #[test]
     fn ranks_and_sizes() {
@@ -1319,7 +1292,7 @@ mod tests {
     #[test]
     fn dropped_messages_time_out_and_are_traced() {
         let cfg = FaultConfig::new(9).with_drops(1.0).with_fault_cap(1);
-        let out = World::run_with_faults(2, cfg, |mut c| {
+        let out = run_faulted(2, cfg, |mut c| {
             if c.rank() == 0 {
                 c.send(1, 2, vec![1]); // dropped (first fault)
                 c.send(1, 2, vec![2]); // delivered (cap reached)
@@ -1340,7 +1313,7 @@ mod tests {
     fn dedup_memory_stays_bounded_over_long_runs() {
         const N: u64 = 20_000;
         let cfg = FaultConfig::new(11).with_duplicates(0.3).with_reordering(0.2, 4);
-        let out = World::run_with_faults(2, cfg, |mut c| {
+        let out = run_faulted(2, cfg, |mut c| {
             if c.rank() == 0 {
                 for i in 0..N {
                     c.send(1, 1, i.to_le_bytes().to_vec());
@@ -1372,7 +1345,7 @@ mod tests {
     #[test]
     fn duplicates_are_suppressed() {
         let cfg = FaultConfig::new(5).with_duplicates(1.0);
-        let out = World::run_with_faults(2, cfg, |mut c| {
+        let out = run_faulted(2, cfg, |mut c| {
             if c.rank() == 0 {
                 for i in 0..20u8 {
                     c.send(1, 4, vec![i]);
@@ -1397,7 +1370,7 @@ mod tests {
     fn reordering_preserves_delivery() {
         for seed in 0..8 {
             let cfg = FaultConfig::new(seed).with_reordering(0.5, 3);
-            let out = World::run_with_faults(2, cfg, |mut c| {
+            let out = run_faulted(2, cfg, |mut c| {
                 if c.rank() == 0 {
                     for i in 0..30u8 {
                         c.send(1, i as u64, vec![i]);
@@ -1437,7 +1410,7 @@ mod tests {
     #[test]
     fn crash_recovery_cleans_the_slate() {
         let cfg = FaultConfig::new(3).with_crash(1, 0);
-        let out = World::run_with_faults(3, cfg, |mut c| {
+        let out = run_faulted(3, cfg, |mut c| {
             let timeout = Duration::from_secs(20);
             if c.crash_due(0) {
                 // Victim: volatile state is gone; join recovery directly.

@@ -56,28 +56,72 @@ fn apply_scheme(block: &mut BlockSim, byte: u8) -> Result<(), RestoreError> {
     Ok(())
 }
 
-/// Serializes a block's PDF state. Pull blocks carry both halves of the
-/// double buffer; in-place blocks carry their single buffer only.
-pub fn save_block(block: &BlockSim) -> Vec<u8> {
+/// Bytes of the shape header every block format starts with: magic, then
+/// `nx ny nz ghost` as `u32`.
+const HEADER: usize = 4 + 16;
+
+/// Bytes of the PDF payload under wire scheme `scheme`: pull blocks
+/// carry both halves of the double buffer, in-place blocks their one.
+fn pdf_bytes(cells: usize, scheme: u8) -> usize {
+    cells * 19 * 8 * if scheme == 0 { 2 } else { 1 }
+}
+
+fn put_header(buf: &mut Vec<u8>, magic: &[u8; 4], block: &BlockSim) {
     let s = block.shape;
-    let both = block.scheme == UpdateScheme::Pull;
-    let halves = if both { 2 } else { 1 };
-    let mut buf = Vec::with_capacity(4 + 16 + 8 + 1 + s.alloc_cells() * halves * 19 * 8);
-    buf.extend_from_slice(MAGIC);
-    buf.put_u32_le(s.nx as u32);
-    buf.put_u32_le(s.ny as u32);
-    buf.put_u32_le(s.nz as u32);
-    buf.put_u32_le(s.ghost as u32);
-    buf.put_u64_le(flag_digest(&block.flags));
-    buf.put_u8(scheme_byte(block));
+    buf.extend_from_slice(magic);
+    for n in [s.nx, s.ny, s.nz, s.ghost] {
+        buf.put_u32_le(n as u32);
+    }
+}
+
+/// Checks the magic and reads `[nx, ny, nz, ghost]`; `fixed` is the
+/// length of everything the format puts before its variable part.
+fn get_header(buf: &mut &[u8], magic: &[u8; 4], fixed: usize) -> Result<[usize; 4], RestoreError> {
+    if buf.len() < fixed || &buf[..4] != magic {
+        return Err(RestoreError::BadMagic);
+    }
+    buf.advance(4);
+    Ok(std::array::from_fn(|_| buf.get_u32_le() as usize))
+}
+
+fn put_pdfs(buf: &mut Vec<u8>, block: &BlockSim) {
     for v in block.src.data() {
         buf.put_f64_le(*v);
     }
-    if both {
+    if block.scheme == UpdateScheme::Pull {
         for v in block.dst.data() {
             buf.put_f64_le(*v);
         }
     }
+}
+
+/// Sets the block's scheme and parity from the wire byte and fills its
+/// buffer(s) from the front of `buf`.
+fn get_pdfs(block: &mut BlockSim, scheme: u8, buf: &mut &[u8]) -> Result<(), RestoreError> {
+    apply_scheme(block, scheme)?;
+    if buf.len() < pdf_bytes(block.shape.alloc_cells(), scheme) {
+        return Err(RestoreError::Truncated);
+    }
+    for v in block.src.data_mut() {
+        *v = buf.get_f64_le();
+    }
+    if scheme == 0 {
+        for v in block.dst.data_mut() {
+            *v = buf.get_f64_le();
+        }
+    }
+    Ok(())
+}
+
+/// Serializes a block's PDF state. Pull blocks carry both halves of the
+/// double buffer; in-place blocks carry their single buffer only.
+pub fn save_block(block: &BlockSim) -> Vec<u8> {
+    let scheme = scheme_byte(block);
+    let mut buf = Vec::with_capacity(HEADER + 8 + 1 + pdf_bytes(block.shape.alloc_cells(), scheme));
+    put_header(&mut buf, MAGIC, block);
+    buf.put_u64_le(flag_digest(&block.flags));
+    buf.put_u8(scheme);
+    put_pdfs(&mut buf, block);
     buf
 }
 
@@ -102,39 +146,30 @@ pub enum RestoreError {
 /// file, then restore PDFs).
 pub fn restore_block(block: &mut BlockSim, data: &[u8]) -> Result<(), RestoreError> {
     let mut buf = data;
-    if buf.len() < 4 + 16 + 8 + 1 || &buf[..4] != MAGIC {
-        return Err(RestoreError::BadMagic);
-    }
-    buf.advance(4);
     let s = block.shape;
-    let (nx, ny, nz, ghost) =
-        (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le());
-    if (nx as usize, ny as usize, nz as usize, ghost as usize) != (s.nx, s.ny, s.nz, s.ghost) {
+    if get_header(&mut buf, MAGIC, HEADER + 8 + 1)? != [s.nx, s.ny, s.nz, s.ghost] {
         return Err(RestoreError::ShapeMismatch);
     }
     if buf.get_u64_le() != flag_digest(&block.flags) {
         return Err(RestoreError::FlagMismatch);
     }
     let scheme = buf.get_u8();
-    apply_scheme(block, scheme)?;
-    let n = s.alloc_cells() * 19;
-    let halves = if scheme == 0 { 2 } else { 1 };
-    if buf.len() < halves * n * 8 {
-        return Err(RestoreError::Truncated);
-    }
-    for v in block.src.data_mut() {
-        *v = buf.get_f64_le();
-    }
-    if scheme == 0 {
-        for v in block.dst.data_mut() {
-            *v = buf.get_f64_le();
-        }
-    }
-    Ok(())
+    get_pdfs(block, scheme, &mut buf)
 }
 
 /// Magic bytes of the self-contained block format used for migration.
 pub const MAGIC_FULL: &[u8; 4] = b"TCP2";
+
+/// Appends the [`save_block_full`] encoding of `block` to `buf`.
+fn put_block_full(buf: &mut Vec<u8>, block: &BlockSim) {
+    let scheme = scheme_byte(block);
+    let cells = block.shape.alloc_cells();
+    buf.reserve(HEADER + 1 + cells + pdf_bytes(cells, scheme));
+    put_header(buf, MAGIC_FULL, block);
+    buf.put_u8(scheme);
+    buf.extend_from_slice(block.flags.data());
+    put_pdfs(buf, block);
+}
 
 /// Serializes a block *completely*: shape, flag field, and PDF state.
 ///
@@ -144,25 +179,8 @@ pub const MAGIC_FULL: &[u8; 4] = b"TCP2";
 /// are not included; they are scenario-global and every rank already has
 /// them.
 pub fn save_block_full(block: &BlockSim) -> Vec<u8> {
-    let s = block.shape;
-    let both = block.scheme == UpdateScheme::Pull;
-    let halves = if both { 2 } else { 1 };
-    let mut buf = Vec::with_capacity(4 + 16 + 1 + s.alloc_cells() * (1 + halves * 19 * 8));
-    buf.extend_from_slice(MAGIC_FULL);
-    buf.put_u32_le(s.nx as u32);
-    buf.put_u32_le(s.ny as u32);
-    buf.put_u32_le(s.nz as u32);
-    buf.put_u32_le(s.ghost as u32);
-    buf.put_u8(scheme_byte(block));
-    buf.extend_from_slice(block.flags.data());
-    for v in block.src.data() {
-        buf.put_f64_le(*v);
-    }
-    if both {
-        for v in block.dst.data() {
-            buf.put_f64_le(*v);
-        }
-    }
+    let mut buf = Vec::new();
+    put_block_full(&mut buf, block);
     buf
 }
 
@@ -178,20 +196,15 @@ pub fn restore_block_full(
 ) -> Result<BlockSim, RestoreError> {
     use trillium_field::Shape;
     let mut buf = data;
-    if buf.len() < 4 + 16 + 1 || &buf[..4] != MAGIC_FULL {
-        return Err(RestoreError::BadMagic);
-    }
-    buf.advance(4);
-    let (nx, ny, nz, ghost) =
-        (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le());
-    let shape = Shape::new(nx as usize, ny as usize, nz as usize, ghost as usize);
+    let [nx, ny, nz, ghost] = get_header(&mut buf, MAGIC_FULL, HEADER + 1)?;
+    let shape = Shape::new(nx, ny, nz, ghost);
     let cells = shape.alloc_cells();
     let scheme = buf.get_u8();
     if scheme > 2 {
         return Err(RestoreError::BadScheme);
     }
-    let halves = if scheme == 0 { 2 } else { 1 };
-    if buf.len() < cells * (1 + halves * 19 * 8) {
+    // Before anything is allocated for a shape the bytes do not back.
+    if buf.len() < cells + pdf_bytes(cells, scheme) {
         return Err(RestoreError::Truncated);
     }
     let mut flags = trillium_field::FlagField::new(shape);
@@ -199,15 +212,7 @@ pub fn restore_block_full(
     buf.advance(cells);
     // rho/u only seed the equilibrium that the wire PDFs overwrite next.
     let mut block = BlockSim::from_flags(flags, boundary, 1.0, [0.0; 3]);
-    apply_scheme(&mut block, scheme)?;
-    for v in block.src.data_mut() {
-        *v = buf.get_f64_le();
-    }
-    if scheme == 0 {
-        for v in block.dst.data_mut() {
-            *v = buf.get_f64_le();
-        }
-    }
+    get_pdfs(&mut block, scheme, &mut buf)?;
     Ok(block)
 }
 
@@ -228,9 +233,12 @@ pub fn save_forest(step: u64, blocks: &[(u64, &BlockSim)]) -> Vec<u8> {
     buf.put_u32_le(blocks.len() as u32);
     for (id, block) in blocks {
         buf.put_u64_le(*id);
-        let body = save_block_full(block);
-        buf.put_u64_le(body.len() as u64);
-        buf.extend_from_slice(&body);
+        // Length prefix, patched once the body behind it is written.
+        let at = buf.len();
+        buf.put_u64_le(0);
+        put_block_full(&mut buf, block);
+        let len = (buf.len() - at - 8) as u64;
+        buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
     buf
 }
@@ -265,14 +273,13 @@ pub fn restore_forest(
     Ok((step, out))
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
 /// FNV-1a digest of a flag field (cheap structural fingerprint).
 pub(crate) fn flag_digest(flags: &trillium_field::FlagField) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in flags.data() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    fnv1a(flags.data())
 }
 
 #[cfg(test)]
@@ -481,5 +488,39 @@ mod tests {
         let mut short = cavity_block(8);
         assert_eq!(restore_block(&mut short, &ckpt[..100]), Err(RestoreError::Truncated));
         assert_eq!(restore_block(&mut short, b"XXXX"), Err(RestoreError::BadMagic));
+    }
+
+    /// TCP1, TCP2 and TCF1 byte for byte as the commit before the shared
+    /// header/payload codec wrote them: (length, FNV-1a) of each buffer,
+    /// for a pull block and an in-place block at both parities.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        const PINNED: [(usize, u64); 7] = [
+            (65693, 3303767433686894179),
+            (32861, 6189291611106188414),
+            (32861, 1150794286181329877),
+            (65901, 18308921987700373123),
+            (33069, 7542280838654050022),
+            (33069, 10833778263798520341),
+            (99018, 13152130996876974556),
+        ];
+        let rel = Relaxation::trt_from_viscosity(0.05);
+        let run = |mut b: BlockSim, steps: usize| {
+            for _ in 0..steps {
+                b.apply_boundaries();
+                b.stream_collide(rel);
+            }
+            b
+        };
+        let pull = run(cavity_block(4), 3);
+        let even = run(inplace_cavity_block(4), 2);
+        let odd = run(inplace_cavity_block(4), 3);
+        assert!(!even.src.parity() && odd.src.parity());
+        let blocks = [&pull, &even, &odd];
+        let mut wires: Vec<Vec<u8>> = blocks.iter().map(|b| save_block(b)).collect();
+        wires.extend(blocks.iter().map(|b| save_block_full(b)));
+        wires.push(save_forest(37, &[(1000, &pull), (1001, &odd)]));
+        let got: Vec<(usize, u64)> = wires.iter().map(|w| (w.len(), fnv1a(w))).collect();
+        assert_eq!(got, PINNED);
     }
 }

@@ -680,7 +680,9 @@ pub fn drive_rank(
 ///
 /// Terminal conditions come back as [`RecoveryError`], the lowest-ranked
 /// report when several ranks fail together (they usually do: a dead
-/// peer and a recovery are both global events).
+/// peer and a recovery are both global events). That includes a panic
+/// inside a rank ([`RecoveryError::RankPanicked`]): the cohort is the
+/// failure-isolation boundary, nothing unwinds into the caller.
 pub fn run_planned(
     plan: &RunPlan,
     scenario: &Scenario,
@@ -692,11 +694,14 @@ pub fn run_planned(
     let num_procs = plan.forest.num_processes;
     let f =
         |comm: Communicator| drive_rank(comm, plan, scenario, threads_per_rank, steps, probes, cfg);
-    let results = match cfg.resilience.as_ref().and_then(|rc| rc.fault.clone()) {
-        Some(fault) => World::run_with_faults(num_procs, fault, f),
-        None => World::run(num_procs, f),
-    };
-    let ranks = results.into_iter().collect::<Result<_, _>>()?;
+    let fault = cfg.resilience.as_ref().and_then(|rc| rc.fault.clone());
+    let ranks = World::run_fallible(num_procs, fault, f)
+        .into_iter()
+        .zip(0..)
+        .map(|(r, rank)| {
+            r.unwrap_or_else(|message| Err(RecoveryError::RankPanicked { rank, message }))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(RunResult { steps, ranks })
 }
 
@@ -718,7 +723,8 @@ pub fn run_distributed_composed(
 /// # Panics
 ///
 /// This signature predates the typed error and stays infallible, so a
-/// dead peer's [`RecoveryError::Comm`] becomes a panic here — the one
+/// dead peer's [`RecoveryError::Comm`] (or a rank's own panic, reported
+/// as [`RecoveryError::RankPanicked`]) becomes a panic here — the one
 /// place the time loop converts an error into one.
 pub fn run_distributed_with(
     scenario: &Scenario,
@@ -733,33 +739,15 @@ pub fn run_distributed_with(
         .unwrap_or_else(|e| panic!("run without a resilience hook failed: {e}"))
 }
 
-/// Runs `scenario` with the default (synchronous) schedule. See
-/// [`run_distributed_with`].
-pub fn run_distributed_probed(
-    scenario: &Scenario,
-    num_procs: u32,
-    threads_per_rank: usize,
-    steps: u64,
-    probes: &[[i64; 3]],
-) -> RunResult {
-    run_distributed_with(
-        scenario,
-        num_procs,
-        threads_per_rank,
-        steps,
-        probes,
-        DriverConfig::default(),
-    )
-}
-
-/// Runs `scenario` without probes. See [`run_distributed_probed`].
+/// Runs `scenario` with the default (synchronous) schedule and no
+/// probes. See [`run_distributed_with`].
 pub fn run_distributed(
     scenario: &Scenario,
     num_procs: u32,
     threads_per_rank: usize,
     steps: u64,
 ) -> RunResult {
-    run_distributed_probed(scenario, num_procs, threads_per_rank, steps, &[])
+    run_distributed_with(scenario, num_procs, threads_per_rank, steps, &[], DriverConfig::default())
 }
 
 /// Metric name of the hidden-communication accumulator (seconds of
@@ -1275,7 +1263,11 @@ impl Rebalancer {
                 })
                 .collect();
             let gathered = lp.comm.try_allgather_bytes(encode_records(&records))?;
-            let all: Vec<BlockRecord> = gathered.iter().flat_map(|b| decode_records(b)).collect();
+            let mut all = Vec::new();
+            for bytes in &gathered {
+                // A peer's ragged buffer is a torn round like any other.
+                all.extend(decode_records(bytes).map_err(|_| CommError::Protocol)?);
+            }
             let mut plan = plan_rebalance(all, size, &self.cfg.plan);
             // Drop structurally invalid migrations instead of letting the
             // transfer protocol fail on them. The plan is computed from
@@ -1462,10 +1454,12 @@ mod tests {
             vec![[1, 1, 1], [8, 8, 14], [7, 8, 8], [8, 7, 3], [15, 15, 15], [0, 15, 8]];
         // Reference: one rank, one block of 16³.
         let s1 = Scenario::lid_driven_cavity(16, 1, 0.06, 0.08);
-        let r1 = crate::driver::run_distributed_probed(&s1, 1, 1, 40, &probes);
+        let r1 =
+            crate::driver::run_distributed_with(&s1, 1, 1, 40, &probes, DriverConfig::default());
         // Distributed: 8 ranks, 2×2×2 blocks of 8³.
         let s8 = Scenario::lid_driven_cavity(16, 2, 0.06, 0.08);
-        let r8 = crate::driver::run_distributed_probed(&s8, 8, 1, 40, &probes);
+        let r8 =
+            crate::driver::run_distributed_with(&s8, 8, 1, 40, &probes, DriverConfig::default());
 
         assert!(!r1.has_nan() && !r8.has_nan());
         let p1 = r1.probes();
@@ -1488,9 +1482,17 @@ mod tests {
     fn multiblock_and_threads_equal_single() {
         let probes: Vec<[i64; 3]> = vec![[3, 5, 9], [11, 2, 4], [6, 6, 6]];
         let s1 = Scenario::lid_driven_cavity(12, 1, 0.05, 0.1);
-        let r1 = crate::driver::run_distributed_probed(&s1, 1, 1, 25, &probes);
+        let r1 =
+            crate::driver::run_distributed_with(&s1, 1, 1, 25, &probes, DriverConfig::default());
         let s_multi = Scenario::lid_driven_cavity(12, 2, 0.05, 0.1);
-        let r4 = crate::driver::run_distributed_probed(&s_multi, 4, 2, 25, &probes);
+        let r4 = crate::driver::run_distributed_with(
+            &s_multi,
+            4,
+            2,
+            25,
+            &probes,
+            DriverConfig::default(),
+        );
         for ((_, u1), (_, u4)) in r1.probes().iter().zip(&r4.probes()) {
             for d in 0..3 {
                 assert_eq!(u1[d], u4[d]);
@@ -1510,7 +1512,7 @@ mod tests {
     fn channel_develops_throughflow() {
         let s = Scenario::channel_with_obstacle([32, 8, 8], [4, 1, 1], 0.08, 0.04, 0.18);
         let probes: Vec<[i64; 3]> = vec![[4, 4, 4], [16, 6, 4], [28, 4, 4]];
-        let r = run_distributed_probed(&s, 4, 1, 120, &probes);
+        let r = run_distributed_with(&s, 4, 1, 120, &probes, DriverConfig::default());
         assert!(!r.has_nan());
         let p = r.probes();
         // Flow moves in +x everywhere along the channel.

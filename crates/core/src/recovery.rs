@@ -82,7 +82,7 @@ impl Default for ResilienceConfig {
 /// an error instead of a rank panic (which would poison the whole
 /// thread-backed world and hide the cause behind a generic join
 /// failure).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecoveryError {
     /// A receive failed and the run has no resilience hook to roll back
     /// with.
@@ -144,6 +144,16 @@ pub enum RecoveryError {
         /// The decode failure.
         error: RestoreError,
     },
+    /// A rank's thread panicked — a bug, not a fault: contained at the
+    /// cohort launch (`World::run_fallible`) so it cannot unwind into
+    /// whoever started the run. Its peers report the dead rank as
+    /// [`RecoveryError::Comm`].
+    RankPanicked {
+        /// The rank that panicked.
+        rank: u32,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -165,6 +175,9 @@ impl std::fmt::Display for RecoveryError {
             }
             RecoveryError::CorruptCheckpoint { rank, error } => {
                 write!(f, "rank {rank}: checkpoint unreadable: {error:?}")
+            }
+            RecoveryError::RankPanicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
             }
         }
     }

@@ -6,7 +6,7 @@
 //! The service owns a pool of `lanes × lane_width` rank slots. A *lane*
 //! is a disjoint cohort of `lane_width` slots: jobs on different lanes
 //! run concurrently with structurally disjoint communicator meshes
-//! (each job gets its own [`World::connect`] mesh), so no message of
+//! (each job gets its own `World::connect` mesh), so no message of
 //! one job can ever reach another — isolation is a property of the
 //! wiring, not of tag discipline.
 //!
@@ -30,10 +30,11 @@
 //!
 //! ## Isolation
 //!
-//! Every rank of every job runs under `catch_unwind`. A panicking rank
+//! Every job runs through `run_planned`, whose cohort launch
+//! (`World::run_fallible`) contains a panic in any rank. A panicking rank
 //! drops its communicator mid-unwind, which broadcasts a rank-down note
 //! to its *own* cohort only: the sibling ranks degrade (comm errors or
-//! contained panics, all caught), the job is reported
+//! contained panics, all typed), the job is reported
 //! [`JobResult::Failed`], the lane is reclaimed, and every other job —
 //! on this lane and all others — is untouched. The re-entrancy and soak
 //! tests pin this.
@@ -41,14 +42,13 @@
 use crate::spec::{JobSpec, Schedule};
 use crate::JOBS_SCHEMA;
 use serde_json::{json, Value};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use trillium_comm::{FaultConfig, World};
+use trillium_comm::FaultConfig;
 use trillium_core::driver::{
-    drive_rank, plan_run, DriverConfig, RebalanceConfig, RunConfig, RunResult,
+    plan_run, run_planned, DriverConfig, RebalanceConfig, RunConfig, RunResult,
 };
 use trillium_core::recovery::ResilienceConfig;
 use trillium_rebalance::{plan_rebalance, BlockRecord, EwmaCostModel, PlanOptions};
@@ -502,50 +502,19 @@ fn run_config(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration
     }
 }
 
-/// Runs one job on its own freshly wired cohort, with every rank under
-/// `catch_unwind`. This is the failure-isolation boundary: whatever
-/// happens inside — a kernel panic, a poisoned collective, an
-/// exhausted recovery budget — comes back as a [`JobResult`], never as
-/// an unwind into the lane worker.
+/// Runs one job on its own freshly wired cohort. The cohort launch
+/// ([`run_planned`] on `World::run_fallible`) is the failure-isolation
+/// boundary: whatever happens inside — a kernel panic, a poisoned
+/// collective, an exhausted recovery budget — comes back as a
+/// [`JobResult`], never as an unwind into the lane worker.
 fn run_job(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration) -> JobResult {
     let scenario = spec.to_scenario();
     let plan = plan_run(&scenario, spec.ranks);
     let cfg = run_config(spec, step_timeout, recovery_timeout);
-    let fault = cfg.resilience.as_ref().and_then(|rc| rc.fault.clone());
-    let comms = World::connect(spec.ranks, fault);
-
-    let per_rank: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let (plan, scenario, cfg) = (&plan, &scenario, &cfg);
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(move || {
-                        drive_rank(comm, plan, scenario, spec.threads, spec.steps, &[], cfg)
-                    }))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread itself never dies")).collect()
-    });
-
-    let mut ranks = Vec::with_capacity(per_rank.len());
-    for r in per_rank {
-        match r {
-            Ok(Ok(rank_result)) => ranks.push(rank_result),
-            Ok(Err(run_err)) => return JobResult::Failed { error: run_err.to_string() },
-            Err(panic_payload) => {
-                let msg = panic_payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic_payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("opaque panic payload");
-                return JobResult::Failed { error: format!("rank panicked: {msg}") };
-            }
-        }
+    match run_planned(&plan, &scenario, spec.threads, spec.steps, &[], &cfg) {
+        Ok(run) => JobResult::Completed { recoveries: run.recoveries(), run },
+        Err(error) => JobResult::Failed { error: error.to_string() },
     }
-    let run = RunResult { steps: spec.steps, ranks };
-    JobResult::Completed { recoveries: run.recoveries(), run }
 }
 
 #[cfg(test)]

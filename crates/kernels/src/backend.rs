@@ -20,10 +20,9 @@
 //!   for correctness: the sweep region is tiled into fixed-size
 //!   work-groups (the CTA/thread-block analogue), iterated in grid
 //!   order, each group swept with a group-local order by the portable
-//!   region kernels. The container has no GPU, so the *performance* of a
-//!   GPU-class device is modeled analytically in `trillium-machine` /
-//!   `trillium-perfmodel`; this backend supplies the matching execution
-//!   semantics so placement decisions can be validated end to end.
+//!   region kernels. It is a tiling *order* that the region-partition
+//!   guarantee below makes bitwise neutral; nothing here models what a
+//!   device would cost.
 //!
 //! # Bitwise equivalence across backends
 //!
@@ -39,8 +38,8 @@
 //!    argument pinned by `region_partition_is_bitwise_identical`), so
 //!    the workgroup tiling cannot change results either.
 //!
-//! This is not a luxury: the heterogeneous partitioner migrates blocks
-//! *between* backends mid-run, and the resilience layer replays steps
+//! This is not a luxury: the rebalancer migrates blocks between ranks
+//! that may run different backends, and the resilience layer replays steps
 //! after recovery. Rounding differences between backends would fork
 //! trajectories at every migration and break the driver's bitwise
 //! recovery guarantees. The `backend_equivalence` gate in CI pins the
@@ -65,8 +64,7 @@ pub enum BackendKind {
     /// without AVX2+FMA. The default.
     #[default]
     Avx2,
-    /// GPU-style work-group-tiled execution (CPU emulation; the GPU-class
-    /// *cost* is modeled in `trillium-perfmodel`).
+    /// GPU-style work-group-tiled execution, emulated on the CPU.
     Workgroup,
 }
 
@@ -285,8 +283,7 @@ pub const WORKGROUP: [i32; 3] = [32, 2, 2];
 /// group-local order by the portable region kernels.
 ///
 /// Because region partitioning is bitwise-exact for every kernel, this
-/// backend is bitwise identical to the others; only its *cost* differs,
-/// which is what the GPU-class model in `trillium-perfmodel` captures.
+/// backend is bitwise identical to the others; only its cost differs.
 pub struct WorkgroupBackend;
 
 impl WorkgroupBackend {

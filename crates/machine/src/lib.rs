@@ -12,12 +12,10 @@
 //! benchmark — the input the roofline model needs for *measured* (as
 //! opposed to modeled) kernel comparisons.
 
-pub mod device;
 pub mod network;
 pub mod spec;
 pub mod streambench;
 
-pub use device::DeviceSpec;
 pub use network::NetworkModel;
 pub use spec::MachineSpec;
 pub use streambench::{measure_copy_bandwidth, measure_lbm_bandwidth};

@@ -1,73 +1,21 @@
-//! Heterogeneous rank pools: per-(backend, tier) cost tables and a
-//! capability-weighted placement planner.
+//! Rank pools of unequal speed: placement by shares.
 //!
 //! [`plan_rebalance`](crate::plan_rebalance) balances *cost* under the
 //! assumption that every rank retires cost at the same rate — true on the
-//! paper's homogeneous machines, false the moment a node pool mixes CPU
-//! sockets with GPU-class accelerators. This module adds the missing
-//! piece: a [`BackendTierTable`] mapping (backend, kernel tier) labels to
-//! modeled update rates (from `trillium-perfmodel`'s tier and GPU-class
-//! models), a [`RankPool`] assigning one such capability to each rank,
-//! and [`plan_rebalance_hetero`], which cuts the Morton curve into
-//! chunks of work *proportional to each rank's speed* so that per-rank
-//! wall time — not per-rank work — is balanced.
-//!
-//! Labels are plain strings (the `BackendKind::label()` /
-//! `Tier`-style lowercase names) so this crate does not depend on the
-//! kernel crate; the bench harness assembles tables from the perfmodel
-//! crate and passes them down.
+//! paper's homogeneous machines, false the moment a node pool mixes
+//! processors of different speed. A [`RankPool`] gives each rank a speed
+//! and [`plan_rebalance_hetero`] cuts the Morton curve into chunks of
+//! work *proportional to each rank's speed*, so that per-rank wall time —
+//! not per-rank work — is balanced. It is the same curve cut as every
+//! other placement (`trillium_blockforest::balance::cut_curve`); only the
+//! quotas differ. Where the speeds come from is the caller's business: a
+//! model, a benchmark, or the rates the rebalancer measures.
 
-use crate::plan::{load_ratio, scaled_coords, BlockRecord, Migration, PlanMethod, RebalancePlan};
-use trillium_blockforest::balance::morton_code;
-
-/// One row of a backend/tier cost table: the modeled update rate of one
-/// (backend, tier) combination in MLUPS.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BackendTierRate {
-    /// Backend label (`"portable"`, `"avx2"`, `"workgroup"`).
-    pub backend: &'static str,
-    /// Kernel tier label (`"generic"`, `"specialized"`, `"simd"`).
-    pub tier: &'static str,
-    /// Modeled rate in MLUPS.
-    pub mlups: f64,
-}
-
-/// Modeled update rates per (backend, tier), the lookup the placement
-/// planner and the scaling harness share.
-#[derive(Clone, Debug, Default)]
-pub struct BackendTierTable {
-    rows: Vec<BackendTierRate>,
-}
-
-impl BackendTierTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds (or overwrites) the rate of one (backend, tier) pair.
-    pub fn set(&mut self, backend: &'static str, tier: &'static str, mlups: f64) {
-        assert!(mlups > 0.0, "rates must be positive");
-        match self.rows.iter_mut().find(|r| r.backend == backend && r.tier == tier) {
-            Some(r) => r.mlups = mlups,
-            None => self.rows.push(BackendTierRate { backend, tier, mlups }),
-        }
-    }
-
-    /// Modeled MLUPS of one (backend, tier) pair, if tabulated.
-    pub fn mlups(&self, backend: &str, tier: &str) -> Option<f64> {
-        self.rows.iter().find(|r| r.backend == backend && r.tier == tier).map(|r| r.mlups)
-    }
-
-    /// All rows, in insertion order.
-    pub fn rows(&self) -> &[BackendTierRate] {
-        &self.rows
-    }
-}
+use crate::plan::{curve_assignment, BlockRecord, PlanMethod, RebalancePlan};
 
 /// The capability of every rank in a (possibly heterogeneous) pool:
-/// `speeds[r]` is the modeled rate at which rank `r` retires block cost,
-/// in cost units per second (MLUPS when cost is measured in cells).
+/// `speeds[r]` is the rate at which rank `r` retires block cost, in cost
+/// units per second (MLUPS when cost is measured in cells).
 #[derive(Clone, Debug)]
 pub struct RankPool {
     speeds: Vec<f64>,
@@ -79,25 +27,6 @@ impl RankPool {
         assert!(!speeds.is_empty(), "pool needs at least one rank");
         assert!(speeds.iter().all(|&s| s > 0.0), "speeds must be positive");
         Self { speeds }
-    }
-
-    /// A pool where each rank runs one tabulated (backend, tier)
-    /// combination. Panics if a combination is missing from the table —
-    /// a placement computed with a silently-defaulted speed would be
-    /// wrong on every rank.
-    pub fn from_assignments(table: &BackendTierTable, ranks: &[(&str, &str)]) -> Self {
-        let speeds = ranks
-            .iter()
-            .map(|&(b, t)| {
-                table.mlups(b, t).unwrap_or_else(|| panic!("no rate tabulated for ({b}, {t})"))
-            })
-            .collect();
-        Self::from_speeds(speeds)
-    }
-
-    /// A homogeneous pool: `n` ranks of identical speed.
-    pub fn uniform(n: u32, speed: f64) -> Self {
-        Self::from_speeds(vec![speed; n as usize])
     }
 
     /// Number of ranks.
@@ -121,14 +50,9 @@ pub fn rank_times(records: &[BlockRecord], assignment: &[u32], pool: &RankPool) 
     work.iter().zip(&pool.speeds).map(|(w, s)| w / s).collect()
 }
 
-/// Makespan (slowest rank's wall time) under an assignment.
-pub fn makespan(records: &[BlockRecord], assignment: &[u32], pool: &RankPool) -> f64 {
-    rank_times(records, assignment, pool).into_iter().fold(0.0, f64::max)
-}
-
 /// Time-based load ratio: max over avg of per-rank wall times. The
-/// heterogeneous analogue of the cost ratio `load_ratio` computes — on a
-/// uniform pool the two coincide.
+/// heterogeneous analogue of the cost ratio the homogeneous planner
+/// reports — on a uniform pool the two coincide.
 pub fn hetero_load_ratio(records: &[BlockRecord], assignment: &[u32], pool: &RankPool) -> f64 {
     let times = rank_times(records, assignment, pool);
     let total: f64 = times.iter().sum();
@@ -139,43 +63,8 @@ pub fn hetero_load_ratio(records: &[BlockRecord], assignment: &[u32], pool: &Ran
     max * times.len() as f64 / total
 }
 
-/// Cuts the Morton curve into per-rank chunks of cost proportional to
-/// each rank's speed (the heterogeneous generalization of the equal-cost
-/// SFC cut).
-fn morton_assignment_weighted(records: &[BlockRecord], pool: &RankPool) -> Vec<u32> {
-    let num_ranks = pool.num_ranks();
-    let max_level = records.iter().map(|r| r.level).max().unwrap_or(0);
-    let mut order: Vec<usize> = (0..records.len()).collect();
-    order.sort_by_key(|&i| {
-        let c = scaled_coords(&records[i], max_level);
-        (morton_code(c[0], c[1], c[2]), records[i].id)
-    });
-    let total: f64 = records.iter().map(|r| r.cost).sum();
-    let speed_total: f64 = pool.speeds.iter().sum();
-    // Cumulative quota boundary after rank r: total · Σ_{i≤r} speed_i / Σ speed.
-    let mut bound = Vec::with_capacity(num_ranks as usize);
-    let mut acc_speed = 0.0;
-    for &s in &pool.speeds {
-        acc_speed += s;
-        bound.push(total * acc_speed / speed_total);
-    }
-    let mut assignment = vec![0u32; records.len()];
-    let mut acc = 0.0;
-    let mut rank = 0u32;
-    for &i in &order {
-        let w = records[i].cost;
-        while rank + 1 < num_ranks && acc + 0.5 * w >= bound[rank as usize] {
-            rank += 1;
-        }
-        assignment[i] = rank;
-        acc += w;
-    }
-    assignment
-}
-
 /// Computes a deterministic placement of the gathered records on a
-/// heterogeneous rank pool, balancing modeled wall time rather than raw
-/// cost.
+/// heterogeneous rank pool, balancing wall time rather than raw cost.
 ///
 /// Unlike the homogeneous planner, parts are *pinned* to ranks: the
 /// chunk sized for a fast rank must land on that rank, so no
@@ -185,7 +74,9 @@ fn morton_assignment_weighted(records: &[BlockRecord], pool: &RankPool) -> Vec<u
 ///
 /// `min_ratio` is the time-ratio floor below which the current
 /// assignment is kept (same semantics as
-/// [`PlanOptions::min_ratio`](crate::PlanOptions)).
+/// [`PlanOptions::min_ratio`](crate::PlanOptions)). The plan's ratio
+/// fields are *time* ratios, which is what this planner optimizes; a
+/// placement no better than the current one is never accepted.
 pub fn plan_rebalance_hetero(
     mut records: Vec<BlockRecord>,
     pool: &RankPool,
@@ -195,59 +86,33 @@ pub fn plan_rebalance_hetero(
     let current: Vec<u32> = records.iter().map(|r| r.owner).collect();
     let old_ratio = hetero_load_ratio(&records, &current, pool);
     let total_cost: f64 = records.iter().map(|r| r.cost).sum();
-
     if pool.num_ranks() == 1 || total_cost <= 0.0 || old_ratio <= min_ratio {
-        return RebalancePlan {
-            assignment: current,
-            migrations: Vec::new(),
-            method: PlanMethod::NoOp,
-            old_ratio,
-            new_ratio: old_ratio,
-            records,
-        };
+        return RebalancePlan::noop(records, old_ratio);
     }
 
-    let assignment = morton_assignment_weighted(&records, pool);
-    let new_ratio = hetero_load_ratio(&records, &assignment, pool);
-    let migrations: Vec<Migration> = records
+    // Rank r's chunk ends at total · Σ_{i≤r} speed_i / Σ speed.
+    let speed_total: f64 = pool.speeds.iter().sum();
+    let mut acc_speed = 0.0;
+    let ends: Vec<f64> = pool
+        .speeds
         .iter()
-        .zip(&assignment)
-        .filter(|(r, &a)| r.owner != a)
-        .map(|(r, &a)| Migration { id: r.id, from: r.owner, to: a })
+        .map(|&s| {
+            acc_speed += s;
+            total_cost * acc_speed / speed_total
+        })
         .collect();
-    // Keep the cost-ratio field meaningful for observers that compare
-    // plans: expose the *time* ratios, which is what this planner
-    // optimizes, but never accept a plan worse than doing nothing.
+    let assignment = curve_assignment(&records, &ends);
+    let new_ratio = hetero_load_ratio(&records, &assignment, pool);
     if new_ratio >= old_ratio {
-        return RebalancePlan {
-            assignment: records.iter().map(|r| r.owner).collect(),
-            migrations: Vec::new(),
-            method: PlanMethod::NoOp,
-            old_ratio,
-            new_ratio: old_ratio,
-            records,
-        };
+        return RebalancePlan::noop(records, old_ratio);
     }
-    RebalancePlan {
-        records,
-        assignment,
-        migrations,
-        method: PlanMethod::MortonSfc,
-        old_ratio,
-        new_ratio,
-    }
-}
-
-/// The cost-ratio a homogeneous observer would report for an assignment
-/// (re-exported convenience for harnesses comparing uniform vs
-/// heterogeneous placement of the same records).
-pub fn cost_ratio(records: &[BlockRecord], assignment: &[u32], num_ranks: u32) -> f64 {
-    load_ratio(records, assignment, num_ranks)
+    RebalancePlan::adopt(records, assignment, PlanMethod::MortonSfc, old_ratio, new_ratio)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::load_ratio;
 
     fn grid_records(n: u32, ranks: u32, cost: f64) -> Vec<BlockRecord> {
         let mut out = Vec::new();
@@ -269,35 +134,15 @@ mod tests {
         out
     }
 
-    #[test]
-    fn table_lookup_and_overwrite() {
-        let mut t = BackendTierTable::new();
-        t.set("avx2", "simd", 87.8);
-        t.set("workgroup", "simd", 500.0);
-        t.set("avx2", "simd", 90.0);
-        assert_eq!(t.mlups("avx2", "simd"), Some(90.0));
-        assert_eq!(t.mlups("portable", "simd"), None);
-        assert_eq!(t.rows().len(), 2);
-    }
-
-    #[test]
-    fn pool_from_assignments_resolves_rates() {
-        let mut t = BackendTierTable::new();
-        t.set("avx2", "simd", 80.0);
-        t.set("workgroup", "simd", 400.0);
-        let pool = RankPool::from_assignments(&t, &[("avx2", "simd"), ("workgroup", "simd")]);
-        assert_eq!(pool.speeds(), &[80.0, 400.0]);
-    }
-
     /// On a uniform pool the weighted cut reduces to the equal-cost cut:
     /// the time ratio equals the cost ratio.
     #[test]
     fn uniform_pool_matches_cost_balance() {
         let records = grid_records(4, 4, 1.0);
-        let pool = RankPool::uniform(4, 100.0);
+        let pool = RankPool::from_speeds(vec![100.0; 4]);
         let plan = plan_rebalance_hetero(records, &pool, 1.05);
         let t = hetero_load_ratio(&plan.records, &plan.assignment, &pool);
-        let c = cost_ratio(&plan.records, &plan.assignment, 4);
+        let c = load_ratio(&plan.records, &plan.assignment, 4);
         assert!((t - c).abs() < 1e-12);
         assert!(t < 1.05, "uniform grid balances: {t}");
     }
@@ -319,8 +164,9 @@ mod tests {
         // Equal split (32/32) leaves the slow rank as a 0.32 s straggler;
         // the weighted cut's makespan must be close to the 0.128 s ideal.
         let equal: Vec<u32> = (0..64).map(|i| if i < 32 { 0 } else { 1 }).collect();
-        let m_eq = makespan(&plan.records, &equal, &pool);
-        let m_ht = makespan(&plan.records, &plan.assignment, &pool);
+        let makespan =
+            |a: &[u32]| rank_times(&plan.records, a, &pool).into_iter().fold(0.0, f64::max);
+        let (m_eq, m_ht) = (makespan(&equal), makespan(&plan.assignment));
         assert!(m_ht < 0.6 * m_eq, "hetero {m_ht} vs equal {m_eq}");
     }
 

@@ -1,7 +1,7 @@
 //! Deterministic repartitioning of the measured-cost block graph.
 
 use bytes::{Buf, BufMut};
-use trillium_blockforest::balance::morton_code;
+use trillium_blockforest::balance::{curve_order, cut_curve, Quotas};
 use trillium_partition::{partition_kway, Graph, PartitionOptions};
 
 /// Everything the planner needs to know about one block, as gathered
@@ -59,14 +59,21 @@ pub fn encode_records(records: &[BlockRecord]) -> Vec<u8> {
     buf
 }
 
+/// A record buffer whose length is not a whole number of records — the
+/// bytes come from a peer, so this is an error, not an invariant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RaggedRecords;
+
 /// Decodes a back-to-back record buffer.
-pub fn decode_records(mut data: &[u8]) -> Vec<BlockRecord> {
-    assert_eq!(data.len() % BlockRecord::WIRE_SIZE, 0, "truncated record buffer");
+pub fn decode_records(mut data: &[u8]) -> Result<Vec<BlockRecord>, RaggedRecords> {
+    if !data.len().is_multiple_of(BlockRecord::WIRE_SIZE) {
+        return Err(RaggedRecords);
+    }
     let mut out = Vec::with_capacity(data.len() / BlockRecord::WIRE_SIZE);
     while !data.is_empty() {
         out.push(BlockRecord::decode(&mut data));
     }
-    out
+    Ok(out)
 }
 
 /// One block move prescribed by a plan.
@@ -182,6 +189,35 @@ pub struct RebalancePlan {
 }
 
 impl RebalancePlan {
+    /// The plan that keeps every block where it is.
+    pub(crate) fn noop(records: Vec<BlockRecord>, old_ratio: f64) -> Self {
+        RebalancePlan {
+            assignment: records.iter().map(|r| r.owner).collect(),
+            migrations: Vec::new(),
+            method: PlanMethod::NoOp,
+            old_ratio,
+            new_ratio: old_ratio,
+            records,
+        }
+    }
+
+    /// The plan that moves every block whose owner `assignment` changes.
+    pub(crate) fn adopt(
+        records: Vec<BlockRecord>,
+        assignment: Vec<u32>,
+        method: PlanMethod,
+        old_ratio: f64,
+        new_ratio: f64,
+    ) -> Self {
+        let migrations = records
+            .iter()
+            .zip(&assignment)
+            .filter(|(r, &a)| r.owner != a)
+            .map(|(r, &a)| Migration { id: r.id, from: r.owner, to: a })
+            .collect();
+        RebalancePlan { records, assignment, migrations, method, old_ratio, new_ratio }
+    }
+
     /// Looks up the record of block `id` (binary search — records are
     /// sorted by id), or reports the defect a migration naming this id
     /// would have.
@@ -255,28 +291,13 @@ pub(crate) fn scaled_coords(r: &BlockRecord, max_level: u8) -> [u64; 3] {
     [(r.coords[0] as u64) << s, (r.coords[1] as u64) << s, (r.coords[2] as u64) << s]
 }
 
-/// Cuts the Morton curve into per-rank chunks of equal measured cost.
-fn morton_assignment(records: &[BlockRecord], num_ranks: u32) -> Vec<u32> {
-    let max_level = records.iter().map(|r| r.level).max().unwrap_or(0);
-    let mut order: Vec<usize> = (0..records.len()).collect();
-    order.sort_by_key(|&i| {
-        let c = scaled_coords(&records[i], max_level);
-        (morton_code(c[0], c[1], c[2]), records[i].id)
+/// Places the records along the Morton curve: rank `r`'s chunk ends where
+/// the cost summed from the start of the curve reaches `ends[r]`.
+pub(crate) fn curve_assignment(records: &[BlockRecord], ends: &[f64]) -> Vec<u32> {
+    let order = curve_order(records.len(), |i| {
+        (records[i].coords.map(u64::from), records[i].level, records[i].id)
     });
-    let total: f64 = records.iter().map(|r| r.cost).sum();
-    let per_rank = total / num_ranks as f64;
-    let mut assignment = vec![0u32; records.len()];
-    let mut acc = 0.0;
-    let mut rank = 0u32;
-    for &i in &order {
-        let w = records[i].cost;
-        while rank + 1 < num_ranks && acc + 0.5 * w >= per_rank * (rank + 1) as f64 {
-            rank += 1;
-        }
-        assignment[i] = rank;
-        acc += w;
-    }
-    assignment
+    cut_curve(&order, |i| records[i].cost, Quotas::Ends(ends))
 }
 
 /// Builds the block graph: vertices weighted by measured cost, edges
@@ -363,16 +384,8 @@ pub fn plan_rebalance(
     let old_ratio = load_ratio(&records, &current, num_ranks);
     let total_cost: f64 = records.iter().map(|r| r.cost).sum();
 
-    let noop = |records: Vec<BlockRecord>, old_ratio: f64| RebalancePlan {
-        assignment: records.iter().map(|r| r.owner).collect(),
-        migrations: Vec::new(),
-        method: PlanMethod::NoOp,
-        old_ratio,
-        new_ratio: old_ratio,
-        records,
-    };
     if num_ranks == 1 || total_cost <= 0.0 || old_ratio <= opts.min_ratio {
-        return noop(records, old_ratio);
+        return RebalancePlan::noop(records, old_ratio);
     }
 
     // Preferred: multilevel k-way partitioning of the cost graph.
@@ -386,24 +399,20 @@ pub fn plan_rebalance(
     let (assignment, method, new_ratio) = if graph_gain >= opts.min_graph_gain {
         (graph_assign, PlanMethod::Graph, graph_ratio)
     } else {
-        // Fallback: pure balance optimization along the Morton curve.
-        let mut sfc = morton_assignment(&records, num_ranks);
+        // Fallback: pure balance optimization, equal shares of the cost
+        // along the Morton curve.
+        let per_rank = total_cost / num_ranks as f64;
+        let ends: Vec<f64> = (0..num_ranks).map(|r| per_rank * (r + 1) as f64).collect();
+        let mut sfc = curve_assignment(&records, &ends);
         remap_to_owners(&records, &mut sfc, num_ranks);
         let sfc_ratio = load_ratio(&records, &sfc, num_ranks);
         if (old_ratio - sfc_ratio) / old_ratio >= opts.min_graph_gain {
             (sfc, PlanMethod::MortonSfc, sfc_ratio)
         } else {
-            return noop(records, old_ratio);
+            return RebalancePlan::noop(records, old_ratio);
         }
     };
-
-    let migrations = records
-        .iter()
-        .zip(&assignment)
-        .filter(|(r, &a)| r.owner != a)
-        .map(|(r, &a)| Migration { id: r.id, from: r.owner, to: a })
-        .collect();
-    RebalancePlan { records, assignment, migrations, method, old_ratio, new_ratio }
+    RebalancePlan::adopt(records, assignment, method, old_ratio, new_ratio)
 }
 
 #[cfg(test)]
@@ -448,8 +457,9 @@ mod tests {
         };
         let buf = encode_records(&[r, r]);
         assert_eq!(buf.len(), 2 * BlockRecord::WIRE_SIZE);
-        let back = decode_records(&buf);
-        assert_eq!(back, vec![r, r]);
+        assert_eq!(decode_records(&buf), Ok(vec![r, r]));
+        // A peer's buffer cut short mid-record is reported, not asserted on.
+        assert_eq!(decode_records(&buf[..buf.len() - 5]), Err(RaggedRecords));
     }
 
     #[test]

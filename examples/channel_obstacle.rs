@@ -29,7 +29,14 @@ fn main() {
 
     let steps = 400;
     println!("running {steps} steps on 4 ranks ...");
-    let result = trillium_core::driver::run_distributed_probed(&scenario, 4, 1, steps, &probes);
+    let result = trillium_core::driver::run_distributed_with(
+        &scenario,
+        4,
+        1,
+        steps,
+        &probes,
+        DriverConfig::default(),
+    );
     assert!(!result.has_nan(), "simulation went unstable");
 
     let all = result.probes();

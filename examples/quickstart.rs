@@ -21,7 +21,14 @@ fn main() {
     let probes: Vec<[i64; 3]> = (0..n as i64).map(|z| [n as i64 / 2, n as i64 / 2, z]).collect();
 
     println!("running {} for {steps} steps on 4 ranks ...", scenario.name);
-    let result = trillium_core::driver::run_distributed_probed(&scenario, 4, 1, steps, &probes);
+    let result = trillium_core::driver::run_distributed_with(
+        &scenario,
+        4,
+        1,
+        steps,
+        &probes,
+        DriverConfig::default(),
+    );
 
     let stats = result.total_stats();
     let kernel_time: f64 = result.ranks.iter().map(|r| r.kernel_time).sum::<f64>() / 4.0;

@@ -3,7 +3,7 @@
 //! and setup artifacts must survive the file format.
 
 use trillium_blockforest::{distribute, file, morton_balance};
-use trillium_core::driver::{run_distributed, run_distributed_probed};
+use trillium_core::driver::{run_distributed, run_distributed_with, DriverConfig};
 use trillium_core::prelude::*;
 
 /// 27 ranks in a 3×3×3 decomposition against the single-rank reference —
@@ -12,10 +12,22 @@ use trillium_core::prelude::*;
 fn twenty_seven_ranks_bitwise_equal() {
     let probes: Vec<[i64; 3]> =
         vec![[0, 0, 0], [17, 17, 17], [9, 8, 7], [5, 12, 9], [17, 0, 9], [6, 6, 6], [11, 12, 13]];
-    let r1 =
-        run_distributed_probed(&Scenario::lid_driven_cavity(18, 1, 0.07, 0.06), 1, 1, 30, &probes);
-    let r27 =
-        run_distributed_probed(&Scenario::lid_driven_cavity(18, 3, 0.07, 0.06), 27, 1, 30, &probes);
+    let r1 = run_distributed_with(
+        &Scenario::lid_driven_cavity(18, 1, 0.07, 0.06),
+        1,
+        1,
+        30,
+        &probes,
+        DriverConfig::default(),
+    );
+    let r27 = run_distributed_with(
+        &Scenario::lid_driven_cavity(18, 3, 0.07, 0.06),
+        27,
+        1,
+        30,
+        &probes,
+        DriverConfig::default(),
+    );
     let (p1, p27) = (r1.probes(), r27.probes());
     assert_eq!(p1.len(), probes.len());
     for ((c1, u1), (c2, u2)) in p1.iter().zip(&p27) {
@@ -29,10 +41,22 @@ fn twenty_seven_ranks_bitwise_equal() {
 #[test]
 fn uneven_rank_block_ratio_equals_reference() {
     let probes: Vec<[i64; 3]> = vec![[2, 3, 4], [12, 13, 14], [8, 8, 8]];
-    let r1 =
-        run_distributed_probed(&Scenario::lid_driven_cavity(16, 1, 0.05, 0.08), 1, 1, 25, &probes);
-    let r5 =
-        run_distributed_probed(&Scenario::lid_driven_cavity(16, 2, 0.05, 0.08), 5, 1, 25, &probes);
+    let r1 = run_distributed_with(
+        &Scenario::lid_driven_cavity(16, 1, 0.05, 0.08),
+        1,
+        1,
+        25,
+        &probes,
+        DriverConfig::default(),
+    );
+    let r5 = run_distributed_with(
+        &Scenario::lid_driven_cavity(16, 2, 0.05, 0.08),
+        5,
+        1,
+        25,
+        &probes,
+        DriverConfig::default(),
+    );
     for ((_, u1), (_, u5)) in r1.probes().iter().zip(&r5.probes()) {
         assert_eq!(u1, u5);
     }
@@ -47,8 +71,8 @@ fn channel_obstacle_decomposition_invariant() {
     let probes: Vec<[i64; 3]> = vec![[4, 4, 4], [20, 10, 8], [30, 3, 12], [16, 14, 8]];
     let s1 = Scenario::channel_with_obstacle([32, 16, 16], [1, 1, 1], 0.07, 0.03, 0.2);
     let s8 = Scenario::channel_with_obstacle([32, 16, 16], [2, 2, 2], 0.07, 0.03, 0.2);
-    let r1 = run_distributed_probed(&s1, 1, 1, 40, &probes);
-    let r8 = run_distributed_probed(&s8, 8, 1, 40, &probes);
+    let r1 = run_distributed_with(&s1, 1, 1, 40, &probes, DriverConfig::default());
+    let r8 = run_distributed_with(&s8, 8, 1, 40, &probes, DriverConfig::default());
     assert!(!r1.has_nan() && !r8.has_nan());
     for ((c, u1), (_, u8)) in r1.probes().iter().zip(&r8.probes()) {
         for d in 0..3 {
@@ -157,8 +181,8 @@ fn overlapped_skewed_vascular_bitwise_equal() {
 fn thread_count_does_not_change_results() {
     let s = Scenario::lid_driven_cavity(16, 2, 0.06, 0.07);
     let probes: Vec<[i64; 3]> = vec![[3, 3, 3], [12, 4, 9]];
-    let a = run_distributed_probed(&s, 2, 1, 20, &probes);
-    let b = run_distributed_probed(&s, 2, 4, 20, &probes);
+    let a = run_distributed_with(&s, 2, 1, 20, &probes, DriverConfig::default());
+    let b = run_distributed_with(&s, 2, 4, 20, &probes, DriverConfig::default());
     for ((_, ua), (_, ub)) in a.probes().iter().zip(&b.probes()) {
         assert_eq!(ua, ub);
     }

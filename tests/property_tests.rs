@@ -246,7 +246,7 @@ fn collectives_survive_fault_injection() {
     let expect_gather: Vec<f64> = (0..RANKS).map(|r| (r + 1) as f64 * 0.5).collect();
     for seed in 0..32u64 {
         let cfg = FaultConfig::new(seed).with_reordering(0.3, 3).with_duplicates(0.2);
-        let results = World::run_with_faults(RANKS, cfg, |mut comm| {
+        let results = World::run_fallible(RANKS, Some(cfg), |mut comm| {
             let v = (comm.rank() + 1) as f64 * 0.5;
             comm.barrier();
             let sum = comm.allreduce_sum_f64(v);
@@ -256,7 +256,8 @@ fn collectives_survive_fault_injection() {
             let count = comm.allreduce_sum_u64(1);
             (sum, mn, mx, s2, gathered, count)
         });
-        for (rank, (sum, mn, mx, s2, gathered, count)) in results.into_iter().enumerate() {
+        for (rank, result) in results.into_iter().enumerate() {
+            let (sum, mn, mx, s2, gathered, count) = result.expect("no rank panics");
             assert_eq!(sum, expect_sum, "sum on rank {rank}, seed {seed}");
             assert_eq!(mn, 0.5, "min on rank {rank}, seed {seed}");
             assert_eq!(mx, RANKS as f64 * 0.5, "max on rank {rank}, seed {seed}");

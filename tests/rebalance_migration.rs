@@ -4,7 +4,9 @@
 //! strictly better max/avg load ratio than the same run without
 //! rebalancing.
 
-use trillium_core::driver::{run_distributed_composed, run_distributed_probed, RebalanceConfig};
+use trillium_core::driver::{
+    run_distributed_composed, run_distributed_with, DriverConfig, RebalanceConfig,
+};
 use trillium_core::prelude::*;
 
 /// A synchronous run of `scenario` under the rebalance hook.
@@ -114,7 +116,8 @@ fn rebalanced_physics_matches_unbalanced_run() {
 #[test]
 fn probes_survive_migrations_bitwise() {
     let probes: Vec<[i64; 3]> = vec![[1, 1, 1], [8, 8, 14], [7, 8, 8], [15, 15, 15], [0, 15, 8]];
-    let plain = run_distributed_probed(&skewed_scenario(), 2, 1, STEPS, &probes);
+    let plain =
+        run_distributed_with(&skewed_scenario(), 2, 1, STEPS, &probes, DriverConfig::default());
     let rebalanced = run_rebalanced(&skewed_scenario(), 2, STEPS, &probes, rebalance_cfg());
     assert!(rebalanced.total_migrations() >= 1, "no migration happened");
     assert_eq!(plain.probes().len(), probes.len());
