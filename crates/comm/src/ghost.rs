@@ -9,7 +9,7 @@
 //! never sent.
 
 use bytes::{Buf, BufMut};
-use trillium_field::PdfField;
+use trillium_field::{PdfField, Region, Shape};
 use trillium_lattice::LatticeModel;
 
 /// The directions whose PDFs must be transferred across a block link in
@@ -75,6 +75,25 @@ pub fn pack_face<M: LatticeModel, F: PdfField<M>>(f: &F, d: [i8; 3], buf: &mut V
     pack_face_with::<M, F>(f, d, &qs, buf);
 }
 
+/// Visits the x-rows of `region` for every PDF of `qs` in the order of a
+/// ghost message — `q`, then row piece, then `z`, then `y` — as `visit(q,
+/// [x, y, z], row)`, `row` scratch as long as the piece starting there.
+fn for_each_row(region: &Region, qs: &[usize], mut visit: impl FnMut(usize, [i32; 3], &mut [f64])) {
+    /// Rows move through a stack buffer of this many cells, in pieces.
+    const ROW_PIECE: usize = 128;
+    let mut row = [0.0; ROW_PIECE];
+    for &q in qs {
+        for x in region.x.clone().step_by(ROW_PIECE) {
+            let n = ((region.x.end - x) as usize).min(ROW_PIECE);
+            for z in region.z.clone() {
+                for y in region.y.clone() {
+                    visit(q, [x, y, z], &mut row[..n]);
+                }
+            }
+        }
+    }
+}
+
 /// Allocation-free variant of [`pack_face`]: the caller supplies the
 /// crossing set (from a [`CrossingTable`]) and a reusable buffer, which is
 /// appended to (clear it first to reuse across steps).
@@ -86,17 +105,20 @@ pub fn pack_face_with<M: LatticeModel, F: PdfField<M>>(
 ) {
     let shape = f.shape();
     let region = shape.boundary_slab(d, shape.ghost);
-    buf.reserve(region.num_cells() * qs.len() * 8);
-    for (x, y, z) in region.iter() {
-        for &q in qs {
-            buf.put_f64_le(f.get(x, y, z, q));
+    let start = buf.len();
+    buf.resize(start + region.num_cells() * qs.len() * 8, 0);
+    let mut out = buf[start..].as_chunks_mut::<8>().0.iter_mut();
+    for_each_row(&region, qs, |q, [x, y, z], row| {
+        f.read_row(q, x, y, z, row);
+        for (v, bytes) in row.iter().zip(&mut out) {
+            *bytes = v.to_le_bytes();
         }
-    }
+    });
 }
 
 /// Unpacks data received *from* the neighbor in direction `d` into the
 /// receiver's ghost slab in direction `d`. The sender must have packed
-/// with direction `-d`; cell order and PDF sets then match exactly.
+/// with direction `-d`; row order and PDF sets then match exactly.
 pub fn unpack_face<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3], data: &[u8]) {
     // The receiver needs the PDFs pointing from the ghost slab into the
     // interior, which are exactly those the sender packed with `-d`.
@@ -104,23 +126,45 @@ pub fn unpack_face<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3], data:
     unpack_face_with::<M, F>(f, d, &qs, data);
 }
 
-/// Allocation-free variant of [`unpack_face`]: the caller supplies the
-/// *reversed* crossing set ([`CrossingTable::qs_reversed`] of `d`).
+/// A ghost message whose length is not what the receiving slab holds.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct GhostSizeMismatch {
+    expected: usize,
+    got: usize,
+}
+
+/// Allocation-free variant of [`unpack_face`] (`qs`: the *reversed* set,
+/// [`CrossingTable::qs_reversed`] of `d`) for bytes from a peer: a wrong
+/// length is an error and writes nothing.
+pub fn try_unpack_face_with<M: LatticeModel, F: PdfField<M>>(
+    f: &mut F,
+    d: [i8; 3],
+    qs: &[usize],
+    data: &[u8],
+) -> Result<(), GhostSizeMismatch> {
+    let shape = f.shape();
+    let region = shape.ghost_slab(d, shape.ghost);
+    let expected = region.num_cells() * qs.len() * 8;
+    if data.len() != expected {
+        return Err(GhostSizeMismatch { expected, got: data.len() });
+    }
+    let mut values = data.as_chunks::<8>().0.iter().map(|b| f64::from_le_bytes(*b));
+    for_each_row(&region, qs, |q, [x, y, z], row| {
+        row.iter_mut().zip(&mut values).for_each(|(v, got)| *v = got);
+        f.write_row(q, x, y, z, row);
+    });
+    Ok(())
+}
+
+/// [`try_unpack_face_with`] for bytes this process packed itself: panics
+/// if `data` is not one message for the ghost slab in direction `d`.
 pub fn unpack_face_with<M: LatticeModel, F: PdfField<M>>(
     f: &mut F,
     d: [i8; 3],
     qs: &[usize],
     data: &[u8],
 ) {
-    let shape = f.shape();
-    let region = shape.ghost_slab(d, shape.ghost);
-    assert_eq!(data.len(), region.num_cells() * qs.len() * 8, "ghost message size mismatch");
-    let mut buf = data;
-    for (x, y, z) in region.iter() {
-        for &q in qs {
-            f.set(x, y, z, q, buf.get_f64_le());
-        }
-    }
+    try_unpack_face_with::<M, F>(f, d, qs, data).expect("ghost message packed for this slab");
 }
 
 /// Packs only the PDFs of *fluid* cells in the boundary slab toward the
@@ -182,6 +226,16 @@ pub fn unpack_face_sparse<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3]
     assert!(buf.is_empty(), "sparse ghost message has trailing bytes");
 }
 
+/// The boundary slab of `src` facing a block `dst` that has it as neighbor
+/// in direction `d`, and the translation onto `dst`'s ghost slab there.
+fn facing_slab(src: Shape, dst: Shape, d: [i8; 3]) -> (Region, [i32; 3]) {
+    let from = src.boundary_slab([-d[0], -d[1], -d[2]], src.ghost);
+    let to = dst.ghost_slab(d, dst.ghost);
+    assert_eq!(from.num_cells(), to.num_cells(), "block size mismatch across link");
+    let shift = [to.x.start - from.x.start, to.y.start - from.y.start, to.z.start - from.z.start];
+    (from, shift)
+}
+
 /// Direct ghost copy between two blocks owned by the same process:
 /// `dst` has `src` as its neighbor in direction `d`.
 pub fn copy_face_local<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
@@ -189,17 +243,32 @@ pub fn copy_face_local<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
     dst: &mut B,
     d: [i8; 3],
 ) {
-    // Equivalent to pack on src toward −d, unpack on dst from d, without
-    // the byte round trip.
-    let sregion = src.shape().boundary_slab([-d[0], -d[1], -d[2]], src.shape().ghost);
-    let dregion = dst.shape().ghost_slab(d, dst.shape().ghost);
-    let qs = pdfs_crossing::<M>([-d[0], -d[1], -d[2]]);
-    assert_eq!(sregion.num_cells(), dregion.num_cells(), "block size mismatch across link");
-    for ((sx, sy, sz), (dx, dy, dz)) in sregion.iter().zip(dregion.iter()) {
-        for &q in &qs {
-            dst.set(dx, dy, dz, q, src.get(sx, sy, sz, q));
-        }
-    }
+    copy_face_local_with::<M, A, B>(src, dst, d, &pdfs_crossing::<M>([-d[0], -d[1], -d[2]]));
+}
+
+/// Allocation-free variant of [`copy_face_local`] (`qs`: the *reversed*
+/// set): equal to packing `src` toward `-d`, unpacking into `dst` from `d`.
+pub fn copy_face_local_with<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
+    src: &A,
+    dst: &mut B,
+    d: [i8; 3],
+    qs: &[usize],
+) {
+    let (from, s) = facing_slab(src.shape(), dst.shape(), d);
+    for_each_row(&from, qs, |q, [x, y, z], row| {
+        src.read_row(q, x, y, z, row);
+        dst.write_row(q, x + s[0], y + s[1], z + s[2], row);
+    });
+}
+
+/// [`copy_face_local_with`] for a block that is its own neighbor in
+/// direction `d` (a periodic axis one block wide), inside the one field.
+pub fn copy_face_self_with<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3], qs: &[usize]) {
+    let (from, s) = facing_slab(f.shape(), f.shape(), d);
+    for_each_row(&from, qs, |q, [x, y, z], row| {
+        f.read_row(q, x, y, z, row);
+        f.write_row(q, x + s[0], y + s[1], z + s[2], row);
+    });
 }
 
 #[cfg(test)]
@@ -338,6 +407,82 @@ mod tests {
                 assert_eq!(b1.get(x, y, z, q), b2.get(x, y, z, q));
             }
         }
+    }
+
+    /// An SoA field whose every storage slot holds a distinct value.
+    fn numbered(shape: Shape, odd: bool, offset: f64) -> trillium_field::SoaPdfField<D3Q19> {
+        let mut f = trillium_field::SoaPdfField::<D3Q19>::new(shape);
+        for (i, v) in f.data_mut().iter_mut().enumerate() {
+            *v = offset + i as f64;
+        }
+        f.set_parity(odd);
+        f
+    }
+
+    /// The field-to-field copy is pack + unpack without the bytes: all 18
+    /// carrying directions, every pairing of sender and receiver storage
+    /// parity (an in-place block beside a pull one is the mixed case), and
+    /// a block that is its own neighbor.
+    #[test]
+    fn local_and_self_copies_equal_pack_unpack_at_every_parity() {
+        let shape = Shape::new(5, 4, 3, 1);
+        let table = CrossingTable::new::<D3Q19>();
+        let dirs = trillium_lattice::d3q19::C.iter().skip(1);
+        for &d in dirs.clone() {
+            let rev = [-d[0], -d[1], -d[2]];
+            for (src_odd, dst_odd) in [(false, false), (true, true), (false, true), (true, false)] {
+                let src = numbered(shape, src_odd, 0.5);
+                let mut by_bytes = numbered(shape, dst_odd, 10_000.5);
+                let mut by_copy = by_bytes.clone();
+                let mut buf = Vec::new();
+                pack_face::<D3Q19, _>(&src, rev, &mut buf);
+                unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
+                copy_face_local_with::<D3Q19, _, _>(&src, &mut by_copy, d, table.qs_reversed(d));
+                assert_eq!(by_bytes.data(), by_copy.data(), "d={d:?} {src_odd}->{dst_odd}");
+                assert_ne!(by_copy.data(), numbered(shape, dst_odd, 10_000.5).data());
+                let mut by_default = numbered(shape, dst_odd, 10_000.5);
+                copy_face_local::<D3Q19, _, _>(&src, &mut by_default, d);
+                assert_eq!(by_default.data(), by_copy.data());
+            }
+            for odd in [false, true] {
+                let mut by_bytes = numbered(shape, odd, 0.5);
+                let mut by_copy = by_bytes.clone();
+                let mut buf = Vec::new();
+                pack_face::<D3Q19, _>(&by_bytes, rev, &mut buf);
+                unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
+                copy_face_self_with::<D3Q19, _>(&mut by_copy, d, table.qs_reversed(d));
+                assert_eq!(by_bytes.data(), by_copy.data(), "self link d={d:?} odd={odd}");
+            }
+        }
+        assert_eq!(dirs.count(), 18);
+    }
+
+    /// A message of the wrong length is an error that writes nothing; the
+    /// panicking wrapper is for bytes this process packed itself.
+    #[test]
+    fn short_ghost_message_is_an_error_not_a_panic() {
+        let shape = Shape::cube(4);
+        let a = numbered(shape, false, 0.5);
+        let table = CrossingTable::new::<D3Q19>();
+        let d = [1, 0, 0];
+        let mut buf = Vec::new();
+        pack_face_with::<D3Q19, _>(&a, [-1, 0, 0], table.qs([-1, 0, 0]), &mut buf);
+        let mut b = numbered(shape, false, 9_000.5);
+        let untouched = b.clone();
+        for bad in [&buf[..buf.len() - 8], &[buf.as_slice(), &[0; 8]].concat(), &[][..]] {
+            let err = try_unpack_face_with::<D3Q19, _>(&mut b, d, table.qs_reversed(d), bad);
+            assert_eq!(err, Err(GhostSizeMismatch { expected: buf.len(), got: bad.len() }));
+            assert_eq!(b.data(), untouched.data());
+        }
+        assert_eq!(try_unpack_face_with::<D3Q19, _>(&mut b, d, table.qs_reversed(d), &buf), Ok(()));
+        assert_ne!(b.data(), untouched.data());
+    }
+
+    #[test]
+    #[should_panic(expected = "ghost message packed for this slab")]
+    fn unpack_face_with_panics_on_a_foreign_length() {
+        let mut f = AosPdfField::<D3Q19>::new(Shape::cube(3));
+        unpack_face_with::<D3Q19, _>(&mut f, [1, 0, 0], &[5], &[0; 16]);
     }
 
     /// Sparse packing transfers exactly the fluid cells' PDFs and leaves

@@ -4,7 +4,7 @@ use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shap
 use trillium_kernels::{
     Backend, BackendKind, BoundaryLinks, BoundaryParams, Collision, SweepStats,
 };
-use trillium_lattice::{Relaxation, D3Q19};
+use trillium_lattice::{LatticeModel, Relaxation, D3Q19};
 
 #[cfg(debug_assertions)]
 use crate::checkpoint::flag_digest;
@@ -244,7 +244,7 @@ impl BlockSim {
     /// [`BlockSim::apply_boundaries`] each step.
     pub fn sync_periodic(&mut self, axes: [bool; 3]) {
         use trillium_blockforest::NEIGHBOR_DIRS;
-        use trillium_comm::{pack_face, pdfs_crossing, unpack_face};
+        use trillium_comm::{copy_face_self_with, pdfs_crossing};
         // Every face *and edge* whose nonzero components lie on periodic
         // axes wraps around: with two or three periodic axes the diagonal
         // PDFs crossing an edge must be transferred too, exactly as the
@@ -252,14 +252,13 @@ impl BlockSim {
         for d in NEIGHBOR_DIRS {
             let wrapping = (0..3).all(|a| d[a] == 0 || axes[a]);
             let has_any = (0..3).any(|a| d[a] != 0 && axes[a]);
-            if !wrapping || !has_any || pdfs_crossing::<D3Q19>(d).is_empty() {
+            let qs = pdfs_crossing::<D3Q19>(d);
+            if !wrapping || !has_any || qs.is_empty() {
                 continue;
             }
             // Data leaving through face/edge d wraps around and enters the
             // ghost slab on the opposite side (direction −d).
-            let mut buf = Vec::new();
-            pack_face::<D3Q19, _>(&self.src, d, &mut buf);
-            unpack_face::<D3Q19, _>(&mut self.src, [-d[0], -d[1], -d[2]], &buf);
+            copy_face_self_with::<D3Q19, _>(&mut self.src, [-d[0], -d[1], -d[2]], &qs);
         }
     }
 
@@ -371,30 +370,53 @@ impl BlockSim {
         }
     }
 
-    /// Total mass over interior fluid cells.
-    pub fn fluid_mass(&self) -> f64 {
-        let mut sum = 0.0;
-        for (x, y, z) in self.shape.interior().iter() {
-            if self.flags.flags(x, y, z).is_fluid() {
-                sum += self.src.density(x, y, z);
+    /// The one reduction over the interior fluid cells. Per `(y, z)` row,
+    /// ρ, `j` and a non-finite marker are summed over the 19 direction rows
+    /// into x-indexed scratch, then the row's fluid cells fold in x order:
+    /// [`PdfField::density`] / `velocity` arithmetic per cell, cells x, y,
+    /// z — bitwise a per-cell walk, at either parity.
+    pub fn fluid_totals(&self) -> FluidTotals {
+        let nx = self.shape.nx;
+        let mut scratch = [(); 5].map(|_| vec![0.0; nx]);
+        let [rho, j0, j1, j2, bad] = &mut scratch;
+        let mut t = FluidTotals::default();
+        for z in 0..self.shape.nz as i32 {
+            for y in 0..self.shape.ny as i32 {
+                // −0.0 is the neutral element `f64::sum` folds ρ from.
+                rho.fill(-0.0);
+                [&mut *j0, &mut *j1, &mut *j2, &mut *bad].into_iter().for_each(|a| a.fill(0.0));
+                for q in 0..19 {
+                    let c = D3Q19::c(q);
+                    let f = self.src.row(q, 0, y, z, nx);
+                    for x in 0..nx {
+                        rho[x] += f[x];
+                        j0[x] += f[x] * c[0];
+                        j1[x] += f[x] * c[1];
+                        j2[x] += f[x] * c[2];
+                        // NaN iff a PDF of the cell is ±∞ or NaN (`f · 0`).
+                        bad[x] += f[x] * 0.0;
+                    }
+                }
+                for x in (0..nx).filter(|&x| self.flags.flags(x as i32, y, z).is_fluid()) {
+                    let u = [j0[x] / rho[x], j1[x] / rho[x], j2[x] / rho[x]];
+                    t.mass += rho[x];
+                    t.kinetic_energy += 0.5 * rho[x] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+                    t.momentum = [0, 1, 2].map(|d| t.momentum[d] + rho[x] * u[d]);
+                    t.non_finite |= bad[x].is_nan();
+                }
             }
         }
-        sum
+        t
+    }
+
+    /// Total mass over interior fluid cells.
+    pub fn fluid_mass(&self) -> f64 {
+        self.fluid_totals().mass
     }
 
     /// Momentum over interior fluid cells.
     pub fn fluid_momentum(&self) -> [f64; 3] {
-        let mut j = [0.0; 3];
-        for (x, y, z) in self.shape.interior().iter() {
-            if self.flags.flags(x, y, z).is_fluid() {
-                let rho = self.src.density(x, y, z);
-                let u = self.src.velocity(x, y, z);
-                for d in 0..3 {
-                    j[d] += rho * u[d];
-                }
-            }
-        }
-        j
+        self.fluid_totals().momentum
     }
 
     /// Velocity at an interior cell (must be fluid to be meaningful).
@@ -405,15 +427,7 @@ impl BlockSim {
     /// Total kinetic energy `Σ ½ ρ u²` over interior fluid cells — the
     /// observable behind the Taylor–Green dissipation-rate validation.
     pub fn kinetic_energy(&self) -> f64 {
-        let mut e = 0.0;
-        for (x, y, z) in self.shape.interior().iter() {
-            if self.flags.flags(x, y, z).is_fluid() {
-                let rho = self.src.density(x, y, z);
-                let u = self.src.velocity(x, y, z);
-                e += 0.5 * rho * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
-            }
-        }
-        e
+        self.fluid_totals().kinetic_energy
     }
 
     /// Momentum-exchange force on the boundary cells matched by `mask`
@@ -424,20 +438,23 @@ impl BlockSim {
         self.links.force(&self.src, mask)
     }
 
-    /// True if the interior contains a non-finite PDF (stability check).
+    /// True if an interior fluid cell holds a non-finite PDF.
     pub fn has_nan(&self) -> bool {
-        for (x, y, z) in self.shape.interior().iter() {
-            if !self.flags.flags(x, y, z).is_fluid() {
-                continue;
-            }
-            for q in 0..19 {
-                if !self.src.get(x, y, z, q).is_finite() {
-                    return true;
-                }
-            }
-        }
-        false
+        self.fluid_totals().non_finite
     }
+}
+
+/// Totals over a block's interior fluid cells.
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
+pub struct FluidTotals {
+    /// `Σ ρ`.
+    pub mass: f64,
+    /// `Σ ½ ρ u²`.
+    pub kinetic_energy: f64,
+    /// `Σ ρ u`.
+    pub momentum: [f64; 3],
+    /// True if some PDF of a fluid cell is NaN or infinite.
+    pub non_finite: bool,
 }
 
 /// Builds a fully fluid flag field whose domain-border faces (where
@@ -446,29 +463,22 @@ impl BlockSim {
 /// fluid into the ghost layer (they will be synchronized from neighbor
 /// blocks).
 pub fn boxed_block_flags(shape: Shape, border_flags: [Option<CellFlags>; 6]) -> FlagField {
-    let mut flags = FlagField::new(shape);
     // Everything fluid, ghosts included.
-    for (x, y, z) in shape.with_ghosts().iter() {
-        flags.set_flags(x, y, z, CellFlags::FLUID);
-    }
-    let (nx, ny, nz) = (shape.nx as i32, shape.ny as i32, shape.nz as i32);
-    for (x, y, z) in shape.with_ghosts().iter() {
-        let mut wall: Option<CellFlags> = None;
-        // On edges and corners the last matching closed face wins, so the
-        // lid on +z overrides the side walls.
-        let mut check = |cond: bool, f: Option<CellFlags>| {
-            if cond && f.is_some() {
-                wall = f;
-            }
+    let mut flags = FlagField::filled(shape, CellFlags::FLUID.0);
+    let g = shape.ghost as i32;
+    // Closed faces are written in order, so on edges and corners the last
+    // one wins: the lid on +z overrides the side walls.
+    for (i, wall) in border_flags.into_iter().enumerate() {
+        let Some(wall) = wall else { continue };
+        let mut face = shape.with_ghosts();
+        let side = match i / 2 {
+            0 => &mut face.x,
+            1 => &mut face.y,
+            _ => &mut face.z,
         };
-        check(x < 0, border_flags[0]);
-        check(x >= nx, border_flags[1]);
-        check(y < 0, border_flags[2]);
-        check(y >= ny, border_flags[3]);
-        check(z < 0, border_flags[4]);
-        check(z >= nz, border_flags[5]);
-        if let Some(f) = wall {
-            flags.set_flags(x, y, z, f);
+        *side = if i % 2 == 0 { side.start..0 } else { side.end - g..side.end };
+        for (x, y, z) in face.iter() {
+            flags.set_flags(x, y, z, wall);
         }
     }
     flags
@@ -491,6 +501,153 @@ mod tests {
                 Some(CellFlags::VELOCITY),
             ],
         )
+    }
+
+    /// The flag-field builder as it was before it wrote whole faces: two
+    /// walks over the padded box, each cell asked which faces it lies
+    /// beyond.
+    fn boxed_block_flags_per_cell(shape: Shape, border_flags: [Option<CellFlags>; 6]) -> FlagField {
+        let mut flags = FlagField::new(shape);
+        for (x, y, z) in shape.with_ghosts().iter() {
+            flags.set_flags(x, y, z, CellFlags::FLUID);
+        }
+        let (nx, ny, nz) = (shape.nx as i32, shape.ny as i32, shape.nz as i32);
+        for (x, y, z) in shape.with_ghosts().iter() {
+            let mut wall: Option<CellFlags> = None;
+            let mut check = |cond: bool, f: Option<CellFlags>| {
+                if cond && f.is_some() {
+                    wall = f;
+                }
+            };
+            check(x < 0, border_flags[0]);
+            check(x >= nx, border_flags[1]);
+            check(y < 0, border_flags[2]);
+            check(y >= ny, border_flags[3]);
+            check(z < 0, border_flags[4]);
+            check(z >= nz, border_flags[5]);
+            if let Some(f) = wall {
+                flags.set_flags(x, y, z, f);
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn boxed_flags_equal_the_per_cell_builder_for_every_border_set() {
+        let shape = Shape::new(5, 4, 3, 1);
+        // A distinct flag per face, so the winner on edges is visible.
+        let walls = [
+            CellFlags::NOSLIP,
+            CellFlags::VELOCITY,
+            CellFlags::PRESSURE,
+            CellFlags::PRESSURE_ALT,
+            CellFlags::OBSTACLE,
+            CellFlags::VELOCITY,
+        ];
+        for closed in 0u32..64 {
+            let border = std::array::from_fn(|i| (closed >> i & 1 == 1).then_some(walls[i]));
+            let got = boxed_block_flags(shape, border);
+            let want = boxed_block_flags_per_cell(shape, border);
+            assert_eq!(got.data(), want.data(), "closed faces {closed:06b}");
+        }
+    }
+
+    /// The four per-cell reductions [`BlockSim::fluid_totals`] replaced,
+    /// each cell through `get_cell` gathers: the oracle of the fused pass.
+    fn per_cell_totals(b: &BlockSim) -> FluidTotals {
+        let mut t = FluidTotals::default();
+        for (x, y, z) in b.shape.interior().iter() {
+            if !b.flags.flags(x, y, z).is_fluid() {
+                continue;
+            }
+            let rho = b.src.density(x, y, z);
+            let u = b.src.velocity(x, y, z);
+            t.mass += rho;
+            t.kinetic_energy += 0.5 * rho * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+            for d in 0..3 {
+                t.momentum[d] += rho * u[d];
+            }
+            t.non_finite |= (0..19).any(|q| !b.src.get(x, y, z, q).is_finite());
+        }
+        t
+    }
+
+    /// A block of random extents and fluid mask holding random finite
+    /// PDFs in every interior cell (solid ones included), written through
+    /// the accessors at the given storage parity.
+    fn random_block(rng: &mut rand::rngs::StdRng, odd: bool) -> BlockSim {
+        use rand::Rng;
+        let nx = [1, 3, 8, 17][rng.gen_range(0..4usize)];
+        let shape = Shape::new(nx, rng.gen_range(1..=4usize), rng.gen_range(1..=4usize), 1);
+        let mut flags = FlagField::filled(shape, CellFlags::NOSLIP.0);
+        let fluid_share = rng.next_f64();
+        for (x, y, z) in shape.interior().iter() {
+            if rng.gen_bool(fluid_share) {
+                flags.set_flags(x, y, z, CellFlags::FLUID);
+            }
+        }
+        let mut b = BlockSim::from_flags(flags, BoundaryParams::default(), 1.0, [0.0; 3]);
+        b.src.set_parity(odd);
+        for (x, y, z) in shape.interior().iter() {
+            for q in 0..19 {
+                b.src.set(x, y, z, q, rng.gen_range(-2.0..2.0));
+            }
+        }
+        b
+    }
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_totals_equal(got: FluidTotals, want: FluidTotals, what: &str) {
+        let pairs = [
+            (got.mass, want.mass),
+            (got.kinetic_energy, want.kinetic_energy),
+            (got.momentum[0], want.momentum[0]),
+            (got.momentum[1], want.momentum[1]),
+            (got.momentum[2], want.momentum[2]),
+        ];
+        assert!(pairs.iter().all(|&(a, b)| same_bits(a, b)), "{what}: {got:?} != {want:?}");
+        assert_eq!(got.non_finite, want.non_finite, "{what}");
+    }
+
+    #[test]
+    fn fused_totals_equal_the_per_cell_reductions_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        for case in 0..200 {
+            let b = random_block(&mut rng, case % 2 == 1);
+            let got = b.fluid_totals();
+            assert_totals_equal(got, per_cell_totals(&b), &format!("case {case}"));
+            assert!(!got.non_finite);
+            assert_eq!(b.fluid_mass().to_bits(), got.mass.to_bits());
+            assert_eq!(b.kinetic_energy().to_bits(), got.kinetic_energy.to_bits());
+            assert_eq!(b.fluid_momentum().map(f64::to_bits), got.momentum.map(f64::to_bits));
+            assert!(!b.has_nan());
+        }
+        // A non-finite PDF counts exactly when its cell is fluid.
+        for (case, poison) in [f64::NAN, f64::INFINITY].into_iter().enumerate() {
+            for in_fluid in [true, false] {
+                let mut b = loop {
+                    let b = random_block(&mut rng, case == 1);
+                    let fluid = b.fluid_cells();
+                    if 0 < fluid && fluid < b.shape.interior_cells() {
+                        break b;
+                    }
+                };
+                let cells: Vec<_> = b.shape.interior().iter().collect();
+                let (x, y, z) = *cells
+                    .iter()
+                    .find(|&&(x, y, z)| b.flags.flags(x, y, z).is_fluid() == in_fluid)
+                    .unwrap();
+                b.src.set(x, y, z, rng.gen_range(0..19usize), poison);
+                let got = b.fluid_totals();
+                assert_totals_equal(got, per_cell_totals(&b), &format!("{poison} {in_fluid}"));
+                assert_eq!(got.non_finite, in_fluid, "{poison} in a fluid cell: {in_fluid}");
+                assert_eq!(b.has_nan(), in_fluid);
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,10 @@ use trillium_blockforest::{
     dir_index, distribute, BlockId, BlockLink, DistributedForest, SetupForest, NEIGHBOR_DIRS,
 };
 use trillium_comm::{
-    pack_face_with, unpack_face_with, CommError, Communicator, CrossingTable, FaultEvent, World,
+    copy_face_local_with, copy_face_self_with, pack_face_with, try_unpack_face_with, CommError,
+    Communicator, CrossingTable, FaultEvent, World,
 };
-use trillium_field::{CellFlags, PdfField};
+use trillium_field::CellFlags;
 use trillium_kernels::SweepStats;
 use trillium_lattice::{Relaxation, D3Q19};
 use trillium_obs::{ObsConfig, RankObs, Recorder, SpanKind};
@@ -55,8 +56,8 @@ pub struct RankResult {
     pub stats: SweepStats,
     /// Wall time in the compute kernels (seconds).
     pub kernel_time: f64,
-    /// Wall time of ghost-exchange *work*: packing, sending, local
-    /// unpacking, and draining remote messages (receive + unpack).
+    /// Wall time of ghost-exchange *work*: same-rank field-to-field copies,
+    /// packing, sending, and draining remote messages (receive + unpack).
     /// Excludes time blocked on messages that had not yet arrived —
     /// that is [`RankResult::ghost_stall_time`], kept disjoint by the
     /// span layer so the categories sum without double counting.
@@ -224,10 +225,13 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Relative drift of the global fluid mass over the run.
+    /// Relative drift of the global fluid mass (0.0 if there was none).
     pub fn mass_drift(&self) -> f64 {
         let m0: f64 = self.ranks.iter().map(|r| r.mass_initial).sum();
         let m1: f64 = self.ranks.iter().map(|r| r.mass_final).sum();
+        if m0 == 0.0 {
+            return 0.0;
+        }
         (m1 - m0) / m0
     }
 
@@ -755,8 +759,8 @@ pub fn run_distributed(
 const M_OVERLAP_HIDDEN: &str = "driver.overlap_hidden_seconds";
 
 /// One rank's time-loop state: everything a step reads or writes, built
-/// once per run and lent to the hooks between steps. `blocks`, `view`
-/// and `index_of` always describe the same blocks in the same order.
+/// once per run and lent to the hooks between steps. `blocks`, `view` and
+/// `local_neighbors` always describe the same blocks in the same order.
 pub struct RankLoop<'a> {
     pub(crate) comm: Communicator,
     pub(crate) scenario: &'a Scenario,
@@ -765,7 +769,8 @@ pub struct RankLoop<'a> {
     pub(crate) forest: Cow<'a, SetupForest>,
     pub(crate) view: Cow<'a, DistributedForest>,
     pub(crate) blocks: Vec<BlockSim>,
-    index_of: HashMap<BlockId, usize>,
+    /// Per block and [`NEIGHBOR_DIRS`] direction: the same-rank neighbor.
+    local_neighbors: Vec<[Option<usize>; 26]>,
     ctx: GhostCtx,
     pub(crate) rec: Recorder,
     pub(crate) stats: SweepStats,
@@ -776,9 +781,23 @@ pub struct RankLoop<'a> {
     energy_initial: f64,
 }
 
-/// Block id → position in the view (and the matching block vector).
-fn index_blocks(view: &DistributedForest) -> HashMap<BlockId, usize> {
-    view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect()
+/// Every same-rank link of the view, resolved to the neighbor's position.
+fn resolve_local_links(view: &DistributedForest) -> Vec<[Option<usize>; 26]> {
+    let index_of: HashMap<_, _> = view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
+    let resolve = |link: &BlockLink| match link {
+        BlockLink::Local(id) => Some(index_of[id]),
+        _ => None,
+    };
+    view.blocks.iter().map(|b| b.links.each_ref().map(resolve)).collect()
+}
+
+/// One reduction pass, view order: `(mass, energy, any non-finite PDF)`.
+fn reduce_blocks(blocks: &[BlockSim], rec: &Recorder) -> (f64, f64, bool) {
+    let _span = rec.span(SpanKind::Reduce);
+    let t: Vec<_> = blocks.iter().map(BlockSim::fluid_totals).collect();
+    let mass = t.iter().map(|t| t.mass).sum();
+    let energy = t.iter().map(|t| t.kinetic_energy).sum();
+    (mass, energy, t.iter().any(|t| t.non_finite))
 }
 
 impl<'a> RankLoop<'a> {
@@ -793,17 +812,20 @@ impl<'a> RankLoop<'a> {
     ) -> Self {
         let rec = Recorder::with_epoch(comm.rank(), cfg.obs, plan.epoch);
         let view = &plan.views[comm.rank() as usize];
+        let build = rec.span(SpanKind::BuildBlocks);
         let blocks: Vec<BlockSim> = view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
+        drop(build);
         // A requested in-place kernel silently resolves to pull on sparse
         // storage; count it so a carved run is observably slower.
         let fallbacks = blocks.iter().filter(|b| b.fell_back_to_pull()).count() as u64;
         if fallbacks > 0 {
             rec.metrics().add("kernel.fallback_pull", fallbacks);
         }
+        let (mass_initial, energy_initial, _) = reduce_blocks(&blocks, &rec);
         let lp = RankLoop {
-            mass_initial: blocks.iter().map(BlockSim::fluid_mass).sum(),
-            energy_initial: blocks.iter().map(BlockSim::kinetic_energy).sum(),
-            index_of: index_blocks(view),
+            mass_initial,
+            energy_initial,
+            local_neighbors: resolve_local_links(view),
             comm,
             scenario,
             forest: Cow::Borrowed(&plan.forest),
@@ -843,7 +865,7 @@ impl<'a> RankLoop<'a> {
             }
             let rank = self.comm.rank() as usize;
             self.view = Cow::Owned(distribute(&self.forest).swap_remove(rank));
-            self.index_of = index_blocks(&self.view);
+            self.local_neighbors = resolve_local_links(&self.view);
         }
     }
 
@@ -859,8 +881,9 @@ impl<'a> RankLoop<'a> {
 
     /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
     ///
-    /// The pack-and-post phase is common: every face is packed, remote
-    /// ones are sent, same-rank ones unpacked on the spot. The schedules
+    /// The pack-and-post phase is common: a same-rank link copies the
+    /// neighbor's slab field to field into this block's ghost slab, a
+    /// remote link packs this block's slab and sends it. The schedules
     /// differ in the drain. *Synchronous*: receive in posting order, then
     /// sweep whole blocks. *Overlapped*: sweep every interior core (whose
     /// pull stencil never reads the ghost layer) while the messages are
@@ -872,13 +895,17 @@ impl<'a> RankLoop<'a> {
     /// (`trillium-kernels::boundary`), and ghost slabs of distinct
     /// directions are disjoint, so arrival-order unpacking is race-free.
     ///
+    /// Copies, packs and unpacks may interleave in any order: within one
+    /// field the exchange never reads a slot it writes — interior storage
+    /// read, ghost storage written at even parity, the reverse at odd (AA)
+    /// parity, on disjoint direction grids — and parity is per block, so
+    /// in-place and pull neighbors exchange alike (DESIGN.md §9).
+    ///
     /// A `deadline` bounds every blocking receive. Any error leaves the
     /// blocks in a torn mid-step state for the caller to discard (by
     /// restoring a checkpoint) or give up on.
     pub fn step(&mut self, t: u64, deadline: Option<Duration>) -> Result<(), CommError> {
         // ---- pack and post ------------------------------------------------
-        // Packs read interior slabs only, unpacks write ghost slabs only,
-        // so the two phases are race-free and equal to any interleaving.
         let pack = self.rec.span(SpanKind::GhostPack);
         let ctx = &mut self.ctx;
         ctx.begin_step(self.blocks.len());
@@ -888,34 +915,31 @@ impl<'a> RankLoop<'a> {
                 if ctx.table.qs(d).is_empty() {
                     continue; // corner links carry nothing for D3Q19
                 }
-                // The neighbor receives from direction −d.
-                let rev = [-d[0], -d[1], -d[2]];
-                match link {
-                    BlockLink::Border => {}
-                    BlockLink::Local(nid) => {
-                        let buf = ctx.pack(&self.blocks[bi], d);
-                        ctx.local.push((self.index_of[nid], rev, buf));
+                if let Some(ni) = self.local_neighbors[bi][li] {
+                    let qs = ctx.table.qs_reversed(d);
+                    match self.blocks.get_disjoint_mut([bi, ni]) {
+                        Ok([b, n]) => {
+                            copy_face_local_with::<D3Q19, _, _>(&n.src, &mut b.src, d, qs)
+                        }
+                        // `ni == bi`: its own periodic neighbor.
+                        Err(_) => copy_face_self_with::<D3Q19, _>(&mut self.blocks[bi].src, d, qs),
                     }
-                    BlockLink::Remote(nid, r) => {
-                        let buf = ctx.pack(&self.blocks[bi], d);
-                        self.comm.send(*r, ghost_tag(*nid, rev, t), buf);
-                        // Symmetric link: we will receive the neighbor's
-                        // data for our ghost slab in direction d.
-                        ctx.pairs.push((*r, ghost_tag(lb.id, d, t)));
-                        ctx.meta.push((bi, d));
-                        ctx.outstanding[bi] += 1;
-                    }
+                } else if let BlockLink::Remote(nid, r) = link {
+                    let buf = ctx.pack(&self.blocks[bi], d);
+                    // The neighbor receives from direction −d.
+                    let rev = [-d[0], -d[1], -d[2]];
+                    self.comm.send(*r, ghost_tag(*nid, rev, t), buf);
+                    // Symmetric link: we will receive the neighbor's
+                    // data for our ghost slab in direction d.
+                    ctx.pairs.push((*r, ghost_tag(lb.id, d, t)));
+                    ctx.meta.push((bi, d));
+                    ctx.outstanding[bi] += 1;
                 }
             }
         }
         // End of the send phase: release fault-delayed messages now, at a
         // program point, so failure behavior stays deterministic.
         self.comm.flush_delayed();
-        // Same-rank links complete immediately.
-        let local = std::mem::take(&mut ctx.local);
-        for (bi, d, buf) in local {
-            ctx.unpack(&mut self.blocks[bi], d, buf);
-        }
         ctx.pack_seconds = pack.finish();
 
         // ---- drain + compute: the only schedule-dependent part -----------
@@ -967,7 +991,7 @@ impl<'a> RankLoop<'a> {
                     res?.1
                 }
             };
-            ctx.unpack(&mut self.blocks[bi], d, data);
+            ctx.unpack(&mut self.blocks[bi], d, data)?;
         }
         drain.finish();
 
@@ -1047,7 +1071,7 @@ impl<'a> RankLoop<'a> {
             let (bi, d) = ctx.meta[i];
             ctx.pairs.swap_remove(i);
             ctx.meta.swap_remove(i);
-            ctx.unpack(&mut blocks[bi], d, data);
+            ctx.unpack(&mut blocks[bi], d, data)?;
             drain.finish();
             ctx.outstanding[bi] -= 1;
             if ctx.outstanding[bi] == 0 {
@@ -1075,9 +1099,7 @@ impl<'a> RankLoop<'a> {
         // Read the blocks first: that work is part of the rank's wall time.
         let probes = locate_probes(self.scenario, view, blocks, probes);
         let pdfs = if self.cfg.collect_pdfs { dump_pdfs(view, blocks) } else { Vec::new() };
-        let mass_final = blocks.iter().map(BlockSim::fluid_mass).sum();
-        let energy_final = blocks.iter().map(BlockSim::kinetic_energy).sum();
-        let has_nan = blocks.iter().any(BlockSim::has_nan);
+        let (mass_final, energy_final, has_nan) = reduce_blocks(blocks, &rec);
         let c = self.comm.counters();
         let m = rec.metrics();
         m.add("comm.messages_sent", c.messages_sent);
@@ -1119,10 +1141,12 @@ fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64
         .iter()
         .zip(blocks)
         .map(|(lb, b)| {
-            let mut vals = Vec::with_capacity(b.shape.interior_cells() * 19);
-            for (x, y, z) in b.shape.interior().iter() {
+            let (nx, ny) = (b.shape.nx, b.shape.ny as i32);
+            let mut vals = vec![0.0; b.shape.interior_cells() * 19];
+            for (cells, yz) in vals.chunks_exact_mut(nx * 19).zip(0..) {
                 for q in 0..19 {
-                    vals.push(b.src.get(x, y, z, q));
+                    let row = b.src.row(q, 0, yz % ny, yz / ny, nx);
+                    cells.iter_mut().skip(q).step_by(19).zip(row).for_each(|(c, &v)| *c = v);
                 }
             }
             (lb.id.pack(), vals)
@@ -1323,12 +1347,12 @@ impl Rebalancer {
     }
 }
 
-/// Reusable ghost-exchange state: the precomputed 26-direction crossing
-/// table plus buffers and bookkeeping vectors recycled across steps, so
-/// the per-step exchange fast path performs **no heap allocation** after
-/// warm-up. Received payloads are recycled into the next step's send
-/// buffers — the per-step send and receive counts are equal (every remote
-/// link is symmetric), so the pool reaches a steady state after one step.
+/// Reusable ghost-exchange state: the 26-direction crossing table plus the
+/// *remote* links' buffers and bookkeeping vectors recycled across steps
+/// (same-rank links copy field to field and stage nothing), so the fast
+/// path performs **no heap allocation** after warm-up. Received payloads
+/// become the next step's send buffers — per-step send and receive counts
+/// are equal (links are symmetric): steady state after one step.
 struct GhostCtx {
     table: CrossingTable,
     pool: Vec<Vec<u8>>,
@@ -1336,8 +1360,6 @@ struct GhostCtx {
     pairs: Vec<(u32, u64)>,
     /// `(block index, direction)` per outstanding pair.
     meta: Vec<(usize, [i8; 3])>,
-    /// Packed same-rank transfers awaiting unpack.
-    local: Vec<(usize, [i8; 3], Vec<u8>)>,
     /// Outstanding remote messages per local block.
     outstanding: Vec<u32>,
     /// Sweep seconds per local block this step.
@@ -1357,7 +1379,6 @@ impl GhostCtx {
             pool: Vec::new(),
             pairs: Vec::new(),
             meta: Vec::new(),
-            local: Vec::new(),
             outstanding: Vec::new(),
             seconds: Vec::new(),
             forces: Vec::new(),
@@ -1369,7 +1390,6 @@ impl GhostCtx {
     fn begin_step(&mut self, num_blocks: usize) {
         self.pairs.clear();
         self.meta.clear();
-        self.local.clear();
         self.outstanding.clear();
         self.outstanding.resize(num_blocks, 0);
         self.seconds.clear();
@@ -1386,11 +1406,11 @@ impl GhostCtx {
         buf
     }
 
-    /// Unpacks `data` into `block`'s ghost slab in direction `d` and
-    /// returns the buffer to the pool.
-    fn unpack(&mut self, block: &mut BlockSim, d: [i8; 3], data: Vec<u8>) {
-        unpack_face_with::<D3Q19, _>(&mut block.src, d, self.table.qs_reversed(d), &data);
+    /// Unpacks a peer's `data` into `b`'s ghost slab `d`, recycles the buffer.
+    fn unpack(&mut self, b: &mut BlockSim, d: [i8; 3], data: Vec<u8>) -> Result<(), CommError> {
+        let res = try_unpack_face_with::<D3Q19, _>(&mut b.src, d, self.table.qs_reversed(d), &data);
         self.pool.push(data);
+        res.map_err(|_| CommError::Protocol)
     }
 }
 
@@ -1584,6 +1604,49 @@ mod tests {
         let (a, b) = (sync.pdf_dump(), over.pdf_dump());
         assert!(!a.is_empty());
         assert_eq!(a, b, "sparse overlap deviates from sync");
+    }
+
+    /// A peer that answers with a truncated ghost message ends the run as
+    /// a typed protocol error on the receiving rank, not as a panic (under
+    /// a resilience hook the same error is a rollback).
+    #[test]
+    fn truncated_ghost_message_from_a_peer_is_a_protocol_error() {
+        let s = Scenario::lid_driven_cavity(8, 2, 0.05, 0.1);
+        let plan = plan_run(&s, 2);
+        let outcome = World::run_fallible(2, None, |mut comm| {
+            if comm.rank() == 0 {
+                return Some(drive_rank(comm, &plan, &s, 1, 1, &[], &RunConfig::default()));
+            }
+            // Not a time loop: one value for every face rank 0 expects.
+            for lb in &plan.views[0].blocks {
+                for (link, d) in lb.links.iter().zip(NEIGHBOR_DIRS) {
+                    if matches!(link, BlockLink::Remote(..)) {
+                        comm.send(0, ghost_tag(lb.id, d, 0), vec![0; 8]);
+                    }
+                }
+            }
+            None
+        });
+        match &outcome[0] {
+            Ok(Some(Err(RecoveryError::Comm { rank: 0, error: CommError::Protocol }))) => {}
+            other => panic!("expected a protocol error on rank 0, got {other:?}"),
+        }
+        // The buffer of a rejected message still returns to the pool.
+        let mut ctx = GhostCtx::new();
+        let mut block = s.build_block(&plan.views[0].blocks[0]);
+        assert_eq!(ctx.unpack(&mut block, [1, 0, 0], vec![0; 24]), Err(CommError::Protocol));
+        assert_eq!(ctx.pool.len(), 1);
+    }
+
+    #[test]
+    fn mass_drift_of_a_run_without_fluid_is_zero() {
+        let s = Scenario::lid_driven_cavity(8, 2, 0.05, 0.1);
+        let mut r = run_distributed(&s, 2, 1, 1);
+        assert!(r.mass_drift().is_finite());
+        for rr in &mut r.ranks {
+            (rr.mass_initial, rr.mass_final) = (0.0, 0.0);
+        }
+        assert_eq!(r.mass_drift(), 0.0);
     }
 
     #[test]

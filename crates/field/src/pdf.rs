@@ -35,6 +35,17 @@ pub trait PdfField<M: LatticeModel>: Send {
         }
     }
 
+    /// Reads the *row* of PDF `q` starting at `(x0, y, z)`: `out[i] = get(x0
+    /// + i, y, z, q)` — what whole-field walks outside the kernels move.
+    fn read_row(&self, q: usize, x0: i32, y: i32, z: i32, out: &mut [f64]) {
+        (x0..).zip(out).for_each(|(x, v)| *v = self.get(x, y, z, q));
+    }
+
+    /// Writes a row: `set(x0 + i, y, z, q, vals[i])`.
+    fn write_row(&mut self, q: usize, x0: i32, y: i32, z: i32, vals: &[f64]) {
+        (x0..).zip(vals).for_each(|(x, &v)| self.set(x, y, z, q, v));
+    }
+
     /// Sets every cell (including ghosts) to the equilibrium of `(rho, u)`.
     fn fill_equilibrium(&mut self, rho: f64, u: [f64; 3]) {
         let mut feq = vec![0.0; M::Q];
@@ -210,6 +221,15 @@ impl<M: LatticeModel> SoaPdfField<M> {
         }
     }
 
+    /// Borrowed view of a row, contiguous at either parity: [`slot`](Self::
+    /// slot) is affine in `x` (odd parity only moves the start to `(x0, y,
+    /// z) + c_q` in `q̄`'s grid), so these are the slots `get` visits.
+    #[inline(always)]
+    pub fn row(&self, q: usize, x0: i32, y: i32, z: i32, len: usize) -> &[f64] {
+        let s = self.slot(x0, y, z, q);
+        &self.data[s..s + len]
+    }
+
     /// The dense grid of direction `q`.
     #[inline(always)]
     pub fn dir(&self, q: usize) -> &[f64] {
@@ -286,6 +306,36 @@ impl<M: LatticeModel> PdfField<M> for SoaPdfField<M> {
     fn set(&mut self, x: i32, y: i32, z: i32, q: usize, v: f64) {
         let i = self.slot(x, y, z, q);
         self.data[i] = v;
+    }
+
+    #[inline(always)]
+    fn read_row(&self, q: usize, x0: i32, y: i32, z: i32, out: &mut [f64]) {
+        copy_row(self.row(q, x0, y, z, out.len()), out);
+    }
+
+    #[inline(always)]
+    fn write_row(&mut self, q: usize, x0: i32, y: i32, z: i32, vals: &[f64]) {
+        let s = self.slot(x0, y, z, q);
+        copy_row(vals, &mut self.data[s..s + vals.len()]);
+    }
+
+    /// One `fill` per direction grid; canonical parity only.
+    fn fill_equilibrium(&mut self, rho: f64, u: [f64; 3]) {
+        assert!(!self.parity, "equilibrium fill requires canonical (even) storage parity");
+        let mut feq = vec![0.0; M::Q];
+        equilibrium_all::<M>(rho, u, &mut feq);
+        for (grid, &f) in self.data.chunks_exact_mut(self.shape.alloc_cells()).zip(&feq) {
+            grid.fill(f);
+        }
+    }
+}
+
+/// `copy_from_slice`; a one-cell row (x-face slabs) skips the `memcpy` call.
+#[inline(always)]
+fn copy_row(from: &[f64], to: &mut [f64]) {
+    match (from, to) {
+        ([v], [slot]) => *slot = *v,
+        (from, to) => to.copy_from_slice(from),
     }
 }
 
@@ -390,6 +440,104 @@ mod tests {
         f.set_parity(false);
         f.set(1, 1, 2, 4, -7.0);
         assert_eq!(f.dir(4)[shape.idx(1, 1, 2)], -7.0);
+    }
+
+    /// Every `(q, x0, y, z, len)` whose row the field can hold: at odd
+    /// parity a row of `q` lives one hop along `c_q`, so rows that start
+    /// in (or run into) the ghost layer exist only for inward directions.
+    fn addressable_rows(shape: Shape, odd: bool) -> Vec<(usize, i32, i32, i32, usize)> {
+        use trillium_lattice::LatticeModel;
+        let all = shape.with_ghosts();
+        let mut rows = Vec::new();
+        for q in 0..19 {
+            let c = D3Q19::velocities()[q].map(|c| if odd { c as i32 } else { 0 });
+            for (x0, y, z) in all.iter() {
+                if !all.y.contains(&(y + c[1])) || !all.z.contains(&(z + c[2])) {
+                    continue;
+                }
+                let full = (all.x.end - x0) as usize;
+                for len in [0, 1, full - 1, full] {
+                    if all.x.contains(&(x0 + c[0])) && x0 + c[0] + len as i32 <= all.x.end {
+                        rows.push((q, x0, y, z, len));
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    /// The row contract: `read_row` / `write_row` (and SoA's borrowed
+    /// `row` / `row_mut`) are `get` / `set` along +x — both layouts, both
+    /// parities, ghost coordinates included, lengths 0, 1 and full.
+    #[test]
+    fn rows_are_the_per_cell_sequence() {
+        let shape = Shape::new(5, 4, 3, 1);
+        let tagged =
+            |x: i32, y: i32, z: i32, q: usize| (x + 10 * y + 100 * z) as f64 + 0.01 * q as f64;
+        let mut aos = AosPdfField::<D3Q19>::new(shape);
+        for (x, y, z) in shape.with_ghosts().iter() {
+            for q in 0..19 {
+                aos.set(x, y, z, q, tagged(x, y, z, q));
+            }
+        }
+        for odd in [false, true] {
+            let mut soa = SoaPdfField::<D3Q19>::new(shape);
+            soa.set_parity(odd);
+            let rows = addressable_rows(shape, odd);
+            assert!(rows.iter().any(|r| r.1 < 0 && r.4 == shape.ax()), "a full padded row");
+            for &(q, x0, y, z, len) in &rows {
+                // Written as a row, read back cell by cell.
+                let vals: Vec<f64> = (x0..).take(len).map(|x| tagged(x, y, z, q)).collect();
+                soa.write_row(q, x0, y, z, &vals);
+                for (x, v) in (x0..).zip(&vals) {
+                    assert_eq!(soa.get(x, y, z, q), *v, "write_row q={q} ({x},{y},{z}) odd={odd}");
+                }
+                // Read as a row, three ways.
+                let mut out = vec![-1.0; len];
+                soa.read_row(q, x0, y, z, &mut out);
+                assert_eq!(out, vals);
+                assert_eq!(soa.row(q, x0, y, z, len), vals);
+                if !odd {
+                    aos.read_row(q, x0, y, z, &mut out);
+                    assert_eq!(out, vals, "AoS read_row");
+                }
+            }
+        }
+        // AoS `write_row` is `set`.
+        aos.write_row(3, -1, 2, 1, &[1.0, 2.0, 3.0]);
+        assert_eq!(
+            [aos.get(-1, 2, 1, 3), aos.get(0, 2, 1, 3), aos.get(1, 2, 1, 3)],
+            [1.0, 2.0, 3.0]
+        );
+        assert_eq!(aos.get(2, 2, 1, 3), tagged(2, 2, 1, 3));
+    }
+
+    /// The trait's per-cell equilibrium fill, as AoS still runs it.
+    fn fill_equilibrium_per_cell(f: &mut SoaPdfField<D3Q19>, rho: f64, u: [f64; 3]) {
+        let mut feq = [0.0; 19];
+        equilibrium_all::<D3Q19>(rho, u, &mut feq);
+        for (x, y, z) in f.shape().with_ghosts().iter() {
+            f.set_cell(x, y, z, &feq);
+        }
+    }
+
+    #[test]
+    fn soa_grid_fill_equals_the_per_cell_fill() {
+        let shape = Shape::new(5, 4, 3, 1);
+        let (mut by_grid, mut by_cell) = (SoaPdfField::new(shape), SoaPdfField::new(shape));
+        by_grid.fill_equilibrium(1.05, [0.02, -0.01, 0.03]);
+        fill_equilibrium_per_cell(&mut by_cell, 1.05, [0.02, -0.01, 0.03]);
+        let bits =
+            |f: &SoaPdfField<D3Q19>| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_grid), bits(&by_cell));
+    }
+
+    #[test]
+    #[should_panic(expected = "canonical (even) storage parity")]
+    fn soa_equilibrium_fill_rejects_odd_parity() {
+        let mut f = SoaPdfField::<D3Q19>::new(Shape::cube(3));
+        f.set_parity(true);
+        f.fill_equilibrium(1.0, [0.0; 3]);
     }
 
     #[test]

@@ -36,11 +36,18 @@ pub enum SpanKind {
     RebalanceEpoch,
     /// Block migration transfer inside a rebalance round.
     Migration,
+    /// Building this rank's blocks before step 0 (flags, boundary links,
+    /// PDF allocation and equilibrium fill). Outside [`SpanKind::Step`].
+    BuildBlocks,
+    /// The conservation reduction over every block (mass, kinetic energy,
+    /// PDF finiteness): once before step 0 and once after the last step.
+    /// Outside [`SpanKind::Step`].
+    Reduce,
 }
 
 impl SpanKind {
     /// Every kind, in declaration order (== accumulator order).
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 14] = [
         SpanKind::Step,
         SpanKind::Kernel,
         SpanKind::KernelInterior,
@@ -53,6 +60,8 @@ impl SpanKind {
         SpanKind::Recovery,
         SpanKind::RebalanceEpoch,
         SpanKind::Migration,
+        SpanKind::BuildBlocks,
+        SpanKind::Reduce,
     ];
 
     /// Number of kinds.
@@ -73,6 +82,8 @@ impl SpanKind {
             SpanKind::Recovery => "recovery",
             SpanKind::RebalanceEpoch => "rebalance_epoch",
             SpanKind::Migration => "migration",
+            SpanKind::BuildBlocks => "build_blocks",
+            SpanKind::Reduce => "reduce",
         }
     }
 

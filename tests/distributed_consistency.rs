@@ -265,3 +265,79 @@ fn overlapped_checkpoint_restart_matches_sync_reference() {
         "restart from an overlapped-schedule checkpoint deviates from the sync reference"
     );
 }
+
+/// What a run leaves behind, as bits: per rank `mass_initial`,
+/// `mass_final`, `energy_initial`, `energy_final`, then one FNV-1a digest
+/// over every dumped block id and PDF.
+fn run_bits(r: &RunResult) -> Vec<u64> {
+    let mut bits: Vec<u64> = r
+        .ranks
+        .iter()
+        .flat_map(|rr| [rr.mass_initial, rr.mass_final, rr.energy_initial, rr.energy_final])
+        .map(f64::to_bits)
+        .collect();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (id, vals) in r.pdf_dump() {
+        eat(id);
+        vals.iter().for_each(|v| eat(v.to_bits()));
+    }
+    bits.push(h);
+    bits
+}
+
+/// The conservation totals and the final PDFs of a small-block run, bit
+/// for bit as the commit before the fused reduction pass and the
+/// field-to-field same-rank exchange computed them (the literals were
+/// printed by that commit's code). 32³ cells in 8³ blocks on 2 ranks is
+/// the benchmark's `cavity_smallblocks` shape; 5 steps end an in-place
+/// run at odd storage parity. The channel puts pull blocks carved by the
+/// obstacle beside in-place dense ones on both ranks, so same-rank copies
+/// cross between the two storage conventions.
+#[test]
+fn totals_and_pdfs_are_pinned_across_schedules_and_schemes() {
+    const CAVITY: [u64; 9] = [
+        4670232813583204353,
+        4670232813583204353,
+        0,
+        4171387690891083776,
+        4670232813583204353,
+        4670232813583204349,
+        0,
+        4604364729728332863,
+        2684552734057877363,
+    ];
+    const CHANNEL: [u64; 9] = [
+        4661076080747085825,
+        4661157004802890137,
+        0,
+        4598547121595988940,
+        4661076080747085825,
+        4661076080747085825,
+        0,
+        4172722193064525824,
+        17450502274543088152,
+    ];
+    let cavity = || Scenario::lid_driven_cavity(32, 4, 0.05, 0.08);
+    let channel = || Scenario::channel_with_obstacle([32, 16, 16], [4, 2, 2], 0.07, 0.03, 0.2);
+    for overlap in [false, true] {
+        let cfg = DriverConfig { overlap, collect_pdfs: true, ..Default::default() };
+        for kernel in [KernelChoice::Pull, KernelChoice::InPlace] {
+            let r = run_distributed_with(&cavity().with_kernel(kernel), 2, 1, 5, &[], cfg);
+            assert!(!r.has_nan());
+            assert_eq!(run_bits(&r), CAVITY, "cavity, overlap={overlap}, {kernel:?}");
+        }
+        let mixed = channel().with_kernel(KernelChoice::InPlace);
+        let r = run_distributed_with(&mixed, 2, 1, 5, &[], cfg);
+        assert!(!r.has_nan());
+        for rr in &r.ranks {
+            let pull = rr.obs.as_ref().unwrap().metrics.counter("kernel.fallback_pull") as usize;
+            assert!(0 < pull && pull < rr.num_blocks, "rank {}: {pull} pull blocks", rr.rank);
+        }
+        assert_eq!(run_bits(&r), CHANNEL, "channel, overlap={overlap}");
+    }
+}

@@ -48,6 +48,20 @@ fn check_invariants(r: &RunResult, schedule: &str) {
             rr.wall_time
         );
 
+        // Set-up and teardown are named: one block-building span, one
+        // reduction pass before step 0 and one after the last step, and
+        // together with the time loop they fit in the wall time.
+        assert_eq!(obs.count(SpanKind::BuildBlocks), 1, "{schedule} rank {rank}");
+        assert_eq!(obs.count(SpanKind::Reduce), 2, "{schedule} rank {rank}");
+        let named = obs.total(SpanKind::BuildBlocks)
+            + obs.total(SpanKind::Reduce)
+            + obs.total(SpanKind::Step);
+        assert!(
+            named <= rr.wall_time + TOL,
+            "{schedule} rank {rank}: build + reduce + step = {named} exceeds wall {}",
+            rr.wall_time
+        );
+
         // The RankResult timing fields are exactly the folded span totals.
         let kernel = obs.total(SpanKind::Kernel)
             + obs.total(SpanKind::KernelInterior)
