@@ -3,15 +3,13 @@
 //! (DESIGN.md §13).
 //!
 //! Default is the reduced CI matrix (all four cases, SRT/TRT/MRT, sync +
-//! overlapped schedules, auto kernel tier); `--full` sweeps all four
+//! overlapped schedules, pull kernel tier); `--full` sweeps all four
 //! operators, all four schedules and both explicit kernel tiers. Failed
 //! cells dump their final macroscopic fields as legacy-VTK files under
 //! `target/validation-vtk/` for inspection, and the process exits
 //! non-zero so CI can gate on physics regressions.
 
-use trillium_bench::validation::{
-    dump_failed_vtk, is_supported, kernel_label, run_cell, MatrixSpec,
-};
+use trillium_bench::validation::{dump_failed_vtk, is_supported, run_cell, MatrixSpec};
 use trillium_bench::{bench_report, section, HarnessArgs};
 
 fn main() {
@@ -40,12 +38,12 @@ fn main() {
                         // on this case at CI resolution by design.
                         println!(
                             "{:<14} {:<8} {:<11} {:<9} {:<22} {:>12}  {:<14} skip (operator unstable at CI resolution)",
-                            case.label(), op.label(), sched.label(), kernel_label(kernel),
+                            case.label(), op.label(), sched.label(), kernel.label(),
                             case.metric(), "-", "-",
                         );
                         rows.push(serde_json::json!({
                             "case": case.label(), "operator": op.label(),
-                            "schedule": sched.label(), "kernel": kernel_label(kernel),
+                            "schedule": sched.label(), "kernel": kernel.label(),
                             "metric": case.metric(), "skipped": true,
                         }));
                         skipped += 1;

@@ -28,6 +28,7 @@ use trillium_core::driver::{
 use trillium_core::recovery::ResilienceConfig;
 use trillium_core::scenario::{KernelChoice, Scenario};
 use trillium_field::CellFlags;
+use trillium_jobs::Schedule;
 use trillium_kernels::Collision;
 use trillium_lattice::{velocity, D3Q19};
 use trillium_obs::ObsConfig;
@@ -96,44 +97,6 @@ impl Case {
     }
 }
 
-/// Which driver schedule runs a cell.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Synchronous exchange → boundary → stream-collide (the reference).
-    Sync,
-    /// Communication-hiding overlapped schedule.
-    Overlapped,
-    /// Synchronous schedule with the runtime load balancer armed.
-    Rebalanced,
-    /// Checkpoint/rollback resilient wrapper (clean run, no faults).
-    Resilient,
-}
-
-impl Schedule {
-    /// Every schedule, in report order.
-    pub const ALL: [Schedule; 4] =
-        [Schedule::Sync, Schedule::Overlapped, Schedule::Rebalanced, Schedule::Resilient];
-
-    /// Short report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Schedule::Sync => "sync",
-            Schedule::Overlapped => "overlapped",
-            Schedule::Rebalanced => "rebalanced",
-            Schedule::Resilient => "resilient",
-        }
-    }
-}
-
-/// Short label for a kernel choice.
-pub fn kernel_label(k: KernelChoice) -> &'static str {
-    match k {
-        KernelChoice::Auto => "auto",
-        KernelChoice::Pull => "pull",
-        KernelChoice::InPlace => "in-place",
-    }
-}
-
 /// The swept matrix: which cases, operators, schedules and kernel tiers
 /// to combine.
 pub struct MatrixSpec {
@@ -155,7 +118,7 @@ impl MatrixSpec {
             cases: Case::ALL.to_vec(),
             operators: vec![Collision::Srt, Collision::Trt, Collision::Mrt],
             schedules: vec![Schedule::Sync, Schedule::Overlapped],
-            kernels: vec![KernelChoice::Auto],
+            kernels: vec![KernelChoice::Pull],
         }
     }
 
@@ -464,7 +427,7 @@ pub fn run_cell(case: Case, op: Collision, sched: Schedule, kernel: KernelChoice
         case: case.label(),
         operator: op.label(),
         schedule: sched.label(),
-        kernel: kernel_label(kernel),
+        kernel: kernel.label(),
         resolved_kernel: resolved_kernel(&scenario, NUM_PROCS),
         metric: case.metric(),
         value,

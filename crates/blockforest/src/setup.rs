@@ -6,7 +6,7 @@
 //! block is only materialized later, block by block, on the owning process.
 
 use crate::id::BlockId;
-use trillium_geometry::{classify_block, BlockCoverage, SignedDistance};
+use trillium_geometry::{classify_block, SignedDistance};
 use trillium_geometry::{Aabb, Vec3};
 
 /// One leaf block of the setup forest.
@@ -165,7 +165,9 @@ impl SetupForest {
     /// the domain, returning the intersecting blocks with workloads. This
     /// is the unit of work of the hybrid-parallel initialization
     /// (paper §2.3): ranges are scattered over processes, classified
-    /// independently, and the results gathered.
+    /// independently, and the results gathered. `samples` picks the grid
+    /// each block's cell centres are counted on: the block's own cells
+    /// (`None`, exact workloads) or `samples³` probes.
     #[allow(clippy::too_many_arguments)]
     pub fn classify_range<S: SignedDistance + ?Sized>(
         sdf: &S,
@@ -177,8 +179,9 @@ impl SetupForest {
         ry: [usize; 2],
         rz: [usize; 2],
     ) -> Vec<SetupBlock> {
+        let grid = samples.map_or(cells_per_block, |s| [s; 3]);
         let mut out = Vec::new();
-        Self::descend(sdf, domain, roots, cells_per_block, samples, rx, ry, rz, &mut out);
+        Self::descend(sdf, domain, roots, cells_per_block, grid, rx, ry, rz, &mut out);
         out
     }
 
@@ -189,8 +192,7 @@ impl SetupForest {
         samples: Option<usize>,
     ) -> Self {
         let (domain, roots) = Self::candidate_grid(sdf, dx, cells_per_block);
-        let mut blocks = Vec::new();
-        Self::descend(
+        let blocks = Self::classify_range(
             sdf,
             &domain,
             roots,
@@ -199,8 +201,19 @@ impl SetupForest {
             [0, roots[0]],
             [0, roots[1]],
             [0, roots[2]],
-            &mut blocks,
         );
+        Self::from_blocks(domain, roots, cells_per_block, blocks)
+    }
+
+    /// An unbalanced forest of classified leaf blocks, given in any order
+    /// (the serial descent's, or a gather's): sorted by ID, no process
+    /// assigned, no periodic axis.
+    pub fn from_blocks(
+        domain: Aabb,
+        roots: [usize; 3],
+        cells_per_block: [usize; 3],
+        mut blocks: Vec<SetupBlock>,
+    ) -> Self {
         blocks.sort_by_key(|b| b.id);
         SetupForest {
             domain,
@@ -214,93 +227,72 @@ impl SetupForest {
 
     /// Recursive descent over index ranges: prunes whole sub-grids whose
     /// bounding box is farther from the surface than its circumradius and
-    /// entirely outside.
+    /// entirely outside, and classifies each remaining block once on
+    /// `grid`. A block of `n` fluid centres out of the grid's `N` keeps
+    /// the workload `n / N` of its dense cell count (exactly `n` when
+    /// `grid` is the block's own cells); a full one is `fully_inside`, one
+    /// whose workload rounds to zero is dropped.
     #[allow(clippy::too_many_arguments)]
     fn descend<S: SignedDistance + ?Sized>(
         sdf: &S,
         domain: &Aabb,
         roots: [usize; 3],
         cells_per_block: [usize; 3],
-        samples: Option<usize>,
+        grid: [usize; 3],
         rx: [usize; 2],
         ry: [usize; 2],
         rz: [usize; 2],
         out: &mut Vec<SetupBlock>,
     ) {
-        let nx = rx[1] - rx[0];
-        let ny = ry[1] - ry[0];
-        let nz = rz[1] - rz[0];
-        if nx == 0 || ny == 0 || nz == 0 {
+        let n = [rx[1] - rx[0], ry[1] - ry[0], rz[1] - rz[0]];
+        if n.contains(&0) {
+            return;
+        }
+        if n == [1, 1, 1] {
+            let ijk = [rx[0], ry[0], rz[0]];
+            let aabb = Self::root_aabb(domain, roots, ijk);
+            let fluid = classify_block(sdf, &aabb, grid);
+            let total: usize = grid.iter().product();
+            let dense: f64 = cells_per_block.iter().map(|&c| c as f64).product();
+            let fully_inside = fluid == total;
+            let workload =
+                if fully_inside { dense } else { (fluid as f64 / total as f64 * dense).round() };
+            if workload > 0.0 {
+                out.push(SetupBlock {
+                    id: BlockId::root(((ijk[2] * roots[1] + ijk[1]) * roots[0] + ijk[0]) as u64),
+                    aabb,
+                    coords: ijk.map(|c| c as i64),
+                    workload,
+                    rank: 0,
+                    fully_inside,
+                });
+            }
             return;
         }
         // Bounding box of this index range.
         let lo = Self::root_aabb(domain, roots, [rx[0], ry[0], rz[0]]).min;
         let hi = Self::root_aabb(domain, roots, [rx[1] - 1, ry[1] - 1, rz[1] - 1]).max;
         let range_bb = Aabb::new(lo, hi);
-        let d = sdf.signed_distance(range_bb.center());
-        if d > range_bb.circumradius() {
+        if sdf.signed_distance(range_bb.center()) > range_bb.circumradius() {
             return; // Entire range outside the domain.
-        }
-        if nx == 1 && ny == 1 && nz == 1 {
-            let (i, j, k) = (rx[0], ry[0], rz[0]);
-            let bb = Self::root_aabb(domain, roots, [i, j, k]);
-            let classify_cells = match samples {
-                Some(s) => [s, s, s],
-                None => cells_per_block,
-            };
-            match classify_block(sdf, &bb, classify_cells) {
-                BlockCoverage::Outside => {}
-                cov => {
-                    let dense: f64 = cells_per_block.iter().map(|&c| c as f64).product();
-                    let fully = cov == BlockCoverage::FullyInside;
-                    let workload = if fully {
-                        dense
-                    } else {
-                        match samples {
-                            Some(s) => {
-                                (trillium_geometry::voxelize::block_fluid_fraction(sdf, &bb, s)
-                                    * dense)
-                                    .round()
-                            }
-                            None => trillium_geometry::voxelize::block_fluid_cells(
-                                sdf,
-                                &bb,
-                                cells_per_block,
-                            ) as f64,
-                        }
-                    };
-                    if workload > 0.0 {
-                        let idx = (k * roots[1] + j) * roots[0] + i;
-                        out.push(SetupBlock {
-                            id: BlockId::root(idx as u64),
-                            aabb: bb,
-                            coords: [i as i64, j as i64, k as i64],
-                            workload,
-                            rank: 0,
-                            fully_inside: fully,
-                        });
-                    }
-                }
-            }
-            return;
         }
         // Split the longest axis.
         let split = |r: [usize; 2]| {
             let mid = (r[0] + r[1]) / 2;
             ([r[0], mid], [mid, r[1]])
         };
-        if nx >= ny && nx >= nz {
+        if n[0] >= n[1] && n[0] >= n[2] {
             let (a, b) = split(rx);
-            Self::descend(sdf, domain, roots, cells_per_block, samples, a, ry, rz, out);
-            Self::descend(sdf, domain, roots, cells_per_block, samples, b, ry, rz, out);
-        } else if ny >= nz {
+            Self::descend(sdf, domain, roots, cells_per_block, grid, a, ry, rz, out);
+            Self::descend(sdf, domain, roots, cells_per_block, grid, b, ry, rz, out);
+        } else if n[1] >= n[2] {
             let (a, b) = split(ry);
-            Self::descend(sdf, domain, roots, cells_per_block, samples, rx, a, rz, out);
-            Self::descend(sdf, domain, roots, cells_per_block, samples, rx, b, rz, out);
+            Self::descend(sdf, domain, roots, cells_per_block, grid, rx, a, rz, out);
+            Self::descend(sdf, domain, roots, cells_per_block, grid, rx, b, rz, out);
         } else {
             let (a, b) = split(rz);
-            Self::descend(sdf, domain, roots, cells_per_block, samples, rx, ry, a, out);
-            Self::descend(sdf, domain, roots, cells_per_block, samples, rx, ry, b, out);
+            Self::descend(sdf, domain, roots, cells_per_block, grid, rx, ry, a, out);
+            Self::descend(sdf, domain, roots, cells_per_block, grid, rx, ry, b, out);
         }
     }
 
@@ -316,38 +308,11 @@ impl SetupForest {
         workload: f64,
         rank: u32,
     ) -> SetupBlock {
-        let e = domain.extents();
-        let step =
-            Vec3 { x: e.x / roots[0] as f64, y: e.y / roots[1] as f64, z: e.z / roots[2] as f64 };
-        let ridx = id.root_index();
-        let (i, j, k) = (
-            (ridx as usize % roots[0]) as i64,
-            ((ridx as usize / roots[0]) % roots[1]) as i64,
-            (ridx as usize / (roots[0] * roots[1])) as i64,
-        );
-        let mut coords = [i, j, k];
-        let mut bb = {
-            let lo = domain.min
-                + Vec3 { x: i as f64 * step.x, y: j as f64 * step.y, z: k as f64 * step.z };
-            Aabb::new(lo, lo + step)
-        };
+        let r = id.root_index() as usize;
+        let ijk = [r % roots[0], (r / roots[0]) % roots[1], r / (roots[0] * roots[1])];
+        let (mut bb, mut coords) = (Self::root_aabb(domain, roots, ijk), ijk.map(|c| c as i64));
         for l in 0..id.level() {
-            let oct = id.octant_at(l);
-            let c = bb.center();
-            let (ox, oy, oz) = ((oct & 1) as i64, ((oct >> 1) & 1) as i64, ((oct >> 2) & 1) as i64);
-            coords = [2 * coords[0] + ox, 2 * coords[1] + oy, 2 * coords[2] + oz];
-            bb = Aabb::new(
-                Vec3 {
-                    x: if ox == 0 { bb.min.x } else { c.x },
-                    y: if oy == 0 { bb.min.y } else { c.y },
-                    z: if oz == 0 { bb.min.z } else { c.z },
-                },
-                Vec3 {
-                    x: if ox == 0 { c.x } else { bb.max.x },
-                    y: if oy == 0 { c.y } else { bb.max.y },
-                    z: if oz == 0 { c.z } else { bb.max.z },
-                },
-            );
+            (bb, coords) = octant(&bb, coords, id.octant_at(l));
         }
         let dense: f64 = cells_per_block.iter().map(|&c| c as f64).product();
         SetupBlock { id, aabb: bb, coords, workload, rank, fully_inside: workload >= dense }
@@ -395,24 +360,12 @@ impl SetupForest {
                 next.push(b);
                 continue;
             }
-            let c = b.aabb.center();
             for oct in 0..8u8 {
-                let (ox, oy, oz) =
-                    ((oct & 1) as i64, ((oct >> 1) & 1) as i64, ((oct >> 2) & 1) as i64);
-                let min = Vec3 {
-                    x: if ox == 0 { b.aabb.min.x } else { c.x },
-                    y: if oy == 0 { b.aabb.min.y } else { c.y },
-                    z: if oz == 0 { b.aabb.min.z } else { c.z },
-                };
-                let max = Vec3 {
-                    x: if ox == 0 { c.x } else { b.aabb.max.x },
-                    y: if oy == 0 { c.y } else { b.aabb.max.y },
-                    z: if oz == 0 { c.z } else { b.aabb.max.z },
-                };
+                let (aabb, coords) = octant(&b.aabb, b.coords, oct);
                 next.push(SetupBlock {
                     id: b.id.child(oct),
-                    aabb: Aabb::new(min, max),
-                    coords: [2 * b.coords[0] + ox, 2 * b.coords[1] + oy, 2 * b.coords[2] + oz],
+                    aabb,
+                    coords,
                     workload: b.workload / 8.0,
                     rank: b.rank,
                     fully_inside: b.fully_inside,
@@ -443,6 +396,17 @@ impl SetupForest {
             max / mean
         }
     }
+}
+
+/// Octant `oct` of a block (bit `a` set: the upper half along axis `a`):
+/// its box and its integer coordinates one level down.
+fn octant(bb: &Aabb, coords: [i64; 3], oct: u8) -> (Aabb, [i64; 3]) {
+    let (lo, mid, hi) = (bb.min.to_array(), bb.center().to_array(), bb.max.to_array());
+    let upper = |a: usize| (oct >> a) & 1 == 1;
+    let min = std::array::from_fn(|a| if upper(a) { mid[a] } else { lo[a] });
+    let max = std::array::from_fn(|a| if upper(a) { hi[a] } else { mid[a] });
+    let coords = std::array::from_fn(|a| 2 * coords[a] + upper(a) as i64);
+    (Aabb::new(Vec3::from_array(min), Vec3::from_array(max)), coords)
 }
 
 #[cfg(test)]
@@ -502,6 +466,126 @@ mod tests {
             assert_eq!((b.coords[0] as usize, b.coords[1] as usize, b.coords[2] as usize), *ijk);
             assert_eq!(b.workload, *n as f64);
         }
+    }
+
+    /// The FNV-1a fold of `core::checkpoint` over, per block in forest
+    /// order, the little-endian bytes of the packed ID, the workload bits,
+    /// the coverage flag and the six box coordinates' bits.
+    fn digest(f: &SetupForest) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in &f.blocks {
+            let words = [b.id.pack(), b.workload.to_bits(), b.fully_inside as u64];
+            let corners = [b.aabb.min, b.aabb.max].map(|v| v.to_array().map(f64::to_bits));
+            for w in words.into_iter().chain(corners.into_iter().flatten()) {
+                for byte in w.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Exact and sampled forests, bit for bit as the classifier that
+    /// counted every partial block twice built them (digests printed by
+    /// that code): one count per block changed no ID, box, workload or
+    /// coverage flag.
+    #[test]
+    fn forests_are_pinned() {
+        use trillium_geometry::{VascularTree, VascularTreeParams};
+        let capsule =
+            AnalyticSdf::Capsule { a: vec3(0.0, 0.0, 0.0), b: vec3(3.0, 1.0, 0.5), radius: 0.3 };
+        let tree = VascularTree::generate(&VascularTreeParams {
+            generations: 4,
+            segments_per_branch: 2,
+            ..Default::default()
+        });
+        let forests = [
+            SetupForest::from_domain(&capsule, 0.04, [6, 6, 6]),
+            SetupForest::from_domain(&tree, 0.16, [5, 5, 5]),
+            SetupForest::from_domain_sampled(&tree, 0.16, [5, 5, 5], 3),
+            SetupForest::from_domain_sampled(&tree, 0.16, [5, 5, 5], 4),
+        ];
+        let got = forests.each_ref().map(|f| (f.num_blocks(), digest(f)));
+        assert_eq!(
+            got,
+            [
+                (167, 0x3208_0a38_cea3_550f),
+                (581, 0x9f2b_8654_19af_8b6f),
+                (505, 0x4543_a2a1_cde7_97e0),
+                (554, 0xe1f2_1ac5_b045_4930),
+            ]
+        );
+        // The tree forests hold both kinds of block.
+        assert!(forests[1..].iter().all(|f| f.blocks.iter().any(|b| b.fully_inside)));
+        assert!(forests.iter().all(|f| f.blocks.iter().any(|b| !b.fully_inside)));
+    }
+
+    /// The domain behind a counter of distance queries.
+    struct Counting<S> {
+        inner: S,
+        queries: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<S: SignedDistance> Counting<S> {
+        fn new(inner: S) -> Self {
+            Counting { inner, queries: Default::default() }
+        }
+        /// Queries made since the last call.
+        fn take(&self) -> usize {
+            self.queries.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl<S: SignedDistance> SignedDistance for Counting<S> {
+        fn signed_distance(&self, p: Vec3) -> f64 {
+            self.queries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.signed_distance(p)
+        }
+        fn bounding_box(&self) -> Aabb {
+            self.inner.bounding_box()
+        }
+    }
+
+    /// A block is classified once: a block its circumsphere settles costs
+    /// one distance query, a counted one the barycentre plus one query per
+    /// cell of the grid it is counted on — never a second count.
+    #[test]
+    fn each_block_costs_one_classification() {
+        let s = Counting::new(AnalyticSdf::Sphere { center: vec3(0.0, 0.0, 0.0), radius: 1.0 });
+        let domain = Aabb::new(vec3(-2.0, -2.0, -2.0), vec3(2.0, 2.0, 2.0));
+        let block = |ijk: [usize; 3], samples: Option<usize>| {
+            let r = ijk.map(|c| [c, c + 1]);
+            SetupForest::classify_range(&s, &domain, [10; 3], [6; 3], samples, r[0], r[1], r[2])
+        };
+        // Corner block: outside by its circumsphere.
+        assert!(block([0, 0, 0], None).is_empty());
+        assert_eq!(s.take(), 1);
+        // Centre block: inside by its circumsphere.
+        assert!(block([5, 5, 5], None)[0].fully_inside);
+        assert_eq!(s.take(), 1);
+        // A block the surface cuts, counted on its cells and on 3³ probes.
+        let cut = block([7, 5, 5], None);
+        assert!(!cut[0].fully_inside && cut[0].workload > 0.0);
+        assert_eq!(s.take(), 1 + 216);
+        assert_eq!(block([7, 5, 5], Some(3)).len(), 1);
+        assert_eq!(s.take(), 1 + 27);
+    }
+
+    /// A sampled block whose probes see fluid, but too little for one
+    /// cell of workload, is dropped.
+    #[test]
+    fn sampled_block_rounding_to_zero_is_dropped() {
+        // One of the 4³ probes of the unit block, at (1/8, 1/8, 1/8), is
+        // inside; none of the centres of its 2³ cells are.
+        let s = AnalyticSdf::Sphere { center: vec3(0.125, 0.125, 0.125), radius: 0.05 };
+        let unit = Aabb::new(vec3(0.0, 0.0, 0.0), vec3(1.0, 1.0, 1.0));
+        assert_eq!(classify_block(&s, &unit, [4; 3]), 1);
+        let one = [0, 1];
+        let kept = |samples| {
+            SetupForest::classify_range(&s, &unit, [1; 3], [2; 3], samples, one, one, one)
+        };
+        assert!(kept(None).is_empty(), "no cell centre is fluid");
+        assert!(kept(Some(4)).is_empty(), "1/64 of 8 cells rounds to 0");
     }
 
     #[test]

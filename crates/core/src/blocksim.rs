@@ -35,6 +35,17 @@ pub enum UpdateScheme {
     InPlace,
 }
 
+impl UpdateScheme {
+    /// Short label (`"pull"` or `"inplace"`): the job-spec spelling and
+    /// the report label.
+    pub fn label(self) -> &'static str {
+        match self {
+            UpdateScheme::Pull => "pull",
+            UpdateScheme::InPlace => "inplace",
+        }
+    }
+}
+
 /// The complete simulation state of one block: PDF double buffer, cell
 /// flags, sparse iteration structure, and boundary parameters.
 pub struct BlockSim {
@@ -156,10 +167,7 @@ impl BlockSim {
     /// Short label of the update scheme that actually runs on this block
     /// (`"pull"` or `"inplace"`), for report JSON.
     pub fn resolved_kernel_label(&self) -> &'static str {
-        match self.scheme {
-            UpdateScheme::Pull => "pull",
-            UpdateScheme::InPlace => "inplace",
-        }
+        self.scheme.label()
     }
 
     /// The dispatch object of this block's backend.

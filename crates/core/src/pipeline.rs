@@ -149,8 +149,7 @@ pub fn parallel_classify<S: SignedDistance + ?Sized>(
             ));
         }
     }
-    blocks.sort_by_key(|b| b.id);
-    SetupForest { domain, roots, cells_per_block, blocks, num_processes: 0, periodic: [false; 3] }
+    SetupForest::from_blocks(domain, roots, cells_per_block, blocks)
 }
 
 #[cfg(test)]

@@ -19,30 +19,10 @@ use trillium_geometry::{Aabb, SignedDistance, Vec3};
 use trillium_kernels::{BackendKind, BoundaryParams, Collision};
 use trillium_lattice::Relaxation;
 
-/// Which kernel family the driver should let blocks pick.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// Dense kernel for fully fluid blocks, sparse otherwise; two-field
-    /// pull update (default). Alias of [`KernelChoice::Pull`].
-    #[default]
-    Auto,
-    /// Explicitly the two-field pull update scheme.
-    Pull,
-    /// Single-buffer AA-pattern update for dense blocks (sparse blocks
-    /// still fall back to the pull scheme). Bitwise identical to `Pull`
-    /// on every driver schedule; halves the PDF checkpoint footprint.
-    InPlace,
-}
-
-impl KernelChoice {
-    /// The per-block update scheme this choice requests.
-    pub fn scheme(self) -> UpdateScheme {
-        match self {
-            KernelChoice::Auto | KernelChoice::Pull => UpdateScheme::Pull,
-            KernelChoice::InPlace => UpdateScheme::InPlace,
-        }
-    }
-}
+/// The update scheme a scenario requests for its blocks: dense blocks run
+/// it, sparse blocks fall back to [`UpdateScheme::Pull`] (see
+/// [`Scenario::with_kernel`]).
+pub type KernelChoice = UpdateScheme;
 
 /// A complete simulation scenario: domain, discretization, physics.
 pub struct Scenario {
@@ -115,25 +95,15 @@ impl Scenario {
     /// blocks; all walls no-slip except the +z lid moving with
     /// `lid_velocity` in x. `viscosity` is the lattice viscosity.
     pub fn lid_driven_cavity(n: usize, b: usize, viscosity: f64, lid_velocity: f64) -> Self {
-        assert!(n % b == 0, "cells must divide evenly into blocks");
-        Scenario {
-            name: format!("lid-driven cavity {n}^3 ({b}^3 blocks)"),
-            blocks: [b, b, b],
-            cells: [n / b; 3],
-            relaxation: Relaxation::trt_from_viscosity(viscosity),
-            boundary: BoundaryParams {
-                wall_velocity: [lid_velocity, 0.0, 0.0],
-                ..Default::default()
-            },
-            rho0: 1.0,
-            u0: [0.0; 3],
-            balance: Balancer::Morton,
-            kernel: KernelChoice::Auto,
-            collision: Collision::Trt,
-            backend: BackendKind::default(),
-            periodic: [false; 3],
-            kind: Kind::Cavity,
-        }
+        Self::base(
+            format!("lid-driven cavity {n}^3 ({b}^3 blocks)"),
+            [b; 3],
+            per_block([n; 3], [b; 3]),
+            viscosity,
+            BoundaryParams { wall_velocity: [lid_velocity, 0.0, 0.0], ..Default::default() },
+            [false; 3],
+            Kind::Cavity,
+        )
     }
 
     /// Quasi-2-D lid-driven cavity for comparison against the Ghia, Ghia
@@ -164,28 +134,16 @@ impl Scenario {
         inflow: f64,
         radius_frac: f64,
     ) -> Self {
-        for d in 0..3 {
-            assert!(n[d] % b[d] == 0);
-        }
         let radius = radius_frac * n[1] as f64;
-        Scenario {
-            name: format!("channel {}x{}x{} obstacle r={radius:.1}", n[0], n[1], n[2]),
-            blocks: b,
-            cells: [n[0] / b[0], n[1] / b[1], n[2] / b[2]],
-            relaxation: Relaxation::trt_from_viscosity(viscosity),
-            boundary: BoundaryParams { wall_velocity: [inflow, 0.0, 0.0], ..Default::default() },
-            rho0: 1.0,
-            u0: [0.0; 3],
-            balance: Balancer::Morton,
-            kernel: KernelChoice::Auto,
-            collision: Collision::Trt,
-            backend: BackendKind::default(),
-            periodic: [false; 3],
-            kind: Kind::Channel {
-                center: [n[0] as f64 / 2.0, n[1] as f64 / 2.0, n[2] as f64 / 2.0],
-                radius,
-            },
-        }
+        Self::base(
+            format!("channel {}x{}x{} obstacle r={radius:.1}", n[0], n[1], n[2]),
+            b,
+            per_block(n, b),
+            viscosity,
+            BoundaryParams { wall_velocity: [inflow, 0.0, 0.0], ..Default::default() },
+            [false; 3],
+            Kind::Channel { center: n.map(|c| c as f64 / 2.0), radius },
+        )
     }
 
     /// Taylor–Green vortex: a fully periodic `n × n × span` box seeded
@@ -194,23 +152,16 @@ impl Scenario {
     /// as `E(t) = E(0) e^{−4νk²t}`, which pins the effective viscosity of
     /// the whole stack — the dissipation-rate validation case.
     pub fn taylor_green(n: usize, b: usize, viscosity: f64, amplitude: f64) -> Self {
-        assert!(n % b == 0, "cells must divide evenly into blocks");
         assert!(b >= 2, "periodic axes need >= 2 blocks");
-        Scenario {
-            name: format!("taylor-green {n}^2 ({b}^2 blocks)"),
-            blocks: [b, b, 2],
-            cells: [n / b, n / b, 2],
-            relaxation: Relaxation::trt_from_viscosity(viscosity),
-            boundary: BoundaryParams::default(),
-            rho0: 1.0,
-            u0: [0.0; 3],
-            balance: Balancer::Morton,
-            kernel: KernelChoice::Auto,
-            collision: Collision::Trt,
-            backend: BackendKind::default(),
-            periodic: [true; 3],
-            kind: Kind::TaylorGreen { amplitude },
-        }
+        Self::base(
+            format!("taylor-green {n}^2 ({b}^2 blocks)"),
+            [b, b, 2],
+            per_block([n, n, 4], [b, b, 2]),
+            viscosity,
+            BoundaryParams::default(),
+            [true; 3],
+            Kind::TaylorGreen { amplitude },
+        )
     }
 
     /// Pressure-driven plane Poiseuille flow: fixed densities
@@ -218,29 +169,20 @@ impl Scenario {
     /// spanwise z. The steady profile across y is the parabola
     /// `u_x(y) ∝ y (H − y)` — the profile-shape validation case.
     pub fn poiseuille(n: [usize; 3], b: [usize; 3], viscosity: f64, delta_rho: f64) -> Self {
-        for d in 0..3 {
-            assert!(n[d] % b[d] == 0);
-        }
         assert!(b[2] >= 2, "periodic spanwise axis needs >= 2 blocks");
-        Scenario {
-            name: format!("poiseuille {}x{}x{} drho={delta_rho:.3}", n[0], n[1], n[2]),
-            blocks: b,
-            cells: [n[0] / b[0], n[1] / b[1], n[2] / b[2]],
-            relaxation: Relaxation::trt_from_viscosity(viscosity),
-            boundary: BoundaryParams {
+        Self::base(
+            format!("poiseuille {}x{}x{} drho={delta_rho:.3}", n[0], n[1], n[2]),
+            b,
+            per_block(n, b),
+            viscosity,
+            BoundaryParams {
                 pressure_density: 1.0 + 0.5 * delta_rho,
                 pressure_density_alt: 1.0 - 0.5 * delta_rho,
                 ..Default::default()
             },
-            rho0: 1.0,
-            u0: [0.0; 3],
-            balance: Balancer::Morton,
-            kernel: KernelChoice::Auto,
-            collision: Collision::Trt,
-            backend: BackendKind::default(),
-            periodic: [false, false, true],
-            kind: Kind::Poiseuille,
-        }
+            [false, false, true],
+            Kind::Poiseuille,
+        )
     }
 
     /// Von Kármán vortex street: flow past a circular cylinder spanning
@@ -258,30 +200,23 @@ impl Scenario {
         inflow: f64,
         diameter: f64,
     ) -> Self {
-        for d in 0..3 {
-            assert!(n[d] % b[d] == 0);
-        }
         assert!(b[2] >= 2, "periodic spanwise axis needs >= 2 blocks");
-        Scenario {
-            name: format!("von-karman {}x{}x{} d={diameter:.1}", n[0], n[1], n[2]),
-            blocks: b,
-            cells: [n[0] / b[0], n[1] / b[1], n[2] / b[2]],
-            relaxation: Relaxation::trt_from_viscosity(viscosity),
-            boundary: BoundaryParams { wall_velocity: [inflow, 0.0, 0.0], ..Default::default() },
-            rho0: 1.0,
-            u0: [inflow, 0.0, 0.0],
-            balance: Balancer::Morton,
-            kernel: KernelChoice::Auto,
-            collision: Collision::Trt,
-            backend: BackendKind::default(),
-            periodic: [false, false, true],
-            kind: Kind::VonKarman {
+        let mut s = Self::base(
+            format!("von-karman {}x{}x{} d={diameter:.1}", n[0], n[1], n[2]),
+            b,
+            per_block(n, b),
+            viscosity,
+            BoundaryParams { wall_velocity: [inflow, 0.0, 0.0], ..Default::default() },
+            [false, false, true],
+            Kind::VonKarman {
                 // Off-center by half a cell: a deliberate asymmetry that
                 // seeds the vortex shedding instability.
                 center: [n[0] as f64 / 4.0, n[1] as f64 / 2.0 + 0.5],
                 radius: diameter / 2.0,
             },
-        }
+        );
+        s.u0 = [inflow, 0.0, 0.0];
+        s
     }
 
     /// A complex-geometry scenario from a signed-distance domain: blocks
@@ -300,24 +235,47 @@ impl Scenario {
         config: VoxelizeConfig,
     ) -> Self {
         let forest = SetupForest::from_domain(sdf.as_ref(), dx, cells_per_block);
-        Scenario {
-            name: name.to_string(),
-            blocks: forest.roots,
-            cells: cells_per_block,
-            relaxation: Relaxation::trt_from_viscosity(viscosity),
-            boundary: BoundaryParams {
+        Self::base(
+            name.to_string(),
+            forest.roots,
+            cells_per_block,
+            viscosity,
+            BoundaryParams {
                 wall_velocity: inflow,
                 pressure_density: outflow_rho,
                 ..Default::default()
             },
+            [false; 3],
+            Kind::Domain { sdf, config, dx, forest },
+        )
+    }
+
+    /// What every constructor shares: TRT relaxation at `viscosity`, unit
+    /// density at rest, Morton balance, the pull scheme, the default
+    /// backend.
+    fn base(
+        name: String,
+        blocks: [usize; 3],
+        cells: [usize; 3],
+        viscosity: f64,
+        boundary: BoundaryParams,
+        periodic: [bool; 3],
+        kind: Kind,
+    ) -> Self {
+        Scenario {
+            name,
+            blocks,
+            cells,
+            relaxation: Relaxation::trt_from_viscosity(viscosity),
+            boundary,
             rho0: 1.0,
             u0: [0.0; 3],
             balance: Balancer::Morton,
-            kernel: KernelChoice::Auto,
+            kernel: UpdateScheme::Pull,
             collision: Collision::Trt,
             backend: BackendKind::default(),
-            periodic: [false; 3],
-            kind: Kind::Domain { sdf, config, dx, forest },
+            periodic,
+            kind,
         }
     }
 
@@ -395,14 +353,9 @@ impl Scenario {
     /// Finishes block construction: builds the sim from the flag field
     /// and stamps the scenario-global collision operator and backend
     /// onto it.
-    fn finish_block(&self, flags: trillium_field::FlagField) -> BlockSim {
-        let mut sim = BlockSim::from_flags_with_scheme(
-            flags,
-            self.boundary,
-            self.rho0,
-            self.u0,
-            self.kernel.scheme(),
-        );
+    fn finish_block(&self, flags: trillium_field::FlagField, scheme: UpdateScheme) -> BlockSim {
+        let mut sim =
+            BlockSim::from_flags_with_scheme(flags, self.boundary, self.rho0, self.u0, scheme);
         self.stamp(&mut sim);
         sim
     }
@@ -432,7 +385,7 @@ impl Scenario {
                         border[5].then_some(CellFlags::VELOCITY), // moving lid at +z
                     ],
                 );
-                self.finish_block(flags)
+                self.finish_block(flags, self.kernel)
             }
             Kind::Channel { center, radius } => {
                 let border = self.border_faces(lb);
@@ -463,16 +416,16 @@ impl Scenario {
                         }
                     }
                 }
-                self.finish_block(flags)
+                self.finish_block(flags, self.kernel)
             }
             Kind::Domain { sdf, config, dx, .. } => {
                 let flags = voxelize_block(sdf.as_ref(), lb.aabb.min, *dx, shape, config);
-                self.finish_block(flags)
+                self.finish_block(flags, self.kernel)
             }
             Kind::TaylorGreen { amplitude } => {
                 // Fully periodic: every cell (ghosts included) is fluid.
                 let flags = boxed_block_flags(shape, [None; 6]);
-                let mut sim = self.finish_block(flags);
+                let mut sim = self.finish_block(flags, self.kernel);
                 let origin = self.block_origin(lb);
                 let n = self.global_cells();
                 let kx = 2.0 * std::f64::consts::PI / n[0] as f64;
@@ -502,7 +455,7 @@ impl Scenario {
                         None,
                     ],
                 );
-                self.finish_block(flags)
+                self.finish_block(flags, self.kernel)
             }
             Kind::VonKarman { center, radius } => {
                 let border = self.border_faces(lb);
@@ -538,19 +491,8 @@ impl Scenario {
                 // the pull scheme regardless of the requested kernel tier.
                 // Uncarved blocks carry no OBSTACLE cells and contribute an
                 // exact zero to the lift/drag signal.
-                let mut sim = if carved {
-                    let mut sim = BlockSim::from_flags_with_scheme(
-                        flags,
-                        self.boundary,
-                        self.rho0,
-                        self.u0,
-                        UpdateScheme::Pull,
-                    );
-                    sim.collision = self.collision;
-                    sim
-                } else {
-                    self.finish_block(flags)
-                };
+                let scheme = if carved { UpdateScheme::Pull } else { self.kernel };
+                let mut sim = self.finish_block(flags, scheme);
                 // Seed a small transverse perturbation so the wake's
                 // antisymmetric instability grows from a deterministic
                 // O(ε) amplitude: the unperturbed base flow is symmetric
@@ -592,6 +534,14 @@ impl Scenario {
             self.blocks[2] * self.cells[2],
         ]
     }
+}
+
+/// Cells per block of `n` global cells in `b` blocks per axis.
+fn per_block(n: [usize; 3], b: [usize; 3]) -> [usize; 3] {
+    std::array::from_fn(|d| {
+        assert!(n[d].is_multiple_of(b[d]), "cells must divide evenly into blocks");
+        n[d] / b[d]
+    })
 }
 
 #[cfg(test)]
@@ -639,6 +589,29 @@ mod tests {
         // 3.2 cells -> ~137 cells of 8192: under 2 %.
         let solid = total - total_fluid;
         assert!(solid > 50 && solid < total / 20, "solid = {solid}");
+    }
+
+    /// The backend is stamped onto every block, the cylinder blocks the
+    /// scenario pins to the pull scheme included.
+    #[test]
+    fn von_karman_blocks_all_carry_the_requested_backend() {
+        let s = Scenario::von_karman([32, 16, 4], [4, 2, 2], 0.02, 0.05, 4.0)
+            .with_kernel(KernelChoice::InPlace)
+            .with_backend(BackendKind::Workgroup);
+        let views = distribute(&s.make_forest(1));
+        let blocks: Vec<BlockSim> = views[0].blocks.iter().map(|b| s.build_block(b)).collect();
+        let carved = |b: &BlockSim| {
+            b.shape
+                .with_ghosts()
+                .iter()
+                .any(|(x, y, z)| b.flags.flags(x, y, z).intersects(CellFlags::OBSTACLE))
+        };
+        assert!(blocks.iter().any(carved) && !blocks.iter().all(carved));
+        for b in &blocks {
+            assert_eq!(b.backend, BackendKind::Workgroup);
+            let scheme = if carved(b) { UpdateScheme::Pull } else { UpdateScheme::InPlace };
+            assert_eq!(b.scheme, scheme);
+        }
     }
 
     #[test]

@@ -40,4 +40,4 @@ pub use octree::TriangleOctree;
 pub use sdf::{AnalyticSdf, MeshSdf, SignedDistance};
 pub use vascular::{VascularTree, VascularTreeParams};
 pub use vec3::Vec3;
-pub use voxelize::{classify_block, voxelize_block, BlockCoverage, VoxelizeConfig};
+pub use voxelize::{classify_block, voxelize_block, VoxelizeConfig};

@@ -14,47 +14,27 @@ use crate::sdf::SignedDistance;
 use crate::vec3::{vec3, Vec3};
 use trillium_field::{CellFlags, FlagField, FlagOps, Shape};
 
-/// How a block relates to the computational domain.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BlockCoverage {
-    /// No cell center inside the domain: the block is not needed.
-    Outside,
-    /// Every cell center inside the domain (dense fluid block).
-    FullyInside,
-    /// Some cell centers inside: a partially covered block.
-    Intersecting,
-}
-
-/// Classifies a block against the domain.
+/// Number of cell centres of the `cells` grid over `bb` that lie inside
+/// the domain — the one block classification of set-up.
 ///
-/// Implements the paper's shortcut tests on the block barycenter `b̃`:
-/// if `d(b̃, Γ) > R(b)` the surface is farther than the circumsphere and the
-/// whole block lies on one side (decided by the sign); only otherwise are
-/// cell centers tested individually.
-pub fn classify_block<S: SignedDistance + ?Sized>(
-    sdf: &S,
-    bb: &Aabb,
-    cells: [usize; 3],
-) -> BlockCoverage {
+/// Implements the paper's shortcut test on the block barycenter `b̃`: if
+/// `|d(b̃, Γ)| > R(b)` the surface is farther than the circumsphere, the
+/// whole block lies on one side and the answer (0 or every cell) costs one
+/// distance query; only otherwise are the cell centers counted.
+pub fn classify_block<S: SignedDistance + ?Sized>(sdf: &S, bb: &Aabb, cells: [usize; 3]) -> usize {
     let d = sdf.signed_distance(bb.center());
     let circum = bb.circumradius();
     if d > circum {
-        return BlockCoverage::Outside;
-    }
-    if d < -circum {
-        return BlockCoverage::FullyInside;
-    }
-    // The surface passes near the block: test cell centers exhaustively.
-    let n = block_fluid_cells(sdf, bb, cells);
-    let total = cells[0] * cells[1] * cells[2];
-    match n {
-        0 => BlockCoverage::Outside,
-        n if n == total => BlockCoverage::FullyInside,
-        _ => BlockCoverage::Intersecting,
+        0
+    } else if d < -circum {
+        cells.iter().product()
+    } else {
+        block_fluid_cells(sdf, bb, cells)
     }
 }
 
-/// Counts the cell centers of a block grid lying inside the domain.
+/// Counts the cell centers of a block grid lying inside the domain,
+/// testing every one (the exhaustive reference of [`classify_block`]).
 pub fn block_fluid_cells<S: SignedDistance + ?Sized>(
     sdf: &S,
     bb: &Aabb,
@@ -75,11 +55,6 @@ pub fn block_fluid_cells<S: SignedDistance + ?Sized>(
         }
     }
     count
-}
-
-/// Cheap fluid-fraction estimate of a block by subsampling `s³` points.
-pub fn block_fluid_fraction<S: SignedDistance + ?Sized>(sdf: &S, bb: &Aabb, s: usize) -> f64 {
-    block_fluid_cells(sdf, bb, [s, s, s]) as f64 / (s * s * s) as f64
 }
 
 /// Configuration of the cell-classification pass.
@@ -164,25 +139,26 @@ mod tests {
     #[test]
     fn classify_far_block_is_outside_by_shortcut() {
         let bb = Aabb::new(vec3(5.0, 5.0, 5.0), vec3(6.0, 6.0, 6.0));
-        assert_eq!(classify_block(&sphere(), &bb, [8, 8, 8]), BlockCoverage::Outside);
+        assert_eq!(classify_block(&sphere(), &bb, [8, 8, 8]), 0);
     }
 
     #[test]
     fn classify_center_block_fully_inside_by_shortcut() {
         let bb = Aabb::new(vec3(-0.2, -0.2, -0.2), vec3(0.2, 0.2, 0.2));
-        assert_eq!(classify_block(&sphere(), &bb, [8, 8, 8]), BlockCoverage::FullyInside);
+        assert_eq!(classify_block(&sphere(), &bb, [8, 8, 8]), 512);
     }
 
     #[test]
     fn classify_straddling_block_intersects() {
         let bb = Aabb::new(vec3(0.5, -0.5, -0.5), vec3(1.5, 0.5, 0.5));
-        assert_eq!(classify_block(&sphere(), &bb, [8, 8, 8]), BlockCoverage::Intersecting);
+        let n = classify_block(&sphere(), &bb, [8, 8, 8]);
+        assert!(0 < n && n < 512, "{n} of 512 cells");
     }
 
     #[test]
     fn shortcut_and_exhaustive_agree() {
-        // Scan a grid of blocks over the sphere: classification via the
-        // shortcut path must match pure exhaustive counting.
+        // Scan a grid of blocks over the sphere: the count via the
+        // shortcut path must equal pure exhaustive counting.
         let s = sphere();
         for bx in -2..2 {
             for by in -2..2 {
@@ -190,12 +166,7 @@ mod tests {
                     let lo = vec3(bx as f64 * 0.8, by as f64 * 0.8, bz as f64 * 0.8);
                     let bb = Aabb::new(lo, lo + vec3(0.8, 0.8, 0.8));
                     let n = block_fluid_cells(&s, &bb, [6, 6, 6]);
-                    let expect = match n {
-                        0 => BlockCoverage::Outside,
-                        216 => BlockCoverage::FullyInside,
-                        _ => BlockCoverage::Intersecting,
-                    };
-                    assert_eq!(classify_block(&s, &bb, [6, 6, 6]), expect, "block at {lo:?}");
+                    assert_eq!(classify_block(&s, &bb, [6, 6, 6]), n, "block at {lo:?}");
                 }
             }
         }

@@ -11,7 +11,7 @@
 //! `trillium-perfmodel`.
 
 use serde_json::Value;
-use trillium_core::prelude::{BackendKind, Collision, KernelChoice, Scenario};
+use trillium_core::prelude::{BackendKind, Collision, KernelChoice, Relaxation, Scenario};
 use trillium_perfmodel::bytes_per_lup;
 
 /// Geometry families a job may request — the paper's two §4.2
@@ -44,6 +44,22 @@ pub enum Schedule {
     /// Checkpoint/rollback resilience; the only schedule that tolerates
     /// an injected fault plan.
     Resilient,
+}
+
+impl Schedule {
+    /// Every schedule, in report order.
+    pub const ALL: [Schedule; 4] =
+        [Schedule::Sync, Schedule::Overlapped, Schedule::Rebalanced, Schedule::Resilient];
+
+    /// The document spelling, also the report label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Schedule::Sync => "sync",
+            Schedule::Overlapped => "overlapped",
+            Schedule::Rebalanced => "rebalanced",
+            Schedule::Resilient => "resilient",
+        }
+    }
 }
 
 /// Deterministic fault plan attached to a job (resilient schedule
@@ -155,11 +171,14 @@ impl JobSpec {
             "von-karman" => GeometryFamily::VonKarman,
             _ => return Err(SpecError::Invalid("family")),
         };
+        // "auto" is the spelling of the default, pull, that older
+        // documents use.
         let kernel = match v.get("kernel").map(|k| k.as_str()) {
-            None => KernelChoice::Auto,
-            Some(Some("auto")) => KernelChoice::Auto,
-            Some(Some("pull")) => KernelChoice::Pull,
-            Some(Some("inplace")) => KernelChoice::InPlace,
+            None | Some(Some("auto")) => KernelChoice::Pull,
+            Some(Some(s)) => [KernelChoice::Pull, KernelChoice::InPlace]
+                .into_iter()
+                .find(|k| k.label() == s)
+                .ok_or(SpecError::Invalid("kernel"))?,
             _ => return Err(SpecError::Invalid("kernel")),
         };
         let collision = match v.get("collision").map(|c| c.as_str()) {
@@ -177,10 +196,10 @@ impl JobSpec {
         };
         let schedule = match v.get("schedule").map(|s| s.as_str()) {
             None => Schedule::Sync,
-            Some(Some("sync")) => Schedule::Sync,
-            Some(Some("overlapped")) => Schedule::Overlapped,
-            Some(Some("rebalanced")) => Schedule::Rebalanced,
-            Some(Some("resilient")) => Schedule::Resilient,
+            Some(Some(s)) => Schedule::ALL
+                .into_iter()
+                .find(|x| x.label() == s)
+                .ok_or(SpecError::Invalid("schedule"))?,
             _ => return Err(SpecError::Invalid("schedule")),
         };
         let fault = match v.get("fault") {
@@ -190,7 +209,9 @@ impl JobSpec {
                 let crash = match (f.get("crash_rank"), f.get("crash_step")) {
                     (None, None) => None,
                     (Some(r), Some(s)) => Some((
-                        r.as_u64().ok_or(SpecError::Invalid("fault.crash_rank"))? as u32,
+                        r.as_u64()
+                            .and_then(|r| u32::try_from(r).ok())
+                            .ok_or(SpecError::Invalid("fault.crash_rank"))?,
                         s.as_u64().ok_or(SpecError::Invalid("fault.crash_step"))?,
                     )),
                     _ => return Err(SpecError::Invalid("fault")),
@@ -217,7 +238,8 @@ impl JobSpec {
             collision,
             backend,
             steps: opt_u64(v, "steps", 10)?,
-            ranks: opt_u64(v, "ranks", 2)? as u32,
+            ranks: u32::try_from(opt_u64(v, "ranks", 2)?)
+                .map_err(|_| SpecError::Invalid("ranks"))?,
             threads: opt_u64(v, "threads", 1)? as usize,
             priority: v
                 .get("priority")
@@ -242,8 +264,22 @@ impl JobSpec {
     }
 
     fn validate(&self) -> Result<(), SpecError> {
-        if self.cells == 0 || self.cells % self.blocks.max(1) != 0 {
+        if self.cells == 0
+            || !self.cells.is_multiple_of(self.blocks.max(1))
+            || self.checked_total_cells().is_none()
+        {
             return Err(SpecError::Invalid("cells"));
+        }
+        // The collision needs a relaxation time above 1/2: a positive,
+        // finite viscosity that does not vanish beside it.
+        if !(self.viscosity.is_finite()
+            && self.viscosity > 0.0
+            && Relaxation::tau_from_viscosity(self.viscosity) > 0.5)
+        {
+            return Err(SpecError::Invalid("viscosity"));
+        }
+        if !self.velocity.is_finite() {
+            return Err(SpecError::Invalid("velocity"));
         }
         if self.blocks == 0 {
             return Err(SpecError::Invalid("blocks"));
@@ -316,11 +352,20 @@ impl JobSpec {
     }
 
     /// Total lattice cells the job touches per step.
+    ///
+    /// # Panics
+    /// If the count does not fit a `u64`, which [`JobSpec::from_json`]
+    /// rejects.
     pub fn total_cells(&self) -> u64 {
-        let c = self.cells as u64;
+        self.checked_total_cells().expect("a validated spec's cell count fits a u64")
+    }
+
+    fn checked_total_cells(&self) -> Option<u64> {
+        let c = u64::try_from(self.cells).ok()?;
+        let cube = c.checked_mul(c)?.checked_mul(c)?;
         match self.family {
-            GeometryFamily::Cavity => c * c * c,
-            GeometryFamily::Channel | GeometryFamily::VonKarman => 2 * c * c * c,
+            GeometryFamily::Cavity => Some(cube),
+            GeometryFamily::Channel | GeometryFamily::VonKarman => cube.checked_mul(2),
         }
     }
 
@@ -516,10 +561,174 @@ mod tests {
                     "fault": {"crash_rank": 5, "crash_step": 1}}"#,
                 SpecError::Invalid("fault.crash_rank"),
             ),
+            // Sizes whose cell count overflows a u64 (2^66 and 2^64),
+            // counts a u32 cannot hold (2^32 + 2 is not rank 2), and
+            // viscosities no relaxation time exists for.
+            (
+                r#"{"name": "x", "family": "cavity", "cells": 4194304, "blocks": 1}"#,
+                SpecError::Invalid("cells"),
+            ),
+            (
+                r#"{"name": "x", "family": "channel", "cells": 2097152, "blocks": 1}"#,
+                SpecError::Invalid("cells"),
+            ),
+            (
+                r#"{"name": "x", "family": "cavity", "ranks": 4294967298}"#,
+                SpecError::Invalid("ranks"),
+            ),
+            (
+                r#"{"name": "x", "family": "cavity", "schedule": "resilient",
+                    "fault": {"crash_rank": 4294967296, "crash_step": 1}}"#,
+                SpecError::Invalid("fault.crash_rank"),
+            ),
+            (
+                r#"{"name": "x", "family": "cavity", "viscosity": 0}"#,
+                SpecError::Invalid("viscosity"),
+            ),
+            (
+                r#"{"name": "x", "family": "cavity", "viscosity": -0.05}"#,
+                SpecError::Invalid("viscosity"),
+            ),
+            (
+                r#"{"name": "x", "family": "cavity", "viscosity": 1e-300}"#,
+                SpecError::Invalid("viscosity"),
+            ),
+            (
+                r#"{"name": "x", "family": "cavity", "viscosity": 1e999}"#,
+                SpecError::Invalid("viscosity"),
+            ),
+            (
+                r#"{"name": "x", "family": "cavity", "velocity": -1e999}"#,
+                SpecError::Invalid("velocity"),
+            ),
         ];
         for (doc, want) in cases {
             assert_eq!(JobSpec::parse(doc).unwrap_err(), want, "doc: {doc}");
         }
+    }
+
+    /// One spelling per scheme and schedule; "auto" stays a spelling of
+    /// the pull scheme for documents written before it was one.
+    #[test]
+    fn kernel_and_schedule_spellings_round_trip() {
+        let kernel = |doc: &str| JobSpec::parse(doc).unwrap().kernel;
+        assert_eq!(kernel(r#"{"name": "x", "family": "cavity"}"#), KernelChoice::Pull);
+        assert_eq!(
+            kernel(r#"{"name": "x", "family": "cavity", "kernel": "auto"}"#),
+            KernelChoice::Pull
+        );
+        for k in [KernelChoice::Pull, KernelChoice::InPlace] {
+            let doc = format!(r#"{{"name": "x", "family": "cavity", "kernel": "{}"}}"#, k.label());
+            assert_eq!(kernel(&doc), k);
+        }
+        for sched in Schedule::ALL {
+            let doc =
+                format!(r#"{{"name": "x", "family": "cavity", "schedule": "{}"}}"#, sched.label());
+            assert_eq!(JobSpec::parse(&doc).unwrap().schedule, sched);
+        }
+        let doc = r#"{"name": "x", "family": "cavity", "kernel": "in-place"}"#;
+        assert_eq!(JobSpec::parse(doc).unwrap_err(), SpecError::Invalid("kernel"));
+    }
+
+    /// Whatever a client submits, parsing answers with a typed error or
+    /// with a spec admission can price and the driver can build: 1 000
+    /// seeded mutations of the six document shapes of the benchmark's job
+    /// mix, each replacing, adding or dropping one or two fields.
+    #[test]
+    fn mutated_specs_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const TEMPLATES: [&str; 6] = [
+            r#"{"name":"a","velocity":0.08,"priority":1,"family":"cavity","cells":16,"blocks":2,"steps":12,"ranks":2}"#,
+            r#"{"name":"b","velocity":0.08,"priority":2,"family":"cavity","cells":16,"blocks":2,"steps":12,"ranks":2,"kernel":"inplace","schedule":"overlapped"}"#,
+            r#"{"name":"c","velocity":0.05,"priority":0,"family":"channel","cells":12,"blocks":1,"steps":8,"ranks":2}"#,
+            r#"{"name":"d","velocity":0.08,"priority":4,"family":"cavity","cells":16,"blocks":2,"steps":6,"ranks":1,"threads":2}"#,
+            r#"{"name":"e","velocity":0.08,"priority":3,"family":"cavity","cells":16,"blocks":2,"steps":20,"ranks":2,"schedule":"rebalanced","skew":0.75}"#,
+            r#"{"name":"f","velocity":0.08,"priority":1,"family":"cavity","cells":12,"blocks":2,"steps":10,"ranks":2,"schedule":"resilient","fault":{"seed":11,"crash_rank":1,"crash_step":6,"recover":true}}"#,
+        ];
+        const KEYS: [&str; 17] = [
+            "name",
+            "family",
+            "cells",
+            "blocks",
+            "viscosity",
+            "velocity",
+            "kernel",
+            "collision",
+            "backend",
+            "steps",
+            "ranks",
+            "threads",
+            "priority",
+            "schedule",
+            "fault",
+            "skew",
+            "collect_pdfs",
+        ];
+        // Values on and beyond the edges of what `validate` admits.
+        const VALUES: [&str; 32] = [
+            "0",
+            "1",
+            "2",
+            "3",
+            "-1",
+            "8",
+            "12",
+            "16",
+            "2097152",
+            "4194304",
+            "4294967298",
+            "18446744073709551615",
+            "99999999999999999999999",
+            "0.05",
+            "-0.05",
+            "0.75",
+            "1.5",
+            "1e-300",
+            "1e300",
+            "1e999",
+            "-1e999",
+            "true",
+            "null",
+            "[]",
+            "\"auto\"",
+            "\"inplace\"",
+            "\"resilient\"",
+            "\"mrt\"",
+            "\"von-karman\"",
+            "\"channel\"",
+            r#"{"crash_rank":1,"crash_step":2}"#,
+            r#"{"crash_rank":4294967297,"crash_step":1}"#,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5bec);
+        let (mut admitted, mut rejected) = (0, 0);
+        for _ in 0..1000 {
+            let template = serde_json::from_str(TEMPLATES[rng.gen_range(0..6)]).unwrap();
+            let mut fields: Vec<(String, String)> = template
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_string()))
+                .collect();
+            for _ in 0..rng.gen_range(1..3) {
+                let key = KEYS[rng.gen_range(0..KEYS.len())];
+                fields.retain(|(k, _)| k != key);
+                if rng.gen_bool(0.9) {
+                    fields.push((key.to_string(), VALUES[rng.gen_range(0..VALUES.len())].into()));
+                }
+            }
+            let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            let doc = format!("{{{}}}", body.join(","));
+            match JobSpec::parse(&doc) {
+                Err(_) => rejected += 1,
+                Ok(spec) => {
+                    assert!(spec.cost_estimate().is_finite(), "{doc}");
+                    spec.to_scenario();
+                    admitted += 1;
+                }
+            }
+        }
+        assert!(admitted > 100 && rejected > 100, "{admitted} admitted, {rejected} rejected");
     }
 
     #[test]
