@@ -547,8 +547,9 @@ mod tests {
     }
 
     /// A block is classified once: a block its circumsphere settles costs
-    /// one distance query, a counted one the barycentre plus one query per
-    /// cell of the grid it is counted on — never a second count.
+    /// one distance query, a carved one the descent's queries on the grid
+    /// it is counted on — the boxes the surface passes near, never every
+    /// cell, and never a second count.
     #[test]
     fn each_block_costs_one_classification() {
         let s = Counting::new(AnalyticSdf::Sphere { center: vec3(0.0, 0.0, 0.0), radius: 1.0 });
@@ -563,12 +564,38 @@ mod tests {
         // Centre block: inside by its circumsphere.
         assert!(block([5, 5, 5], None)[0].fully_inside);
         assert_eq!(s.take(), 1);
-        // A block the surface cuts, counted on its cells and on 3³ probes.
+        // A block the surface cuts, counted on its cells and on 3³ probes:
+        // 125 queries for 216 cells, 19 for 27 probes (1 + 216 and 1 + 27
+        // cell by cell).
         let cut = block([7, 5, 5], None);
         assert!(!cut[0].fully_inside && cut[0].workload > 0.0);
-        assert_eq!(s.take(), 1 + 216);
+        assert_eq!(s.take(), 125);
         assert_eq!(block([7, 5, 5], Some(3)).len(), 1);
-        assert_eq!(s.take(), 1 + 27);
+        assert_eq!(s.take(), 19);
+    }
+
+    /// Set-up's work on the benchmark's tree (5 generations, `dx` from the
+    /// workload's volume rule, 16³ blocks) in distance queries: the forest
+    /// costs 135 833 of them (1 332 599 when every carved block tested each
+    /// of its cells), voxelizing its first block on the 18³ ghost-inclusive
+    /// grid 503 (5 832 cell by cell).
+    #[test]
+    fn benchmark_tree_setup_queries_are_pinned() {
+        use trillium_field::Shape;
+        use trillium_geometry::{voxelize_block, VascularTree, VascularTreeParams, VoxelizeConfig};
+        let tree = VascularTree::generate(&VascularTreeParams {
+            generations: 5,
+            root_radius: 1.2,
+            root_length: 7.0,
+            ..Default::default()
+        });
+        let fraction = tree.fluid_fraction_estimate(50_000, 7);
+        let dx = (fraction * tree.bounding_box().volume() / 160_000.0).cbrt();
+        let s = Counting::new(tree);
+        let f = SetupForest::from_domain(&s, dx, [16; 3]);
+        assert_eq!((f.num_blocks(), s.take()), (244, 135_833));
+        voxelize_block(&s, f.blocks[0].aabb.min, dx, Shape::cube(16), &VoxelizeConfig::default());
+        assert_eq!(s.take(), 503);
     }
 
     /// A sampled block whose probes see fluid, but too little for one

@@ -95,7 +95,8 @@ pub fn parallel_classify<S: SignedDistance + ?Sized>(
     let (domain, roots) = SetupForest::candidate_grid(sdf, dx, cells_per_block);
     // Work units: slabs along the longest axis, scattered deterministically
     // (a seeded shuffle — "randomly scattered to avoid load imbalances").
-    let axis = (0..3).max_by_key(|&a| roots[a]).unwrap();
+    // The longest axis (the last of equals).
+    let axis = (1..3).fold(0, |m, a| if roots[a] >= roots[m] { a } else { m });
     let slabs: Vec<usize> = {
         let mut s: Vec<usize> = (0..roots[axis]).collect();
         // Fisher–Yates with a fixed LCG so all ranks agree on the schedule.
@@ -136,9 +137,10 @@ pub fn parallel_classify<S: SignedDistance + ?Sized>(
 
     let mut blocks = Vec::new();
     for part in gathered {
-        for rec in part.chunks_exact(16) {
-            let id = BlockId::unpack(u64::from_le_bytes(rec[..8].try_into().unwrap()));
-            let workload = u64::from_le_bytes(rec[8..].try_into().unwrap()) as f64;
+        let (words, _) = part.as_chunks::<8>();
+        for &[id, workload] in words.as_chunks::<2>().0 {
+            let id = BlockId::unpack(u64::from_le_bytes(id));
+            let workload = u64::from_le_bytes(workload) as f64;
             blocks.push(SetupForest::block_from_id(
                 &domain,
                 roots,

@@ -101,17 +101,35 @@ impl Octree {
 
     /// Finds the primitive minimizing `dist_sq_of(i)` with best-first
     /// descent and box pruning. Returns `(index, dist_sq)`.
-    pub fn nearest(&self, p: Vec3, dist_sq_of: &mut dyn FnMut(usize) -> f64) -> (usize, f64) {
+    pub fn nearest(&self, p: Vec3, dist_sq_of: impl FnMut(usize) -> f64) -> (usize, f64) {
+        self.nearest_bounded(p, |b2| b2, dist_sq_of)
+    }
+
+    /// [`Octree::nearest`] with a caller's pruning bound: `bound(b²)`
+    /// turns the squared distance `b²` from `p` to a node box into a lower
+    /// bound of `dist_sq_of` over the primitives whose point nearest to `p`
+    /// lies in that box, and must not decrease as `b²` grows. A node is
+    /// skipped once its bound reaches the best value found. Plain point
+    /// metrics take `b²` itself; the capsules of the vascular tree, whose
+    /// metric is shifted, take a bound that includes the shift. A query no
+    /// primitive compares below infinity at (a NaN point) returns
+    /// `(usize::MAX, f64::INFINITY)`.
+    pub fn nearest_bounded(
+        &self,
+        p: Vec3,
+        bound: impl Fn(f64) -> f64,
+        mut dist_sq_of: impl FnMut(usize) -> f64,
+    ) -> (usize, f64) {
         let mut best = (usize::MAX, f64::INFINITY);
-        Self::nearest_rec(&self.root, p, dist_sq_of, &mut best);
-        debug_assert!(best.0 != usize::MAX);
+        Self::nearest_rec(&self.root, p, &bound, &mut dist_sq_of, &mut best);
         best
     }
 
-    fn nearest_rec(
+    fn nearest_rec<B: Fn(f64) -> f64, F: FnMut(usize) -> f64>(
         node: &Node,
         p: Vec3,
-        dist_sq_of: &mut dyn FnMut(usize) -> f64,
+        bound: &B,
+        dist_sq_of: &mut F,
         best: &mut (usize, f64),
     ) {
         match node {
@@ -124,15 +142,24 @@ impl Octree {
                 }
             }
             Node::Inner { children } => {
-                // Visit children closest-first for effective pruning.
-                let mut order: Vec<(f64, usize)> =
-                    children.iter().enumerate().map(|(i, (bb, _))| (bb.dist_sq(p), i)).collect();
-                order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                for (d2, i) in order {
-                    if d2 >= best.1 {
+                // Visit children closest-first for effective pruning: a
+                // stable insertion sort of the (at most eight) box
+                // distances on the stack.
+                let mut order = [(0.0f64, 0); 8];
+                for (i, (bb, _)) in children.iter().enumerate() {
+                    let d2 = bb.dist_sq(p);
+                    let mut j = i;
+                    while j > 0 && order[j - 1].0.total_cmp(&d2).is_gt() {
+                        order[j] = order[j - 1];
+                        j -= 1;
+                    }
+                    order[j] = (d2, i);
+                }
+                for &(d2, i) in &order[..children.len()] {
+                    if bound(d2) >= best.1 {
                         break;
                     }
-                    Self::nearest_rec(&children[i].1, p, dist_sq_of, best);
+                    Self::nearest_rec(&children[i].1, p, bound, dist_sq_of, best);
                 }
             }
         }
@@ -173,7 +200,7 @@ impl TriangleOctree {
     /// Finds the triangle of `mesh` closest to `p` (the `t̂(p)` of the
     /// paper).
     pub fn nearest(&self, mesh: &TriMesh, p: Vec3) -> NearestHit {
-        let (t, d2) = self.tree.nearest(p, &mut |i| {
+        let (t, d2) = self.tree.nearest(p, |i| {
             let [a, b, c] = mesh.tri(i);
             crate::tri_dist::dist_sq_triangle(p, a, b, c)
         });
@@ -268,7 +295,7 @@ mod tests {
         let bbs: Vec<Aabb> = pts.iter().map(|&p| Aabb::new(p, p)).collect();
         let tree = Octree::build(&bbs);
         let q = vec3(4.3, 6.8, 1.2);
-        let (i, d2) = tree.nearest(q, &mut |i| pts[i].dist_sq(q));
+        let (i, d2) = tree.nearest(q, |i| pts[i].dist_sq(q));
         // Verify against brute force.
         let (bi, bd2) = pts
             .iter()
@@ -278,5 +305,8 @@ mod tests {
             .unwrap();
         assert_eq!(i, bi);
         assert!((d2 - bd2).abs() < 1e-15);
+        // A NaN query finds nothing instead of panicking in the ordering.
+        let nan = vec3(f64::NAN, 6.8, 1.2);
+        assert_eq!(tree.nearest(nan, |i| pts[i].dist_sq(nan)), (usize::MAX, f64::INFINITY));
     }
 }

@@ -11,7 +11,9 @@ use crate::vec3::Vec3;
 
 /// A domain described by a signed distance: negative inside.
 pub trait SignedDistance: Send + Sync {
-    /// Signed distance of `p` to the domain boundary `Γ`.
+    /// Signed distance of `p` to the domain boundary `Γ`. It must be
+    /// 1-Lipschitz (a distance, not just a sign): the voxelizer settles a
+    /// whole box of cells by one value `|d|` greater than the box's reach.
     fn signed_distance(&self, p: Vec3) -> f64;
 
     /// An axis-aligned box containing the whole domain.

@@ -105,7 +105,7 @@ pub struct VascularTree {
     tree: Octree,
     bb: Aabb,
     /// Largest segment radius; shifts the capsule metric so the octree's
-    /// nearest query stays monotone (see `signed_distance`).
+    /// nearest query minimizes a nonnegative value (see `signed_distance`).
     max_radius: f64,
 }
 
@@ -263,12 +263,27 @@ impl SignedDistance for VascularTree {
     fn signed_distance(&self, p: Vec3) -> f64 {
         // The minimum of capsule signed distances is the exact signed
         // distance of the union outside and a correct-sign bound inside.
-        // The octree nearest-query minimizes (d + R)² is not monotone in d,
-        // so query on the segment-axis distance and correct by the largest
-        // radius margin: instead we simply minimize the capsule distance
-        // shifted to be nonnegative (adding the global max radius).
+        // Capsule distances go negative, so the octree minimizes their
+        // square shifted by the largest radius, (d + shift)² with
+        // d + shift >= 0, and the result is sqrt(best) - shift.
+        //
+        // Pruning: a capsule's surface point nearest to `p` lies inside its
+        // segment box (radius included), so a node box at distance `b > 0`
+        // only holds capsules that are nearest there with d >= b, that is
+        // (d + shift)² >= (b + shift)²; a box containing `p` bounds nothing
+        // below 0. `slack` absorbs the rounding of `b` and `d`, so the
+        // minimum, and every bit of the result, is that of all segments.
         let shift = self.max_radius;
-        let (_, d2) = self.tree.nearest(p, &mut |i| {
+        let slack = 1e-9 * (p.norm() + self.bb.min.norm().max(self.bb.max.norm()));
+        let bound = |b2: f64| {
+            if b2 > 0.0 {
+                let b = (b2.sqrt() + shift - slack).max(0.0);
+                b * b
+            } else {
+                0.0
+            }
+        };
+        let (_, d2) = self.tree.nearest_bounded(p, bound, |i| {
             let d = self.segments[i].signed_distance(p) + shift;
             debug_assert!(d >= 0.0);
             d * d
@@ -338,24 +353,45 @@ mod tests {
         assert!(rmin > (0.5f64 - 0.35 * 0.5).powf(4.0 / 3.0) * 0.9);
     }
 
+    /// The pruned octree query returns, bit for bit, the minimum over all
+    /// segments taken with the same arithmetic: `sqrt(min (d + shift)²) −
+    /// shift`. Half the points are uniform around the benchmark's tree,
+    /// half near a vessel wall, where the pruning bound is tightest.
     #[test]
     fn signed_distance_matches_brute_force() {
         use rand::{Rng, SeedableRng};
-        let t = small_tree();
+        let t = VascularTree::generate(&VascularTreeParams {
+            generations: 5,
+            root_radius: 1.2,
+            root_length: 7.0,
+            ..Default::default()
+        });
+        let shift = t.segments.iter().map(|s| s.radius).fold(0.0, f64::max);
         let bb = t.bounding_box();
         let e = bb.extents();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for _ in 0..300 {
-            let p = bb.min
-                + vec3(
-                    rng.gen_range(-0.1..=1.1) * e.x,
-                    rng.gen_range(-0.1..=1.1) * e.y,
-                    rng.gen_range(-0.1..=1.1) * e.z,
-                );
+        for i in 0..10_000 {
+            let p = if i % 2 == 0 {
+                bb.min
+                    + vec3(
+                        rng.gen_range(-0.1..=1.1) * e.x,
+                        rng.gen_range(-0.1..=1.1) * e.y,
+                        rng.gen_range(-0.1..=1.1) * e.z,
+                    )
+            } else {
+                let s = t.segments[rng.gen_range(0..t.segments.len())];
+                let dir =
+                    vec3(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0), 1.0).normalized();
+                let axis = s.a + (s.b - s.a) * rng.gen_range(0.0..1.0);
+                axis + dir * (s.radius * rng.gen_range(0.5..1.5))
+            };
+            let best = t.segments.iter().fold(f64::INFINITY, |best, s| {
+                let d = s.signed_distance(p) + shift;
+                best.min(d * d)
+            });
+            let slow = best.sqrt() - shift;
             let fast = t.signed_distance(p);
-            let slow =
-                t.segments.iter().map(|s| s.signed_distance(p)).fold(f64::INFINITY, f64::min);
-            assert!((fast - slow).abs() < 1e-10, "at {p:?}: {fast} vs {slow}");
+            assert_eq!(fast.to_bits(), slow.to_bits(), "at {p:?}: {fast} vs {slow}");
         }
     }
 
