@@ -22,16 +22,19 @@ pub enum BlockKernel {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum UpdateScheme {
     /// Two-field stream-pull: sweep reads `src`, writes `dst`, buffers
-    /// swap. The default, and the reference every other scheme must match
-    /// bitwise.
-    #[default]
+    /// swap. The reference every other scheme must match bitwise, chosen
+    /// explicitly (`with_kernel(KernelChoice::Pull)`, `"kernel": "pull"`,
+    /// [`BlockSim::from_flags`]).
     Pull,
     /// Single-buffer AA pattern: even steps collide in place, odd steps
     /// read/write along opposing direction pairs (`trillium_kernels::
-    /// inplace`). `src` is the only live buffer; its
-    /// [`SoaPdfField::parity`] flag tracks the alternating storage
-    /// convention and always equals `t % 2` between steps. Only available
-    /// for dense blocks — sparse row-interval blocks fall back to `Pull`.
+    /// inplace`). `src` is the only live buffer and `dst` holds no
+    /// storage; the [`SoaPdfField::parity`] flag of `src` tracks the
+    /// alternating storage convention and always equals `t % 2` between
+    /// steps. The default: it moves 304 instead of 456 bytes per update
+    /// and keeps one field instead of two. Only available for dense
+    /// blocks — sparse row-interval blocks fall back to `Pull`.
+    #[default]
     InPlace,
 }
 
@@ -54,8 +57,8 @@ pub struct BlockSim {
     /// Source PDF field (post-collision values of the previous step; the
     /// *only* live buffer under [`UpdateScheme::InPlace`]).
     pub src: SoaPdfField<D3Q19>,
-    /// Destination PDF field (unused between steps under
-    /// [`UpdateScheme::InPlace`]).
+    /// Destination PDF field of the pull sweep. Holds no storage under
+    /// [`UpdateScheme::InPlace`] ([`SoaPdfField::empty`]).
     pub dst: SoaPdfField<D3Q19>,
     /// Cell classification. The boundary link list is derived from this
     /// field and [`BlockSim::boundary`] at construction: after editing
@@ -115,7 +118,7 @@ impl BlockSim {
     /// [`BlockSim::from_flags`] with an explicit update scheme. A request
     /// for [`UpdateScheme::InPlace`] on a partially covered block (sparse
     /// kernel) falls back to [`UpdateScheme::Pull`]: the in-place sweeps
-    /// are dense-only.
+    /// are dense-only. Only a pull block allocates `dst`.
     pub fn from_flags_with_scheme(
         flags: FlagField,
         boundary: BoundaryParams,
@@ -126,7 +129,6 @@ impl BlockSim {
         let shape = flags.shape();
         let links = build_links(&flags, &boundary);
         let mut src = SoaPdfField::new(shape);
-        let dst = SoaPdfField::new(shape);
         src.fill_equilibrium(rho, u);
         let intervals = RowIntervals::build(&flags);
         let kernel = if intervals.fluid_cells == shape.interior_cells() {
@@ -137,6 +139,10 @@ impl BlockSim {
         let resolved = match (scheme, kernel) {
             (UpdateScheme::InPlace, BlockKernel::Dense) => UpdateScheme::InPlace,
             _ => UpdateScheme::Pull,
+        };
+        let dst = match resolved {
+            UpdateScheme::Pull => SoaPdfField::new(shape),
+            UpdateScheme::InPlace => SoaPdfField::empty(shape),
         };
         BlockSim {
             shape,
@@ -168,6 +174,46 @@ impl BlockSim {
     /// (`"pull"` or `"inplace"`), for report JSON.
     pub fn resolved_kernel_label(&self) -> &'static str {
         self.scheme.label()
+    }
+
+    /// Switches the block to `scheme` at storage parity `odd` (which must
+    /// be `false` for pull) and sizes `dst` to it: allocated for pull,
+    /// empty in place. The PDFs are not touched; the caller overwrites
+    /// them. In place is for dense blocks only; the caller checks.
+    pub(crate) fn set_scheme(&mut self, scheme: UpdateScheme, odd: bool) {
+        debug_assert!(scheme == UpdateScheme::Pull || self.kernel == BlockKernel::Dense);
+        debug_assert!(!odd || scheme == UpdateScheme::InPlace);
+        self.scheme = scheme;
+        self.src.set_parity(odd);
+        match scheme {
+            UpdateScheme::Pull if self.dst.data().is_empty() => {
+                self.dst = SoaPdfField::new(self.shape)
+            }
+            UpdateScheme::Pull => {}
+            UpdateScheme::InPlace => self.dst = SoaPdfField::empty(self.shape),
+        }
+    }
+
+    /// Bytes of PDF storage this block holds: `src` plus `dst` (empty
+    /// in place).
+    pub fn pdf_bytes(&self) -> usize {
+        std::mem::size_of_val(self.src.data()) + std::mem::size_of_val(self.dst.data())
+    }
+
+    /// Distance of the split step's interior core from the block face.
+    /// The pull stencil of a cell one cell in never reads the ghost layer,
+    /// so pull blocks use 1. In-place blocks use 2: the ghost boundary
+    /// sweep runs *after* the core sweep, and a pressure link reads all 19
+    /// logical PDFs of its fluid cell on the face. At odd parity those sit
+    /// one hop away, in the slots of the face cell's inward neighbour,
+    /// which that neighbour's local sweep overwrites; at even parity the
+    /// inward neighbour's transport sweep stores into the face cell's
+    /// slots. A core two cells in touches neither.
+    fn shell_reach(&self) -> usize {
+        match self.scheme {
+            UpdateScheme::Pull => 1,
+            UpdateScheme::InPlace => 2,
+        }
     }
 
     /// The dispatch object of this block's backend.
@@ -294,14 +340,15 @@ impl BlockSim {
         stats.timed(t0.elapsed().as_secs_f64())
     }
 
-    /// Stream–collide over the interior core only: the cells whose pull
-    /// stencil never reads the ghost layer, so the sweep may run while
-    /// ghost messages are still in flight. Does *not* swap the buffers —
-    /// call [`BlockSim::stream_collide_shell`] once the block's ghost
-    /// slabs are complete, then [`BlockSim::swap_buffers`].
+    /// Stream–collide over the interior core only: the cells whose update
+    /// neither reads the ghost layer nor touches a slot the ghost boundary
+    /// sweep reads (see `shell_reach`), so the sweep may run while ghost
+    /// messages are still in flight. Does *not* swap the buffers — call
+    /// [`BlockSim::stream_collide_shell`] once the block's ghost slabs are
+    /// complete, then [`BlockSim::swap_buffers`].
     pub fn stream_collide_interior(&mut self, rel: Relaxation) -> SweepStats {
         let t0 = std::time::Instant::now();
-        let core = self.shape.interior_core(1);
+        let core = self.shape.interior_core(self.shell_reach());
         self.sweep_region(rel, &core).timed(t0.elapsed().as_secs_f64())
     }
 
@@ -312,7 +359,7 @@ impl BlockSim {
     pub fn stream_collide_shell(&mut self, rel: Relaxation) -> SweepStats {
         let t0 = std::time::Instant::now();
         let mut stats = SweepStats::default();
-        for region in self.shape.shell_regions(1) {
+        for region in self.shape.shell_regions(self.shell_reach()) {
             stats.merge(self.sweep_region(rel, &region));
         }
         stats.timed(t0.elapsed().as_secs_f64())

@@ -18,9 +18,11 @@
 //! including never-touched cells, lives in one buffer whose storage
 //! convention is identified by the field's parity bit. Their checkpoints
 //! carry the scheme byte (encoding the parity) and the single buffer —
-//! roughly half the payload of a pull checkpoint.
+//! roughly half the payload of a pull checkpoint. A restore sizes the
+//! block's second buffer to the scheme it restores: allocated for pull,
+//! empty in place.
 
-use crate::blocksim::{BlockSim, UpdateScheme};
+use crate::blocksim::{BlockKernel, BlockSim, UpdateScheme};
 use bytes::{Buf, BufMut};
 
 /// Magic bytes of the checkpoint format.
@@ -40,20 +42,13 @@ fn scheme_byte(block: &BlockSim) -> u8 {
     }
 }
 
-/// Applies a wire scheme byte to a freshly restored block.
-fn apply_scheme(block: &mut BlockSim, byte: u8) -> Result<(), RestoreError> {
+/// The update scheme and storage parity a wire scheme byte stands for.
+fn decode_scheme(byte: u8) -> Result<(UpdateScheme, bool), RestoreError> {
     match byte {
-        0 => {
-            block.scheme = UpdateScheme::Pull;
-            block.src.set_parity(false);
-        }
-        1 | 2 => {
-            block.scheme = UpdateScheme::InPlace;
-            block.src.set_parity(byte == 2);
-        }
-        _ => return Err(RestoreError::BadScheme),
+        0 => Ok((UpdateScheme::Pull, false)),
+        1 | 2 => Ok((UpdateScheme::InPlace, byte == 2)),
+        _ => Err(RestoreError::BadScheme),
     }
-    Ok(())
 }
 
 /// Bytes of the shape header every block format starts with: magic, then
@@ -84,31 +79,33 @@ fn get_header(buf: &mut &[u8], magic: &[u8; 4], fixed: usize) -> Result<[usize; 
     Ok(std::array::from_fn(|_| buf.get_u32_le() as usize))
 }
 
+/// Both buffers; an in-place block's `dst` is empty.
 fn put_pdfs(buf: &mut Vec<u8>, block: &BlockSim) {
     for v in block.src.data() {
         buf.put_f64_le(*v);
     }
-    if block.scheme == UpdateScheme::Pull {
-        for v in block.dst.data() {
-            buf.put_f64_le(*v);
-        }
+    for v in block.dst.data() {
+        buf.put_f64_le(*v);
     }
 }
 
-/// Sets the block's scheme and parity from the wire byte and fills its
-/// buffer(s) from the front of `buf`.
-fn get_pdfs(block: &mut BlockSim, scheme: u8, buf: &mut &[u8]) -> Result<(), RestoreError> {
-    apply_scheme(block, scheme)?;
-    if buf.len() < pdf_bytes(block.shape.alloc_cells(), scheme) {
+/// Sets the block's scheme and parity from the wire byte, sizes `dst` to
+/// it and fills the buffer(s) from the front of `buf`. Every check comes
+/// first: a rejected payload leaves the block as it was.
+fn get_pdfs(block: &mut BlockSim, byte: u8, buf: &mut &[u8]) -> Result<(), RestoreError> {
+    let (scheme, odd) = decode_scheme(byte)?;
+    if scheme == UpdateScheme::InPlace && block.kernel != BlockKernel::Dense {
+        return Err(RestoreError::InPlaceOnCarved);
+    }
+    if buf.len() < pdf_bytes(block.shape.alloc_cells(), byte) {
         return Err(RestoreError::Truncated);
     }
+    block.set_scheme(scheme, odd);
     for v in block.src.data_mut() {
         *v = buf.get_f64_le();
     }
-    if scheme == 0 {
-        for v in block.dst.data_mut() {
-            *v = buf.get_f64_le();
-        }
+    for v in block.dst.data_mut() {
+        *v = buf.get_f64_le();
     }
     Ok(())
 }
@@ -136,6 +133,9 @@ pub enum RestoreError {
     FlagMismatch,
     /// Unknown update-scheme byte.
     BadScheme,
+    /// The payload runs in place, but the block is carved (row-interval
+    /// kernel), which has no in-place sweep.
+    InPlaceOnCarved,
     /// Data ended early.
     Truncated,
 }
@@ -199,20 +199,18 @@ pub fn restore_block_full(
     let [nx, ny, nz, ghost] = get_header(&mut buf, MAGIC_FULL, HEADER + 1)?;
     let shape = Shape::new(nx, ny, nz, ghost);
     let cells = shape.alloc_cells();
-    let scheme = buf.get_u8();
-    if scheme > 2 {
-        return Err(RestoreError::BadScheme);
-    }
+    let byte = buf.get_u8();
+    let (scheme, _) = decode_scheme(byte)?;
     // Before anything is allocated for a shape the bytes do not back.
-    if buf.len() < cells + pdf_bytes(cells, scheme) {
+    if buf.len() < cells + pdf_bytes(cells, byte) {
         return Err(RestoreError::Truncated);
     }
     let mut flags = trillium_field::FlagField::new(shape);
     flags.data_mut().copy_from_slice(&buf[..cells]);
     buf.advance(cells);
     // rho/u only seed the equilibrium that the wire PDFs overwrite next.
-    let mut block = BlockSim::from_flags(flags, boundary, 1.0, [0.0; 3]);
-    get_pdfs(&mut block, scheme, &mut buf)?;
+    let mut block = BlockSim::from_flags_with_scheme(flags, boundary, 1.0, [0.0; 3], scheme);
+    get_pdfs(&mut block, byte, &mut buf)?;
     Ok(block)
 }
 
@@ -286,7 +284,7 @@ pub(crate) fn flag_digest(flags: &trillium_field::FlagField) -> u64 {
 mod tests {
     use super::*;
     use crate::blocksim::boxed_block_flags;
-    use trillium_field::{CellFlags, Shape};
+    use trillium_field::{CellFlags, FlagOps, Shape};
     use trillium_kernels::BoundaryParams;
     use trillium_lattice::Relaxation;
 
@@ -470,7 +468,79 @@ mod tests {
         assert_eq!(d.scheme, UpdateScheme::InPlace);
         assert!(d.src.parity());
         assert_eq!(d.src.data(), b.src.data());
+        assert_eq!(d.pdf_bytes(), half, "a migrated in-place block has no second buffer");
         assert_eq!(d.boundary_links(), b.boundary_links());
+    }
+
+    /// A pull checkpoint restores into a block built in place, and an
+    /// in-place block's checkpoint into a pull block: each resumes bitwise
+    /// with `dst` sized to the restored scheme.
+    #[test]
+    fn restore_switches_the_scheme_and_sizes_dst() {
+        let rel = Relaxation::trt_from_viscosity(0.05);
+        let step = |b: &mut BlockSim| {
+            b.apply_boundaries();
+            b.stream_collide(rel);
+        };
+        let full = cavity_block(8).dst.data().len();
+        assert_eq!(inplace_cavity_block(8).dst.data().len(), 0);
+        for (from_pull, steps) in [(true, 20), (false, 21)] {
+            let fresh = |pull: bool| if pull { cavity_block(8) } else { inplace_cavity_block(8) };
+            let mut a = fresh(from_pull);
+            for _ in 0..steps {
+                step(&mut a);
+            }
+            let mut b = fresh(!from_pull);
+            restore_block(&mut b, &save_block(&a)).unwrap();
+            assert_eq!(b.scheme, a.scheme);
+            assert_eq!(b.dst.data().len(), if from_pull { full } else { 0 });
+            assert_eq!((b.src.data(), b.dst.data()), (a.src.data(), a.dst.data()));
+            for _ in 0..9 {
+                step(&mut a);
+                step(&mut b);
+            }
+            assert_eq!(a.src.data(), b.src.data(), "from_pull={from_pull}");
+        }
+    }
+
+    /// A carved block (row-interval kernel) has no in-place sweep: a TCP1
+    /// or TCP2 payload whose shape and flags match but whose scheme byte
+    /// says in place is rejected, and the block keeps its state.
+    #[test]
+    fn inplace_payload_for_a_carved_block_is_rejected() {
+        let mut flags = boxed_block_flags(Shape::cube(8), [Some(CellFlags::NOSLIP); 6]);
+        flags.set_flags(3, 3, 3, CellFlags::NOSLIP);
+        let carved = BlockSim::from_flags_with_scheme(
+            flags,
+            BoundaryParams::default(),
+            1.0,
+            [0.0; 3],
+            UpdateScheme::InPlace,
+        );
+        assert_eq!((carved.kernel, carved.scheme), (BlockKernel::RowIntervals, UpdateScheme::Pull));
+        // The scheme byte follows the header (+ flag digest in TCP1).
+        let (tcp1, tcp2) = (save_block(&carved), save_block_full(&carved));
+        assert_eq!((tcp1[HEADER + 8], tcp2[HEADER]), (0, 0));
+        for byte in [1, 2] {
+            let mut wire = tcp1.clone();
+            wire[HEADER + 8] = byte;
+            let mut target = BlockSim::from_flags(
+                carved.flags.clone(),
+                BoundaryParams::default(),
+                1.1,
+                [0.0; 3],
+            );
+            let before = target.src.data().to_vec();
+            assert_eq!(restore_block(&mut target, &wire), Err(RestoreError::InPlaceOnCarved));
+            assert_eq!(target.scheme, UpdateScheme::Pull);
+            assert_eq!(target.src.data(), &before[..], "nothing written");
+            assert_eq!(target.dst.data().len(), before.len());
+
+            let mut wire = tcp2.clone();
+            wire[HEADER] = byte;
+            let got = restore_block_full(&wire, BoundaryParams::default()).err();
+            assert_eq!(got, Some(RestoreError::InPlaceOnCarved));
+        }
     }
 
     #[test]

@@ -838,21 +838,24 @@ impl<'a> RankLoop<'a> {
             cfg,
             threads: threads_per_rank,
         };
-        lp.gauge_boundary_links();
+        lp.gauge_blocks();
         lp
     }
 
-    /// Sets the gauges `boundary.links` / `boundary.links_ghost`: the
-    /// boundary work per step of this rank's current blocks. Call again
-    /// whenever the block vector was replaced.
-    pub(crate) fn gauge_boundary_links(&self) {
-        let (mut links, mut ghost) = (0, 0);
+    /// Sets the gauges `boundary.links` / `boundary.links_ghost`, the
+    /// boundary work per step of this rank's current blocks, and
+    /// `mem.pdf_bytes`, the PDF storage they hold (`src` + `dst`). Call
+    /// again whenever the block vector was replaced.
+    pub(crate) fn gauge_blocks(&self) {
+        let (mut links, mut ghost, mut pdf_bytes) = (0, 0, 0);
         for b in &self.blocks {
             links += b.boundary_links().len();
             ghost += b.boundary_links().ghost_len();
+            pdf_bytes += b.pdf_bytes();
         }
         self.rec.metrics().gauge("boundary.links", links as f64);
         self.rec.metrics().gauge("boundary.links_ghost", ghost as f64);
+        self.rec.metrics().gauge("mem.pdf_bytes", pdf_bytes as f64);
     }
 
     /// Puts this rank under `owners` (one rank per forest block, in
@@ -1308,7 +1311,7 @@ impl Rebalancer {
                 let ms = execute_migrations(lp, &plan, deadline);
                 lp.rec.close(span);
                 let ms = ms?;
-                lp.gauge_boundary_links();
+                lp.gauge_blocks();
                 self.report.migrations_out += ms.sent;
                 self.report.migrations_in += ms.received;
                 self.report.rebalances += 1;

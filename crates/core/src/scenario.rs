@@ -21,7 +21,8 @@ use trillium_lattice::Relaxation;
 
 /// The update scheme a scenario requests for its blocks: dense blocks run
 /// it, sparse blocks fall back to [`UpdateScheme::Pull`] (see
-/// [`Scenario::with_kernel`]).
+/// [`Scenario::with_kernel`]). Unless a scenario asks otherwise it is
+/// `UpdateScheme::default()`, in place.
 pub type KernelChoice = UpdateScheme;
 
 /// A complete simulation scenario: domain, discretization, physics.
@@ -251,8 +252,8 @@ impl Scenario {
     }
 
     /// What every constructor shares: TRT relaxation at `viscosity`, unit
-    /// density at rest, Morton balance, the pull scheme, the default
-    /// backend.
+    /// density at rest, Morton balance, the default update scheme (in
+    /// place; carved blocks run pull), the default backend.
     fn base(
         name: String,
         blocks: [usize; 3],
@@ -271,7 +272,7 @@ impl Scenario {
             rho0: 1.0,
             u0: [0.0; 3],
             balance: Balancer::Morton,
-            kernel: UpdateScheme::Pull,
+            kernel: UpdateScheme::default(),
             collision: Collision::Trt,
             backend: BackendKind::default(),
             periodic,
@@ -307,12 +308,13 @@ impl Scenario {
     }
 
     /// Selects the PDF update scheme built into every block (see
-    /// [`KernelChoice`]). Sparse blocks fall back to the pull update
-    /// (their row-interval kernel has no in-place variant); the fallback
-    /// is *surfaced* per block — [`BlockSim::fell_back_to_pull`], the
-    /// `kernel.fallback_pull` obs counter, and `resolved_kernel` in
-    /// report JSON — so a carved run can never silently misattribute its
-    /// kernel.
+    /// [`KernelChoice`]); in place unless this asks for
+    /// [`KernelChoice::Pull`], the bitwise reference. Sparse blocks fall
+    /// back to the pull update (their row-interval kernel has no in-place
+    /// variant); the fallback is *surfaced* per block —
+    /// [`BlockSim::fell_back_to_pull`], the `kernel.fallback_pull` obs
+    /// counter, and `resolved_kernel` in report JSON — so a carved run can
+    /// never silently misattribute its kernel.
     pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
         self.kernel = kernel;
         self

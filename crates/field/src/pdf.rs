@@ -191,6 +191,13 @@ impl<M: LatticeModel> SoaPdfField<M> {
         }
     }
 
+    /// A field of `shape` that holds no storage: the second buffer of a
+    /// single-buffer (in-place) block, which never reads or writes it.
+    /// `data()` is empty and every cell access panics.
+    pub fn empty(shape: Shape) -> Self {
+        SoaPdfField { shape, data: Vec::new(), parity: false, _model: std::marker::PhantomData }
+    }
+
     /// Current storage parity: `false` = canonical (pull-compatible)
     /// layout, `true` = rotated AA layout (logical `(x, q)` is stored at
     /// `(x + c_q, q̄)`).

@@ -171,10 +171,10 @@ impl JobSpec {
             "von-karman" => GeometryFamily::VonKarman,
             _ => return Err(SpecError::Invalid("family")),
         };
-        // "auto" is the spelling of the default, pull, that older
-        // documents use.
+        // "auto" is the spelling of the default scheme (in place; carved
+        // blocks run pull) that older documents use.
         let kernel = match v.get("kernel").map(|k| k.as_str()) {
-            None | Some(Some("auto")) => KernelChoice::Pull,
+            None | Some(Some("auto")) => KernelChoice::default(),
             Some(Some(s)) => [KernelChoice::Pull, KernelChoice::InPlace]
                 .into_iter()
                 .find(|k| k.label() == s)
@@ -607,15 +607,16 @@ mod tests {
         }
     }
 
-    /// One spelling per scheme and schedule; "auto" stays a spelling of
-    /// the pull scheme for documents written before it was one.
+    /// One spelling per scheme and schedule; a document without a kernel
+    /// and "auto" (the spelling older documents use) get the default
+    /// scheme, in place.
     #[test]
     fn kernel_and_schedule_spellings_round_trip() {
         let kernel = |doc: &str| JobSpec::parse(doc).unwrap().kernel;
-        assert_eq!(kernel(r#"{"name": "x", "family": "cavity"}"#), KernelChoice::Pull);
+        assert_eq!(kernel(r#"{"name": "x", "family": "cavity"}"#), KernelChoice::InPlace);
         assert_eq!(
             kernel(r#"{"name": "x", "family": "cavity", "kernel": "auto"}"#),
-            KernelChoice::Pull
+            KernelChoice::InPlace
         );
         for k in [KernelChoice::Pull, KernelChoice::InPlace] {
             let doc = format!(r#"{{"name": "x", "family": "cavity", "kernel": "{}"}}"#, k.label());

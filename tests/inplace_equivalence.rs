@@ -21,25 +21,44 @@ fn pdf_cfg(overlap: bool) -> DriverConfig {
     DriverConfig { overlap, collect_pdfs: true, ..DriverConfig::default() }
 }
 
+/// A channel with a pressure outlet and a carved obstacle block between
+/// two dense ones. Anti-bounce-back at the outlet reads all 19 PDFs of
+/// the fluid cell beside it; once the flow there stops being uniform
+/// (step 23 on this channel), an overlapped in-place step that let its
+/// interior core touch those PDFs before the ghost boundary sweep
+/// differs from pull.
+fn obstacle_channel(kernel: KernelChoice) -> Scenario {
+    Scenario::channel_with_obstacle([24, 8, 8], [3, 1, 1], 0.08, 0.04, 0.18).with_kernel(kernel)
+}
+
+/// The in-place run of `scenario` on `n` ranks for each count of
+/// `steps` and each schedule, against the synchronous one-rank pull run.
+fn assert_inplace_matches_pull(scenario: fn(KernelChoice) -> Scenario, ranks: &[u32], steps: u64) {
+    for steps in [steps, steps + 1] {
+        let dump = |k: KernelChoice, n: u32, overlap: bool| {
+            run_distributed_with(&scenario(k), n, 1, steps, &[], pdf_cfg(overlap)).pdf_dump()
+        };
+        let reference = dump(KernelChoice::Pull, 1, false);
+        for &n in ranks {
+            for overlap in [false, true] {
+                let name = scenario(KernelChoice::InPlace).name;
+                assert!(
+                    reference == dump(KernelChoice::InPlace, n, overlap),
+                    "{name} in place, overlap={overlap}, {n} ranks, {steps} steps"
+                );
+            }
+        }
+    }
+}
+
 /// Synchronous and overlapped schedules: the in-place tier must match
-/// the pull reference bit for bit, odd and even step counts alike (the
-/// final storage parity differs between them).
+/// the synchronous pull reference bit for bit, odd and even step counts
+/// alike (the final storage parity differs between them), on the cavity
+/// and on the pressure-outlet channel, on one rank and on several.
 #[test]
 fn inplace_matches_pull_on_sync_and_overlapped_schedules() {
-    for steps in [STEPS, STEPS + 1] {
-        let reference =
-            run_distributed_with(&cavity(KernelChoice::Pull), 4, 1, steps, &[], pdf_cfg(false));
-        let sync =
-            run_distributed_with(&cavity(KernelChoice::InPlace), 4, 1, steps, &[], pdf_cfg(false));
-        let overlapped =
-            run_distributed_with(&cavity(KernelChoice::InPlace), 4, 1, steps, &[], pdf_cfg(true));
-        assert_eq!(reference.pdf_dump(), sync.pdf_dump(), "sync in-place, {steps} steps");
-        assert_eq!(
-            reference.pdf_dump(),
-            overlapped.pdf_dump(),
-            "overlapped in-place, {steps} steps"
-        );
-    }
+    assert_inplace_matches_pull(cavity, &[4], STEPS);
+    assert_inplace_matches_pull(obstacle_channel, &[1, 3], 40);
 }
 
 /// The rebalance hook migrates whole in-place blocks (single-buffer

@@ -211,6 +211,9 @@ fn rebalanced_run_records_migration_metrics() {
     let links = per_block("boundary.links");
     assert!(links[0] > 0.0 && links[0] == links[1], "links per block: {links:?}");
     assert_eq!(per_block("boundary.links_ghost"), links, "cavity walls are all ghost cells");
+    // So does the memory gauge: one in-place PDF field (19 x 10³ x 8 B)
+    // per block, whichever rank the block ended on.
+    assert_eq!(per_block("mem.pdf_bytes"), [152_000.0; 2]);
     // Every surviving block published its measured cost as a gauge.
     let gauges = m.gauges.iter().filter(|(n, _)| n.starts_with("rebalance.block_cost.")).count();
     assert_eq!(gauges, 8, "one cost gauge per block");
@@ -222,6 +225,29 @@ fn rebalanced_run_records_migration_metrics() {
         let report = rr.rebalance.as_ref().unwrap();
         assert!((report.epoch_time - obs.total(SpanKind::RebalanceEpoch)).abs() < TOL);
     }
+}
+
+/// `mem.pdf_bytes` is the PDF storage of a rank's blocks: one field per
+/// in-place block, two per pull block (a carved block runs pull whatever
+/// the scenario asks for).
+#[test]
+fn pdf_bytes_gauge_counts_one_field_in_place_and_two_under_pull() {
+    let gauge = |s: Scenario| -> Vec<f64> {
+        let r = run_distributed_with(&s, 2, 1, 1, &[], DriverConfig::default());
+        r.ranks
+            .iter()
+            .map(|rr| rr.obs.as_ref().unwrap().metrics.gauge("mem.pdf_bytes").unwrap())
+            .collect()
+    };
+    // 8 blocks of 8³ cells, 4 per rank; a field is 19 x 10³ x 8 B.
+    let cavity = || Scenario::lid_driven_cavity(16, 2, 0.06, 0.08);
+    assert_eq!(gauge(cavity()), [608_000.0; 2]);
+    assert_eq!(gauge(cavity().with_kernel(KernelChoice::Pull)), [1_216_000.0; 2]);
+    // Two dense blocks and the carved obstacle block between them.
+    let channel = || Scenario::channel_with_obstacle([24, 8, 8], [3, 1, 1], 0.08, 0.04, 0.18);
+    let sum = |g: Vec<f64>| g.iter().sum::<f64>();
+    assert_eq!(sum(gauge(channel())), 608_000.0);
+    assert_eq!(sum(gauge(channel().with_kernel(KernelChoice::Pull))), 912_000.0);
 }
 
 #[test]
