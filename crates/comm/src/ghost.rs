@@ -7,9 +7,17 @@
 //! axes (5 per cell for D3Q19), for an edge link exactly one, and none for
 //! corner links — D3Q19 has no corner velocities, so corner messages are
 //! never sent.
+//!
+//! Which values cross a link is the receiver's business. A dense block's
+//! sweep reads its whole ghost layer, so it receives whole slabs. A carved
+//! block's row-interval sweep reads only the ghost values next to the
+//! cells it covers; [`GhostRows`] lists those once per block, and the
+//! same-rank copies ([`copy_rows_local`], [`copy_rows_self`]) walk the
+//! list. Remote messages stay whole slabs: the wire format does not
+//! depend on the receiver's geometry.
 
 use bytes::{Buf, BufMut};
-use trillium_field::{PdfField, Region, Shape};
+use trillium_field::{PdfField, Region, RowIntervals, Shape};
 use trillium_lattice::LatticeModel;
 
 /// The directions whose PDFs must be transferred across a block link in
@@ -22,6 +30,13 @@ pub fn pdfs_crossing<M: LatticeModel>(d: [i8; 3]) -> Vec<usize> {
             (0..3).all(|a| d[a] == 0 || c[a] == d[a])
         })
         .collect()
+}
+
+/// Index of link direction `d` in the 27-entry per-direction tables
+/// ([`CrossingTable`], [`GhostRows`]); the center is 13.
+#[inline(always)]
+fn dir_slot(d: [i8; 3]) -> usize {
+    ((d[0] + 1) as usize * 9) + ((d[1] + 1) as usize * 3) + (d[2] + 1) as usize
 }
 
 /// Precomputed [`pdfs_crossing`] sets for all 26 link directions.
@@ -57,7 +72,7 @@ impl CrossingTable {
     /// The crossing-PDF set for link direction `d`.
     #[inline(always)]
     pub fn qs(&self, d: [i8; 3]) -> &[usize] {
-        &self.sets[((d[0] + 1) as usize * 9) + ((d[1] + 1) as usize * 3) + (d[2] + 1) as usize]
+        &self.sets[dir_slot(d)]
     }
 
     /// The crossing-PDF set for the *reversed* direction `-d` — the set
@@ -75,12 +90,13 @@ pub fn pack_face<M: LatticeModel, F: PdfField<M>>(f: &F, d: [i8; 3], buf: &mut V
     pack_face_with::<M, F>(f, d, &qs, buf);
 }
 
+/// Rows move through a stack buffer of this many cells, in pieces.
+const ROW_PIECE: usize = 128;
+
 /// Visits the x-rows of `region` for every PDF of `qs` in the order of a
 /// ghost message — `q`, then row piece, then `z`, then `y` — as `visit(q,
 /// [x, y, z], row)`, `row` scratch as long as the piece starting there.
 fn for_each_row(region: &Region, qs: &[usize], mut visit: impl FnMut(usize, [i32; 3], &mut [f64])) {
-    /// Rows move through a stack buffer of this many cells, in pieces.
-    const ROW_PIECE: usize = 128;
     let mut row = [0.0; ROW_PIECE];
     for &q in qs {
         for x in region.x.clone().step_by(ROW_PIECE) {
@@ -268,6 +284,128 @@ pub fn copy_face_self_with<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3
     for_each_row(&from, qs, |q, [x, y, z], row| {
         f.read_row(q, x, y, z, row);
         f.write_row(q, x + s[0], y + s[1], z + s[2], row);
+    });
+}
+
+/// One logical x-row of ghost values: PDF `q` of the `len` cells from
+/// `(x0, y, z)` on.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct GhostRow {
+    /// Lattice direction.
+    pub q: u32,
+    /// First cell.
+    pub x0: i32,
+    /// Row coordinates.
+    pub y: i32,
+    /// Row coordinates.
+    pub z: i32,
+    /// Cells in the row.
+    pub len: u32,
+}
+
+/// The ghost values a carved block's row-interval sweep reads, per link
+/// direction: ghost cell `g` and crossing PDF `q` (the set
+/// [`CrossingTable::qs_reversed`] of the slab's direction) are listed iff
+/// `g + c_q` is covered, i.e. inside a span of the block's
+/// [`RowIntervals`] — exactly the ghost values its pull stencil reads.
+/// Every other ghost value of the block is never read, so a copy may leave
+/// it stale. Rows come in message order (`q`, then `z`, then `y`); a
+/// direction with no covered cell behind it lists nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GhostRows {
+    rows: Vec<GhostRow>,
+    /// `rows[start[i]..start[i + 1]]` belong to direction slot `i`.
+    start: [u32; 28],
+}
+
+impl GhostRows {
+    /// Lists the ghost rows the sweep over `intervals` reads in a block
+    /// of `shape`.
+    pub fn build<M: LatticeModel>(shape: Shape, intervals: &RowIntervals) -> Self {
+        let (ny, nz) = (shape.ny as i32, shape.nz as i32);
+        // The covered x range of every interior row, `y + ny * z`.
+        let mut covered = vec![0..0; shape.ny * shape.nz];
+        for s in &intervals.spans {
+            covered[(s.y + ny * s.z) as usize] = s.x_begin..s.x_end;
+        }
+        let table = CrossingTable::new::<M>();
+        let mut out = GhostRows::default();
+        for slot in 0..27 {
+            out.start[slot] = out.rows.len() as u32;
+            let d = [(slot / 9) as i8 - 1, (slot / 3 % 3) as i8 - 1, (slot % 3) as i8 - 1];
+            let slab = shape.ghost_slab(d, shape.ghost);
+            for &q in table.qs_reversed(d) {
+                let c = M::velocities()[q].map(i32::from);
+                for z in slab.z.clone() {
+                    for y in slab.y.clone() {
+                        let (ty, tz) = (y + c[1], z + c[2]);
+                        if !(0..ny).contains(&ty) || !(0..nz).contains(&tz) {
+                            continue;
+                        }
+                        // The slab cells whose target `x + c_q` is covered:
+                        // one interval, as the covered range is one.
+                        let target = &covered[(ty + ny * tz) as usize];
+                        let x0 = slab.x.start.max(target.start - c[0]);
+                        let x1 = slab.x.end.min(target.end - c[0]);
+                        if x0 < x1 {
+                            let len = (x1 - x0) as u32;
+                            out.rows.push(GhostRow { q: q as u32, x0, y, z, len });
+                        }
+                    }
+                }
+            }
+        }
+        out.start[27] = out.rows.len() as u32;
+        out
+    }
+
+    /// The rows listed for the ghost slab in direction `d`.
+    pub fn rows(&self, d: [i8; 3]) -> &[GhostRow] {
+        let slot = dir_slot(d);
+        &self.rows[self.start[slot] as usize..self.start[slot + 1] as usize]
+    }
+
+    /// The PDF values listed for the ghost slab in direction `d`.
+    pub fn values(&self, d: [i8; 3]) -> usize {
+        self.rows(d).iter().map(|r| r.len as usize).sum()
+    }
+}
+
+/// Visits `rows` in pieces of at most [`ROW_PIECE`] cells, as
+/// [`for_each_row`] visits a slab.
+fn for_each_listed(rows: &[GhostRow], mut visit: impl FnMut(usize, [i32; 3], &mut [f64])) {
+    let mut row = [0.0; ROW_PIECE];
+    for r in rows {
+        let end = r.x0 + r.len as i32;
+        for x in (r.x0..end).step_by(ROW_PIECE) {
+            let n = ((end - x) as usize).min(ROW_PIECE);
+            visit(r.q as usize, [x, r.y, r.z], &mut row[..n]);
+        }
+    }
+}
+
+/// [`copy_face_local_with`] restricted to the receiver's listed rows:
+/// `dst` has `src` as its neighbor in direction `d`, and `rows` is
+/// [`GhostRows::rows`] of `d` for `dst`. An empty list copies nothing.
+pub fn copy_rows_local<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
+    src: &A,
+    dst: &mut B,
+    d: [i8; 3],
+    rows: &[GhostRow],
+) {
+    let (_, s) = facing_slab(src.shape(), dst.shape(), d);
+    for_each_listed(rows, |q, [x, y, z], row| {
+        src.read_row(q, x - s[0], y - s[1], z - s[2], row);
+        dst.write_row(q, x, y, z, row);
+    });
+}
+
+/// [`copy_face_self_with`] restricted to the listed rows of `f`.
+pub fn copy_rows_self<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3], rows: &[GhostRow]) {
+    let (_, s) = facing_slab(f.shape(), f.shape(), d);
+    for_each_listed(rows, |q, [x, y, z], row| {
+        f.read_row(q, x - s[0], y - s[1], z - s[2], row);
+        f.write_row(q, x, y, z, row);
     });
 }
 
@@ -528,6 +666,118 @@ mod tests {
                     assert_eq!(b.get(x, y, z, q), a.get(3, y, z, q));
                 } else {
                     assert_eq!(b.get(x, y, z, q), -7.0, "non-fluid ghost must keep its value");
+                }
+            }
+        }
+    }
+
+    /// Interior cells within `r` of `centre` are fluid, everything else
+    /// (the ghost layer included) is wall.
+    fn ball(shape: Shape, centre: [f64; 3], r: f64) -> trillium_field::FlagField {
+        use trillium_field::{CellFlags, FlagField, FlagOps};
+        let mut flags = FlagField::filled(shape, CellFlags::NOSLIP.0);
+        for (x, y, z) in shape.interior().iter() {
+            let p = [x, y, z].map(f64::from);
+            if (0..3).map(|a| (p[a] - centre[a]).powi(2)).sum::<f64>() < r * r {
+                flags.set_flags(x, y, z, CellFlags::FLUID);
+            }
+        }
+        flags
+    }
+
+    /// Every listed ghost value, as `(q, x, y, z)` in list order.
+    fn listed(rows: &[GhostRow]) -> Vec<(usize, i32, i32, i32)> {
+        let cells =
+            |&r: &GhostRow| (0..r.len as i32).map(move |i| (r.q as usize, r.x0 + i, r.y, r.z));
+        rows.iter().flat_map(cells).collect()
+    }
+
+    /// The list equals its brute-force definition — ghost cell `g` and
+    /// crossing PDF `q` iff `g + c_q` is covered — on sphere carves of two
+    /// block shapes, for all 18 carrying directions; a face with no
+    /// covered cell behind it lists nothing, and so does every corner.
+    #[test]
+    fn ghost_rows_are_the_ghost_values_a_covered_cell_reads() {
+        use std::collections::BTreeSet;
+        let table = CrossingTable::new::<D3Q19>();
+        let carves = [
+            (Shape::cube(8), [3.5, 3.5, 3.5], 4.2),
+            (Shape::cube(8), [1.0, 6.0, 2.5], 3.3),
+            (Shape::cube(8), [3.5, 3.5, 3.5], 2.5),
+            (Shape::new(13, 9, 11, 1), [6.0, 4.0, 5.0], 5.2),
+            (Shape::new(13, 9, 11, 1), [12.0, 0.5, 3.0], 6.5),
+        ];
+        let (mut empty, mut full) = (0, 0);
+        for (shape, centre, r) in carves {
+            let intervals = RowIntervals::build(&ball(shape, centre, r));
+            let covered = |x: i32, y: i32, z: i32| {
+                let row = intervals.spans.iter().find(|s| (s.y, s.z) == (y, z));
+                row.is_some_and(|s| (s.x_begin..s.x_end).contains(&x))
+            };
+            let lists = GhostRows::build::<D3Q19>(shape, &intervals);
+            for &d in trillium_lattice::d3q19::C.iter().skip(1) {
+                let mut want = BTreeSet::new();
+                for (x, y, z) in shape.ghost_slab(d, 1).iter() {
+                    for &q in table.qs_reversed(d) {
+                        let c = D3Q19::velocities()[q].map(i32::from);
+                        let t = [x + c[0], y + c[1], z + c[2]];
+                        if shape.is_interior(t[0], t[1], t[2]) && covered(t[0], t[1], t[2]) {
+                            want.insert((q, x, y, z));
+                        }
+                    }
+                }
+                let got = listed(lists.rows(d));
+                assert_eq!(got.len(), want.len(), "{shape:?} d={d:?}: a value listed twice");
+                assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), want, "{shape:?} d={d:?}");
+                assert_eq!(lists.values(d), want.len());
+                let qs = table.qs_reversed(d);
+                assert!(lists.rows(d).windows(2).all(|w| {
+                    let pos = |r: &GhostRow| qs.iter().position(|&q| q == r.q as usize);
+                    (pos(&w[0]), w[0].z, w[0].y) < (pos(&w[1]), w[1].z, w[1].y)
+                }));
+                if want.is_empty() {
+                    empty += 1;
+                } else {
+                    full += 1;
+                }
+            }
+            for d in [[1, 1, 1], [-1, 1, -1], [0, 0, 0]] {
+                assert!(lists.rows(d).is_empty() && lists.values(d) == 0);
+            }
+        }
+        assert!(empty >= 18 && full >= 18, "{empty} empty and {full} non-empty lists");
+    }
+
+    /// The list walks write exactly the listed values, each equal to what
+    /// the full-slab copy writes there, and leave every other slot alone —
+    /// across blocks and within one (a periodic self-link), at every
+    /// parity pairing.
+    #[test]
+    fn list_copies_write_the_listed_values_of_the_slab_copy() {
+        let shape = Shape::new(13, 9, 11, 1);
+        let table = CrossingTable::new::<D3Q19>();
+        let lists = GhostRows::build::<D3Q19>(
+            shape,
+            &RowIntervals::build(&ball(shape, [6.0, 4.0, 5.0], 5.2)),
+        );
+        for &d in trillium_lattice::d3q19::C.iter().skip(1) {
+            let (qs, rows) = (table.qs_reversed(d), lists.rows(d));
+            for (src_odd, dst_odd) in [(false, false), (true, false), (false, true)] {
+                let src = numbered(shape, src_odd, 0.5);
+                let before = numbered(shape, dst_odd, 10_000.5);
+                let (mut slab, mut by_rows) = (before.clone(), before.clone());
+                copy_face_local_with::<D3Q19, _, _>(&src, &mut slab, d, qs);
+                copy_rows_local::<D3Q19, _, _>(&src, &mut by_rows, d, rows);
+                let (mut self_slab, mut self_rows) = (before.clone(), before.clone());
+                copy_face_self_with::<D3Q19, _>(&mut self_slab, d, qs);
+                copy_rows_self::<D3Q19, _>(&mut self_rows, d, rows);
+                for (full, got) in [(&slab, &by_rows), (&self_slab, &self_rows)] {
+                    // `before` with the listed values of the slab copy.
+                    let mut want = before.clone();
+                    for (q, x, y, z) in listed(rows) {
+                        want.set(x, y, z, q, full.get(x, y, z, q));
+                    }
+                    assert_eq!(got.data(), want.data(), "d={d:?} {src_odd}->{dst_odd}");
                 }
             }
         }

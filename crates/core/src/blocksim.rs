@@ -1,5 +1,7 @@
 //! Per-block simulation state.
 
+use trillium_comm::{copy_face_local_with, copy_face_self_with, copy_rows_local, copy_rows_self};
+use trillium_comm::{pdfs_crossing, GhostRows};
 use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shape, SoaPdfField};
 use trillium_kernels::{
     Backend, BackendKind, BoundaryLinks, BoundaryParams, Collision, SweepStats,
@@ -96,6 +98,12 @@ pub struct BlockSim {
     /// The boundary links of `flags` under `boundary`; every boundary
     /// sweep and force evaluation walks this list.
     links: BoundaryLinks,
+    /// The ghost values the row-interval sweep reads, per link direction
+    /// (carved blocks only, derived from `intervals`): a same-rank copy
+    /// into this block writes these and leaves the rest stale. `None` for
+    /// a dense block, whose sweep reads every crossing ghost value (boxed:
+    /// a dense block pays one pointer for it).
+    ghost_rows: Option<Box<GhostRows>>,
     /// [`flag_digest`] of `flags` when `links` was built.
     #[cfg(debug_assertions)]
     links_digest: u64,
@@ -136,6 +144,8 @@ impl BlockSim {
         } else {
             BlockKernel::RowIntervals
         };
+        let ghost_rows = (kernel == BlockKernel::RowIntervals)
+            .then(|| Box::new(GhostRows::build::<D3Q19>(shape, &intervals)));
         let resolved = match (scheme, kernel) {
             (UpdateScheme::InPlace, BlockKernel::Dense) => UpdateScheme::InPlace,
             _ => UpdateScheme::Pull,
@@ -149,6 +159,7 @@ impl BlockSim {
             src,
             dst,
             links,
+            ghost_rows,
             #[cfg(debug_assertions)]
             links_digest: flag_digest(&flags),
             flags,
@@ -292,13 +303,52 @@ impl BlockSim {
         self.links.apply_ghost(&mut self.src);
     }
 
+    /// Fills this block's ghost slab in direction `d` from `n`, the PDFs
+    /// of its same-rank neighbor there (`qs`: the crossing set reversed,
+    /// `CrossingTable::qs_reversed` of `d`). A carved block writes the
+    /// listed ghost values its sweep reads, a dense one the whole slab.
+    /// Returns the PDF values and x-rows written.
+    pub(crate) fn copy_ghosts_from(
+        &mut self,
+        n: &SoaPdfField<D3Q19>,
+        d: [i8; 3],
+        qs: &[usize],
+    ) -> (usize, usize) {
+        match &self.ghost_rows {
+            Some(lists) => copy_rows_local::<D3Q19, _, _>(n, &mut self.src, d, lists.rows(d)),
+            None => copy_face_local_with::<D3Q19, _, _>(n, &mut self.src, d, qs),
+        }
+        self.ghost_count(d, qs)
+    }
+
+    /// [`BlockSim::copy_ghosts_from`] for a block that is its own neighbor
+    /// in direction `d` (a periodic axis one block wide).
+    pub(crate) fn copy_ghosts_self(&mut self, d: [i8; 3], qs: &[usize]) -> (usize, usize) {
+        match &self.ghost_rows {
+            Some(lists) => copy_rows_self::<D3Q19, _>(&mut self.src, d, lists.rows(d)),
+            None => copy_face_self_with::<D3Q19, _>(&mut self.src, d, qs),
+        }
+        self.ghost_count(d, qs)
+    }
+
+    /// `(values, rows)` a ghost copy in direction `d` writes.
+    fn ghost_count(&self, d: [i8; 3], qs: &[usize]) -> (usize, usize) {
+        match &self.ghost_rows {
+            Some(lists) => (lists.values(d), lists.rows(d).len()),
+            None => {
+                let slab = self.shape.ghost_slab(d, self.shape.ghost);
+                let rows = qs.len() * slab.y.len() * slab.z.len();
+                (slab.num_cells() * qs.len(), rows)
+            }
+        }
+    }
+
     /// Makes the block periodic along the selected axes by copying its own
     /// boundary slabs into the opposite ghost slabs (single-block periodic
     /// domains, e.g. 2-D channel validations). Call before
     /// [`BlockSim::apply_boundaries`] each step.
     pub fn sync_periodic(&mut self, axes: [bool; 3]) {
         use trillium_blockforest::NEIGHBOR_DIRS;
-        use trillium_comm::{copy_face_self_with, pdfs_crossing};
         // Every face *and edge* whose nonzero components lie on periodic
         // axes wraps around: with two or three periodic axes the diagonal
         // PDFs crossing an edge must be transferred too, exactly as the
@@ -312,7 +362,7 @@ impl BlockSim {
             }
             // Data leaving through face/edge d wraps around and enters the
             // ghost slab on the opposite side (direction −d).
-            copy_face_self_with::<D3Q19, _>(&mut self.src, [-d[0], -d[1], -d[2]], &qs);
+            self.copy_ghosts_self([-d[0], -d[1], -d[2]], &qs);
         }
     }
 
@@ -322,21 +372,18 @@ impl BlockSim {
     /// for in-place). The returned stats carry the measured wall time of
     /// the sweep, the per-block load signal used for rebalancing.
     pub fn stream_collide(&mut self, rel: Relaxation) -> SweepStats {
+        let stats = self.stream_collide_whole(rel);
+        self.swap_buffers();
+        stats
+    }
+
+    /// [`BlockSim::stream_collide`] without advancing the buffer: the
+    /// step of a block whose ghost layer is complete while other blocks
+    /// still wait for theirs. Call [`BlockSim::swap_buffers`] after it.
+    pub(crate) fn stream_collide_whole(&mut self, rel: Relaxation) -> SweepStats {
         let t0 = std::time::Instant::now();
-        let be = self.be();
-        if self.scheme == UpdateScheme::InPlace {
-            let stats = be.sweep_inplace(self.collision, &mut self.src, rel);
-            let p = self.src.parity();
-            self.src.set_parity(!p);
-            return stats.timed(t0.elapsed().as_secs_f64());
-        }
-        let stats = match self.kernel {
-            BlockKernel::Dense => be.sweep_pull(self.collision, &self.src, &mut self.dst, rel),
-            BlockKernel::RowIntervals => {
-                be.sweep_sparse(self.collision, &self.src, &mut self.dst, &self.intervals, rel)
-            }
-        };
-        self.src.swap(&mut self.dst);
+        let mut stats = self.sweep_region(rel, &self.shape.interior());
+        (stats.cells, stats.fluid_cells) = self.sweep_counts();
         stats.timed(t0.elapsed().as_secs_f64())
     }
 
@@ -425,39 +472,45 @@ impl BlockSim {
         }
     }
 
-    /// The one reduction over the interior fluid cells. Per `(y, z)` row,
-    /// ρ, `j` and a non-finite marker are summed over the 19 direction rows
-    /// into x-indexed scratch, then the row's fluid cells fold in x order:
-    /// [`PdfField::density`] / `velocity` arithmetic per cell, cells x, y,
-    /// z — bitwise a per-cell walk, at either parity.
+    /// The one reduction over the interior fluid cells. Per piece of
+    /// [`TOTALS_PIECE`] cells of an x-row, ρ, `j` and a non-finite marker
+    /// are summed over the 19 direction rows into stack arrays, then the
+    /// piece's fluid cells fold in x order: [`PdfField::density`] /
+    /// `velocity` arithmetic per cell, cells x, y, z — bitwise a per-cell
+    /// walk, at either parity. Allocates nothing.
     pub fn fluid_totals(&self) -> FluidTotals {
         let nx = self.shape.nx;
-        let mut scratch = [(); 5].map(|_| vec![0.0; nx]);
-        let [rho, j0, j1, j2, bad] = &mut scratch;
         let mut t = FluidTotals::default();
         for z in 0..self.shape.nz as i32 {
             for y in 0..self.shape.ny as i32 {
-                // −0.0 is the neutral element `f64::sum` folds ρ from.
-                rho.fill(-0.0);
-                [&mut *j0, &mut *j1, &mut *j2, &mut *bad].into_iter().for_each(|a| a.fill(0.0));
-                for q in 0..19 {
-                    let c = D3Q19::c(q);
-                    let f = self.src.row(q, 0, y, z, nx);
-                    for x in 0..nx {
-                        rho[x] += f[x];
-                        j0[x] += f[x] * c[0];
-                        j1[x] += f[x] * c[1];
-                        j2[x] += f[x] * c[2];
-                        // NaN iff a PDF of the cell is ±∞ or NaN (`f · 0`).
-                        bad[x] += f[x] * 0.0;
+                for x0 in (0..nx).step_by(TOTALS_PIECE) {
+                    let n = (nx - x0).min(TOTALS_PIECE);
+                    // −0.0 is the neutral element `f64::sum` folds ρ from.
+                    let mut rho = [-0.0; TOTALS_PIECE];
+                    let [mut j0, mut j1, mut j2, mut bad] = [[0.0; TOTALS_PIECE]; 4];
+                    for q in 0..19 {
+                        let c = D3Q19::c(q);
+                        let f = self.src.row(q, x0 as i32, y, z, n);
+                        for x in 0..n {
+                            rho[x] += f[x];
+                            j0[x] += f[x] * c[0];
+                            j1[x] += f[x] * c[1];
+                            j2[x] += f[x] * c[2];
+                            // NaN iff a PDF of the cell is ±∞ or NaN (`f · 0`).
+                            bad[x] += f[x] * 0.0;
+                        }
                     }
-                }
-                for x in (0..nx).filter(|&x| self.flags.flags(x as i32, y, z).is_fluid()) {
-                    let u = [j0[x] / rho[x], j1[x] / rho[x], j2[x] / rho[x]];
-                    t.mass += rho[x];
-                    t.kinetic_energy += 0.5 * rho[x] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
-                    t.momentum = [0, 1, 2].map(|d| t.momentum[d] + rho[x] * u[d]);
-                    t.non_finite |= bad[x].is_nan();
+                    for x in 0..n {
+                        if !self.flags.flags((x0 + x) as i32, y, z).is_fluid() {
+                            continue;
+                        }
+                        let u = [j0[x] / rho[x], j1[x] / rho[x], j2[x] / rho[x]];
+                        t.mass += rho[x];
+                        t.kinetic_energy +=
+                            0.5 * rho[x] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+                        t.momentum = [0, 1, 2].map(|d| t.momentum[d] + rho[x] * u[d]);
+                        t.non_finite |= bad[x].is_nan();
+                    }
                 }
             }
         }
@@ -498,6 +551,9 @@ impl BlockSim {
         self.fluid_totals().non_finite
     }
 }
+
+/// Cells of an x-row [`BlockSim::fluid_totals`] sums at a time.
+const TOTALS_PIECE: usize = 32;
 
 /// Totals over a block's interior fluid cells.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
@@ -702,6 +758,48 @@ mod tests {
                 assert_eq!(got.non_finite, in_fluid, "{poison} in a fluid cell: {in_fluid}");
                 assert_eq!(b.has_nan(), in_fluid);
             }
+        }
+    }
+
+    /// The chunked pass against the per-cell fold on the three shapes it
+    /// must get right: an in-place block at odd parity, a carved block,
+    /// and an x-extent that ends in a partial piece.
+    #[test]
+    fn totals_equal_the_per_cell_fold_on_odd_carved_and_ragged_blocks() {
+        let rel = Relaxation::trt_from_tau(0.9, MAGIC_TRT);
+        let boundary = BoundaryParams { wall_velocity: [0.05, 0.0, 0.0], ..Default::default() };
+        let mut odd = BlockSim::from_flags_with_scheme(
+            cavity_flags(8),
+            boundary,
+            1.0,
+            [0.0; 3],
+            UpdateScheme::InPlace,
+        );
+        let shape = Shape::new(45, 5, 4, 1);
+        let mut carved = FlagField::filled(shape, CellFlags::NOSLIP.0);
+        for (x, y, z) in shape.interior().iter() {
+            if (x - 20).pow(2) + (y - 2).pow(2) + (z - 2).pow(2) < 200 {
+                carved.set_flags(x, y, z, CellFlags::FLUID);
+            }
+        }
+        let mut carved = BlockSim::from_flags(carved, boundary, 1.0, [0.02, 0.0, 0.0]);
+        let ragged = boxed_block_flags(Shape::new(13, 9, 11, 1), [Some(CellFlags::NOSLIP); 6]);
+        let mut ragged = BlockSim::from_flags(ragged, boundary, 1.0, [0.01, 0.02, 0.0]);
+        for _ in 0..3 {
+            for b in [&mut odd, &mut carved, &mut ragged] {
+                b.apply_boundaries();
+                b.stream_collide(rel);
+            }
+        }
+        assert!(odd.step_parity());
+        assert_eq!(carved.kernel, BlockKernel::RowIntervals);
+        assert!(carved.fluid_cells() < shape.interior_cells() && shape.nx > TOTALS_PIECE);
+        assert_ne!(shape.nx % TOTALS_PIECE, 0);
+        assert_ne!(ragged.shape.nx % TOTALS_PIECE, 0);
+        for (b, what) in [(&odd, "odd"), (&carved, "carved"), (&ragged, "ragged")] {
+            let got = b.fluid_totals();
+            assert_totals_equal(got, per_cell_totals(b), what);
+            assert!(got.mass > 0.0 && got.kinetic_energy > 0.0, "{what}");
         }
     }
 

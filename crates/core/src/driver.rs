@@ -33,8 +33,7 @@ use trillium_blockforest::{
     dir_index, distribute, BlockId, BlockLink, DistributedForest, SetupForest, NEIGHBOR_DIRS,
 };
 use trillium_comm::{
-    copy_face_local_with, copy_face_self_with, pack_face_with, try_unpack_face_with, CommError,
-    Communicator, CrossingTable, FaultEvent, World,
+    pack_face_with, try_unpack_face_with, CommError, Communicator, CrossingTable, FaultEvent, World,
 };
 use trillium_field::CellFlags;
 use trillium_kernels::SweepStats;
@@ -75,7 +74,7 @@ pub struct RankResult {
     /// so every blocked receive counts (messages already arrived when
     /// asked for cost nothing). The overlapped schedule only blocks once
     /// every interior is swept and every block with a complete ghost
-    /// layer has finished its shell — no runnable work remains — so this
+    /// layer has taken its whole step — no runnable work remains — so this
     /// is zero by construction; its residual wait is neighbor imbalance,
     /// accounted in [`RankResult::comm_time`]. This definition stays
     /// meaningful on an oversubscribed emulation host, where raw
@@ -448,10 +447,11 @@ impl RunResult {
 /// How the distributed time loop schedules ghost exchange and compute.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DriverConfig {
-    /// Overlap ghost communication with interior compute: post all sends,
-    /// sweep each block's interior core (whose pull stencil never reads
-    /// the ghost layer) while messages are in flight, then drain ghost
-    /// messages in *arrival* order and finish each block's boundary shell
+    /// Overlap ghost communication with compute: post all sends; while
+    /// messages are in flight, step every block that waits for none
+    /// whole and sweep the interior core (whose stencil never reads the
+    /// ghost layer) of every block that does; then drain ghost messages
+    /// in *arrival* order and finish each split block's boundary shell
     /// as soon as its last message lands. Off by default; the synchronous
     /// path is the bitwise reference the overlapped path must reproduce
     /// exactly (pinned by `overlap_matches_sync_bitwise`).
@@ -885,18 +885,35 @@ impl<'a> RankLoop<'a> {
     /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
     ///
     /// The pack-and-post phase is common: a same-rank link copies the
-    /// neighbor's slab field to field into this block's ghost slab, a
-    /// remote link packs this block's slab and sends it. The schedules
-    /// differ in the drain. *Synchronous*: receive in posting order, then
-    /// sweep whole blocks. *Overlapped*: sweep every interior core (whose
-    /// pull stencil never reads the ghost layer) while the messages are
-    /// in flight, then drain in **arrival order** and finish each block's
-    /// boundary shell the moment its last message lands. The two are
-    /// bitwise identical: the interior/shell split partitions each block
-    /// exactly once (the `region_partition_is_bitwise_identical` tests of
+    /// neighbor's values field to field into this block's ghost slab —
+    /// for a carved block only the listed ghost values its row-interval
+    /// sweep reads ([`trillium_comm::GhostRows`]), for a dense one the
+    /// whole slab — and a remote link packs this block's whole slab and
+    /// sends it. The schedules differ in the drain. *Synchronous*:
+    /// receive in posting order, then sweep whole blocks. *Overlapped*:
+    /// while the messages are in flight, a block with none outstanding
+    /// takes its whole step (boundary sweep, force sample, full-interior
+    /// sweep) and every other block sweeps its interior core (whose
+    /// stencil never reads the ghost layer); then drain in **arrival
+    /// order** and finish each split block's boundary shell the moment its
+    /// last message lands. The two are bitwise identical: a whole step is
+    /// the synchronous schedule's per-block computation, the
+    /// interior/shell split partitions each block exactly once (the
+    /// `region_partition_is_bitwise_identical` tests of
     /// `trillium-kernels`), the boundary split is order-independent
     /// (`trillium-kernels::boundary`), and ghost slabs of distinct
     /// directions are disjoint, so arrival-order unpacking is race-free.
+    /// A ghost value a carved block's list leaves out keeps a stale value
+    /// no sweep and no boundary link reads; `pdf_dump` and the totals
+    /// cover interior cells only.
+    ///
+    /// Gates: `cargo test -q -p trillium-comm ghost` (the lists against
+    /// their brute-force definition, list copies against slab copies),
+    /// `cargo test -q --test distributed_consistency`, `--test
+    /// inplace_equivalence` and `--test migration_parity carved`
+    /// (schedules, schemes, migration and recovery bitwise), and
+    /// `cargo test -q --test observability local_copy` (pinned
+    /// same-rank copy counts).
     ///
     /// Copies, packs and unpacks may interleave in any order: within one
     /// field the exchange never reads a slot it writes — interior storage
@@ -920,13 +937,13 @@ impl<'a> RankLoop<'a> {
                 }
                 if let Some(ni) = self.local_neighbors[bi][li] {
                     let qs = ctx.table.qs_reversed(d);
-                    match self.blocks.get_disjoint_mut([bi, ni]) {
-                        Ok([b, n]) => {
-                            copy_face_local_with::<D3Q19, _, _>(&n.src, &mut b.src, d, qs)
-                        }
+                    let (values, rows) = match self.blocks.get_disjoint_mut([bi, ni]) {
+                        Ok([b, n]) => b.copy_ghosts_from(&n.src, d, qs),
                         // `ni == bi`: its own periodic neighbor.
-                        Err(_) => copy_face_self_with::<D3Q19, _>(&mut self.blocks[bi].src, d, qs),
-                    }
+                        Err(_) => self.blocks[bi].copy_ghosts_self(d, qs),
+                    };
+                    ctx.local_values += values as u64;
+                    ctx.local_rows += rows as u64;
                 } else if let BlockLink::Remote(nid, r) = link {
                     let buf = ctx.pack(&self.blocks[bi], d);
                     // The neighbor receives from direction −d.
@@ -1000,7 +1017,7 @@ impl<'a> RankLoop<'a> {
 
         {
             let _b = rec.span(SpanKind::Boundary);
-            map_each_block(&mut self.blocks, self.threads, |b| b.apply_boundaries());
+            map_each_block(&mut self.blocks, self.threads, |_, b| b.apply_boundaries());
         }
         // Forces are read from the pre-sweep populations: after the full
         // boundary sweep, before stream-collide.
@@ -1011,7 +1028,8 @@ impl<'a> RankLoop<'a> {
         }
         let rel = self.scenario.relaxation;
         let kernel = rec.span(SpanKind::Kernel);
-        let swept = map_each_block(&mut self.blocks, self.threads, move |b| b.stream_collide(rel));
+        let swept =
+            map_each_block(&mut self.blocks, self.threads, move |_, b| b.stream_collide(rel));
         drop(kernel);
         for (bi, s) in swept.iter().enumerate() {
             ctx.seconds[bi] = s.seconds;
@@ -1019,51 +1037,61 @@ impl<'a> RankLoop<'a> {
         Ok(())
     }
 
-    /// The overlapped drain: interior prep and interior sweeps hide the
-    /// messages in flight, shells finish as ghost layers complete, and
-    /// all double buffers swap at the end.
+    /// The overlapped drain. While messages are in flight, a block with
+    /// none outstanding (its ghost layer already complete from same-rank
+    /// copies) takes its whole step — full boundary sweep, force sample,
+    /// full-interior sweep — and every other block its interior prep and
+    /// interior-core sweep. Those finish their shells as their ghost
+    /// layers complete, and all buffers advance at the end.
     fn sweep_while_draining(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
         let (rec, ctx, blocks) = (&self.rec, &mut self.ctx, &mut self.blocks);
         let (rel, mask, threads) = (self.scenario.relaxation, self.cfg.force_mask, self.threads);
         let in_flight = !ctx.pairs.is_empty();
 
-        // ---- overlap window: interior prep + interior sweeps ---------------
+        // ---- overlap window: whole steps and interior cores ----------------
         let t_hide = rec.clock();
+        let outstanding = &ctx.outstanding;
         {
             let _b = rec.span(SpanKind::Boundary);
-            // Walls in the ghost layer only (every cavity): nothing to
-            // prepare here, so no worker fan-out either.
-            if blocks.iter().any(|b| b.boundary_links().interior_len() > 0) {
-                map_each_block(blocks, threads, |b| b.apply_boundaries_interior());
+            // Nothing to prepare (a split cavity block has walls in its
+            // ghost layer only): no worker fan-out either.
+            let work = |bi: usize, b: &BlockSim| match outstanding[bi] {
+                0 => b.boundary_links().len(),
+                _ => b.boundary_links().interior_len(),
+            };
+            if blocks.iter().enumerate().any(|(bi, b)| work(bi, b) > 0) {
+                map_each_block(blocks, threads, |bi, b| match outstanding[bi] {
+                    0 => b.apply_boundaries(),
+                    _ => b.apply_boundaries_interior(),
+                });
+            }
+        }
+        // The full boundary sweep of a whole block is done and its sweep
+        // has not run: the program point at which the synchronous schedule
+        // measures forces.
+        if let Some(mask) = mask {
+            for (bi, b) in blocks.iter().enumerate().filter(|&(bi, _)| outstanding[bi] == 0) {
+                ctx.forces[bi] = b.boundary_force(mask);
             }
         }
         let kernel = rec.span(SpanKind::KernelInterior);
-        let interior = map_each_block(blocks, threads, move |b| b.stream_collide_interior(rel));
+        let swept = map_each_block(blocks, threads, |bi, b| match outstanding[bi] {
+            0 => b.stream_collide_whole(rel),
+            _ => b.stream_collide_interior(rel),
+        });
         drop(kernel);
-        for (bi, s) in interior.iter().enumerate() {
+        for (bi, s) in swept.iter().enumerate() {
             ctx.seconds[bi] = s.seconds;
         }
         if in_flight {
             rec.metrics().acc(M_OVERLAP_HIDDEN, rec.clock() - t_hide);
         }
 
-        // Blocks with no outstanding remote messages (ghosts already
-        // complete from local links) finish their shells now — still
-        // inside the overlap window of the other blocks' messages.
-        for bi in 0..blocks.len() {
-            if ctx.outstanding[bi] == 0 {
-                let hidden = finish_shell(&mut blocks[bi], bi, rel, ctx, rec, mask);
-                if in_flight {
-                    rec.metrics().acc(M_OVERLAP_HIDDEN, hidden);
-                }
-            }
-        }
-
         // ---- drain: arrival order, finish shells as blocks complete --------
         while !ctx.pairs.is_empty() {
             // Blocking here is *not* an exposed stall: every interior is
             // already swept and every block with a complete ghost layer
-            // has finished its shell, so no runnable local work remains.
+            // has taken its step, so no runnable local work remains.
             // The wait is neighbor imbalance and lands in `comm_time` (see
             // [`RankResult::ghost_stall_time`]).
             let drain = rec.span(SpanKind::GhostDrain);
@@ -1084,7 +1112,7 @@ impl<'a> RankLoop<'a> {
                 }
             }
         }
-        map_each_block(blocks, threads, |b| b.swap_buffers());
+        map_each_block(blocks, threads, |_, b| b.swap_buffers());
         Ok(())
     }
 
@@ -1108,6 +1136,8 @@ impl<'a> RankLoop<'a> {
         m.add("comm.messages_sent", c.messages_sent);
         m.add("comm.bytes_sent", c.bytes_sent);
         m.add("comm.ctrl_messages_sent", c.ctrl_messages_sent);
+        m.add("comm.local_values", self.ctx.local_values);
+        m.add("comm.local_rows", self.ctx.local_rows);
         let enabled = rec.config().enabled();
         let wall_time = rec.wall();
         let obs = rec.finish();
@@ -1373,6 +1403,11 @@ struct GhostCtx {
     /// Seconds of this step's pack-and-post phase: this rank's own
     /// exchange effort, excluding every blocked wait.
     pack_seconds: f64,
+    /// PDF values and x-rows written by same-rank copies over the run,
+    /// added to the metrics once, at the end (`comm.local_values`,
+    /// `comm.local_rows`).
+    local_values: u64,
+    local_rows: u64,
 }
 
 impl GhostCtx {
@@ -1386,6 +1421,8 @@ impl GhostCtx {
             seconds: Vec::new(),
             forces: Vec::new(),
             pack_seconds: 0.0,
+            local_values: 0,
+            local_rows: 0,
         }
     }
 
@@ -1438,22 +1475,29 @@ fn balanced_parts<T>(items: &mut [T], parts: usize) -> Vec<&mut [T]> {
     out
 }
 
-/// Applies `f` to every block, optionally with thread parallelism (the
-/// hybrid MPI+OpenMP analogue: one rank, several threads over its
-/// blocks), collecting the results in block order.
-fn map_each_block<T: Send, F: Fn(&mut BlockSim) -> T + Sync>(
+/// Applies `f(block index, block)` to every block, optionally with thread
+/// parallelism (the hybrid MPI+OpenMP analogue: one rank, several threads
+/// over its blocks), collecting the results in block order.
+fn map_each_block<T: Send, F: Fn(usize, &mut BlockSim) -> T + Sync>(
     blocks: &mut [BlockSim],
     threads: usize,
     f: F,
 ) -> Vec<T> {
+    let f = &f;
     if threads <= 1 || blocks.len() <= 1 {
-        blocks.iter_mut().map(f).collect()
+        blocks.iter_mut().enumerate().map(|(bi, b)| f(bi, b)).collect()
     } else {
         let mut out: Vec<Vec<T>> = Vec::new();
         std::thread::scope(|scope| {
+            let mut first = 0;
             let handles: Vec<_> = balanced_parts(blocks, threads)
                 .into_iter()
-                .map(|part| scope.spawn(|| part.iter_mut().map(&f).collect::<Vec<T>>()))
+                .map(|part| {
+                    let base = first;
+                    first += part.len();
+                    let each = move |(i, b)| f(base + i, b);
+                    scope.spawn(move || part.iter_mut().enumerate().map(each).collect::<Vec<T>>())
+                })
                 .collect();
             for h in handles {
                 out.push(h.join().expect("block worker panicked"));

@@ -1,7 +1,7 @@
 //! What a block costs in memory is measured, not assumed: a counting
 //! global allocator records every byte `Scenario::build_block` asks for.
 //! A default (in-place) 8³-cell cavity block allocates one PDF field, a
-//! pull block two.
+//! pull block two, and the per-block reduction allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,5 +88,30 @@ fn a_default_block_allocates_one_pdf_field_and_a_pull_block_two() {
             "{kernel:?}: {bytes} B for {fields} field(s) of {FIELD} B"
         );
         assert_eq!(block.pdf_bytes(), fields * FIELD);
+    }
+}
+
+/// `fluid_totals`, run before and after every step, allocates nothing:
+/// on a dense block at either parity, on a wider one whose rows end in
+/// a partial piece, and on the carved obstacle block of a channel.
+#[test]
+fn fluid_totals_allocates_nothing() {
+    let channel = Scenario::channel_with_obstacle([24, 8, 8], [3, 1, 1], 0.08, 0.04, 0.18);
+    let plan = plan_run(&channel, 1);
+    let mut blocks: Vec<BlockSim> =
+        plan.views[0].blocks.iter().map(|lb| channel.build_block(lb)).collect();
+    assert!(blocks.iter().any(|b| b.fluid_cells() < b.shape.interior_cells()));
+    let wide = Scenario::lid_driven_cavity(45, 1, 0.05, 0.05);
+    blocks.push(wide.build_block(&plan_run(&wide, 1).views[0].blocks[0]));
+    blocks.push(build_cost(None).2);
+    for step in 0..2 {
+        for b in &mut blocks {
+            let b0 = BYTES.with(Cell::get);
+            let mass = b.fluid_totals().mass;
+            assert_eq!(BYTES.with(Cell::get), b0, "step {step}: fluid_totals allocated");
+            assert!(mass > 0.0);
+            b.apply_boundaries();
+            b.stream_collide(channel.relaxation);
+        }
     }
 }

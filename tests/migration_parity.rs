@@ -8,6 +8,10 @@
 //! silently scramble the PDF mapping on the new owner. These tests pin
 //! the scheme byte on the wire and the end-to-end bitwise equivalence
 //! of a mid-run odd-parity migration against the unmigrated run.
+//!
+//! A carved block holds derived state besides its PDFs: the row
+//! intervals and the ghost rows its same-rank copies walk. A migrated or
+//! recovered block rebuilds them, which the obstacle channel pins.
 
 use trillium_comm::World;
 use trillium_core::checkpoint::{save_block_full, RestoreError};
@@ -199,5 +203,52 @@ fn rebalanced_inplace_run_with_odd_epochs_matches_plain_run_bitwise() {
             rebalanced.pdf_dump(),
             "mid-run in-place migration changed the computed physics (overlap={overlap})"
         );
+    }
+}
+
+/// The obstacle channel's carved blocks through a forced migration (a
+/// skewed start under the rebalance hook) and through a crash with
+/// rollback recovery, at an odd and an even step count, on both
+/// schedules: the final PDFs equal the plain run's, bit for bit.
+#[test]
+fn carved_channel_migrates_and_recovers_bitwise() {
+    let scenario = || {
+        Scenario::channel_with_obstacle([32, 16, 16], [4, 2, 2], 0.08, 0.04, 0.18)
+            .with_skewed_balance(0.9)
+    };
+    let pdfs = |overlap| DriverConfig { overlap, collect_pdfs: true, ..DriverConfig::default() };
+    for steps in [15, 16] {
+        let plain = run_distributed_with(&scenario(), 2, 1, steps, &[], pdfs(false));
+        assert!(!plain.has_nan());
+        for overlap in [false, true] {
+            let migrated = RunConfig {
+                driver: pdfs(overlap),
+                rebalance: Some(RebalanceConfig {
+                    every_n_steps: 3,
+                    threshold: 1.3,
+                    hysteresis: 2,
+                    ..RebalanceConfig::default()
+                }),
+                ..RunConfig::default()
+            };
+            let r = run_distributed_composed(&scenario(), 2, 1, steps, &[], &migrated)
+                .expect("unfaulted run");
+            assert!(r.total_migrations() > 0, "the skewed channel must migrate");
+            assert_eq!(plain.pdf_dump(), r.pdf_dump(), "migration, {steps} steps, {overlap}");
+
+            let recovered = RunConfig {
+                driver: pdfs(overlap),
+                resilience: Some(ResilienceConfig {
+                    checkpoint_every: 4,
+                    fault: Some(FaultConfig::new(7).with_crash(1, 10)),
+                    ..ResilienceConfig::default()
+                }),
+                ..RunConfig::default()
+            };
+            let r = run_distributed_composed(&scenario(), 2, 1, steps, &[], &recovered)
+                .expect("the crash recovers");
+            assert_eq!(r.recoveries(), 1);
+            assert_eq!(plain.pdf_dump(), r.pdf_dump(), "recovery, {steps} steps, {overlap}");
+        }
     }
 }

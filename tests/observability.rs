@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 use trillium_core::driver::{
-    run_distributed_composed, run_distributed_with, RebalanceConfig, RunResult,
+    plan_run, run_distributed_composed, run_distributed_with, RebalanceConfig, RunResult,
 };
 use trillium_core::prelude::*;
 use trillium_obs::SpanKind;
@@ -248,6 +248,46 @@ fn pdf_bytes_gauge_counts_one_field_in_place_and_two_under_pull() {
     let sum = |g: Vec<f64>| g.iter().sum::<f64>();
     assert_eq!(sum(gauge(channel())), 608_000.0);
     assert_eq!(sum(gauge(channel().with_kernel(KernelChoice::Pull))), 912_000.0);
+}
+
+/// `comm.local_values` / `comm.local_rows`: the PDF values and x-rows
+/// same-rank copies write, per rank, and the full-slab values of the
+/// same links from the plan. A dense block receives whole slabs; a
+/// carved block only the ghost values its sweep reads.
+fn local_copy_counts(s: &Scenario, steps: u64) -> Vec<[u64; 3]> {
+    use trillium_blockforest::{BlockLink, NEIGHBOR_DIRS};
+    let plan = plan_run(s, 2);
+    let table = trillium_comm::CrossingTable::new::<trillium_lattice::D3Q19>();
+    let shape = trillium_field::Shape::new(s.cells[0], s.cells[1], s.cells[2], 1);
+    let r = run_distributed_with(s, 2, 1, steps, &[], DriverConfig::overlapped());
+    r.ranks
+        .iter()
+        .zip(&plan.views)
+        .map(|(rr, view)| {
+            let slab: usize = (view.blocks.iter())
+                .flat_map(|b| b.links.iter().zip(NEIGHBOR_DIRS))
+                .filter(|(link, _)| matches!(link, BlockLink::Local(_)))
+                .map(|(_, d)| shape.ghost_slab(d, 1).num_cells() * table.qs(d).len())
+                .sum();
+            let m = &rr.obs.as_ref().unwrap().metrics;
+            let count = |name| m.counter(name);
+            [count("comm.local_values"), count("comm.local_rows"), slab as u64 * steps]
+        })
+        .collect()
+}
+
+/// Exact same-rank copy counts over 5 steps on 2 ranks: on the obstacle
+/// channel the carved blocks' lists move fewer values than full slabs,
+/// on the all-dense cavity exactly the full slabs.
+#[test]
+fn local_copy_counts_are_pinned() {
+    let channel = Scenario::channel_with_obstacle([32, 16, 16], [4, 2, 2], 0.08, 0.04, 0.18);
+    let got = local_copy_counts(&channel, 5);
+    assert_eq!(got, [[36_420, 15_960, 39_360]; 2]);
+    assert!(got.iter().all(|[values, _, slab]| values < slab));
+    let cavity = Scenario::lid_driven_cavity(32, 2, 0.06, 0.08);
+    let got = local_copy_counts(&cavity, 5);
+    assert_eq!(got, [[51_520, 27_520, 51_520]; 2]);
 }
 
 #[test]
