@@ -372,18 +372,10 @@ impl BlockSim {
     /// for in-place). The returned stats carry the measured wall time of
     /// the sweep, the per-block load signal used for rebalancing.
     pub fn stream_collide(&mut self, rel: Relaxation) -> SweepStats {
-        let stats = self.stream_collide_whole(rel);
-        self.swap_buffers();
-        stats
-    }
-
-    /// [`BlockSim::stream_collide`] without advancing the buffer: the
-    /// step of a block whose ghost layer is complete while other blocks
-    /// still wait for theirs. Call [`BlockSim::swap_buffers`] after it.
-    pub(crate) fn stream_collide_whole(&mut self, rel: Relaxation) -> SweepStats {
         let t0 = std::time::Instant::now();
         let mut stats = self.sweep_region(rel, &self.shape.interior());
         (stats.cells, stats.fluid_cells) = self.sweep_counts();
+        self.swap_buffers();
         stats.timed(t0.elapsed().as_secs_f64())
     }
 

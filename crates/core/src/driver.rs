@@ -447,14 +447,15 @@ impl RunResult {
 /// How the distributed time loop schedules ghost exchange and compute.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DriverConfig {
-    /// Overlap ghost communication with compute: post all sends; while
-    /// messages are in flight, step every block that waits for none
-    /// whole and sweep the interior core (whose stencil never reads the
-    /// ghost layer) of every block that does; then drain ghost messages
-    /// in *arrival* order and finish each split block's boundary shell
-    /// as soon as its last message lands. Off by default; the synchronous
-    /// path is the bitwise reference the overlapped path must reproduce
-    /// exactly (pinned by `overlap_matches_sync_bitwise`).
+    /// Overlap ghost communication with compute: run the step's window
+    /// while messages are in flight instead of after the drain — every
+    /// block that waits for none takes its whole step there, every block
+    /// that does sweeps its interior core (whose stencil never reads the
+    /// ghost layer) — then drain ghost messages in *arrival* order and
+    /// finish each split block's boundary shell as soon as its last
+    /// message lands (see [`RankLoop::step`]). Off by default; the
+    /// synchronous path is the bitwise reference the overlapped path must
+    /// reproduce exactly (pinned by `overlap_matches_sync_bitwise`).
     pub overlap: bool,
     /// Dump every block's final interior PDFs into
     /// [`RankResult::pdfs`] — the raw data for PDF-level equivalence
@@ -469,11 +470,11 @@ pub struct DriverConfig {
     /// boundary cell whose flags intersect this mask (e.g.
     /// `CellFlags::OBSTACLE` for the cylinder lift/drag signal) into
     /// [`RankResult::force_series`]. Forces are read from the pre-sweep
-    /// populations: the synchronous schedule measures after the full
-    /// boundary sweep, the overlapped schedule per block right after its
-    /// ghost boundary prep — bitwise the same values, folded in block
-    /// order. Blocks carrying masked cells must use the pull (two-array)
-    /// scheme; scenarios that tag obstacle cells guarantee this.
+    /// populations of each block, after its full boundary sweep and
+    /// before its stream–collide — in the window for a whole block, right
+    /// after the ghost boundary prep for a split one — and folded in
+    /// block order, so both schedules and both update schemes give
+    /// bitwise the same series.
     pub force_mask: Option<CellFlags>,
 }
 
@@ -884,21 +885,22 @@ impl<'a> RankLoop<'a> {
 
     /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
     ///
-    /// The pack-and-post phase is common: a same-rank link copies the
-    /// neighbor's values field to field into this block's ghost slab —
-    /// for a carved block only the listed ghost values its row-interval
-    /// sweep reads ([`trillium_comm::GhostRows`]), for a dense one the
-    /// whole slab — and a remote link packs this block's whole slab and
-    /// sends it. The schedules differ in the drain. *Synchronous*:
-    /// receive in posting order, then sweep whole blocks. *Overlapped*:
-    /// while the messages are in flight, a block with none outstanding
-    /// takes its whole step (boundary sweep, force sample, full-interior
-    /// sweep) and every other block sweeps its interior core (whose
-    /// stencil never reads the ghost layer); then drain in **arrival
-    /// order** and finish each split block's boundary shell the moment its
-    /// last message lands. The two are bitwise identical: a whole step is
-    /// the synchronous schedule's per-block computation, the
-    /// interior/shell split partitions each block exactly once (the
+    /// One pipeline under both schedules: pack and post → (synchronous:
+    /// drain) → [`RankLoop::sweep_ready`] → (overlapped: drain and finish)
+    /// → accounting. The schedule only decides when to drain.
+    ///
+    /// Pack and post: a same-rank link copies the neighbor's values field
+    /// to field into this block's ghost slab — for a carved block only
+    /// the listed ghost values its row-interval sweep reads
+    /// ([`trillium_comm::GhostRows`]), for a dense one the whole slab —
+    /// and a remote link packs this block's whole slab and sends it.
+    /// *Synchronous*: receive in posting order, so every block reaches
+    /// the window complete and takes its whole step there. *Overlapped*:
+    /// the window runs while the messages are in flight, then the drain
+    /// goes in **arrival order** and finishes each split block's boundary
+    /// shell the moment its last message lands. The schedules are bitwise
+    /// identical: the interior/shell split partitions each block exactly
+    /// once (the
     /// `region_partition_is_bitwise_identical` tests of
     /// `trillium-kernels`), the boundary split is order-independent
     /// (`trillium-kernels::boundary`), and ghost slabs of distinct
@@ -912,8 +914,8 @@ impl<'a> RankLoop<'a> {
     /// `cargo test -q --test distributed_consistency`, `--test
     /// inplace_equivalence` and `--test migration_parity carved`
     /// (schedules, schemes, migration and recovery bitwise), and
-    /// `cargo test -q --test observability local_copy` (pinned
-    /// same-rank copy counts).
+    /// `cargo test -q --test observability` (pinned same-rank copy
+    /// counts, and the span counts of the shared window).
     ///
     /// Copies, packs and unpacks may interleave in any order: within one
     /// field the exchange never reads a slot it writes — interior storage
@@ -962,11 +964,13 @@ impl<'a> RankLoop<'a> {
         self.comm.flush_delayed();
         ctx.pack_seconds = pack.finish();
 
-        // ---- drain + compute: the only schedule-dependent part -----------
+        // ---- drain and sweep: the schedule only decides when to drain ----
+        if !self.cfg.overlap {
+            self.drain_in_posting_order(deadline)?;
+        }
+        self.sweep_ready();
         if self.cfg.overlap {
-            self.sweep_while_draining(deadline)?;
-        } else {
-            self.drain_then_sweep(deadline)?;
+            self.drain_in_arrival_order(deadline)?;
         }
 
         // ---- accounting (infallible: one force sample per completed step) --
@@ -990,14 +994,19 @@ impl<'a> RankLoop<'a> {
         Ok(())
     }
 
-    /// The synchronous drain: blocking receives in posting order, then
-    /// the boundary sweep and the fused stream–collide over whole blocks.
-    fn drain_then_sweep(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
+    /// The synchronous drain: blocking receives in posting order, one
+    /// `(from, tag)` at a time, so every block reaches the window with
+    /// its ghost layer complete. The drain span covers unpacking; blocked
+    /// waits are carved out into disjoint `Stall` spans — exposed stall
+    /// in the sense of [`RankResult::ghost_stall_time`], since the whole
+    /// stream–collide sweep is still pending — so `comm_time` never
+    /// includes them.
+    fn drain_in_posting_order(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
         let (rec, ctx) = (&self.rec, &mut self.ctx);
-        // The drain span covers unpacking; blocked waits are carved out
-        // into disjoint `Stall` spans — exposed stall in the sense of
-        // [`RankResult::ghost_stall_time`], since the whole stream-collide
-        // sweep is still pending — so `comm_time` never includes them.
+        // Nothing remote, no drain span: as under the overlapped schedule.
+        if ctx.pairs.is_empty() {
+            return Ok(());
+        }
         let mut drain = rec.span(SpanKind::GhostDrain);
         for i in 0..ctx.pairs.len() {
             let (from, tag) = ctx.pairs[i];
@@ -1012,43 +1021,25 @@ impl<'a> RankLoop<'a> {
                 }
             };
             ctx.unpack(&mut self.blocks[bi], d, data)?;
+            ctx.outstanding[bi] -= 1;
         }
+        ctx.pairs.clear();
+        ctx.meta.clear();
         drain.finish();
-
-        {
-            let _b = rec.span(SpanKind::Boundary);
-            map_each_block(&mut self.blocks, self.threads, |_, b| b.apply_boundaries());
-        }
-        // Forces are read from the pre-sweep populations: after the full
-        // boundary sweep, before stream-collide.
-        if let Some(mask) = self.cfg.force_mask {
-            for (bi, b) in self.blocks.iter().enumerate() {
-                ctx.forces[bi] = b.boundary_force(mask);
-            }
-        }
-        let rel = self.scenario.relaxation;
-        let kernel = rec.span(SpanKind::Kernel);
-        let swept =
-            map_each_block(&mut self.blocks, self.threads, move |_, b| b.stream_collide(rel));
-        drop(kernel);
-        for (bi, s) in swept.iter().enumerate() {
-            ctx.seconds[bi] = s.seconds;
-        }
         Ok(())
     }
 
-    /// The overlapped drain. While messages are in flight, a block with
-    /// none outstanding (its ghost layer already complete from same-rank
-    /// copies) takes its whole step — full boundary sweep, force sample,
-    /// full-interior sweep — and every other block its interior prep and
-    /// interior-core sweep. Those finish their shells as their ghost
-    /// layers complete, and all buffers advance at the end.
-    fn sweep_while_draining(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
+    /// The window: the one place a block is swept inside a step. A block
+    /// with no message outstanding (its ghost layer complete) takes its
+    /// whole step — full boundary sweep, force sample, full-interior
+    /// sweep that also advances its buffer; every other block its
+    /// interior boundary prep and interior-core sweep, to be finished by
+    /// [`finish_shell`]. The synchronous schedule arrives with every
+    /// block complete. Time spent here while messages are in flight is
+    /// hidden communication.
+    fn sweep_ready(&mut self) {
         let (rec, ctx, blocks) = (&self.rec, &mut self.ctx, &mut self.blocks);
-        let (rel, mask, threads) = (self.scenario.relaxation, self.cfg.force_mask, self.threads);
-        let in_flight = !ctx.pairs.is_empty();
-
-        // ---- overlap window: whole steps and interior cores ----------------
+        let (rel, threads) = (self.scenario.relaxation, self.threads);
         let t_hide = rec.clock();
         let outstanding = &ctx.outstanding;
         {
@@ -1066,28 +1057,33 @@ impl<'a> RankLoop<'a> {
                 });
             }
         }
-        // The full boundary sweep of a whole block is done and its sweep
-        // has not run: the program point at which the synchronous schedule
-        // measures forces.
-        if let Some(mask) = mask {
+        // Forces are read from the pre-sweep populations: after a whole
+        // block's full boundary sweep, before its stream–collide.
+        if let Some(mask) = self.cfg.force_mask {
             for (bi, b) in blocks.iter().enumerate().filter(|&(bi, _)| outstanding[bi] == 0) {
                 ctx.forces[bi] = b.boundary_force(mask);
             }
         }
-        let kernel = rec.span(SpanKind::KernelInterior);
+        let kernel = rec.span(SpanKind::Kernel);
         let swept = map_each_block(blocks, threads, |bi, b| match outstanding[bi] {
-            0 => b.stream_collide_whole(rel),
+            0 => b.stream_collide(rel),
             _ => b.stream_collide_interior(rel),
         });
         drop(kernel);
         for (bi, s) in swept.iter().enumerate() {
             ctx.seconds[bi] = s.seconds;
         }
-        if in_flight {
+        if !ctx.pairs.is_empty() {
             rec.metrics().acc(M_OVERLAP_HIDDEN, rec.clock() - t_hide);
         }
+    }
 
-        // ---- drain: arrival order, finish shells as blocks complete --------
+    /// The overlapped drain, after the window: receives in arrival order
+    /// and finishes each split block's shell the moment its last message
+    /// lands.
+    fn drain_in_arrival_order(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
+        let (rec, ctx, blocks) = (&self.rec, &mut self.ctx, &mut self.blocks);
+        let (rel, mask) = (self.scenario.relaxation, self.cfg.force_mask);
         while !ctx.pairs.is_empty() {
             // Blocking here is *not* an exposed stall: every interior is
             // already swept and every block with a complete ghost layer
@@ -1112,7 +1108,6 @@ impl<'a> RankLoop<'a> {
                 }
             }
         }
-        map_each_block(blocks, threads, |_, b| b.swap_buffers());
         Ok(())
     }
 
@@ -1145,9 +1140,7 @@ impl<'a> RankLoop<'a> {
             rank: self.comm.rank(),
             num_blocks: blocks.len(),
             stats: self.stats,
-            kernel_time: obs.total(SpanKind::Kernel)
-                + obs.total(SpanKind::KernelInterior)
-                + obs.total(SpanKind::KernelShell),
+            kernel_time: obs.total(SpanKind::Kernel) + obs.total(SpanKind::KernelShell),
             comm_time: obs.total(SpanKind::GhostPack) + obs.total(SpanKind::GhostDrain),
             boundary_time: obs.total(SpanKind::Boundary),
             overlap_hidden: obs.metrics.fcounter(M_OVERLAP_HIDDEN),
@@ -1188,8 +1181,9 @@ fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64
 }
 
 /// Ghost boundary prep + shell sweep for one block whose ghost layer just
-/// became complete. Returns the seconds spent (the caller decides whether
-/// they were hidden behind still-outstanding messages).
+/// became complete, then its buffer advance. Returns the seconds spent
+/// (the caller decides whether they were hidden behind still-outstanding
+/// messages).
 fn finish_shell(
     block: &mut BlockSim,
     bi: usize,
@@ -1209,6 +1203,7 @@ fn finish_shell(
     }
     let k = rec.span(SpanKind::KernelShell);
     let s = block.stream_collide_shell(rel);
+    block.swap_buffers();
     let tk = k.finish();
     ctx.seconds[bi] += s.seconds;
     tb + tk

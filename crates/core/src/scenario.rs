@@ -353,11 +353,11 @@ impl Scenario {
     }
 
     /// Finishes block construction: builds the sim from the flag field
-    /// and stamps the scenario-global collision operator and backend
-    /// onto it.
-    fn finish_block(&self, flags: trillium_field::FlagField, scheme: UpdateScheme) -> BlockSim {
+    /// under the requested update scheme and stamps the scenario-global
+    /// collision operator and backend onto it.
+    fn finish_block(&self, flags: trillium_field::FlagField) -> BlockSim {
         let mut sim =
-            BlockSim::from_flags_with_scheme(flags, self.boundary, self.rho0, self.u0, scheme);
+            BlockSim::from_flags_with_scheme(flags, self.boundary, self.rho0, self.u0, self.kernel);
         self.stamp(&mut sim);
         sim
     }
@@ -387,7 +387,7 @@ impl Scenario {
                         border[5].then_some(CellFlags::VELOCITY), // moving lid at +z
                     ],
                 );
-                self.finish_block(flags, self.kernel)
+                self.finish_block(flags)
             }
             Kind::Channel { center, radius } => {
                 let border = self.border_faces(lb);
@@ -418,16 +418,16 @@ impl Scenario {
                         }
                     }
                 }
-                self.finish_block(flags, self.kernel)
+                self.finish_block(flags)
             }
             Kind::Domain { sdf, config, dx, .. } => {
                 let flags = voxelize_block(sdf.as_ref(), lb.aabb.min, *dx, shape, config);
-                self.finish_block(flags, self.kernel)
+                self.finish_block(flags)
             }
             Kind::TaylorGreen { amplitude } => {
                 // Fully periodic: every cell (ghosts included) is fluid.
                 let flags = boxed_block_flags(shape, [None; 6]);
-                let mut sim = self.finish_block(flags, self.kernel);
+                let mut sim = self.finish_block(flags);
                 let origin = self.block_origin(lb);
                 let n = self.global_cells();
                 let kx = 2.0 * std::f64::consts::PI / n[0] as f64;
@@ -457,7 +457,7 @@ impl Scenario {
                         None,
                     ],
                 );
-                self.finish_block(flags, self.kernel)
+                self.finish_block(flags)
             }
             Kind::VonKarman { center, radius } => {
                 let border = self.border_faces(lb);
@@ -477,24 +477,15 @@ impl Scenario {
                 // channel walls.
                 let origin = self.block_origin(lb);
                 let wall = CellFlags(CellFlags::OBSTACLE.0 | CellFlags::NOSLIP.0);
-                let mut carved = false;
                 for (x, y, z) in shape.with_ghosts().iter() {
                     let gx = (origin[0] + x as i64) as f64 + 0.5;
                     let gy = (origin[1] + y as i64) as f64 + 0.5;
                     let d2 = (gx - center[0]).powi(2) + (gy - center[1]).powi(2);
                     if d2 < radius * radius {
                         flags.set_flags(x, y, z, wall);
-                        carved = true;
                     }
                 }
-                // Momentum-exchange force measurement needs the pre-sweep
-                // populations, which only the two-array pull storage keeps
-                // intact; blocks touching the cylinder therefore always use
-                // the pull scheme regardless of the requested kernel tier.
-                // Uncarved blocks carry no OBSTACLE cells and contribute an
-                // exact zero to the lift/drag signal.
-                let scheme = if carved { UpdateScheme::Pull } else { self.kernel };
-                let mut sim = self.finish_block(flags, scheme);
+                let mut sim = self.finish_block(flags);
                 // Seed a small transverse perturbation so the wake's
                 // antisymmetric instability grows from a deterministic
                 // O(ε) amplitude: the unperturbed base flow is symmetric
@@ -593,8 +584,8 @@ mod tests {
         assert!(solid > 50 && solid < total / 20, "solid = {solid}");
     }
 
-    /// The backend is stamped onto every block, the cylinder blocks the
-    /// scenario pins to the pull scheme included.
+    /// The backend is stamped onto every block, the carved cylinder
+    /// blocks that fall back to the pull scheme included.
     #[test]
     fn von_karman_blocks_all_carry_the_requested_backend() {
         let s = Scenario::von_karman([32, 16, 4], [4, 2, 2], 0.02, 0.05, 4.0)

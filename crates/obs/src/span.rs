@@ -11,11 +11,12 @@ use std::time::Instant;
 pub enum SpanKind {
     /// One whole time step (any schedule). Encloses the kinds below.
     Step,
-    /// Fused stream–collide sweep (synchronous schedule).
+    /// The stream–collide fan-out of a step's window, under either
+    /// schedule: whole-block sweeps, and the interior cores of blocks
+    /// still waiting for ghost messages.
     Kernel,
-    /// Interior-core sweep of the overlapped schedule.
-    KernelInterior,
-    /// Ghost-shell sweep of the overlapped schedule.
+    /// Ghost-shell sweep of one block whose last message landed
+    /// (overlapped schedule).
     KernelShell,
     /// Boundary-condition sweeps.
     Boundary,
@@ -47,10 +48,9 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in declaration order (== accumulator order).
-    pub const ALL: [SpanKind; 14] = [
+    pub const ALL: [SpanKind; 13] = [
         SpanKind::Step,
         SpanKind::Kernel,
-        SpanKind::KernelInterior,
         SpanKind::KernelShell,
         SpanKind::Boundary,
         SpanKind::GhostPack,
@@ -72,7 +72,6 @@ impl SpanKind {
         match self {
             SpanKind::Step => "step",
             SpanKind::Kernel => "kernel",
-            SpanKind::KernelInterior => "kernel_interior",
             SpanKind::KernelShell => "kernel_shell",
             SpanKind::Boundary => "boundary",
             SpanKind::GhostPack => "ghost_pack",

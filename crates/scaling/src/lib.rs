@@ -23,8 +23,6 @@
 //!   §2.2 file-size claims),
 //! * [`overlap`] — the communication-hiding term the overlapped driver
 //!   schedule adds to the step-time model (fig 7/8 use it),
-//! * [`rebalance`] — predicted benefit of runtime load rebalancing
-//!   (extreme-value straggler model) up to 2^19 ranks,
 //! * [`resilience`] — Young/Daly optimal checkpoint interval and waste
 //!   fraction versus machine size for the resilient driver.
 
@@ -37,7 +35,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod headline;
 pub mod overlap;
-pub mod rebalance;
 pub mod resilience;
 pub mod tree;
 

@@ -7,9 +7,11 @@
 //! stack at once.
 
 use trillium_core::driver::{
-    run_distributed_composed, run_distributed_with, DriverConfig, RebalanceConfig, RunConfig,
+    plan_run, run_distributed_composed, run_distributed_with, DriverConfig, RebalanceConfig,
+    RunConfig,
 };
 use trillium_core::prelude::*;
+use trillium_field::flags::FlagOps;
 
 const STEPS: u64 = 24;
 
@@ -127,4 +129,46 @@ fn inplace_matches_pull_through_fault_recovery() {
     let clean = resilient(ResilienceConfig { checkpoint_every: 7, ..ResilienceConfig::default() })
         .expect("clean run");
     assert_eq!(reference.pdf_dump(), clean.pdf_dump());
+}
+
+/// The von Kármán cylinder runs the scheme the run asks for: a dense
+/// block whose only `OBSTACLE` cells are ghost cells runs in place, a
+/// carved one falls back to pull. The PDFs and the cylinder's force
+/// series equal the pull run's bit for bit, for every operator the wake
+/// is run with, under both schedules and at both final parities.
+#[test]
+fn von_karman_in_place_matches_pull_with_forces() {
+    let scenario = |op: Collision| {
+        Scenario::von_karman([64, 32, 2], [8, 4, 2], 0.02, 0.05, 16.0).with_collision(op)
+    };
+    // Blocks whose masked cells are all ghost cells: dense, so in place.
+    let trt = scenario(Collision::Trt);
+    let dense_with_obstacle = (plan_run(&trt, 2).views.iter())
+        .flat_map(|v| &v.blocks)
+        .map(|lb| trt.build_block(lb))
+        .filter(|b| b.scheme == UpdateScheme::InPlace)
+        .filter(|b| {
+            b.shape
+                .with_ghosts()
+                .iter()
+                .any(|(x, y, z)| b.flags.flags(x, y, z).intersects(CellFlags::OBSTACLE))
+        })
+        .count();
+    assert_eq!(dense_with_obstacle, 12, "dense in-place blocks with OBSTACLE ghost cells");
+
+    let bits = |f: Vec<[f64; 3]>| f.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for op in [Collision::Trt, Collision::Mrt, Collision::MrtLes] {
+        for steps in [7, 8] {
+            for overlap in [false, true] {
+                let cfg = pdf_cfg(overlap).with_force_mask(CellFlags::OBSTACLE);
+                let run = |s: Scenario| run_distributed_with(&s, 2, 1, steps, &[], cfg);
+                let inplace = run(scenario(op));
+                let pull = run(scenario(op).with_kernel(KernelChoice::Pull));
+                let what = format!("{op:?}, {steps} steps, overlap={overlap}");
+                assert!(inplace.force_series().iter().any(|f| f[0] != 0.0), "{what}: no drag");
+                assert!(pull.pdf_dump() == inplace.pdf_dump(), "{what}: PDFs");
+                assert_eq!(bits(pull.force_series()), bits(inplace.force_series()), "{what}");
+            }
+        }
+    }
 }

@@ -63,9 +63,7 @@ fn check_invariants(r: &RunResult, schedule: &str) {
         );
 
         // The RankResult timing fields are exactly the folded span totals.
-        let kernel = obs.total(SpanKind::Kernel)
-            + obs.total(SpanKind::KernelInterior)
-            + obs.total(SpanKind::KernelShell);
+        let kernel = obs.total(SpanKind::Kernel) + obs.total(SpanKind::KernelShell);
         assert_eq!(rr.kernel_time, kernel, "{schedule} rank {rank}: kernel fold");
         assert_eq!(
             rr.comm_time,
@@ -290,6 +288,26 @@ fn local_copy_counts_are_pinned() {
     assert_eq!(got, [[51_520, 27_520, 51_520]; 2]);
 }
 
+/// Both schedules sweep through one window. On one rank no message is
+/// remote, so the overlapped step is the synchronous one: the same span
+/// kinds, opened as often — every block swept whole under `Kernel`, no
+/// shell finished, nothing hidden.
+#[test]
+fn one_rank_schedules_record_the_same_spans() {
+    let s = Scenario::lid_driven_cavity(16, 2, 0.06, 0.08);
+    let spans = |cfg: DriverConfig| {
+        let r = run_distributed_with(&s, 1, 1, STEPS, &[], cfg);
+        assert_eq!(r.overlap_hidden(), 0.0);
+        r.ranks[0].obs.clone().unwrap()
+    };
+    let (sync, over) = (spans(DriverConfig::default()), spans(DriverConfig::overlapped()));
+    for kind in SpanKind::ALL {
+        assert_eq!(sync.count(kind), over.count(kind), "{} spans", kind.name());
+    }
+    assert_eq!(over.count(SpanKind::Kernel), STEPS);
+    assert_eq!(over.count(SpanKind::KernelShell), 0);
+}
+
 #[test]
 fn trace_events_reproduce_rank_timings_and_round_trip() {
     let cfg = DriverConfig::overlapped().with_trace();
@@ -299,9 +317,7 @@ fn trace_events_reproduce_rank_timings_and_round_trip() {
         assert!(!obs.events.is_empty(), "rank {}: trace mode captured nothing", rr.rank);
         // Per-rank span sums from the event stream reproduce the
         // RankResult timings within float tolerance (events store µs).
-        let kernel = obs.trace_total(SpanKind::Kernel)
-            + obs.trace_total(SpanKind::KernelInterior)
-            + obs.trace_total(SpanKind::KernelShell);
+        let kernel = obs.trace_total(SpanKind::Kernel) + obs.trace_total(SpanKind::KernelShell);
         assert!((kernel - rr.kernel_time).abs() < 1e-9 * obs.events.len() as f64 + 1e-12);
         let comm = obs.trace_total(SpanKind::GhostPack) + obs.trace_total(SpanKind::GhostDrain);
         assert!((comm - rr.comm_time).abs() < 1e-9 * obs.events.len() as f64 + 1e-12);
