@@ -57,9 +57,9 @@ pub struct RankResult {
     pub kernel_time: f64,
     /// Wall time of ghost-exchange *work*: same-rank field-to-field copies,
     /// packing, sending, and draining remote messages (receive + unpack).
-    /// Excludes time blocked on messages that had not yet arrived —
-    /// that is [`RankResult::ghost_stall_time`], kept disjoint by the
-    /// span layer so the categories sum without double counting.
+    /// A blocked wait before the window is [`RankResult::ghost_stall_time`]
+    /// instead, a span of its own, so the categories sum without double
+    /// counting.
     pub comm_time: f64,
     /// Wall time in the boundary sweeps.
     pub boundary_time: f64,
@@ -69,10 +69,10 @@ pub struct RankResult {
     pub overlap_hidden: f64,
     /// Seconds blocked in a ghost receive *while runnable local compute
     /// was still pending* — the exposed stall the overlapped schedule
-    /// removes (a subset of [`RankResult::comm_time`]). The synchronous
-    /// schedule blocks with the entire stream-collide sweep still undone,
-    /// so every blocked receive counts (messages already arrived when
-    /// asked for cost nothing). The overlapped schedule only blocks once
+    /// removes. The synchronous schedule drains with the entire
+    /// stream-collide sweep still undone, so every blocked wait counts —
+    /// the drain takes messages in arrival order and waits only when no
+    /// posted receive has one. The overlapped schedule only blocks once
     /// every interior is swept and every block with a complete ghost
     /// layer has taken its whole step — no runnable work remains — so this
     /// is zero by construction; its residual wait is neighbor imbalance,
@@ -448,14 +448,14 @@ impl RunResult {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DriverConfig {
     /// Overlap ghost communication with compute: run the step's window
-    /// while messages are in flight instead of after the drain — every
-    /// block that waits for none takes its whole step there, every block
-    /// that does sweeps its interior core (whose stencil never reads the
-    /// ghost layer) — then drain ghost messages in *arrival* order and
-    /// finish each split block's boundary shell as soon as its last
-    /// message lands (see [`RankLoop::step`]). Off by default; the
-    /// synchronous path is the bitwise reference the overlapped path must
-    /// reproduce exactly (pinned by `overlap_matches_sync_bitwise`).
+    /// while messages are in flight, before the drain instead of after it
+    /// — every block that waits for none takes its whole step there,
+    /// every block that does sweeps its interior core (whose stencil never
+    /// reads the ghost layer) — and let the one drain finish each split
+    /// block's boundary shell as its last message lands (see
+    /// [`RankLoop::step`]). Off by default; the synchronous path is the
+    /// bitwise reference the overlapped path must reproduce exactly
+    /// (pinned by `overlap_matches_sync_bitwise`).
     pub overlap: bool,
     /// Dump every block's final interior PDFs into
     /// [`RankResult::pdfs`] — the raw data for PDF-level equivalence
@@ -886,21 +886,21 @@ impl<'a> RankLoop<'a> {
     /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
     ///
     /// One pipeline under both schedules: pack and post → (synchronous:
-    /// drain) → [`RankLoop::sweep_ready`] → (overlapped: drain and finish)
-    /// → accounting. The schedule only decides when to drain.
+    /// drain) → [`RankLoop::sweep_ready`] → (overlapped: drain) →
+    /// accounting. The schedule only decides when the one drain runs.
     ///
     /// Pack and post: a same-rank link copies the neighbor's values field
     /// to field into this block's ghost slab — for a carved block only
     /// the listed ghost values its row-interval sweep reads
     /// ([`trillium_comm::GhostRows`]), for a dense one the whole slab —
-    /// and a remote link packs this block's whole slab and sends it.
-    /// *Synchronous*: receive in posting order, so every block reaches
-    /// the window complete and takes its whole step there. *Overlapped*:
-    /// the window runs while the messages are in flight, then the drain
-    /// goes in **arrival order** and finishes each split block's boundary
-    /// shell the moment its last message lands. The schedules are bitwise
-    /// identical: the interior/shell split partitions each block exactly
-    /// once (the
+    /// and a remote link packs this block's whole slab, sends it and
+    /// posts the receive of the neighbor's. The drain takes messages in
+    /// **arrival order**. *Synchronous*: it runs first, so every block
+    /// takes its whole step in the window. *Overlapped*: the window runs
+    /// while the messages are in flight, then the drain finishes each
+    /// split block's boundary shell the moment its last message lands.
+    /// The schedules are bitwise identical: the interior/shell split
+    /// partitions each block exactly once (the
     /// `region_partition_is_bitwise_identical` tests of
     /// `trillium-kernels`), the boundary split is order-independent
     /// (`trillium-kernels::boundary`), and ghost slabs of distinct
@@ -923,9 +923,9 @@ impl<'a> RankLoop<'a> {
     /// parity, on disjoint direction grids — and parity is per block, so
     /// in-place and pull neighbors exchange alike (DESIGN.md §9).
     ///
-    /// A `deadline` bounds every blocking receive. Any error leaves the
-    /// blocks in a torn mid-step state for the caller to discard (by
-    /// restoring a checkpoint) or give up on.
+    /// A `deadline` bounds every blocking receive. Any error withdraws the
+    /// posted receives and leaves the blocks in a torn mid-step state for
+    /// the caller to discard (by restoring a checkpoint) or give up on.
     pub fn step(&mut self, t: u64, deadline: Option<Duration>) -> Result<(), CommError> {
         // ---- pack and post ------------------------------------------------
         let pack = self.rec.span(SpanKind::GhostPack);
@@ -951,9 +951,9 @@ impl<'a> RankLoop<'a> {
                     // The neighbor receives from direction −d.
                     let rev = [-d[0], -d[1], -d[2]];
                     self.comm.send(*r, ghost_tag(*nid, rev, t), buf);
-                    // Symmetric link: we will receive the neighbor's
+                    // Symmetric link: post the receive of the neighbor's
                     // data for our ghost slab in direction d.
-                    ctx.pairs.push((*r, ghost_tag(lb.id, d, t)));
+                    self.comm.post(*r, ghost_tag(lb.id, d, t), ctx.meta.len());
                     ctx.meta.push((bi, d));
                     ctx.outstanding[bi] += 1;
                 }
@@ -965,12 +965,13 @@ impl<'a> RankLoop<'a> {
         ctx.pack_seconds = pack.finish();
 
         // ---- drain and sweep: the schedule only decides when to drain ----
-        if !self.cfg.overlap {
-            self.drain_in_posting_order(deadline)?;
-        }
-        self.sweep_ready();
         if self.cfg.overlap {
-            self.drain_in_arrival_order(deadline)?;
+            self.sweep_ready();
+        }
+        // The receive set is empty between steps, torn ones too.
+        self.drain(deadline).inspect_err(|_| self.comm.withdraw())?;
+        if !self.cfg.overlap {
+            self.sweep_ready();
         }
 
         // ---- accounting (infallible: one force sample per completed step) --
@@ -991,41 +992,6 @@ impl<'a> RankLoop<'a> {
             let (cells, fluid_cells) = b.sweep_counts();
             self.stats.merge(SweepStats { cells, fluid_cells, seconds: self.ctx.seconds[bi] });
         }
-        Ok(())
-    }
-
-    /// The synchronous drain: blocking receives in posting order, one
-    /// `(from, tag)` at a time, so every block reaches the window with
-    /// its ghost layer complete. The drain span covers unpacking; blocked
-    /// waits are carved out into disjoint `Stall` spans — exposed stall
-    /// in the sense of [`RankResult::ghost_stall_time`], since the whole
-    /// stream–collide sweep is still pending — so `comm_time` never
-    /// includes them.
-    fn drain_in_posting_order(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
-        let (rec, ctx) = (&self.rec, &mut self.ctx);
-        // Nothing remote, no drain span: as under the overlapped schedule.
-        if ctx.pairs.is_empty() {
-            return Ok(());
-        }
-        let mut drain = rec.span(SpanKind::GhostDrain);
-        for i in 0..ctx.pairs.len() {
-            let (from, tag) = ctx.pairs[i];
-            let (bi, d) = ctx.meta[i];
-            let data = match self.comm.try_recv(from, tag) {
-                Some(data) => data,
-                None => {
-                    let stall = rec.span(SpanKind::Stall);
-                    let res = self.comm.recv_any_within(&[(from, tag)], deadline);
-                    drain.exclude(stall.finish());
-                    res?.1
-                }
-            };
-            ctx.unpack(&mut self.blocks[bi], d, data)?;
-            ctx.outstanding[bi] -= 1;
-        }
-        ctx.pairs.clear();
-        ctx.meta.clear();
-        drain.finish();
         Ok(())
     }
 
@@ -1073,37 +1039,42 @@ impl<'a> RankLoop<'a> {
         for (bi, s) in swept.iter().enumerate() {
             ctx.seconds[bi] = s.seconds;
         }
-        if !ctx.pairs.is_empty() {
+        if outstanding.iter().any(|&n| n > 0) {
             rec.metrics().acc(M_OVERLAP_HIDDEN, rec.clock() - t_hide);
         }
     }
 
-    /// The overlapped drain, after the window: receives in arrival order
-    /// and finishes each split block's shell the moment its last message
-    /// lands.
-    fn drain_in_arrival_order(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
+    /// The one drain, before the window (synchronous) or after it
+    /// (overlapped): takes the step's messages in arrival order from the
+    /// posted receives and unpacks each, one `GhostDrain` span apiece.
+    /// Before the window a blocked wait is a `Stall` span between two
+    /// drain spans, since the whole sweep is still pending. After it the
+    /// wait is neighbor imbalance and stays in the drain span (see
+    /// [`RankResult::ghost_stall_time`]), and a split block's shell is
+    /// finished the moment its last message lands.
+    fn drain(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
         let (rec, ctx, blocks) = (&self.rec, &mut self.ctx, &mut self.blocks);
-        let (rel, mask) = (self.scenario.relaxation, self.cfg.force_mask);
-        while !ctx.pairs.is_empty() {
-            // Blocking here is *not* an exposed stall: every interior is
-            // already swept and every block with a complete ghost layer
-            // has taken its step, so no runnable local work remains.
-            // The wait is neighbor imbalance and lands in `comm_time` (see
-            // [`RankResult::ghost_stall_time`]).
+        let (rel, mask, shells) = (self.scenario.relaxation, self.cfg.force_mask, self.cfg.overlap);
+        for left in (0..ctx.meta.len()).rev() {
             let drain = rec.span(SpanKind::GhostDrain);
-            let (i, data) = match self.comm.try_recv_any(&ctx.pairs) {
-                Some(hit) => hit,
-                None => self.comm.recv_any_within(&ctx.pairs, deadline)?,
+            let ((token, data), drain) = match self.comm.poll() {
+                Some(hit) => (hit, drain),
+                None if shells => (self.comm.wait(deadline)?, drain),
+                None => {
+                    drain.finish();
+                    let stall = rec.span(SpanKind::Stall);
+                    let hit = self.comm.wait(deadline)?;
+                    stall.finish();
+                    (hit, rec.span(SpanKind::GhostDrain))
+                }
             };
-            let (bi, d) = ctx.meta[i];
-            ctx.pairs.swap_remove(i);
-            ctx.meta.swap_remove(i);
+            let (bi, d) = ctx.meta[token];
             ctx.unpack(&mut blocks[bi], d, data)?;
             drain.finish();
             ctx.outstanding[bi] -= 1;
-            if ctx.outstanding[bi] == 0 {
+            if shells && ctx.outstanding[bi] == 0 {
                 let hidden = finish_shell(&mut blocks[bi], bi, rel, ctx, rec, mask);
-                if !ctx.pairs.is_empty() {
+                if left > 0 {
                     rec.metrics().acc(M_OVERLAP_HIDDEN, hidden);
                 }
             }
@@ -1384,9 +1355,8 @@ impl Rebalancer {
 struct GhostCtx {
     table: CrossingTable,
     pool: Vec<Vec<u8>>,
-    /// `(from, tag)` pairs still outstanding, parallel to `meta`.
-    pairs: Vec<(u32, u64)>,
-    /// `(block index, direction)` per outstanding pair.
+    /// `(block index, direction)` per receive posted this step, indexed
+    /// by the receive's token.
     meta: Vec<(usize, [i8; 3])>,
     /// Outstanding remote messages per local block.
     outstanding: Vec<u32>,
@@ -1410,7 +1380,6 @@ impl GhostCtx {
         GhostCtx {
             table: CrossingTable::new::<D3Q19>(),
             pool: Vec::new(),
-            pairs: Vec::new(),
             meta: Vec::new(),
             outstanding: Vec::new(),
             seconds: Vec::new(),
@@ -1423,7 +1392,6 @@ impl GhostCtx {
 
     /// Resets the per-step bookkeeping for `num_blocks` local blocks.
     fn begin_step(&mut self, num_blocks: usize) {
-        self.pairs.clear();
         self.meta.clear();
         self.outstanding.clear();
         self.outstanding.resize(num_blocks, 0);

@@ -16,9 +16,9 @@
 //!   uses interior mutability, so overlapping guards share a plain
 //!   `&Recorder`; accumulation is thread-local by construction (each
 //!   rank thread owns its recorder — no locks, no atomics on the hot
-//!   path). A guard can [`Span::exclude`] seconds measured by a nested
-//!   guard, which keeps top-level categories disjoint: the ghost-drain
-//!   span carves out the blocked-stall span it contains.
+//!   path). Top-level categories stay disjoint because their spans do
+//!   not nest: a blocked ghost wait is a stall span between two drain
+//!   spans, not inside one.
 //! * **Metrics** — a typed registry ([`MetricsRegistry`]) of `u64`
 //!   counters, `f64` accumulators, gauges and log₂ histograms, keyed by
 //!   name. The drivers feed it message/byte counts, fault-injection

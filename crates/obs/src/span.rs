@@ -22,12 +22,14 @@ pub enum SpanKind {
     Boundary,
     /// Ghost-exchange *work*: packing, sending, local unpacking.
     GhostPack,
-    /// Ghost-message drain: receive + unpack of remote slabs. Blocked
-    /// stall is carved out via [`Span::exclude`], so this is disjoint
-    /// from [`SpanKind::Stall`].
+    /// Ghost-message drain: the receive and unpack of one remote slab,
+    /// under either schedule. After the window (overlapped) it also
+    /// covers the wait for the message.
     GhostDrain,
-    /// Blocked in a ghost receive while runnable local compute was still
-    /// pending — zero by construction for the overlapped schedule.
+    /// A blocked wait of the drain before the window (synchronous), while
+    /// the whole sweep is still pending: a span of its own, never inside
+    /// a [`SpanKind::GhostDrain`]. Zero by construction for the
+    /// overlapped schedule.
     Stall,
     /// Coordinated checkpoint: agreement plus snapshot.
     Checkpoint,
@@ -190,17 +192,17 @@ impl Recorder {
     /// nothing.
     pub fn open(&self, kind: SpanKind) -> OpenSpan {
         let start = if self.cfg.enabled() { Some(Instant::now()) } else { None };
-        OpenSpan { kind, start, excluded: 0.0 }
+        OpenSpan { kind, start }
     }
 
-    /// Closes a span from [`Recorder::open`] and returns its attributed
-    /// seconds (elapsed minus exclusions; 0.0 when disabled).
+    /// Closes a span from [`Recorder::open`] and returns its seconds
+    /// (0.0 when disabled).
     pub fn close(&self, mut span: OpenSpan) -> f64 {
         match span.start.take() {
             Some(start) => {
                 let elapsed = start.elapsed().as_secs_f64();
-                self.record(span.kind, start, elapsed, span.excluded);
-                (elapsed - span.excluded).max(0.0)
+                self.record(span.kind, start, elapsed);
+                elapsed
             }
             None => 0.0,
         }
@@ -254,17 +256,16 @@ impl Recorder {
         }
     }
 
-    fn record(&self, kind: SpanKind, start: Instant, elapsed: f64, excluded: f64) {
-        let attributed = (elapsed - excluded).max(0.0);
+    fn record(&self, kind: SpanKind, start: Instant, elapsed: f64) {
         let i = kind.index();
-        self.totals[i].set(self.totals[i].get() + attributed);
+        self.totals[i].set(self.totals[i].get() + elapsed);
         self.counts[i].set(self.counts[i].get() + 1);
         if self.cfg.events {
             self.events.borrow_mut().push(TraceEvent {
                 name: kind.name(),
                 step: self.step.get(),
                 ts_us: start.duration_since(self.epoch).as_secs_f64() * 1e6,
-                dur_us: attributed * 1e6,
+                dur_us: elapsed * 1e6,
             });
         }
     }
@@ -275,26 +276,17 @@ impl Recorder {
 pub struct OpenSpan {
     kind: SpanKind,
     start: Option<Instant>,
-    excluded: f64,
 }
 
-/// RAII span guard: measures from creation to drop, minus any
-/// [`Span::exclude`]d seconds.
+/// RAII span guard: measures from creation to drop.
 pub struct Span<'r> {
     rec: &'r Recorder,
     open: OpenSpan,
 }
 
 impl Span<'_> {
-    /// Subtracts `secs` from this span's attributed time — used when a
-    /// nested span of a different kind already claimed them, keeping
-    /// top-level categories disjoint.
-    pub fn exclude(&mut self, secs: f64) {
-        self.open.excluded += secs;
-    }
-
-    /// Closes the span now and returns its attributed seconds (elapsed
-    /// minus exclusions; 0.0 when the recorder is disabled).
+    /// Closes the span now and returns its seconds (0.0 when the
+    /// recorder is disabled).
     pub fn finish(mut self) -> f64 {
         self.close()
     }
@@ -394,24 +386,6 @@ mod tests {
         let obs = rec.finish();
         assert!(obs.wall >= obs.total(SpanKind::Kernel) + obs.total(SpanKind::Boundary));
         assert!(obs.events.is_empty(), "events off by default");
-    }
-
-    #[test]
-    fn exclusion_keeps_categories_disjoint() {
-        let rec = Recorder::new(0, ObsConfig::default());
-        let mut outer = rec.span(SpanKind::GhostDrain);
-        spin(1e-4);
-        let inner = rec.span(SpanKind::Stall);
-        spin(2e-4);
-        let stall = inner.finish();
-        outer.exclude(stall);
-        spin(1e-4);
-        let drain = outer.finish();
-        assert!(stall >= 2e-4);
-        assert!(drain >= 2e-4, "drain keeps its own time");
-        let total = rec.total(SpanKind::GhostDrain) + rec.total(SpanKind::Stall);
-        // Disjoint: the sum equals the real elapsed range, not more.
-        assert!((total - (drain + stall)).abs() < 1e-12);
     }
 
     #[test]
