@@ -213,8 +213,8 @@ impl BlockSim {
 
     /// Distance of the split step's interior core from the block face.
     /// The pull stencil of a cell one cell in never reads the ghost layer,
-    /// so pull blocks use 1. In-place blocks use 2: the ghost boundary
-    /// sweep runs *after* the core sweep, and a pressure link reads all 19
+    /// so pull blocks use 1. In-place blocks use 2: were the ghost-layer
+    /// boundary links swept *after* the core, a pressure link reads all 19
     /// logical PDFs of its fluid cell on the face. At odd parity those sit
     /// one hop away, in the slots of the face cell's inward neighbour,
     /// which that neighbour's local sweep overwrites; at even parity the
@@ -283,24 +283,6 @@ impl BlockSim {
     pub fn apply_boundaries(&mut self) {
         self.check_links_current();
         self.links.apply(&mut self.src);
-    }
-
-    /// Boundary sweep restricted to *interior* wall cells (obstacles).
-    /// These read only interior fluid PDFs, so the sweep is safe to run
-    /// while ghost messages are still in flight — the overlap window of
-    /// the overlapped driver. Pair with [`BlockSim::apply_boundaries_ghost`]
-    /// after the block's ghost slabs have been unpacked; the two together
-    /// are bitwise identical to one [`BlockSim::apply_boundaries`].
-    pub fn apply_boundaries_interior(&mut self) {
-        self.check_links_current();
-        self.links.apply_interior(&mut self.src);
-    }
-
-    /// Boundary sweep restricted to *ghost-layer* wall cells. Must run
-    /// after the ghost exchange for this block has completed.
-    pub fn apply_boundaries_ghost(&mut self) {
-        self.check_links_current();
-        self.links.apply_ghost(&mut self.src);
     }
 
     /// Fills this block's ghost slab in direction `d` from `n`, the PDFs
@@ -380,11 +362,12 @@ impl BlockSim {
     }
 
     /// Stream–collide over the interior core only: the cells whose update
-    /// neither reads the ghost layer nor touches a slot the ghost boundary
-    /// sweep reads (see `shell_reach`), so the sweep may run while ghost
-    /// messages are still in flight. Does *not* swap the buffers — call
-    /// [`BlockSim::stream_collide_shell`] once the block's ghost slabs are
-    /// complete, then [`BlockSim::swap_buffers`].
+    /// neither reads the ghost layer nor touches a slot a ghost-layer
+    /// boundary link reads (see `shell_reach`). Does *not* swap the
+    /// buffers — call [`BlockSim::stream_collide_shell`], then
+    /// [`BlockSim::swap_buffers`]. No driver path splits a block's sweep
+    /// (the driver runs [`BlockSim::stream_collide`]); the benchmark's
+    /// split-cost probe and the split tests call this.
     pub fn stream_collide_interior(&mut self, rel: Relaxation) -> SweepStats {
         let t0 = std::time::Instant::now();
         let core = self.shape.interior_core(self.shell_reach());
@@ -394,7 +377,7 @@ impl BlockSim {
     /// Stream–collide over the boundary shell (the cells skipped by
     /// [`BlockSim::stream_collide_interior`]). Requires the ghost layer to
     /// be synchronized and the full boundary sweep to have run. Does not
-    /// swap the buffers.
+    /// swap the buffers. Like the core sweep, no driver path calls it.
     pub fn stream_collide_shell(&mut self, rel: Relaxation) -> SweepStats {
         let t0 = std::time::Instant::now();
         let mut stats = SweepStats::default();
@@ -405,8 +388,8 @@ impl BlockSim {
     }
 
     /// One region sweep with the block's backend, scheme, kernel, and
-    /// collision operator (shared by the interior-core and shell halves
-    /// of a split step). Does not swap buffers or flip parity.
+    /// collision operator (the whole interior, or a core or shell part).
+    /// Does not swap buffers or flip parity.
     fn sweep_region(&mut self, rel: Relaxation, region: &trillium_field::Region) -> SweepStats {
         let be = self.be();
         if self.scheme == UpdateScheme::InPlace {
@@ -430,7 +413,8 @@ impl BlockSim {
     /// Completes a split-sweep step: swaps the PDF double buffer (pull) or
     /// flips the storage parity (in-place) — the analogue of what
     /// [`BlockSim::stream_collide`] performs internally. Must be called
-    /// exactly once after the interior and shell region sweeps of a step.
+    /// exactly once after the interior and shell region sweeps of a step;
+    /// no driver path does (only `stream_collide` itself).
     pub fn swap_buffers(&mut self) {
         if self.scheme == UpdateScheme::InPlace {
             let p = self.src.parity();
@@ -448,10 +432,9 @@ impl BlockSim {
     }
 
     /// The `(cells, fluid_cells)` counters one *full* sweep of this block
-    /// reports. The split path's region sweeps count traversed cells but
-    /// cannot attribute fluid-ness per sub-span, so the overlapped driver
-    /// uses these totals to keep its accounting identical to the
-    /// synchronous path.
+    /// reports ([`BlockSim::stream_collide`] stamps them on its stats).
+    /// Region sweeps count traversed cells but cannot attribute
+    /// fluid-ness per sub-span.
     pub fn sweep_counts(&self) -> (u64, u64) {
         match self.kernel {
             BlockKernel::Dense => {
@@ -828,11 +811,10 @@ mod tests {
         assert!(u_low[0] < u[0]);
     }
 
-    /// The split path — interior boundary prep, interior-core sweep,
-    /// ghost boundary prep, shell sweep, explicit swap — must be bitwise
-    /// identical to the monolithic apply_boundaries + stream_collide
-    /// sequence, for both the dense and the row-interval kernel. This is
-    /// the per-block half of the overlapped-driver equivalence.
+    /// The split sweep — full boundary prep, interior-core sweep, shell
+    /// sweep, explicit swap — must be bitwise identical to the monolithic
+    /// apply_boundaries + stream_collide sequence, for both the dense and
+    /// the row-interval kernel.
     #[test]
     fn split_sweep_is_bitwise_identical() {
         let make_flags = |sparse: bool| {
@@ -857,11 +839,8 @@ mod tests {
                 full.apply_boundaries();
                 let s_full = full.stream_collide(rel);
 
-                // Overlapped order: interior prep + core sweep may run
-                // before the ghost layer is touched.
-                split.apply_boundaries_interior();
+                split.apply_boundaries();
                 let s_core = split.stream_collide_interior(rel);
-                split.apply_boundaries_ghost();
                 let s_shell = split.stream_collide_shell(rel);
                 split.swap_buffers();
 
@@ -883,7 +862,7 @@ mod tests {
 
     /// An in-place (AA-pattern) block must evolve bitwise identically to
     /// the pull reference — via the monolithic step and via the split
-    /// (overlapped) step order, across both step parities.
+    /// (core + shell) sweep, across both step parities.
     #[test]
     fn inplace_scheme_is_bitwise_identical_to_pull() {
         let boundary = BoundaryParams { wall_velocity: [0.05, 0.0, 0.0], ..Default::default() };
@@ -912,9 +891,8 @@ mod tests {
             mono.stream_collide(rel);
             assert_eq!(mono.step_parity(), (step + 1) % 2 == 1);
 
-            split.apply_boundaries_interior();
+            split.apply_boundaries();
             split.stream_collide_interior(rel);
-            split.apply_boundaries_ghost();
             split.stream_collide_shell(rel);
             split.swap_buffers();
 

@@ -137,8 +137,9 @@ impl Shape {
 
     /// The interior *core*: interior cells whose pull stencil (reach
     /// `reach` cells per axis) never reads the ghost layer. These cells
-    /// can be swept before ghost synchronization completes — the basis of
-    /// communication/computation overlap. May be empty for tiny blocks.
+    /// could be swept before ghost synchronization completes; no driver
+    /// path splits a sweep this way (the split-cost probe and the
+    /// region-partition tests do). May be empty for tiny blocks.
     pub fn interior_core(&self, reach: usize) -> Region {
         let r = reach as i32;
         let clip = |n: usize| {
@@ -153,8 +154,8 @@ impl Shape {
     /// ghost layer, decomposed into at most six disjoint slabs (low/high
     /// per axis, each inner slab clipped against the outer ones). The
     /// union of the returned regions and the core covers the interior
-    /// exactly once; empty slabs are omitted. Nothing is allocated: the
-    /// overlapped schedule asks for the shell of every block every step.
+    /// exactly once; empty slabs are omitted. Nothing is allocated. Like
+    /// [`Shape::interior_core`], no driver path calls it.
     pub fn shell_regions(&self, reach: usize) -> impl Iterator<Item = Region> {
         let core = self.interior_core(reach);
         let (nx, ny, nz) = (self.nx as i32, self.ny as i32, self.nz as i32);

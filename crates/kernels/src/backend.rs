@@ -448,7 +448,7 @@ mod tests {
     }
 
     /// Backend equality on a sparse (row-interval) block — full sweep,
-    /// the overlapped schedule's 7-region partition, and a region that
+    /// the 7-region core + shell partition, and a region that
     /// cuts inside the spans — and the full-sweep stats convention.
     #[test]
     fn backends_agree_bitwise_on_sparse() {
@@ -565,9 +565,8 @@ mod tests {
 
     /// Sweeping the interior core plus the boundary shells must equal one
     /// full sweep *bitwise* for every tier, backend, scheme and collision
-    /// operator — not just to tolerance. The overlapped driver depends on
-    /// this exactness to keep its schedule bit-identical to the
-    /// synchronous one.
+    /// operator — not just to tolerance. The workgroup tiling depends on
+    /// this exactness to stay bit-identical to the other backends.
     #[test]
     fn region_partition_is_bitwise_identical() {
         // Odd nx so the vector/remainder cut differs between full rows and

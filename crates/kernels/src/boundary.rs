@@ -45,18 +45,17 @@
 //! layer?, wall flag byte, `q`), runs sorted by that key, links inside a
 //! run by the wall cell's linear index. All runs of interior wall cells
 //! (in-block obstacles) precede all runs of ghost-layer wall cells (domain
-//! hull); the two slices are the [`BoundaryLinks::apply_interior`] /
-//! [`BoundaryLinks::apply_ghost`] halves of the overlapped schedule. Every
-//! written slot belongs to exactly one link and every read slot holds a
-//! logical fluid-cell PDF, so the PDF result does not depend on this
-//! order; the force sum of [`BoundaryLinks::force`] does, which makes the
-//! order part of the list's definition.
+//! hull). Every block takes the whole list at once ([`BoundaryLinks::apply`]).
+//! Every written slot belongs to exactly one link and every read slot
+//! holds a logical fluid-cell PDF, so the PDF result does not depend on
+//! this order; the force sum of [`BoundaryLinks::force`] does, which makes
+//! the order part of the list's definition (pinned force series and
+//! fingerprints were recorded with it).
 //!
 //! The flag-scanning [`apply_boundaries`] / [`momentum_exchange_force`]
 //! remain as the implementation for arbitrary lattice models and layouts
 //! and as the oracle the list is tested against bit for bit.
 
-use std::ops::Range;
 use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, Shape, SoaPdfField};
 use trillium_lattice::d3q19::{C, INVERSE, Q};
 use trillium_lattice::equilibrium::equilibrium_even;
@@ -250,9 +249,6 @@ pub struct BoundaryLinks {
     params: BoundaryParams,
     links: Vec<Link>,
     runs: Vec<Run>,
-    /// Runs `..ghost_run` belong to interior wall cells, the rest to
-    /// ghost-layer wall cells.
-    ghost_run: usize,
 }
 
 impl BoundaryLinks {
@@ -340,7 +336,6 @@ impl BoundaryLinks {
             params: *params,
             links: vec![Link { wall: 0, fluid: 0 }; total as usize],
             runs: Vec::new(),
-            ghost_run: 0,
         };
         let mut end = 0;
         for group in &groups {
@@ -349,9 +344,6 @@ impl BoundaryLinks {
                 next[q] = end as usize;
                 end += group.count[q];
                 list.runs.push(Run { flag: CellFlags(group.key.1), q: q as u8, end });
-                if !group.key.0 {
-                    list.ghost_run = list.runs.len();
-                }
             }
             for &(w, dirs) in &group.walls {
                 for q in set_bits(dirs) {
@@ -380,57 +372,14 @@ impl BoundaryLinks {
         self.links.is_empty()
     }
 
-    /// Number of links whose wall cell is an interior cell (obstacles).
-    pub fn interior_len(&self) -> usize {
-        self.ghost_run.checked_sub(1).map_or(0, |last| self.runs[last].end as usize)
-    }
-
-    /// Number of links whose wall cell lies in the ghost layer.
-    pub fn ghost_len(&self) -> usize {
-        self.len() - self.interior_len()
-    }
-
     /// The preparatory sweep over all links. Call after ghost-layer
     /// synchronization and before the stream–collide sweep of every step;
     /// `f` may be any buffer of the block's shape, at either parity.
     pub fn apply(&self, f: &mut SoaPdfField<D3Q19>) {
-        self.apply_runs(f, 0..self.runs.len())
-    }
-
-    /// The sweep restricted to interior wall cells (in-block obstacles).
-    /// These cells are never written by ghost-layer unpacking and every
-    /// value written depends only on interior fluid PDFs, so this half
-    /// can run before ghost synchronization completes — the boundary-prep
-    /// part of the communication-hiding step.
-    pub fn apply_interior(&self, f: &mut SoaPdfField<D3Q19>) {
-        self.apply_runs(f, 0..self.ghost_run)
-    }
-
-    /// The sweep restricted to ghost-layer wall cells (domain hull and
-    /// remote wall slabs). Must run after ghost unpacking: on wall cells
-    /// inside exchanged slabs the boundary value overwrites the
-    /// neighbor's PDFs, exactly as in the synchronous step order. Together
-    /// with [`BoundaryLinks::apply_interior`], in either order, it is
-    /// bitwise [`BoundaryLinks::apply`].
-    pub fn apply_ghost(&self, f: &mut SoaPdfField<D3Q19>) {
-        self.apply_runs(f, self.ghost_run..self.runs.len())
-    }
-
-    /// The runs `range` with their links.
-    fn runs_with_links(&self, range: Range<usize>) -> impl Iterator<Item = (Run, &[Link])> {
-        let mut start = range.start.checked_sub(1).map_or(0, |prev| self.runs[prev].end as usize);
-        self.runs[range].iter().map(move |&run| {
-            let links = &self.links[start..run.end as usize];
-            start = run.end as usize;
-            (run, links)
-        })
-    }
-
-    fn apply_runs(&self, f: &mut SoaPdfField<D3Q19>, range: Range<usize>) {
         assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
         let odd = f.parity();
         let d = f.data_mut();
-        for (run, links) in self.runs_with_links(range) {
+        for (run, links) in self.runs_with_links() {
             let q = run.q as usize;
             if run.flag.intersects(CellFlags::NOSLIP) {
                 // A pure copy: `+ 0.0` would turn −0.0 into +0.0.
@@ -455,6 +404,16 @@ impl BoundaryLinks {
                 }
             }
         }
+    }
+
+    /// Every run with its links, in list order.
+    fn runs_with_links(&self) -> impl Iterator<Item = (Run, &[Link])> {
+        let mut start = 0;
+        self.runs.iter().map(move |&run| {
+            let links = &self.links[start..run.end as usize];
+            start = run.end as usize;
+            (run, links)
+        })
     }
 
     /// The 19 logical PDFs of the interior cell with linear index `cell`,
@@ -484,7 +443,7 @@ impl BoundaryLinks {
         assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
         let d = f.data();
         let mut force = [0.0; 3];
-        for (run, links) in self.runs_with_links(0..self.runs.len()) {
+        for (run, links) in self.runs_with_links() {
             if !run.flag.intersects(mask) {
                 continue;
             }
@@ -616,7 +575,7 @@ mod tests {
 
     /// The five wall configurations of the oracle matrix on one shape: a
     /// box of each boundary kind, and a mixed one with pressure openings,
-    /// a lid and an interior obstacle (so the interior slice is non-empty).
+    /// a lid and an interior obstacle (so interior wall cells have links).
     fn oracle_cases(shape: Shape) -> Vec<(&'static str, FlagField)> {
         let face = |flags: &mut FlagField, x: i32, wall: CellFlags| {
             for y in -1..=(shape.ny as i32) {
@@ -685,8 +644,7 @@ mod tests {
     /// The link list writes bitwise what the flag scan writes — compared
     /// over the whole storage after every boundary sweep of 12 interleaved
     /// steps — for every boundary kind, on a pull field and on an in-place
-    /// field running through both parities; and the interior and ghost
-    /// slices, in either order, equal the full list.
+    /// field running through both parities.
     #[test]
     fn link_list_matches_flag_scan_bitwise() {
         let shape = Shape::new(7, 6, 5, 1);
@@ -695,22 +653,14 @@ mod tests {
         for (name, flags) in oracle_cases(shape) {
             let links = BoundaryLinks::build(&flags, &params).unwrap();
             assert!(!links.is_empty());
-            assert_eq!(links.interior_len() > 0, name == "mixed");
             for inplace in [false, true] {
                 let mut scan = perturbed(shape);
                 let mut list = scan.clone();
                 for step in 0..12 {
                     let what = format!("{name} inplace={inplace} step {step}");
-                    let (mut interior_first, mut ghost_first) = (list.clone(), list.clone());
                     apply_boundaries::<D3Q19, _>(&mut scan, &flags, &params);
                     links.apply(&mut list);
                     assert_same_bits(&scan, &list, &what);
-                    links.apply_interior(&mut interior_first);
-                    links.apply_ghost(&mut interior_first);
-                    assert_same_bits(&scan, &interior_first, &what);
-                    links.apply_ghost(&mut ghost_first);
-                    links.apply_interior(&mut ghost_first);
-                    assert_same_bits(&scan, &ghost_first, &what);
                     advance(&mut scan, inplace, rel);
                     advance(&mut list, inplace, rel);
                     assert_eq!(list.parity(), inplace && step % 2 == 0);
@@ -767,12 +717,17 @@ mod tests {
         let hull = BoundaryLinks::build(&flags, &params).unwrap();
         // Pulls that leave the interior: 6 axis directions × 16 cells and
         // 12 diagonals × 28 cells, all served by ghost-layer wall cells.
-        assert_eq!((hull.len(), hull.interior_len(), hull.ghost_len()), (432, 0, 432));
+        assert_eq!(hull.len(), 432);
         // An obstacle at a border cell: 5 of its 18 neighbors are ghosts,
-        // and it is no longer the target of those 5 hull links.
+        // and it is no longer the target of those 5 hull links. Its 13
+        // links come first.
         flags.set_flags(0, 1, 1, CellFlags::NOSLIP);
         let carved = BoundaryLinks::build(&flags, &params).unwrap();
-        assert_eq!((carved.interior_len(), carved.ghost_len()), (18 - 5, 432 - 5));
+        assert_eq!(carved.len(), 18 - 5 + 432 - 5);
+        let (n, obstacle) = (shape.alloc_cells(), shape.idx(0, 1, 1));
+        let walls = |links: &[Link]| links.iter().map(|l| l.wall as usize % n).collect::<Vec<_>>();
+        assert_eq!(walls(&carved.links[..13]), [obstacle; 13]);
+        assert!(walls(&carved.links[13..]).iter().all(|&w| w != obstacle));
         let open = BoundaryLinks::build(&FlagField::filled(shape, CellFlags::FLUID.0), &params);
         let open = open.unwrap();
         assert!(open.is_empty());

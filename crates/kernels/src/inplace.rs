@@ -27,7 +27,7 @@
 //! Storage slot `(w, p)` is read by exactly one cell (`w + c_p`) and
 //! written by exactly that same cell in either sweep, so any cell order
 //! and any partition of the interior into regions produces bitwise
-//! identical results — the same property the overlapped driver relies on
+//! identical results — the same property the workgroup tiling relies on
 //! for the pull tiers.
 //!
 //! # Bitwise equivalence with the pull reference
@@ -296,9 +296,8 @@ mod tests {
         multi_step_matches_pull(Collision::Srt);
     }
 
-    /// Region-partitioned sweeps (interior core + shell slabs, the overlap
-    /// schedule's split) are bitwise identical to one full sweep — at both
-    /// parities.
+    /// Region-partitioned sweeps (interior core + shell slabs) are bitwise
+    /// identical to one full sweep — at both parities.
     #[test]
     fn region_partition_is_bitwise_identical() {
         let shape = Shape::new(11, 6, 5, 1);

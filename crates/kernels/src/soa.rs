@@ -63,7 +63,8 @@ pub(crate) struct RowScratch {
 
 thread_local! {
     /// One scratch per thread, kept across sweeps so the hot path does not
-    /// allocate (seven region sweeps per block and step when overlapped).
+    /// allocate (one region sweep per block and step, one per tile under
+    /// the workgroup backend).
     static SCRATCH: RefCell<RowScratch> = RefCell::default();
 }
 
@@ -525,7 +526,7 @@ pub fn stream_collide_trt(
 /// [`stream_collide_trt`] restricted to `region` (a subset of the
 /// interior). All passes are element-wise per cell, so sweeping a
 /// partition of the interior region by region produces bitwise the same
-/// PDFs as one full sweep — the property the overlapped driver relies on.
+/// PDFs as one full sweep — the property the workgroup tiling relies on.
 pub fn stream_collide_trt_region(
     src: &SoaPdfField<D3Q19>,
     dst: &mut SoaPdfField<D3Q19>,

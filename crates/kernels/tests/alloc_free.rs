@@ -1,7 +1,8 @@
-//! The region sweeps are on the hot path of every step (seven per block
-//! and step under the overlapped schedule), so after a warm-up call they
-//! must not touch the heap: line tables are fixed-size arrays, the row
-//! scratch is kept per thread, the shell regions come from an iterator.
+//! The region sweeps are on the hot path of every step (one per block and
+//! step, one per tile under the workgroup backend), so after a warm-up
+//! call they must not touch the heap: line tables are fixed-size arrays,
+//! the row scratch is kept per thread, the shell regions come from an
+//! iterator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

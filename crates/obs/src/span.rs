@@ -12,22 +12,19 @@ pub enum SpanKind {
     /// One whole time step (any schedule). Encloses the kinds below.
     Step,
     /// The stream–collide fan-out of a step's window, under either
-    /// schedule: whole-block sweeps, and the interior cores of blocks
-    /// still waiting for ghost messages.
+    /// schedule: every block the window sweeps, each whole. One per
+    /// window that has a block to sweep.
     Kernel,
-    /// Ghost-shell sweep of one block whose last message landed
-    /// (overlapped schedule).
-    KernelShell,
     /// Boundary-condition sweeps.
     Boundary,
     /// Ghost-exchange *work*: packing, sending, local unpacking.
     GhostPack,
     /// Ghost-message drain: the receive and unpack of one remote slab,
-    /// under either schedule. After the window (overlapped) it also
-    /// covers the wait for the message.
+    /// under either schedule. Overlapped, it also covers the wait for
+    /// the message.
     GhostDrain,
-    /// A blocked wait of the drain before the window (synchronous), while
-    /// the whole sweep is still pending: a span of its own, never inside
+    /// A blocked wait of the synchronous drain, while the whole sweep is
+    /// still pending: a span of its own, never inside
     /// a [`SpanKind::GhostDrain`]. Zero by construction for the
     /// overlapped schedule.
     Stall,
@@ -50,10 +47,9 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in declaration order (== accumulator order).
-    pub const ALL: [SpanKind; 13] = [
+    pub const ALL: [SpanKind; 12] = [
         SpanKind::Step,
         SpanKind::Kernel,
-        SpanKind::KernelShell,
         SpanKind::Boundary,
         SpanKind::GhostPack,
         SpanKind::GhostDrain,
@@ -74,7 +70,6 @@ impl SpanKind {
         match self {
             SpanKind::Step => "step",
             SpanKind::Kernel => "kernel",
-            SpanKind::KernelShell => "kernel_shell",
             SpanKind::Boundary => "boundary",
             SpanKind::GhostPack => "ghost_pack",
             SpanKind::GhostDrain => "ghost_drain",
@@ -410,18 +405,15 @@ mod tests {
         let rec = Recorder::new(3, ObsConfig::trace());
         rec.set_step(7);
         for _ in 0..4 {
-            let g = rec.span(SpanKind::KernelShell);
+            let g = rec.span(SpanKind::Kernel);
             spin(5e-5);
             drop(g);
         }
         let obs = rec.finish();
         assert_eq!(obs.events.len(), 4);
-        assert!(obs.events.iter().all(|e| e.step == 7 && e.name == "kernel_shell"));
+        assert!(obs.events.iter().all(|e| e.step == 7 && e.name == "kernel"));
         let tol = 1e-9 * obs.events.len() as f64;
-        assert!(
-            (obs.trace_total(SpanKind::KernelShell) - obs.total(SpanKind::KernelShell)).abs()
-                <= tol
-        );
+        assert!((obs.trace_total(SpanKind::Kernel) - obs.total(SpanKind::Kernel)).abs() <= tol);
     }
 
     #[test]

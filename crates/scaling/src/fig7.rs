@@ -144,7 +144,7 @@ pub fn fig7_point(
     msgs.extend(vec![edge_b; 12]);
     let t_comm = machine.network.exchange_time(&msgs, cores) * blocks_per_proc / cfg.threads as f64;
 
-    // The overlapped schedule hides comm behind the interior-core sweep.
+    // Modeled: comm hides behind an interior-core sweep (`overlap`).
     let t = t_kernel + crate::overlap::unhidden_comm_time(t_kernel, t_comm, e);
     Fig7Row {
         cores,

@@ -90,8 +90,9 @@ fn candidate(
     // Framework overhead per block.
     let t_ovh = blocks_per_proc * block_overhead(machine);
 
-    // Comm hides behind the interior-core sweep; the small blocks of deep
-    // strong scaling have almost no interior, so little hides there.
+    // Modeled: comm hides behind an interior-core sweep (`overlap`); the
+    // small blocks of deep strong scaling have almost no interior, so
+    // little hides there.
     let t = t_kernel + crate::overlap::unhidden_comm_time(t_kernel, t_comm, edge) + t_ovh;
     let steps_per_s = 1.0 / t;
     let mflups_per_core = fluid_total / cores as f64 / t / 1e6;

@@ -21,8 +21,8 @@
 //!   time steps per second, maximized over block sizes),
 //! * [`headline`] — the in-text headline numbers (§4.2/§4.3 and the
 //!   §2.2 file-size claims),
-//! * [`overlap`] — the communication-hiding term the overlapped driver
-//!   schedule adds to the step-time model (fig 7/8 use it),
+//! * [`overlap`] — the communication-hiding term an interior/shell
+//!   split would add to the step-time model (an assumption fig 7/8 use),
 //! * [`resilience`] — Young/Daly optimal checkpoint interval and waste
 //!   fraction versus machine size for the resilient driver.
 

@@ -1,11 +1,14 @@
 //! Communication-hiding term of the step-time model.
 //!
-//! The overlapped driver schedule (see `trillium-core::driver`) posts all
-//! ghost sends, sweeps each block's *interior core* — the cells whose
-//! pull stencil never reads the ghost layer — while the messages are in
-//! flight, and only then drains the network to finish the boundary
-//! shells. On a real machine with asynchronous progression this hides
-//! communication behind the interior sweep, so the modeled step time is
+//! An assumption of the figure model, not a description of the driver:
+//! the hiding an interior/shell split could buy on a machine with
+//! asynchronous progress. Such a schedule posts all ghost sends, sweeps
+//! each block's *interior core* — the cells whose pull stencil never
+//! reads the ghost layer — while the messages are in flight, and only
+//! then drains the network to finish the boundary shells. The driver of
+//! this repository does not split a block (`trillium-core::driver`
+//! sweeps whole blocks only, before the drain those that wait on no
+//! message); with the split, the modeled step time is
 //!
 //! ```text
 //! t = t_kernel + max(t_comm − t_interior, 0)      (+ overheads)
