@@ -111,10 +111,9 @@ fn bench_sparse(c: &mut Criterion) {
     g.bench_function("cell_list", |b| {
         b.iter(|| kernels::sparse::stream_collide_trt_cell_list(&ssrc, &mut sdst, &list, rel))
     });
+    let portable = kernels::BackendKind::Portable.dispatch();
     g.bench_function("row_intervals", |b| {
-        b.iter(|| {
-            kernels::sparse::stream_collide_trt_row_intervals(&ssrc, &mut sdst, &intervals, rel)
-        })
+        b.iter(|| portable.sweep_sparse(kernels::Collision::Trt, &ssrc, &mut sdst, &intervals, rel))
     });
     g.finish();
 }

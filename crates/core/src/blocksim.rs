@@ -88,10 +88,10 @@ pub struct BlockSim {
     /// checkpoint wire format, and re-stamped by whoever rebuilds a block
     /// (migration, recovery).
     pub backend: BackendKind,
-    /// Collision operator for this block. `Srt`/`Trt` run the tuned
-    /// TRT-form kernels (SRT via equal rates, exactly as before);
-    /// `Mrt`/`MrtLes` run the moment-space sweeps of
-    /// `trillium_kernels::mrt`. Scenario-global — like
+    /// Collision operator for this block. `Srt`/`Trt` run the TRT pair
+    /// form (SRT via equal rates, exactly as before); `Mrt`/`MrtLes` run
+    /// the per-cell moment-space operator of `trillium_kernels::mrt`, both
+    /// through the same row drivers. Scenario-global — like
     /// [`BoundaryParams`], it is *not* part of the checkpoint wire format
     /// and is re-stamped by whoever rebuilds a block.
     pub collision: Collision,

@@ -5,8 +5,8 @@
 //! for arbitrary lattice models couldn't be done automatically by any of
 //! the compilers" (§4.1). Here the transformation is the §4.1 loop
 //! splitting itself ([`crate::soa`]); the instruction selection is the
-//! compiler's. The sweeps of this module run the *same* row body as
-//! [`crate::soa`], compiled inside a
+//! compiler's. The sweeps of this module run the *same* row driver and
+//! operators as [`crate::soa`], compiled inside a
 //! `#[target_feature(enable = "avx2", enable = "fma")]` function — 256-bit
 //! lanes, four cells per instruction, `mul_add` lowered to `vfmadd` instead
 //! of a libm call — selected at run time by [`available`]. No vector code
@@ -14,9 +14,9 @@
 //! sweep, which this instance matched or beat on every block size measured
 //! (CHANGES.md, PR 21) and which was therefore deleted.
 
-use crate::soa::{pull_srt, pull_trt, Isa};
+use crate::soa::{sweep_pull, Isa, Srt, Trt};
 use crate::stats::SweepStats;
-use trillium_field::{PdfField, Region, SoaPdfField};
+use trillium_field::{PdfField, SoaPdfField};
 use trillium_lattice::{Relaxation, D3Q19};
 
 /// True if the running CPU supports the AVX2+FMA instance.
@@ -41,21 +41,7 @@ pub fn stream_collide_trt(
     dst: &mut SoaPdfField<D3Q19>,
     rel: Relaxation,
 ) -> SweepStats {
-    stream_collide_trt_region(src, dst, rel, &src.shape().interior())
-}
-
-/// [`stream_collide_trt`] restricted to `region` (a subset of the
-/// interior). Every cell sees the same fused operation sequence whether it
-/// lands in a vector lane or in the loop remainder, so results do not
-/// depend on where a row is cut: sweeping a partition of the interior
-/// region by region is bitwise identical to one full sweep.
-pub fn stream_collide_trt_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    pull_trt(Isa::Avx2Fma, src, dst, rel, None, region)
+    sweep_pull(Isa::Avx2Fma, Trt::new(rel), src, dst, None, &src.shape().interior())
 }
 
 /// One fused stream–collide SRT sweep, AVX2+FMA instance (same fallback
@@ -65,18 +51,7 @@ pub fn stream_collide_srt(
     dst: &mut SoaPdfField<D3Q19>,
     rel: Relaxation,
 ) -> SweepStats {
-    stream_collide_srt_region(src, dst, rel, &src.shape().interior())
-}
-
-/// [`stream_collide_srt`] restricted to `region`; see
-/// [`stream_collide_trt_region`] for the partition guarantee.
-pub fn stream_collide_srt_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    pull_srt(Isa::Avx2Fma, src, dst, rel, region)
+    sweep_pull(Isa::Avx2Fma, Srt::new(rel), src, dst, None, &src.shape().interior())
 }
 
 #[cfg(test)]

@@ -10,12 +10,14 @@
 //! implementation:
 //!
 //! * [`BackendKind::Portable`] — [`CpuBackend`] on the portable instance
-//!   of the split-loop row bodies ([`crate::soa`], [`crate::inplace`]);
-//!   runs on any host.
-//! * [`BackendKind::Avx2`] — [`CpuBackend`] on the same row bodies
-//!   compiled for AVX2+FMA ([`crate::avx`]), for dense rows, sparse spans
-//!   and the in-place sweeps alike; runs the portable instance when the
-//!   CPU lacks AVX2+FMA ([`BackendKind::resolve`] says which one ran).
+//!   of the two SoA row drivers (pull over rows or spans in
+//!   [`crate::soa`], in place in [`crate::inplace`]), for every collision
+//!   operator; runs on any host.
+//! * [`BackendKind::Avx2`] — [`CpuBackend`] on the same drivers and
+//!   operators compiled for AVX2+FMA ([`crate::avx`]), for dense rows,
+//!   sparse spans and the in-place sweeps alike; runs the portable
+//!   instance when the CPU lacks AVX2+FMA ([`BackendKind::resolve`] says
+//!   which one ran).
 //! * [`WorkgroupBackend`] — a GPU-*style* execution shape run on the CPU
 //!   for correctness: the sweep region is tiled into fixed-size
 //!   work-groups (the CTA/thread-block analogue), iterated in grid
@@ -29,9 +31,10 @@
 //! All three backends produce **bitwise identical** PDFs. Two properties
 //! make this hold:
 //!
-//! 1. the two CPU backends run *one* row body, whose `f64::mul_add` is the
-//!    IEEE correctly-rounded fused operation whether it compiles to a
-//!    `vfmadd` lane or to a libm call, and vectorization keeps each cell's
+//! 1. the two CPU backends run *one* driver per sweep shape and one body
+//!    per collision operator, whose `f64::mul_add` is the IEEE
+//!    correctly-rounded fused operation whether it compiles to a `vfmadd`
+//!    lane or to a libm call, and vectorization keeps each cell's
 //!    operation sequence;
 //! 2. sweeping any partition of the interior region by region is bitwise
 //!    identical to one full sweep (the slot-ownership/element-wise
@@ -45,7 +48,9 @@
 //! recovery guarantees. The `backend_equivalence` gate in CI pins the
 //! equivalence across all four driver schedules.
 
-use crate::soa::Isa;
+use crate::inplace::sweep_inplace;
+use crate::mrt::Mrt;
+use crate::soa::{sweep_pull, Isa, Trt};
 use crate::stats::SweepStats;
 use crate::Collision;
 use trillium_field::{PdfField, Region, RowIntervals, SoaPdfField};
@@ -117,9 +122,10 @@ impl BackendKind {
 ///
 /// Owns every sweep shape a block needs: dense two-field pull, sparse
 /// row-interval pull, and single-buffer in-place — full-interior and
-/// region-restricted — for all collision operators. `Srt`/`Trt` run the
-/// TRT-form kernels (SRT via equal rates, exactly as the block layer
-/// always has); the MRT family runs the shared moment-space sweeps.
+/// region-restricted — for all collision operators, each through the one
+/// row driver of its shape. `Srt`/`Trt` run the TRT pair form (SRT via
+/// equal rates, exactly as the block layer always has); the MRT family
+/// runs the shared per-cell moment-space routine on the same runs.
 pub trait Backend: Sync {
     /// The identity this dispatch object implements.
     fn kind(&self) -> BackendKind;
@@ -200,13 +206,38 @@ pub trait Backend: Sync {
     }
 }
 
-/// A CPU backend: the split-loop row kernels compiled for one instruction
+/// A CPU backend: the two SoA row drivers compiled for one instruction
 /// set. [`BackendKind::Portable`] and [`BackendKind::Avx2`] dispatch to
 /// its two values, which differ in nothing else — dense rows, sparse
-/// spans and the in-place sweeps all run the same row bodies, bit for bit
-/// (the portable value is the reference the others must match), and the
-/// MRT family its one shared per-cell routine.
+/// spans and the in-place sweeps all run the same drivers and operators,
+/// bit for bit (the portable value is the reference the others must
+/// match).
 pub struct CpuBackend(Isa);
+
+impl CpuBackend {
+    /// The pull driver with the row operator of `collision`: SRT and TRT
+    /// run the pair form (SRT as equal rates), the MRT family the per-cell
+    /// moment-space routine.
+    fn pull(
+        &self,
+        collision: Collision,
+        rel: Relaxation,
+        src: &SoaPdfField<D3Q19>,
+        dst: &mut SoaPdfField<D3Q19>,
+        intervals: Option<&RowIntervals>,
+        region: &Region,
+    ) -> SweepStats {
+        match collision {
+            Collision::Srt | Collision::Trt => {
+                sweep_pull(self.0, Trt::new(rel), src, dst, intervals, region)
+            }
+            Collision::Mrt | Collision::MrtLes => {
+                let op = Mrt::new(rel, collision.smagorinsky());
+                sweep_pull(self.0, op, src, dst, intervals, region)
+            }
+        }
+    }
+}
 
 impl Backend for CpuBackend {
     fn kind(&self) -> BackendKind {
@@ -224,11 +255,7 @@ impl Backend for CpuBackend {
         rel: Relaxation,
         region: &Region,
     ) -> SweepStats {
-        if collision.is_mrt() {
-            crate::mrt::stream_collide_mrt_region(src, dst, rel, collision.smagorinsky(), region)
-        } else {
-            crate::soa::pull_trt(self.0, src, dst, rel, None, region)
-        }
+        self.pull(collision, rel, src, dst, None, region)
     }
 
     fn sweep_inplace_region(
@@ -238,10 +265,11 @@ impl Backend for CpuBackend {
         rel: Relaxation,
         region: &Region,
     ) -> SweepStats {
-        if collision.is_mrt() {
-            crate::mrt::stream_collide_mrt_inplace_region(f, rel, collision.smagorinsky(), region)
-        } else {
-            crate::inplace::trt(self.0, f, rel, region)
+        match collision {
+            Collision::Srt | Collision::Trt => sweep_inplace(self.0, Trt::new(rel), f, region),
+            Collision::Mrt | Collision::MrtLes => {
+                sweep_inplace(self.0, Mrt::new(rel, collision.smagorinsky()), f, region)
+            }
         }
     }
 
@@ -254,18 +282,7 @@ impl Backend for CpuBackend {
         rel: Relaxation,
         region: &Region,
     ) -> SweepStats {
-        if collision.is_mrt() {
-            crate::mrt::stream_collide_mrt_row_intervals_region(
-                src,
-                dst,
-                intervals,
-                rel,
-                collision.smagorinsky(),
-                region,
-            )
-        } else {
-            crate::soa::pull_trt(self.0, src, dst, rel, Some(intervals), region)
-        }
+        self.pull(collision, rel, src, dst, Some(intervals), region)
     }
 }
 
@@ -506,23 +523,23 @@ mod tests {
             .collect()
     }
 
-    /// One sweep of an AoS tier (`specialized`: the D3Q19 kernel, else the
-    /// generic one; the MRT family has one layout-generic routine).
+    /// One full sweep of an AoS tier (`specialized`: the D3Q19 kernel, else
+    /// the generic one; the MRT family has its per-cell oracle).
     fn sweep_aos(
         specialized: bool,
         collision: Collision,
         src: &AosPdfField<D3Q19>,
         dst: &mut AosPdfField<D3Q19>,
         rel: Relaxation,
-        region: &Region,
-    ) -> SweepStats {
+    ) {
         use crate::{d3q19, generic, mrt};
+        let interior = src.shape().interior();
         match (collision, specialized) {
-            (Collision::Srt, false) => generic::stream_collide_srt_region(src, dst, rel, region),
-            (Collision::Trt, false) => generic::stream_collide_trt_region(src, dst, rel, region),
-            (Collision::Srt, true) => d3q19::stream_collide_srt_region(src, dst, rel, region),
-            (Collision::Trt, true) => d3q19::stream_collide_trt_region(src, dst, rel, region),
-            (c, _) => mrt::stream_collide_mrt_region(src, dst, rel, c.smagorinsky(), region),
+            (Collision::Srt, false) => _ = generic::stream_collide_srt(src, dst, rel),
+            (Collision::Trt, false) => _ = generic::stream_collide_trt(src, dst, rel),
+            (Collision::Srt, true) => _ = d3q19::stream_collide_srt(src, dst, rel),
+            (Collision::Trt, true) => _ = d3q19::stream_collide_trt(src, dst, rel),
+            (c, _) => mrt::tests::oracle(src, dst, interior.iter(), rel, c.smagorinsky()),
         }
     }
 
@@ -540,7 +557,7 @@ mod tests {
             let mut results = Vec::new();
             for specialized in [false, true] {
                 let mut dst = AosPdfField::<D3Q19>::new(shape);
-                sweep_aos(specialized, collision, &aos, &mut dst, rel, &shape.interior());
+                sweep_aos(specialized, collision, &aos, &mut dst, rel);
                 results.push((format!("aos specialized={specialized}"), interior_values(&dst)));
             }
             for kind in BackendKind::ALL {
@@ -564,7 +581,7 @@ mod tests {
     }
 
     /// Sweeping the interior core plus the boundary shells must equal one
-    /// full sweep *bitwise* for every tier, backend, scheme and collision
+    /// full sweep *bitwise* for every backend, scheme and collision
     /// operator — not just to tolerance. The workgroup tiling depends on
     /// this exactness to stay bit-identical to the other backends.
     #[test]
@@ -573,25 +590,12 @@ mod tests {
         // shell sub-rows.
         let shape = Shape::new(11, 6, 5, 1);
         let soa = perturbed(shape);
-        let mut aos = AosPdfField::<D3Q19>::new(shape);
-        trillium_field::pdf::copy_pdf_field(&soa, &mut aos);
         let parts: Vec<Region> =
             std::iter::once(shape.interior_core(1)).chain(shape.shell_regions(1)).collect();
         assert_eq!(parts.len(), 7);
         let interior_cells = shape.interior_cells() as u64;
         for collision in Collision::ALL {
             let rel = rel_for(collision);
-            for specialized in [false, true] {
-                let mut full = AosPdfField::<D3Q19>::new(shape);
-                let mut split = AosPdfField::<D3Q19>::new(shape);
-                sweep_aos(specialized, collision, &aos, &mut full, rel, &shape.interior());
-                let cells: u64 = parts
-                    .iter()
-                    .map(|r| sweep_aos(specialized, collision, &aos, &mut split, rel, r).cells)
-                    .sum();
-                assert_eq!(cells, interior_cells, "aos/{collision:?} cell count");
-                assert_eq!(full.data(), split.data(), "aos {specialized}/{collision:?} differs");
-            }
             for kind in BackendKind::ALL {
                 let be = kind.dispatch();
                 let mut full = SoaPdfField::<D3Q19>::new(shape);

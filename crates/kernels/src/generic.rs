@@ -9,7 +9,7 @@
 //! assumptions are made; this is the baseline of Fig. 3.
 
 use crate::stats::SweepStats;
-use trillium_field::{PdfField, Region};
+use trillium_field::PdfField;
 use trillium_lattice::equilibrium::{equilibrium_even, equilibrium_odd};
 use trillium_lattice::{equilibrium, LatticeModel, Relaxation};
 
@@ -20,22 +20,10 @@ pub fn stream_collide_srt<M: LatticeModel, F: PdfField<M>>(
     dst: &mut F,
     rel: Relaxation,
 ) -> SweepStats {
-    stream_collide_srt_region(src, dst, rel, &src.shape().interior())
-}
-
-/// [`stream_collide_srt`] restricted to `region` (a subset of the
-/// interior). The per-cell arithmetic is identical to the full sweep, so
-/// sweeping a partition of the interior region by region produces bitwise
-/// the same PDFs as one full sweep.
-pub fn stream_collide_srt_region<M: LatticeModel, F: PdfField<M>>(
-    src: &F,
-    dst: &mut F,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
     assert!(rel.is_srt(), "SRT kernel requires equal relaxation rates");
     let omega = -rel.lambda_e;
     let mut f = vec![0.0; M::Q];
+    let region = src.shape().interior();
     for (x, y, z) in region.iter() {
         // Streaming: pull each PDF from the upwind neighbor.
         for q in 0..M::Q {
@@ -65,20 +53,9 @@ pub fn stream_collide_trt<M: LatticeModel, F: PdfField<M>>(
     dst: &mut F,
     rel: Relaxation,
 ) -> SweepStats {
-    stream_collide_trt_region(src, dst, rel, &src.shape().interior())
-}
-
-/// [`stream_collide_trt`] restricted to `region` (a subset of the
-/// interior); see [`stream_collide_srt_region`] for the partition
-/// guarantee.
-pub fn stream_collide_trt_region<M: LatticeModel, F: PdfField<M>>(
-    src: &F,
-    dst: &mut F,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
     let (le, lo) = (rel.lambda_e, rel.lambda_o);
     let mut f = vec![0.0; M::Q];
+    let region = src.shape().interior();
     for (x, y, z) in region.iter() {
         for q in 0..M::Q {
             let c = M::velocities()[q];

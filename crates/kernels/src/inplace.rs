@@ -32,27 +32,25 @@
 //!
 //! # Bitwise equivalence with the pull reference
 //!
-//! The row body here performs, per lattice cell, the *identical* sequence
-//! of floating-point operations as the pull row body of [`crate::soa`]: it
-//! shares that module's moment passes and per-pair collision
-//! ([`crate::soa`]'s `Collide`) and, like it, is written once and
-//! instantiated per instruction set. Only load/store *addresses* differ, so
-//! an in-place run is bitwise identical to a pull run step for step — the
-//! equivalence the backend and driver tests assert.
+//! The row driver here hands each collision operator ([`crate::soa`]'s
+//! `Collide`: the TRT/SRT pair passes, or the per-cell MRT routine) the
+//! same streamed-in values per cell as the pull driver of [`crate::soa`],
+//! and the operator performs the *identical* sequence of floating-point
+//! operations on them in either form; like the pull driver, it is written
+//! once and instantiated per instruction set. Only load/store *addresses*
+//! differ, so an in-place run is bitwise identical to a pull run step for
+//! step — the equivalence the backend and driver tests assert.
 //!
-//! Every address is a checked slice index: the pair pass borrows the two
-//! lines of an antiparallel pair as disjoint `&mut [f64]` runs, reads both
-//! populations of a cell and then overwrites both slots.
+//! Every address is a checked slice index: `InplaceRun` hands an operator
+//! the runs of a row as disjoint `&mut [f64]` slices, and the operator
+//! reads all populations of a cell before it overwrites their slots.
 //!
-//! The kernels never flip [`SoaPdfField::parity`] themselves: a full
-//! interior update may be split across region calls (interior core +
-//! shell), so the owner of the step (e.g. `trillium-core`'s `BlockSim`)
-//! flips the flag exactly once after the last region of a sweep.
+//! The kernels never flip [`SoaPdfField::parity`] themselves: the owner of
+//! the step (e.g. `trillium-core`'s `BlockSim`) flips the flag exactly once
+//! after the sweep, which the benchmark's split-cost probe and the
+//! partition tests may still cut into regions.
 
-use crate::soa::{
-    moment_passes, pair_pass_inplace, per_isa, pull_offsets, rest_pass_inplace, velocity_weight,
-    Collide, Isa, RowScratch, Srt, Trt,
-};
+use crate::soa::{per_isa, pull_offsets, Collide, Isa, RowScratch, Srt, Trt};
 use crate::stats::SweepStats;
 use trillium_field::{PdfField, Region, SoaPdfField};
 use trillium_lattice::d3q19::{INVERSE, PAIRS, Q};
@@ -64,119 +62,121 @@ use trillium_lattice::{Relaxation, D3Q19};
 /// where the CPU has it.
 pub fn stream_collide_trt(f: &mut SoaPdfField<D3Q19>, rel: Relaxation) -> SweepStats {
     let region = f.shape().interior();
-    stream_collide_trt_region(f, rel, &region)
-}
-
-/// [`stream_collide_trt`] restricted to `region` (a subset of the
-/// interior). Sweeping a partition of the interior region by region is
-/// bitwise identical to one full sweep (slot-ownership argument in the
-/// module docs).
-pub fn stream_collide_trt_region(
-    f: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    trt(Isa::Avx2Fma, f, rel, region)
+    sweep_inplace(Isa::Avx2Fma, Trt::new(rel), f, &region)
 }
 
 /// One full in-place SRT sweep over the interior (same parity contract as
 /// [`stream_collide_trt`]).
 pub fn stream_collide_srt(f: &mut SoaPdfField<D3Q19>, rel: Relaxation) -> SweepStats {
     let region = f.shape().interior();
-    stream_collide_srt_region(f, rel, &region)
+    sweep_inplace(Isa::Avx2Fma, Srt::new(rel), f, &region)
 }
 
-/// [`stream_collide_srt`] restricted to `region`; see
-/// [`stream_collide_trt_region`] for the partition guarantee.
-pub fn stream_collide_srt_region(
-    f: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    srt(Isa::Avx2Fma, f, rel, region)
-}
-
-/// The in-place row body: stream–collide of the `n` cells starting at
-/// linear index `base` inside the single buffer `lines`.
+/// One x-run of an in-place sweep: the `n` cells from linear index `base`
+/// inside the single buffer `lines`, at the field's storage parity.
 ///
-/// Parity 0 (transport): loads are pull-identical; `f̃_a(x)` goes to
-/// `(x + c_a, ā)` — the slot `f_ā` was just loaded from — and vice versa.
-/// Parity 1 (local): loads are the unshifted inverse lines and stores
-/// restore the canonical slots. At either parity the two populations of a
-/// pair swap slots, so one loop serves both; only the runs differ.
-#[inline(always)]
-fn inplace_row<P: Collide>(
-    op: P,
-    lines: &mut [&mut [f64]; Q],
+/// Parity 0 (transport): `f_q` is read pull-identically from `(x − c_q, q)`.
+/// Parity 1 (local): `f_q` is read in place from `(x, q̄)`. At either parity
+/// an operator stores `f̃_q̄` over the slot `f_q` came from — the two
+/// populations of a pair swap slots, so `f̃_a(x)` lands on `(x + c_a, ā)` at
+/// parity 0 and on the canonical `(x, a)` at parity 1. Operators see runs,
+/// never the parity.
+pub(crate) struct InplaceRun<'r, 'f> {
+    lines: &'r mut [&'f mut [f64]; Q],
     parity: bool,
-    off: &[isize; Q],
+    off: &'r [isize; Q],
     base: usize,
     n: usize,
-    scr: &mut RowScratch,
-) {
-    let m = {
-        let mut s: [&[f64]; Q] = [&[]; Q];
-        for q in 0..Q {
-            let (line, start) =
-                if parity { (INVERSE[q], base) } else { (q, (base as isize - off[q]) as usize) };
-            s[q] = &lines[line][start..start + n];
-        }
-        moment_passes(&s, n, scr)
-    };
+}
 
-    // Rest direction: the canonical slot at either parity.
-    rest_pass_inplace(op, &mut lines[0][base..base + n], m);
-    for &(a, b) in PAIRS.iter() {
-        debug_assert!(a < b);
-        let (lo_half, hi_half) = lines.split_at_mut(b);
+impl InplaceRun<'_, '_> {
+    /// Cells in the run.
+    #[inline(always)]
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// The run holding the streamed-in `f_q`.
+    #[inline(always)]
+    pub(crate) fn run(&self, q: usize) -> &[f64] {
+        let (line, start) = if self.parity {
+            (INVERSE[q], self.base)
+        } else {
+            (q, (self.base as isize - self.off[q]) as usize)
+        };
+        &self.lines[line][start..start + self.n]
+    }
+
+    /// The run of the rest direction, its own slot at either parity.
+    #[inline(always)]
+    pub(crate) fn rest(&mut self) -> &mut [f64] {
+        &mut self.lines[0][self.base..self.base + self.n]
+    }
+
+    /// The runs holding `f_a` and `f_ā` of the antiparallel pair `(a, ā)`,
+    /// `a < ā`.
+    #[inline(always)]
+    pub(crate) fn pair(&mut self, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
+        let (base, n) = (self.base, self.n);
+        let (lo_half, hi_half) = self.lines.split_at_mut(b);
         let (line_a, line_b) = (&mut *lo_half[a], &mut *hi_half[0]);
-        // `pa` holds f_a and receives f̃_ā; `pb` holds f_ā and receives f̃_a.
-        let (pa, pb) = if parity {
+        if self.parity {
             (&mut line_b[base..base + n], &mut line_a[base..base + n])
         } else {
-            let (ia, ib) = ((base as isize - off[a]) as usize, (base as isize + off[a]) as usize);
+            let (ia, ib) =
+                ((base as isize - self.off[a]) as usize, (base as isize + self.off[a]) as usize);
             (&mut line_a[ia..ia + n], &mut line_b[ib..ib + n])
-        };
-        pair_pass_inplace(op, velocity_weight(a), pa, pb, m);
-    }
-}
-
-/// The in-place sweep over the rows of `region` (a subset of the
-/// interior), at the field's current parity.
-#[inline(always)]
-fn sweep_inplace<P: Collide>(op: P, f: &mut SoaPdfField<D3Q19>, region: &Region) -> SweepStats {
-    let (shape, parity) = (f.shape(), f.parity());
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let n = region.x.len();
-    if n == 0 {
-        return SweepStats::dense(0);
-    }
-    let off = pull_offsets(&shape);
-    let mut lines: [&mut [f64]; Q] = f.dirs_mut();
-    let mut scr = RowScratch::take(n);
-    for z in region.z.clone() {
-        for y in region.y.clone() {
-            let base = shape.idx(region.x.start, y, z);
-            inplace_row(op, &mut lines, parity, &off, base, n, &mut scr);
         }
     }
-    scr.put_back();
-    SweepStats::dense(region.num_cells() as u64)
-}
 
-per_isa! {
-    /// In-place TRT sweep over the rows of `region`, compiled for `isa`.
-    pub(crate) fn trt(f: &mut SoaPdfField<D3Q19>, rel: Relaxation, region: &Region) -> SweepStats {
-        sweep_inplace(Trt::new(rel), f, region)
+    /// All runs at once: `r[q]` holds `f_q`.
+    #[inline(always)]
+    pub(crate) fn runs(&mut self) -> [&mut [f64]; Q] {
+        let mut r: [&mut [f64]; Q] = Default::default();
+        for (q, (run, line)) in r.iter_mut().zip(self.lines.iter_mut()).enumerate() {
+            let start =
+                if self.parity { self.base } else { (self.base as isize - self.off[q]) as usize };
+            *run = &mut line[start..start + self.n];
+        }
+        if self.parity {
+            // `f_q` sits in line q̄: swap the runs of every antiparallel pair.
+            for &(a, b) in PAIRS.iter() {
+                r.swap(a, b);
+            }
+        }
+        r
     }
 }
 
 per_isa! {
-    /// In-place SRT (by-direction form) sweep over the rows of `region`,
-    /// compiled for `isa`.
-    pub(crate) fn srt(f: &mut SoaPdfField<D3Q19>, rel: Relaxation, region: &Region) -> SweepStats {
-        sweep_inplace(Srt::new(rel), f, region)
+    /// The in-place sweep of `op` over the rows of `region` (a subset of
+    /// the interior), at the field's current parity. Sweeping a partition
+    /// of the interior region by region is bitwise identical to one full
+    /// sweep (slot-ownership argument in the module docs).
+    pub(crate) fn sweep_inplace<P: Collide>(
+        op: P,
+        f: &mut SoaPdfField<D3Q19>,
+        region: &Region,
+    ) -> SweepStats {
+        let (shape, parity) = (f.shape(), f.parity());
+        assert!(shape.ghost >= 1);
+        debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
+        let n = region.x.len();
+        if n == 0 {
+            return SweepStats::dense(0);
+        }
+        let off = pull_offsets(&shape);
+        let mut lines: [&mut [f64]; Q] = f.dirs_mut();
+        let mut scr = RowScratch::take(n);
+        for z in region.z.clone() {
+            for y in region.y.clone() {
+                let base = shape.idx(region.x.start, y, z);
+                let mut run = InplaceRun { lines: &mut lines, parity, off: &off, base, n };
+                op.inplace_run(&mut run, &mut scr);
+            }
+        }
+        scr.put_back();
+        SweepStats::dense(region.num_cells() as u64)
     }
 }
 
@@ -184,7 +184,7 @@ per_isa! {
 mod tests {
     use super::*;
     use crate::boundary::{apply_boundaries, BoundaryParams};
-    use crate::{avx, Collision};
+    use crate::{avx, BackendKind, Collision};
     use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, Shape};
     use trillium_lattice::MAGIC_TRT;
 
@@ -309,10 +309,10 @@ mod tests {
             whole.set_parity(parity);
             split.set_parity(parity);
             stream_collide_trt(&mut whole, rel);
-            let mut cells =
-                stream_collide_trt_region(&mut split, rel, &shape.interior_core(1)).cells;
-            for r in shape.shell_regions(1) {
-                cells += stream_collide_trt_region(&mut split, rel, &r).cells;
+            let be = BackendKind::Avx2.dispatch();
+            let mut cells = 0;
+            for r in std::iter::once(shape.interior_core(1)).chain(shape.shell_regions(1)) {
+                cells += be.sweep_inplace_region(Collision::Trt, &mut split, rel, &r).cells;
             }
             assert_eq!(cells, shape.interior_cells() as u64);
             assert_eq!(whole.data(), split.data(), "parity {parity}");

@@ -13,8 +13,8 @@
 //!    loop split and the update performed in a by-direction rather than
 //!    by-cell manner, reducing concurrent load/store streams so the
 //!    compiler vectorizes the inner loops (the "SIMD" curves). The row
-//!    body — one contiguous x-run of cells, fed full rows by a dense
-//!    block and clipped spans by a sparse one — is written once and
+//!    driver — one contiguous x-run of cells at a time, fed full rows by a
+//!    dense block and clipped spans by a sparse one — is written once and
 //!    compiled twice: [`soa`] exposes the portable instance, [`avx`] the
 //!    one compiled for AVX2+FMA behind runtime feature detection. There
 //!    is no hand-written vector code. The portable instance is several
@@ -24,8 +24,11 @@
 //!    development host); it is the bitwise oracle and what a host without
 //!    AVX2+FMA runs.
 //!
-//! Each tier implements both collision operators, SRT and TRT; with
-//! `λ_e = λ_o` the TRT kernels reduce exactly to SRT.
+//! The two AoS tiers implement SRT and TRT; with `λ_e = λ_o` the TRT
+//! kernels reduce exactly to SRT. On SoA fields a collision operator only
+//! decides what happens to one x-run's streamed-in populations, so every
+//! [`Collision`] — SRT, TRT, MRT and MRT-LES ([`mrt`]) — runs through the
+//! same two row drivers, pull and in place, in both instances.
 //!
 //! # Update schemes
 //!

@@ -5,22 +5,30 @@
 //! innermost loop is *split*, performing the update "in a by-direction
 //! rather than a by-cell manner", which "significantly reduces the number
 //! of concurrent load/store streams". This module implements that
-//! transformation once, over one contiguous *x-run* of cells:
+//! transformation once, over one contiguous *x-run* of cells. The x-run is
+//! the only primitive: the pull driver `sweep_pull` feeds it the full
+//! rows of a dense [`Region`] or the clipped spans of a sparse block's
+//! [`RowIntervals`], the in-place driver of [`crate::inplace`] full rows at
+//! either storage parity.
+//!
+//! What happens to a run's streamed-in populations is the collision
+//! operator's business (`Collide`). The pair-form operators, TRT and
+//! SRT, run
 //!
 //! 1. a *moment pass* accumulating density and momentum into row scratch
 //!    buffers, split by direction into three sub-passes of six or seven
 //!    load streams each (plus the four scratch streams),
 //! 2. a *finalize pass* turning momenta into velocities and the shared
 //!    equilibrium base term,
-//! 3. a *pair pass* per antiparallel direction pair applying the TRT (or
-//!    SRT) collision and storing both destinations.
+//! 3. a *pair pass* per antiparallel direction pair applying the collision
+//!    and storing both destinations.
 //!
 //! All inner loops are branch-free, stride-1 loops over `f64` slices.
 //! Because the pull offset of a direction is constant along a row,
 //! "streaming" is expressed as reading each source line at a shifted base
-//! index — no gather instructions are needed. The x-run is the only
-//! primitive: a dense [`Region`] feeds the body full rows, a sparse block's
-//! [`RowIntervals`] feed it clipped spans.
+//! index — no gather instructions are needed. The MRT family
+//! ([`crate::mrt`]) collides each cell of the run with its one per-cell
+//! routine instead.
 //!
 //! # One body, one instance per instruction set
 //!
@@ -29,17 +37,18 @@
 //! compilers". On split loops over SoA slices today's LLVM does it, given
 //! one thing: the `fma` target feature. Every `f64::mul_add` compiled
 //! *without* it is a call into libm's `fma()`, which is slow by itself and
-//! keeps the loop scalar. So each sweep is written once as an
-//! `#[inline(always)]` body and instantiated twice (`per_isa!`): plain —
-//! the portable tier, runs on any host and is the bitwise oracle — and
-//! inside a `#[target_feature(enable = "avx2", enable = "fma")]` function
-//! behind [`crate::avx::available`]. `mul_add` is the exactly rounded
-//! fused operation either way and vectorization keeps each cell's
-//! operation sequence, so the two instances agree bit for bit — what the
-//! backend equivalence gates pin — and so does any partition of a row into
-//! runs. This module's public sweeps are the portable instance;
-//! [`crate::avx`] exposes the AVX2+FMA one.
+//! keeps the loop scalar. So each driver is written once and instantiated
+//! twice per operator (`per_isa!`): plain — the portable tier, runs on any
+//! host and is the bitwise oracle — and inside a
+//! `#[target_feature(enable = "avx2", enable = "fma")]` function behind
+//! [`crate::avx::available`]. `mul_add` is the exactly rounded fused
+//! operation either way and vectorization keeps each cell's operation
+//! sequence, so the two instances agree bit for bit — what the backend
+//! equivalence gates pin — and so does any partition of a row into runs.
+//! This module's public sweeps are the portable instance; [`crate::avx`]
+//! exposes the AVX2+FMA one.
 
+use crate::inplace::InplaceRun;
 use crate::stats::SweepStats;
 use std::cell::RefCell;
 use trillium_field::{PdfField, Region, RowIntervals, Shape, SoaPdfField};
@@ -98,16 +107,18 @@ pub(crate) enum Isa {
     Avx2Fma,
 }
 
-/// Instantiates one `#[inline(always)]` sweep body per instruction set and
-/// defines `fn name(isa: Isa, args..)` selecting between the instances.
+/// Instantiates one sweep body per instruction set and defines
+/// `fn name<P: Bound>(isa: Isa, args..)` selecting between the instances
+/// (the type parameter is optional).
 macro_rules! per_isa {
-    ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty $body:block) => {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident $(<$p:ident: $bound:path>)?
+        ($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty $body:block) => {
         $(#[$doc])*
-        $vis fn $name(isa: $crate::soa::Isa, $($arg: $ty),*) -> $ret {
+        $vis fn $name$(<$p: $bound>)?(isa: $crate::soa::Isa, $($arg: $ty),*) -> $ret {
             #[cfg(target_arch = "x86_64")]
             if isa == $crate::soa::Isa::Avx2Fma && $crate::avx::available() {
                 #[target_feature(enable = "avx2", enable = "fma")]
-                fn avx2_fma($($arg: $ty),*) -> $ret $body
+                fn avx2_fma$(<$p: $bound>)?($($arg: $ty),*) -> $ret $body
                 // SAFETY: the CPU was just checked to support AVX2 and FMA,
                 // the only requirement of calling the instance.
                 return unsafe { avx2_fma($($arg),*) };
@@ -119,9 +130,23 @@ macro_rules! per_isa {
 }
 pub(crate) use per_isa;
 
-/// The collision of one cell, direction pair by direction pair — the only
-/// place a collision operator's arithmetic is written for the SoA tiers.
+/// A collision operator as the row drivers see it: what happens to the
+/// streamed-in populations of one x-run. Both forms take one run per
+/// direction, all of the run's length.
 pub(crate) trait Collide: Copy {
+    /// Pull form: `s[q]` holds the streamed-in `f_q`, `d[q]` receives the
+    /// post-collision `f̃_q`.
+    fn pull_run(self, s: &[&[f64]; Q], d: &mut [&mut [f64]; Q], scr: &mut RowScratch);
+
+    /// In-place form: the run of `f_q` receives `f̃_q̄` — the two
+    /// populations of an antiparallel pair swap slots (see [`InplaceRun`]).
+    fn inplace_run(self, run: &mut InplaceRun, scr: &mut RowScratch);
+}
+
+/// The collision of one cell, direction pair by direction pair — where
+/// the TRT and SRT arithmetic is written for the SoA tiers. Every pair
+/// form is a [`Collide`] through the moment and pair passes below.
+pub(crate) trait PairCollide: Copy {
     /// Post-collision value of the rest direction.
     fn rest(self, f0: f64, rho: f64, base: f64) -> f64;
 
@@ -151,7 +176,7 @@ impl Trt {
     }
 }
 
-impl Collide for Trt {
+impl PairCollide for Trt {
     #[inline(always)]
     fn rest(self, f0: f64, rho: f64, base: f64) -> f64 {
         // Purely even relaxation.
@@ -202,7 +227,7 @@ impl Srt {
     }
 }
 
-impl Collide for Srt {
+impl PairCollide for Srt {
     #[inline(always)]
     fn rest(self, f0: f64, rho: f64, base: f64) -> f64 {
         // cu = 0 for the rest direction, so the bracket is the base term.
@@ -227,6 +252,33 @@ impl Collide for Srt {
     }
 }
 
+impl<P: PairCollide> Collide for P {
+    #[inline(always)]
+    fn pull_run(self, s: &[&[f64]; Q], d: &mut [&mut [f64]; Q], scr: &mut RowScratch) {
+        let m = moment_passes(s, d[0].len(), scr);
+        rest_pass(self, s[0], d[0], m);
+        for &(a, b) in PAIRS.iter() {
+            // Split the run table to borrow two runs at once.
+            let (lo, hi) = d.split_at_mut(b);
+            pair_pass(self, velocity_weight(a), s[a], s[b], lo[a], hi[0], m);
+        }
+    }
+
+    #[inline(always)]
+    fn inplace_run(self, run: &mut InplaceRun, scr: &mut RowScratch) {
+        let mut s: [&[f64]; Q] = [&[]; Q];
+        for (q, s) in s.iter_mut().enumerate() {
+            *s = run.run(q);
+        }
+        let m = moment_passes(&s, run.len(), scr);
+        rest_pass_inplace(self, run.rest(), m);
+        for &(a, b) in PAIRS.iter() {
+            let (pa, pb) = run.pair(a, b);
+            pair_pass_inplace(self, velocity_weight(a), pa, pb, m);
+        }
+    }
+}
+
 /// Pull offset of every direction in linear-index units: the value of
 /// direction `q` streaming into cell `i` sits at `i − off[q]`.
 #[inline(always)]
@@ -237,13 +289,13 @@ pub(crate) fn pull_offsets(shape: &Shape) -> [isize; Q] {
 
 /// Velocity (as `f64`) and weight of direction `q`.
 #[inline(always)]
-pub(crate) fn velocity_weight(q: usize) -> ([f64; 3], f64) {
+fn velocity_weight(q: usize) -> ([f64; 3], f64) {
     (C[q].map(f64::from), WEIGHTS[q])
 }
 
 /// The finished moments of one x-run, as parallel slices of its length.
 #[derive(Copy, Clone)]
-pub(crate) struct Moments<'a> {
+struct Moments<'a> {
     rho: &'a [f64],
     ux: &'a [f64],
     uy: &'a [f64],
@@ -331,7 +383,7 @@ fn finalize(rho: &[f64], ux: &mut [f64], uy: &mut [f64], uz: &mut [f64], base: &
 /// of the `n` cells whose streamed-in populations of direction `q` are
 /// `s[q]`, then converts to velocity and the equilibrium base term.
 #[inline(always)]
-pub(crate) fn moment_passes<'a>(s: &[&[f64]; Q], n: usize, scr: &'a mut RowScratch) -> Moments<'a> {
+fn moment_passes<'a>(s: &[&[f64]; Q], n: usize, scr: &'a mut RowScratch) -> Moments<'a> {
     let RowScratch { rho, ux, uy, uz, base } = scr;
     let (rho, ux, uy, uz, base) =
         (&mut rho[..n], &mut ux[..n], &mut uy[..n], &mut uz[..n], &mut base[..n]);
@@ -344,7 +396,7 @@ pub(crate) fn moment_passes<'a>(s: &[&[f64]; Q], n: usize, scr: &'a mut RowScrat
 
 /// Rest-direction pass: `d0 ← collide(s0)`.
 #[inline(always)]
-fn rest_pass<P: Collide>(op: P, s0: &[f64], d0: &mut [f64], m: Moments) {
+fn rest_pass<P: PairCollide>(op: P, s0: &[f64], d0: &mut [f64], m: Moments) {
     let n = d0.len();
     let (s0, rho, base) = (&s0[..n], &m.rho[..n], &m.base[..n]);
     for x in 0..n {
@@ -355,7 +407,7 @@ fn rest_pass<P: Collide>(op: P, s0: &[f64], d0: &mut [f64], m: Moments) {
 /// Pair pass: collides the antiparallel pair `(a, ā)` — `cw` is `c_a` and
 /// its weight — streamed in as `sa`, `sb` and stores both destination runs.
 #[inline(always)]
-fn pair_pass<P: Collide>(
+fn pair_pass<P: PairCollide>(
     op: P,
     cw: ([f64; 3], f64),
     sa: &[f64],
@@ -374,7 +426,7 @@ fn pair_pass<P: Collide>(
 
 /// [`rest_pass`] on a single buffer: the slot is read, then overwritten.
 #[inline(always)]
-pub(crate) fn rest_pass_inplace<P: Collide>(op: P, p0: &mut [f64], m: Moments) {
+fn rest_pass_inplace<P: PairCollide>(op: P, p0: &mut [f64], m: Moments) {
     let n = p0.len();
     let (rho, base) = (&m.rho[..n], &m.base[..n]);
     for x in 0..n {
@@ -386,7 +438,7 @@ pub(crate) fn rest_pass_inplace<P: Collide>(op: P, p0: &mut [f64], m: Moments) {
 /// read, then swap runs — `pa` holds `f_a` and receives `f̃_ā`, `pb` holds
 /// `f_ā` and receives `f̃_a`.
 #[inline(always)]
-pub(crate) fn pair_pass_inplace<P: Collide>(
+fn pair_pass_inplace<P: PairCollide>(
     op: P,
     cw: ([f64; 3], f64),
     pa: &mut [f64],
@@ -401,8 +453,8 @@ pub(crate) fn pair_pass_inplace<P: Collide>(
     }
 }
 
-/// The two-field pull row body: stream–collide of the `n` cells starting
-/// at linear index `base`, reading `sdirs` and writing `ddirs`.
+/// The two-field pull row: stream–collide of the `n` cells starting at
+/// linear index `base`, reading `sdirs` and writing `ddirs`.
 #[inline(always)]
 fn pull_row<P: Collide>(
     op: P,
@@ -413,103 +465,74 @@ fn pull_row<P: Collide>(
     n: usize,
     scr: &mut RowScratch,
 ) {
-    // The pull-shifted source run of every direction.
+    // The pull-shifted source run and the destination run of every
+    // direction (plain loops: they must inline into every instance).
     let mut s: [&[f64]; Q] = [&[]; Q];
-    for q in 0..Q {
+    let mut d: [&mut [f64]; Q] = Default::default();
+    for (q, line) in ddirs.iter_mut().enumerate() {
         let start = (base as isize - off[q]) as usize;
         s[q] = &sdirs[q][start..start + n];
+        d[q] = &mut line[base..base + n];
     }
-    let m = moment_passes(&s, n, scr);
-
-    rest_pass(op, s[0], &mut ddirs[0][base..base + n], m);
-    for &(a, b) in PAIRS.iter() {
-        // Split the destination table to borrow two lines at once.
-        debug_assert!(a < b);
-        let (lo_half, hi_half) = ddirs.split_at_mut(b);
-        let (da, db) = (&mut lo_half[a][base..base + n], &mut hi_half[0][base..base + n]);
-        pair_pass(op, velocity_weight(a), s[a], s[b], da, db, m);
-    }
-}
-
-/// The two-field pull sweep over the x-runs of `region` (a subset of the
-/// interior): its full rows, or — for a sparse block — the spans of
-/// `intervals` clipped against it. Returns the cells traversed.
-#[inline(always)]
-fn sweep_pull<P: Collide>(
-    op: P,
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    intervals: Option<&RowIntervals>,
-    region: &Region,
-) -> SweepStats {
-    assert_eq!(src.shape(), dst.shape());
-    let shape = src.shape();
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let off = pull_offsets(&shape);
-    let sdirs: [&[f64]; Q] = src.dirs();
-    let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
-    let mut scr = RowScratch::take(region.x.len());
-    let mut cells = 0;
-
-    match intervals {
-        None => {
-            let n = region.x.len();
-            if n > 0 {
-                for z in region.z.clone() {
-                    for y in region.y.clone() {
-                        let base = shape.idx(region.x.start, y, z);
-                        pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
-                    }
-                }
-                cells = region.num_cells();
-            }
-        }
-        Some(intervals) => {
-            for span in &intervals.spans {
-                if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
-                    continue;
-                }
-                let x_begin = span.x_begin.max(region.x.start);
-                let x_end = span.x_end.min(region.x.end);
-                if x_end <= x_begin {
-                    continue;
-                }
-                let n = (x_end - x_begin) as usize;
-                let base = shape.idx(x_begin, span.y, span.z);
-                pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
-                cells += n;
-            }
-        }
-    }
-    scr.put_back();
-    SweepStats::dense(cells as u64)
+    op.pull_run(&s, &mut d, scr);
 }
 
 per_isa! {
-    /// TRT pull sweep over the x-runs of `region` — full rows, or the
-    /// clipped spans of `intervals` — compiled for `isa`.
-    pub(crate) fn pull_trt(
+    /// The two-field pull sweep of `op` over the x-runs of `region` (a
+    /// subset of the interior): its full rows, or — for a sparse block —
+    /// the spans of `intervals` clipped against it. Returns the cells
+    /// traversed. All passes are element-wise per cell, so sweeping a
+    /// partition of the interior region by region produces bitwise the
+    /// same PDFs as one full sweep.
+    pub(crate) fn sweep_pull<P: Collide>(
+        op: P,
         src: &SoaPdfField<D3Q19>,
         dst: &mut SoaPdfField<D3Q19>,
-        rel: Relaxation,
         intervals: Option<&RowIntervals>,
         region: &Region,
     ) -> SweepStats {
-        sweep_pull(Trt::new(rel), src, dst, intervals, region)
-    }
-}
+        assert_eq!(src.shape(), dst.shape());
+        let shape = src.shape();
+        assert!(shape.ghost >= 1);
+        debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
+        let off = pull_offsets(&shape);
+        let sdirs: [&[f64]; Q] = src.dirs();
+        let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
+        let mut scr = RowScratch::take(region.x.len());
+        let mut cells = 0;
 
-per_isa! {
-    /// SRT (by-direction form) pull sweep over the rows of `region`,
-    /// compiled for `isa`.
-    pub(crate) fn pull_srt(
-        src: &SoaPdfField<D3Q19>,
-        dst: &mut SoaPdfField<D3Q19>,
-        rel: Relaxation,
-        region: &Region,
-    ) -> SweepStats {
-        sweep_pull(Srt::new(rel), src, dst, None, region)
+        match intervals {
+            None => {
+                let n = region.x.len();
+                if n > 0 {
+                    for z in region.z.clone() {
+                        for y in region.y.clone() {
+                            let base = shape.idx(region.x.start, y, z);
+                            pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
+                        }
+                    }
+                    cells = region.num_cells();
+                }
+            }
+            Some(intervals) => {
+                for span in &intervals.spans {
+                    if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
+                        continue;
+                    }
+                    let x_begin = span.x_begin.max(region.x.start);
+                    let x_end = span.x_end.min(region.x.end);
+                    if x_end <= x_begin {
+                        continue;
+                    }
+                    let n = (x_end - x_begin) as usize;
+                    let base = shape.idx(x_begin, span.y, span.z);
+                    pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
+                    cells += n;
+                }
+            }
+        }
+        scr.put_back();
+        SweepStats::dense(cells as u64)
     }
 }
 
@@ -520,20 +543,7 @@ pub fn stream_collide_trt(
     dst: &mut SoaPdfField<D3Q19>,
     rel: Relaxation,
 ) -> SweepStats {
-    stream_collide_trt_region(src, dst, rel, &src.shape().interior())
-}
-
-/// [`stream_collide_trt`] restricted to `region` (a subset of the
-/// interior). All passes are element-wise per cell, so sweeping a
-/// partition of the interior region by region produces bitwise the same
-/// PDFs as one full sweep — the property the workgroup tiling relies on.
-pub fn stream_collide_trt_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    pull_trt(Isa::Portable, src, dst, rel, None, region)
+    sweep_pull(Isa::Portable, Trt::new(rel), src, dst, None, &src.shape().interior())
 }
 
 /// One fused stream–collide sweep with the SRT operator on SoA fields,
@@ -543,18 +553,7 @@ pub fn stream_collide_srt(
     dst: &mut SoaPdfField<D3Q19>,
     rel: Relaxation,
 ) -> SweepStats {
-    stream_collide_srt_region(src, dst, rel, &src.shape().interior())
-}
-
-/// [`stream_collide_srt`] restricted to `region`; see
-/// [`stream_collide_trt_region`] for the partition guarantee.
-pub fn stream_collide_srt_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    pull_srt(Isa::Portable, src, dst, rel, region)
+    sweep_pull(Isa::Portable, Srt::new(rel), src, dst, None, &src.shape().interior())
 }
 
 #[cfg(test)]

@@ -8,12 +8,14 @@
 //! 2. [`stream_collide_trt_cell_list`] — the coordinates of a block's fluid
 //!    cells are stored in an array and the kernel loops over this array.
 //!    Removes the branch, still no vectorization (scattered accesses).
-//! 3. [`stream_collide_trt_row_intervals`] — for every line of lattice
-//!    cells the index of the first and last fluid cell is stored, "similar
-//!    to the compressed storage scheme of a sparse matrix", and the kernel
-//!    runs on the contiguous spans. This is the production scheme: it
-//!    vectorizes and fits vascular geometries with few but consecutive
-//!    fluid cells per row.
+//! 3. Row intervals ([`crate::Backend::sweep_sparse`]) — for every line of
+//!    lattice cells the index of the first and last fluid cell is stored,
+//!    "similar to the compressed storage scheme of a sparse matrix", and
+//!    the kernel runs on the contiguous spans: each span, clipped to the
+//!    swept region, is one x-run of the pull row driver
+//!    `soa::sweep_pull`, the kernel of a dense row fed a shorter
+//!    run. This is the production scheme: it vectorizes and fits vascular
+//!    geometries with few but consecutive fluid cells per row.
 //!
 //! All three produce identical results on fluid cells. Cells covered by a
 //! row interval that are not fluid are traversed and overwritten with
@@ -23,9 +25,9 @@
 //! cells (LUPS) from processed fluid cells (FLUPS).
 
 use crate::d3q19::collide_trt_cell;
-use crate::soa::{pull_offsets, pull_trt, Isa};
+use crate::soa::pull_offsets;
 use crate::stats::SweepStats;
-use trillium_field::{FlagField, FlagOps, FluidCellList, PdfField, RowIntervals, SoaPdfField};
+use trillium_field::{FlagField, FlagOps, FluidCellList, PdfField, SoaPdfField};
 use trillium_lattice::d3q19::Q;
 use trillium_lattice::{Relaxation, D3Q19};
 
@@ -96,48 +98,22 @@ pub fn stream_collide_trt_cell_list(
     SweepStats { cells: list.len() as u64, fluid_cells: list.len() as u64, seconds: 0.0 }
 }
 
-/// Strategy 3: vectorizable sweep over per-row first/last fluid intervals.
-pub fn stream_collide_trt_row_intervals(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    intervals: &RowIntervals,
-    rel: Relaxation,
-) -> SweepStats {
-    let mut stats =
-        stream_collide_trt_row_intervals_region(src, dst, intervals, rel, &src.shape().interior());
-    stats.cells = intervals.covered_cells() as u64;
-    stats.fluid_cells = intervals.fluid_cells as u64;
-    stats
-}
-
-/// [`stream_collide_trt_row_intervals`] restricted to the spans' overlap
-/// with `region` (a subset of the interior). Each span is clipped against
-/// the region's x range and skipped when its row lies outside the region's
-/// y/z ranges, and what is left is one x-run of the row body of
-/// [`crate::soa`] — the kernel of a dense row, fed a shorter run (portable
-/// instance here; a block's backend picks the instruction set). The
-/// per-cell arithmetic is element-wise, so sweeping a partition of the
-/// interior region by region is bitwise identical to one full interval
-/// sweep.
-pub fn stream_collide_trt_row_intervals_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    intervals: &RowIntervals,
-    rel: Relaxation,
-    region: &trillium_field::Region,
-) -> SweepStats {
-    // Fluid-ness is not tracked per sub-span, so the region variant
-    // reports traversed (covered) cells for both counters; the full-sweep
-    // wrapper replaces them with the exact interval totals.
-    pull_trt(Isa::Portable, src, dst, rel, Some(intervals), region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soa;
-    use trillium_field::{CellFlags, Shape};
+    use crate::{soa, BackendKind, Collision};
+    use trillium_field::{CellFlags, RowIntervals, Shape};
     use trillium_lattice::MAGIC_TRT;
+
+    /// The row-interval strategy: the portable backend's sparse sweep.
+    fn row_intervals(
+        src: &SoaPdfField<D3Q19>,
+        dst: &mut SoaPdfField<D3Q19>,
+        intervals: &RowIntervals,
+        rel: Relaxation,
+    ) -> SweepStats {
+        BackendKind::Portable.dispatch().sweep_sparse(Collision::Trt, src, dst, intervals, rel)
+    }
 
     /// Builds a sparse flag field: a tube of fluid along x plus scattered
     /// fluid cells, the rest unclassified (the hull is irrelevant for the
@@ -186,7 +162,7 @@ mod tests {
         let list = FluidCellList::build(&flags);
         let s_list = stream_collide_trt_cell_list(&src, &mut d_list, &list, rel);
         let intervals = RowIntervals::build(&flags);
-        let s_rows = stream_collide_trt_row_intervals(&src, &mut d_rows, &intervals, rel);
+        let s_rows = row_intervals(&src, &mut d_rows, &intervals, rel);
         soa::stream_collide_trt(&src, &mut d_dense, rel);
 
         assert_eq!(s_cond.fluid_cells, s_list.fluid_cells);
@@ -222,15 +198,14 @@ mod tests {
         let intervals = RowIntervals::build(&flags);
 
         let mut full = SoaPdfField::<D3Q19>::new(shape);
-        let s_full = stream_collide_trt_row_intervals(&src, &mut full, &intervals, rel);
+        let s_full = row_intervals(&src, &mut full, &intervals, rel);
 
         let mut split = SoaPdfField::<D3Q19>::new(shape);
-        let core = shape.interior_core(1);
-        let mut cells =
-            stream_collide_trt_row_intervals_region(&src, &mut split, &intervals, rel, &core).cells;
-        for r in shape.shell_regions(1) {
-            cells += stream_collide_trt_row_intervals_region(&src, &mut split, &intervals, rel, &r)
-                .cells;
+        let be = BackendKind::Portable.dispatch();
+        let mut cells = 0;
+        for r in std::iter::once(shape.interior_core(1)).chain(shape.shell_regions(1)) {
+            cells +=
+                be.sweep_sparse_region(Collision::Trt, &src, &mut split, &intervals, rel, &r).cells;
         }
         assert_eq!(cells, s_full.cells, "covered cells traversed exactly once");
         for (x, y, z) in shape.interior().iter() {
@@ -257,7 +232,7 @@ mod tests {
         assert!(s.cells > s.fluid_cells, "scenario must actually be sparse");
 
         let intervals = RowIntervals::build(&flags);
-        let s = stream_collide_trt_row_intervals(&src, &mut dst, &intervals, rel);
+        let s = row_intervals(&src, &mut dst, &intervals, rel);
         assert_eq!(s.fluid_cells, fluid);
         assert!(s.cells <= shape.interior_cells() as u64);
         assert!(s.cells >= fluid);
@@ -277,7 +252,7 @@ mod tests {
         let intervals = RowIntervals::build(&flags);
         let mut d_rows = SoaPdfField::<D3Q19>::new(shape);
         let mut d_dense = SoaPdfField::<D3Q19>::new(shape);
-        let s = stream_collide_trt_row_intervals(&src, &mut d_rows, &intervals, rel);
+        let s = row_intervals(&src, &mut d_rows, &intervals, rel);
         soa::stream_collide_trt(&src, &mut d_dense, rel);
         assert_eq!(s.cells, shape.interior_cells() as u64);
         assert_eq!(s.cells, s.fluid_cells);

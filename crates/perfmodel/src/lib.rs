@@ -13,12 +13,10 @@
 //! scaling simulator consumes.
 
 pub mod ecm;
-pub mod energy;
 pub mod kernels;
 pub mod roofline;
 pub mod smt;
 
 pub use ecm::{EcmModel, CACHELINES_PER_UNIT, CACHELINES_PER_UNIT_INPLACE};
-pub use energy::PowerModel;
 pub use kernels::{KernelTier, TierModel};
 pub use roofline::{bytes_per_lup, roofline_mlups};
