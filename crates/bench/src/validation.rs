@@ -21,16 +21,19 @@
 //! schedule × kernel combination rather than to "the code".
 
 use serde_json::{json, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use trillium_core::driver::{
     run_distributed_composed, DriverConfig, RebalanceConfig, RunConfig, RunResult,
 };
+use trillium_core::pipeline::{setup_domain, Balancer};
 use trillium_core::recovery::ResilienceConfig;
 use trillium_core::scenario::{KernelChoice, Scenario};
-use trillium_field::CellFlags;
+use trillium_field::{CellFlags, FlagOps};
+use trillium_geometry::{VascularTree, VascularTreeParams};
 use trillium_jobs::Schedule;
 use trillium_kernels::Collision;
-use trillium_lattice::{velocity, D3Q19};
+use trillium_lattice::{density, velocity, D3Q19};
 use trillium_obs::ObsConfig;
 
 /// Emulated MPI ranks every validation cell runs on.
@@ -180,42 +183,167 @@ impl CellOutcome {
     }
 }
 
-/// Macroscopic velocities reassembled from a run's PDF dump, addressable
-/// by global cell coordinate. Works identically for every schedule
-/// because the dump is sorted by block id, independent of final
-/// ownership.
+/// Macroscopic density and velocity reassembled from a run's PDF dump,
+/// addressable by global cell coordinate, with each cell's fluid flag. Works
+/// identically for every schedule because the dump is keyed by block id,
+/// independent of final ownership.
 pub struct MacroField {
     cells: [usize; 3],
-    blocks: HashMap<[i64; 3], Vec<[f64; 3]>>,
+    /// Per block (root coordinates, ordered so sums over blocks are
+    /// deterministic): density, velocity and fluid flag of each interior
+    /// cell.
+    blocks: BTreeMap<[i64; 3], Vec<Moments>>,
 }
 
 impl MacroField {
     /// Reassembles the velocity field of `run` (which must have been
     /// driven with `collect_pdfs`) for a scenario on `num_procs` ranks.
     pub fn from_run(scenario: &Scenario, num_procs: u32, run: &RunResult) -> Self {
-        let forest = scenario.make_forest(num_procs);
-        let coords_of: HashMap<u64, [i64; 3]> =
-            forest.blocks.iter().map(|b| (b.id.pack(), b.coords)).collect();
-        let mut blocks = HashMap::new();
+        let views = trillium_blockforest::distribute(&scenario.make_forest(num_procs));
+        let blocks_of: HashMap<u64, _> =
+            views.iter().flat_map(|v| &v.blocks).map(|lb| (lb.id.pack(), lb)).collect();
+        let mut blocks = BTreeMap::new();
         for (id, vals) in run.pdf_dump() {
+            let lb = blocks_of[&id];
+            let flags = scenario.block_flags(lb);
             // Dump order matches `Shape::interior().iter()`: x fastest.
-            let us: Vec<[f64; 3]> = vals.chunks_exact(19).map(velocity::<D3Q19>).collect();
-            blocks.insert(coords_of[&id], us);
+            let interior = flags.shape().interior();
+            let cells = vals.chunks_exact(19).zip(interior.iter()).map(|(f, (x, y, z))| Moments {
+                rho: density::<D3Q19>(f),
+                u: velocity::<D3Q19>(f),
+                fluid: flags.flags(x, y, z).is_fluid(),
+            });
+            blocks.insert(lb.coords, cells.collect());
         }
         MacroField { cells: scenario.cells, blocks }
     }
 
     /// Velocity at a global interior cell.
     pub fn velocity(&self, g: [i64; 3]) -> [f64; 3] {
-        let c = [self.cells[0] as i64, self.cells[1] as i64, self.cells[2] as i64];
-        let bc = [g[0].div_euclid(c[0]), g[1].div_euclid(c[1]), g[2].div_euclid(c[2])];
-        let l = [
-            g[0].rem_euclid(c[0]) as usize,
-            g[1].rem_euclid(c[1]) as usize,
-            g[2].rem_euclid(c[2]) as usize,
-        ];
-        self.blocks[&bc][(l[2] * self.cells[1] + l[1]) * self.cells[0] + l[0]]
+        let c = self.cells.map(|n| n as i64);
+        let bc: [i64; 3] = std::array::from_fn(|a| g[a].div_euclid(c[a]));
+        let l: [usize; 3] = std::array::from_fn(|a| g[a].rem_euclid(c[a]) as usize);
+        self.blocks[&bc][(l[2] * self.cells[1] + l[1]) * self.cells[0] + l[0]].u
     }
+
+    /// The fluid cells of the cross-section `g[axis] == at` with their
+    /// moments, block by block in root-coordinate order and x fastest
+    /// within a block.
+    pub fn section(&self, axis: usize, at: i64) -> Vec<([i64; 3], Moments)> {
+        let c = self.cells.map(|n| n as i64);
+        let mut out = Vec::new();
+        for (bc, cells) in &self.blocks {
+            if at.div_euclid(c[axis]) != bc[axis] {
+                continue;
+            }
+            for (i, &m) in cells.iter().enumerate() {
+                let l = [
+                    i % self.cells[0],
+                    i / self.cells[0] % self.cells[1],
+                    i / self.cells[0] / self.cells[1],
+                ];
+                let g: [i64; 3] = std::array::from_fn(|a| bc[a] * c[a] + l[a] as i64);
+                if m.fluid && g[axis] == at {
+                    out.push((g, m));
+                }
+            }
+        }
+        out
+    }
+
+    /// Mass flux `Σ ρ u·n` through the cross-section `g[axis] == at`
+    /// (`n` the unit normal along `axis`, one lattice cell of area per
+    /// fluid cell): what a steady flow carries through every section
+    /// alike. (`Σ u·n` is not conserved: the density falls along a
+    /// pressure-driven vessel.)
+    pub fn flux(&self, axis: usize, at: i64) -> f64 {
+        self.section(axis, at).iter().map(|(_, m)| m.rho * m.u[axis]).sum()
+    }
+}
+
+/// The moments of one cell of a [`MacroField`].
+#[derive(Copy, Clone, Debug)]
+pub struct Moments {
+    /// Density.
+    pub rho: f64,
+    /// Velocity.
+    pub u: [f64; 3],
+    /// True for a fluid cell.
+    pub fluid: bool,
+}
+
+/// Radius of [`tube_scenario`]'s vessel, in cells.
+pub const TUBE_RADIUS: f64 = 6.0;
+/// Length of [`tube_scenario`]'s straight part, in cells.
+pub const TUBE_LENGTH: i64 = 32;
+/// Speed of [`tube_scenario`]'s inlet cap wall.
+pub const TUBE_INFLOW: f64 = 0.02;
+
+/// Hagen–Poiseuille flow through the set-up pipeline's carved path.
+///
+/// A one-generation [`VascularTree`] without tortuosity or jitter is a
+/// straight capsule along +z: radius [`TUBE_RADIUS`] cells, its straight
+/// part [`TUBE_LENGTH`] cells long. [`setup_domain`] voxelises it into
+/// 16³ blocks with the inlet cap a velocity wall (moving with
+/// `(0, 0, TUBE_INFLOW)`) and the outlet cap a pressure wall, exactly as
+/// it sets up the benchmark's tree. Every block is carved.
+pub fn tube_scenario(viscosity: f64) -> Scenario {
+    let dx = 0.25;
+    let tree = VascularTree::generate(&VascularTreeParams {
+        generations: 1,
+        segments_per_branch: 1,
+        tortuosity: 0.0,
+        jitter: 0.0,
+        root_radius: TUBE_RADIUS * dx,
+        root_length: TUBE_LENGTH as f64 * dx,
+        ..Default::default()
+    });
+    let inflow = [0.0, 0.0, TUBE_INFLOW];
+    let balancer = Balancer::Morton;
+    setup_domain("tube", Arc::new(tree), dx, [16; 3], 2, balancer, viscosity, inflow).scenario
+}
+
+/// What [`tube_flow`] measures.
+#[derive(Copy, Clone, Debug)]
+pub struct TubeFlow {
+    /// Mass flux `Σ ρ u_z` through the cross-sections at a quarter, half and
+    /// three quarters of the straight part.
+    pub fluxes: [f64; 3],
+    /// `(max − min) / |mean|` of `fluxes`.
+    pub flux_mismatch: f64,
+    /// Relative L2 deviation of the mid-tube `u_z(r)` from the parabola
+    /// `a (1 − r²/R²)` with the same mean, `R` the radius of a disc of
+    /// the section's area and `r` a cell centre's distance from the axis.
+    pub profile_error: f64,
+}
+
+/// Runs [`tube_scenario`] on 2 ranks for `steps` steps and measures the
+/// flux balance and the mid-tube profile.
+pub fn tube_flow(scenario: &Scenario, steps: u64, sched: Schedule) -> TubeFlow {
+    let run = drive_on(2, scenario, steps, None, sched);
+    assert!(!run.has_nan(), "tube run diverged");
+    let field = MacroField::from_run(scenario, 2, &run);
+    // The capsule's axis runs through the centre of the cell box around
+    // it, which starts one radius before the straight part.
+    let (axis, start) = (TUBE_RADIUS - 0.5, TUBE_RADIUS as i64);
+    let at = |quarter: i64| start + quarter * TUBE_LENGTH / 4;
+    let fluxes = [1, 2, 3].map(|q| field.flux(2, at(q)));
+    let mean = fluxes.iter().sum::<f64>() / 3.0;
+    let spread = fluxes.iter().fold(f64::MIN, |m, &f| m.max(f))
+        - fluxes.iter().fold(f64::MAX, |m, &f| m.min(f));
+    let section = field.section(2, at(2));
+    let big_r2 = section.len() as f64 / std::f64::consts::PI;
+    let shape: Vec<f64> = section
+        .iter()
+        .map(|(g, _)| 1.0 - ((g[0] as f64 - axis).powi(2) + (g[1] as f64 - axis).powi(2)) / big_r2)
+        .collect();
+    let a = section.iter().map(|(_, m)| m.u[2]).sum::<f64>() / shape.iter().sum::<f64>();
+    let (mut err, mut norm) = (0.0, 0.0);
+    for ((_, m), s) in section.iter().zip(&shape) {
+        err += (m.u[2] - a * s).powi(2);
+        norm += (a * s).powi(2);
+    }
+    TubeFlow { fluxes, flux_mismatch: spread / mean.abs(), profile_error: (err / norm).sqrt() }
 }
 
 /// Relative L2 deviation of a channel profile from its best-fit parabola
@@ -334,6 +462,17 @@ pub fn drive(
     force_mask: Option<CellFlags>,
     sched: Schedule,
 ) -> RunResult {
+    drive_on(NUM_PROCS, scenario, steps, force_mask, sched)
+}
+
+/// [`drive`] on `num_procs` ranks.
+pub fn drive_on(
+    num_procs: u32,
+    scenario: &Scenario,
+    steps: u64,
+    force_mask: Option<CellFlags>,
+    sched: Schedule,
+) -> RunResult {
     let cfg = RunConfig {
         driver: DriverConfig {
             overlap: sched == Schedule::Overlapped,
@@ -344,7 +483,7 @@ pub fn drive(
         rebalance: (sched == Schedule::Rebalanced).then(RebalanceConfig::default),
         resilience: (sched == Schedule::Resilient).then(ResilienceConfig::default),
     };
-    run_distributed_composed(scenario, NUM_PROCS, 1, steps, &[], &cfg)
+    run_distributed_composed(scenario, num_procs, 1, steps, &[], &cfg)
         .unwrap_or_else(|e| panic!("unfaulted {} run failed: {e}", sched.label()))
 }
 
@@ -477,6 +616,19 @@ pub fn dump_failed_vtk(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hagen–Poiseuille through a voxelised tube on 2 ranks, every one
+    /// of its 16³ blocks carved. After 1000 steps the box-storage code
+    /// measured a mass-flux mismatch of 3.8e-5 between the quarter, half
+    /// and three-quarter sections and a mid-tube profile 2.96 % (L2) off
+    /// the parabola; the thresholds sit just above those.
+    #[test]
+    fn hagen_poiseuille_in_a_voxelised_tube() {
+        let flow = tube_flow(&tube_scenario(0.2), 1000, Schedule::Sync);
+        assert!(flow.fluxes.iter().all(|&f| f > 2.0), "{flow:?}");
+        assert!(flow.flux_mismatch < 1e-4, "{flow:?}");
+        assert!(flow.profile_error < 0.031, "{flow:?}");
+    }
 
     #[test]
     fn parabola_error_vanishes_for_exact_parabola() {

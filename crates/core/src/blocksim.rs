@@ -1,8 +1,11 @@
 //! Per-block simulation state.
 
+use std::sync::Arc;
 use trillium_comm::{copy_face_local_with, copy_face_self_with, copy_rows_local, copy_rows_self};
 use trillium_comm::{pdfs_crossing, GhostRows};
-use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shape, SoaPdfField};
+use trillium_field::{
+    CellFlags, FlagField, FlagOps, PdfField, RowIntervals, RowTable, Shape, SoaPdfField,
+};
 use trillium_kernels::{
     Backend, BackendKind, BoundaryLinks, BoundaryParams, Collision, SweepStats,
 };
@@ -35,7 +38,8 @@ pub enum UpdateScheme {
     /// alternating storage convention and always equals `t % 2` between
     /// steps. The default: it moves 304 instead of 456 bytes per update
     /// and keeps one field instead of two. Only available for dense
-    /// blocks — sparse row-interval blocks fall back to `Pull`.
+    /// blocks, on box storage — sparse row-interval blocks fall back to
+    /// `Pull`, on their row store.
     #[default]
     InPlace,
 }
@@ -53,14 +57,21 @@ impl UpdateScheme {
 
 /// The complete simulation state of one block: PDF double buffer, cell
 /// flags, sparse iteration structure, and boundary parameters.
+///
+/// A dense block stores its whole ghost-inclusive box. A carved block
+/// built by [`BlockSim::from_flags_with_scheme`] (every block a scenario,
+/// a migration or a recovery builds) stores only the rows its sweep
+/// reads, a [`RowTable`] over its row intervals; [`BlockSim::from_flags`]
+/// keeps the box for carved blocks too, as the storage oracle.
 pub struct BlockSim {
     /// Grid geometry (interior + ghost layer).
     pub shape: Shape,
     /// Source PDF field (post-collision values of the previous step; the
-    /// *only* live buffer under [`UpdateScheme::InPlace`]).
+    /// *only* live buffer under [`UpdateScheme::InPlace`]). On a row
+    /// store a cell outside the table reads `0.0` and takes no writes.
     pub src: SoaPdfField<D3Q19>,
-    /// Destination PDF field of the pull sweep. Holds no storage under
-    /// [`UpdateScheme::InPlace`] ([`SoaPdfField::empty`]).
+    /// Destination PDF field of the pull sweep, stored like `src`. Holds
+    /// no storage under [`UpdateScheme::InPlace`] ([`SoaPdfField::empty`]).
     pub dst: SoaPdfField<D3Q19>,
     /// Cell classification. The boundary link list is derived from this
     /// field and [`BlockSim::boundary`] at construction: after editing
@@ -111,20 +122,34 @@ pub struct BlockSim {
 
 /// Builds the link list of a block. No allocatable block comes near the
 /// 32-bit offset limit (19 · 609³ PDFs are 34 GB per buffer).
-fn build_links(flags: &FlagField, boundary: &BoundaryParams) -> BoundaryLinks {
-    BoundaryLinks::build(flags, boundary).expect("block fits 32-bit boundary link offsets")
+fn build_links(
+    flags: &FlagField,
+    boundary: &BoundaryParams,
+    src: &SoaPdfField<D3Q19>,
+) -> BoundaryLinks {
+    BoundaryLinks::build_in(flags, boundary, src.rows())
+        .expect("block fits 32-bit boundary link offsets")
+}
+
+/// True for a flag field whose row intervals cover less than the
+/// interior: the block runs the row-interval kernel.
+pub(crate) fn is_carved(intervals: &RowIntervals, shape: Shape) -> bool {
+    intervals.fluid_cells != shape.interior_cells()
 }
 
 impl BlockSim {
     /// Creates a block from a flag field, initializing all PDFs to the
     /// equilibrium of `(rho, u)`. Chooses the dense kernel when every
-    /// interior cell is fluid, the row-interval kernel otherwise.
+    /// interior cell is fluid, the row-interval kernel otherwise, and
+    /// runs pull on box storage: the bitwise oracle of every other
+    /// scheme and storage.
     pub fn from_flags(flags: FlagField, boundary: BoundaryParams, rho: f64, u: [f64; 3]) -> Self {
-        Self::from_flags_with_scheme(flags, boundary, rho, u, UpdateScheme::Pull)
+        Self::build(flags, boundary, rho, u, UpdateScheme::Pull, false)
     }
 
-    /// [`BlockSim::from_flags`] with an explicit update scheme. A request
-    /// for [`UpdateScheme::InPlace`] on a partially covered block (sparse
+    /// [`BlockSim::from_flags`] with an explicit update scheme, and a
+    /// carved block stores the rows its sweep reads only. A request for
+    /// [`UpdateScheme::InPlace`] on a partially covered block (sparse
     /// kernel) falls back to [`UpdateScheme::Pull`]: the in-place sweeps
     /// are dense-only. Only a pull block allocates `dst`.
     pub fn from_flags_with_scheme(
@@ -134,16 +159,34 @@ impl BlockSim {
         u: [f64; 3],
         scheme: UpdateScheme,
     ) -> Self {
+        Self::build(flags, boundary, rho, u, scheme, true)
+    }
+
+    /// The one constructor: a carved block stores the rows of its
+    /// [`RowTable`] iff `rows`, every other block its box.
+    pub(crate) fn build(
+        flags: FlagField,
+        boundary: BoundaryParams,
+        rho: f64,
+        u: [f64; 3],
+        scheme: UpdateScheme,
+        rows: bool,
+    ) -> Self {
         let shape = flags.shape();
-        let links = build_links(&flags, &boundary);
-        let mut src = SoaPdfField::new(shape);
-        src.fill_equilibrium(rho, u);
         let intervals = RowIntervals::build(&flags);
-        let kernel = if intervals.fluid_cells == shape.interior_cells() {
-            BlockKernel::Dense
-        } else {
+        let kernel = if is_carved(&intervals, shape) {
             BlockKernel::RowIntervals
+        } else {
+            BlockKernel::Dense
         };
+        let mut src = match kernel {
+            BlockKernel::RowIntervals if rows => {
+                SoaPdfField::with_rows(Arc::new(RowTable::pull_reads::<D3Q19>(shape, &intervals)))
+            }
+            _ => SoaPdfField::new(shape),
+        };
+        src.fill_equilibrium(rho, u);
+        let links = build_links(&flags, &boundary, &src);
         let ghost_rows = (kernel == BlockKernel::RowIntervals)
             .then(|| Box::new(GhostRows::build::<D3Q19>(shape, &intervals)));
         let resolved = match (scheme, kernel) {
@@ -151,7 +194,7 @@ impl BlockSim {
             _ => UpdateScheme::Pull,
         };
         let dst = match resolved {
-            UpdateScheme::Pull => SoaPdfField::new(shape),
+            UpdateScheme::Pull => src.zeroed_like(),
             UpdateScheme::InPlace => SoaPdfField::empty(shape),
         };
         BlockSim {
@@ -197,16 +240,14 @@ impl BlockSim {
         self.scheme = scheme;
         self.src.set_parity(odd);
         match scheme {
-            UpdateScheme::Pull if self.dst.data().is_empty() => {
-                self.dst = SoaPdfField::new(self.shape)
-            }
+            UpdateScheme::Pull if self.dst.data().is_empty() => self.dst = self.src.zeroed_like(),
             UpdateScheme::Pull => {}
             UpdateScheme::InPlace => self.dst = SoaPdfField::empty(self.shape),
         }
     }
 
-    /// Bytes of PDF storage this block holds: `src` plus `dst` (empty
-    /// in place).
+    /// Bytes of PDF storage this block holds: the stored cells of `src`
+    /// plus those of `dst` (empty in place).
     pub fn pdf_bytes(&self) -> usize {
         std::mem::size_of_val(self.src.data()) + std::mem::size_of_val(self.dst.data())
     }
@@ -260,7 +301,7 @@ impl BlockSim {
     /// Rebuilds the boundary link list from `flags` and `boundary`: the
     /// one sanctioned path after editing either field.
     pub fn rebuild_boundary_links(&mut self) {
-        self.links = build_links(&self.flags, &self.boundary);
+        self.links = build_links(&self.flags, &self.boundary, &self.src);
         #[cfg(debug_assertions)]
         {
             self.links_digest = flag_digest(&self.flags);
@@ -463,9 +504,10 @@ impl BlockSim {
                     // −0.0 is the neutral element `f64::sum` folds ρ from.
                     let mut rho = [-0.0; TOTALS_PIECE];
                     let [mut j0, mut j1, mut j2, mut bad] = [[0.0; TOTALS_PIECE]; 4];
+                    let mut piece = [0.0; TOTALS_PIECE];
                     for q in 0..19 {
                         let c = D3Q19::c(q);
-                        let f = self.src.row(q, x0 as i32, y, z, n);
+                        let f = self.src.row_or_read(q, x0 as i32, y, z, &mut piece[..n]);
                         for x in 0..n {
                             rho[x] += f[x];
                             j0[x] += f[x] * c[0];

@@ -3,16 +3,22 @@
 //! where the *block structure* is precomputed and loaded from file).
 //!
 //! The format is little-endian binary: a header with the block shape, a
-//! flag digest, and the block's update scheme, followed by the raw
-//! interior+ghost PDF data. Restoring into a block with different shape
-//! or flags is rejected.
+//! flag digest, and the block's update scheme and storage, followed by
+//! the raw PDF data of the cells the block stores — its whole
+//! interior+ghost box, or, for a carved block on a row store, the rows of
+//! its [`RowTable`] (which the receiver derives
+//! from the flags). Restoring into a block with different shape, flags or
+//! storage is rejected.
 //!
-//! For two-field (pull) blocks *both* buffers travel: cells outside the
-//! sparse sweep's coverage (deep solid interior, unexchanged ghost
-//! corners) are never rewritten, so their values alternate between the
-//! two buffers with step parity. A checkpoint that carried only the
-//! source field would replay those cells with the wrong parity whenever
-//! the restore step is odd — bitwise divergence from the unfaulted run.
+//! For two-field (pull) blocks *both* buffers travel: stored cells outside
+//! the sparse sweep's coverage are never rewritten by the sweep, so their
+//! values alternate between the two buffers with step parity. On box
+//! storage those are the deep solid interior and the unexchanged ghost
+//! corners; a row store holds no deep interior, but its wall and ghost
+//! cells around the covered spans take only the links' and ghost copies'
+//! writes. A checkpoint that carried only the source field would replay
+//! those cells with the wrong parity whenever the restore step is odd —
+//! bitwise divergence from the unfaulted run.
 //!
 //! In-place (AA-pattern) blocks have no second half: the entire state,
 //! including never-touched cells, lives in one buffer whose storage
@@ -22,15 +28,21 @@
 //! block's second buffer to the scheme it restores: allocated for pull,
 //! empty in place.
 
-use crate::blocksim::{BlockKernel, BlockSim, UpdateScheme};
+use crate::blocksim::{is_carved, BlockKernel, BlockSim, UpdateScheme};
 use bytes::{Buf, BufMut};
+use trillium_field::{FlagField, RowIntervals, RowTable, Shape};
+use trillium_lattice::D3Q19;
 
 /// Magic bytes of the checkpoint format.
 pub const MAGIC: &[u8; 4] = b"TCP1";
 
-/// Wire encoding of the update scheme + storage parity.
+/// Bit of the scheme byte set when the payload holds a row store's
+/// stored cells instead of the whole box.
+const ROWS: u8 = 4;
+
+/// Wire encoding of the update scheme + storage parity, and the storage.
 fn scheme_byte(block: &BlockSim) -> u8 {
-    match block.scheme {
+    let scheme = match block.scheme {
         UpdateScheme::Pull => 0,
         UpdateScheme::InPlace => {
             if block.src.parity() {
@@ -39,14 +51,17 @@ fn scheme_byte(block: &BlockSim) -> u8 {
                 1
             }
         }
-    }
+    };
+    scheme | if block.src.rows().is_some() { ROWS } else { 0 }
 }
 
-/// The update scheme and storage parity a wire scheme byte stands for.
-fn decode_scheme(byte: u8) -> Result<(UpdateScheme, bool), RestoreError> {
-    match byte {
-        0 => Ok((UpdateScheme::Pull, false)),
-        1 | 2 => Ok((UpdateScheme::InPlace, byte == 2)),
+/// The update scheme, storage parity and row storage a wire scheme byte
+/// stands for.
+fn decode_scheme(byte: u8) -> Result<(UpdateScheme, bool, bool), RestoreError> {
+    let rows = byte & ROWS != 0;
+    match byte & !ROWS {
+        0 => Ok((UpdateScheme::Pull, false, rows)),
+        1 | 2 => Ok((UpdateScheme::InPlace, byte & !ROWS == 2, rows)),
         _ => Err(RestoreError::BadScheme),
     }
 }
@@ -55,10 +70,11 @@ fn decode_scheme(byte: u8) -> Result<(UpdateScheme, bool), RestoreError> {
 /// `nx ny nz ghost` as `u32`.
 const HEADER: usize = 4 + 16;
 
-/// Bytes of the PDF payload under wire scheme `scheme`: pull blocks
-/// carry both halves of the double buffer, in-place blocks their one.
-fn pdf_bytes(cells: usize, scheme: u8) -> usize {
-    cells * 19 * 8 * if scheme == 0 { 2 } else { 1 }
+/// Bytes of the PDF payload of `cells` stored cells under `scheme`: pull
+/// blocks carry both halves of the double buffer, in-place blocks their
+/// one.
+fn pdf_bytes(cells: usize, scheme: UpdateScheme) -> usize {
+    cells * 19 * 8 * if scheme == UpdateScheme::Pull { 2 } else { 1 }
 }
 
 fn put_header(buf: &mut Vec<u8>, magic: &[u8; 4], block: &BlockSim) {
@@ -79,6 +95,21 @@ fn get_header(buf: &mut &[u8], magic: &[u8; 4], fixed: usize) -> Result<[usize; 
     Ok(std::array::from_fn(|_| buf.get_u32_le() as usize))
 }
 
+/// The shape a header names, if a block can have it: positive extents, a
+/// ghost layer, padded extents that are `i32` coordinates, and a box
+/// whose flag bytes and two PDF buffers a `usize` counts.
+fn wire_shape([nx, ny, nz, ghost]: [usize; 4]) -> Result<Shape, RestoreError> {
+    let padded = |n: usize| {
+        let p = n.checked_add(ghost.checked_mul(2)?)?;
+        (n > 0 && p <= i32::MAX as usize).then_some(p)
+    };
+    let cells = [nx, ny, nz].into_iter().try_fold(1usize, |c, n| c.checked_mul(padded(n)?));
+    match cells.and_then(|c| c.checked_mul(1 + pdf_bytes(1, UpdateScheme::Pull))) {
+        Some(_) if ghost >= 1 => Ok(Shape::new(nx, ny, nz, ghost)),
+        _ => Err(RestoreError::BadShape),
+    }
+}
+
 /// Both buffers; an in-place block's `dst` is empty.
 fn put_pdfs(buf: &mut Vec<u8>, block: &BlockSim) {
     for v in block.src.data() {
@@ -93,11 +124,14 @@ fn put_pdfs(buf: &mut Vec<u8>, block: &BlockSim) {
 /// it and fills the buffer(s) from the front of `buf`. Every check comes
 /// first: a rejected payload leaves the block as it was.
 fn get_pdfs(block: &mut BlockSim, byte: u8, buf: &mut &[u8]) -> Result<(), RestoreError> {
-    let (scheme, odd) = decode_scheme(byte)?;
+    let (scheme, odd, rows) = decode_scheme(byte)?;
+    if rows != block.src.rows().is_some() {
+        return Err(RestoreError::StorageMismatch);
+    }
     if scheme == UpdateScheme::InPlace && block.kernel != BlockKernel::Dense {
         return Err(RestoreError::InPlaceOnCarved);
     }
-    if buf.len() < pdf_bytes(block.shape.alloc_cells(), byte) {
+    if buf.len() < pdf_bytes(block.src.cells(), scheme) {
         return Err(RestoreError::Truncated);
     }
     block.set_scheme(scheme, odd);
@@ -114,7 +148,7 @@ fn get_pdfs(block: &mut BlockSim, byte: u8, buf: &mut &[u8]) -> Result<(), Resto
 /// double buffer; in-place blocks carry their single buffer only.
 pub fn save_block(block: &BlockSim) -> Vec<u8> {
     let scheme = scheme_byte(block);
-    let mut buf = Vec::with_capacity(HEADER + 8 + 1 + pdf_bytes(block.shape.alloc_cells(), scheme));
+    let mut buf = Vec::with_capacity(HEADER + 8 + 1 + block.pdf_bytes());
     put_header(&mut buf, MAGIC, block);
     buf.put_u64_le(flag_digest(&block.flags));
     buf.put_u8(scheme);
@@ -133,6 +167,12 @@ pub enum RestoreError {
     FlagMismatch,
     /// Unknown update-scheme byte.
     BadScheme,
+    /// The header names a shape no block can have: a zero extent, no
+    /// ghost layer, or a box too large to count.
+    BadShape,
+    /// The payload stores the box and the block a row table, or the
+    /// other way round (or, in a full payload, rows for a dense block).
+    StorageMismatch,
     /// The payload runs in place, but the block is carved (row-interval
     /// kernel), which has no in-place sweep.
     InPlaceOnCarved,
@@ -163,8 +203,7 @@ pub const MAGIC_FULL: &[u8; 4] = b"TCP2";
 /// Appends the [`save_block_full`] encoding of `block` to `buf`.
 fn put_block_full(buf: &mut Vec<u8>, block: &BlockSim) {
     let scheme = scheme_byte(block);
-    let cells = block.shape.alloc_cells();
-    buf.reserve(HEADER + 1 + cells + pdf_bytes(cells, scheme));
+    buf.reserve(HEADER + 1 + block.shape.alloc_cells() + block.pdf_bytes());
     put_header(buf, MAGIC_FULL, block);
     buf.put_u8(scheme);
     buf.extend_from_slice(block.flags.data());
@@ -186,30 +225,44 @@ pub fn save_block_full(block: &BlockSim) -> Vec<u8> {
 
 /// Rebuilds a [`BlockSim`] from a [`save_block_full`] payload.
 ///
-/// The flag field is reconstructed from the wire bytes, the sparse row
-/// intervals and kernel tier are re-derived from it (exactly as
-/// [`BlockSim::from_flags`] would on first build), then the transported
-/// PDF state overwrites the freshly initialized field bit-for-bit.
+/// The header's shape is checked before anything is allocated. The flag
+/// field is reconstructed from the wire bytes, the sparse row intervals,
+/// kernel tier and — for a payload of stored rows — the row table are
+/// re-derived from it (exactly as [`BlockSim::from_flags_with_scheme`]
+/// would on first build, or [`BlockSim::from_flags`] for a payload of
+/// the whole box), the PDF payload's length is checked against the cells
+/// that storage holds, then the transported PDF state overwrites the
+/// freshly initialized field bit-for-bit.
 pub fn restore_block_full(
     data: &[u8],
     boundary: trillium_kernels::BoundaryParams,
 ) -> Result<BlockSim, RestoreError> {
-    use trillium_field::Shape;
     let mut buf = data;
-    let [nx, ny, nz, ghost] = get_header(&mut buf, MAGIC_FULL, HEADER + 1)?;
-    let shape = Shape::new(nx, ny, nz, ghost);
+    let shape = wire_shape(get_header(&mut buf, MAGIC_FULL, HEADER + 1)?)?;
     let cells = shape.alloc_cells();
     let byte = buf.get_u8();
-    let (scheme, _) = decode_scheme(byte)?;
+    let (scheme, _, rows) = decode_scheme(byte)?;
     // Before anything is allocated for a shape the bytes do not back.
-    if buf.len() < cells + pdf_bytes(cells, byte) {
+    if buf.len() < cells {
         return Err(RestoreError::Truncated);
     }
-    let mut flags = trillium_field::FlagField::new(shape);
+    let mut flags = FlagField::new(shape);
     flags.data_mut().copy_from_slice(&buf[..cells]);
     buf.advance(cells);
+    let stored = if rows {
+        let intervals = RowIntervals::build(&flags);
+        if !is_carved(&intervals, shape) {
+            return Err(RestoreError::StorageMismatch);
+        }
+        RowTable::pull_reads::<D3Q19>(shape, &intervals).cells()
+    } else {
+        cells
+    };
+    if buf.len() < pdf_bytes(stored, scheme) {
+        return Err(RestoreError::Truncated);
+    }
     // rho/u only seed the equilibrium that the wire PDFs overwrite next.
-    let mut block = BlockSim::from_flags_with_scheme(flags, boundary, 1.0, [0.0; 3], scheme);
+    let mut block = BlockSim::build(flags, boundary, 1.0, [0.0; 3], scheme, rows);
     get_pdfs(&mut block, byte, &mut buf)?;
     Ok(block)
 }
@@ -371,6 +424,68 @@ mod tests {
         let boundary = BoundaryParams::default();
         assert!(matches!(restore_block_full(&wire[..40], boundary), Err(RestoreError::Truncated)));
         assert!(matches!(restore_block_full(b"TCP1....", boundary), Err(RestoreError::BadMagic)));
+
+        // Headers naming no block's shape, each rejected before anything
+        // is allocated: a zero extent, no ghost layer, a box whose cell
+        // count overflows, and one whose PDF bytes do.
+        let header = |[nx, ny, nz, ghost]: [u32; 4]| {
+            let mut bad = wire.clone();
+            for (i, n) in [nx, ny, nz, ghost].into_iter().enumerate() {
+                bad[4 + 4 * i..8 + 4 * i].copy_from_slice(&n.to_le_bytes());
+            }
+            restore_block_full(&bad, boundary).err()
+        };
+        for shape in [
+            [0, 8, 8, 1],
+            [8, 8, 0, 1],
+            [8, 8, 8, 0],
+            [u32::MAX; 4],
+            [1 << 20, 1 << 20, 1 << 20, 1],
+        ] {
+            assert_eq!(header(shape), Some(RestoreError::BadShape), "{shape:?}");
+        }
+        assert!(header([8, 8, 8, 1]).is_none());
+
+        // A carved block's payload is its stored rows: one `f64` short is
+        // truncated, and its rows bit on a dense block's flags names a
+        // storage that block cannot have.
+        let mut flags = boxed_block_flags(Shape::cube(8), [Some(CellFlags::NOSLIP); 6]);
+        flags.set_flags(3, 3, 3, CellFlags::NOSLIP);
+        let carved =
+            BlockSim::from_flags_with_scheme(flags, boundary, 1.0, [0.0; 3], UpdateScheme::Pull);
+        assert!(carved.src.rows().is_some());
+        let carved_wire = save_block_full(&carved);
+        assert_eq!(carved_wire.len(), HEADER + 1 + 1000 + carved.pdf_bytes());
+        let short = &carved_wire[..carved_wire.len() - 8];
+        assert_eq!(restore_block_full(short, boundary).err(), Some(RestoreError::Truncated));
+        assert!(restore_block_full(&carved_wire, boundary).is_ok());
+        let mut dense_rows = wire.clone();
+        dense_rows[HEADER] |= ROWS;
+        assert_eq!(
+            restore_block_full(&dense_rows, boundary).err(),
+            Some(RestoreError::StorageMismatch)
+        );
+
+        // TCP1 between the two storages of one carved flag field is a
+        // storage mismatch both ways, and writes nothing.
+        let boxed = BlockSim::from_flags(carved.flags.clone(), boundary, 1.0, [0.0; 3]);
+        let mut rows_target = BlockSim::from_flags_with_scheme(
+            carved.flags.clone(),
+            boundary,
+            1.1,
+            [0.0; 3],
+            UpdateScheme::Pull,
+        );
+        let mut box_target = BlockSim::from_flags(carved.flags.clone(), boundary, 1.1, [0.0; 3]);
+        for (target, from) in [(&mut rows_target, &boxed), (&mut box_target, &carved)] {
+            let before = target.src.data().to_vec();
+            assert_eq!(
+                restore_block(target, &save_block(from)),
+                Err(RestoreError::StorageMismatch)
+            );
+            assert_eq!(target.src.data(), &before[..]);
+        }
+        assert_eq!(restore_block(&mut rows_target, &save_block(&carved)), Ok(()));
     }
 
     /// The resilient driver's stable-storage unit: a whole rank slice
@@ -518,9 +633,10 @@ mod tests {
             UpdateScheme::InPlace,
         );
         assert_eq!((carved.kernel, carved.scheme), (BlockKernel::RowIntervals, UpdateScheme::Pull));
-        // The scheme byte follows the header (+ flag digest in TCP1).
+        // The scheme byte follows the header (+ flag digest in TCP1): pull,
+        // on a row store.
         let (tcp1, tcp2) = (save_block(&carved), save_block_full(&carved));
-        assert_eq!((tcp1[HEADER + 8], tcp2[HEADER]), (0, 0));
+        assert_eq!((tcp1[HEADER + 8], tcp2[HEADER]), (ROWS, ROWS));
         for byte in [1, 2] {
             let mut wire = tcp1.clone();
             wire[HEADER + 8] = byte;
@@ -537,7 +653,7 @@ mod tests {
             assert_eq!(target.dst.data().len(), before.len());
 
             let mut wire = tcp2.clone();
-            wire[HEADER] = byte;
+            wire[HEADER] = byte | ROWS;
             let got = restore_block_full(&wire, BoundaryParams::default()).err();
             assert_eq!(got, Some(RestoreError::InPlaceOnCarved));
         }

@@ -1117,7 +1117,8 @@ impl<'a> RankLoop<'a> {
     }
 }
 
-/// Serializes every block's interior PDFs for bitwise comparison.
+/// Serializes every block's interior PDFs for bitwise comparison (a
+/// cell a row store does not hold dumps as zeros).
 fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64>)> {
     view.blocks
         .iter()
@@ -1125,9 +1126,10 @@ fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64
         .map(|(lb, b)| {
             let (nx, ny) = (b.shape.nx, b.shape.ny as i32);
             let mut vals = vec![0.0; b.shape.interior_cells() * 19];
+            let mut buf = vec![0.0; nx];
             for (cells, yz) in vals.chunks_exact_mut(nx * 19).zip(0..) {
                 for q in 0..19 {
-                    let row = b.src.row(q, 0, yz % ny, yz / ny, nx);
+                    let row = b.src.row_or_read(q, 0, yz % ny, yz / ny, &mut buf);
                     cells.iter_mut().skip(q).step_by(19).zip(row).for_each(|(c, &v)| *c = v);
                 }
             }

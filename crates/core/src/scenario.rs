@@ -12,7 +12,7 @@ use crate::blocksim::{boxed_block_flags, BlockSim, UpdateScheme};
 use crate::loadbalance::Balancer;
 use std::sync::Arc;
 use trillium_blockforest::{LocalBlock, SetupForest};
-use trillium_field::{CellFlags, FlagOps, Shape};
+use trillium_field::{CellFlags, FlagField, FlagOps, Shape};
 use trillium_geometry::vec3::vec3;
 use trillium_geometry::voxelize::{voxelize_block, VoxelizeConfig};
 use trillium_geometry::{Aabb, SignedDistance, Vec3};
@@ -355,7 +355,7 @@ impl Scenario {
     /// Finishes block construction: builds the sim from the flag field
     /// under the requested update scheme and stamps the scenario-global
     /// collision operator and backend onto it.
-    fn finish_block(&self, flags: trillium_field::FlagField) -> BlockSim {
+    fn finish_block(&self, flags: FlagField) -> BlockSim {
         let mut sim =
             BlockSim::from_flags_with_scheme(flags, self.boundary, self.rho0, self.u0, self.kernel);
         self.stamp(&mut sim);
@@ -370,38 +370,24 @@ impl Scenario {
         sim.backend = self.backend;
     }
 
-    /// Builds the simulation state of one local block.
-    pub fn build_block(&self, lb: &LocalBlock) -> BlockSim {
+    /// The flag field of one local block: its cells, ghost layer
+    /// included, classified by the scenario's geometry and borders.
+    pub fn block_flags(&self, lb: &LocalBlock) -> FlagField {
         let shape = Shape::new(self.cells[0], self.cells[1], self.cells[2], 1);
+        let border = self.border_faces(lb);
+        let faces = |walls: [CellFlags; 6]| {
+            boxed_block_flags(shape, std::array::from_fn(|i| border[i].then_some(walls[i])))
+        };
+        use CellFlags as F;
         match &self.kind {
+            // Moving lid at +z.
             Kind::Cavity => {
-                let border = self.border_faces(lb);
-                let flags = boxed_block_flags(
-                    shape,
-                    [
-                        border[0].then_some(CellFlags::NOSLIP),
-                        border[1].then_some(CellFlags::NOSLIP),
-                        border[2].then_some(CellFlags::NOSLIP),
-                        border[3].then_some(CellFlags::NOSLIP),
-                        border[4].then_some(CellFlags::NOSLIP),
-                        border[5].then_some(CellFlags::VELOCITY), // moving lid at +z
-                    ],
-                );
-                self.finish_block(flags)
+                faces([F::NOSLIP, F::NOSLIP, F::NOSLIP, F::NOSLIP, F::NOSLIP, F::VELOCITY])
             }
             Kind::Channel { center, radius } => {
-                let border = self.border_faces(lb);
-                let mut flags = boxed_block_flags(
-                    shape,
-                    [
-                        border[0].then_some(CellFlags::VELOCITY), // inflow at −x
-                        border[1].then_some(CellFlags::PRESSURE), // outflow at +x
-                        border[2].then_some(CellFlags::NOSLIP),
-                        border[3].then_some(CellFlags::NOSLIP),
-                        border[4].then_some(CellFlags::NOSLIP),
-                        border[5].then_some(CellFlags::NOSLIP),
-                    ],
-                );
+                // Inflow at −x, outflow at +x.
+                let mut flags =
+                    faces([F::VELOCITY, F::PRESSURE, F::NOSLIP, F::NOSLIP, F::NOSLIP, F::NOSLIP]);
                 // Carve the obstacle: cells whose global center lies in
                 // the sphere become no-slip solid.
                 if *radius > 0.0 {
@@ -414,21 +400,68 @@ impl Scenario {
                             + (gy - center[1]).powi(2)
                             + (gz - center[2]).powi(2);
                         if d2 < radius * radius {
-                            flags.set_flags(x, y, z, CellFlags::NOSLIP);
+                            flags.set_flags(x, y, z, F::NOSLIP);
                         }
                     }
                 }
-                self.finish_block(flags)
+                flags
             }
             Kind::Domain { sdf, config, dx, .. } => {
-                let flags = voxelize_block(sdf.as_ref(), lb.aabb.min, *dx, shape, config);
-                self.finish_block(flags)
+                voxelize_block(sdf.as_ref(), lb.aabb.min, *dx, shape, config)
             }
-            Kind::TaylorGreen { amplitude } => {
-                // Fully periodic: every cell (ghosts included) is fluid.
-                let flags = boxed_block_flags(shape, [None; 6]);
-                let mut sim = self.finish_block(flags);
+            // Fully periodic: every cell (ghosts included) is fluid.
+            Kind::TaylorGreen { .. } => boxed_block_flags(shape, [None; 6]),
+            // High-ρ inlet at −x, low-ρ outlet at +x; spanwise z is
+            // periodic.
+            Kind::Poiseuille => boxed_block_flags(
+                shape,
+                [
+                    border[0].then_some(F::PRESSURE),
+                    border[1].then_some(F::PRESSURE_ALT),
+                    border[2].then_some(F::NOSLIP),
+                    border[3].then_some(F::NOSLIP),
+                    None,
+                    None,
+                ],
+            ),
+            Kind::VonKarman { center, radius } => {
+                // Inflow at −x, outflow at +x; spanwise z is periodic.
+                let mut flags = boxed_block_flags(
+                    shape,
+                    [
+                        border[0].then_some(F::VELOCITY),
+                        border[1].then_some(F::PRESSURE),
+                        border[2].then_some(F::NOSLIP),
+                        border[3].then_some(F::NOSLIP),
+                        None,
+                        None,
+                    ],
+                );
+                // Carve the cylinder (axis along z): tagged with the
+                // OBSTACLE marker so force probes can isolate it from the
+                // channel walls.
                 let origin = self.block_origin(lb);
+                let wall = CellFlags(F::OBSTACLE.0 | F::NOSLIP.0);
+                for (x, y, z) in shape.with_ghosts().iter() {
+                    let gx = (origin[0] + x as i64) as f64 + 0.5;
+                    let gy = (origin[1] + y as i64) as f64 + 0.5;
+                    let d2 = (gx - center[0]).powi(2) + (gy - center[1]).powi(2);
+                    if d2 < radius * radius {
+                        flags.set_flags(x, y, z, wall);
+                    }
+                }
+                flags
+            }
+        }
+    }
+
+    /// Builds the simulation state of one local block: the block of its
+    /// [`Scenario::block_flags`], at the scenario's initial state.
+    pub fn build_block(&self, lb: &LocalBlock) -> BlockSim {
+        let mut sim = self.finish_block(self.block_flags(lb));
+        let origin = self.block_origin(lb);
+        match &self.kind {
+            Kind::TaylorGreen { amplitude } => {
                 let n = self.global_cells();
                 let kx = 2.0 * std::f64::consts::PI / n[0] as f64;
                 let ky = 2.0 * std::f64::consts::PI / n[1] as f64;
@@ -442,50 +475,8 @@ impl Scenario {
                     let rho = rho0 * (1.0 - 0.75 * a * a * ((2.0 * gx).cos() + (2.0 * gy).cos()));
                     (rho, u)
                 });
-                sim
             }
-            Kind::Poiseuille => {
-                let border = self.border_faces(lb);
-                let flags = boxed_block_flags(
-                    shape,
-                    [
-                        border[0].then_some(CellFlags::PRESSURE),     // high-ρ inlet
-                        border[1].then_some(CellFlags::PRESSURE_ALT), // low-ρ outlet
-                        border[2].then_some(CellFlags::NOSLIP),
-                        border[3].then_some(CellFlags::NOSLIP),
-                        None, // spanwise z is periodic
-                        None,
-                    ],
-                );
-                self.finish_block(flags)
-            }
-            Kind::VonKarman { center, radius } => {
-                let border = self.border_faces(lb);
-                let mut flags = boxed_block_flags(
-                    shape,
-                    [
-                        border[0].then_some(CellFlags::VELOCITY), // inflow at −x
-                        border[1].then_some(CellFlags::PRESSURE), // outflow at +x
-                        border[2].then_some(CellFlags::NOSLIP),
-                        border[3].then_some(CellFlags::NOSLIP),
-                        None, // spanwise z is periodic
-                        None,
-                    ],
-                );
-                // Carve the cylinder (axis along z): tagged with the
-                // OBSTACLE marker so force probes can isolate it from the
-                // channel walls.
-                let origin = self.block_origin(lb);
-                let wall = CellFlags(CellFlags::OBSTACLE.0 | CellFlags::NOSLIP.0);
-                for (x, y, z) in shape.with_ghosts().iter() {
-                    let gx = (origin[0] + x as i64) as f64 + 0.5;
-                    let gy = (origin[1] + y as i64) as f64 + 0.5;
-                    let d2 = (gx - center[0]).powi(2) + (gy - center[1]).powi(2);
-                    if d2 < radius * radius {
-                        flags.set_flags(x, y, z, wall);
-                    }
-                }
-                let mut sim = self.finish_block(flags);
+            Kind::VonKarman { .. } => {
                 // Seed a small transverse perturbation so the wake's
                 // antisymmetric instability grows from a deterministic
                 // O(ε) amplitude: the unperturbed base flow is symmetric
@@ -499,9 +490,10 @@ impl Scenario {
                     let uy = eps * (2.0 * std::f64::consts::PI * gx / lx).sin();
                     (rho0, [ux, uy, 0.0])
                 });
-                sim
             }
+            _ => {}
         }
+        sim
     }
 
     /// Which of the six faces (−x, +x, −y, +y, −z, +z) of a block lie on

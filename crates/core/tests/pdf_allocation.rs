@@ -115,3 +115,81 @@ fn fluid_totals_allocates_nothing() {
         }
     }
 }
+
+/// Every cell a carved block's step reads, by brute force over its flags:
+/// its fluid cells and their 18 pull sources (which include both cells of
+/// every boundary link: the wall cell a fluid cell pulls from, and the
+/// fluid cell whose PDFs the link reads).
+fn read_set(b: &BlockSim) -> usize {
+    use std::collections::BTreeSet;
+    use trillium_field::FlagOps;
+    let mut cells = BTreeSet::new();
+    for (x, y, z) in b.shape.interior().iter() {
+        if b.flags.flags(x, y, z).is_fluid() {
+            for c in trillium_lattice::d3q19::C {
+                cells.insert((x - i32::from(c[0]), y - i32::from(c[1]), z - i32::from(c[2])));
+            }
+        }
+    }
+    cells.len()
+}
+
+/// A carved block stores what its step reads. A block that
+/// `Scenario::build_block` carves out of a small vessel tree is built
+/// from its flags (voxelised first, outside the count) with PDF buffers
+/// of at most 1.1x its read set each, and those are the only two
+/// allocations of a read set or more; `BlockSim::pdf_bytes` and the
+/// `mem.pdf_bytes` gauge count those stored bytes.
+#[test]
+fn a_carved_block_allocates_its_read_set() {
+    use trillium_geometry::{VascularTree, VascularTreeParams};
+    let tree = VascularTree::generate(&VascularTreeParams {
+        generations: 2,
+        segments_per_branch: 1,
+        root_length: 4.0,
+        ..VascularTreeParams::default()
+    });
+    let setup = setup_domain(
+        "tree",
+        std::sync::Arc::new(tree),
+        0.125,
+        [16; 3],
+        1,
+        Balancer::Morton,
+        0.1,
+        [0.0, 0.0, 0.02],
+    );
+    let s = setup.scenario;
+    let (mut stored, mut checked) = (0, 0);
+    for lb in &setup.views[0].blocks {
+        let built = s.build_block(lb);
+        let read = read_set(&built);
+        let flags = s.block_flags(lb);
+        let field = 19 * 8 * read;
+        BIG.with(|b| b.set(field));
+        let n0 = BIG_ALLOCATIONS.with(Cell::get);
+        let block = BlockSim::from_flags_with_scheme(flags, s.boundary, s.rho0, s.u0, s.kernel);
+        let n1 = BIG_ALLOCATIONS.with(Cell::get);
+        BIG.with(|b| b.set(usize::MAX));
+        assert!(block.fluid_cells() < block.shape.interior_cells(), "every block is carved");
+        assert!(block.src.same_storage(&built.src) && block.dst.same_storage(&built.dst));
+        let per_buffer = block.src.data().len() * 8;
+        assert_eq!(block.dst.data().len() * 8, per_buffer, "pull: two equal buffers");
+        assert!(
+            field <= per_buffer && per_buffer as f64 <= 1.1 * field as f64,
+            "{per_buffer} B per buffer for a read set of {read} cells ({field} B)"
+        );
+        // (A block of a few fluid cells reads less than its row table
+        // holds: 12 B per row of its ghost-inclusive box.)
+        if read > 1000 {
+            assert_eq!(n1 - n0, 2, "two allocations of a read set or more: the PDF buffers");
+            checked += 1;
+        }
+        assert_eq!(built.pdf_bytes(), 2 * per_buffer);
+        stored += built.pdf_bytes();
+    }
+    assert!(checked >= 2, "{checked} blocks of a thousand cells or more");
+    let run = run_distributed_with(&s, 1, 1, 1, &[], DriverConfig::default());
+    let gauge = run.ranks[0].obs.as_ref().unwrap().metrics.gauge("mem.pdf_bytes").unwrap();
+    assert_eq!(gauge, stored as f64);
+}

@@ -8,6 +8,9 @@
 //! ghost exchange, validation) is written once.
 
 use crate::shape::Shape;
+use crate::sparse::RowTable;
+use std::ops::Range;
+use std::sync::Arc;
 use trillium_lattice::{equilibrium_all, LatticeModel};
 
 /// Layout-independent access to a PDF field of lattice model `M`.
@@ -155,8 +158,21 @@ impl<M: LatticeModel> PdfField<M> for AosPdfField<M> {
     }
 }
 
-/// PDF field in Structure-of-Arrays layout: one dense grid per direction,
-/// linear index `q * alloc_cells + cell`.
+/// PDF field in Structure-of-Arrays layout: one array per direction,
+/// linear index `q * cells + position`.
+///
+/// # Storage: the box or a row table
+///
+/// By default a field stores every cell of its ghost-inclusive box, the
+/// position of a cell being [`Shape::idx`]. A field built
+/// [`with_rows`](Self::with_rows) stores only the cells of a
+/// [`RowTable`] — a carved block's read set — at the table's positions,
+/// each stored x-row contiguous. The [`PdfField`] accessors are total
+/// either way under one rule: **a cell the store does not hold reads as
+/// `0.0`, and a write to it is dropped.** That keeps whole-box walks
+/// (dumps, whole-slab ghost packs and unpacks, equilibrium fills) valid
+/// on both storages; the sweeps and boundary links never reach an
+/// unstored cell (their table lookups check it).
 ///
 /// # In-place (AA-pattern) storage parity
 ///
@@ -175,19 +191,44 @@ impl<M: LatticeModel> PdfField<M> for AosPdfField<M> {
 /// expose the untranslated storage view.
 pub struct SoaPdfField<M: LatticeModel> {
     shape: Shape,
+    /// The stored rows; `None` stores the whole box.
+    rows: Option<Arc<RowTable>>,
     data: Vec<f64>,
     parity: bool,
     _model: std::marker::PhantomData<M>,
 }
 
 impl<M: LatticeModel> SoaPdfField<M> {
-    /// Allocates a zero-initialized field (even/canonical parity).
+    /// Allocates a zero-initialized field over the whole box of `shape`
+    /// (even/canonical parity).
     pub fn new(shape: Shape) -> Self {
         SoaPdfField {
             shape,
+            rows: None,
             data: vec![0.0; shape.alloc_cells() * M::Q],
             parity: false,
             _model: std::marker::PhantomData,
+        }
+    }
+
+    /// Allocates a zero-initialized field storing the cells of `rows`
+    /// only (even parity).
+    pub fn with_rows(rows: Arc<RowTable>) -> Self {
+        SoaPdfField {
+            shape: rows.shape(),
+            data: vec![0.0; rows.cells() * M::Q],
+            rows: Some(rows),
+            parity: false,
+            _model: std::marker::PhantomData,
+        }
+    }
+
+    /// A zero-initialized field with this one's shape and storage (even
+    /// parity).
+    pub fn zeroed_like(&self) -> Self {
+        match &self.rows {
+            Some(rows) => Self::with_rows(rows.clone()),
+            None => Self::new(self.shape),
         }
     }
 
@@ -195,7 +236,26 @@ impl<M: LatticeModel> SoaPdfField<M> {
     /// single-buffer (in-place) block, which never reads or writes it.
     /// `data()` is empty and every cell access panics.
     pub fn empty(shape: Shape) -> Self {
-        SoaPdfField { shape, data: Vec::new(), parity: false, _model: std::marker::PhantomData }
+        SoaPdfField {
+            shape,
+            rows: None,
+            data: Vec::new(),
+            parity: false,
+            _model: std::marker::PhantomData,
+        }
+    }
+
+    /// The row table of a row store; `None` when the whole box is stored.
+    #[inline(always)]
+    pub fn rows(&self) -> Option<&RowTable> {
+        self.rows.as_deref()
+    }
+
+    /// Stored cells per direction: the box's allocated cells, or the row
+    /// table's.
+    #[inline(always)]
+    pub fn cells(&self) -> usize {
+        self.rows.as_ref().map_or(self.shape.alloc_cells(), |rows| rows.cells())
     }
 
     /// Current storage parity: `false` = canonical (pull-compatible)
@@ -214,40 +274,74 @@ impl<M: LatticeModel> SoaPdfField<M> {
         self.parity = parity;
     }
 
-    /// Storage slot (direction grid, linear cell index) of logical PDF
-    /// `(x, y, z, q)` under the current parity.
+    /// Storage slot of logical PDF `(x, y, z, q)` on box storage, under
+    /// the current parity.
     #[inline(always)]
-    fn slot(&self, x: i32, y: i32, z: i32, q: usize) -> usize {
-        if self.parity {
-            let c = M::velocities()[q];
-            let qi = M::inverse()[q];
-            qi * self.shape.alloc_cells()
-                + self.shape.idx(x + c[0] as i32, y + c[1] as i32, z + c[2] as i32)
-        } else {
-            q * self.shape.alloc_cells() + self.shape.idx(x, y, z)
+    fn box_slot(&self, x: i32, y: i32, z: i32, q: usize) -> usize {
+        let ([x, y, z], k) = stored_cell::<M>(self.parity, x, y, z, q);
+        k * self.shape.alloc_cells() + self.shape.idx(x, y, z)
+    }
+
+    /// Storage slot of logical PDF `(x, y, z, q)` under the current
+    /// parity, if the cell it maps to is stored.
+    #[inline(always)]
+    fn slot(&self, x: i32, y: i32, z: i32, q: usize) -> Option<usize> {
+        match &self.rows {
+            None => Some(self.box_slot(x, y, z, q)),
+            Some(rows) => {
+                let (part, s) = stored_part::<M>(rows, self.parity, q, x, y, z, 1);
+                (!part.is_empty()).then_some(s)
+            }
         }
     }
 
-    /// Borrowed view of a row, contiguous at either parity: [`slot`](Self::
-    /// slot) is affine in `x` (odd parity only moves the start to `(x0, y,
-    /// z) + c_q` in `q̄`'s grid), so these are the slots `get` visits.
+    /// Borrowed view of a row, contiguous at either parity (odd parity
+    /// only moves its start to `(x0, y, z) + c_q` in `q̄`'s array): the
+    /// slots `get` visits. Panics if the store does not hold the whole
+    /// row.
     #[inline(always)]
     pub fn row(&self, q: usize, x0: i32, y: i32, z: i32, len: usize) -> &[f64] {
-        let s = self.slot(x0, y, z, q);
+        let s = match &self.rows {
+            None => self.box_slot(x0, y, z, q),
+            Some(rows) => {
+                let (part, s) = stored_part::<M>(rows, self.parity, q, x0, y, z, len);
+                assert!(part.len() == len, "row of {len} from ({x0}, {y}, {z}) is not stored");
+                s
+            }
+        };
         &self.data[s..s + len]
     }
 
-    /// The dense grid of direction `q`.
+    /// The row of `buf.len()` PDFs `q` from `(x0, y, z)` on: borrowed on
+    /// box storage, [`read_row`](PdfField::read_row) into `buf` on a row
+    /// store.
+    #[inline(always)]
+    pub fn row_or_read<'a>(
+        &'a self,
+        q: usize,
+        x0: i32,
+        y: i32,
+        z: i32,
+        buf: &'a mut [f64],
+    ) -> &'a [f64] {
+        if self.rows.is_none() {
+            return self.row(q, x0, y, z, buf.len());
+        }
+        self.read_row(q, x0, y, z, buf);
+        buf
+    }
+
+    /// The stored array of direction `q`.
     #[inline(always)]
     pub fn dir(&self, q: usize) -> &[f64] {
-        let n = self.shape.alloc_cells();
+        let n = self.cells();
         &self.data[q * n..(q + 1) * n]
     }
 
-    /// Mutable dense grid of direction `q`.
+    /// Mutable stored array of direction `q`.
     #[inline(always)]
     pub fn dir_mut(&mut self, q: usize) -> &mut [f64] {
-        let n = self.shape.alloc_cells();
+        let n = self.cells();
         &mut self.data[q * n..(q + 1) * n]
     }
 
@@ -263,25 +357,41 @@ impl<M: LatticeModel> SoaPdfField<M> {
         &mut self.data
     }
 
-    /// The `Q` per-direction grids as a line table (`N` must be `M::Q`;
+    /// The `Q` per-direction arrays as a line table (`N` must be `M::Q`;
     /// a fixed-size array, so a sweep builds it without allocating).
     pub fn dirs<const N: usize>(&self) -> [&[f64]; N] {
         assert_eq!(N, M::Q, "line table size must equal the model's Q");
-        let n = self.shape.alloc_cells();
+        let n = self.cells();
         std::array::from_fn(|q| &self.data[q * n..(q + 1) * n])
     }
 
-    /// Splits the storage into the `Q` per-direction mutable grids (`N`
+    /// Splits the storage into the `Q` per-direction mutable arrays (`N`
     /// must be `M::Q`); see [`SoaPdfField::dirs`].
     pub fn dirs_mut<const N: usize>(&mut self) -> [&mut [f64]; N] {
         assert_eq!(N, M::Q, "line table size must equal the model's Q");
-        let mut grids = self.data.chunks_exact_mut(self.shape.alloc_cells());
-        std::array::from_fn(|_| grids.next().expect("storage holds Q grids"))
+        let (n, mut rest) = (self.cells(), self.data.as_mut_slice());
+        std::array::from_fn(|_| {
+            let (grid, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            grid
+        })
     }
 
-    /// Swaps storage with another field of identical shape (A/B pattern).
+    /// True if `other` has this field's shape and stores the same cells
+    /// at the same positions.
+    pub fn same_storage(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && match (&self.rows, &other.rows) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+                _ => false,
+            }
+    }
+
+    /// Swaps storage with another field of identical shape and storage
+    /// (A/B pattern).
     pub fn swap(&mut self, other: &mut Self) {
-        assert_eq!(self.shape, other.shape);
+        assert!(self.same_storage(other), "swap between fields of different storage");
         std::mem::swap(&mut self.data, &mut other.data);
         std::mem::swap(&mut self.parity, &mut other.parity);
     }
@@ -291,6 +401,7 @@ impl<M: LatticeModel> Clone for SoaPdfField<M> {
     fn clone(&self) -> Self {
         SoaPdfField {
             shape: self.shape,
+            rows: self.rows.clone(),
             data: self.data.clone(),
             parity: self.parity,
             _model: std::marker::PhantomData,
@@ -304,37 +415,97 @@ impl<M: LatticeModel> PdfField<M> for SoaPdfField<M> {
         self.shape
     }
 
+    /// `0.0` for a cell the store does not hold.
     #[inline(always)]
     fn get(&self, x: i32, y: i32, z: i32, q: usize) -> f64 {
-        self.data[self.slot(x, y, z, q)]
+        self.slot(x, y, z, q).map_or(0.0, |s| self.data[s])
     }
 
+    /// Dropped for a cell the store does not hold.
     #[inline(always)]
     fn set(&mut self, x: i32, y: i32, z: i32, q: usize, v: f64) {
-        let i = self.slot(x, y, z, q);
-        self.data[i] = v;
+        if let Some(s) = self.slot(x, y, z, q) {
+            self.data[s] = v;
+        }
     }
 
+    /// Zeros for the cells the store does not hold.
     #[inline(always)]
     fn read_row(&self, q: usize, x0: i32, y: i32, z: i32, out: &mut [f64]) {
-        copy_row(self.row(q, x0, y, z, out.len()), out);
+        let Some(rows) = &self.rows else {
+            return copy_row(self.row(q, x0, y, z, out.len()), out);
+        };
+        let (part, s) = stored_part::<M>(rows, self.parity, q, x0, y, z, out.len());
+        if part.len() < out.len() {
+            out.fill(0.0);
+        }
+        let n = part.len();
+        copy_row(&self.data[s..s + n], &mut out[part]);
     }
 
+    /// Drops the values of the cells the store does not hold.
     #[inline(always)]
     fn write_row(&mut self, q: usize, x0: i32, y: i32, z: i32, vals: &[f64]) {
-        let s = self.slot(x0, y, z, q);
-        copy_row(vals, &mut self.data[s..s + vals.len()]);
+        let Some(rows) = &self.rows else {
+            let s = self.box_slot(x0, y, z, q);
+            return copy_row(vals, &mut self.data[s..s + vals.len()]);
+        };
+        let (part, s) = stored_part::<M>(rows, self.parity, q, x0, y, z, vals.len());
+        let n = part.len();
+        copy_row(&vals[part], &mut self.data[s..s + n]);
     }
 
-    /// One `fill` per direction grid; canonical parity only.
+    /// One `fill` per direction array; canonical parity only.
     fn fill_equilibrium(&mut self, rho: f64, u: [f64; 3]) {
         assert!(!self.parity, "equilibrium fill requires canonical (even) storage parity");
         let mut feq = vec![0.0; M::Q];
         equilibrium_all::<M>(rho, u, &mut feq);
-        for (grid, &f) in self.data.chunks_exact_mut(self.shape.alloc_cells()).zip(&feq) {
-            grid.fill(f);
+        let n = self.cells();
+        for (q, &f) in feq.iter().enumerate() {
+            self.data[q * n..(q + 1) * n].fill(f);
         }
     }
+}
+
+/// The storage cell and direction array of logical PDF `(x, y, z, q)` at
+/// parity `odd`: at odd parity logical `(x, q)` lives at `(x + c_q, q̄)`.
+#[inline(always)]
+fn stored_cell<M: LatticeModel>(odd: bool, x: i32, y: i32, z: i32, q: usize) -> ([i32; 3], usize) {
+    if odd {
+        let c = M::velocities()[q];
+        ([x + c[0] as i32, y + c[1] as i32, z + c[2] as i32], M::inverse()[q])
+    } else {
+        ([x, y, z], q)
+    }
+}
+
+/// The stored part of the logical row of `len` PDFs `q` from `(x0, y, z)`
+/// on in a row store of `rows` at parity `odd`: the sub-range of the row
+/// it covers and the storage slot of that sub-range's first value. Odd
+/// parity only moves the row's start ([`stored_cell`]), so a stored row
+/// is contiguous at either parity.
+#[allow(clippy::too_many_arguments)]
+fn stored_part<M: LatticeModel>(
+    rows: &RowTable,
+    odd: bool,
+    q: usize,
+    x0: i32,
+    y: i32,
+    z: i32,
+    len: usize,
+) -> (Range<usize>, usize) {
+    let ([x, y, z], k) = stored_cell::<M>(odd, x0, y, z, q);
+    let r = rows.row(y, z);
+    let lo = (r.x0 as i64 - x as i64).clamp(0, len as i64);
+    let hi = (r.x0 as i64 + r.len as i64 - x as i64).clamp(lo, len as i64);
+    let (lo, hi) = (lo as usize, hi as usize);
+    // An empty part has no slot; 0 keeps `data[s..s]` valid.
+    let s = if lo < hi {
+        k * rows.cells() + r.offset as usize + (x + lo as i32 - r.x0) as usize
+    } else {
+        0
+    };
+    (lo..hi, s)
 }
 
 /// `copy_from_slice`; a one-cell row (x-face slabs) skips the `memcpy` call.
@@ -545,6 +716,70 @@ mod tests {
         let mut f = SoaPdfField::<D3Q19>::new(Shape::cube(3));
         f.set_parity(true);
         f.fill_equilibrium(1.0, [0.0; 3]);
+    }
+
+    /// The accessor rule of a row store: `get` of a cell outside the row
+    /// table reads `0.0` and `set` there is dropped, at either parity;
+    /// every stored value round-trips through `set`/`get`, and a row read
+    /// across a stored interval's ends holds the stored values and zeros.
+    #[test]
+    fn row_store_reads_unstored_cells_as_zero_and_drops_their_writes() {
+        use crate::flags::{CellFlags, FlagField, FlagOps};
+        use crate::sparse::{RowIntervals, RowTable};
+        use trillium_lattice::LatticeModel;
+        let shape = Shape::new(6, 4, 3, 1);
+        let mut flags = FlagField::new(shape);
+        for (x, y, z) in [(2, 1, 1), (3, 1, 1), (4, 2, 1)] {
+            flags.set_flags(x, y, z, CellFlags::FLUID);
+        }
+        let table = Arc::new(RowTable::pull_reads::<D3Q19>(shape, &RowIntervals::build(&flags)));
+        assert!(0 < table.cells() && table.cells() < shape.alloc_cells() / 2);
+        let tagged = |x: i32, y: i32, z: i32, q: usize| {
+            1.0 + (x + 10 * y + 100 * z) as f64 + 0.01 * q as f64
+        };
+        let all = shape.with_ghosts();
+        for odd in [false, true] {
+            // Whether logical `(x, y, z, q)` maps to a stored cell.
+            let held = |x: i32, y: i32, z: i32, q: usize| {
+                let c = D3Q19::velocities()[q].map(|c| if odd { c as i32 } else { 0 });
+                table.pos(x + c[0], y + c[1], z + c[2]).is_some()
+            };
+            let mut f = SoaPdfField::<D3Q19>::with_rows(table.clone());
+            f.set_parity(odd);
+            assert_eq!((f.cells(), f.data().len()), (table.cells(), 19 * table.cells()));
+            for (x, y, z) in all.iter() {
+                for q in 0..19 {
+                    f.set(x, y, z, q, tagged(x, y, z, q));
+                }
+            }
+            let mut stored = 0;
+            for (x, y, z) in all.iter() {
+                for q in 0..19 {
+                    let want = if held(x, y, z, q) { tagged(x, y, z, q) } else { 0.0 };
+                    assert_eq!(f.get(x, y, z, q), want, "({x},{y},{z}) q={q} odd={odd}");
+                    stored += held(x, y, z, q) as usize;
+                }
+            }
+            // Every stored slot was written once; nothing else was.
+            assert_eq!(stored, f.data().len());
+            assert!(f.data().iter().all(|&v| v != 0.0));
+            // Whole box rows through the row accessors: stored cells take
+            // the row's values, the rest read back as zeros.
+            for q in 0..19 {
+                for z in all.z.clone() {
+                    for y in all.y.clone() {
+                        let vals: Vec<f64> = all.x.clone().map(|x| -tagged(x, y, z, q)).collect();
+                        f.write_row(q, all.x.start, y, z, &vals);
+                        let mut out = vec![7.0; vals.len()];
+                        f.read_row(q, all.x.start, y, z, &mut out);
+                        for (x, (&v, &got)) in all.x.clone().zip(vals.iter().zip(&out)) {
+                            assert_eq!(got, if held(x, y, z, q) { v } else { 0.0 });
+                            assert_eq!(got, f.get(x, y, z, q));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

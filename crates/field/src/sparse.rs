@@ -9,8 +9,15 @@
 //! 2. *row intervals* — for every x-row the index of the first and last
 //!    fluid cell, "similar to the compressed storage scheme of a sparse
 //!    matrix"; the kernel runs on the contiguous span, which vectorizes.
+//!
+//! The paper keeps dense storage under the row intervals. A [`RowTable`]
+//! compresses the storage the same way: per x-row of the ghost-inclusive
+//! box one interval covering every cell the pull sweep over the spans
+//! reads, so a carved block holds the cells it computes and little more.
 
 use crate::flags::{FlagField, FlagOps};
+use crate::shape::Shape;
+use trillium_lattice::LatticeModel;
 
 /// Explicit list of fluid-cell coordinates of one block.
 #[derive(Clone, Debug, Default)]
@@ -119,6 +126,103 @@ impl RowIntervals {
     /// Number of rows that contain at least one fluid cell.
     pub fn num_rows(&self) -> usize {
         self.spans.len()
+    }
+}
+
+/// One stored x-row of a [`RowTable`]: cells `x0 .. x0 + len` of the row
+/// sit at positions `offset .. offset + len` of every direction's array.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct StoredRow {
+    /// Position of the row's first cell.
+    pub(crate) offset: u32,
+    /// First stored x.
+    pub(crate) x0: i32,
+    /// Stored cells (0: the row is not stored).
+    pub(crate) len: u32,
+}
+
+/// Row-compressed cell storage of one block: per `(y, z)` row of the
+/// ghost-inclusive box at most one stored x-interval, the rows packed
+/// back to back in row order (y fastest, then z). A PDF field over the
+/// table keeps one array per direction over the stored cells only; a cell
+/// outside every interval has no storage.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowTable {
+    shape: Shape,
+    /// One entry per row of the ghost-inclusive box, `(z + g) · ay + y + g`.
+    rows: Vec<StoredRow>,
+    cells: usize,
+}
+
+impl RowTable {
+    /// The rows the pull sweep over `intervals` reads in a block of
+    /// `shape`: each covered cell and its `Q − 1` pull sources `x − c_q`
+    /// (which include every wall cell a boundary link writes and every
+    /// ghost value a [`RowIntervals`]-driven ghost list names), each row's
+    /// read set stored as the one x-interval from its first to its last
+    /// cell.
+    pub fn pull_reads<M: LatticeModel>(shape: Shape, intervals: &RowIntervals) -> Self {
+        assert!(shape.ghost >= 1, "the pull sources of border cells are ghosts");
+        let g = shape.ghost as i32;
+        let mut rows = vec![StoredRow::default(); shape.ay() * shape.az()];
+        for s in &intervals.spans {
+            for c in M::velocities() {
+                let (y, z) = (s.y - c[1] as i32, s.z - c[2] as i32);
+                let (x0, x1) = (s.x_begin - c[0] as i32, s.x_end - c[0] as i32);
+                let row = &mut rows[((z + g) as usize) * shape.ay() + (y + g) as usize];
+                let end = if row.len == 0 { x1 } else { x1.max(row.x0 + row.len as i32) };
+                row.x0 = if row.len == 0 { x0 } else { x0.min(row.x0) };
+                row.len = (end - row.x0) as u32;
+            }
+        }
+        let mut cells = 0;
+        for row in &mut rows {
+            row.offset = cells as u32;
+            cells += row.len as usize;
+        }
+        assert!(u32::try_from(cells).is_ok(), "{cells} stored cells exceed 32-bit row offsets");
+        RowTable { shape, rows, cells }
+    }
+
+    /// The box this table compresses.
+    pub fn shape(&self) -> Shape {
+        self.shape
+    }
+
+    /// Stored cells: the length of each direction's array.
+    pub fn cells(&self) -> usize {
+        self.cells
+    }
+
+    /// The stored part of row `(y, z)`; empty outside the box.
+    #[inline(always)]
+    pub(crate) fn row(&self, y: i32, z: i32) -> StoredRow {
+        let g = self.shape.ghost as i32;
+        let (ay, az) = (self.shape.ay() as i32, self.shape.az() as i32);
+        if (0..ay).contains(&(y + g)) && (0..az).contains(&(z + g)) {
+            self.rows[((z + g) * ay + y + g) as usize]
+        } else {
+            StoredRow::default()
+        }
+    }
+
+    /// Position of cell `(x, y, z)`, if it is stored.
+    #[inline(always)]
+    pub fn pos(&self, x: i32, y: i32, z: i32) -> Option<usize> {
+        let r = self.row(y, z);
+        let i = x.wrapping_sub(r.x0) as u32;
+        (i < r.len).then(|| (r.offset + i) as usize)
+    }
+
+    /// Position of the run of `n` cells from `(x, y, z)` on, which must
+    /// be stored whole (a broken caller panics here instead of reading
+    /// another row's cells).
+    #[inline(always)]
+    pub fn run(&self, x: i32, y: i32, z: i32, n: usize) -> usize {
+        let r = self.row(y, z);
+        let i = x.wrapping_sub(r.x0) as u32 as usize;
+        assert!(i + n <= r.len as usize, "run of {n} from ({x}, {y}, {z}) is not stored ({r:?})");
+        r.offset as usize + i
     }
 }
 

@@ -153,7 +153,9 @@ pub trait Backend: Sync {
         region: &Region,
     ) -> SweepStats;
 
-    /// Sparse row-interval pull sweep clipped to `region`.
+    /// Sparse row-interval pull sweep clipped to `region`. `src` and
+    /// `dst` store the box, or both the row table
+    /// ([`trillium_field::RowTable::pull_reads`]) of these `intervals`.
     fn sweep_sparse_region(
         &self,
         collision: Collision,

@@ -32,14 +32,16 @@
 //! `BoundaryHandling` index lists do).
 //!
 //! **One list for both storage parities.** A link is the pair of raw
-//! `SoaPdfField` offsets `a = q·n + idx(w)` and `b = q̄·n + idx(x)`
-//! (`n` = allocated cells). At even parity logical `(w, q)` lives at `a`
-//! and logical `(x, q̄)` at `b`. At odd parity (AA pattern) logical
+//! `SoaPdfField` offsets `a = q·n + pos(w)` and `b = q̄·n + pos(x)`
+//! (`n` = stored cells, `pos` a cell's position: [`Shape::idx`] on box
+//! storage, the row table's on a row store, whose rows hold every link's
+//! two cells). At even parity logical `(w, q)` lives at `a` and logical
+//! `(x, q̄)` at `b`. At odd parity (AA pattern, box storage) logical
 //! `(c, k)` is stored at `(c + c_k, k̄)`, which sends `(w, q)` to `b` and
 //! `(x, q̄)` to `a`: the same two slots with their roles swapped. The sweep
 //! therefore reads the parity once and does `d[a] ← g(d[b])` or
 //! `d[b] ← g(d[a])`; the offsets are valid for any buffer of the block's
-//! shape.
+//! shape and storage.
 //!
 //! **Order.** Links are stored in contiguous *runs* of equal (wall in ghost
 //! layer?, wall flag byte, `q`), runs sorted by that key, links inside a
@@ -56,7 +58,7 @@
 //! remain as the implementation for arbitrary lattice models and layouts
 //! and as the oracle the list is tested against bit for bit.
 
-use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, Shape, SoaPdfField};
+use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, RowTable, Shape, SoaPdfField};
 use trillium_lattice::d3q19::{C, INVERSE, Q};
 use trillium_lattice::equilibrium::equilibrium_even;
 use trillium_lattice::{LatticeModel, D3Q19};
@@ -246,19 +248,35 @@ impl std::error::Error for LinkOffsetOverflow {}
 #[derive(Clone, Debug, PartialEq)]
 pub struct BoundaryLinks {
     shape: Shape,
+    /// Stored cells per direction of the fields the offsets address.
+    cells: usize,
     params: BoundaryParams,
     links: Vec<Link>,
     runs: Vec<Run>,
 }
 
 impl BoundaryLinks {
-    /// Collects the links of `flags`. Cost: one pass over the flag bytes
-    /// plus, per boundary cell, one neighbor test for each direction that
-    /// leads into the interior; a block without boundary cells allocates
-    /// nothing.
+    /// Collects the links of `flags` for box storage. Cost: one pass over
+    /// the flag bytes plus, per boundary cell, one neighbor test for each
+    /// direction that leads into the interior; a block without boundary
+    /// cells allocates nothing.
     pub fn build(flags: &FlagField, params: &BoundaryParams) -> Result<Self, LinkOffsetOverflow> {
+        Self::build_in(flags, params, None)
+    }
+
+    /// [`BoundaryLinks::build`] for fields storing the cells of `rows`
+    /// (`None`: the box). The table must hold the pull sources of the
+    /// fluid cells of `flags`, as [`RowTable::pull_reads`] of their row
+    /// intervals does: a link's wall cell is one, its fluid cell another.
+    /// Panics on a link cell the table does not store.
+    pub fn build_in(
+        flags: &FlagField,
+        params: &BoundaryParams,
+        rows: Option<&RowTable>,
+    ) -> Result<Self, LinkOffsetOverflow> {
         let shape = flags.shape();
-        let n = shape.alloc_cells();
+        assert!(rows.is_none_or(|t| t.shape() == shape), "row table of another shape");
+        let n = rows.map_or(shape.alloc_cells(), RowTable::cells);
         // The largest offset is `Q·n − 1`; with this check every `as u32`
         // below is lossless.
         if n.checked_mul(Q).is_none_or(|slots| u32::try_from(slots).is_err()) {
@@ -331,8 +349,17 @@ impl BoundaryLinks {
         // the next free place of its run.
         groups.sort_unstable_by_key(|group| group.key);
         let total = groups.iter().flat_map(|group| group.count).sum::<u32>();
+        // A cell's position in storage: its box index, or its place in
+        // the row table.
+        let pos = |cell: usize, hop: isize| -> usize {
+            let cell = cell.wrapping_add_signed(hop);
+            let Some(t) = rows else { return cell };
+            let (x, y, z) = shape.coords(cell);
+            t.pos(x, y, z).unwrap_or_else(|| panic!("link cell ({x}, {y}, {z}) is not stored"))
+        };
         let mut list = BoundaryLinks {
             shape,
+            cells: n,
             params: *params,
             links: vec![Link { wall: 0, fluid: 0 }; total as usize],
             runs: Vec::new(),
@@ -347,9 +374,9 @@ impl BoundaryLinks {
             }
             for &(w, dirs) in &group.walls {
                 for q in set_bits(dirs) {
-                    let x = (w as usize).wrapping_add_signed(hop[q]);
+                    let (w, x) = (pos(w as usize, 0), pos(w as usize, hop[q]));
                     list.links[next[q]] =
-                        Link { wall: (q * n) as u32 + w, fluid: (INVERSE[q] * n + x) as u32 };
+                        Link { wall: (q * n + w) as u32, fluid: (INVERSE[q] * n + x) as u32 };
                     next[q] += 1;
                 }
             }
@@ -376,8 +403,9 @@ impl BoundaryLinks {
     /// synchronization and before the stream–collide sweep of every step;
     /// `f` may be any buffer of the block's shape, at either parity.
     pub fn apply(&self, f: &mut SoaPdfField<D3Q19>) {
-        assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
+        self.check_storage(f);
         let odd = f.parity();
+        assert!(!odd || f.rows().is_none(), "odd parity runs on box storage");
         let d = f.data_mut();
         for (run, links) in self.runs_with_links() {
             let q = run.q as usize;
@@ -395,7 +423,7 @@ impl BoundaryLinks {
                 }
             } else {
                 let rho_w = self.params.wall_density(run.flag);
-                let n = self.shape.alloc_cells();
+                let n = self.cells;
                 for l in links {
                     let (dst, src) = l.slots(odd);
                     let pdfs = self.logical_cell(d, odd, l.fluid as usize - INVERSE[q] * n);
@@ -416,11 +444,18 @@ impl BoundaryLinks {
         })
     }
 
-    /// The 19 logical PDFs of the interior cell with linear index `cell`,
-    /// read from raw storage `d` at parity `odd`.
+    /// Panics unless `f` is a field of the shape and storage the list
+    /// was built for.
+    fn check_storage(&self, f: &SoaPdfField<D3Q19>) {
+        assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
+        assert_eq!(f.cells(), self.cells, "boundary links were built for another storage");
+    }
+
+    /// The 19 logical PDFs of the interior cell at position `cell`, read
+    /// from raw storage `d` at parity `odd` (odd parity: box storage).
     #[inline(always)]
     fn logical_cell(&self, d: &[f64], odd: bool, cell: usize) -> [f64; Q] {
-        let n = self.shape.alloc_cells();
+        let n = self.cells;
         let (sy, sz) = (self.shape.stride_y() as isize, self.shape.stride_z() as isize);
         std::array::from_fn(|k| {
             if odd {
@@ -440,7 +475,7 @@ impl BoundaryLinks {
     /// are its two slots at either parity and `+` commutes, so the result
     /// is bitwise the same for a pull and an in-place block.
     pub fn force(&self, f: &SoaPdfField<D3Q19>, mask: CellFlags) -> [f64; 3] {
-        assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
+        self.check_storage(f);
         let d = f.data();
         let mut force = [0.0; 3];
         for (run, links) in self.runs_with_links() {

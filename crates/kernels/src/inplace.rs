@@ -160,6 +160,7 @@ per_isa! {
     ) -> SweepStats {
         let (shape, parity) = (f.shape(), f.parity());
         assert!(shape.ghost >= 1);
+        assert!(f.rows().is_none(), "the in-place sweep runs on box storage");
         debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
         let n = region.x.len();
         if n == 0 {

@@ -453,14 +453,15 @@ fn pair_pass_inplace<P: PairCollide>(
     }
 }
 
-/// The two-field pull row: stream–collide of the `n` cells starting at
-/// linear index `base`, reading `sdirs` and writing `ddirs`.
+/// The two-field pull row: stream–collide of the `n` cells at position
+/// `base`, reading direction `q`'s streamed-in run at position `from[q]`
+/// of `sdirs` and writing `ddirs`.
 #[inline(always)]
 fn pull_row<P: Collide>(
     op: P,
     sdirs: &[&[f64]; Q],
     ddirs: &mut [&mut [f64]; Q],
-    off: &[isize; Q],
+    from: &[usize; Q],
     base: usize,
     n: usize,
     scr: &mut RowScratch,
@@ -470,8 +471,7 @@ fn pull_row<P: Collide>(
     let mut s: [&[f64]; Q] = [&[]; Q];
     let mut d: [&mut [f64]; Q] = Default::default();
     for (q, line) in ddirs.iter_mut().enumerate() {
-        let start = (base as isize - off[q]) as usize;
-        s[q] = &sdirs[q][start..start + n];
+        s[q] = &sdirs[q][from[q]..from[q] + n];
         d[q] = &mut line[base..base + n];
     }
     op.pull_run(&s, &mut d, scr);
@@ -484,6 +484,11 @@ per_isa! {
     /// traversed. All passes are element-wise per cell, so sweeping a
     /// partition of the interior region by region produces bitwise the
     /// same PDFs as one full sweep.
+    ///
+    /// On box storage direction `q` of a run at `base` streams in from
+    /// `base − off[q]`. A row store (sparse blocks only, its table built
+    /// from `intervals`) has no such offsets: each `(span, q)` source run
+    /// is looked up in the row table, which stores it whole.
     pub(crate) fn sweep_pull<P: Collide>(
         op: P,
         src: &SoaPdfField<D3Q19>,
@@ -491,11 +496,12 @@ per_isa! {
         intervals: Option<&RowIntervals>,
         region: &Region,
     ) -> SweepStats {
-        assert_eq!(src.shape(), dst.shape());
+        assert!(src.same_storage(dst), "pull between fields of different storage");
         let shape = src.shape();
         assert!(shape.ghost >= 1);
         debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
         let off = pull_offsets(&shape);
+        let rows = src.rows();
         let sdirs: [&[f64]; Q] = src.dirs();
         let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
         let mut scr = RowScratch::take(region.x.len());
@@ -503,12 +509,14 @@ per_isa! {
 
         match intervals {
             None => {
+                assert!(rows.is_none(), "a row store is swept by its spans");
                 let n = region.x.len();
                 if n > 0 {
                     for z in region.z.clone() {
                         for y in region.y.clone() {
                             let base = shape.idx(region.x.start, y, z);
-                            pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
+                            let from = off.map(|o| (base as isize - o) as usize);
+                            pull_row(op, &sdirs, &mut ddirs, &from, base, n, &mut scr);
                         }
                     }
                     cells = region.num_cells();
@@ -525,8 +533,20 @@ per_isa! {
                         continue;
                     }
                     let n = (x_end - x_begin) as usize;
-                    let base = shape.idx(x_begin, span.y, span.z);
-                    pull_row(op, &sdirs, &mut ddirs, &off, base, n, &mut scr);
+                    let (base, from) = match rows {
+                        None => {
+                            let base = shape.idx(x_begin, span.y, span.z);
+                            (base, off.map(|o| (base as isize - o) as usize))
+                        }
+                        Some(t) => {
+                            let run = |c: [i8; 3]| {
+                                let [cx, cy, cz] = c.map(i32::from);
+                                t.run(x_begin - cx, span.y - cy, span.z - cz, n)
+                            };
+                            (run([0; 3]), C.map(run))
+                        }
+                    };
+                    pull_row(op, &sdirs, &mut ddirs, &from, base, n, &mut scr);
                     cells += n;
                 }
             }

@@ -64,6 +64,7 @@ pub fn stream_collide_trt_conditional(
 ) -> SweepStats {
     assert_eq!(src.shape(), dst.shape());
     assert_eq!(src.shape(), flags.shape());
+    assert!(src.rows().is_none() && dst.rows().is_none(), "box storage only");
     let shape = src.shape();
     let off = pull_offsets(&shape);
     let (le, lo) = (rel.lambda_e, rel.lambda_o);
@@ -87,6 +88,7 @@ pub fn stream_collide_trt_cell_list(
     rel: Relaxation,
 ) -> SweepStats {
     assert_eq!(src.shape(), dst.shape());
+    assert!(src.rows().is_none() && dst.rows().is_none(), "box storage only");
     let shape = src.shape();
     let off = pull_offsets(&shape);
     let (le, lo) = (rel.lambda_e, rel.lambda_o);

@@ -255,11 +255,16 @@ fn pdf_bytes_gauge_counts_one_field_in_place_and_two_under_pull() {
     let cavity = || Scenario::lid_driven_cavity(16, 2, 0.06, 0.08);
     assert_eq!(gauge(cavity()), [608_000.0; 2]);
     assert_eq!(gauge(cavity().with_kernel(KernelChoice::Pull)), [1_216_000.0; 2]);
-    // Two dense blocks and the carved obstacle block between them.
+    // Two dense blocks and the carved obstacle block between them, which
+    // stores the rows its sweep reads: 992 of its 10³ cells (no sweep
+    // reads the eight corners of its ghost box), 150 784 B a field.
     let channel = || Scenario::channel_with_obstacle([24, 8, 8], [3, 1, 1], 0.08, 0.04, 0.18);
     let sum = |g: Vec<f64>| g.iter().sum::<f64>();
-    assert_eq!(sum(gauge(channel())), 608_000.0);
-    assert_eq!(sum(gauge(channel().with_kernel(KernelChoice::Pull))), 912_000.0);
+    assert_eq!(sum(gauge(channel())), 2.0 * 152_000.0 + 2.0 * 150_784.0);
+    assert_eq!(
+        sum(gauge(channel().with_kernel(KernelChoice::Pull))),
+        4.0 * 152_000.0 + 2.0 * 150_784.0
+    );
 }
 
 /// `comm.local_values` / `comm.local_rows`: the PDF values and x-rows
