@@ -35,7 +35,7 @@ use trillium_blockforest::{
 use trillium_comm::{
     pack_face_with, try_unpack_face_with, CommError, Communicator, CrossingTable, FaultEvent, World,
 };
-use trillium_field::CellFlags;
+use trillium_field::{CellFlags, FlagOps};
 use trillium_kernels::SweepStats;
 use trillium_lattice::D3Q19;
 use trillium_obs::{ObsConfig, RankObs, Recorder, SpanKind};
@@ -1117,8 +1117,11 @@ impl<'a> RankLoop<'a> {
     }
 }
 
-/// Serializes every block's interior PDFs for bitwise comparison (a
-/// cell a row store does not hold dumps as zeros).
+/// Serializes every block's interior fluid PDFs for bitwise comparison.
+/// A non-fluid cell dumps as zeros: its slots hold what no fluid cell
+/// reads, and under the AA pattern a wall slot holds a different dead
+/// value than under pull (the boundary sweep overwrites it before any
+/// read).
 fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64>)> {
     view.blocks
         .iter()
@@ -1128,9 +1131,15 @@ fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64
             let mut vals = vec![0.0; b.shape.interior_cells() * 19];
             let mut buf = vec![0.0; nx];
             for (cells, yz) in vals.chunks_exact_mut(nx * 19).zip(0..) {
+                let (y, z) = (yz % ny, yz / ny);
                 for q in 0..19 {
-                    let row = b.src.row_or_read(q, 0, yz % ny, yz / ny, &mut buf);
+                    let row = b.src.row_or_read(q, 0, y, z, &mut buf);
                     cells.iter_mut().skip(q).step_by(19).zip(row).for_each(|(c, &v)| *c = v);
+                }
+                for (x, cell) in (0..).zip(cells.chunks_exact_mut(19)) {
+                    if !b.flags.flags(x, y, z).is_fluid() {
+                        cell.fill(0.0);
+                    }
                 }
             }
             (lb.id.pack(), vals)
