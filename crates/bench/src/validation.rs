@@ -147,10 +147,8 @@ pub struct CellOutcome {
     pub schedule: &'static str,
     /// Kernel-tier label (as *requested*).
     pub kernel: &'static str,
-    /// Update scheme the blocks actually ran (`"pull"`, `"inplace"`, or
-    /// `"mixed"`): a requested in-place kernel silently resolves to pull
-    /// on sparse carved blocks, and a report that echoed only the request
-    /// would attribute pull-tier results to the in-place kernel.
+    /// Update scheme the blocks ran (`"pull"` or `"inplace"`): every
+    /// block, dense or carved, runs the one the scenario asks for.
     pub resolved_kernel: String,
     /// Metric name.
     pub metric: &'static str,
@@ -419,29 +417,10 @@ pub fn strouhal_from_lift(lift: &[f64], diameter: f64, inflow: f64) -> Option<f6
     Some(diameter / (inflow * period))
 }
 
-/// The update scheme the blocks of `scenario` actually run on
-/// `num_procs` ranks, summarized across blocks: `"pull"`, `"inplace"`,
-/// or `"mixed"` when sparse blocks forced some (but not all) of a
-/// requested in-place run down to the pull scheme (see
-/// `BlockSim::fell_back_to_pull`).
-pub fn resolved_kernel(scenario: &Scenario, num_procs: u32) -> String {
-    use trillium_core::prelude::UpdateScheme;
-    let forest = scenario.make_forest(num_procs);
-    let views = trillium_blockforest::distribute(&forest);
-    let (mut pull, mut inplace) = (false, false);
-    for view in &views {
-        for lb in &view.blocks {
-            match scenario.build_block(lb).scheme {
-                UpdateScheme::Pull => pull = true,
-                UpdateScheme::InPlace => inplace = true,
-            }
-        }
-    }
-    match (pull, inplace) {
-        (true, true) => "mixed".to_string(),
-        (false, true) => "inplace".to_string(),
-        _ => "pull".to_string(),
-    }
+/// The update scheme the blocks of `scenario` run (`"pull"` or
+/// `"inplace"`): the one it asks for, on dense and carved blocks alike.
+pub fn resolved_kernel(scenario: &Scenario) -> String {
+    scenario.kernel.label().to_string()
 }
 
 /// Whether a case × operator combination is part of the matrix. The von
@@ -567,7 +546,7 @@ pub fn run_cell(case: Case, op: Collision, sched: Schedule, kernel: KernelChoice
         operator: op.label(),
         schedule: sched.label(),
         kernel: kernel.label(),
-        resolved_kernel: resolved_kernel(&scenario, NUM_PROCS),
+        resolved_kernel: resolved_kernel(&scenario),
         metric: case.metric(),
         value,
         threshold,
@@ -621,13 +600,28 @@ mod tests {
     /// of its 16³ blocks carved. After 1000 steps the box-storage code
     /// measured a mass-flux mismatch of 3.8e-5 between the quarter, half
     /// and three-quarter sections and a mid-tube profile 2.96 % (L2) off
-    /// the parabola; the thresholds sit just above those.
+    /// the parabola; the thresholds sit just above those. Pull and in
+    /// place, synchronous and overlapped, measure the same flow bit for
+    /// bit.
     #[test]
     fn hagen_poiseuille_in_a_voxelised_tube() {
         let flow = tube_flow(&tube_scenario(0.2), 1000, Schedule::Sync);
         assert!(flow.fluxes.iter().all(|&f| f > 2.0), "{flow:?}");
         assert!(flow.flux_mismatch < 1e-4, "{flow:?}");
         assert!(flow.profile_error < 0.031, "{flow:?}");
+        let bits = |f: TubeFlow| {
+            let TubeFlow { fluxes, flux_mismatch, profile_error } = f;
+            [fluxes[0], fluxes[1], fluxes[2], flux_mismatch, profile_error].map(f64::to_bits)
+        };
+        for kernel in [KernelChoice::Pull, KernelChoice::InPlace] {
+            for sched in [Schedule::Sync, Schedule::Overlapped] {
+                if (kernel, sched) == (KernelChoice::InPlace, Schedule::Sync) {
+                    continue; // `flow` above: the default scheme
+                }
+                let other = tube_flow(&tube_scenario(0.2).with_kernel(kernel), 1000, sched);
+                assert_eq!(bits(other), bits(flow), "{kernel:?} {sched:?}: {other:?}");
+            }
+        }
     }
 
     #[test]
@@ -695,8 +689,8 @@ mod tests {
     #[test]
     fn resolved_kernel_reflects_dense_resolution() {
         let cavity = || Scenario::lid_driven_cavity(16, 2, 0.05, 0.08);
-        assert_eq!(resolved_kernel(&cavity().with_kernel(KernelChoice::Pull), 2), "pull");
-        assert_eq!(resolved_kernel(&cavity().with_kernel(KernelChoice::InPlace), 2), "inplace");
+        assert_eq!(resolved_kernel(&cavity().with_kernel(KernelChoice::Pull)), "pull");
+        assert_eq!(resolved_kernel(&cavity().with_kernel(KernelChoice::InPlace)), "inplace");
     }
 
     #[test]

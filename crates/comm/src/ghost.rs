@@ -549,7 +549,20 @@ mod tests {
 
     /// An SoA field whose every storage slot holds a distinct value.
     fn numbered(shape: Shape, odd: bool, offset: f64) -> trillium_field::SoaPdfField<D3Q19> {
-        let mut f = trillium_field::SoaPdfField::<D3Q19>::new(shape);
+        numbered_in(shape, None, odd, offset)
+    }
+
+    /// [`numbered`] on the row store of `rows` (`None`: the box).
+    fn numbered_in(
+        shape: Shape,
+        rows: Option<&std::sync::Arc<trillium_field::RowTable>>,
+        odd: bool,
+        offset: f64,
+    ) -> trillium_field::SoaPdfField<D3Q19> {
+        let mut f = match rows {
+            Some(t) => trillium_field::SoaPdfField::<D3Q19>::with_rows(t.clone()),
+            None => trillium_field::SoaPdfField::<D3Q19>::new(shape),
+        };
         for (i, v) in f.data_mut().iter_mut().enumerate() {
             *v = offset + i as f64;
         }
@@ -560,37 +573,54 @@ mod tests {
     /// The field-to-field copy is pack + unpack without the bytes: all 18
     /// carrying directions, every pairing of sender and receiver storage
     /// parity (an in-place block beside a pull one is the mixed case), and
-    /// a block that is its own neighbor.
+    /// a block that is its own neighbor — on box storage and on the row
+    /// store of a carved block, which drops what it does not hold.
     #[test]
     fn local_and_self_copies_equal_pack_unpack_at_every_parity() {
+        use std::sync::Arc;
+        use trillium_field::{RowIntervals, RowTable};
         let shape = Shape::new(5, 4, 3, 1);
-        let table = CrossingTable::new::<D3Q19>();
+        let carve = RowIntervals::build(&ball(shape, [2.0, 1.5, 1.0], 2.3));
+        let table = Arc::new(RowTable::pull_reads::<D3Q19>(shape, &carve));
+        assert!(table.cells() < shape.alloc_cells());
+        let crossing = CrossingTable::new::<D3Q19>();
         let dirs = trillium_lattice::d3q19::C.iter().skip(1);
-        for &d in dirs.clone() {
-            let rev = [-d[0], -d[1], -d[2]];
-            for (src_odd, dst_odd) in [(false, false), (true, true), (false, true), (true, false)] {
-                let src = numbered(shape, src_odd, 0.5);
-                let mut by_bytes = numbered(shape, dst_odd, 10_000.5);
-                let mut by_copy = by_bytes.clone();
-                let mut buf = Vec::new();
-                pack_face::<D3Q19, _>(&src, rev, &mut buf);
-                unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
-                copy_face_local_with::<D3Q19, _, _>(&src, &mut by_copy, d, table.qs_reversed(d));
-                assert_eq!(by_bytes.data(), by_copy.data(), "d={d:?} {src_odd}->{dst_odd}");
-                assert_ne!(by_copy.data(), numbered(shape, dst_odd, 10_000.5).data());
-                let mut by_default = numbered(shape, dst_odd, 10_000.5);
-                copy_face_local::<D3Q19, _, _>(&src, &mut by_default, d);
-                assert_eq!(by_default.data(), by_copy.data());
+        for rows in [None, Some(&table)] {
+            let numbered = |odd, offset| numbered_in(shape, rows, odd, offset);
+            let mut wrote = 0;
+            for &d in dirs.clone() {
+                let rev = [-d[0], -d[1], -d[2]];
+                let qs = crossing.qs_reversed(d);
+                for (src_odd, dst_odd) in
+                    [(false, false), (true, true), (false, true), (true, false)]
+                {
+                    let what = format!("d={d:?} {src_odd}->{dst_odd} rows={}", rows.is_some());
+                    let src = numbered(src_odd, 0.5);
+                    let mut by_bytes = numbered(dst_odd, 10_000.5);
+                    let mut by_copy = by_bytes.clone();
+                    let mut buf = Vec::new();
+                    pack_face::<D3Q19, _>(&src, rev, &mut buf);
+                    unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
+                    copy_face_local_with::<D3Q19, _, _>(&src, &mut by_copy, d, qs);
+                    assert_eq!(by_bytes.data(), by_copy.data(), "{what}");
+                    wrote += usize::from(by_copy.data() != numbered(dst_odd, 10_000.5).data());
+                    let mut by_default = numbered(dst_odd, 10_000.5);
+                    copy_face_local::<D3Q19, _, _>(&src, &mut by_default, d);
+                    assert_eq!(by_default.data(), by_copy.data(), "{what}");
+                }
+                for odd in [false, true] {
+                    let mut by_bytes = numbered(odd, 0.5);
+                    let mut by_copy = by_bytes.clone();
+                    let mut buf = Vec::new();
+                    pack_face::<D3Q19, _>(&by_bytes, rev, &mut buf);
+                    unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
+                    copy_face_self_with::<D3Q19, _>(&mut by_copy, d, qs);
+                    assert_eq!(by_bytes.data(), by_copy.data(), "self link d={d:?} odd={odd}");
+                }
             }
-            for odd in [false, true] {
-                let mut by_bytes = numbered(shape, odd, 0.5);
-                let mut by_copy = by_bytes.clone();
-                let mut buf = Vec::new();
-                pack_face::<D3Q19, _>(&by_bytes, rev, &mut buf);
-                unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
-                copy_face_self_with::<D3Q19, _>(&mut by_copy, d, table.qs_reversed(d));
-                assert_eq!(by_bytes.data(), by_copy.data(), "self link d={d:?} odd={odd}");
-            }
+            // The box takes every copy; the carve has directions whose
+            // ghost slab it does not store.
+            assert!(if rows.is_none() { wrote == 18 * 4 } else { 0 < wrote && wrote < 18 * 4 });
         }
         assert_eq!(dirs.count(), 18);
     }

@@ -31,15 +31,15 @@ pub enum UpdateScheme {
     /// explicitly (`with_kernel(KernelChoice::Pull)`, `"kernel": "pull"`,
     /// [`BlockSim::from_flags`]).
     Pull,
-    /// Single-buffer AA pattern: even steps collide in place, odd steps
-    /// read/write along opposing direction pairs (`trillium_kernels::
-    /// inplace`). `src` is the only live buffer and `dst` holds no
-    /// storage; the [`SoaPdfField::parity`] flag of `src` tracks the
-    /// alternating storage convention and always equals `t % 2` between
-    /// steps. The default: it moves 304 instead of 456 bytes per update
-    /// and keeps one field instead of two. Only available for dense
-    /// blocks, on box storage — sparse row-interval blocks fall back to
-    /// `Pull`, on their row store.
+    /// Single-buffer AA pattern: even steps read along the pull stencil
+    /// and store along opposing direction pairs, odd steps collide in
+    /// place (`trillium_kernels::inplace`). `src` is the only live buffer
+    /// and `dst` holds no storage; the [`SoaPdfField::parity`] flag of
+    /// `src` tracks the alternating storage convention and always equals
+    /// `t % 2` between steps. The default: it moves 304 instead of 456
+    /// bytes per update and keeps one field instead of two. Dense blocks
+    /// run it on their box, carved ones over their row intervals on their
+    /// row store, whose rows hold every slot either step touches.
     #[default]
     InPlace,
 }
@@ -71,7 +71,8 @@ pub struct BlockSim {
     /// store a cell outside the table reads `0.0` and takes no writes.
     pub src: SoaPdfField<D3Q19>,
     /// Destination PDF field of the pull sweep, stored like `src`. Holds
-    /// no storage under [`UpdateScheme::InPlace`] ([`SoaPdfField::empty`]).
+    /// no storage under [`UpdateScheme::InPlace`] ([`SoaPdfField::empty`]),
+    /// dense or carved.
     pub dst: SoaPdfField<D3Q19>,
     /// Cell classification. The boundary link list is derived from this
     /// field and [`BlockSim::boundary`] at construction: after editing
@@ -86,14 +87,9 @@ pub struct BlockSim {
     pub boundary: BoundaryParams,
     /// Kernel choice for this block.
     pub kernel: BlockKernel,
-    /// Update scheme for this block — the *resolved* scheme that actually
-    /// runs (see [`BlockSim::requested_scheme`]).
+    /// Update scheme for this block: the one it was built or restored
+    /// with, on dense and carved blocks alike.
     pub scheme: UpdateScheme,
-    /// Update scheme that was requested at construction. Differs from
-    /// [`BlockSim::scheme`] exactly when an `InPlace` request degraded to
-    /// `Pull` on a sparse block ([`BlockSim::fell_back_to_pull`]); kept so
-    /// the fallback is observable instead of silent.
-    pub requested_scheme: UpdateScheme,
     /// Compute backend this block's sweeps execute on. Like
     /// [`BlockSim::collision`], scenario-assigned, not part of the
     /// checkpoint wire format, and re-stamped by whoever rebuilds a block
@@ -147,11 +143,9 @@ impl BlockSim {
         Self::build(flags, boundary, rho, u, UpdateScheme::Pull, false)
     }
 
-    /// [`BlockSim::from_flags`] with an explicit update scheme, and a
-    /// carved block stores the rows its sweep reads only. A request for
-    /// [`UpdateScheme::InPlace`] on a partially covered block (sparse
-    /// kernel) falls back to [`UpdateScheme::Pull`]: the in-place sweeps
-    /// are dense-only. Only a pull block allocates `dst`.
+    /// [`BlockSim::from_flags`] with an explicit update scheme, which every
+    /// block runs, and a carved block stores the rows its sweep reads
+    /// only. Only a pull block allocates `dst`.
     pub fn from_flags_with_scheme(
         flags: FlagField,
         boundary: BoundaryParams,
@@ -189,11 +183,7 @@ impl BlockSim {
         let links = build_links(&flags, &boundary, &src);
         let ghost_rows = (kernel == BlockKernel::RowIntervals)
             .then(|| Box::new(GhostRows::build::<D3Q19>(shape, &intervals)));
-        let resolved = match (scheme, kernel) {
-            (UpdateScheme::InPlace, BlockKernel::Dense) => UpdateScheme::InPlace,
-            _ => UpdateScheme::Pull,
-        };
-        let dst = match resolved {
+        let dst = match scheme {
             UpdateScheme::Pull => src.zeroed_like(),
             UpdateScheme::InPlace => SoaPdfField::empty(shape),
         };
@@ -209,33 +199,24 @@ impl BlockSim {
             intervals,
             boundary,
             kernel,
-            scheme: resolved,
-            requested_scheme: scheme,
+            scheme,
             collision: Collision::Trt,
             backend: BackendKind::default(),
         }
     }
 
-    /// True when this block requested the in-place scheme but runs pull
-    /// because its sparse row-interval kernel has no in-place variant.
-    /// Surfaced (obs counter `kernel.fallback_pull`, `resolved_kernel` in
-    /// report JSON) so the degradation is never silently misattributed.
+    /// Always `false`: every block runs the scheme it was built with. Kept
+    /// only for the benchmark's probe, which the next benchmark-only
+    /// change (ROADMAP item 1) retires with this method.
     pub fn fell_back_to_pull(&self) -> bool {
-        self.requested_scheme == UpdateScheme::InPlace && self.scheme == UpdateScheme::Pull
-    }
-
-    /// Short label of the update scheme that actually runs on this block
-    /// (`"pull"` or `"inplace"`), for report JSON.
-    pub fn resolved_kernel_label(&self) -> &'static str {
-        self.scheme.label()
+        false
     }
 
     /// Switches the block to `scheme` at storage parity `odd` (which must
     /// be `false` for pull) and sizes `dst` to it: allocated for pull,
     /// empty in place. The PDFs are not touched; the caller overwrites
-    /// them. In place is for dense blocks only; the caller checks.
+    /// them.
     pub(crate) fn set_scheme(&mut self, scheme: UpdateScheme, odd: bool) {
-        debug_assert!(scheme == UpdateScheme::Pull || self.kernel == BlockKernel::Dense);
         debug_assert!(!odd || scheme == UpdateScheme::InPlace);
         self.scheme = scheme;
         self.src.set_parity(odd);
@@ -432,22 +413,18 @@ impl BlockSim {
     /// collision operator (the whole interior, or a core or shell part).
     /// Does not swap buffers or flip parity.
     fn sweep_region(&mut self, rel: Relaxation, region: &trillium_field::Region) -> SweepStats {
-        let be = self.be();
-        if self.scheme == UpdateScheme::InPlace {
-            return be.sweep_inplace_region(self.collision, &mut self.src, rel, region);
-        }
-        match self.kernel {
-            BlockKernel::Dense => {
-                be.sweep_pull_region(self.collision, &self.src, &mut self.dst, rel, region)
+        let (be, c) = (self.be(), self.collision);
+        let spans = (self.kernel == BlockKernel::RowIntervals).then_some(&self.intervals);
+        match (self.scheme, spans) {
+            (UpdateScheme::InPlace, _) => {
+                be.sweep_inplace_region(c, &mut self.src, spans, rel, region)
             }
-            BlockKernel::RowIntervals => be.sweep_sparse_region(
-                self.collision,
-                &self.src,
-                &mut self.dst,
-                &self.intervals,
-                rel,
-                region,
-            ),
+            (UpdateScheme::Pull, None) => {
+                be.sweep_pull_region(c, &self.src, &mut self.dst, rel, region)
+            }
+            (UpdateScheme::Pull, Some(iv)) => {
+                be.sweep_sparse_region(c, &self.src, &mut self.dst, iv, rel, region)
+            }
         }
     }
 
@@ -951,25 +928,37 @@ mod tests {
         }
     }
 
-    /// Sparse (row-interval) blocks cannot run in place; the scheme
-    /// request degrades to pull instead of producing a broken block.
+    /// Sparse (row-interval) blocks run in place on their row store with
+    /// one field, and their fluid PDFs step bitwise with the box-storage
+    /// pull oracle through both parities.
     #[test]
-    fn inplace_falls_back_to_pull_on_sparse_blocks() {
+    fn inplace_runs_on_sparse_blocks() {
         let shape = Shape::cube(8);
         let mut flags = FlagField::new(shape);
         for x in 0..8 {
             flags.set_flags(x, 4, 4, CellFlags::FLUID);
         }
         flags.dilate_hull(&trillium_lattice::d3q19::C, CellFlags::NOSLIP);
-        let block = BlockSim::from_flags_with_scheme(
-            flags,
-            BoundaryParams::default(),
-            1.0,
-            [0.0; 3],
-            UpdateScheme::InPlace,
-        );
+        let (params, u) = (BoundaryParams::default(), [0.02, 0.01, 0.0]);
+        let mut oracle = BlockSim::from_flags(flags.clone(), params, 1.0, u);
+        let mut block =
+            BlockSim::from_flags_with_scheme(flags, params, 1.0, u, UpdateScheme::InPlace);
         assert_eq!(block.kernel, BlockKernel::RowIntervals);
-        assert_eq!(block.scheme, UpdateScheme::Pull);
+        assert_eq!(block.scheme, UpdateScheme::InPlace);
+        assert!(block.src.rows().is_some() && block.dst.data().is_empty());
+        let rel = Relaxation::trt_from_tau(0.8, MAGIC_TRT);
+        for step in 0..5 {
+            for b in [&mut oracle, &mut block] {
+                b.apply_boundaries();
+                b.stream_collide(rel);
+            }
+            for x in 0..8 {
+                for q in 0..19 {
+                    let (want, got) = (oracle.src.get(x, 4, 4, q), block.src.get(x, 4, 4, q));
+                    assert_eq!(want.to_bits(), got.to_bits(), "step {step}, x={x}, q={q}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! block's second buffer to the scheme it restores: allocated for pull,
 //! empty in place.
 
-use crate::blocksim::{is_carved, BlockKernel, BlockSim, UpdateScheme};
+use crate::blocksim::{is_carved, BlockSim, UpdateScheme};
 use bytes::{Buf, BufMut};
 use trillium_field::{FlagField, RowIntervals, RowTable, Shape};
 use trillium_lattice::D3Q19;
@@ -128,9 +128,6 @@ fn get_pdfs(block: &mut BlockSim, byte: u8, buf: &mut &[u8]) -> Result<(), Resto
     if rows != block.src.rows().is_some() {
         return Err(RestoreError::StorageMismatch);
     }
-    if scheme == UpdateScheme::InPlace && block.kernel != BlockKernel::Dense {
-        return Err(RestoreError::InPlaceOnCarved);
-    }
     if buf.len() < pdf_bytes(block.src.cells(), scheme) {
         return Err(RestoreError::Truncated);
     }
@@ -173,9 +170,6 @@ pub enum RestoreError {
     /// The payload stores the box and the block a row table, or the
     /// other way round (or, in a full payload, rows for a dense block).
     StorageMismatch,
-    /// The payload runs in place, but the block is carved (row-interval
-    /// kernel), which has no in-place sweep.
-    InPlaceOnCarved,
     /// Data ended early.
     Truncated,
 }
@@ -336,7 +330,7 @@ pub(crate) fn flag_digest(flags: &trillium_field::FlagField) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocksim::boxed_block_flags;
+    use crate::blocksim::{boxed_block_flags, BlockKernel};
     use trillium_field::{CellFlags, FlagOps, Shape};
     use trillium_kernels::BoundaryParams;
     use trillium_lattice::Relaxation;
@@ -446,17 +440,25 @@ mod tests {
         }
         assert!(header([8, 8, 8, 1]).is_none());
 
-        // A carved block's payload is its stored rows: one `f64` short is
-        // truncated, and its rows bit on a dense block's flags names a
-        // storage that block cannot have.
+        // A carved block's payload is its stored rows, pull or in place:
+        // one `f64` short is truncated, and its rows bit on a dense block's
+        // flags names a storage that block cannot have.
         let mut flags = boxed_block_flags(Shape::cube(8), [Some(CellFlags::NOSLIP); 6]);
         flags.set_flags(3, 3, 3, CellFlags::NOSLIP);
+        let flags_aa = flags.clone();
         let carved =
             BlockSim::from_flags_with_scheme(flags, boundary, 1.0, [0.0; 3], UpdateScheme::Pull);
         assert!(carved.src.rows().is_some());
         let carved_wire = save_block_full(&carved);
         assert_eq!(carved_wire.len(), HEADER + 1 + 1000 + carved.pdf_bytes());
         let short = &carved_wire[..carved_wire.len() - 8];
+        assert_eq!(restore_block_full(short, boundary).err(), Some(RestoreError::Truncated));
+        let inplace = UpdateScheme::InPlace;
+        let carved_aa =
+            BlockSim::from_flags_with_scheme(flags_aa, boundary, 1.0, [0.0; 3], inplace);
+        let aa_wire = save_block_full(&carved_aa);
+        assert_eq!(aa_wire.len(), HEADER + 1 + 1000 + carved.pdf_bytes() / 2);
+        let short = &aa_wire[..aa_wire.len() - 8];
         assert_eq!(restore_block_full(short, boundary).err(), Some(RestoreError::Truncated));
         assert!(restore_block_full(&carved_wire, boundary).is_ok());
         let mut dense_rows = wire.clone();
@@ -618,45 +620,49 @@ mod tests {
         }
     }
 
-    /// A carved block (row-interval kernel) has no in-place sweep: a TCP1
-    /// or TCP2 payload whose shape and flags match but whose scheme byte
-    /// says in place is rejected, and the block keeps its state.
+    /// A carved block runs in place on its row store: its TCP1 and TCP2
+    /// payloads saved at odd parity restore scheme, parity and the one
+    /// buffer bitwise, and the restored blocks resume bitwise.
     #[test]
-    fn inplace_payload_for_a_carved_block_is_rejected() {
-        let mut flags = boxed_block_flags(Shape::cube(8), [Some(CellFlags::NOSLIP); 6]);
+    fn inplace_payload_for_a_carved_block_round_trips() {
+        let rel = Relaxation::trt_from_viscosity(0.05);
+        let step = |b: &mut BlockSim| {
+            b.apply_boundaries();
+            b.stream_collide(rel);
+        };
+        let mut flags = cavity_block(8).flags;
         flags.set_flags(3, 3, 3, CellFlags::NOSLIP);
-        let carved = BlockSim::from_flags_with_scheme(
-            flags,
-            BoundaryParams::default(),
-            1.0,
-            [0.0; 3],
-            UpdateScheme::InPlace,
-        );
-        assert_eq!((carved.kernel, carved.scheme), (BlockKernel::RowIntervals, UpdateScheme::Pull));
-        // The scheme byte follows the header (+ flag digest in TCP1): pull,
-        // on a row store.
-        let (tcp1, tcp2) = (save_block(&carved), save_block_full(&carved));
-        assert_eq!((tcp1[HEADER + 8], tcp2[HEADER]), (ROWS, ROWS));
-        for byte in [1, 2] {
-            let mut wire = tcp1.clone();
-            wire[HEADER + 8] = byte;
-            let mut target = BlockSim::from_flags(
-                carved.flags.clone(),
-                BoundaryParams::default(),
-                1.1,
-                [0.0; 3],
-            );
-            let before = target.src.data().to_vec();
-            assert_eq!(restore_block(&mut target, &wire), Err(RestoreError::InPlaceOnCarved));
-            assert_eq!(target.scheme, UpdateScheme::Pull);
-            assert_eq!(target.src.data(), &before[..], "nothing written");
-            assert_eq!(target.dst.data().len(), before.len());
-
-            let mut wire = tcp2.clone();
-            wire[HEADER] = byte | ROWS;
-            let got = restore_block_full(&wire, BoundaryParams::default()).err();
-            assert_eq!(got, Some(RestoreError::InPlaceOnCarved));
+        let boundary = BoundaryParams { wall_velocity: [0.05, 0.0, 0.0], ..Default::default() };
+        let carved = |rho: f64| {
+            let scheme = UpdateScheme::InPlace;
+            BlockSim::from_flags_with_scheme(flags.clone(), boundary, rho, [0.0; 3], scheme)
+        };
+        let mut a = carved(1.0);
+        assert_eq!((a.kernel, a.scheme), (BlockKernel::RowIntervals, UpdateScheme::InPlace));
+        assert!(a.src.rows().is_some() && a.dst.data().is_empty());
+        for _ in 0..21 {
+            step(&mut a);
         }
+        assert!(a.src.parity(), "odd step count must leave odd parity");
+        // The scheme byte follows the header (+ flag digest in TCP1): in
+        // place at odd parity, on a row store.
+        let (tcp1, tcp2) = (save_block(&a), save_block_full(&a));
+        assert_eq!((tcp1[HEADER + 8], tcp2[HEADER]), (2 | ROWS, 2 | ROWS));
+        let mut b = carved(1.1);
+        restore_block(&mut b, &tcp1).unwrap();
+        let mut c = restore_block_full(&tcp2, boundary).unwrap();
+        for r in [&b, &c] {
+            assert_eq!((r.scheme, r.src.parity()), (UpdateScheme::InPlace, true));
+            assert_eq!(r.src.data(), a.src.data());
+            assert!(r.dst.data().is_empty());
+        }
+        for _ in 0..10 {
+            step(&mut a);
+            step(&mut b);
+            step(&mut c);
+        }
+        assert_eq!(b.src.data(), a.src.data());
+        assert_eq!(c.src.data(), a.src.data());
     }
 
     #[test]

@@ -820,12 +820,6 @@ impl<'a> RankLoop<'a> {
         let build = rec.span(SpanKind::BuildBlocks);
         let blocks: Vec<BlockSim> = view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
         drop(build);
-        // A requested in-place kernel silently resolves to pull on sparse
-        // storage; count it so a carved run is observably slower.
-        let fallbacks = blocks.iter().filter(|b| b.fell_back_to_pull()).count() as u64;
-        if fallbacks > 0 {
-            rec.metrics().add("kernel.fallback_pull", fallbacks);
-        }
         let (mass_initial, energy_initial, _) = reduce_blocks(&blocks, &rec);
         let lp = RankLoop {
             mass_initial,

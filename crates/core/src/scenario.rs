@@ -19,8 +19,7 @@ use trillium_geometry::{Aabb, SignedDistance, Vec3};
 use trillium_kernels::{BackendKind, BoundaryParams, Collision};
 use trillium_lattice::Relaxation;
 
-/// The update scheme a scenario requests for its blocks: dense blocks run
-/// it, sparse blocks fall back to [`UpdateScheme::Pull`] (see
+/// The update scheme a scenario runs on every block, dense or carved (see
 /// [`Scenario::with_kernel`]). Unless a scenario asks otherwise it is
 /// `UpdateScheme::default()`, in place.
 pub type KernelChoice = UpdateScheme;
@@ -253,7 +252,7 @@ impl Scenario {
 
     /// What every constructor shares: TRT relaxation at `viscosity`, unit
     /// density at rest, Morton balance, the default update scheme (in
-    /// place; carved blocks run pull), the default backend.
+    /// place, on every block), the default backend.
     fn base(
         name: String,
         blocks: [usize; 3],
@@ -309,12 +308,9 @@ impl Scenario {
 
     /// Selects the PDF update scheme built into every block (see
     /// [`KernelChoice`]); in place unless this asks for
-    /// [`KernelChoice::Pull`], the bitwise reference. Sparse blocks fall
-    /// back to the pull update (their row-interval kernel has no in-place
-    /// variant); the fallback is *surfaced* per block —
-    /// [`BlockSim::fell_back_to_pull`], the `kernel.fallback_pull` obs
-    /// counter, and `resolved_kernel` in report JSON — so a carved run can
-    /// never silently misattribute its kernel.
+    /// [`KernelChoice::Pull`], the bitwise reference. Carved blocks run it
+    /// too, over their row intervals on their row store: one scheme per
+    /// run, never resolved per block.
     pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
         self.kernel = kernel;
         self
@@ -577,7 +573,7 @@ mod tests {
     }
 
     /// The backend is stamped onto every block, the carved cylinder
-    /// blocks that fall back to the pull scheme included.
+    /// blocks included.
     #[test]
     fn von_karman_blocks_all_carry_the_requested_backend() {
         let s = Scenario::von_karman([32, 16, 4], [4, 2, 2], 0.02, 0.05, 4.0)
@@ -594,8 +590,7 @@ mod tests {
         assert!(blocks.iter().any(carved) && !blocks.iter().all(carved));
         for b in &blocks {
             assert_eq!(b.backend, BackendKind::Workgroup);
-            let scheme = if carved(b) { UpdateScheme::Pull } else { UpdateScheme::InPlace };
-            assert_eq!(b.scheme, scheme);
+            assert_eq!(b.scheme, UpdateScheme::InPlace);
         }
     }
 

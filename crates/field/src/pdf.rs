@@ -368,13 +368,26 @@ impl<M: LatticeModel> SoaPdfField<M> {
     /// Splits the storage into the `Q` per-direction mutable arrays (`N`
     /// must be `M::Q`); see [`SoaPdfField::dirs`].
     pub fn dirs_mut<const N: usize>(&mut self) -> [&mut [f64]; N] {
+        self.rows_and_dirs_mut().1
+    }
+
+    /// [`rows`](Self::rows) beside [`dirs_mut`](Self::dirs_mut), for a
+    /// sweep that looks its runs up in the table it writes.
+    pub fn rows_and_dirs_mut<const N: usize>(&mut self) -> (Option<&RowTable>, [&mut [f64]; N]) {
         assert_eq!(N, M::Q, "line table size must equal the model's Q");
-        let (n, mut rest) = (self.cells(), self.data.as_mut_slice());
-        std::array::from_fn(|_| {
+        let n = self.cells();
+        let (rows, mut rest) = self.rows_and_data_mut();
+        let dirs = std::array::from_fn(|_| {
             let (grid, tail) = std::mem::take(&mut rest).split_at_mut(n);
             rest = tail;
             grid
-        })
+        });
+        (rows, dirs)
+    }
+
+    /// [`rows`](Self::rows) beside [`data_mut`](Self::data_mut).
+    pub fn rows_and_data_mut(&mut self) -> (Option<&RowTable>, &mut [f64]) {
+        (self.rows.as_deref(), &mut self.data)
     }
 
     /// True if `other` has this field's shape and stores the same cells

@@ -142,13 +142,15 @@ pub trait Backend: Sync {
         region: &Region,
     ) -> SweepStats;
 
-    /// Single-buffer (AA-pattern) sweep restricted to `region`. The sweep
-    /// variant follows the field's parity; the caller flips it after the
-    /// last region of a step.
+    /// Single-buffer (AA-pattern) sweep restricted to `region`: its full
+    /// rows, or the spans of `intervals` clipped against it, which a row
+    /// store requires. The sweep variant follows the field's parity; the
+    /// caller flips it after the last region of a step.
     fn sweep_inplace_region(
         &self,
         collision: Collision,
         f: &mut SoaPdfField<D3Q19>,
+        intervals: Option<&RowIntervals>,
         rel: Relaxation,
         region: &Region,
     ) -> SweepStats;
@@ -178,7 +180,8 @@ pub trait Backend: Sync {
         self.sweep_pull_region(collision, src, dst, rel, &region)
     }
 
-    /// In-place sweep over the full interior (parity contract as above).
+    /// In-place sweep over the full interior rows of box storage (parity
+    /// contract as above).
     fn sweep_inplace(
         &self,
         collision: Collision,
@@ -186,7 +189,7 @@ pub trait Backend: Sync {
         rel: Relaxation,
     ) -> SweepStats {
         let region = f.shape().interior();
-        self.sweep_inplace_region(collision, f, rel, &region)
+        self.sweep_inplace_region(collision, f, None, rel, &region)
     }
 
     /// Sparse sweep over the full interior. Region sweeps cannot
@@ -264,13 +267,17 @@ impl Backend for CpuBackend {
         &self,
         collision: Collision,
         f: &mut SoaPdfField<D3Q19>,
+        intervals: Option<&RowIntervals>,
         rel: Relaxation,
         region: &Region,
     ) -> SweepStats {
         match collision {
-            Collision::Srt | Collision::Trt => sweep_inplace(self.0, Trt::new(rel), f, region),
+            Collision::Srt | Collision::Trt => {
+                sweep_inplace(self.0, Trt::new(rel), f, intervals, region)
+            }
             Collision::Mrt | Collision::MrtLes => {
-                sweep_inplace(self.0, Mrt::new(rel, collision.smagorinsky()), f, region)
+                let op = Mrt::new(rel, collision.smagorinsky());
+                sweep_inplace(self.0, op, f, intervals, region)
             }
         }
     }
@@ -353,11 +360,12 @@ impl Backend for WorkgroupBackend {
         &self,
         collision: Collision,
         f: &mut SoaPdfField<D3Q19>,
+        intervals: Option<&RowIntervals>,
         rel: Relaxation,
         region: &Region,
     ) -> SweepStats {
         Self::for_each_group(region, |group| {
-            PORTABLE.sweep_inplace_region(collision, f, rel, group)
+            PORTABLE.sweep_inplace_region(collision, f, intervals, rel, group)
         })
     }
 
@@ -616,7 +624,7 @@ mod tests {
                     split.set_parity(parity);
                     be.sweep_inplace(collision, &mut full, rel);
                     for r in &parts {
-                        be.sweep_inplace_region(collision, &mut split, rel, r);
+                        be.sweep_inplace_region(collision, &mut split, None, rel, r);
                     }
                     assert_eq!(
                         full.data(),

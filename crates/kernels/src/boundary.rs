@@ -36,7 +36,7 @@
 //! (`n` = stored cells, `pos` a cell's position: [`Shape::idx`] on box
 //! storage, the row table's on a row store, whose rows hold every link's
 //! two cells). At even parity logical `(w, q)` lives at `a` and logical
-//! `(x, q̄)` at `b`. At odd parity (AA pattern, box storage) logical
+//! `(x, q̄)` at `b`. At odd parity (AA pattern, either storage) logical
 //! `(c, k)` is stored at `(c + c_k, k̄)`, which sends `(w, q)` to `b` and
 //! `(x, q̄)` to `a`: the same two slots with their roles swapped. The sweep
 //! therefore reads the parity once and does `d[a] ← g(d[b])` or
@@ -405,8 +405,7 @@ impl BoundaryLinks {
     pub fn apply(&self, f: &mut SoaPdfField<D3Q19>) {
         self.check_storage(f);
         let odd = f.parity();
-        assert!(!odd || f.rows().is_none(), "odd parity runs on box storage");
-        let d = f.data_mut();
+        let (rows, d) = f.rows_and_data_mut();
         for (run, links) in self.runs_with_links() {
             let q = run.q as usize;
             if run.flag.intersects(CellFlags::NOSLIP) {
@@ -426,7 +425,7 @@ impl BoundaryLinks {
                 let n = self.cells;
                 for l in links {
                     let (dst, src) = l.slots(odd);
-                    let pdfs = self.logical_cell(d, odd, l.fluid as usize - INVERSE[q] * n);
+                    let pdfs = self.logical_cell(d, odd, rows, l.fluid as usize - INVERSE[q] * n);
                     let u = trillium_lattice::velocity::<D3Q19>(&pdfs);
                     d[dst] = -d[src] + 2.0 * equilibrium_even::<D3Q19>(q, rho_w, u);
                 }
@@ -452,18 +451,25 @@ impl BoundaryLinks {
     }
 
     /// The 19 logical PDFs of the interior cell at position `cell`, read
-    /// from raw storage `d` at parity `odd` (odd parity: box storage).
+    /// from raw storage `d` (storing the cells of `rows`) at parity `odd`,
+    /// where logical `(x, k)` sits at `(x + c_k, k̄)`: one hop along the
+    /// box strides, or the table's position of that neighbour, which a
+    /// row store holds for every cell its sweep covers.
     #[inline(always)]
-    fn logical_cell(&self, d: &[f64], odd: bool, cell: usize) -> [f64; Q] {
+    fn logical_cell(&self, d: &[f64], odd: bool, rows: Option<&RowTable>, cell: usize) -> [f64; Q] {
         let n = self.cells;
+        if !odd {
+            return std::array::from_fn(|k| d[k * n + cell]);
+        }
         let (sy, sz) = (self.shape.stride_y() as isize, self.shape.stride_z() as isize);
+        let at = rows.map(|t| (t, t.coords(cell)));
         std::array::from_fn(|k| {
-            if odd {
-                let hop = C[k][0] as isize + C[k][1] as isize * sy + C[k][2] as isize * sz;
-                d[INVERSE[k] * n + cell.wrapping_add_signed(hop)]
-            } else {
-                d[k * n + cell]
-            }
+            let [cx, cy, cz] = C[k].map(i32::from);
+            let pos = match at {
+                None => cell.wrapping_add_signed(cx as isize + cy as isize * sy + cz as isize * sz),
+                Some((t, [x, y, z])) => t.run(x + cx, y + cy, z + cz, 1),
+            };
+            d[INVERSE[k] * n + pos]
         })
     }
 

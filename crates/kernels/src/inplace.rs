@@ -30,6 +30,19 @@
 //! identical results — the same property the workgroup tiling relies on
 //! for the pull tiers.
 //!
+//! # Runs and storage
+//!
+//! The sweep visits the x-runs of the pull sweep (`soa::for_each_run`):
+//! the full rows of a dense block's box, or a carved block's row
+//! intervals, on its box or on the row store of
+//! [`trillium_field::RowTable::pull_reads`]. The transport sweep reads
+//! and writes exactly the slots the pull sweep reads — the run of `f_q`
+//! starts at the pull source `from[q]` — and the local sweep only a
+//! cell's own slots, so a row store holds every slot either sweep
+//! touches. A cell outside the runs is not swept: its slots hold dead
+//! values until a boundary link or a ghost copy writes what a covered
+//! cell reads, exactly as under pull.
+//!
 //! # Bitwise equivalence with the pull reference
 //!
 //! The row driver here hands each collision operator ([`crate::soa`]'s
@@ -50,9 +63,9 @@
 //! after the sweep, which the benchmark's split-cost probe and the
 //! partition tests may still cut into regions.
 
-use crate::soa::{per_isa, pull_offsets, Collide, Isa, RowScratch, Srt, Trt};
+use crate::soa::{for_each_run, per_isa, Collide, Isa, RowScratch, Srt, Trt};
 use crate::stats::SweepStats;
-use trillium_field::{PdfField, Region, SoaPdfField};
+use trillium_field::{PdfField, Region, RowIntervals, SoaPdfField};
 use trillium_lattice::d3q19::{INVERSE, PAIRS, Q};
 use trillium_lattice::{Relaxation, D3Q19};
 
@@ -62,21 +75,23 @@ use trillium_lattice::{Relaxation, D3Q19};
 /// where the CPU has it.
 pub fn stream_collide_trt(f: &mut SoaPdfField<D3Q19>, rel: Relaxation) -> SweepStats {
     let region = f.shape().interior();
-    sweep_inplace(Isa::Avx2Fma, Trt::new(rel), f, &region)
+    sweep_inplace(Isa::Avx2Fma, Trt::new(rel), f, None, &region)
 }
 
 /// One full in-place SRT sweep over the interior (same parity contract as
 /// [`stream_collide_trt`]).
 pub fn stream_collide_srt(f: &mut SoaPdfField<D3Q19>, rel: Relaxation) -> SweepStats {
     let region = f.shape().interior();
-    sweep_inplace(Isa::Avx2Fma, Srt::new(rel), f, &region)
+    sweep_inplace(Isa::Avx2Fma, Srt::new(rel), f, None, &region)
 }
 
-/// One x-run of an in-place sweep: the `n` cells from linear index `base`
-/// inside the single buffer `lines`, at the field's storage parity.
+/// One x-run of an in-place sweep: the `n` cells at position `base` of
+/// the single buffer `lines`, at the field's storage parity; `from[q]` is
+/// where the run's pull source in direction `q` starts.
 ///
-/// Parity 0 (transport): `f_q` is read pull-identically from `(x − c_q, q)`.
-/// Parity 1 (local): `f_q` is read in place from `(x, q̄)`. At either parity
+/// Parity 0 (transport): `f_q` is read pull-identically from `(x − c_q, q)`,
+/// the run at `from[q]`. Parity 1 (local): `f_q` is read in place from
+/// `(x, q̄)`, every run at `base`. At either parity
 /// an operator stores `f̃_q̄` over the slot `f_q` came from — the two
 /// populations of a pair swap slots, so `f̃_a(x)` lands on `(x + c_a, ā)` at
 /// parity 0 and on the canonical `(x, a)` at parity 1. Operators see runs,
@@ -84,7 +99,7 @@ pub fn stream_collide_srt(f: &mut SoaPdfField<D3Q19>, rel: Relaxation) -> SweepS
 pub(crate) struct InplaceRun<'r, 'f> {
     lines: &'r mut [&'f mut [f64]; Q],
     parity: bool,
-    off: &'r [isize; Q],
+    from: &'r [usize; Q],
     base: usize,
     n: usize,
 }
@@ -99,11 +114,7 @@ impl InplaceRun<'_, '_> {
     /// The run holding the streamed-in `f_q`.
     #[inline(always)]
     pub(crate) fn run(&self, q: usize) -> &[f64] {
-        let (line, start) = if self.parity {
-            (INVERSE[q], self.base)
-        } else {
-            (q, (self.base as isize - self.off[q]) as usize)
-        };
+        let (line, start) = if self.parity { (INVERSE[q], self.base) } else { (q, self.from[q]) };
         &self.lines[line][start..start + self.n]
     }
 
@@ -123,8 +134,7 @@ impl InplaceRun<'_, '_> {
         if self.parity {
             (&mut line_b[base..base + n], &mut line_a[base..base + n])
         } else {
-            let (ia, ib) =
-                ((base as isize - self.off[a]) as usize, (base as isize + self.off[a]) as usize);
+            let (ia, ib) = (self.from[a], self.from[b]);
             (&mut line_a[ia..ia + n], &mut line_b[ib..ib + n])
         }
     }
@@ -134,8 +144,7 @@ impl InplaceRun<'_, '_> {
     pub(crate) fn runs(&mut self) -> [&mut [f64]; Q] {
         let mut r: [&mut [f64]; Q] = Default::default();
         for (q, (run, line)) in r.iter_mut().zip(self.lines.iter_mut()).enumerate() {
-            let start =
-                if self.parity { self.base } else { (self.base as isize - self.off[q]) as usize };
+            let start = if self.parity { self.base } else { self.from[q] };
             *run = &mut line[start..start + self.n];
         }
         if self.parity {
@@ -149,35 +158,26 @@ impl InplaceRun<'_, '_> {
 }
 
 per_isa! {
-    /// The in-place sweep of `op` over the rows of `region` (a subset of
-    /// the interior), at the field's current parity. Sweeping a partition
-    /// of the interior region by region is bitwise identical to one full
-    /// sweep (slot-ownership argument in the module docs).
+    /// The in-place sweep of `op` over the x-runs of `region` (a subset of
+    /// the interior; the runs of the pull sweep, see [`for_each_run`]), at
+    /// the field's current parity. Sweeping a partition of the interior
+    /// region by region is bitwise identical to one full sweep
+    /// (slot-ownership argument in the module docs).
     pub(crate) fn sweep_inplace<P: Collide>(
         op: P,
         f: &mut SoaPdfField<D3Q19>,
+        intervals: Option<&RowIntervals>,
         region: &Region,
     ) -> SweepStats {
         let (shape, parity) = (f.shape(), f.parity());
-        assert!(shape.ghost >= 1);
-        assert!(f.rows().is_none(), "the in-place sweep runs on box storage");
-        debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-        let n = region.x.len();
-        if n == 0 {
-            return SweepStats::dense(0);
-        }
-        let off = pull_offsets(&shape);
-        let mut lines: [&mut [f64]; Q] = f.dirs_mut();
-        let mut scr = RowScratch::take(n);
-        for z in region.z.clone() {
-            for y in region.y.clone() {
-                let base = shape.idx(region.x.start, y, z);
-                let mut run = InplaceRun { lines: &mut lines, parity, off: &off, base, n };
-                op.inplace_run(&mut run, &mut scr);
-            }
-        }
+        let (rows, mut lines) = f.rows_and_dirs_mut();
+        let mut scr = RowScratch::take(region.x.len());
+        let cells = for_each_run(shape, rows, intervals, region, !parity, |base, from, n| {
+            let mut run = InplaceRun { lines: &mut lines, parity, from, base, n };
+            op.inplace_run(&mut run, &mut scr);
+        });
         scr.put_back();
-        SweepStats::dense(region.num_cells() as u64)
+        SweepStats::dense(cells as u64)
     }
 }
 
@@ -313,7 +313,7 @@ mod tests {
             let be = BackendKind::Avx2.dispatch();
             let mut cells = 0;
             for r in std::iter::once(shape.interior_core(1)).chain(shape.shell_regions(1)) {
-                cells += be.sweep_inplace_region(Collision::Trt, &mut split, rel, &r).cells;
+                cells += be.sweep_inplace_region(Collision::Trt, &mut split, None, rel, &r).cells;
             }
             assert_eq!(cells, shape.interior_cells() as u64);
             assert_eq!(whole.data(), split.data(), "parity {parity}");

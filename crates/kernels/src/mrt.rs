@@ -295,7 +295,7 @@ pub(crate) mod tests {
                 i_split.set_parity(parity);
                 be.sweep_inplace(collision, &mut i_full, rel);
                 for r in &parts {
-                    be.sweep_inplace_region(collision, &mut i_split, rel, r);
+                    be.sweep_inplace_region(collision, &mut i_split, None, rel, r);
                 }
                 assert_eq!(i_full.data(), i_split.data(), "{kind:?}/{collision:?} {parity}");
             }

@@ -6,10 +6,12 @@
 //! rather than a by-cell manner", which "significantly reduces the number
 //! of concurrent load/store streams". This module implements that
 //! transformation once, over one contiguous *x-run* of cells. The x-run is
-//! the only primitive: the pull driver `sweep_pull` feeds it the full
-//! rows of a dense [`Region`] or the clipped spans of a sparse block's
-//! [`RowIntervals`], the in-place driver of [`crate::inplace`] full rows at
-//! either storage parity.
+//! the only primitive, and one enumeration (`for_each_run`) yields the
+//! runs of both drivers: the full rows of a dense [`Region`] or the
+//! clipped spans of a sparse block's [`RowIntervals`], on box storage or
+//! a row store. The pull driver `sweep_pull` streams them from `src` to
+//! `dst`, the in-place driver of [`crate::inplace`] updates them in one
+//! buffer at either storage parity.
 //!
 //! What happens to a run's streamed-in populations is the collision
 //! operator's business (`Collide`). The pair-form operators, TRT and
@@ -51,7 +53,7 @@
 use crate::inplace::InplaceRun;
 use crate::stats::SweepStats;
 use std::cell::RefCell;
-use trillium_field::{PdfField, Region, RowIntervals, Shape, SoaPdfField};
+use trillium_field::{PdfField, Region, RowIntervals, RowTable, Shape, SoaPdfField};
 use trillium_lattice::d3q19::{C, PAIRS, Q, W as WEIGHTS};
 use trillium_lattice::{Relaxation, D3Q19};
 
@@ -477,18 +479,77 @@ fn pull_row<P: Collide>(
     op.pull_run(&s, &mut d, scr);
 }
 
+/// Calls `visit(base, from, n)` for each x-run a sweep of `region` (a
+/// subset of the interior) visits — its full rows, or for a sparse block
+/// the spans of `intervals` clipped against it — with `n` cells at
+/// position `base` and direction `q`'s pull source run at `from[q]`;
+/// returns the cells visited. On box storage `from[q]` is `base − off[q]`;
+/// a row store (sparse blocks only, its table built from `intervals`)
+/// looks each `(span, q)` source run up in the table, which stores it
+/// whole, unless `sources` is false (then `from` is `[base; Q]`).
+#[inline(always)]
+pub(crate) fn for_each_run(
+    shape: Shape,
+    rows: Option<&RowTable>,
+    intervals: Option<&RowIntervals>,
+    region: &Region,
+    sources: bool,
+    mut visit: impl FnMut(usize, &[usize; Q], usize),
+) -> usize {
+    assert!(shape.ghost >= 1);
+    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
+    let off = pull_offsets(&shape);
+    let Some(intervals) = intervals else {
+        assert!(rows.is_none(), "a row store is swept by its spans");
+        let n = region.x.len();
+        if n == 0 {
+            return 0;
+        }
+        for z in region.z.clone() {
+            for y in region.y.clone() {
+                let base = shape.idx(region.x.start, y, z);
+                visit(base, &off.map(|o| (base as isize - o) as usize), n);
+            }
+        }
+        return region.num_cells();
+    };
+    let mut cells = 0;
+    for span in &intervals.spans {
+        if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
+            continue;
+        }
+        let x_begin = span.x_begin.max(region.x.start);
+        let x_end = span.x_end.min(region.x.end);
+        if x_end <= x_begin {
+            continue;
+        }
+        let n = (x_end - x_begin) as usize;
+        let (base, from) = match rows {
+            None => {
+                let base = shape.idx(x_begin, span.y, span.z);
+                (base, off.map(|o| (base as isize - o) as usize))
+            }
+            Some(t) => {
+                let run = |c: [i8; 3]| {
+                    let [cx, cy, cz] = c.map(i32::from);
+                    t.run(x_begin - cx, span.y - cy, span.z - cz, n)
+                };
+                let base = run([0; 3]);
+                (base, if sources { C.map(run) } else { [base; Q] })
+            }
+        };
+        visit(base, &from, n);
+        cells += n;
+    }
+    cells
+}
+
 per_isa! {
     /// The two-field pull sweep of `op` over the x-runs of `region` (a
-    /// subset of the interior): its full rows, or — for a sparse block —
-    /// the spans of `intervals` clipped against it. Returns the cells
+    /// subset of the interior; see [`for_each_run`]). Returns the cells
     /// traversed. All passes are element-wise per cell, so sweeping a
     /// partition of the interior region by region produces bitwise the
     /// same PDFs as one full sweep.
-    ///
-    /// On box storage direction `q` of a run at `base` streams in from
-    /// `base − off[q]`. A row store (sparse blocks only, its table built
-    /// from `intervals`) has no such offsets: each `(span, q)` source run
-    /// is looked up in the row table, which stores it whole.
     pub(crate) fn sweep_pull<P: Collide>(
         op: P,
         src: &SoaPdfField<D3Q19>,
@@ -497,60 +558,12 @@ per_isa! {
         region: &Region,
     ) -> SweepStats {
         assert!(src.same_storage(dst), "pull between fields of different storage");
-        let shape = src.shape();
-        assert!(shape.ghost >= 1);
-        debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-        let off = pull_offsets(&shape);
-        let rows = src.rows();
         let sdirs: [&[f64]; Q] = src.dirs();
         let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
         let mut scr = RowScratch::take(region.x.len());
-        let mut cells = 0;
-
-        match intervals {
-            None => {
-                assert!(rows.is_none(), "a row store is swept by its spans");
-                let n = region.x.len();
-                if n > 0 {
-                    for z in region.z.clone() {
-                        for y in region.y.clone() {
-                            let base = shape.idx(region.x.start, y, z);
-                            let from = off.map(|o| (base as isize - o) as usize);
-                            pull_row(op, &sdirs, &mut ddirs, &from, base, n, &mut scr);
-                        }
-                    }
-                    cells = region.num_cells();
-                }
-            }
-            Some(intervals) => {
-                for span in &intervals.spans {
-                    if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
-                        continue;
-                    }
-                    let x_begin = span.x_begin.max(region.x.start);
-                    let x_end = span.x_end.min(region.x.end);
-                    if x_end <= x_begin {
-                        continue;
-                    }
-                    let n = (x_end - x_begin) as usize;
-                    let (base, from) = match rows {
-                        None => {
-                            let base = shape.idx(x_begin, span.y, span.z);
-                            (base, off.map(|o| (base as isize - o) as usize))
-                        }
-                        Some(t) => {
-                            let run = |c: [i8; 3]| {
-                                let [cx, cy, cz] = c.map(i32::from);
-                                t.run(x_begin - cx, span.y - cy, span.z - cz, n)
-                            };
-                            (run([0; 3]), C.map(run))
-                        }
-                    };
-                    pull_row(op, &sdirs, &mut ddirs, &from, base, n, &mut scr);
-                    cells += n;
-                }
-            }
-        }
+        let cells = for_each_run(src.shape(), src.rows(), intervals, region, true, |base, from, n| {
+            pull_row(op, &sdirs, &mut ddirs, from, base, n, &mut scr)
+        });
         scr.put_back();
         SweepStats::dense(cells as u64)
     }

@@ -60,7 +60,7 @@ fn region_sweeps_do_not_allocate_after_warm_up() {
         for r in std::iter::once(shape.interior_core(1)).chain(shape.shell_regions(1)) {
             cells += be.sweep_pull_region(collision, &src, &mut dst, rel, &r).cells;
             cells += be.sweep_sparse_region(collision, &src, &mut dst, &intervals, rel, &r).cells;
-            cells += be.sweep_inplace_region(collision, &mut src, rel, &r).cells;
+            cells += be.sweep_inplace_region(collision, &mut src, None, rel, &r).cells;
         }
         let parity = src.parity();
         src.set_parity(!parity);

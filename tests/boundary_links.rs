@@ -95,10 +95,9 @@ fn blocksim_boundary_sweep_matches_flag_scan_bitwise() {
             let block =
                 BlockSim::from_flags_with_scheme(flags.clone(), params(), 1.0, [0.01; 3], scheme);
             assert!(!block.boundary_links().is_empty());
-            // In place runs through both parities; the carved block
-            // resolves to pull.
-            let inplace = name == "cavity" && scheme == UpdateScheme::InPlace;
-            assert_eq!(block.scheme == UpdateScheme::InPlace, inplace);
+            // In place runs through both parities, on the carved block's
+            // row store too.
+            assert_eq!(block.scheme, scheme);
             check_against_flag_scan(block, &format!("{name} {scheme:?}"));
         }
     }

@@ -297,9 +297,11 @@ fn run_bits(r: &RunResult) -> Vec<u64> {
 /// the benchmark's `cavity_smallblocks` shape; 5 steps end an in-place
 /// run at odd storage parity. The digests cover the fluid cells (a dump
 /// writes zeros for the rest); `CHANNEL[8]` was printed by the commit that
-/// masked the dump, every other literal by the older one. The channel puts
-/// pull blocks carved by the obstacle beside in-place dense ones on both
-/// ranks, so same-rank copies cross between the two storage conventions.
+/// masked the dump, every other literal by the older one. The in-place
+/// channel runs its blocks carved by the obstacle in place on their row
+/// stores beside dense ones on both ranks; its literals were printed when
+/// the carved blocks still ran pull, so they pin the fluid PDFs of the
+/// two schemes to each other.
 #[test]
 fn totals_and_pdfs_are_pinned_across_schedules_and_schemes() {
     const CAVITY: [u64; 9] = [
@@ -326,6 +328,12 @@ fn totals_and_pdfs_are_pinned_across_schedules_and_schemes() {
     ];
     let cavity = || Scenario::lid_driven_cavity(32, 4, 0.05, 0.08);
     let channel = || Scenario::channel_with_obstacle([32, 16, 16], [4, 2, 2], 0.07, 0.03, 0.2);
+    let inplace = channel().with_kernel(KernelChoice::InPlace);
+    let views = distribute(&inplace.make_forest(2));
+    let blocks: Vec<BlockSim> =
+        views.iter().flat_map(|v| &v.blocks).map(|lb| inplace.build_block(lb)).collect();
+    assert!(blocks.iter().any(|b| b.src.rows().is_some()), "the obstacle carves blocks");
+    assert!(blocks.iter().all(|b| b.scheme == UpdateScheme::InPlace), "every block runs in place");
     for overlap in [false, true] {
         let cfg = DriverConfig { overlap, collect_pdfs: true, ..Default::default() };
         for kernel in [KernelChoice::Pull, KernelChoice::InPlace] {
@@ -333,13 +341,8 @@ fn totals_and_pdfs_are_pinned_across_schedules_and_schemes() {
             assert!(!r.has_nan());
             assert_eq!(run_bits(&r), CAVITY, "cavity, overlap={overlap}, {kernel:?}");
         }
-        let mixed = channel().with_kernel(KernelChoice::InPlace);
-        let r = run_distributed_with(&mixed, 2, 1, 5, &[], cfg);
+        let r = run_distributed_with(&inplace, 2, 1, 5, &[], cfg);
         assert!(!r.has_nan());
-        for rr in &r.ranks {
-            let pull = rr.obs.as_ref().unwrap().metrics.counter("kernel.fallback_pull") as usize;
-            assert!(0 < pull && pull < rr.num_blocks, "rank {}: {pull} pull blocks", rr.rank);
-        }
         assert_eq!(run_bits(&r), CHANNEL, "channel, overlap={overlap}");
     }
 }

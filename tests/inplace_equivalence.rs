@@ -6,12 +6,15 @@
 //! ghost exchange, checkpointing and migration; this test pins the whole
 //! stack at once.
 
+use std::sync::Arc;
 use trillium_core::driver::{
     plan_run, run_distributed_composed, run_distributed_with, DriverConfig, RebalanceConfig,
     RunConfig,
 };
+use trillium_core::pipeline::setup_domain;
 use trillium_core::prelude::*;
 use trillium_field::flags::FlagOps;
+use trillium_geometry::{VascularTree, VascularTreeParams};
 
 const STEPS: u64 = 24;
 
@@ -31,6 +34,31 @@ fn pdf_cfg(overlap: bool) -> DriverConfig {
 /// differs from pull.
 fn obstacle_channel(kernel: KernelChoice) -> Scenario {
     Scenario::channel_with_obstacle([24, 8, 8], [3, 1, 1], 0.08, 0.04, 0.18).with_kernel(kernel)
+}
+
+/// A small vessel tree through the set-up pipeline, every block carved:
+/// a velocity inlet cap, pressure outlet caps and a voxelised curved wall,
+/// the `vascular_sparse` path in miniature.
+fn vessel_tree(kernel: KernelChoice) -> Scenario {
+    let tree = VascularTree::generate(&VascularTreeParams {
+        generations: 2,
+        segments_per_branch: 2,
+        root_radius: 1.2,
+        root_length: 6.0,
+        tortuosity: 0.2,
+        ..Default::default()
+    });
+    let setup = setup_domain(
+        "vessel-tree",
+        Arc::new(tree),
+        0.3,
+        [8, 8, 8],
+        1,
+        Balancer::Morton,
+        0.08,
+        [0.0, 0.0, 0.04],
+    );
+    setup.scenario.with_kernel(kernel)
 }
 
 /// The in-place run of `scenario` on `n` ranks for each count of
@@ -61,6 +89,20 @@ fn assert_inplace_matches_pull(scenario: fn(KernelChoice) -> Scenario, ranks: &[
 fn inplace_matches_pull_on_sync_and_overlapped_schedules() {
     assert_inplace_matches_pull(cavity, &[4], STEPS);
     assert_inplace_matches_pull(obstacle_channel, &[1, 3], 40);
+}
+
+/// The same gate on a carved vessel tree: every block stores a row table
+/// and runs in place, and the run matches the synchronous one-rank pull
+/// run bit for bit on both schedules, odd and even step counts, on one
+/// rank and on three.
+#[test]
+fn inplace_matches_pull_on_a_carved_vessel_tree() {
+    let s = vessel_tree(KernelChoice::InPlace);
+    let blocks: Vec<BlockSim> =
+        plan_run(&s, 3).views.iter().flat_map(|v| &v.blocks).map(|lb| s.build_block(lb)).collect();
+    assert!(blocks.len() >= 6, "{} blocks", blocks.len());
+    assert!(blocks.iter().all(|b| b.src.rows().is_some() && b.scheme == UpdateScheme::InPlace));
+    assert_inplace_matches_pull(vessel_tree, &[1, 3], 30);
 }
 
 /// The rebalance hook migrates whole in-place blocks (single-buffer
@@ -131,30 +173,34 @@ fn inplace_matches_pull_through_fault_recovery() {
     assert_eq!(reference.pdf_dump(), clean.pdf_dump());
 }
 
-/// The von Kármán cylinder runs the scheme the run asks for: a dense
-/// block whose only `OBSTACLE` cells are ghost cells runs in place, a
-/// carved one falls back to pull. The PDFs and the cylinder's force
-/// series equal the pull run's bit for bit, for every operator the wake
-/// is run with, under both schedules and at both final parities.
+/// The von Kármán cylinder runs the scheme the run asks for on every
+/// block: the dense blocks whose only `OBSTACLE` cells are ghost cells
+/// and the carved cylinder blocks alike run in place. The PDFs and the
+/// cylinder's force series equal the pull run's bit for bit, for every
+/// operator the wake is run with, under both schedules and at both final
+/// parities.
 #[test]
 fn von_karman_in_place_matches_pull_with_forces() {
     let scenario = |op: Collision| {
         Scenario::von_karman([64, 32, 2], [8, 4, 2], 0.02, 0.05, 16.0).with_collision(op)
     };
-    // Blocks whose masked cells are all ghost cells: dense, so in place.
     let trt = scenario(Collision::Trt);
-    let dense_with_obstacle = (plan_run(&trt, 2).views.iter())
+    let blocks: Vec<BlockSim> = (plan_run(&trt, 2).views.iter())
         .flat_map(|v| &v.blocks)
         .map(|lb| trt.build_block(lb))
-        .filter(|b| b.scheme == UpdateScheme::InPlace)
-        .filter(|b| {
-            b.shape
-                .with_ghosts()
-                .iter()
-                .any(|(x, y, z)| b.flags.flags(x, y, z).intersects(CellFlags::OBSTACLE))
-        })
-        .count();
+        .collect();
+    assert!(blocks.iter().all(|b| b.scheme == UpdateScheme::InPlace && b.dst.data().is_empty()));
+    let obstacle = |b: &&BlockSim| {
+        b.shape
+            .with_ghosts()
+            .iter()
+            .any(|(x, y, z)| b.flags.flags(x, y, z).intersects(CellFlags::OBSTACLE))
+    };
+    let carved = |b: &&BlockSim| b.src.rows().is_some();
+    let dense_with_obstacle = blocks.iter().filter(obstacle).filter(|b| !carved(b)).count();
     assert_eq!(dense_with_obstacle, 12, "dense in-place blocks with OBSTACLE ghost cells");
+    let carved_cylinder = blocks.iter().filter(obstacle).filter(carved).count();
+    assert_eq!(carved_cylinder, 8, "carved in-place cylinder blocks");
 
     let bits = |f: Vec<[f64; 3]>| f.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
     for op in [Collision::Trt, Collision::Mrt, Collision::MrtLes] {

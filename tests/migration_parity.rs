@@ -206,10 +206,11 @@ fn rebalanced_inplace_run_with_odd_epochs_matches_plain_run_bitwise() {
     }
 }
 
-/// The obstacle channel's carved blocks through a forced migration (a
-/// skewed start under the rebalance hook) and through a crash with
-/// rollback recovery, at an odd and an even step count, on both
-/// schedules: the final PDFs equal the plain run's, bit for bit.
+/// The obstacle channel's carved blocks, in place on their row stores,
+/// through a forced migration (a skewed start under the rebalance hook)
+/// and through a crash with rollback recovery, at an odd and an even step
+/// count, on both schedules: the final PDFs equal the plain run's, and
+/// that one's the one-rank synchronous pull run's, bit for bit.
 #[test]
 fn carved_channel_migrates_and_recovers_bitwise() {
     let scenario = || {
@@ -220,6 +221,9 @@ fn carved_channel_migrates_and_recovers_bitwise() {
     for steps in [15, 16] {
         let plain = run_distributed_with(&scenario(), 2, 1, steps, &[], pdfs(false));
         assert!(!plain.has_nan());
+        let pull = scenario().with_kernel(KernelChoice::Pull);
+        let reference = run_distributed_with(&pull, 1, 1, steps, &[], pdfs(false));
+        assert_eq!(reference.pdf_dump(), plain.pdf_dump(), "in place, {steps} steps");
         for overlap in [false, true] {
             let migrated = RunConfig {
                 driver: pdfs(overlap),

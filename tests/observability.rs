@@ -240,8 +240,7 @@ fn rebalanced_run_records_migration_metrics() {
 }
 
 /// `mem.pdf_bytes` is the PDF storage of a rank's blocks: one field per
-/// in-place block, two per pull block (a carved block runs pull whatever
-/// the scenario asks for).
+/// in-place block, two per pull block, dense or carved.
 #[test]
 fn pdf_bytes_gauge_counts_one_field_in_place_and_two_under_pull() {
     let gauge = |s: Scenario| -> Vec<f64> {
@@ -260,7 +259,7 @@ fn pdf_bytes_gauge_counts_one_field_in_place_and_two_under_pull() {
     // reads the eight corners of its ghost box), 150 784 B a field.
     let channel = || Scenario::channel_with_obstacle([24, 8, 8], [3, 1, 1], 0.08, 0.04, 0.18);
     let sum = |g: Vec<f64>| g.iter().sum::<f64>();
-    assert_eq!(sum(gauge(channel())), 2.0 * 152_000.0 + 2.0 * 150_784.0);
+    assert_eq!(sum(gauge(channel())), 2.0 * 152_000.0 + 150_784.0);
     assert_eq!(
         sum(gauge(channel().with_kernel(KernelChoice::Pull))),
         4.0 * 152_000.0 + 2.0 * 150_784.0

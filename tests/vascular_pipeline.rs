@@ -108,15 +108,14 @@ fn inflow_drives_flow_through_tree() {
     assert!(stats.cells >= stats.fluid_cells);
 }
 
-/// A carved run that asks for the in-place kernel must degrade loudly,
-/// not silently: sparse row-interval blocks have no AA-pattern variant,
-/// so they resolve to pull — and that resolution is (a) visible on the
-/// built block and (b) counted by the driver as `kernel.fallback_pull`.
+/// A carved run that asks for the in-place kernel gets it on every
+/// block: each built block, carved or dense, runs `InPlace` and holds one
+/// stored field (`dst` empty), and the run computes sane physics.
 #[test]
-fn carved_inplace_request_surfaces_pull_fallback() {
+fn carved_inplace_request_runs_in_place_on_every_block() {
     let tree = Arc::new(small_tree());
     let setup = setup_domain(
-        "tree-fallback",
+        "tree-inplace",
         tree,
         0.3,
         [8, 8, 8],
@@ -128,30 +127,20 @@ fn carved_inplace_request_surfaces_pull_fallback() {
     assert!(setup.fluid_fraction() < 0.9, "need partially covered blocks to carve");
     let scenario = setup.scenario.with_kernel(KernelChoice::InPlace);
 
-    // Statically: the carved forest contains blocks whose requested
-    // in-place scheme resolves to pull.
     let forest = scenario.make_forest(2);
-    let mut fallbacks = 0u64;
+    let mut carved = 0;
     for view in &trillium_blockforest::distribute(&forest) {
         for lb in &view.blocks {
             let b = scenario.build_block(lb);
-            if b.fell_back_to_pull() {
-                assert_eq!(b.resolved_kernel_label(), "pull");
-                fallbacks += 1;
-            }
+            assert_eq!(b.scheme, UpdateScheme::InPlace);
+            assert!(b.dst.data().is_empty(), "one stored field");
+            carved += usize::from(b.src.rows().is_some());
         }
     }
-    assert!(fallbacks > 0, "carved tree produced no sparse blocks");
+    assert!(carved > 0, "carved tree produced no sparse blocks");
 
-    // Dynamically: the driver surfaces exactly that count as a metric,
-    // and the degraded run still computes sane physics.
     let r = run_distributed(&scenario, 2, 1, 40);
     assert!(!r.has_nan());
-    assert_eq!(
-        r.metrics().counter("kernel.fallback_pull"),
-        fallbacks,
-        "driver must report every silent InPlace -> Pull resolution"
-    );
 }
 
 /// The weak-scaling property at miniature scale: doubling the block
