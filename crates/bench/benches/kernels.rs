@@ -1,11 +1,10 @@
 //! Criterion benches of the kernel optimization ladder (Fig 3's measured
 //! analogue): generic vs specialized vs SoA vs AVX, SRT and TRT, plus the
-//! sparse strategies of §4.3 on a half-filled block.
+//! row-interval sparse sweep of §4.3 on a half-filled block.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use trillium_field::{
-    AosPdfField, CellFlags, FlagField, FlagOps, FluidCellList, PdfField, RowIntervals, Shape,
-    SoaPdfField,
+    AosPdfField, CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shape, SoaPdfField,
 };
 use trillium_kernels as kernels;
 use trillium_lattice::{Relaxation, D3Q19, MAGIC_TRT};
@@ -100,17 +99,10 @@ fn bench_sparse(c: &mut Criterion) {
     let flags = half_filled_flags();
     let fluid = flags.count_fluid() as u64;
     let (ssrc, mut sdst) = soa_fields();
-    let list = FluidCellList::build(&flags);
     let intervals = RowIntervals::build(&flags);
 
     let mut g = c.benchmark_group("sparse");
     g.throughput(Throughput::Elements(fluid));
-    g.bench_function("conditional", |b| {
-        b.iter(|| kernels::sparse::stream_collide_trt_conditional(&ssrc, &mut sdst, &flags, rel))
-    });
-    g.bench_function("cell_list", |b| {
-        b.iter(|| kernels::sparse::stream_collide_trt_cell_list(&ssrc, &mut sdst, &list, rel))
-    });
     let portable = kernels::BackendKind::Portable.dispatch();
     g.bench_function("row_intervals", |b| {
         b.iter(|| portable.sweep_sparse(kernels::Collision::Trt, &ssrc, &mut sdst, &intervals, rel))

@@ -11,25 +11,38 @@
 //! Which values cross a link is the receiver's business. A dense block's
 //! sweep reads its whole ghost layer, so it receives whole slabs. A carved
 //! block's row-interval sweep reads only the ghost values next to the
-//! cells it covers; [`GhostRows`] lists those once per block, and the
-//! same-rank copies ([`copy_rows_local`], [`copy_rows_self`]) walk the
-//! list. Remote messages stay whole slabs: the wire format does not
-//! depend on the receiver's geometry.
+//! cells it covers; [`GhostRows`] lists those. Remote messages stay whole
+//! slabs: the wire format does not depend on the receiver's geometry.
+//!
+//! Same-rank links split *what* moves from *how* (waLBerla's `PackInfo`
+//! and communication scheme): an [`ExchangePlan`] resolves every link
+//! once, per step parity, through both fields' storage (box or row table)
+//! into slot runs `(source slot, destination slot, length)`, and a step
+//! walks them. Runs are offsets, valid for either buffer of a pull block;
+//! box blocks of one shape share one template per direction and parity
+//! pair. The driver builds a rank's plan whenever its blocks are replaced
+//! (`RankLoop::new`, migration, recovery); `BlockSim::sync_periodic`
+//! builds one of self-links, [`copy_face_local`] one of a single link.
 
 use bytes::{Buf, BufMut};
-use trillium_field::{PdfField, Region, RowIntervals, Shape};
+use std::borrow::{Borrow, BorrowMut};
+use std::collections::HashMap;
+use trillium_field::{PdfField, Region, RowIntervals, Shape, SoaPdfField};
 use trillium_lattice::LatticeModel;
 
 /// The directions whose PDFs must be transferred across a block link in
 /// direction `d`: all `q` with `c_q[a] == d[a]` on every axis `a` where
 /// `d[a] != 0`.
 pub fn pdfs_crossing<M: LatticeModel>(d: [i8; 3]) -> Vec<usize> {
-    (1..M::Q)
-        .filter(|&q| {
-            let c = M::velocities()[q];
-            (0..3).all(|a| d[a] == 0 || c[a] == d[a])
-        })
-        .collect()
+    crossing::<M>(d).collect()
+}
+
+/// [`pdfs_crossing`] without the allocation.
+fn crossing<M: LatticeModel>(d: [i8; 3]) -> impl Iterator<Item = usize> {
+    (1..M::Q).filter(move |&q| {
+        let c = M::velocities()[q];
+        (0..3).all(|a| d[a] == 0 || c[a] == d[a])
+    })
 }
 
 /// Index of link direction `d` in the 27-entry per-direction tables
@@ -37,6 +50,11 @@ pub fn pdfs_crossing<M: LatticeModel>(d: [i8; 3]) -> Vec<usize> {
 #[inline(always)]
 fn dir_slot(d: [i8; 3]) -> usize {
     ((d[0] + 1) as usize * 9) + ((d[1] + 1) as usize * 3) + (d[2] + 1) as usize
+}
+
+/// The link direction of table index `slot`, the inverse of [`dir_slot`].
+fn slot_dir(slot: usize) -> [i8; 3] {
+    [(slot / 9) as i8 - 1, (slot / 3 % 3) as i8 - 1, (slot % 3) as i8 - 1]
 }
 
 /// Precomputed [`pdfs_crossing`] sets for all 26 link directions.
@@ -54,19 +72,8 @@ pub struct CrossingTable {
 impl CrossingTable {
     /// Builds the table for lattice model `M`.
     pub fn new<M: LatticeModel>() -> Self {
-        let mut sets = Vec::with_capacity(27);
-        for dx in -1i8..=1 {
-            for dy in -1i8..=1 {
-                for dz in -1i8..=1 {
-                    if dx == 0 && dy == 0 && dz == 0 {
-                        sets.push(Vec::new());
-                    } else {
-                        sets.push(pdfs_crossing::<M>([dx, dy, dz]));
-                    }
-                }
-            }
-        }
-        CrossingTable { sets }
+        let set = |slot| if slot == 13 { Vec::new() } else { pdfs_crossing::<M>(slot_dir(slot)) };
+        CrossingTable { sets: (0..27).map(set).collect() }
     }
 
     /// The crossing-PDF set for link direction `d`.
@@ -242,51 +249,6 @@ pub fn unpack_face_sparse<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3]
     assert!(buf.is_empty(), "sparse ghost message has trailing bytes");
 }
 
-/// The boundary slab of `src` facing a block `dst` that has it as neighbor
-/// in direction `d`, and the translation onto `dst`'s ghost slab there.
-fn facing_slab(src: Shape, dst: Shape, d: [i8; 3]) -> (Region, [i32; 3]) {
-    let from = src.boundary_slab([-d[0], -d[1], -d[2]], src.ghost);
-    let to = dst.ghost_slab(d, dst.ghost);
-    assert_eq!(from.num_cells(), to.num_cells(), "block size mismatch across link");
-    let shift = [to.x.start - from.x.start, to.y.start - from.y.start, to.z.start - from.z.start];
-    (from, shift)
-}
-
-/// Direct ghost copy between two blocks owned by the same process:
-/// `dst` has `src` as its neighbor in direction `d`.
-pub fn copy_face_local<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
-    src: &A,
-    dst: &mut B,
-    d: [i8; 3],
-) {
-    copy_face_local_with::<M, A, B>(src, dst, d, &pdfs_crossing::<M>([-d[0], -d[1], -d[2]]));
-}
-
-/// Allocation-free variant of [`copy_face_local`] (`qs`: the *reversed*
-/// set): equal to packing `src` toward `-d`, unpacking into `dst` from `d`.
-pub fn copy_face_local_with<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
-    src: &A,
-    dst: &mut B,
-    d: [i8; 3],
-    qs: &[usize],
-) {
-    let (from, s) = facing_slab(src.shape(), dst.shape(), d);
-    for_each_row(&from, qs, |q, [x, y, z], row| {
-        src.read_row(q, x, y, z, row);
-        dst.write_row(q, x + s[0], y + s[1], z + s[2], row);
-    });
-}
-
-/// [`copy_face_local_with`] for a block that is its own neighbor in
-/// direction `d` (a periodic axis one block wide), inside the one field.
-pub fn copy_face_self_with<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3], qs: &[usize]) {
-    let (from, s) = facing_slab(f.shape(), f.shape(), d);
-    for_each_row(&from, qs, |q, [x, y, z], row| {
-        f.read_row(q, x, y, z, row);
-        f.write_row(q, x + s[0], y + s[1], z + s[2], row);
-    });
-}
-
 /// One logical x-row of ghost values: PDF `q` of the `len` cells from
 /// `(x0, y, z)` on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -332,7 +294,7 @@ impl GhostRows {
         let mut out = GhostRows::default();
         for slot in 0..27 {
             out.start[slot] = out.rows.len() as u32;
-            let d = [(slot / 9) as i8 - 1, (slot / 3 % 3) as i8 - 1, (slot % 3) as i8 - 1];
+            let d = slot_dir(slot);
             let slab = shape.ghost_slab(d, shape.ghost);
             for &q in table.qs_reversed(d) {
                 let c = M::velocities()[q].map(i32::from);
@@ -371,42 +333,243 @@ impl GhostRows {
     }
 }
 
-/// Visits `rows` in pieces of at most [`ROW_PIECE`] cells, as
-/// [`for_each_row`] visits a slab.
-fn for_each_listed(rows: &[GhostRow], mut visit: impl FnMut(usize, [i32; 3], &mut [f64])) {
-    let mut row = [0.0; ROW_PIECE];
-    for r in rows {
-        let end = r.x0 + r.len as i32;
-        for x in (r.x0..end).step_by(ROW_PIECE) {
-            let n = ((end - x) as usize).min(ROW_PIECE);
-            visit(r.q as usize, [x, r.y, r.z], &mut row[..n]);
+/// One move: `len` values from slot `src` of the sender's storage to
+/// slot `dst` of the receiver's; zeros if `src` is [`ZERO_FILL`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Run {
+    src: u32,
+    dst: u32,
+    len: u32,
+}
+
+/// The source of a run writing `0.0`: stored receiver slots whose source
+/// the sender does not store (and its accessors read as `0.0`).
+const ZERO_FILL: u32 = u32::MAX;
+
+/// One link of a plan: block `dst` takes `runs[first..end]` from block
+/// `src` (the same block on a periodic self-link).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct PlanLink {
+    src: u32,
+    dst: u32,
+    first: u32,
+    end: u32,
+}
+
+/// The links and runs of one step parity.
+#[derive(Clone, Debug, Default)]
+struct Moves {
+    links: Vec<PlanLink>,
+    runs: Vec<Run>,
+}
+
+/// One block as an [`ExchangePlan`] sees it.
+pub struct PlanBlock<'a, M: LatticeModel> {
+    /// The live field: its storage, box or row table.
+    pub field: &'a SoaPdfField<M>,
+    /// Storage parity at even and at odd steps: `[false, false]` for
+    /// pull, `[false, true]` in place.
+    pub parity: [bool; 2],
+    /// A carved block's row intervals: it receives its [`GhostRows`]
+    /// list. `None`: a dense block, which receives whole slabs.
+    pub carve: Option<&'a RowIntervals>,
+}
+
+/// The same-rank ghost exchange of a set of blocks as slot runs, per step
+/// parity (see the module doc). [`apply`](Self::apply) writes what
+/// packing the sender's slab and unpacking it into the receiver writes
+/// at the receiver's listed values: nothing into a slot the receiver does
+/// not store, `0.0` from a source cell the sender does not store.
+#[derive(Clone, Debug, Default)]
+pub struct ExchangePlan {
+    moves: [Moves; 2],
+    /// Per block, what the runs were resolved against: stored cells and
+    /// the parity at even and odd steps.
+    stamps: Vec<(usize, [bool; 2])>,
+    values: u64,
+    rows: u64,
+}
+
+impl ExchangePlan {
+    /// Resolves `links`, each `(receiver, d, sender)` by index into
+    /// `blocks`: the receiver's neighbor in direction `d` is the sender.
+    /// A receiver's links should come together (its list is built once
+    /// per group).
+    pub fn build<M: LatticeModel>(
+        blocks: &[PlanBlock<'_, M>],
+        links: impl IntoIterator<Item = (usize, [i8; 3], usize)>,
+    ) -> Self {
+        let mut plan = ExchangePlan {
+            stamps: blocks.iter().map(|b| (b.field.cells(), b.parity)).collect(),
+            ..Default::default()
+        };
+        let mut templates = HashMap::new();
+        let mut lists: Option<(usize, GhostRows)> = None;
+        for (to, d, from) in links {
+            let (dst, src) = (&blocks[to], &blocks[from]);
+            let shape = dst.field.shape();
+            assert_eq!(src.field.shape(), shape, "block size mismatch across link");
+            let n = [shape.nx, shape.ny, shape.nz];
+            let shift: [i32; 3] = std::array::from_fn(|a| i32::from(d[a]) * n[a] as i32);
+            let slab;
+            let rows = match dst.carve {
+                Some(carve) => {
+                    if lists.as_ref().is_none_or(|(i, _)| *i != to) {
+                        lists = Some((to, GhostRows::build::<M>(shape, carve)));
+                    }
+                    lists.as_ref().map_or(&[][..], |(_, l)| l.rows(d))
+                }
+                None => {
+                    slab = slab_rows::<M>(shape, d);
+                    &slab[..]
+                }
+            };
+            plan.values += rows.iter().map(|r| u64::from(r.len)).sum::<u64>();
+            plan.rows += rows.len() as u64;
+            // Box to box over whole slabs: one template per shape,
+            // direction and parity pair.
+            let shared =
+                dst.carve.is_none() && src.field.rows().is_none() && dst.field.rows().is_none();
+            for (odd, moves) in plan.moves.iter_mut().enumerate() {
+                let key = (odd, shape, d, src.parity[odd], dst.parity[odd]);
+                let (first, end) = match templates.get(&key) {
+                    Some(&range) if shared => range,
+                    _ => {
+                        let first = slot32(moves.runs.len());
+                        let pair = (src.field, key.3, dst.field, key.4, shift);
+                        rows.iter().for_each(|&r| resolve(&mut moves.runs, pair, r));
+                        let range = (first, slot32(moves.runs.len()));
+                        if shared {
+                            templates.insert(key, range);
+                        }
+                        range
+                    }
+                };
+                if first < end {
+                    moves.links.push(PlanLink { src: from as u32, dst: to as u32, first, end });
+                }
+            }
+        }
+        for moves in &mut plan.moves {
+            moves.links.shrink_to_fit();
+            moves.runs.shrink_to_fit();
+        }
+        plan
+    }
+
+    /// Moves every planned value of step parity `odd` between the fields
+    /// `data` borrows from `blocks` (their raw storage, as built).
+    pub fn apply<B>(&self, odd: bool, blocks: &mut [B], data: impl Fn(&mut B) -> &mut [f64]) {
+        let moves = &self.moves[usize::from(odd)];
+        for l in &moves.links {
+            let runs = &moves.runs[l.first as usize..l.end as usize];
+            match blocks.get_disjoint_mut([l.src as usize, l.dst as usize]) {
+                Ok([from, to]) => move_runs(runs, Some(data(from)), data(to)),
+                Err(_) => move_runs(runs, None, data(&mut blocks[l.dst as usize])),
+            }
+        }
+    }
+
+    /// True if `blocks` are the blocks this plan was built against — as
+    /// many, with the same stored cells and parities — each at its
+    /// parity of step parity `odd`.
+    pub fn is_current<'a, M: LatticeModel + 'a>(
+        &self,
+        odd: bool,
+        blocks: impl ExactSizeIterator<Item = PlanBlock<'a, M>>,
+    ) -> bool {
+        blocks.len() == self.stamps.len()
+            && blocks.zip(&self.stamps).all(|(b, &stamp)| {
+                (b.field.cells(), b.parity) == stamp
+                    && b.field.parity() == b.parity[usize::from(odd)]
+            })
+    }
+
+    /// PDF values and logical x-rows one step moves, counted as listed:
+    /// a carved receiver's [`GhostRows`], a dense one's whole slabs.
+    pub fn moved(&self) -> (u64, u64) {
+        (self.values, self.rows)
+    }
+
+    /// Heap bytes of the runs and links.
+    pub fn bytes(&self) -> usize {
+        let each = |m: &Moves| m.links.capacity() * 16 + m.runs.capacity() * 12;
+        self.moves.iter().map(each).sum()
+    }
+}
+
+/// Every row of the ghost slab in direction `d`, in message order.
+fn slab_rows<M: LatticeModel>(shape: Shape, d: [i8; 3]) -> Vec<GhostRow> {
+    let slab = shape.ghost_slab(d, shape.ghost);
+    let (x0, len) = (slab.x.start, slab.x.len() as u32);
+    let mut rows = Vec::new();
+    for q in crossing::<M>([-d[0], -d[1], -d[2]]).map(|q| q as u32) {
+        for z in slab.z.clone() {
+            rows.extend(slab.y.clone().map(|y| GhostRow { q, x0, y, z, len }));
+        }
+    }
+    rows
+}
+
+/// A slot offset as a run stores it.
+fn slot32(slot: usize) -> u32 {
+    u32::try_from(slot).ok().filter(|&s| s != ZERO_FILL).expect("slot offsets fit 32 bits")
+}
+
+/// Appends the runs of the receiver's row `r` (the sender's field at
+/// parity `ps`, the receiver's at `pd`, `s` from the sender's cells to
+/// the receiver's): over the receiver's stored part of the row, zeros
+/// where the sender stores no source, else the copy.
+fn resolve<M: LatticeModel>(
+    runs: &mut Vec<Run>,
+    (src, ps, dst, pd, s): (&SoaPdfField<M>, bool, &SoaPdfField<M>, bool, [i32; 3]),
+    r: GhostRow,
+) {
+    let (q, n) = (r.q as usize, r.len as usize);
+    let (to, at) = dst.stored_row(pd, q, r.x0, r.y, r.z, n);
+    let (from, from_at) = src.stored_row(ps, q, r.x0 - s[0], r.y - s[1], r.z - s[2], n);
+    let lo = from.start.clamp(to.start, to.end);
+    let hi = from.end.clamp(lo, to.end);
+    let mut push = |src, i: usize, len| {
+        if len > 0 {
+            runs.push(Run { src, dst: slot32(at + i - to.start), len: len as u32 });
+        }
+    };
+    push(ZERO_FILL, to.start, lo - to.start);
+    push(slot32(from_at + lo.max(from.start) - from.start), lo, hi - lo);
+    push(ZERO_FILL, hi, to.end - hi);
+}
+
+/// One link's walk: `copy_from_slice` for long runs, one move for a
+/// single value; `from` is `None` on a self-link, which moves within `to`.
+fn move_runs(runs: &[Run], from: Option<&[f64]>, to: &mut [f64]) {
+    for &Run { src, dst, len } in runs {
+        let (s, d, n) = (src as usize, dst as usize, len as usize);
+        match (src, from, n) {
+            (ZERO_FILL, ..) => to[d..d + n].fill(0.0),
+            (_, Some(from), 1) => to[d] = from[s],
+            (_, Some(from), _) => to[d..d + n].copy_from_slice(&from[s..s + n]),
+            (_, None, 1) => to[d] = to[s],
+            (_, None, _) => to.copy_within(s..s + n, d),
         }
     }
 }
 
-/// [`copy_face_local_with`] restricted to the receiver's listed rows:
-/// `dst` has `src` as its neighbor in direction `d`, and `rows` is
-/// [`GhostRows::rows`] of `d` for `dst`. An empty list copies nothing.
-pub fn copy_rows_local<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
-    src: &A,
-    dst: &mut B,
-    d: [i8; 3],
-    rows: &[GhostRow],
-) {
-    let (_, s) = facing_slab(src.shape(), dst.shape(), d);
-    for_each_listed(rows, |q, [x, y, z], row| {
-        src.read_row(q, x - s[0], y - s[1], z - s[2], row);
-        dst.write_row(q, x, y, z, row);
-    });
-}
-
-/// [`copy_face_self_with`] restricted to the listed rows of `f`.
-pub fn copy_rows_self<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3], rows: &[GhostRow]) {
-    let (_, s) = facing_slab(f.shape(), f.shape(), d);
-    for_each_listed(rows, |q, [x, y, z], row| {
-        f.read_row(q, x - s[0], y - s[1], z - s[2], row);
-        f.write_row(q, x, y, z, row);
-    });
+/// Direct ghost copy between two blocks owned by the same process: `dst`
+/// has `src` as its neighbor in direction `d` and takes its whole
+/// crossing slab, both at their current parities — pack + unpack without
+/// the bytes, as a plan of the one link.
+pub fn copy_face_local<M, A, B>(src: &A, dst: &mut B, d: [i8; 3])
+where
+    M: LatticeModel,
+    A: Borrow<SoaPdfField<M>>,
+    B: BorrowMut<SoaPdfField<M>>,
+{
+    let (src, dst) = (src.borrow(), dst.borrow_mut());
+    let at = |field| PlanBlock { field, parity: [field.parity(); 2], carve: None };
+    let [moves, _] = ExchangePlan::build(&[at(src), at(dst)], [(1, d, 0)]).moves;
+    // The plan's one link owns every run.
+    move_runs(&moves.runs, Some(src.data()), dst.data_mut());
 }
 
 #[cfg(test)]
@@ -526,25 +689,17 @@ mod tests {
     #[test]
     fn local_copy_equals_pack_unpack() {
         let shape = Shape::cube(5);
-        let mut a = AosPdfField::<D3Q19>::new(shape);
-        for (x, y, z) in shape.with_ghosts().iter() {
-            for q in 0..19 {
-                a.set(x, y, z, q, (x + 10 * y + 100 * z) as f64 + q as f64 * 0.001);
-            }
-        }
+        let a = numbered(shape, false, 0.5);
         // Route 1: bytes.
-        let mut b1 = AosPdfField::<D3Q19>::new(shape);
+        let mut b1 = numbered(shape, false, 9_000.5);
         let mut buf = Vec::new();
         pack_face::<D3Q19, _>(&a, [0, 1, 0], &mut buf);
         unpack_face::<D3Q19, _>(&mut b1, [0, -1, 0], &buf);
         // Route 2: direct copy (a is b2's neighbor in −y).
-        let mut b2 = AosPdfField::<D3Q19>::new(shape);
+        let mut b2 = numbered(shape, false, 9_000.5);
         copy_face_local::<D3Q19, _, _>(&a, &mut b2, [0, -1, 0]);
-        for (x, y, z) in shape.with_ghosts().iter() {
-            for q in 0..19 {
-                assert_eq!(b1.get(x, y, z, q), b2.get(x, y, z, q));
-            }
-        }
+        assert_eq!(b1.data(), b2.data());
+        assert_ne!(b2.data(), numbered(shape, false, 9_000.5).data());
     }
 
     /// An SoA field whose every storage slot holds a distinct value.
@@ -570,57 +725,85 @@ mod tests {
         f
     }
 
-    /// The field-to-field copy is pack + unpack without the bytes: all 18
-    /// carrying directions, every pairing of sender and receiver storage
-    /// parity (an in-place block beside a pull one is the mixed case), and
-    /// a block that is its own neighbor — on box storage and on the row
-    /// store of a carved block, which drops what it does not hold.
+    /// The fields after one plan walk at step parity `odd`: `fields[to]`
+    /// takes the link in direction `d` from `fields[from]`, every field
+    /// at its own parity at both step parities, the receiver carved by
+    /// `carve`.
+    fn plan_move(
+        mut fields: Vec<SoaPdfField<D3Q19>>,
+        (to, d, from): (usize, [i8; 3], usize),
+        carve: Option<&RowIntervals>,
+        odd: bool,
+    ) -> (Vec<SoaPdfField<D3Q19>>, ExchangePlan) {
+        let blocks: Vec<_> = (fields.iter().enumerate())
+            .map(|(i, f)| PlanBlock {
+                field: f,
+                parity: [f.parity(); 2],
+                carve: carve.filter(|_| i == to),
+            })
+            .collect();
+        let plan = ExchangePlan::build(&blocks, [(to, d, from)]);
+        assert!(plan.is_current(odd, blocks.into_iter()));
+        plan.apply(odd, &mut fields, |f| f.data_mut());
+        (fields, plan)
+    }
+
+    /// A plan move of a whole slab is pack + unpack without the bytes: all
+    /// 18 carrying directions, every pairing of sender and receiver
+    /// storage parity (an in-place block beside a pull one is the mixed
+    /// case), through both step parities' runs, and a block that is its
+    /// own neighbor — on box storage and on the row store of a carved
+    /// block, which drops what it does not hold and reads what it does not
+    /// hold as `0.0`.
     #[test]
     fn local_and_self_copies_equal_pack_unpack_at_every_parity() {
         use std::sync::Arc;
-        use trillium_field::{RowIntervals, RowTable};
+        use trillium_field::RowTable;
         let shape = Shape::new(5, 4, 3, 1);
         let carve = RowIntervals::build(&ball(shape, [2.0, 1.5, 1.0], 2.3));
         let table = Arc::new(RowTable::pull_reads::<D3Q19>(shape, &carve));
         assert!(table.cells() < shape.alloc_cells());
-        let crossing = CrossingTable::new::<D3Q19>();
         let dirs = trillium_lattice::d3q19::C.iter().skip(1);
         for rows in [None, Some(&table)] {
             let numbered = |odd, offset| numbered_in(shape, rows, odd, offset);
-            let mut wrote = 0;
+            let (mut wrote, mut zeros) = (0, 0);
             for &d in dirs.clone() {
                 let rev = [-d[0], -d[1], -d[2]];
-                let qs = crossing.qs_reversed(d);
                 for (src_odd, dst_odd) in
                     [(false, false), (true, true), (false, true), (true, false)]
                 {
                     let what = format!("d={d:?} {src_odd}->{dst_odd} rows={}", rows.is_some());
                     let src = numbered(src_odd, 0.5);
                     let mut by_bytes = numbered(dst_odd, 10_000.5);
-                    let mut by_copy = by_bytes.clone();
                     let mut buf = Vec::new();
                     pack_face::<D3Q19, _>(&src, rev, &mut buf);
                     unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
-                    copy_face_local_with::<D3Q19, _, _>(&src, &mut by_copy, d, qs);
-                    assert_eq!(by_bytes.data(), by_copy.data(), "{what}");
-                    wrote += usize::from(by_copy.data() != numbered(dst_odd, 10_000.5).data());
-                    let mut by_default = numbered(dst_odd, 10_000.5);
-                    copy_face_local::<D3Q19, _, _>(&src, &mut by_default, d);
-                    assert_eq!(by_default.data(), by_copy.data(), "{what}");
+                    for odd in [false, true] {
+                        let fields = vec![src.clone(), numbered(dst_odd, 10_000.5)];
+                        let (moved, plan) = plan_move(fields, (1, d, 0), None, odd);
+                        assert_eq!(by_bytes.data(), moved[1].data(), "{what} step odd={odd}");
+                        assert_eq!(moved[0].data(), src.data(), "{what}: the sender changed");
+                        let runs = &plan.moves[usize::from(odd)].runs;
+                        zeros += runs.iter().filter(|r| r.src == ZERO_FILL).count();
+                    }
+                    wrote += usize::from(by_bytes.data() != numbered(dst_odd, 10_000.5).data());
+                    let mut by_wrapper = numbered(dst_odd, 10_000.5);
+                    copy_face_local::<D3Q19, _, _>(&src, &mut by_wrapper, d);
+                    assert_eq!(by_wrapper.data(), by_bytes.data(), "{what}");
                 }
                 for odd in [false, true] {
                     let mut by_bytes = numbered(odd, 0.5);
-                    let mut by_copy = by_bytes.clone();
                     let mut buf = Vec::new();
                     pack_face::<D3Q19, _>(&by_bytes, rev, &mut buf);
                     unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
-                    copy_face_self_with::<D3Q19, _>(&mut by_copy, d, qs);
-                    assert_eq!(by_bytes.data(), by_copy.data(), "self link d={d:?} odd={odd}");
+                    let (moved, _) = plan_move(vec![numbered(odd, 0.5)], (0, d, 0), None, odd);
+                    assert_eq!(by_bytes.data(), moved[0].data(), "self link d={d:?} odd={odd}");
                 }
             }
             // The box takes every copy; the carve has directions whose
-            // ghost slab it does not store.
+            // ghost slab it does not store, and sources it reads as zeros.
             assert!(if rows.is_none() { wrote == 18 * 4 } else { 0 < wrote && wrote < 18 * 4 });
+            assert_eq!(zeros > 0, rows.is_some());
         }
         assert_eq!(dirs.count(), 18);
     }
@@ -778,39 +961,88 @@ mod tests {
         assert!(empty >= 18 && full >= 18, "{empty} empty and {full} non-empty lists");
     }
 
-    /// The list walks write exactly the listed values, each equal to what
-    /// the full-slab copy writes there, and leave every other slot alone —
-    /// across blocks and within one (a periodic self-link), at every
-    /// parity pairing.
+    /// A carved receiver's plan moves write exactly its listed values,
+    /// each equal to what pack + unpack of the whole slab writes there,
+    /// and leave every other slot alone — across blocks and within one (a
+    /// periodic self-link), at every parity pairing, on the box and on the
+    /// carve's row store.
     #[test]
     fn list_copies_write_the_listed_values_of_the_slab_copy() {
+        use std::sync::Arc;
+        use trillium_field::RowTable;
         let shape = Shape::new(13, 9, 11, 1);
-        let table = CrossingTable::new::<D3Q19>();
-        let lists = GhostRows::build::<D3Q19>(
-            shape,
-            &RowIntervals::build(&ball(shape, [6.0, 4.0, 5.0], 5.2)),
-        );
-        for &d in trillium_lattice::d3q19::C.iter().skip(1) {
-            let (qs, rows) = (table.qs_reversed(d), lists.rows(d));
-            for (src_odd, dst_odd) in [(false, false), (true, false), (false, true)] {
-                let src = numbered(shape, src_odd, 0.5);
-                let before = numbered(shape, dst_odd, 10_000.5);
-                let (mut slab, mut by_rows) = (before.clone(), before.clone());
-                copy_face_local_with::<D3Q19, _, _>(&src, &mut slab, d, qs);
-                copy_rows_local::<D3Q19, _, _>(&src, &mut by_rows, d, rows);
-                let (mut self_slab, mut self_rows) = (before.clone(), before.clone());
-                copy_face_self_with::<D3Q19, _>(&mut self_slab, d, qs);
-                copy_rows_self::<D3Q19, _>(&mut self_rows, d, rows);
-                for (full, got) in [(&slab, &by_rows), (&self_slab, &self_rows)] {
-                    // `before` with the listed values of the slab copy.
-                    let mut want = before.clone();
-                    for (q, x, y, z) in listed(rows) {
-                        want.set(x, y, z, q, full.get(x, y, z, q));
+        let carve = RowIntervals::build(&ball(shape, [6.0, 4.0, 5.0], 5.2));
+        let lists = GhostRows::build::<D3Q19>(shape, &carve);
+        let table = Arc::new(RowTable::pull_reads::<D3Q19>(shape, &carve));
+        for rows in [None, Some(&table)] {
+            let numbered = |odd, offset| numbered_in(shape, rows, odd, offset);
+            for &d in trillium_lattice::d3q19::C.iter().skip(1) {
+                let rev = [-d[0], -d[1], -d[2]];
+                for (src_odd, dst_odd) in
+                    [(false, false), (true, true), (false, true), (true, false)]
+                {
+                    let what = format!("d={d:?} {src_odd}->{dst_odd} rows={}", rows.is_some());
+                    let src = numbered(src_odd, 0.5);
+                    let before = numbered(dst_odd, 10_000.5);
+                    let mut slab = before.clone();
+                    let mut buf = Vec::new();
+                    pack_face::<D3Q19, _>(&src, rev, &mut buf);
+                    unpack_face::<D3Q19, _>(&mut slab, d, &buf);
+                    let mut self_slab = before.clone();
+                    buf.clear();
+                    pack_face::<D3Q19, _>(&self_slab, rev, &mut buf);
+                    unpack_face::<D3Q19, _>(&mut self_slab, d, &buf);
+                    let (moved, plan) =
+                        plan_move(vec![src, before.clone()], (1, d, 0), Some(&carve), dst_odd);
+                    let (self_moved, _) =
+                        plan_move(vec![before.clone()], (0, d, 0), Some(&carve), dst_odd);
+                    assert_eq!(plan.moved(), (lists.values(d) as u64, lists.rows(d).len() as u64));
+                    for (full, got) in [(&slab, &moved[1]), (&self_slab, &self_moved[0])] {
+                        // `before` with the listed values of the slab copy.
+                        let mut want = before.clone();
+                        for (q, x, y, z) in listed(lists.rows(d)) {
+                            want.set(x, y, z, q, full.get(x, y, z, q));
+                        }
+                        assert_eq!(got.data(), want.data(), "{what}");
                     }
-                    assert_eq!(got.data(), want.data(), "d={d:?} {src_odd}->{dst_odd}");
                 }
             }
         }
+    }
+
+    /// Whole-slab links between box blocks of one shape share one run
+    /// template per direction and parity pair; a row store gets runs of
+    /// its own.
+    #[test]
+    fn box_blocks_of_one_shape_share_one_template() {
+        use std::sync::Arc;
+        use trillium_field::RowTable;
+        let shape = Shape::new(6, 5, 4, 1);
+        let carve = RowIntervals::build(&ball(shape, [2.5, 2.0, 1.5], 2.4));
+        let row_store =
+            SoaPdfField::with_rows(Arc::new(RowTable::pull_reads::<D3Q19>(shape, &carve)));
+        let boxes =
+            [numbered(shape, false, 0.5), numbered(shape, false, 1.5), numbered(shape, false, 2.5)];
+        let in_place = |field| PlanBlock { field, parity: [false, true], carve: None };
+        let x = [-1, 0, 0];
+        // Block 1 takes from 0 and block 2 from 1, both in direction −x.
+        let row = [in_place(&boxes[0]), in_place(&boxes[1]), in_place(&boxes[2])];
+        let runs = |p: &ExchangePlan, odd: bool| p.moves[usize::from(odd)].runs.len();
+        let two = ExchangePlan::build(&row, [(1, x, 0), (2, x, 1)]);
+        let one = ExchangePlan::build(&row[..2], [(1, x, 0)]);
+        for odd in [false, true] {
+            let links = &two.moves[usize::from(odd)].links;
+            assert_eq!(links.len(), 2);
+            assert_eq!((links[0].first, links[0].end), (links[1].first, links[1].end));
+            assert_eq!(runs(&two, odd), runs(&one, odd));
+            assert!(runs(&one, odd) > 0);
+        }
+        assert_eq!(two.moved().0, 2 * one.moved().0);
+        // The same links with a row-store sender resolve runs of their own.
+        let mixed = [in_place(&row_store), in_place(&boxes[1]), in_place(&boxes[2])];
+        let own = ExchangePlan::build(&mixed, [(1, x, 0), (2, x, 1)]);
+        assert_eq!(runs(&own, false), 2 * runs(&one, false));
+        assert!(own.bytes() > one.bytes());
     }
 
     /// The precomputed table must agree with `pdfs_crossing` for every

@@ -1,8 +1,7 @@
 //! Per-block simulation state.
 
 use std::sync::Arc;
-use trillium_comm::{copy_face_local_with, copy_face_self_with, copy_rows_local, copy_rows_self};
-use trillium_comm::{pdfs_crossing, GhostRows};
+use trillium_comm::{ExchangePlan, PlanBlock};
 use trillium_field::{
     CellFlags, FlagField, FlagOps, PdfField, RowIntervals, RowTable, Shape, SoaPdfField,
 };
@@ -105,12 +104,6 @@ pub struct BlockSim {
     /// The boundary links of `flags` under `boundary`; every boundary
     /// sweep and force evaluation walks this list.
     links: BoundaryLinks,
-    /// The ghost values the row-interval sweep reads, per link direction
-    /// (carved blocks only, derived from `intervals`): a same-rank copy
-    /// into this block writes these and leaves the rest stale. `None` for
-    /// a dense block, whose sweep reads every crossing ghost value (boxed:
-    /// a dense block pays one pointer for it).
-    ghost_rows: Option<Box<GhostRows>>,
     /// [`flag_digest`] of `flags` when `links` was built.
     #[cfg(debug_assertions)]
     links_digest: u64,
@@ -181,8 +174,6 @@ impl BlockSim {
         };
         src.fill_equilibrium(rho, u);
         let links = build_links(&flags, &boundary, &src);
-        let ghost_rows = (kernel == BlockKernel::RowIntervals)
-            .then(|| Box::new(GhostRows::build::<D3Q19>(shape, &intervals)));
         let dst = match scheme {
             UpdateScheme::Pull => src.zeroed_like(),
             UpdateScheme::InPlace => SoaPdfField::empty(shape),
@@ -192,7 +183,6 @@ impl BlockSim {
             src,
             dst,
             links,
-            ghost_rows,
             #[cfg(debug_assertions)]
             links_digest: flag_digest(&flags),
             flags,
@@ -307,67 +297,34 @@ impl BlockSim {
         self.links.apply(&mut self.src);
     }
 
-    /// Fills this block's ghost slab in direction `d` from `n`, the PDFs
-    /// of its same-rank neighbor there (`qs`: the crossing set reversed,
-    /// `CrossingTable::qs_reversed` of `d`). A carved block writes the
-    /// listed ghost values its sweep reads, a dense one the whole slab.
-    /// Returns the PDF values and x-rows written.
-    pub(crate) fn copy_ghosts_from(
-        &mut self,
-        n: &SoaPdfField<D3Q19>,
-        d: [i8; 3],
-        qs: &[usize],
-    ) -> (usize, usize) {
-        match &self.ghost_rows {
-            Some(lists) => copy_rows_local::<D3Q19, _, _>(n, &mut self.src, d, lists.rows(d)),
-            None => copy_face_local_with::<D3Q19, _, _>(n, &mut self.src, d, qs),
-        }
-        self.ghost_count(d, qs)
-    }
-
-    /// [`BlockSim::copy_ghosts_from`] for a block that is its own neighbor
-    /// in direction `d` (a periodic axis one block wide).
-    pub(crate) fn copy_ghosts_self(&mut self, d: [i8; 3], qs: &[usize]) -> (usize, usize) {
-        match &self.ghost_rows {
-            Some(lists) => copy_rows_self::<D3Q19, _>(&mut self.src, d, lists.rows(d)),
-            None => copy_face_self_with::<D3Q19, _>(&mut self.src, d, qs),
-        }
-        self.ghost_count(d, qs)
-    }
-
-    /// `(values, rows)` a ghost copy in direction `d` writes.
-    fn ghost_count(&self, d: [i8; 3], qs: &[usize]) -> (usize, usize) {
-        match &self.ghost_rows {
-            Some(lists) => (lists.values(d), lists.rows(d).len()),
-            None => {
-                let slab = self.shape.ghost_slab(d, self.shape.ghost);
-                let rows = qs.len() * slab.y.len() * slab.z.len();
-                (slab.num_cells() * qs.len(), rows)
-            }
+    /// What a same-rank exchange plan resolves this block against: its
+    /// live field, its storage parity at even and odd steps, and for a
+    /// carved block the intervals whose ghost reads it lists (a dense one
+    /// takes whole slabs).
+    pub fn plan_block(&self) -> PlanBlock<'_, D3Q19> {
+        PlanBlock {
+            field: &self.src,
+            parity: [false, self.scheme == UpdateScheme::InPlace],
+            carve: (self.kernel == BlockKernel::RowIntervals).then_some(&self.intervals),
         }
     }
 
     /// Makes the block periodic along the selected axes by copying its own
     /// boundary slabs into the opposite ghost slabs (single-block periodic
-    /// domains, e.g. 2-D channel validations). Call before
-    /// [`BlockSim::apply_boundaries`] each step.
+    /// domains, e.g. 2-D channel validations), through a plan of
+    /// self-links. Call before [`BlockSim::apply_boundaries`] each step.
     pub fn sync_periodic(&mut self, axes: [bool; 3]) {
         use trillium_blockforest::NEIGHBOR_DIRS;
         // Every face *and edge* whose nonzero components lie on periodic
         // axes wraps around: with two or three periodic axes the diagonal
         // PDFs crossing an edge must be transferred too, exactly as the
-        // distributed driver does between neighboring blocks.
-        for d in NEIGHBOR_DIRS {
-            let wrapping = (0..3).all(|a| d[a] == 0 || axes[a]);
-            let has_any = (0..3).any(|a| d[a] != 0 && axes[a]);
-            let qs = pdfs_crossing::<D3Q19>(d);
-            if !wrapping || !has_any || qs.is_empty() {
-                continue;
-            }
-            // Data leaving through face/edge d wraps around and enters the
-            // ghost slab on the opposite side (direction −d).
-            self.copy_ghosts_self([-d[0], -d[1], -d[2]], &qs);
-        }
+        // distributed driver does between neighboring blocks. Data leaving
+        // through face/edge d enters the ghost slab on the opposite side
+        // (direction −d); corners carry nothing.
+        let wrapping = NEIGHBOR_DIRS.into_iter().filter(|d| (0..3).all(|a| d[a] == 0 || axes[a]));
+        let links = wrapping.map(|d| (0, [-d[0], -d[1], -d[2]], 0));
+        let plan = ExchangePlan::build(&[self.plan_block()], links);
+        plan.apply(self.src.parity(), std::slice::from_mut(self), |b| b.src.data_mut());
     }
 
     /// Runs the fused stream–collide sweep with the block's collision

@@ -33,7 +33,8 @@ use trillium_blockforest::{
     dir_index, distribute, BlockId, BlockLink, DistributedForest, SetupForest, NEIGHBOR_DIRS,
 };
 use trillium_comm::{
-    pack_face_with, try_unpack_face_with, CommError, Communicator, CrossingTable, FaultEvent, World,
+    pack_face_with, try_unpack_face_with, CommError, Communicator, CrossingTable, ExchangePlan,
+    FaultEvent, World,
 };
 use trillium_field::{CellFlags, FlagOps};
 use trillium_kernels::SweepStats;
@@ -765,7 +766,7 @@ const M_OVERLAP_HIDDEN: &str = "driver.overlap_hidden_seconds";
 
 /// One rank's time-loop state: everything a step reads or writes, built
 /// once per run and lent to the hooks between steps. `blocks`, `view` and
-/// `local_neighbors` always describe the same blocks in the same order.
+/// `plan` always describe the same blocks in the same order.
 pub struct RankLoop<'a> {
     pub(crate) comm: Communicator,
     pub(crate) scenario: &'a Scenario,
@@ -774,8 +775,9 @@ pub struct RankLoop<'a> {
     pub(crate) forest: Cow<'a, SetupForest>,
     pub(crate) view: Cow<'a, DistributedForest>,
     pub(crate) blocks: Vec<BlockSim>,
-    /// Per block and [`NEIGHBOR_DIRS`] direction: the same-rank neighbor.
-    local_neighbors: Vec<[Option<usize>; 26]>,
+    /// Every same-rank ghost move of `blocks`, rebuilt by
+    /// [`RankLoop::blocks_replaced`].
+    plan: ExchangePlan,
     ctx: GhostCtx,
     pub(crate) rec: Recorder,
     pub(crate) stats: SweepStats,
@@ -784,16 +786,6 @@ pub struct RankLoop<'a> {
     threads: usize,
     mass_initial: f64,
     energy_initial: f64,
-}
-
-/// Every same-rank link of the view, resolved to the neighbor's position.
-fn resolve_local_links(view: &DistributedForest) -> Vec<[Option<usize>; 26]> {
-    let index_of: HashMap<_, _> = view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
-    let resolve = |link: &BlockLink| match link {
-        BlockLink::Local(id) => Some(index_of[id]),
-        _ => None,
-    };
-    view.blocks.iter().map(|b| b.links.each_ref().map(resolve)).collect()
 }
 
 /// One reduction pass, view order: `(mass, energy, any non-finite PDF)`.
@@ -806,8 +798,8 @@ fn reduce_blocks(blocks: &[BlockSim], rec: &Recorder) -> (f64, f64, bool) {
 }
 
 impl<'a> RankLoop<'a> {
-    /// Builds this rank's blocks (the rank is the communicator's) and
-    /// the loop state around them.
+    /// Builds this rank's blocks (the rank is the communicator's), their
+    /// exchange plan and the loop state around them.
     pub fn new(
         comm: Communicator,
         plan: &'a RunPlan,
@@ -817,14 +809,12 @@ impl<'a> RankLoop<'a> {
     ) -> Self {
         let rec = Recorder::with_epoch(comm.rank(), cfg.obs, plan.epoch);
         let view = &plan.views[comm.rank() as usize];
-        let build = rec.span(SpanKind::BuildBlocks);
+        let build = rec.open(SpanKind::BuildBlocks);
         let blocks: Vec<BlockSim> = view.blocks.iter().map(|lb| scenario.build_block(lb)).collect();
-        drop(build);
-        let (mass_initial, energy_initial, _) = reduce_blocks(&blocks, &rec);
-        let lp = RankLoop {
-            mass_initial,
-            energy_initial,
-            local_neighbors: resolve_local_links(view),
+        let mut lp = RankLoop {
+            mass_initial: 0.0,
+            energy_initial: 0.0,
+            plan: ExchangePlan::default(),
             comm,
             scenario,
             forest: Cow::Borrowed(&plan.forest),
@@ -837,15 +827,31 @@ impl<'a> RankLoop<'a> {
             cfg,
             threads: threads_per_rank,
         };
-        lp.gauge_blocks();
+        lp.blocks_replaced();
+        lp.rec.close(build);
+        (lp.mass_initial, lp.energy_initial, _) = reduce_blocks(&lp.blocks, &lp.rec);
         lp
     }
 
-    /// Sets the gauges `boundary.links`, the boundary work per step of
-    /// this rank's current blocks, and `mem.pdf_bytes`, the PDF storage
-    /// they hold (`src` + `dst`). Call again whenever the block vector
-    /// was replaced.
-    pub(crate) fn gauge_blocks(&self) {
+    /// The one hook after the block vector was replaced (built, migrated
+    /// or rolled back): rebuilds the exchange plan from every same-rank
+    /// link of the view, and sets the gauges `boundary.links`, the
+    /// boundary work per step of this rank's blocks, `mem.pdf_bytes`, the
+    /// PDF storage they hold (`src` + `dst`), and `mem.plan_bytes`.
+    pub(crate) fn blocks_replaced(&mut self) {
+        // The old plan goes first: two never live at once.
+        self.plan = ExchangePlan::default();
+        let view = &self.view;
+        let index_of: &HashMap<_, _> =
+            &view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
+        let links = view.blocks.iter().enumerate().flat_map(|(bi, b)| {
+            b.links.iter().zip(NEIGHBOR_DIRS).filter_map(move |(link, d)| match link {
+                BlockLink::Local(id) => Some((bi, d, index_of[id])),
+                _ => None,
+            })
+        });
+        let plan_blocks: Vec<_> = self.blocks.iter().map(BlockSim::plan_block).collect();
+        self.plan = ExchangePlan::build(&plan_blocks, links);
         let (mut links, mut pdf_bytes) = (0, 0);
         for b in &self.blocks {
             links += b.boundary_links().len();
@@ -853,11 +859,13 @@ impl<'a> RankLoop<'a> {
         }
         self.rec.metrics().gauge("boundary.links", links as f64);
         self.rec.metrics().gauge("mem.pdf_bytes", pdf_bytes as f64);
+        self.rec.metrics().gauge("mem.plan_bytes", self.plan.bytes() as f64);
     }
 
     /// Puts this rank under `owners` (one rank per forest block, in
-    /// forest order) and rebuilds view and index; the caller makes the
-    /// blocks match. No-op (and no forest clone) if nothing changes.
+    /// forest order) and rebuilds the view; the caller makes the blocks
+    /// match and calls [`RankLoop::blocks_replaced`]. No-op (and no forest
+    /// clone) if nothing changes.
     pub(crate) fn set_owners(&mut self, owners: &[u32]) {
         if self.forest.blocks.iter().map(|b| b.rank).ne(owners.iter().copied()) {
             for (b, &r) in self.forest.to_mut().blocks.iter_mut().zip(owners) {
@@ -865,7 +873,6 @@ impl<'a> RankLoop<'a> {
             }
             let rank = self.comm.rank() as usize;
             self.view = Cow::Owned(distribute(&self.forest).swap_remove(rank));
-            self.local_neighbors = resolve_local_links(&self.view);
         }
     }
 
@@ -881,37 +888,35 @@ impl<'a> RankLoop<'a> {
 
     /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
     ///
-    /// One pipeline under both schedules: pack and post →
-    /// [`RankLoop::sweep_ready`] → [`RankLoop::drain`] →
+    /// One pipeline under both schedules: pack and post → same-rank moves
+    /// → [`RankLoop::sweep_ready`] → [`RankLoop::drain`] →
     /// [`RankLoop::sweep_ready`] → accounting. Each block takes its whole
     /// step exactly once: *synchronous*, every block in the window after
     /// the drain; *overlapped*, the blocks that posted no receive in the
     /// window before it, while the messages are in flight, and the rest
     /// in the window after it.
     ///
-    /// Pack and post: a same-rank link copies the neighbor's values field
-    /// to field into this block's ghost slab — for a carved block only
-    /// the listed ghost values its row-interval sweep reads
-    /// ([`trillium_comm::GhostRows`]), for a dense one the whole slab —
-    /// and a remote link packs this block's whole slab, sends it and
-    /// posts the receive of the neighbor's. The drain takes messages in
-    /// **arrival order** and only unpacks. The schedules are bitwise
-    /// identical: every block runs the same whole step on the same ghost
-    /// values, and ghost slabs of distinct directions are disjoint, so
-    /// arrival-order unpacking is race-free. A ghost value a carved
-    /// block's list leaves out keeps a stale value no sweep and no
-    /// boundary link reads; `pdf_dump` and the totals cover interior
-    /// cells only.
+    /// Pack and post (`GhostPack`): a remote link packs this block's whole
+    /// slab, sends it and posts the receive of the neighbor's. Same-rank
+    /// moves (`GhostCopy`) walk the [`ExchangePlan`] runs of `t`'s parity:
+    /// a carved receiver takes the ghost values its row-interval sweep
+    /// reads ([`trillium_comm::GhostRows`]), a dense one whole slabs. The
+    /// drain takes messages in **arrival order** and only unpacks. The
+    /// schedules are bitwise identical: every block runs the same whole
+    /// step on the same ghost values, and ghost slabs of distinct
+    /// directions are disjoint. A ghost value a carved block's list
+    /// leaves out keeps a stale value no sweep and no boundary link
+    /// reads; `pdf_dump` and the totals cover interior cells only.
     ///
-    /// Gates: `cargo test -q -p trillium-comm ghost` (the lists against
-    /// their brute-force definition, list copies against slab copies),
-    /// `cargo test -q --test distributed_consistency`, `--test
-    /// inplace_equivalence` and `--test migration_parity carved`
-    /// (schedules, schemes, migration and recovery bitwise), and
-    /// `cargo test -q --test observability` (pinned same-rank copy
-    /// counts, and the span counts of both schedules).
+    /// Gates: `cargo test -q -p trillium-comm ghost` (plan moves against
+    /// pack + unpack, lists against their definition), `--test
+    /// distributed_consistency`, `--test inplace_equivalence`, `--test
+    /// migration_parity` (schedules, schemes, migration and recovery
+    /// bitwise) and `--test observability` (pinned move counts, span
+    /// counts). Debug builds assert at step start that the plan fits the
+    /// blocks and their parity.
     ///
-    /// Copies, packs and unpacks may interleave in any order: within one
+    /// Moves, packs and unpacks may interleave in any order: within one
     /// field the exchange never reads a slot it writes — interior storage
     /// read, ghost storage written at even parity, the reverse at odd (AA)
     /// parity, on disjoint direction grids — and parity is per block, so
@@ -921,42 +926,45 @@ impl<'a> RankLoop<'a> {
     /// posted receives and leaves the blocks in a torn mid-step state for
     /// the caller to discard (by restoring a checkpoint) or give up on.
     pub fn step(&mut self, t: u64, deadline: Option<Duration>) -> Result<(), CommError> {
+        let odd = t % 2 == 1;
+        debug_assert!(
+            self.plan.is_current(odd, self.blocks.iter().map(BlockSim::plan_block)),
+            "blocks replaced or re-schemed without blocks_replaced(), or off parity at step {t}"
+        );
         // ---- pack and post ------------------------------------------------
         let pack = self.rec.span(SpanKind::GhostPack);
         let ctx = &mut self.ctx;
         ctx.begin_step(self.blocks.len());
         for (bi, lb) in self.view.blocks.iter().enumerate() {
-            for (li, link) in lb.links.iter().enumerate() {
-                let d = NEIGHBOR_DIRS[li];
+            for (link, d) in lb.links.iter().zip(NEIGHBOR_DIRS) {
+                // Corner links carry nothing for D3Q19.
+                let BlockLink::Remote(nid, r) = link else { continue };
                 if ctx.table.qs(d).is_empty() {
-                    continue; // corner links carry nothing for D3Q19
+                    continue;
                 }
-                if let Some(ni) = self.local_neighbors[bi][li] {
-                    let qs = ctx.table.qs_reversed(d);
-                    let (values, rows) = match self.blocks.get_disjoint_mut([bi, ni]) {
-                        Ok([b, n]) => b.copy_ghosts_from(&n.src, d, qs),
-                        // `ni == bi`: its own periodic neighbor.
-                        Err(_) => self.blocks[bi].copy_ghosts_self(d, qs),
-                    };
-                    ctx.local_values += values as u64;
-                    ctx.local_rows += rows as u64;
-                } else if let BlockLink::Remote(nid, r) = link {
-                    let buf = ctx.pack(&self.blocks[bi], d);
-                    // The neighbor receives from direction −d.
-                    let rev = [-d[0], -d[1], -d[2]];
-                    self.comm.send(*r, ghost_tag(*nid, rev, t), buf);
-                    // Symmetric link: post the receive of the neighbor's
-                    // data for our ghost slab in direction d.
-                    self.comm.post(*r, ghost_tag(lb.id, d, t), ctx.meta.len());
-                    ctx.meta.push((bi, d));
-                    ctx.waits[bi] = true;
-                }
+                let buf = ctx.pack(&self.blocks[bi], d);
+                // The neighbor receives from direction −d.
+                let rev = [-d[0], -d[1], -d[2]];
+                self.comm.send(*r, ghost_tag(*nid, rev, t), buf);
+                // Symmetric link: post the receive of the neighbor's data
+                // for our ghost slab in direction d.
+                self.comm.post(*r, ghost_tag(lb.id, d, t), ctx.meta.len());
+                ctx.meta.push((bi, d));
+                ctx.waits[bi] = true;
             }
         }
         // End of the send phase: release fault-delayed messages now, at a
         // program point, so failure behavior stays deterministic.
         self.comm.flush_delayed();
         ctx.pack_seconds = pack.finish();
+
+        // ---- same-rank moves ----------------------------------------------
+        let copy = self.rec.span(SpanKind::GhostCopy);
+        self.plan.apply(odd, &mut self.blocks, |b| b.src.data_mut());
+        ctx.pack_seconds += copy.finish();
+        let (values, rows) = self.plan.moved();
+        self.rec.metrics().add("comm.local_values", values);
+        self.rec.metrics().add("comm.local_rows", rows);
 
         // ---- sweep what is ready, drain, sweep the rest --------------------
         self.sweep_ready(false);
@@ -1081,8 +1089,6 @@ impl<'a> RankLoop<'a> {
         m.add("comm.messages_sent", c.messages_sent);
         m.add("comm.bytes_sent", c.bytes_sent);
         m.add("comm.ctrl_messages_sent", c.ctrl_messages_sent);
-        m.add("comm.local_values", self.ctx.local_values);
-        m.add("comm.local_rows", self.ctx.local_rows);
         let enabled = rec.config().enabled();
         let wall_time = rec.wall();
         let obs = rec.finish();
@@ -1091,7 +1097,9 @@ impl<'a> RankLoop<'a> {
             num_blocks: blocks.len(),
             stats: self.stats,
             kernel_time: obs.total(SpanKind::Kernel),
-            comm_time: obs.total(SpanKind::GhostPack) + obs.total(SpanKind::GhostDrain),
+            comm_time: obs.total(SpanKind::GhostPack)
+                + obs.total(SpanKind::GhostDrain)
+                + obs.total(SpanKind::GhostCopy),
             boundary_time: obs.total(SpanKind::Boundary),
             overlap_hidden: obs.metrics.fcounter(M_OVERLAP_HIDDEN),
             ghost_stall_time: obs.total(SpanKind::Stall),
@@ -1268,7 +1276,6 @@ impl Rebalancer {
                 let ms = execute_migrations(lp, &plan, deadline);
                 lp.rec.close(span);
                 let ms = ms?;
-                lp.gauge_blocks();
                 self.report.migrations_out += ms.sent;
                 self.report.migrations_in += ms.received;
                 self.report.rebalances += 1;
@@ -1329,11 +1336,6 @@ struct GhostCtx {
     /// Seconds of this step's pack-and-post phase: this rank's own
     /// exchange effort, excluding every blocked wait.
     pack_seconds: f64,
-    /// PDF values and x-rows written by same-rank copies over the run,
-    /// added to the metrics once, at the end (`comm.local_values`,
-    /// `comm.local_rows`).
-    local_values: u64,
-    local_rows: u64,
 }
 
 impl GhostCtx {
@@ -1346,8 +1348,6 @@ impl GhostCtx {
             seconds: Vec::new(),
             forces: Vec::new(),
             pack_seconds: 0.0,
-            local_values: 0,
-            local_rows: 0,
         }
     }
 

@@ -196,5 +196,6 @@ pub fn execute_migrations(
     if !held.is_empty() {
         return Err(MigrationError::Orphaned(held.len()));
     }
+    lp.blocks_replaced();
     Ok(stats)
 }

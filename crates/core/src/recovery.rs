@@ -326,7 +326,7 @@ impl<'c> Resilience<'c> {
         for b in &mut lp.blocks {
             lp.scenario.stamp(b);
         }
-        lp.gauge_blocks();
+        lp.blocks_replaced();
         lp.stats = ck.stats;
         // One force sample lands per completed step, so replaying from
         // `restore_step` must drop the samples of the undone steps —

@@ -13,9 +13,9 @@
 //! * [`FlagField`] and [`CellFlags`] — cell classification (fluid, boundary
 //!   types, outside-domain) plus the morphological dilation used to compute
 //!   the boundary hull of the fluid domain (paper §2.3),
-//! * [`RowIntervals`] / [`FluidCellList`] — the sparse-block iteration
-//!   schemes of paper §4.3, and [`RowTable`], the row-compressed storage
-//!   a carved block's PDF fields keep.
+//! * [`RowIntervals`] — the sparse-block iteration scheme of paper §4.3,
+//!   and [`RowTable`], the row-compressed storage a carved block's PDF
+//!   fields keep.
 
 pub mod flags;
 pub mod pdf;
@@ -29,4 +29,4 @@ pub use pdf::{AosPdfField, PdfField, SoaPdfField};
 pub use region::Region;
 pub use scalar::ScalarField;
 pub use shape::Shape;
-pub use sparse::{FluidCellList, RowIntervals, RowTable};
+pub use sparse::{RowIntervals, RowTable};

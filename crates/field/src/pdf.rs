@@ -274,25 +274,37 @@ impl<M: LatticeModel> SoaPdfField<M> {
         self.parity = parity;
     }
 
-    /// Storage slot of logical PDF `(x, y, z, q)` on box storage, under
-    /// the current parity.
+    /// The stored part of the logical row of `len` PDFs `q` from `(x0,
+    /// y, z)` on at storage parity `odd`: the sub-range of the row the
+    /// store holds (all of it on the box) and the storage slot of that
+    /// sub-range's first value. The stored part is contiguous at either
+    /// parity, and its slots are offsets into [`data`](Self::data), valid
+    /// for every field of this storage.
     #[inline(always)]
-    fn box_slot(&self, x: i32, y: i32, z: i32, q: usize) -> usize {
-        let ([x, y, z], k) = stored_cell::<M>(self.parity, x, y, z, q);
-        k * self.shape.alloc_cells() + self.shape.idx(x, y, z)
+    pub fn stored_row(
+        &self,
+        odd: bool,
+        q: usize,
+        x0: i32,
+        y: i32,
+        z: i32,
+        len: usize,
+    ) -> (Range<usize>, usize) {
+        match &self.rows {
+            None => {
+                let ([x, y, z], k) = stored_cell::<M>(odd, x0, y, z, q);
+                (0..len, k * self.shape.alloc_cells() + self.shape.idx(x, y, z))
+            }
+            Some(rows) => stored_part::<M>(rows, odd, q, x0, y, z, len),
+        }
     }
 
     /// Storage slot of logical PDF `(x, y, z, q)` under the current
     /// parity, if the cell it maps to is stored.
     #[inline(always)]
     fn slot(&self, x: i32, y: i32, z: i32, q: usize) -> Option<usize> {
-        match &self.rows {
-            None => Some(self.box_slot(x, y, z, q)),
-            Some(rows) => {
-                let (part, s) = stored_part::<M>(rows, self.parity, q, x, y, z, 1);
-                (!part.is_empty()).then_some(s)
-            }
-        }
+        let (part, s) = self.stored_row(self.parity, q, x, y, z, 1);
+        (!part.is_empty()).then_some(s)
     }
 
     /// Borrowed view of a row, contiguous at either parity (odd parity
@@ -301,14 +313,8 @@ impl<M: LatticeModel> SoaPdfField<M> {
     /// row.
     #[inline(always)]
     pub fn row(&self, q: usize, x0: i32, y: i32, z: i32, len: usize) -> &[f64] {
-        let s = match &self.rows {
-            None => self.box_slot(x0, y, z, q),
-            Some(rows) => {
-                let (part, s) = stored_part::<M>(rows, self.parity, q, x0, y, z, len);
-                assert!(part.len() == len, "row of {len} from ({x0}, {y}, {z}) is not stored");
-                s
-            }
-        };
+        let (part, s) = self.stored_row(self.parity, q, x0, y, z, len);
+        assert!(part.len() == len, "row of {len} from ({x0}, {y}, {z}) is not stored");
         &self.data[s..s + len]
     }
 
@@ -445,10 +451,7 @@ impl<M: LatticeModel> PdfField<M> for SoaPdfField<M> {
     /// Zeros for the cells the store does not hold.
     #[inline(always)]
     fn read_row(&self, q: usize, x0: i32, y: i32, z: i32, out: &mut [f64]) {
-        let Some(rows) = &self.rows else {
-            return copy_row(self.row(q, x0, y, z, out.len()), out);
-        };
-        let (part, s) = stored_part::<M>(rows, self.parity, q, x0, y, z, out.len());
+        let (part, s) = self.stored_row(self.parity, q, x0, y, z, out.len());
         if part.len() < out.len() {
             out.fill(0.0);
         }
@@ -459,11 +462,7 @@ impl<M: LatticeModel> PdfField<M> for SoaPdfField<M> {
     /// Drops the values of the cells the store does not hold.
     #[inline(always)]
     fn write_row(&mut self, q: usize, x0: i32, y: i32, z: i32, vals: &[f64]) {
-        let Some(rows) = &self.rows else {
-            let s = self.box_slot(x0, y, z, q);
-            return copy_row(vals, &mut self.data[s..s + vals.len()]);
-        };
-        let (part, s) = stored_part::<M>(rows, self.parity, q, x0, y, z, vals.len());
+        let (part, s) = self.stored_row(self.parity, q, x0, y, z, vals.len());
         let n = part.len();
         copy_row(&vals[part], &mut self.data[s..s + n]);
     }

@@ -9,7 +9,7 @@ use crate::region::Region;
 /// with x fastest, i.e. the linear index advances by 1 in x, by the padded
 /// x-extent in y, and by the padded xy-plane size in z — the layout assumed
 /// by all streaming kernels.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Shape {
     /// Interior extent in x.
     pub nx: usize,

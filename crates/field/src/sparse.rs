@@ -1,14 +1,11 @@
 //! Sparse-block iteration structures (paper §4.3).
 //!
 //! Blocks only partially covered by the computational domain would waste
-//! work if the kernel visited every cell. The paper describes three
-//! strategies; two need support structures provided here:
-//!
-//! 1. a *fluid-cell list* — explicit coordinates of all fluid cells
-//!    (removes the branch from the kernel but prevents vectorization),
-//! 2. *row intervals* — for every x-row the index of the first and last
-//!    fluid cell, "similar to the compressed storage scheme of a sparse
-//!    matrix"; the kernel runs on the contiguous span, which vectorizes.
+//! work if the kernel visited every cell. Of the paper's three strategies
+//! this crate supports the one the kernels run, *row intervals*: for every
+//! x-row the index of the first and last fluid cell, "similar to the
+//! compressed storage scheme of a sparse matrix"; the kernel runs on the
+//! contiguous span, which vectorizes.
 //!
 //! The paper keeps dense storage under the row intervals. A [`RowTable`]
 //! compresses the storage the same way: per x-row of the ghost-inclusive
@@ -18,36 +15,6 @@
 use crate::flags::{FlagField, FlagOps};
 use crate::shape::Shape;
 use trillium_lattice::LatticeModel;
-
-/// Explicit list of fluid-cell coordinates of one block.
-#[derive(Clone, Debug, Default)]
-pub struct FluidCellList {
-    /// Interior coordinates of each fluid cell, in storage order.
-    pub cells: Vec<(i32, i32, i32)>,
-}
-
-impl FluidCellList {
-    /// Collects all interior fluid cells of a flag field.
-    pub fn build(flags: &FlagField) -> Self {
-        let mut cells = Vec::new();
-        for (x, y, z) in flags.shape().interior().iter() {
-            if flags.flags(x, y, z).is_fluid() {
-                cells.push((x, y, z));
-            }
-        }
-        FluidCellList { cells }
-    }
-
-    /// Number of fluid cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the block contains no fluid at all.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
 
 /// One contiguous span of fluid cells within an x-row.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -248,20 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn fluid_list_matches_flags() {
-        let f = field_with_fluid(&[(0, 0, 0), (3, 3, 3), (1, 2, 0)]);
-        let list = FluidCellList::build(&f);
-        assert_eq!(list.len(), 3);
-        assert!(list.cells.contains(&(1, 2, 0)));
-        // Storage order: x fastest.
-        assert_eq!(list.cells[0], (0, 0, 0));
-        assert_eq!(list.cells[1], (1, 2, 0));
-    }
-
-    #[test]
     fn empty_block() {
         let f = FlagField::new(Shape::cube(4));
-        assert!(FluidCellList::build(&f).is_empty());
+        assert_eq!(f.count_fluid(), 0);
         let ri = RowIntervals::build(&f);
         assert_eq!(ri.num_rows(), 0);
         assert_eq!(ri.covered_cells(), 0);
@@ -286,7 +242,7 @@ mod tests {
         assert_eq!(ri.spans[0].len(), 4);
         assert_eq!(ri.covered_cells(), 4);
         // Covered cells >= fluid cells; here strictly greater.
-        assert!(ri.covered_cells() > FluidCellList::build(&f).len());
+        assert!(ri.covered_cells() > f.count_fluid());
     }
 
     #[test]

@@ -1,111 +1,25 @@
-//! Sparse-block kernels: the three strategies of paper §4.3 for blocks only
-//! partially covered by the computational domain.
-//!
-//! 1. [`stream_collide_trt_conditional`] — a conditional statement in the
-//!    innermost loop executes the stream and collide steps only for fluid
-//!    cells. Simple, but the branch "induces a major performance penalty"
-//!    and is "incompatible with vectorization".
-//! 2. [`stream_collide_trt_cell_list`] — the coordinates of a block's fluid
-//!    cells are stored in an array and the kernel loops over this array.
-//!    Removes the branch, still no vectorization (scattered accesses).
-//! 3. Row intervals ([`crate::Backend::sweep_sparse`]) — for every line of
-//!    lattice cells the index of the first and last fluid cell is stored,
-//!    "similar to the compressed storage scheme of a sparse matrix", and
-//!    the kernel runs on the contiguous spans: each span, clipped to the
-//!    swept region, is one x-run of the pull row driver
-//!    `soa::sweep_pull`, the kernel of a dense row fed a shorter
-//!    run. This is the production scheme: it vectorizes and fits vascular
-//!    geometries with few but consecutive fluid cells per row.
-//!
-//! All three produce identical results on fluid cells. Cells covered by a
-//! row interval that are not fluid are traversed and overwritten with
-//! meaningless values (exactly as in the paper); they are never read by any
-//! fluid cell's pull because the boundary hull separates fluid from
-//! unclassified cells. The returned [`SweepStats`] distinguish traversed
-//! cells (LUPS) from processed fluid cells (FLUPS).
-
-use crate::d3q19::collide_trt_cell;
-use crate::soa::pull_offsets;
-use crate::stats::SweepStats;
-use trillium_field::{FlagField, FlagOps, FluidCellList, PdfField, SoaPdfField};
-use trillium_lattice::d3q19::Q;
-use trillium_lattice::{Relaxation, D3Q19};
-
-/// Scalar stream–collide of a single cell on SoA storage.
-#[inline(always)]
-fn update_cell(
-    sdirs: &[&[f64]; Q],
-    ddirs: &mut [&mut [f64]; Q],
-    cell: usize,
-    off: &[isize; Q],
-    le: f64,
-    lo: f64,
-) {
-    let mut f = [0.0; Q];
-    for q in 0..Q {
-        f[q] = sdirs[q][(cell as isize - off[q]) as usize];
-    }
-    let rho = trillium_lattice::density::<D3Q19>(&f);
-    let j = trillium_lattice::momentum::<D3Q19>(&f);
-    let u = [j[0] / rho, j[1] / rho, j[2] / rho];
-    let mut out = [0.0; Q];
-    collide_trt_cell(&f, rho, u, le, lo, &mut out);
-    for q in 0..Q {
-        ddirs[q][cell] = out[q];
-    }
-}
-
-/// Strategy 1: conditional in the innermost loop.
-pub fn stream_collide_trt_conditional(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    flags: &FlagField,
-    rel: Relaxation,
-) -> SweepStats {
-    assert_eq!(src.shape(), dst.shape());
-    assert_eq!(src.shape(), flags.shape());
-    assert!(src.rows().is_none() && dst.rows().is_none(), "box storage only");
-    let shape = src.shape();
-    let off = pull_offsets(&shape);
-    let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let sdirs: [&[f64]; Q] = src.dirs();
-    let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
-    let mut fluid = 0u64;
-    for (x, y, z) in shape.interior().iter() {
-        if flags.flags(x, y, z).is_fluid() {
-            update_cell(&sdirs, &mut ddirs, shape.idx(x, y, z), &off, le, lo);
-            fluid += 1;
-        }
-    }
-    SweepStats { cells: shape.interior_cells() as u64, fluid_cells: fluid, seconds: 0.0 }
-}
-
-/// Strategy 2: loop over an explicit fluid-cell list.
-pub fn stream_collide_trt_cell_list(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    list: &FluidCellList,
-    rel: Relaxation,
-) -> SweepStats {
-    assert_eq!(src.shape(), dst.shape());
-    assert!(src.rows().is_none() && dst.rows().is_none(), "box storage only");
-    let shape = src.shape();
-    let off = pull_offsets(&shape);
-    let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let sdirs: [&[f64]; Q] = src.dirs();
-    let mut ddirs: [&mut [f64]; Q] = dst.dirs_mut();
-    for &(x, y, z) in &list.cells {
-        update_cell(&sdirs, &mut ddirs, shape.idx(x, y, z), &off, le, lo);
-    }
-    SweepStats { cells: list.len() as u64, fluid_cells: list.len() as u64, seconds: 0.0 }
-}
+//! Sparse-block kernels (paper §4.3). Of the paper's three strategies
+//! for blocks only partially covered by the domain, two are described,
+//! not shipped: a conditional in the innermost loop (a branch that
+//! "induces a major performance penalty" and is "incompatible with
+//! vectorization"), and a loop over a list of fluid-cell coordinates
+//! (no branch, but scattered, unvectorized accesses). The crate runs the
+//! third, row intervals ([`crate::Backend::sweep_sparse`]): per x-row the
+//! first and last fluid cell, "similar to the compressed storage scheme
+//! of a sparse matrix", each span clipped to the swept region one x-run
+//! of the row drivers, so it vectorizes. Non-fluid cells inside a span
+//! are swept into meaningless values no fluid cell reads (the boundary
+//! hull separates them); [`SweepStats`](crate::SweepStats) count them as
+//! LUPS but not as FLUPS.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::stats::SweepStats;
     use crate::{soa, BackendKind, Collision};
-    use trillium_field::{CellFlags, RowIntervals, Shape};
-    use trillium_lattice::MAGIC_TRT;
+    use trillium_field::{
+        CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shape, SoaPdfField,
+    };
+    use trillium_lattice::{Relaxation, D3Q19, MAGIC_TRT};
 
     /// The row-interval strategy: the portable backend's sparse sweep.
     fn row_intervals(
@@ -146,8 +60,8 @@ mod tests {
         f
     }
 
-    /// All three strategies must produce identical PDFs on fluid cells, and
-    /// the conditional strategy must match the dense kernel there too.
+    /// The row-interval sweep must produce the dense kernel's PDFs on
+    /// fluid cells, and count exactly the fluid cells as FLUPS.
     #[test]
     fn strategies_agree_on_fluid_cells() {
         let shape = Shape::cube(8);
@@ -155,35 +69,23 @@ mod tests {
         let src = perturbed(shape);
         let rel = Relaxation::trt_from_tau(0.78, MAGIC_TRT);
 
-        let mut d_cond = SoaPdfField::<D3Q19>::new(shape);
-        let mut d_list = SoaPdfField::<D3Q19>::new(shape);
         let mut d_rows = SoaPdfField::<D3Q19>::new(shape);
         let mut d_dense = SoaPdfField::<D3Q19>::new(shape);
-
-        let s_cond = stream_collide_trt_conditional(&src, &mut d_cond, &flags, rel);
-        let list = FluidCellList::build(&flags);
-        let s_list = stream_collide_trt_cell_list(&src, &mut d_list, &list, rel);
         let intervals = RowIntervals::build(&flags);
         let s_rows = row_intervals(&src, &mut d_rows, &intervals, rel);
         soa::stream_collide_trt(&src, &mut d_dense, rel);
 
-        assert_eq!(s_cond.fluid_cells, s_list.fluid_cells);
-        assert_eq!(s_list.fluid_cells, s_rows.fluid_cells);
+        assert_eq!(s_rows.fluid_cells, flags.count_fluid() as u64);
         assert!(s_rows.cells >= s_rows.fluid_cells);
-        assert_eq!(s_cond.cells, shape.interior_cells() as u64);
 
         for (x, y, z) in shape.interior().iter() {
             if !flags.flags(x, y, z).is_fluid() {
                 continue;
             }
             for q in 0..19 {
-                let c = d_cond.get(x, y, z, q);
-                let l = d_list.get(x, y, z, q);
                 let r = d_rows.get(x, y, z, q);
                 let dd = d_dense.get(x, y, z, q);
-                assert!((c - l).abs() < 1e-15, "cond vs list at ({x},{y},{z}) q={q}");
-                assert!((c - r).abs() < 1e-14, "cond vs rows at ({x},{y},{z}) q={q}");
-                assert!((c - dd).abs() < 1e-14, "cond vs dense at ({x},{y},{z}) q={q}");
+                assert!((r - dd).abs() < 1e-14, "rows vs dense at ({x},{y},{z}) q={q}");
             }
         }
     }
@@ -228,10 +130,7 @@ mod tests {
         let src = perturbed(shape);
         let rel = Relaxation::trt_from_tau(0.8, MAGIC_TRT);
         let mut dst = SoaPdfField::<D3Q19>::new(shape);
-
-        let s = stream_collide_trt_conditional(&src, &mut dst, &flags, rel);
-        assert_eq!(s.fluid_cells, fluid);
-        assert!(s.cells > s.fluid_cells, "scenario must actually be sparse");
+        assert!(fluid < shape.interior_cells() as u64, "scenario must actually be sparse");
 
         let intervals = RowIntervals::build(&flags);
         let s = row_intervals(&src, &mut dst, &intervals, rel);

@@ -17,8 +17,11 @@ pub enum SpanKind {
     Kernel,
     /// Boundary-condition sweeps.
     Boundary,
-    /// Ghost-exchange *work*: packing, sending, local unpacking.
+    /// Remote ghost-exchange *work*: packing and sending every remote
+    /// link's slab, posting its receive.
     GhostPack,
+    /// Same-rank ghost moves: the walk over the rank's exchange plan.
+    GhostCopy,
     /// Ghost-message drain: the receive and unpack of one remote slab,
     /// under either schedule. Overlapped, it also covers the wait for
     /// the message.
@@ -47,11 +50,12 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in declaration order (== accumulator order).
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 13] = [
         SpanKind::Step,
         SpanKind::Kernel,
         SpanKind::Boundary,
         SpanKind::GhostPack,
+        SpanKind::GhostCopy,
         SpanKind::GhostDrain,
         SpanKind::Stall,
         SpanKind::Checkpoint,
@@ -72,6 +76,7 @@ impl SpanKind {
             SpanKind::Kernel => "kernel",
             SpanKind::Boundary => "boundary",
             SpanKind::GhostPack => "ghost_pack",
+            SpanKind::GhostCopy => "ghost_copy",
             SpanKind::GhostDrain => "ghost_drain",
             SpanKind::Stall => "stall",
             SpanKind::Checkpoint => "checkpoint",

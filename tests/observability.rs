@@ -75,7 +75,9 @@ fn check_invariants(r: &RunResult, schedule: &str) {
         assert_eq!(rr.kernel_time, kernel, "{schedule} rank {rank}: kernel fold");
         assert_eq!(
             rr.comm_time,
-            obs.total(SpanKind::GhostPack) + obs.total(SpanKind::GhostDrain),
+            obs.total(SpanKind::GhostPack)
+                + obs.total(SpanKind::GhostDrain)
+                + obs.total(SpanKind::GhostCopy),
             "{schedule} rank {rank}: comm fold"
         );
         assert_eq!(rr.boundary_time, obs.total(SpanKind::Boundary), "{schedule} rank {rank}");
@@ -367,7 +369,9 @@ fn trace_events_reproduce_rank_timings_and_round_trip() {
         // RankResult timings within float tolerance (events store µs).
         let kernel = obs.trace_total(SpanKind::Kernel);
         assert!((kernel - rr.kernel_time).abs() < 1e-9 * obs.events.len() as f64 + 1e-12);
-        let comm = obs.trace_total(SpanKind::GhostPack) + obs.trace_total(SpanKind::GhostDrain);
+        let comm = obs.trace_total(SpanKind::GhostPack)
+            + obs.trace_total(SpanKind::GhostDrain)
+            + obs.trace_total(SpanKind::GhostCopy);
         assert!((comm - rr.comm_time).abs() < 1e-9 * obs.events.len() as f64 + 1e-12);
         assert!(
             (obs.trace_total(SpanKind::Boundary) - rr.boundary_time).abs()
