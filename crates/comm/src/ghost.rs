@@ -11,22 +11,30 @@
 //! Which values cross a link is the receiver's business. A dense block's
 //! sweep reads its whole ghost layer, so it receives whole slabs. A carved
 //! block's row-interval sweep reads only the ghost values next to the
-//! cells it covers; [`GhostRows`] lists those. Remote messages stay whole
-//! slabs: the wire format does not depend on the receiver's geometry.
+//! cells it covers; [`GhostRows`] lists those. Messages stay whole slabs:
+//! the wire format does not depend on the receiver's geometry.
 //!
-//! Same-rank links split *what* moves from *how* (waLBerla's `PackInfo`
-//! and communication scheme): an [`ExchangePlan`] resolves every link
-//! once, per step parity, through both fields' storage (box or row table)
-//! into slot runs `(source slot, destination slot, length)`, and a step
-//! walks them. Runs are offsets, valid for either buffer of a pull block;
-//! box blocks of one shape share one template per direction and parity
-//! pair. The driver builds a rank's plan whenever its blocks are replaced
-//! (`RankLoop::new`, migration, recovery); `BlockSim::sync_periodic`
-//! builds one of self-links, [`copy_face_local`] one of a single link.
+//! Every ghost value moves through one mechanism, which splits *what*
+//! moves from *how* (waLBerla's `PackInfo` and communication scheme): an
+//! [`ExchangePlan`] resolves each link once, per step parity, through the
+//! storage of both ends — a block's box or row table, or the message of a
+//! remote link — into slot runs `(source slot, destination slot, length)`,
+//! and a step walks them. A same-rank link moves field to field; a remote
+//! link gathers the sender's whole slab into a message laid out as
+//! [`pack_face`] lays it out, and scatters a received one into the
+//! receiver's listed values. Runs are offsets, valid for either buffer of
+//! a pull block; box ends of one shape share one template per direction
+//! and parity. The driver builds a rank's plan whenever its blocks are
+//! replaced (`RankLoop::new`, migration, recovery);
+//! `BlockSim::sync_periodic` builds one of self-links, [`copy_face_local`]
+//! one of a single link. [`pack_face`] and [`unpack_face`] are the
+//! accessor reference the plan is tested against; no run path calls them.
 
+use crate::CommError;
 use bytes::{Buf, BufMut};
 use std::borrow::{Borrow, BorrowMut};
 use std::collections::HashMap;
+use std::ops::Range;
 use trillium_field::{PdfField, Region, RowIntervals, Shape, SoaPdfField};
 use trillium_lattice::LatticeModel;
 
@@ -57,12 +65,8 @@ fn slot_dir(slot: usize) -> [i8; 3] {
     [(slot / 9) as i8 - 1, (slot / 3 % 3) as i8 - 1, (slot % 3) as i8 - 1]
 }
 
-/// Precomputed [`pdfs_crossing`] sets for all 26 link directions.
-///
-/// `pdfs_crossing` allocates a fresh `Vec` per call; computing it once per
-/// link per time step put a heap allocation on the ghost-exchange fast
-/// path. Build this table once at setup and hand its slices to
-/// [`pack_face_with`] / [`unpack_face_with`] instead.
+/// Precomputed [`pdfs_crossing`] sets for all 26 link directions, for
+/// [`pack_face_with`] / [`unpack_face_with`] (which do not allocate).
 #[derive(Clone, Debug)]
 pub struct CrossingTable {
     /// Indexed by `(d0+1)*9 + (d1+1)*3 + (d2+1)`; the center entry is empty.
@@ -149,45 +153,24 @@ pub fn unpack_face<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3], data:
     unpack_face_with::<M, F>(f, d, &qs, data);
 }
 
-/// A ghost message whose length is not what the receiving slab holds.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct GhostSizeMismatch {
-    expected: usize,
-    got: usize,
-}
-
 /// Allocation-free variant of [`unpack_face`] (`qs`: the *reversed* set,
-/// [`CrossingTable::qs_reversed`] of `d`) for bytes from a peer: a wrong
-/// length is an error and writes nothing.
-pub fn try_unpack_face_with<M: LatticeModel, F: PdfField<M>>(
-    f: &mut F,
-    d: [i8; 3],
-    qs: &[usize],
-    data: &[u8],
-) -> Result<(), GhostSizeMismatch> {
-    let shape = f.shape();
-    let region = shape.ghost_slab(d, shape.ghost);
-    let expected = region.num_cells() * qs.len() * 8;
-    if data.len() != expected {
-        return Err(GhostSizeMismatch { expected, got: data.len() });
-    }
-    let mut values = data.as_chunks::<8>().0.iter().map(|b| f64::from_le_bytes(*b));
-    for_each_row(&region, qs, |q, [x, y, z], row| {
-        row.iter_mut().zip(&mut values).for_each(|(v, got)| *v = got);
-        f.write_row(q, x, y, z, row);
-    });
-    Ok(())
-}
-
-/// [`try_unpack_face_with`] for bytes this process packed itself: panics
-/// if `data` is not one message for the ghost slab in direction `d`.
+/// [`CrossingTable::qs_reversed`] of `d`). Panics if `data` is not one
+/// message for the ghost slab in direction `d`.
 pub fn unpack_face_with<M: LatticeModel, F: PdfField<M>>(
     f: &mut F,
     d: [i8; 3],
     qs: &[usize],
     data: &[u8],
 ) {
-    try_unpack_face_with::<M, F>(f, d, qs, data).expect("ghost message packed for this slab");
+    let shape = f.shape();
+    let region = shape.ghost_slab(d, shape.ghost);
+    let expected = region.num_cells() * qs.len() * 8;
+    assert_eq!(data.len(), expected, "ghost message packed for this slab");
+    let mut values = data.as_chunks::<8>().0.iter().map(|b| f64::from_le_bytes(*b));
+    for_each_row(&region, qs, |q, [x, y, z], row| {
+        row.iter_mut().zip(&mut values).for_each(|(v, got)| *v = got);
+        f.write_row(q, x, y, z, row);
+    });
 }
 
 /// Packs only the PDFs of *fluid* cells in the boundary slab toward the
@@ -326,15 +309,11 @@ impl GhostRows {
         let slot = dir_slot(d);
         &self.rows[self.start[slot] as usize..self.start[slot + 1] as usize]
     }
-
-    /// The PDF values listed for the ghost slab in direction `d`.
-    pub fn values(&self, d: [i8; 3]) -> usize {
-        self.rows(d).iter().map(|r| r.len as usize).sum()
-    }
 }
 
-/// One move: `len` values from slot `src` of the sender's storage to
-/// slot `dst` of the receiver's; zeros if `src` is [`ZERO_FILL`].
+/// One move: `len` values from slot `src` to slot `dst`; zeros if `src`
+/// is [`ZERO_FILL`]. A slot is an offset into a block's raw storage or, at
+/// the message end of a remote link, a value's position in the message.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct Run {
     src: u32,
@@ -342,12 +321,12 @@ struct Run {
     len: u32,
 }
 
-/// The source of a run writing `0.0`: stored receiver slots whose source
-/// the sender does not store (and its accessors read as `0.0`).
+/// The source of a run writing `0.0`: receiving slots whose source the
+/// sender does not store (and its accessors read as `0.0`).
 const ZERO_FILL: u32 = u32::MAX;
 
-/// One link of a plan: block `dst` takes `runs[first..end]` from block
-/// `src` (the same block on a periodic self-link).
+/// One same-rank link of a plan: block `dst` takes `runs[first..end]`
+/// from block `src` (the same block on a periodic self-link).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct PlanLink {
     src: u32,
@@ -360,6 +339,8 @@ struct PlanLink {
 #[derive(Clone, Debug, Default)]
 struct Moves {
     links: Vec<PlanLink>,
+    /// Per remote link: the run ranges of its send and receive halves.
+    remote: Vec<[(u32, u32); 2]>,
     runs: Vec<Run>,
 }
 
@@ -375,90 +356,130 @@ pub struct PlanBlock<'a, M: LatticeModel> {
     pub carve: Option<&'a RowIntervals>,
 }
 
-/// The same-rank ghost exchange of a set of blocks as slot runs, per step
-/// parity (see the module doc). [`apply`](Self::apply) writes what
-/// packing the sender's slab and unpacking it into the receiver writes
-/// at the receiver's listed values: nothing into a slot the receiver does
-/// not store, `0.0` from a source cell the sender does not store.
+/// Shared run ranges by shape, direction, step parity and the parity of
+/// each end (`None`: the message).
+type Templates = HashMap<(Shape, [i8; 3], usize, [Option<bool>; 2]), (u32, u32)>;
+
+/// The ghost exchange of a set of blocks as slot runs per step parity (see
+/// the module doc): at a receiver's listed values it writes what pack +
+/// unpack writes, nothing into an unstored slot, `0.0` from an unstored
+/// source.
 #[derive(Clone, Debug, Default)]
 pub struct ExchangePlan {
     moves: [Moves; 2],
+    /// Values per message, one per remote link.
+    messages: Vec<u32>,
     /// Per block, what the runs were resolved against: stored cells and
     /// the parity at even and odd steps.
     stamps: Vec<(usize, [bool; 2])>,
-    values: u64,
-    rows: u64,
+    /// What one step moves, see [`counts`](Self::counts).
+    counts: [u64; 4],
 }
 
 impl ExchangePlan {
-    /// Resolves `links`, each `(receiver, d, sender)` by index into
-    /// `blocks`: the receiver's neighbor in direction `d` is the sender.
-    /// A receiver's links should come together (its list is built once
-    /// per group).
+    /// Resolves the same-rank `links`, each `(receiver, d, sender)` by
+    /// index into `blocks` (the receiver's neighbor in direction `d` is the
+    /// sender), and the `remote` links `(block, d)`, numbered in order: the
+    /// block sends its slab toward `d` and receives its ghost slab `d`. A
+    /// receiver's links should come together (its list is built once per
+    /// group).
     pub fn build<M: LatticeModel>(
         blocks: &[PlanBlock<'_, M>],
         links: impl IntoIterator<Item = (usize, [i8; 3], usize)>,
+        remote: impl IntoIterator<Item = (usize, [i8; 3])>,
     ) -> Self {
-        let mut plan = ExchangePlan {
-            stamps: blocks.iter().map(|b| (b.field.cells(), b.parity)).collect(),
-            ..Default::default()
+        let stamps = blocks.iter().map(|b| (b.field.cells(), b.parity)).collect();
+        let mut plan = ExchangePlan { stamps, ..Default::default() };
+        let (mut templates, mut list) = (HashMap::new(), (usize::MAX, GhostRows::default()));
+        // The rows a block takes: a carved one's list, a dense one's slab.
+        let mut receives = |to: usize, d| match blocks[to].carve {
+            Some(_) if list.0 == to => list.1.rows(d).to_vec(),
+            Some(carve) => {
+                list = (to, GhostRows::build::<M>(blocks[to].field.shape(), carve));
+                list.1.rows(d).to_vec()
+            }
+            None => slab_rows::<M>(blocks[to].field.shape(), d),
         };
-        let mut templates = HashMap::new();
-        let mut lists: Option<(usize, GhostRows)> = None;
         for (to, d, from) in links {
-            let (dst, src) = (&blocks[to], &blocks[from]);
-            let shape = dst.field.shape();
-            assert_eq!(src.field.shape(), shape, "block size mismatch across link");
-            let n = [shape.nx, shape.ny, shape.nz];
-            let shift: [i32; 3] = std::array::from_fn(|a| i32::from(d[a]) * n[a] as i32);
-            let slab;
-            let rows = match dst.carve {
-                Some(carve) => {
-                    if lists.as_ref().is_none_or(|(i, _)| *i != to) {
-                        lists = Some((to, GhostRows::build::<M>(shape, carve)));
-                    }
-                    lists.as_ref().map_or(&[][..], |(_, l)| l.rows(d))
-                }
-                None => {
-                    slab = slab_rows::<M>(shape, d);
-                    &slab[..]
-                }
-            };
-            plan.values += rows.iter().map(|r| u64::from(r.len)).sum::<u64>();
-            plan.rows += rows.len() as u64;
-            // Box to box over whole slabs: one template per shape,
-            // direction and parity pair.
-            let shared =
-                dst.carve.is_none() && src.field.rows().is_none() && dst.field.rows().is_none();
-            for (odd, moves) in plan.moves.iter_mut().enumerate() {
-                let key = (odd, shape, d, src.parity[odd], dst.parity[odd]);
-                let (first, end) = match templates.get(&key) {
-                    Some(&range) if shared => range,
-                    _ => {
-                        let first = slot32(moves.runs.len());
-                        let pair = (src.field, key.3, dst.field, key.4, shift);
-                        rows.iter().for_each(|&r| resolve(&mut moves.runs, pair, r));
-                        let range = (first, slot32(moves.runs.len()));
-                        if shared {
-                            templates.insert(key, range);
-                        }
-                        range
-                    }
-                };
+            let rows = receives(to, d);
+            plan.counts[0] += values(&rows);
+            plan.counts[1] += rows.len() as u64;
+            let ends = [Some(&blocks[from]), Some(&blocks[to])];
+            let ranges = plan.resolve_rows(&mut templates, ends, d, &rows);
+            for (moves, (first, end)) in plan.moves.iter_mut().zip(ranges) {
                 if first < end {
                     moves.links.push(PlanLink { src: from as u32, dst: to as u32, first, end });
                 }
             }
         }
+        for (b, d) in remote {
+            let (rev, rows) = ([-d[0], -d[1], -d[2]], receives(b, d));
+            let slab = slab_rows::<M>(blocks[b].field.shape(), rev);
+            plan.messages.push(values(&slab) as u32);
+            plan.counts[2] += values(&slab);
+            plan.counts[3] += values(&rows);
+            let send = plan.resolve_rows(&mut templates, [Some(&blocks[b]), None], rev, &slab);
+            let recv = plan.resolve_rows(&mut templates, [None, Some(&blocks[b])], d, &rows);
+            for (odd, moves) in plan.moves.iter_mut().enumerate() {
+                moves.remote.push([send[odd], recv[odd]]);
+            }
+        }
         for moves in &mut plan.moves {
             moves.links.shrink_to_fit();
+            moves.remote.shrink_to_fit();
             moves.runs.shrink_to_fit();
         }
         plan
     }
 
-    /// Moves every planned value of step parity `odd` between the fields
-    /// `data` borrows from `blocks` (their raw storage, as built).
+    /// Resolves `rows` (direction `d` of the receiving end) from end `from`
+    /// into end `to`, each a block or the message (`None`), into each step
+    /// parity's run range; whole slabs between box ends share a template.
+    fn resolve_rows<M: LatticeModel>(
+        &mut self,
+        templates: &mut Templates,
+        [from, to]: [Option<&PlanBlock<'_, M>>; 2],
+        d: [i8; 3],
+        rows: &[GhostRow],
+    ) -> [(u32, u32); 2] {
+        let shape = from.or(to).expect("a link has a block end").field.shape();
+        let shapes = [from, to].map(|end| end.map_or(shape, |b| b.field.shape()));
+        assert_eq!(shapes[0], shapes[1], "block size mismatch across link");
+        let n = [shape.nx, shape.ny, shape.nz];
+        let shift: [i32; 3] = std::array::from_fn(|a| i32::from(d[a]) * n[a] as i32);
+        let slab = shape.ghost_slab(d, shape.ghost);
+        let qs: Vec<_> = crossing::<M>([-d[0], -d[1], -d[2]]).collect();
+        let shared = to.is_none_or(|b| b.carve.is_none())
+            && [from, to].into_iter().flatten().all(|b| b.field.rows().is_none());
+        std::array::from_fn(|odd| {
+            let key = (shape, d, odd, [from, to].map(|end| end.map(|b| b.parity[odd])));
+            if let Some(&range) = templates.get(&key).filter(|_| shared) {
+                return range;
+            }
+            let runs = &mut self.moves[odd].runs;
+            let first = slot32(runs.len());
+            for &r in rows {
+                let (q, qi) = (r.q as usize, qs.iter().position(|&q| q == r.q as usize));
+                for (x0, len, at) in pieces(&slab, qi.expect("a crossing PDF"), r) {
+                    let stored = |end: Option<&PlanBlock<'_, M>>, [x, y, z]: [i32; 3]| match end {
+                        Some(b) => {
+                            b.field.stored_row(b.parity[odd], q, x0 - x, r.y - y, r.z - z, len)
+                        }
+                        None => (0..len, at),
+                    };
+                    resolve(runs, stored(from, shift), stored(to, [0; 3]));
+                }
+            }
+            let range = (first, slot32(runs.len()));
+            if shared {
+                templates.insert(key, range);
+            }
+            range
+        })
+    }
+
+    /// Moves every same-rank value of step parity `odd` between the
+    /// fields `data` borrows from `blocks` (their raw storage, as built).
     pub fn apply<B>(&self, odd: bool, blocks: &mut [B], data: impl Fn(&mut B) -> &mut [f64]) {
         let moves = &self.moves[usize::from(odd)];
         for l in &moves.links {
@@ -468,6 +489,42 @@ impl ExchangePlan {
                 Err(_) => move_runs(runs, None, data(&mut blocks[l.dst as usize])),
             }
         }
+    }
+
+    /// Gathers the send half of remote link `i` at step parity `odd` from
+    /// the sender's raw storage `from` into `buf`, replacing its contents
+    /// with the bytes [`pack_face`] writes.
+    pub fn gather(&self, odd: bool, i: usize, from: &[f64], buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.resize(self.messages[i] as usize * 8, 0);
+        let out = buf.as_chunks_mut::<8>().0;
+        let moves = &self.moves[usize::from(odd)];
+        let (first, end) = moves.remote[i][0];
+        // The message starts as zeros: a zero run has nothing to write.
+        for r in moves.runs[first as usize..end as usize].iter().filter(|r| r.src != ZERO_FILL) {
+            let (s, d, n) = (r.src as usize, r.dst as usize, r.len as usize);
+            for (o, v) in out[d..d + n].iter_mut().zip(&from[s..s + n]) {
+                *o = v.to_le_bytes();
+            }
+        }
+    }
+
+    /// Scatters `m`, a message of remote link `i`, through its receive half
+    /// at step parity `odd` into the receiver's raw storage `to`. A message
+    /// of the wrong length is [`CommError::Protocol`] and writes nothing.
+    pub fn scatter(&self, odd: bool, i: usize, m: &[u8], to: &mut [f64]) -> Result<(), CommError> {
+        if m.len() != self.messages[i] as usize * 8 {
+            return Err(CommError::Protocol);
+        }
+        let (m, moves) = (m.as_chunks::<8>().0, &self.moves[usize::from(odd)]);
+        let (first, end) = moves.remote[i][1];
+        for &Run { src, dst, len } in &moves.runs[first as usize..end as usize] {
+            let (s, d, n) = (src as usize, dst as usize, len as usize);
+            for (t, v) in to[d..d + n].iter_mut().zip(&m[s..s + n]) {
+                *t = f64::from_le_bytes(*v);
+            }
+        }
+        Ok(())
     }
 
     /// True if `blocks` are the blocks this plan was built against — as
@@ -485,17 +542,25 @@ impl ExchangePlan {
             })
     }
 
-    /// PDF values and logical x-rows one step moves, counted as listed:
-    /// a carved receiver's [`GhostRows`], a dense one's whole slabs.
-    pub fn moved(&self) -> (u64, u64) {
-        (self.values, self.rows)
+    /// What one step moves: PDF values and logical x-rows between blocks,
+    /// PDF values gathered into messages (whole slabs) and scattered from
+    /// them, each counted as listed (a carved receiver's [`GhostRows`], a
+    /// dense one's whole slabs).
+    pub fn counts(&self) -> [u64; 4] {
+        self.counts
     }
 
-    /// Heap bytes of the runs and links.
+    /// Heap bytes of the runs, links and message lengths.
     pub fn bytes(&self) -> usize {
-        let each = |m: &Moves| m.links.capacity() * 16 + m.runs.capacity() * 12;
-        self.moves.iter().map(each).sum()
+        let each =
+            |m: &Moves| m.links.capacity() * 16 + m.remote.capacity() * 16 + m.runs.capacity() * 12;
+        self.moves.iter().map(each).sum::<usize>() + self.messages.capacity() * 4
     }
+}
+
+/// The PDF values of `rows`.
+fn values(rows: &[GhostRow]) -> u64 {
+    rows.iter().map(|r| u64::from(r.len)).sum()
 }
 
 /// Every row of the ghost slab in direction `d`, in message order.
@@ -511,23 +576,33 @@ fn slab_rows<M: LatticeModel>(shape: Shape, d: [i8; 3]) -> Vec<GhostRow> {
     rows
 }
 
+/// The pieces of row `r` of `slab` (its PDF the `qi`-th crossing one)
+/// that lie together in a message, as `(x0, len, position)`: a message
+/// holds PDF, then row piece, then `z`, then `y` ([`for_each_row`]).
+fn pieces(slab: &Region, qi: usize, r: GhostRow) -> impl Iterator<Item = (i32, usize, usize)> + '_ {
+    let (ny, nz) = (slab.y.len(), slab.z.len());
+    let yz = (r.z - slab.z.start) as usize * ny + (r.y - slab.y.start) as usize;
+    let (lo, n) = ((r.x0 - slab.x.start) as usize, r.len as usize);
+    (lo - lo % ROW_PIECE..lo + n).step_by(ROW_PIECE).map(move |p| {
+        let width = (slab.x.len() - p).min(ROW_PIECE);
+        let (a, b) = (lo.max(p), (lo + n).min(p + width));
+        (slab.x.start + a as i32, b - a, qi * slab.num_cells() + p * ny * nz + yz * width + a - p)
+    })
+}
+
 /// A slot offset as a run stores it.
 fn slot32(slot: usize) -> u32 {
     u32::try_from(slot).ok().filter(|&s| s != ZERO_FILL).expect("slot offsets fit 32 bits")
 }
 
-/// Appends the runs of the receiver's row `r` (the sender's field at
-/// parity `ps`, the receiver's at `pd`, `s` from the sender's cells to
-/// the receiver's): over the receiver's stored part of the row, zeros
-/// where the sender stores no source, else the copy.
-fn resolve<M: LatticeModel>(
-    runs: &mut Vec<Run>,
-    (src, ps, dst, pd, s): (&SoaPdfField<M>, bool, &SoaPdfField<M>, bool, [i32; 3]),
-    r: GhostRow,
-) {
-    let (q, n) = (r.q as usize, r.len as usize);
-    let (to, at) = dst.stored_row(pd, q, r.x0, r.y, r.z, n);
-    let (from, from_at) = src.stored_row(ps, q, r.x0 - s[0], r.y - s[1], r.z - s[2], n);
+/// The part of a row an end stores, and the slot of its first value.
+type Part = (Range<usize>, usize);
+
+/// Appends the runs of one row, given the part of it each end stores and
+/// the slot of that part's first value (a message stores all of it): over
+/// the receiving end's stored part, zeros where the sending end stores
+/// no source, else the copy.
+fn resolve(runs: &mut Vec<Run>, (from, from_at): Part, (to, at): Part) {
     let lo = from.start.clamp(to.start, to.end);
     let hi = from.end.clamp(lo, to.end);
     let mut push = |src, i: usize, len| {
@@ -567,7 +642,7 @@ where
 {
     let (src, dst) = (src.borrow(), dst.borrow_mut());
     let at = |field| PlanBlock { field, parity: [field.parity(); 2], carve: None };
-    let [moves, _] = ExchangePlan::build(&[at(src), at(dst)], [(1, d, 0)]).moves;
+    let [moves, _] = ExchangePlan::build(&[at(src), at(dst)], [(1, d, 0)], []).moves;
     // The plan's one link owns every run.
     move_runs(&moves.runs, Some(src.data()), dst.data_mut());
 }
@@ -742,28 +817,60 @@ mod tests {
                 carve: carve.filter(|_| i == to),
             })
             .collect();
-        let plan = ExchangePlan::build(&blocks, [(to, d, from)]);
+        let plan = ExchangePlan::build(&blocks, [(to, d, from)], []);
         assert!(plan.is_current(odd, blocks.into_iter()));
         plan.apply(odd, &mut fields, |f| f.data_mut());
         (fields, plan)
     }
 
-    /// A plan move of a whole slab is pack + unpack without the bytes: all
-    /// 18 carrying directions, every pairing of sender and receiver
-    /// storage parity (an in-place block beside a pull one is the mixed
-    /// case), through both step parities' runs, and a block that is its
-    /// own neighbor — on box storage and on the row store of a carved
-    /// block, which drops what it does not hold and reads what it does not
-    /// hold as `0.0`.
+    /// A plan of one remote link of `field` in direction `d`, the field at
+    /// its own parity at both step parities and carved by `carve`.
+    fn remote_plan(
+        field: &SoaPdfField<D3Q19>,
+        d: [i8; 3],
+        carve: Option<&RowIntervals>,
+    ) -> ExchangePlan {
+        ExchangePlan::build(
+            &[PlanBlock { field, parity: [field.parity(); 2], carve }],
+            [],
+            [(0, d)],
+        )
+    }
+
+    /// `before` with the values `rows` list taken from `full`.
+    fn with_listed(
+        before: &SoaPdfField<D3Q19>,
+        full: &SoaPdfField<D3Q19>,
+        rows: &[GhostRow],
+    ) -> SoaPdfField<D3Q19> {
+        let mut want = before.clone();
+        for (q, x, y, z) in listed(rows) {
+            want.set(x, y, z, q, full.get(x, y, z, q));
+        }
+        want
+    }
+
+    /// A plan move of a whole slab is pack + unpack without the bytes, and
+    /// a remote link's halves are pack and unpack: all 18 carrying
+    /// directions, every pairing of sender and receiver storage parity (an
+    /// in-place block beside a pull one is the mixed case), through both
+    /// step parities' runs, and a block that is its own neighbor — on box
+    /// storage and on the row store of a carved block, which drops what it
+    /// does not hold and reads what it does not hold as `0.0`. A gather
+    /// writes exactly the bytes `pack_face` writes; a scatter writes what
+    /// `unpack_face` writes at the receiver's listed values (all of the
+    /// slab for a dense receiver) and leaves every other slot alone.
     #[test]
     fn local_and_self_copies_equal_pack_unpack_at_every_parity() {
         use std::sync::Arc;
         use trillium_field::RowTable;
         let shape = Shape::new(5, 4, 3, 1);
         let carve = RowIntervals::build(&ball(shape, [2.0, 1.5, 1.0], 2.3));
+        let lists = GhostRows::build::<D3Q19>(shape, &carve);
         let table = Arc::new(RowTable::pull_reads::<D3Q19>(shape, &carve));
         assert!(table.cells() < shape.alloc_cells());
         let dirs = trillium_lattice::d3q19::C.iter().skip(1);
+        let (mut listed_somewhere, mut gathered_zeros) = (0, 0);
         for rows in [None, Some(&table)] {
             let numbered = |odd, offset| numbered_in(shape, rows, odd, offset);
             let (mut wrote, mut zeros) = (0, 0);
@@ -774,20 +881,45 @@ mod tests {
                 {
                     let what = format!("d={d:?} {src_odd}->{dst_odd} rows={}", rows.is_some());
                     let src = numbered(src_odd, 0.5);
-                    let mut by_bytes = numbered(dst_odd, 10_000.5);
+                    let before = numbered(dst_odd, 10_000.5);
+                    let mut by_bytes = before.clone();
                     let mut buf = Vec::new();
                     pack_face::<D3Q19, _>(&src, rev, &mut buf);
                     unpack_face::<D3Q19, _>(&mut by_bytes, d, &buf);
+                    let carved = with_listed(&before, &by_bytes, lists.rows(d));
                     for odd in [false, true] {
-                        let fields = vec![src.clone(), numbered(dst_odd, 10_000.5)];
+                        let fields = vec![src.clone(), before.clone()];
                         let (moved, plan) = plan_move(fields, (1, d, 0), None, odd);
                         assert_eq!(by_bytes.data(), moved[1].data(), "{what} step odd={odd}");
                         assert_eq!(moved[0].data(), src.data(), "{what}: the sender changed");
                         let runs = &plan.moves[usize::from(odd)].runs;
                         zeros += runs.iter().filter(|r| r.src == ZERO_FILL).count();
+                        // The remote halves: the sender's gather, and the
+                        // scatter into a dense and into a carved receiver.
+                        let mut sent = vec![7; 3];
+                        let send = remote_plan(&src, rev, None);
+                        send.gather(odd, 0, src.data(), &mut sent);
+                        assert_eq!(sent, buf, "{what}: gather at step odd={odd}");
+                        let runs = &send.moves[usize::from(odd)].runs;
+                        gathered_zeros += runs.iter().filter(|r| r.src == ZERO_FILL).count();
+                        assert_eq!(send.counts()[2], buf.len() as u64 / 8);
+                        for (carve, want) in [(None, &by_bytes), (Some(&carve), &carved)] {
+                            let mut got = before.clone();
+                            let recv = remote_plan(&got, d, carve);
+                            assert_eq!(recv.scatter(odd, 0, &buf, got.data_mut()), Ok(()));
+                            let why = format!(
+                                "{what}: scatter at step odd={odd}, carved={}",
+                                carve.is_some()
+                            );
+                            assert_eq!(got.data(), want.data(), "{why}");
+                            let whole = buf.len() as u64 / 8;
+                            let listed = carve.map_or(whole, |_| values(lists.rows(d)));
+                            assert_eq!(recv.counts(), [0, 0, whole, listed]);
+                        }
                     }
-                    wrote += usize::from(by_bytes.data() != numbered(dst_odd, 10_000.5).data());
-                    let mut by_wrapper = numbered(dst_odd, 10_000.5);
+                    wrote += usize::from(by_bytes.data() != before.data());
+                    listed_somewhere += usize::from(carved.data() != before.data());
+                    let mut by_wrapper = before.clone();
                     copy_face_local::<D3Q19, _, _>(&src, &mut by_wrapper, d);
                     assert_eq!(by_wrapper.data(), by_bytes.data(), "{what}");
                 }
@@ -805,27 +937,59 @@ mod tests {
             assert!(if rows.is_none() { wrote == 18 * 4 } else { 0 < wrote && wrote < 18 * 4 });
             assert_eq!(zeros > 0, rows.is_some());
         }
+        // A carved receiver's list writes something, and a row-store
+        // sender gathers zeros where it stores no source.
+        assert!(listed_somewhere > 0 && gathered_zeros > 0);
         assert_eq!(dirs.count(), 18);
     }
 
-    /// A message of the wrong length is an error that writes nothing; the
-    /// panicking wrapper is for bytes this process packed itself.
+    /// Rows longer than a message piece: a message holds them piece by
+    /// piece, and the remote halves keep that layout — on a block 300
+    /// cells long in x, for every direction, into a dense receiver and
+    /// into one whose list covers the middle of each row.
+    #[test]
+    fn remote_halves_keep_the_piece_layout_of_long_rows() {
+        let shape = Shape::new(300, 3, 2, 1);
+        let carve = RowIntervals::build(&ball(shape, [150.0, 1.0, 0.5], 100.0));
+        let lists = GhostRows::build::<D3Q19>(shape, &carve);
+        for &d in trillium_lattice::d3q19::C.iter().skip(1) {
+            let rev = [-d[0], -d[1], -d[2]];
+            let (src, before) = (numbered(shape, false, 0.5), numbered(shape, true, 10_000.5));
+            let mut buf = Vec::new();
+            pack_face::<D3Q19, _>(&src, rev, &mut buf);
+            let mut full = before.clone();
+            unpack_face::<D3Q19, _>(&mut full, d, &buf);
+            let mut sent = Vec::new();
+            remote_plan(&src, rev, None).gather(false, 0, src.data(), &mut sent);
+            assert_eq!(sent, buf, "d={d:?}");
+            let carved = with_listed(&before, &full, lists.rows(d));
+            for (carve, want) in [(None, &full), (Some(&carve), &carved)] {
+                let mut got = before.clone();
+                let plan = remote_plan(&got, d, carve);
+                assert_eq!(plan.scatter(true, 0, &buf, got.data_mut()), Ok(()));
+                assert_eq!(got.data(), want.data(), "d={d:?} carved={}", carve.is_some());
+            }
+        }
+    }
+
+    /// A message of the wrong length is an error that writes nothing: the
+    /// plan's scatter checks the length before it writes; the panicking
+    /// accessor reference is for bytes this process packed itself.
     #[test]
     fn short_ghost_message_is_an_error_not_a_panic() {
         let shape = Shape::cube(4);
         let a = numbered(shape, false, 0.5);
-        let table = CrossingTable::new::<D3Q19>();
         let d = [1, 0, 0];
         let mut buf = Vec::new();
-        pack_face_with::<D3Q19, _>(&a, [-1, 0, 0], table.qs([-1, 0, 0]), &mut buf);
+        pack_face::<D3Q19, _>(&a, [-1, 0, 0], &mut buf);
         let mut b = numbered(shape, false, 9_000.5);
         let untouched = b.clone();
+        let plan = remote_plan(&b, d, None);
         for bad in [&buf[..buf.len() - 8], &[buf.as_slice(), &[0; 8]].concat(), &[][..]] {
-            let err = try_unpack_face_with::<D3Q19, _>(&mut b, d, table.qs_reversed(d), bad);
-            assert_eq!(err, Err(GhostSizeMismatch { expected: buf.len(), got: bad.len() }));
+            assert_eq!(plan.scatter(false, 0, bad, b.data_mut()), Err(CommError::Protocol));
             assert_eq!(b.data(), untouched.data());
         }
-        assert_eq!(try_unpack_face_with::<D3Q19, _>(&mut b, d, table.qs_reversed(d), &buf), Ok(()));
+        assert_eq!(plan.scatter(false, 0, &buf, b.data_mut()), Ok(()));
         assert_ne!(b.data(), untouched.data());
     }
 
@@ -942,7 +1106,7 @@ mod tests {
                 let got = listed(lists.rows(d));
                 assert_eq!(got.len(), want.len(), "{shape:?} d={d:?}: a value listed twice");
                 assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), want, "{shape:?} d={d:?}");
-                assert_eq!(lists.values(d), want.len());
+                assert_eq!(values(lists.rows(d)), want.len() as u64);
                 let qs = table.qs_reversed(d);
                 assert!(lists.rows(d).windows(2).all(|w| {
                     let pos = |r: &GhostRow| qs.iter().position(|&q| q == r.q as usize);
@@ -955,7 +1119,7 @@ mod tests {
                 }
             }
             for d in [[1, 1, 1], [-1, 1, -1], [0, 0, 0]] {
-                assert!(lists.rows(d).is_empty() && lists.values(d) == 0);
+                assert!(lists.rows(d).is_empty() && values(lists.rows(d)) == 0);
             }
         }
         assert!(empty >= 18 && full >= 18, "{empty} empty and {full} non-empty lists");
@@ -996,13 +1160,12 @@ mod tests {
                         plan_move(vec![src, before.clone()], (1, d, 0), Some(&carve), dst_odd);
                     let (self_moved, _) =
                         plan_move(vec![before.clone()], (0, d, 0), Some(&carve), dst_odd);
-                    assert_eq!(plan.moved(), (lists.values(d) as u64, lists.rows(d).len() as u64));
+                    assert_eq!(
+                        plan.counts()[..2],
+                        [values(lists.rows(d)), lists.rows(d).len() as u64]
+                    );
                     for (full, got) in [(&slab, &moved[1]), (&self_slab, &self_moved[0])] {
-                        // `before` with the listed values of the slab copy.
-                        let mut want = before.clone();
-                        for (q, x, y, z) in listed(lists.rows(d)) {
-                            want.set(x, y, z, q, full.get(x, y, z, q));
-                        }
+                        let want = with_listed(&before, full, lists.rows(d));
                         assert_eq!(got.data(), want.data(), "{what}");
                     }
                 }
@@ -1028,8 +1191,8 @@ mod tests {
         // Block 1 takes from 0 and block 2 from 1, both in direction −x.
         let row = [in_place(&boxes[0]), in_place(&boxes[1]), in_place(&boxes[2])];
         let runs = |p: &ExchangePlan, odd: bool| p.moves[usize::from(odd)].runs.len();
-        let two = ExchangePlan::build(&row, [(1, x, 0), (2, x, 1)]);
-        let one = ExchangePlan::build(&row[..2], [(1, x, 0)]);
+        let two = ExchangePlan::build(&row, [(1, x, 0), (2, x, 1)], []);
+        let one = ExchangePlan::build(&row[..2], [(1, x, 0)], []);
         for odd in [false, true] {
             let links = &two.moves[usize::from(odd)].links;
             assert_eq!(links.len(), 2);
@@ -1037,10 +1200,10 @@ mod tests {
             assert_eq!(runs(&two, odd), runs(&one, odd));
             assert!(runs(&one, odd) > 0);
         }
-        assert_eq!(two.moved().0, 2 * one.moved().0);
+        assert_eq!(two.counts()[0], 2 * one.counts()[0]);
         // The same links with a row-store sender resolve runs of their own.
         let mixed = [in_place(&row_store), in_place(&boxes[1]), in_place(&boxes[2])];
-        let own = ExchangePlan::build(&mixed, [(1, x, 0), (2, x, 1)]);
+        let own = ExchangePlan::build(&mixed, [(1, x, 0), (2, x, 1)], []);
         assert_eq!(runs(&own, false), 2 * runs(&one, false));
         assert!(own.bytes() > one.bytes());
     }

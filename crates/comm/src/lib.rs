@@ -30,8 +30,8 @@ pub mod runtime;
 
 pub use fault::{CrashSpec, FaultConfig, FaultEvent};
 pub use ghost::{
-    copy_face_local, pack_face, pack_face_sparse, pack_face_with, pdfs_crossing,
-    try_unpack_face_with, unpack_face, unpack_face_sparse, unpack_face_with, CrossingTable,
-    ExchangePlan, GhostRow, GhostRows, GhostSizeMismatch, PlanBlock,
+    copy_face_local, pack_face, pack_face_sparse, pack_face_with, pdfs_crossing, unpack_face,
+    unpack_face_sparse, unpack_face_with, CrossingTable, ExchangePlan, GhostRow, GhostRows,
+    PlanBlock,
 };
 pub use runtime::{CommCounters, CommError, Communicator, World};

@@ -297,10 +297,9 @@ impl BlockSim {
         self.links.apply(&mut self.src);
     }
 
-    /// What a same-rank exchange plan resolves this block against: its
-    /// live field, its storage parity at even and odd steps, and for a
-    /// carved block the intervals whose ghost reads it lists (a dense one
-    /// takes whole slabs).
+    /// What an exchange plan resolves this block against: its live field,
+    /// its storage parity at even and odd steps, and for a carved block the
+    /// intervals whose ghost reads it lists (a dense one takes whole slabs).
     pub fn plan_block(&self) -> PlanBlock<'_, D3Q19> {
         PlanBlock {
             field: &self.src,
@@ -323,7 +322,7 @@ impl BlockSim {
         // (direction −d); corners carry nothing.
         let wrapping = NEIGHBOR_DIRS.into_iter().filter(|d| (0..3).all(|a| d[a] == 0 || axes[a]));
         let links = wrapping.map(|d| (0, [-d[0], -d[1], -d[2]], 0));
-        let plan = ExchangePlan::build(&[self.plan_block()], links);
+        let plan = ExchangePlan::build(&[self.plan_block()], links, []);
         plan.apply(self.src.parity(), std::slice::from_mut(self), |b| b.src.data_mut());
     }
 
@@ -422,46 +421,42 @@ impl BlockSim {
         }
     }
 
-    /// The one reduction over the interior fluid cells. Per piece of
-    /// [`TOTALS_PIECE`] cells of an x-row, ρ, `j` and a non-finite marker
-    /// are summed over the 19 direction rows into stack arrays, then the
-    /// piece's fluid cells fold in x order: [`PdfField::density`] /
-    /// `velocity` arithmetic per cell, cells x, y, z — bitwise a per-cell
-    /// walk, at either parity. Allocates nothing.
+    /// The one reduction over the interior fluid cells, span by covered
+    /// span (a dense block's are its rows; the store holds them at either
+    /// parity). Per piece of [`TOTALS_PIECE`] cells, ρ, `j` and a
+    /// non-finite marker are summed over the 19 direction rows into stack
+    /// arrays, then the piece's fluid cells fold in x order:
+    /// [`PdfField::density`] / `velocity` arithmetic per cell, cells x, y,
+    /// z — bitwise a per-cell walk. Allocates nothing.
     pub fn fluid_totals(&self) -> FluidTotals {
-        let nx = self.shape.nx;
         let mut t = FluidTotals::default();
-        for z in 0..self.shape.nz as i32 {
-            for y in 0..self.shape.ny as i32 {
-                for x0 in (0..nx).step_by(TOTALS_PIECE) {
-                    let n = (nx - x0).min(TOTALS_PIECE);
-                    // −0.0 is the neutral element `f64::sum` folds ρ from.
-                    let mut rho = [-0.0; TOTALS_PIECE];
-                    let [mut j0, mut j1, mut j2, mut bad] = [[0.0; TOTALS_PIECE]; 4];
-                    let mut piece = [0.0; TOTALS_PIECE];
-                    for q in 0..19 {
-                        let c = D3Q19::c(q);
-                        let f = self.src.row_or_read(q, x0 as i32, y, z, &mut piece[..n]);
-                        for x in 0..n {
-                            rho[x] += f[x];
-                            j0[x] += f[x] * c[0];
-                            j1[x] += f[x] * c[1];
-                            j2[x] += f[x] * c[2];
-                            // NaN iff a PDF of the cell is ±∞ or NaN (`f · 0`).
-                            bad[x] += f[x] * 0.0;
-                        }
-                    }
+        for s in &self.intervals.spans {
+            for x0 in (s.x_begin..s.x_end).step_by(TOTALS_PIECE) {
+                let n = ((s.x_end - x0) as usize).min(TOTALS_PIECE);
+                // −0.0 is the neutral element `f64::sum` folds ρ from.
+                let mut rho = [-0.0; TOTALS_PIECE];
+                let [mut j0, mut j1, mut j2, mut bad] = [[0.0; TOTALS_PIECE]; 4];
+                for q in 0..19 {
+                    let c = D3Q19::c(q);
+                    let f = self.src.row(q, x0, s.y, s.z, n);
                     for x in 0..n {
-                        if !self.flags.flags((x0 + x) as i32, y, z).is_fluid() {
-                            continue;
-                        }
-                        let u = [j0[x] / rho[x], j1[x] / rho[x], j2[x] / rho[x]];
-                        t.mass += rho[x];
-                        t.kinetic_energy +=
-                            0.5 * rho[x] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
-                        t.momentum = [0, 1, 2].map(|d| t.momentum[d] + rho[x] * u[d]);
-                        t.non_finite |= bad[x].is_nan();
+                        rho[x] += f[x];
+                        j0[x] += f[x] * c[0];
+                        j1[x] += f[x] * c[1];
+                        j2[x] += f[x] * c[2];
+                        // NaN iff a PDF of the cell is ±∞ or NaN (`f · 0`).
+                        bad[x] += f[x] * 0.0;
                     }
+                }
+                for x in 0..n {
+                    if !self.flags.flags(x0 + x as i32, s.y, s.z).is_fluid() {
+                        continue;
+                    }
+                    let u = [j0[x] / rho[x], j1[x] / rho[x], j2[x] / rho[x]];
+                    t.mass += rho[x];
+                    t.kinetic_energy += 0.5 * rho[x] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+                    t.momentum = [0, 1, 2].map(|d| t.momentum[d] + rho[x] * u[d]);
+                    t.non_finite |= bad[x].is_nan();
                 }
             }
         }

@@ -1,13 +1,13 @@
 //! The distributed time loop.
 //!
 //! Each rank owns the blocks assigned to it by the load balancer and runs,
-//! per time step: (1) ghost-layer exchange with neighboring blocks —
-//! direct copies between same-rank blocks, messages over the communicator
-//! otherwise; (2) the boundary preparatory sweep; (3) the fused
-//! stream–collide kernel; buffers swap inside the kernel call. The
-//! per-rank split between kernel and communication wall time is recorded,
-//! which is how the "% time spent for MPI communication" curves of Fig 6
-//! are produced for real runs.
+//! per time step: (1) ghost-layer exchange with neighboring blocks through
+//! one exchange plan — direct moves between same-rank blocks, messages
+//! over the communicator otherwise; (2) the boundary preparatory sweep;
+//! (3) the fused stream–collide kernel; buffers swap inside the kernel
+//! call. The per-rank split between kernel and communication wall time is
+//! recorded, which is how the "% time spent for MPI communication" curves
+//! of Fig 6 are produced for real runs.
 //!
 //! There is one loop: [`RankLoop`] is the per-rank state,
 //! [`RankLoop::step`] the step pipeline (synchronous or overlapped),
@@ -32,10 +32,7 @@ use std::time::{Duration, Instant};
 use trillium_blockforest::{
     dir_index, distribute, BlockId, BlockLink, DistributedForest, SetupForest, NEIGHBOR_DIRS,
 };
-use trillium_comm::{
-    pack_face_with, try_unpack_face_with, CommError, Communicator, CrossingTable, ExchangePlan,
-    FaultEvent, World,
-};
+use trillium_comm::{pdfs_crossing, CommError, Communicator, ExchangePlan, FaultEvent, World};
 use trillium_field::{CellFlags, FlagOps};
 use trillium_kernels::SweepStats;
 use trillium_lattice::D3Q19;
@@ -57,8 +54,8 @@ pub struct RankResult {
     /// Wall time in the compute kernels (seconds): the `Kernel` spans,
     /// one stream–collide fan-out per window that had a block to sweep.
     pub kernel_time: f64,
-    /// Wall time of ghost-exchange *work*: same-rank field-to-field copies,
-    /// packing, sending, and draining remote messages (receive + unpack).
+    /// Wall time of ghost-exchange *work*: same-rank field-to-field moves,
+    /// gathering, sending, and draining remote messages (receive + scatter).
     /// A blocked wait before the window is [`RankResult::ghost_stall_time`]
     /// instead, a span of its own, so the categories sum without double
     /// counting.
@@ -209,7 +206,7 @@ pub struct RebalanceReport {
     /// seconds_per_step, fluid_cells)`. This is exactly what the planner
     /// consumes — wall-clock cost, not static cell counts.
     pub final_costs: Vec<(u64, f64, u64)>,
-    /// Seconds of ghost-exchange *work* (pack, send, local unpack) —
+    /// Seconds of ghost-exchange *work* (gather, send, same-rank moves) —
     /// excludes time blocked in `recv` waiting for neighbors, which on an
     /// oversubscribed emulation host measures the thread scheduler rather
     /// than the network.
@@ -775,8 +772,7 @@ pub struct RankLoop<'a> {
     pub(crate) forest: Cow<'a, SetupForest>,
     pub(crate) view: Cow<'a, DistributedForest>,
     pub(crate) blocks: Vec<BlockSim>,
-    /// Every same-rank ghost move of `blocks`, rebuilt by
-    /// [`RankLoop::blocks_replaced`].
+    /// Every ghost move of `blocks`, rebuilt by [`RankLoop::blocks_replaced`].
     plan: ExchangePlan,
     ctx: GhostCtx,
     pub(crate) rec: Recorder,
@@ -820,7 +816,7 @@ impl<'a> RankLoop<'a> {
             forest: Cow::Borrowed(&plan.forest),
             view: Cow::Borrowed(view),
             blocks,
-            ctx: GhostCtx::new(),
+            ctx: GhostCtx::default(),
             rec,
             stats: SweepStats::default(),
             force_series: Vec::new(),
@@ -834,24 +830,34 @@ impl<'a> RankLoop<'a> {
     }
 
     /// The one hook after the block vector was replaced (built, migrated
-    /// or rolled back): rebuilds the exchange plan from every same-rank
-    /// link of the view, and sets the gauges `boundary.links`, the
+    /// or rolled back): rebuilds the exchange plan and [`GhostCtx`] from
+    /// every link of the view, and sets the gauges `boundary.links`, the
     /// boundary work per step of this rank's blocks, `mem.pdf_bytes`, the
     /// PDF storage they hold (`src` + `dst`), and `mem.plan_bytes`.
     pub(crate) fn blocks_replaced(&mut self) {
         // The old plan goes first: two never live at once.
         self.plan = ExchangePlan::default();
-        let view = &self.view;
-        let index_of: &HashMap<_, _> =
-            &view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
-        let links = view.blocks.iter().enumerate().flat_map(|(bi, b)| {
-            b.links.iter().zip(NEIGHBOR_DIRS).filter_map(move |(link, d)| match link {
-                BlockLink::Local(id) => Some((bi, d, index_of[id])),
-                _ => None,
-            })
-        });
+        let (view, ctx, n) = (&self.view, &mut self.ctx, self.blocks.len());
+        let index: HashMap<_, _> = view.blocks.iter().enumerate().map(|(i, b)| (b.id, i)).collect();
+        let mut local = Vec::new();
+        (ctx.remote, ctx.waits) = (Vec::new(), vec![false; n]);
+        (ctx.seconds, ctx.forces) = (vec![0.0; n], vec![[0.0; 3]; n]);
+        for (bi, b) in view.blocks.iter().enumerate() {
+            for (&link, d) in b.links.iter().zip(NEIGHBOR_DIRS) {
+                match link {
+                    BlockLink::Local(id) => local.push((bi, d, index[&id])),
+                    // Corner links carry nothing for D3Q19.
+                    BlockLink::Remote(id, r) if !pdfs_crossing::<D3Q19>(d).is_empty() => {
+                        ctx.remote.push((bi, d, r, id));
+                        ctx.waits[bi] = true;
+                    }
+                    _ => {}
+                }
+            }
+        }
         let plan_blocks: Vec<_> = self.blocks.iter().map(BlockSim::plan_block).collect();
-        self.plan = ExchangePlan::build(&plan_blocks, links);
+        let remote = ctx.remote.iter().map(|&(bi, d, ..)| (bi, d));
+        self.plan = ExchangePlan::build(&plan_blocks, local, remote);
         let (mut links, mut pdf_bytes) = (0, 0);
         for b in &self.blocks {
             links += b.boundary_links().len();
@@ -888,39 +894,33 @@ impl<'a> RankLoop<'a> {
 
     /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
     ///
-    /// One pipeline under both schedules: pack and post → same-rank moves
-    /// → [`RankLoop::sweep_ready`] → [`RankLoop::drain`] →
+    /// One pipeline under both schedules: gather and post → same-rank
+    /// moves → [`RankLoop::sweep_ready`] → [`RankLoop::drain`] →
     /// [`RankLoop::sweep_ready`] → accounting. Each block takes its whole
     /// step exactly once: *synchronous*, every block in the window after
     /// the drain; *overlapped*, the blocks that posted no receive in the
     /// window before it, while the messages are in flight, and the rest
     /// in the window after it.
     ///
-    /// Pack and post (`GhostPack`): a remote link packs this block's whole
-    /// slab, sends it and posts the receive of the neighbor's. Same-rank
-    /// moves (`GhostCopy`) walk the [`ExchangePlan`] runs of `t`'s parity:
-    /// a carved receiver takes the ghost values its row-interval sweep
-    /// reads ([`trillium_comm::GhostRows`]), a dense one whole slabs. The
-    /// drain takes messages in **arrival order** and only unpacks. The
-    /// schedules are bitwise identical: every block runs the same whole
+    /// Every ghost value moves through the [`ExchangePlan`] runs of `t`'s
+    /// parity: a remote link's send half gathers the sender's whole slab
+    /// into a pooled message (`GhostPack`, which also sends it and posts
+    /// the receive), same-rank links copy field to field (`GhostCopy`), and
+    /// the drain scatters each message, in arrival order, through its
+    /// receive half (`GhostDrain`). A carved receiver takes its
+    /// [`trillium_comm::GhostRows`] list, a dense one whole slabs; an
+    /// unlisted ghost value keeps a stale value no sweep and no boundary
+    /// link reads (`pdf_dump` and the totals cover interior cells only).
+    /// The schedules are bitwise identical: every block runs the same whole
     /// step on the same ghost values, and ghost slabs of distinct
-    /// directions are disjoint. A ghost value a carved block's list
-    /// leaves out keeps a stale value no sweep and no boundary link
-    /// reads; `pdf_dump` and the totals cover interior cells only.
-    ///
-    /// Gates: `cargo test -q -p trillium-comm ghost` (plan moves against
-    /// pack + unpack, lists against their definition), `--test
-    /// distributed_consistency`, `--test inplace_equivalence`, `--test
-    /// migration_parity` (schedules, schemes, migration and recovery
-    /// bitwise) and `--test observability` (pinned move counts, span
-    /// counts). Debug builds assert at step start that the plan fits the
-    /// blocks and their parity.
-    ///
-    /// Moves, packs and unpacks may interleave in any order: within one
-    /// field the exchange never reads a slot it writes — interior storage
-    /// read, ghost storage written at even parity, the reverse at odd (AA)
-    /// parity, on disjoint direction grids — and parity is per block, so
-    /// in-place and pull neighbors exchange alike (DESIGN.md §9).
+    /// directions are disjoint. Moves, gathers and scatters may interleave
+    /// in any order: within one field the exchange never reads a slot it
+    /// writes — interior storage read, ghost storage written at even
+    /// parity, the reverse at odd (AA) parity — and parity is per block
+    /// (DESIGN.md §9). Debug builds assert at step start that the plan
+    /// fits the blocks and their parity. Gates: `cargo test -q -p
+    /// trillium-comm ghost` and the tests `distributed_consistency`,
+    /// `inplace_equivalence`, `migration_parity` and `observability`.
     ///
     /// A `deadline` bounds every blocking receive. Any error withdraws the
     /// posted receives and leaves the blocks in a torn mid-step state for
@@ -931,27 +931,17 @@ impl<'a> RankLoop<'a> {
             self.plan.is_current(odd, self.blocks.iter().map(BlockSim::plan_block)),
             "blocks replaced or re-schemed without blocks_replaced(), or off parity at step {t}"
         );
-        // ---- pack and post ------------------------------------------------
+        // ---- gather and post ----------------------------------------------
         let pack = self.rec.span(SpanKind::GhostPack);
         let ctx = &mut self.ctx;
-        ctx.begin_step(self.blocks.len());
-        for (bi, lb) in self.view.blocks.iter().enumerate() {
-            for (link, d) in lb.links.iter().zip(NEIGHBOR_DIRS) {
-                // Corner links carry nothing for D3Q19.
-                let BlockLink::Remote(nid, r) = link else { continue };
-                if ctx.table.qs(d).is_empty() {
-                    continue;
-                }
-                let buf = ctx.pack(&self.blocks[bi], d);
-                // The neighbor receives from direction −d.
-                let rev = [-d[0], -d[1], -d[2]];
-                self.comm.send(*r, ghost_tag(*nid, rev, t), buf);
-                // Symmetric link: post the receive of the neighbor's data
-                // for our ghost slab in direction d.
-                self.comm.post(*r, ghost_tag(lb.id, d, t), ctx.meta.len());
-                ctx.meta.push((bi, d));
-                ctx.waits[bi] = true;
-            }
+        for (token, &(bi, d, r, id)) in ctx.remote.iter().enumerate() {
+            let mut buf = ctx.pool.pop().unwrap_or_default();
+            self.plan.gather(odd, token, self.blocks[bi].src.data(), &mut buf);
+            // The neighbor receives from direction −d.
+            self.comm.send(r, ghost_tag(id, [-d[0], -d[1], -d[2]], t), buf);
+            // Symmetric link: post the receive of the neighbor's data for
+            // our ghost slab in direction d.
+            self.comm.post(r, ghost_tag(self.view.blocks[bi].id, d, t), token);
         }
         // End of the send phase: release fault-delayed messages now, at a
         // program point, so failure behavior stays deterministic.
@@ -962,14 +952,16 @@ impl<'a> RankLoop<'a> {
         let copy = self.rec.span(SpanKind::GhostCopy);
         self.plan.apply(odd, &mut self.blocks, |b| b.src.data_mut());
         ctx.pack_seconds += copy.finish();
-        let (values, rows) = self.plan.moved();
-        self.rec.metrics().add("comm.local_values", values);
-        self.rec.metrics().add("comm.local_rows", rows);
+        let counts =
+            ["comm.local_values", "comm.local_rows", "comm.packed_values", "comm.unpacked_values"];
+        for (name, n) in counts.into_iter().zip(self.plan.counts()) {
+            self.rec.metrics().add(name, n);
+        }
 
         // ---- sweep what is ready, drain, sweep the rest --------------------
         self.sweep_ready(false);
         // The receive set is empty between steps, torn ones too.
-        self.drain(deadline).inspect_err(|_| self.comm.withdraw())?;
+        self.drain(odd, deadline).inspect_err(|_| self.comm.withdraw())?;
         self.sweep_ready(true);
 
         // ---- accounting (infallible: one force sample per completed step) --
@@ -1034,22 +1026,25 @@ impl<'a> RankLoop<'a> {
         for ((bi, _), s) in ready.iter().zip(swept) {
             ctx.seconds[*bi] = s.seconds;
         }
-        if !drained && !ctx.meta.is_empty() {
+        if !drained && !ctx.remote.is_empty() {
             rec.metrics().acc(M_OVERLAP_HIDDEN, rec.clock() - t_hide);
         }
     }
 
     /// The one drain, between the two windows: takes the step's messages
-    /// in arrival order from the posted receives and unpacks each, one
-    /// `GhostDrain` span apiece; it sweeps nothing. Under the synchronous
-    /// schedule the whole sweep is still pending, so a blocked wait is a
-    /// `Stall` span between two drain spans. Under the overlapped one
-    /// every block that waits on no message has already taken its step,
-    /// so the wait is neighbor imbalance and stays in the drain span (see
+    /// in arrival order from the posted receives and scatters each through
+    /// its receive half of step parity `odd`, one `GhostDrain` span apiece;
+    /// it sweeps nothing. A message of the wrong length is
+    /// [`CommError::Protocol`]: it writes nothing, and its buffer returns
+    /// to the pool like every other. Under the synchronous schedule the
+    /// whole sweep is still pending, so a blocked wait is a `Stall` span
+    /// between two drain spans. Under the overlapped one every block that
+    /// waits on no message has already taken its step, so the wait is
+    /// neighbor imbalance and stays in the drain span (see
     /// [`RankResult::ghost_stall_time`]).
-    fn drain(&mut self, deadline: Option<Duration>) -> Result<(), CommError> {
+    fn drain(&mut self, odd: bool, deadline: Option<Duration>) -> Result<(), CommError> {
         let (rec, ctx, blocks) = (&self.rec, &mut self.ctx, &mut self.blocks);
-        for _ in 0..ctx.meta.len() {
+        for _ in 0..ctx.remote.len() {
             let drain = rec.span(SpanKind::GhostDrain);
             let ((token, data), drain) = match self.comm.poll() {
                 Some(hit) => (hit, drain),
@@ -1062,8 +1057,10 @@ impl<'a> RankLoop<'a> {
                     (hit, rec.span(SpanKind::GhostDrain))
                 }
             };
-            let (bi, d) = ctx.meta[token];
-            ctx.unpack(&mut blocks[bi], d, data)?;
+            let to = blocks[ctx.remote[token].0].src.data_mut();
+            let scattered = self.plan.scatter(odd, token, &data, to);
+            ctx.pool.push(data);
+            scattered?;
             drain.finish();
         }
         Ok(())
@@ -1119,27 +1116,27 @@ impl<'a> RankLoop<'a> {
     }
 }
 
-/// Serializes every block's interior fluid PDFs for bitwise comparison.
-/// A non-fluid cell dumps as zeros: its slots hold what no fluid cell
-/// reads, and under the AA pattern a wall slot holds a different dead
-/// value than under pull (the boundary sweep overwrites it before any
-/// read).
+/// Serializes every block's interior fluid PDFs for bitwise comparison,
+/// reading the covered spans (every fluid cell lies in one). A non-fluid
+/// cell dumps as zeros: its slots hold what no fluid cell reads, and under
+/// the AA pattern a wall slot holds a different dead value than under pull
+/// (the boundary sweep overwrites it before any read).
 fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u64, Vec<f64>)> {
     view.blocks
         .iter()
         .zip(blocks)
         .map(|(lb, b)| {
-            let (nx, ny) = (b.shape.nx, b.shape.ny as i32);
+            let (nx, ny) = (b.shape.nx, b.shape.ny);
             let mut vals = vec![0.0; b.shape.interior_cells() * 19];
-            let mut buf = vec![0.0; nx];
-            for (cells, yz) in vals.chunks_exact_mut(nx * 19).zip(0..) {
-                let (y, z) = (yz % ny, yz / ny);
+            for s in &b.intervals.spans {
+                let first = (s.z as usize * ny + s.y as usize) * nx + s.x_begin as usize;
+                let cells = &mut vals[first * 19..(first + s.len()) * 19];
                 for q in 0..19 {
-                    let row = b.src.row_or_read(q, 0, y, z, &mut buf);
+                    let row = b.src.row(q, s.x_begin, s.y, s.z, s.len());
                     cells.iter_mut().skip(q).step_by(19).zip(row).for_each(|(c, &v)| *c = v);
                 }
-                for (x, cell) in (0..).zip(cells.chunks_exact_mut(19)) {
-                    if !b.flags.flags(x, y, z).is_fluid() {
+                for (x, cell) in (s.x_begin..).zip(cells.chunks_exact_mut(19)) {
+                    if !b.flags.flags(x, s.y, s.z).is_fluid() {
                         cell.fill(0.0);
                     }
                 }
@@ -1314,68 +1311,29 @@ impl Rebalancer {
     }
 }
 
-/// Reusable ghost-exchange state: the 26-direction crossing table plus the
-/// *remote* links' buffers and bookkeeping vectors recycled across steps
-/// (same-rank links copy field to field and stage nothing), so the fast
-/// path performs **no heap allocation** after warm-up. Received payloads
+/// Ghost-exchange state around the plan: the remote links and which
+/// blocks wait on them, per view (built by [`RankLoop::blocks_replaced`]),
+/// and the message buffers and per-step results recycled across steps, so
+/// a step performs **no heap allocation** after warm-up. Received payloads
 /// become the next step's send buffers — per-step send and receive counts
 /// are equal (links are symmetric): steady state after one step.
+#[derive(Default)]
 struct GhostCtx {
-    table: CrossingTable,
-    pool: Vec<Vec<u8>>,
-    /// `(block index, direction)` per receive posted this step, indexed
-    /// by the receive's token.
-    meta: Vec<(usize, [i8; 3])>,
-    /// Per local block: whether it posted a receive this step.
+    /// The remote links in plan order, `(block index, direction, the
+    /// neighbor's rank, the neighbor's id)`; a link's index is the token
+    /// of its receive.
+    remote: Vec<(usize, [i8; 3], u32, BlockId)>,
+    /// Per local block: whether it posts a receive each step.
     waits: Vec<bool>,
+    pool: Vec<Vec<u8>>,
     /// Sweep seconds per local block this step.
     seconds: Vec<f64>,
     /// Per-block masked boundary force this step, folded in block order
     /// at step end.
     forces: Vec<[f64; 3]>,
-    /// Seconds of this step's pack-and-post phase: this rank's own
-    /// exchange effort, excluding every blocked wait.
+    /// Seconds of this step's gather-and-post and same-rank moves: this
+    /// rank's own exchange effort, excluding every blocked wait.
     pack_seconds: f64,
-}
-
-impl GhostCtx {
-    fn new() -> Self {
-        GhostCtx {
-            table: CrossingTable::new::<D3Q19>(),
-            pool: Vec::new(),
-            meta: Vec::new(),
-            waits: Vec::new(),
-            seconds: Vec::new(),
-            forces: Vec::new(),
-            pack_seconds: 0.0,
-        }
-    }
-
-    /// Resets the per-step bookkeeping for `num_blocks` local blocks.
-    fn begin_step(&mut self, num_blocks: usize) {
-        self.meta.clear();
-        self.waits.clear();
-        self.waits.resize(num_blocks, false);
-        self.seconds.clear();
-        self.seconds.resize(num_blocks, 0.0);
-        self.forces.clear();
-        self.forces.resize(num_blocks, [0.0; 3]);
-    }
-
-    /// Packs `block`'s interior slab facing `d` into a pooled buffer.
-    fn pack(&mut self, block: &BlockSim, d: [i8; 3]) -> Vec<u8> {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        pack_face_with::<D3Q19, _>(&block.src, d, self.table.qs(d), &mut buf);
-        buf
-    }
-
-    /// Unpacks a peer's `data` into `b`'s ghost slab `d`, recycles the buffer.
-    fn unpack(&mut self, b: &mut BlockSim, d: [i8; 3], data: Vec<u8>) -> Result<(), CommError> {
-        let res = try_unpack_face_with::<D3Q19, _>(&mut b.src, d, self.table.qs_reversed(d), &data);
-        self.pool.push(data);
-        res.map_err(|_| CommError::Protocol)
-    }
 }
 
 /// Splits `items` into exactly `min(parts, len)` contiguous slices whose
@@ -1579,29 +1537,38 @@ mod tests {
     fn truncated_ghost_message_from_a_peer_is_a_protocol_error() {
         let s = Scenario::lid_driven_cavity(8, 2, 0.05, 0.1);
         let plan = plan_run(&s, 2);
+        // Not a time loop: `bytes` for every face rank 0 expects.
+        let answer = |comm: &mut Communicator, bytes: usize| {
+            for lb in &plan.views[0].blocks {
+                for (link, d) in lb.links.iter().zip(NEIGHBOR_DIRS) {
+                    if matches!(link, BlockLink::Remote(..)) {
+                        comm.send(0, ghost_tag(lb.id, d, 0), vec![0; bytes]);
+                    }
+                }
+            }
+        };
         let outcome = World::run_fallible(2, None, |mut comm| {
             if comm.rank() == 0 {
                 return Some(drive_rank(comm, &plan, &s, 1, 1, &[], &RunConfig::default()));
             }
-            // Not a time loop: one value for every face rank 0 expects.
-            for lb in &plan.views[0].blocks {
-                for (link, d) in lb.links.iter().zip(NEIGHBOR_DIRS) {
-                    if matches!(link, BlockLink::Remote(..)) {
-                        comm.send(0, ghost_tag(lb.id, d, 0), vec![0; 8]);
-                    }
-                }
-            }
+            answer(&mut comm, 8);
             None
         });
         match &outcome[0] {
             Ok(Some(Err(RecoveryError::Comm { rank: 0, error: CommError::Protocol }))) => {}
             other => panic!("expected a protocol error on rank 0, got {other:?}"),
         }
-        // The buffer of a rejected message still returns to the pool.
-        let mut ctx = GhostCtx::new();
-        let mut block = s.build_block(&plan.views[0].blocks[0]);
-        assert_eq!(ctx.unpack(&mut block, [1, 0, 0], vec![0; 24]), Err(CommError::Protocol));
-        assert_eq!(ctx.pool.len(), 1);
+        // The buffer of a rejected message still returns to the pool: the
+        // step fails on the first message, and the pool holds its buffer.
+        let pooled = World::run_fallible(2, None, |mut comm| {
+            if comm.rank() == 0 {
+                let mut lp = RankLoop::new(comm, &plan, &s, 1, DriverConfig::default());
+                return Some((lp.step(0, None), lp.ctx.pool.len()));
+            }
+            answer(&mut comm, 24);
+            None
+        });
+        assert_eq!(pooled[0], Ok(Some((Err(CommError::Protocol), 1))));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub trait PdfField<M: LatticeModel>: Send {
     }
 
     /// Reads the *row* of PDF `q` starting at `(x0, y, z)`: `out[i] = get(x0
-    /// + i, y, z, q)` — what whole-field walks outside the kernels move.
+    /// + i, y, z, q)` — how the reference ghost pack walks a slab.
     fn read_row(&self, q: usize, x0: i32, y: i32, z: i32, out: &mut [f64]) {
         (x0..).zip(out).for_each(|(x, v)| *v = self.get(x, y, z, q));
     }
@@ -318,25 +318,6 @@ impl<M: LatticeModel> SoaPdfField<M> {
         &self.data[s..s + len]
     }
 
-    /// The row of `buf.len()` PDFs `q` from `(x0, y, z)` on: borrowed on
-    /// box storage, [`read_row`](PdfField::read_row) into `buf` on a row
-    /// store.
-    #[inline(always)]
-    pub fn row_or_read<'a>(
-        &'a self,
-        q: usize,
-        x0: i32,
-        y: i32,
-        z: i32,
-        buf: &'a mut [f64],
-    ) -> &'a [f64] {
-        if self.rows.is_none() {
-            return self.row(q, x0, y, z, buf.len());
-        }
-        self.read_row(q, x0, y, z, buf);
-        buf
-    }
-
     /// The stored array of direction `q`.
     #[inline(always)]
     pub fn dir(&self, q: usize) -> &[f64] {
@@ -448,25 +429,6 @@ impl<M: LatticeModel> PdfField<M> for SoaPdfField<M> {
         }
     }
 
-    /// Zeros for the cells the store does not hold.
-    #[inline(always)]
-    fn read_row(&self, q: usize, x0: i32, y: i32, z: i32, out: &mut [f64]) {
-        let (part, s) = self.stored_row(self.parity, q, x0, y, z, out.len());
-        if part.len() < out.len() {
-            out.fill(0.0);
-        }
-        let n = part.len();
-        copy_row(&self.data[s..s + n], &mut out[part]);
-    }
-
-    /// Drops the values of the cells the store does not hold.
-    #[inline(always)]
-    fn write_row(&mut self, q: usize, x0: i32, y: i32, z: i32, vals: &[f64]) {
-        let (part, s) = self.stored_row(self.parity, q, x0, y, z, vals.len());
-        let n = part.len();
-        copy_row(&vals[part], &mut self.data[s..s + n]);
-    }
-
     /// One `fill` per direction array; canonical parity only.
     fn fill_equilibrium(&mut self, rho: f64, u: [f64; 3]) {
         assert!(!self.parity, "equilibrium fill requires canonical (even) storage parity");
@@ -518,15 +480,6 @@ fn stored_part<M: LatticeModel>(
         0
     };
     (lo..hi, s)
-}
-
-/// `copy_from_slice`; a one-cell row (x-face slabs) skips the `memcpy` call.
-#[inline(always)]
-fn copy_row(from: &[f64], to: &mut [f64]) {
-    match (from, to) {
-        ([v], [slot]) => *slot = *v,
-        (from, to) => to.copy_from_slice(from),
-    }
 }
 
 /// Copies the contents of one PDF field into another of identical shape,

@@ -17,12 +17,12 @@ pub enum SpanKind {
     Kernel,
     /// Boundary-condition sweeps.
     Boundary,
-    /// Remote ghost-exchange *work*: packing and sending every remote
-    /// link's slab, posting its receive.
+    /// Remote ghost-exchange *work*: gathering every remote link's slab
+    /// through its exchange plan runs, sending it, posting its receive.
     GhostPack,
     /// Same-rank ghost moves: the walk over the rank's exchange plan.
     GhostCopy,
-    /// Ghost-message drain: the receive and unpack of one remote slab,
+    /// Ghost-message drain: the receive and scatter of one remote slab,
     /// under either schedule. Overlapped, it also covers the wait for
     /// the message.
     GhostDrain,

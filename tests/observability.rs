@@ -308,6 +308,48 @@ fn local_copy_counts_are_pinned() {
     assert_eq!(got, [[51_520, 27_520, 51_520]; 2]);
 }
 
+/// `comm.packed_values` / `comm.unpacked_values`: the PDF values remote
+/// links gather into messages and scatter from them, per rank, beside the
+/// whole-slab values of the same links, over `steps` steps on 2 ranks.
+fn remote_counts(s: &Scenario, steps: u64) -> Vec<[u64; 3]> {
+    use trillium_blockforest::{BlockLink, NEIGHBOR_DIRS};
+    let plan = plan_run(s, 2);
+    let table = trillium_comm::CrossingTable::new::<trillium_lattice::D3Q19>();
+    let shape = trillium_field::Shape::new(s.cells[0], s.cells[1], s.cells[2], 1);
+    let r = run_distributed_with(s, 2, 1, steps, &[], DriverConfig::default());
+    r.ranks
+        .iter()
+        .zip(&plan.views)
+        .map(|(rr, view)| {
+            let slab: usize = (view.blocks.iter())
+                .flat_map(|b| b.links.iter().zip(NEIGHBOR_DIRS))
+                .filter(|(link, _)| matches!(link, BlockLink::Remote(..)))
+                .map(|(_, d)| shape.boundary_slab(d, 1).num_cells() * table.qs(d).len())
+                .sum();
+            let m = &rr.obs.as_ref().unwrap().metrics;
+            let count = |name| m.counter(name);
+            [count("comm.packed_values"), count("comm.unpacked_values"), slab as u64 * steps]
+        })
+        .collect()
+}
+
+/// Exact remote gather and scatter counts over 5 steps on 2 ranks, next
+/// to the same-rank ones: every rank packs the whole slabs of its remote
+/// links. On the obstacle channel carved blocks receive remote messages,
+/// so fewer values are unpacked than packed; on the all-dense cavity
+/// exactly as many.
+#[test]
+fn remote_halves_counts_are_pinned() {
+    let channel = Scenario::channel_with_obstacle([32, 16, 16], [4, 2, 2], 0.08, 0.04, 0.18);
+    let got = remote_counts(&channel, 5);
+    assert_eq!(got, [[6_720, 5_480, 6_720]; 2]);
+    assert!(got.iter().all(|[packed, unpacked, slab]| packed == slab && unpacked < packed));
+    let cavity = Scenario::lid_driven_cavity(32, 2, 0.06, 0.08);
+    let got = remote_counts(&cavity, 5);
+    assert_eq!(got, [[26_240, 26_240, 26_240]; 2]);
+    assert!(got.iter().all(|[packed, unpacked, slab]| packed == slab && unpacked == packed));
+}
+
 /// Both schedules sweep through one window. On one rank no message is
 /// remote, so the overlapped step is the synchronous one: the same span
 /// kinds, opened as often — every block swept whole under `Kernel` once
