@@ -832,8 +832,10 @@ impl<'a> RankLoop<'a> {
     /// The one hook after the block vector was replaced (built, migrated
     /// or rolled back): rebuilds the exchange plan and [`GhostCtx`] from
     /// every link of the view, and sets the gauges `boundary.links`, the
-    /// boundary work per step of this rank's blocks, `mem.pdf_bytes`, the
-    /// PDF storage they hold (`src` + `dst`), and `mem.plan_bytes`.
+    /// boundary work per step of this rank's blocks, its pressure part
+    /// `boundary.pressure_links` over `boundary.pressure_cells` fluid
+    /// cells, `mem.pdf_bytes`, the PDF storage they hold (`src` + `dst`),
+    /// and `mem.plan_bytes`.
     pub(crate) fn blocks_replaced(&mut self) {
         // The old plan goes first: two never live at once.
         self.plan = ExchangePlan::default();
@@ -858,14 +860,13 @@ impl<'a> RankLoop<'a> {
         let plan_blocks: Vec<_> = self.blocks.iter().map(BlockSim::plan_block).collect();
         let remote = ctx.remote.iter().map(|&(bi, d, ..)| (bi, d));
         self.plan = ExchangePlan::build(&plan_blocks, local, remote);
-        let (mut links, mut pdf_bytes) = (0, 0);
-        for b in &self.blocks {
-            links += b.boundary_links().len();
-            pdf_bytes += b.pdf_bytes();
-        }
-        self.rec.metrics().gauge("boundary.links", links as f64);
-        self.rec.metrics().gauge("mem.pdf_bytes", pdf_bytes as f64);
-        self.rec.metrics().gauge("mem.plan_bytes", self.plan.bytes() as f64);
+        let sum = |f: fn(&BlockSim) -> usize| self.blocks.iter().map(f).sum::<usize>() as f64;
+        let m = self.rec.metrics();
+        m.gauge("boundary.links", sum(|b| b.boundary_links().len()));
+        m.gauge("boundary.pressure_links", sum(|b| b.boundary_links().pressure_links()));
+        m.gauge("boundary.pressure_cells", sum(|b| b.boundary_links().pressure_cells()));
+        m.gauge("mem.pdf_bytes", sum(BlockSim::pdf_bytes));
+        m.gauge("mem.plan_bytes", self.plan.bytes() as f64);
     }
 
     /// Puts this rank under `owners` (one rank per forest block, in

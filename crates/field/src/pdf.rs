@@ -363,18 +363,13 @@ impl<M: LatticeModel> SoaPdfField<M> {
     pub fn rows_and_dirs_mut<const N: usize>(&mut self) -> (Option<&RowTable>, [&mut [f64]; N]) {
         assert_eq!(N, M::Q, "line table size must equal the model's Q");
         let n = self.cells();
-        let (rows, mut rest) = self.rows_and_data_mut();
+        let (rows, mut rest) = (self.rows.as_deref(), &mut self.data[..]);
         let dirs = std::array::from_fn(|_| {
             let (grid, tail) = std::mem::take(&mut rest).split_at_mut(n);
             rest = tail;
             grid
         });
         (rows, dirs)
-    }
-
-    /// [`rows`](Self::rows) beside [`data_mut`](Self::data_mut).
-    pub fn rows_and_data_mut(&mut self) -> (Option<&RowTable>, &mut [f64]) {
-        (self.rows.as_deref(), &mut self.data)
     }
 
     /// True if `other` has this field's shape and stores the same cells

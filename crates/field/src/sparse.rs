@@ -181,13 +181,6 @@ impl RowTable {
         (i < r.len).then(|| (r.offset + i) as usize)
     }
 
-    /// The cell stored at position `pos` (below [`cells`](Self::cells)).
-    pub fn coords(&self, pos: usize) -> [i32; 3] {
-        let i = self.rows.partition_point(|r| (r.offset + r.len) as usize <= pos);
-        let (r, g, ay) = (self.rows[i], self.shape.ghost as i32, self.shape.ay());
-        [r.x0 + (pos - r.offset as usize) as i32, (i % ay) as i32 - g, (i / ay) as i32 - g]
-    }
-
     /// Position of the run of `n` cells from `(x, y, z)` on, which must
     /// be stored whole (a broken caller panics here instead of reading
     /// another row's cells).

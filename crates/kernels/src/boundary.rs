@@ -43,16 +43,24 @@
 //! `d[b] ← g(d[a])`; the offsets are valid for any buffer of the block's
 //! shape and storage.
 //!
+//! **Pressure links per fluid cell.** `u_x` takes all 19 logical PDFs of
+//! `x`, so the list also groups its pressure links by fluid cell, with the
+//! storage positions of the rows that hold those PDFs. The sweep reads a
+//! cell's PDFs once at the field's parity, computes `u_x` once and writes
+//! each of its links, whose slots are those of `(x, q̄)` at the two parities.
+//!
 //! **Order.** Links are stored in contiguous *runs* of equal (wall in ghost
 //! layer?, wall flag byte, `q`), runs sorted by that key, links inside a
 //! run by the wall cell's linear index. All runs of interior wall cells
 //! (in-block obstacles) precede all runs of ghost-layer wall cells (domain
-//! hull). Every block takes the whole list at once ([`BoundaryLinks::apply`]).
-//! Every written slot belongs to exactly one link and every read slot
-//! holds a logical fluid-cell PDF, so the PDF result does not depend on
-//! this order; the force sum of [`BoundaryLinks::force`] does, which makes
-//! the order part of the list's definition (pinned force series and
-//! fingerprints were recorded with it).
+//! hull). Every block takes the whole list at once ([`BoundaryLinks::apply`]):
+//! the no-slip and velocity runs in list order, then the pressure links
+//! cell by cell. Every written slot belongs to exactly one link and every
+//! read slot holds a logical fluid-cell PDF, so no write changes a value
+//! another link reads and the PDF result does not depend on this order.
+//! The force sum of [`BoundaryLinks::force`] does: it walks the runs in
+//! list order for every mask, which makes the order part of the list's
+//! definition (pinned force series and fingerprints were recorded with it).
 //!
 //! The flag-scanning [`apply_boundaries`] / [`momentum_exchange_force`]
 //! remain as the implementation for arbitrary lattice models and layouts
@@ -207,6 +215,20 @@ impl Link {
     }
 }
 
+/// The pressure links of one fluid cell `x` (see the module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PressureCell {
+    /// `pos(x + (0, dy, dz))` at `3·dy + dz + 4`. Logical `(x, k)` sits at
+    /// `k·n + pos(x)` at even parity, and at `k̄·n + pos(x + c_k)` at odd
+    /// parity, `c_k.x` cells from its row's entry (a row store holds
+    /// `x ± 1` of every row that a pull of `x` reads).
+    rows: [u32; 9],
+    /// Bit `q`: the link from the wall cell `x − c_q` in direction `q`.
+    dirs: u32,
+    /// The bits of `dirs` whose wall takes `pressure_density_alt`.
+    alt: u32,
+}
+
 /// A contiguous run of links with the same wall flag byte and direction;
 /// it ends at link `end` and starts where the previous run ends.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -253,6 +275,8 @@ pub struct BoundaryLinks {
     params: BoundaryParams,
     links: Vec<Link>,
     runs: Vec<Run>,
+    /// The pressure links of `links` by fluid cell, in storage order.
+    pressure: Vec<PressureCell>,
 }
 
 impl BoundaryLinks {
@@ -306,6 +330,7 @@ impl BoundaryLinks {
         // grouped by (wall in ghost layer?, flag byte); bit `q` of `dirs`
         // marks the link `(cell, q)`. `group_of` finds a cell's group
         // without a search.
+        // `pressure` collects every pressure link as (fluid cell, q, alt).
         struct Group {
             key: (bool, u8),
             walls: Vec<(u32, u32)>, // (cell, dirs)
@@ -313,6 +338,7 @@ impl BoundaryLinks {
         }
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of = [usize::MAX; 2 * 256];
+        let mut pressure = Vec::new();
         for wz in -g..shape.nz as i32 + g {
             for wy in -g..shape.ny as i32 + g {
                 let row = shape.idx(-g, wy, wz);
@@ -329,13 +355,21 @@ impl BoundaryLinks {
                         groups.push(Group { key: (ghost, byte), walls: Vec::new(), count: [0; Q] });
                     }
                     let group = &mut groups[*slot];
+                    let flag = CellFlags(byte);
+                    let pressure_wall =
+                        !flag.intersects(CellFlags(CellFlags::NOSLIP.0 | CellFlags::VELOCITY.0));
+                    let alt = !flag.intersects(CellFlags::PRESSURE); // as `wall_density` picks
                     let mut dirs = 0;
                     // Inward on all three axes: the target is an interior
                     // cell, `w + hop[q]` its index.
                     for q in set_bits(inward_yz & inward(0, wx, shape.nx)) {
-                        if CellFlags(cell_flags[w.wrapping_add_signed(hop[q])]).is_fluid() {
+                        let x = w.wrapping_add_signed(hop[q]);
+                        if CellFlags(cell_flags[x]).is_fluid() {
                             dirs |= 1 << q;
                             group.count[q] += 1;
+                            if pressure_wall {
+                                pressure.push((x as u32, q as u8, alt));
+                            }
                         }
                     }
                     if dirs != 0 {
@@ -363,6 +397,7 @@ impl BoundaryLinks {
             params: *params,
             links: vec![Link { wall: 0, fluid: 0 }; total as usize],
             runs: Vec::new(),
+            pressure: Vec::new(),
         };
         let mut end = 0;
         for group in &groups {
@@ -381,6 +416,21 @@ impl BoundaryLinks {
                 }
             }
         }
+
+        // Pass 3: the pressure links by fluid cell, sorted by its index
+        // (which orders storage positions too).
+        pressure.sort_unstable();
+        list.pressure = (pressure.chunk_by(|a, b| a.0 == b.0))
+            .map(|links| PressureCell {
+                rows: std::array::from_fn(|r| {
+                    let (dy, dz) = (r as isize / 3 - 1, r as isize % 3 - 1); // r = 3·dy + dz + 4
+                    pos(links[0].0 as usize, dy * sy + dz * sz) as u32
+                }),
+                dirs: links.iter().fold(0, |m, &(_, q, _)| m | 1 << q),
+                alt: links.iter().fold(0, |m, &(_, q, alt)| m | (alt as u32) << q),
+            })
+            .collect();
+        list.pressure.shrink_to_fit();
         Ok(list)
     }
 
@@ -399,15 +449,24 @@ impl BoundaryLinks {
         self.links.is_empty()
     }
 
+    /// Number of pressure links.
+    pub fn pressure_links(&self) -> usize {
+        self.pressure.iter().map(|c| c.dirs.count_ones() as usize).sum()
+    }
+
+    /// Number of fluid cells with at least one pressure link.
+    pub fn pressure_cells(&self) -> usize {
+        self.pressure.len()
+    }
+
     /// The preparatory sweep over all links. Call after ghost-layer
     /// synchronization and before the stream–collide sweep of every step;
     /// `f` may be any buffer of the block's shape, at either parity.
     pub fn apply(&self, f: &mut SoaPdfField<D3Q19>) {
         self.check_storage(f);
         let odd = f.parity();
-        let (rows, d) = f.rows_and_data_mut();
+        let d = f.data_mut();
         for (run, links) in self.runs_with_links() {
-            let q = run.q as usize;
             if run.flag.intersects(CellFlags::NOSLIP) {
                 // A pure copy: `+ 0.0` would turn −0.0 into +0.0.
                 for l in links {
@@ -415,20 +474,34 @@ impl BoundaryLinks {
                     d[dst] = d[src];
                 }
             } else if run.flag.intersects(CellFlags::VELOCITY) {
-                let term = self.params.velocity_term::<D3Q19>(q);
+                let term = self.params.velocity_term::<D3Q19>(run.q as usize);
                 for l in links {
                     let (dst, src) = l.slots(odd);
                     d[dst] = d[src] + term;
                 }
-            } else {
-                let rho_w = self.params.wall_density(run.flag);
-                let n = self.cells;
-                for l in links {
-                    let (dst, src) = l.slots(odd);
-                    let pdfs = self.logical_cell(d, odd, rows, l.fluid as usize - INVERSE[q] * n);
-                    let u = trillium_lattice::velocity::<D3Q19>(&pdfs);
-                    d[dst] = -d[src] + 2.0 * equilibrium_even::<D3Q19>(q, rho_w, u);
+            }
+        }
+        // The pressure runs, per fluid cell `x`: the link `(x − c_q, q)`
+        // reads `(x, q̄)` at the field's parity and writes the slot where
+        // `(x, q̄)` sits at the other one.
+        let (n, p) = (self.cells, &self.params);
+        for c in &self.pressure {
+            let at = |k: usize, odd: bool| {
+                let [cx, cy, cz] = C[k].map(i32::from);
+                if odd {
+                    INVERSE[k] * n
+                        + c.rows[(3 * cy + cz + 4) as usize].wrapping_add_signed(cx) as usize
+                } else {
+                    k * n + c.rows[4] as usize
                 }
+            };
+            let pdfs: [f64; Q] = std::array::from_fn(|k| d[at(k, odd)]);
+            let u = trillium_lattice::velocity::<D3Q19>(&pdfs);
+            for q in set_bits(c.dirs) {
+                let rho_w =
+                    if c.alt & 1 << q == 0 { p.pressure_density } else { p.pressure_density_alt };
+                let qi = INVERSE[q];
+                d[at(qi, !odd)] = -pdfs[qi] + 2.0 * equilibrium_even::<D3Q19>(q, rho_w, u);
             }
         }
     }
@@ -448,29 +521,6 @@ impl BoundaryLinks {
     fn check_storage(&self, f: &SoaPdfField<D3Q19>) {
         assert_eq!(f.shape(), self.shape, "boundary links were built for another shape");
         assert_eq!(f.cells(), self.cells, "boundary links were built for another storage");
-    }
-
-    /// The 19 logical PDFs of the interior cell at position `cell`, read
-    /// from raw storage `d` (storing the cells of `rows`) at parity `odd`,
-    /// where logical `(x, k)` sits at `(x + c_k, k̄)`: one hop along the
-    /// box strides, or the table's position of that neighbour, which a
-    /// row store holds for every cell its sweep covers.
-    #[inline(always)]
-    fn logical_cell(&self, d: &[f64], odd: bool, rows: Option<&RowTable>, cell: usize) -> [f64; Q] {
-        let n = self.cells;
-        if !odd {
-            return std::array::from_fn(|k| d[k * n + cell]);
-        }
-        let (sy, sz) = (self.shape.stride_y() as isize, self.shape.stride_z() as isize);
-        let at = rows.map(|t| (t, t.coords(cell)));
-        std::array::from_fn(|k| {
-            let [cx, cy, cz] = C[k].map(i32::from);
-            let pos = match at {
-                None => cell.wrapping_add_signed(cx as isize + cy as isize * sy + cz as isize * sz),
-                Some((t, [x, y, z])) => t.run(x + cx, y + cy, z + cz, 1),
-            };
-            d[INVERSE[k] * n + pos]
-        })
     }
 
     /// Momentum-exchange force on the wall cells whose flag byte
@@ -504,8 +554,9 @@ impl BoundaryLinks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generic;
-    use trillium_field::AosPdfField;
+    use crate::{generic, BackendKind, Collision};
+    use std::sync::Arc;
+    use trillium_field::{AosPdfField, RowIntervals};
     use trillium_lattice::{Relaxation, D3Q19, MAGIC_TRT};
 
     /// Builds a fully enclosed box: interior all fluid, the ghost layer is
@@ -654,8 +705,7 @@ mod tests {
         }
     }
 
-    fn perturbed(shape: Shape) -> SoaPdfField<D3Q19> {
-        let mut f = SoaPdfField::<D3Q19>::new(shape);
+    fn perturbed(mut f: SoaPdfField<D3Q19>) -> SoaPdfField<D3Q19> {
         f.fill_equilibrium(1.0, [0.02, -0.01, 0.015]);
         for (i, v) in f.data_mut().iter_mut().enumerate() {
             *v += 1e-4 * (((i * 2654435761) % 997) as f64 / 997.0 - 0.5);
@@ -695,7 +745,7 @@ mod tests {
             let links = BoundaryLinks::build(&flags, &params).unwrap();
             assert!(!links.is_empty());
             for inplace in [false, true] {
-                let mut scan = perturbed(shape);
+                let mut scan = perturbed(SoaPdfField::new(shape));
                 let mut list = scan.clone();
                 for step in 0..12 {
                     let what = format!("{name} inplace={inplace} step {step}");
@@ -720,7 +770,7 @@ mod tests {
         let rel = Relaxation::trt_from_tau(0.85, MAGIC_TRT);
         let (_, flags) = oracle_cases(shape).pop().unwrap();
         let links = BoundaryLinks::build(&flags, &params).unwrap();
-        let mut pull = perturbed(shape);
+        let mut pull = perturbed(SoaPdfField::new(shape));
         let mut aa = pull.clone();
         for step in 0..4 {
             links.apply(&mut pull);
@@ -748,6 +798,76 @@ mod tests {
         }
     }
 
+    /// The mixed case carved to a wedge: interior cells with `y + z ≥ 7`
+    /// leave the fluid, those next to it become no-slip walls, the rest
+    /// is unclassified.
+    fn carved_mixed(shape: Shape) -> FlagField {
+        let (_, mut flags) = oracle_cases(shape).pop().unwrap();
+        for (x, y, z) in shape.interior().iter().filter(|&(_, y, z)| y + z >= 7) {
+            flags.set_flags(x, y, z, CellFlags(0));
+        }
+        for (x, y, z) in shape.interior().iter() {
+            let near_fluid = C.iter().any(|c| {
+                let (tx, ty, tz) = (x + c[0] as i32, y + c[1] as i32, z + c[2] as i32);
+                shape.is_interior(tx, ty, tz) && flags.flags(tx, ty, tz).is_fluid()
+            });
+            if flags.flags(x, y, z) == CellFlags(0) && near_fluid {
+                flags.set_flags(x, y, z, CellFlags::NOSLIP);
+            }
+        }
+        flags
+    }
+
+    /// One TRT step of a row-store field over the spans of `intervals`:
+    /// two-field pull, or in place (which flips the storage parity).
+    fn advance_rows(f: &mut SoaPdfField<D3Q19>, intervals: &RowIntervals, inplace: bool) {
+        let (be, rel) =
+            (BackendKind::Portable.dispatch(), Relaxation::trt_from_tau(0.85, MAGIC_TRT));
+        if inplace {
+            let region = f.shape().interior();
+            be.sweep_inplace_region(Collision::Trt, f, Some(intervals), rel, &region);
+            f.set_parity(!f.parity());
+        } else {
+            let mut dst = f.clone();
+            be.sweep_sparse(Collision::Trt, f, &mut dst, intervals, rel);
+            f.swap(&mut dst);
+        }
+    }
+
+    /// On a row store (`RowTable::pull_reads` of a carved mixed case) the
+    /// list — pressure links cell by cell, at odd parity through the
+    /// table's positions — writes bitwise what the flag scan writes through
+    /// the same field's accessors, at every stored slot, after every
+    /// boundary sweep of 12 steps, pull and in place through both parities.
+    /// The case has pressure and pressure-alt walls, fluid cells with
+    /// several pressure links and one with a link of each density.
+    #[test]
+    fn link_list_matches_flag_scan_on_a_row_store() {
+        let shape = Shape::new(7, 6, 5, 1);
+        let (flags, params) = (carved_mixed(shape), oracle_params());
+        let intervals = RowIntervals::build(&flags);
+        let rows = Arc::new(RowTable::pull_reads::<D3Q19>(shape, &intervals));
+        assert!(rows.cells() < shape.alloc_cells());
+        let links = BoundaryLinks::build_in(&flags, &params, Some(&rows)).unwrap();
+        let cells = &links.pressure;
+        assert!(cells.iter().any(|c| c.dirs.count_ones() > 1));
+        assert!(cells.iter().any(|c| c.alt != 0) && cells.iter().any(|c| c.alt != c.dirs));
+        assert!(cells.iter().any(|c| c.alt != 0 && c.alt != c.dirs));
+        for inplace in [false, true] {
+            let mut scan = perturbed(SoaPdfField::with_rows(rows.clone()));
+            let mut list = scan.clone();
+            for step in 0..12 {
+                let what = format!("inplace={inplace} step {step}");
+                apply_boundaries::<D3Q19, _>(&mut scan, &flags, &params);
+                links.apply(&mut list);
+                assert_same_bits(&scan, &list, &what);
+                advance_rows(&mut scan, &intervals, inplace);
+                advance_rows(&mut list, &intervals, inplace);
+                assert_eq!(list.parity(), inplace && step % 2 == 0);
+            }
+        }
+    }
+
     /// Interior wall links come first, ghost-layer wall links last, and a
     /// block without walls allocates nothing.
     #[test]
@@ -772,7 +892,7 @@ mod tests {
         let open = BoundaryLinks::build(&FlagField::filled(shape, CellFlags::FLUID.0), &params);
         let open = open.unwrap();
         assert!(open.is_empty());
-        assert_eq!(open.links.capacity() + open.runs.capacity(), 0);
+        assert_eq!(open.links.capacity() + open.runs.capacity() + open.pressure.capacity(), 0);
     }
 
     /// 19 · cells beyond `u32::MAX` is refused, not wrapped. (The flag

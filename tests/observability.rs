@@ -350,6 +350,45 @@ fn remote_halves_counts_are_pinned() {
     assert!(got.iter().all(|[packed, unpacked, slab]| packed == slab && unpacked == packed));
 }
 
+/// `boundary.pressure_links` / `boundary.pressure_cells` per rank on the
+/// obstacle channel, against a brute-force count over each block's
+/// flags: the links from a `PRESSURE | PRESSURE_ALT` wall cell into a
+/// fluid cell, and the fluid cells with at least one. Only the rank
+/// holding the outlet face (16 x 16 cells) has any.
+#[test]
+fn pressure_link_counts_are_pinned() {
+    use trillium_field::{CellFlags, FlagOps};
+    use trillium_lattice::d3q19::C;
+    let channel = Scenario::channel_with_obstacle([32, 16, 16], [4, 2, 2], 0.08, 0.04, 0.18);
+    let pressure = CellFlags(CellFlags::PRESSURE.0 | CellFlags::PRESSURE_ALT.0);
+    let plan = plan_run(&channel, 2);
+    let brute = plan.views.iter().map(|view| {
+        let (mut links, mut cells) = (0, 0);
+        for lb in &view.blocks {
+            let flags = channel.block_flags(lb);
+            for (x, y, z) in flags.shape().interior().iter() {
+                let from =
+                    |c: &[i8; 3]| flags.flags(x - c[0] as i32, y - c[1] as i32, z - c[2] as i32);
+                if flags.flags(x, y, z).is_fluid() {
+                    let n = C[1..].iter().filter(|c| from(c).intersects(pressure)).count();
+                    (links, cells) = (links + n, cells + (n > 0) as usize);
+                }
+            }
+        }
+        [links as f64, cells as f64]
+    });
+    let brute: Vec<_> = brute.collect();
+    let r = run_distributed_with(&channel, 2, 1, 1, &[], DriverConfig::default());
+    let got: Vec<_> = (r.ranks.iter())
+        .map(|rr| {
+            let gauge = |name| rr.obs.as_ref().unwrap().metrics.gauge(name).unwrap();
+            [gauge("boundary.pressure_links"), gauge("boundary.pressure_cells")]
+        })
+        .collect();
+    assert_eq!(got, brute);
+    assert_eq!(got, [[0.0, 0.0], [1_216.0, 256.0]]);
+}
+
 /// Both schedules sweep through one window. On one rank no message is
 /// remote, so the overlapped step is the synchronous one: the same span
 /// kinds, opened as often — every block swept whole under `Kernel` once
