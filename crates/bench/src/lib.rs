@@ -1,10 +1,10 @@
-//! Shared helpers for the figure/table harness binaries and the Criterion
-//! benches.
+//! Shared helpers for the harness binaries.
 //!
-//! Every `fig*` / `tab*` binary regenerates one figure or table of the
-//! paper's evaluation section (the mapping is in DESIGN.md §4). Binaries
-//! print a human-readable table to stdout; pass `--json` to also emit the
-//! raw series as JSON on the last line.
+//! `reproduce` regenerates the figures and tables of the paper's
+//! evaluation section (the mapping is in DESIGN.md §4); the `ablation_*`,
+//! `obs_overhead` and `validation_matrix` binaries are gates of their own.
+//! Binaries print a human-readable table to stdout; pass `--json` to also
+//! emit the raw series as a JSON report line.
 
 pub mod validation;
 

@@ -37,9 +37,9 @@ fn gather(src: &[f64], cell: usize, off: &[isize; Q]) -> [f64; Q] {
         // callers `assert!(shape.ghost >= 1)` and loop over the interior
         // only, and `src` holds `Q` values per allocated cell. Unchecked
         // because a checked index costs this tier 12-15 % of its
-        // Fig. 3 TRT rate (`fig3_kernels --json`, 64³ block, best of 3
-        // alternating runs, two rounds, 2-vCPU Intel Xeon host: 15.7 ->
-        // 13.4 and 16.5 -> 14.6 MLUP/s).
+        // Fig. 3 TRT rate (`reproduce fig3_kernels --json`, 64³ block,
+        // best of 3 alternating runs, two rounds, 2-vCPU Intel Xeon host:
+        // 15.7 -> 13.4 and 16.5 -> 14.6 MLUP/s).
         f[q] = unsafe { *src.get_unchecked(s) };
     }
     f
