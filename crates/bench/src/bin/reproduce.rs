@@ -1,17 +1,24 @@
-//! Regenerates the paper's figures and tables (the mapping is in DESIGN.md
-//! §4):
+//! The experiment harness: the paper's figures and tables (the mapping
+//! is in DESIGN.md §4), the ablations and the physics validation gate,
+//! one named entry each:
 //!
 //! ```text
-//! reproduce [NAME …] [--json] [--full]
+//! reproduce [NAME …] [--json] [--full] [--trace PATH] [--fault MODE] [--seed N] [--jobs N]
 //! ```
 //!
-//! Each NAME is one figure or table (`reproduce fig3_kernels`); with no
-//! name all twelve run in paper order. Each prints its table; `--json`
-//! follows it with one report line stamped `"bin": NAME`, and `--full`
-//! runs at paper scale (slow) instead of the workstation default.
+//! With no name the twelve figures and tables run in paper order; the
+//! ablations and the validation matrix run by name. Each entry prints its
+//! table; `--json` follows it with one report line stamped
+//! `"bin": NAME`, and `--full` runs at paper scale (slow) instead of the
+//! workstation default. An entry whose contract fails (the job soak, the
+//! validation matrix) makes the process exit 1 after its report; an
+//! unknown name or flag exits 2.
 
-use serde_json::{json, Value};
-use trillium_bench::{bench_relaxation, emit_json, measure_mlups, section, HarnessArgs};
+use serde_json::json;
+use trillium_bench::validation;
+use trillium_bench::{
+    ablations, bench_relaxation, emit_json, measure_mlups, section, Failed, HarnessArgs, Outcome,
+};
 use trillium_blockforest::{distribute, file, morton_balance, SetupForest};
 use trillium_core::prelude::*;
 use trillium_field::{AosPdfField, PdfField, Shape};
@@ -19,17 +26,22 @@ use trillium_geometry::vec3::vec3;
 use trillium_geometry::{Aabb, VascularTree};
 use trillium_kernels as kernels;
 use trillium_lattice::{Relaxation, UnitConverter, D3Q19};
-use trillium_machine::{measure_copy_bandwidth, measure_lbm_bandwidth, MachineSpec};
+use trillium_machine::MachineSpec;
 use trillium_perfmodel::{bytes_per_lup, roofline_mlups, EcmModel};
 use trillium_scaling::fig7::Fig7Config;
 use trillium_scaling::{fig1, fig3, fig4, fig5, fig6, fig7, fig8, headline, paper_tree};
 
-/// One figure or table: its name and the function that prints it and
-/// returns its JSON payload (the argument is `--full`).
-type Figure = (&'static str, fn(bool) -> Value);
+/// One entry: its name and the function that prints its table and
+/// returns its JSON payload.
+type Entry = (&'static str, fn(&HarnessArgs) -> Outcome);
 
-/// Every figure and table, in paper order.
-const FIGURES: [Figure; 12] = [
+/// The figures and tables, in paper order: what runs when no name is
+/// given.
+const FIGURES: usize = 12;
+
+/// Every entry: the figures and tables first, in paper order, then the
+/// ablations and the validation gate.
+const ENTRIES: [Entry; FIGURES + 7] = [
     ("fig1_partition", fig1_partition),
     ("fig2_two_stage", fig2_two_stage),
     ("tab_forestfile", tab_forestfile),
@@ -42,38 +54,64 @@ const FIGURES: [Figure; 12] = [
     ("fig7_weak_vascular", fig7_weak_vascular),
     ("fig8_strong_vascular", fig8_strong_vascular),
     ("tab_vascular_headline", tab_vascular_headline),
+    ("ablation_balance", ablations::balance),
+    ("ablation_jobs", ablations::jobs),
+    ("ablation_overlap", ablations::overlap),
+    ("ablation_rebalance", ablations::rebalance),
+    ("ablation_resilience", ablations::resilience),
+    ("ablation_sparse_comm", ablations::sparse_comm),
+    ("validation_matrix", validation::matrix),
 ];
 
-/// The figures `names` asks for, in the order given; all of them when
-/// `names` is empty. An unknown name is an error that lists the valid ones.
-fn resolve(names: &[String]) -> Result<Vec<Figure>, String> {
-    if names.is_empty() {
-        return Ok(FIGURES.to_vec());
+/// Parses the command line (without the program name) and looks up the
+/// entries it names, in the order given; the twelve figures when it
+/// names none. An unknown name or flag, or a value flag without its
+/// value, is an error that lists the valid names.
+fn resolve(args: &[String]) -> Result<(HarnessArgs, Vec<Entry>), String> {
+    let usage = |e: String| {
+        let valid: Vec<&str> = ENTRIES.iter().map(|(n, _)| *n).collect();
+        format!("{e}; valid names: {}", valid.join(" "))
+    };
+    let args = HarnessArgs::parse(args.iter().cloned()).map_err(usage)?;
+    if args.names.is_empty() {
+        return Ok((args, ENTRIES[..FIGURES].to_vec()));
     }
-    names
+    let entries = args
+        .names
         .iter()
         .map(|name| {
-            FIGURES.iter().find(|(n, _)| n == name).copied().ok_or_else(|| {
-                let valid: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
-                format!("unknown figure `{name}`; valid names: {}", valid.join(" "))
-            })
+            ENTRIES
+                .iter()
+                .find(|(n, _)| n == name)
+                .copied()
+                .ok_or_else(|| usage(format!("unknown name `{name}`")))
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((args, entries))
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let names: Vec<String> =
-        std::env::args().skip(1).filter(|a| a != "--json" && a != "--full").collect();
-    let figures = resolve(&names).unwrap_or_else(|e| {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (args, entries) = resolve(&argv).unwrap_or_else(|e| {
         eprintln!("reproduce: {e}");
         std::process::exit(2);
     });
-    for (name, figure) in figures {
-        let payload = figure(args.full);
+    let mut failed = false;
+    for (name, entry) in entries {
+        let (payload, failure) = match entry(&args) {
+            Ok(payload) => (payload, None),
+            Err(Failed { payload, reason }) => (payload, Some(reason)),
+        };
         if args.json {
             emit_json(name, payload);
         }
+        if let Some(reason) = failure {
+            eprintln!("reproduce: {name}: {reason}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -81,7 +119,7 @@ fn main() {
 /// block per process: nodeboard scale (512) and, with `--full`, the whole
 /// JUQUEEN (458,752). Paper values: 485 blocks at 512 processes,
 /// 458,184 blocks at 458,752 processes.
-fn fig1_partition(full: bool) -> Value {
+fn fig1_partition(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     let tree = paper_tree();
     section("Fig 1: one block per process partitionings of the coronary tree");
     let mut targets = vec![512usize, 4096, 32_768];
@@ -104,7 +142,7 @@ fn fig1_partition(full: bool) -> Value {
     section("partition slice (z = mid): '#' kept block, '.' dropped");
     let slice = fig1::fig1_point(&tree, 32, 2048, 4);
     render_slice(&tree, slice.dx);
-    json!(rows)
+    Ok(json!(rows))
 }
 
 fn render_slice(tree: &VascularTree, dx: f64) {
@@ -135,7 +173,7 @@ fn render_slice(tree: &VascularTree, dx: f64) {
 /// blocks. The global grid never exists in any single memory: a domain
 /// whose full grid would need terabytes is set up in megabytes, and each
 /// rank allocates only its own share.
-fn fig2_two_stage(full: bool) -> Value {
+fn fig2_two_stage(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     // Stage 1 at (near-)paper scale: the JUQUEEN weak-scaling domain.
     let (roots, cells) = if full {
         ([128usize, 96, 96], [80usize, 80, 80]) // ~1.2M blocks
@@ -187,7 +225,7 @@ fn fig2_two_stage(full: bool) -> Value {
     println!("entire simulation\" (§2.2) — which is what makes 10^12-cell domains");
     println!("possible on 2 GiB/core machines.");
 
-    json!({
+    Ok(json!({
         "blocks": nblocks,
         "cells_total": total_cells,
         "procs": procs,
@@ -197,7 +235,7 @@ fn fig2_two_stage(full: bool) -> Value {
         "rank0_blocks": v.blocks.len(),
         "rank0_cells": local_cells,
         "rank0_knowledge_units": v.knowledge_size(),
-    })
+    }))
 }
 
 /// §2.2 table — block-structure file sizes: the minimal-byte-width binary
@@ -205,7 +243,7 @@ fn fig2_two_stage(full: bool) -> Value {
 /// rank for up to 65,536 processes"; "half a million processes ... about
 /// 40 MiB" — ours is smaller because only ID + rank + workload are
 /// stored; see EXPERIMENTS.md).
-fn tab_forestfile(full: bool) -> Value {
+fn tab_forestfile(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     section("Block-structure file format (§2.2)");
     println!(
         "{:<12} {:<12} {:>12} {:>14} {:>10}",
@@ -246,14 +284,14 @@ fn tab_forestfile(full: bool) -> Value {
     println!();
     println!("rank byte-width examples: 65,536 processes -> 2 bytes; 65,537 -> 3 bytes");
     println!("byte widths: {} / {}", file::byte_width(65_535), file::byte_width(65_536));
-    json!(rows)
+    Ok(json!(rows))
 }
 
 /// §4.1 table — roofline arithmetic for both machines: STREAM vs
 /// LBM-pattern bandwidth and the resulting MLUPS bounds. The host's
 /// figures are the benchmark's `machine.copy_bw_gibs` and
 /// `machine.lbm_bw_gibs` rows.
-fn tab_roofline(_full: bool) -> Value {
+fn tab_roofline(_: &HarnessArgs) -> Outcome {
     section("Roofline inputs and bounds (paper §4.1)");
     println!("bytes per D3Q19 lattice update (write-allocate): {}", bytes_per_lup(19));
     println!();
@@ -274,7 +312,7 @@ fn tab_roofline(_full: bool) -> Value {
     }
     println!();
     println!("paper: 37.3 GiB/s -> 87.8 MLUPS (SuperMUC socket); 32.4 GiB/s -> 76.2 MLUPS (JUQUEEN node)");
-    json!({ "bytes_per_lup": bytes_per_lup(19), "machines": rows })
+    Ok(json!({ "bytes_per_lup": bytes_per_lup(19), "machines": rows }))
 }
 
 /// Fig 3 — single-node kernel-ladder comparison.
@@ -284,8 +322,9 @@ fn tab_roofline(_full: bool) -> Value {
 /// kernels of this repository on the host, for all tiers × SRT/TRT.
 /// The paper's qualitative claims to check: generic < specialized < SIMD,
 /// SIMD SRT ≈ SIMD TRT, and only the SIMD tier approaching the host's
-/// bandwidth roofline.
-fn fig3_kernels(full: bool) -> Value {
+/// bandwidth roofline (the benchmark's `perfmodel.roofline_mlups` row,
+/// from its `machine.*_bw_gibs` measurements).
+fn fig3_kernels(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     let n = if full { 128 } else { 64 };
     let reps = if full { 10 } else { 4 };
 
@@ -388,19 +427,7 @@ fn fig3_kernels(full: bool) -> Value {
         resolved.label()
     );
 
-    // Host roofline from the measured bandwidths (the roofline bound uses
-    // the best bandwidth the memory interface delivers).
-    let bw_lbm = measure_lbm_bandwidth(1 << 17, 5);
-    let bw_copy = measure_copy_bandwidth(16 << 20, 5);
-    let bw = bw_lbm.max(bw_copy);
-    let roof = roofline_mlups(bw, 19);
-    println!();
-    println!(
-        "host bandwidth: copy {bw_copy:.1} GiB/s, LBM-pattern {bw_lbm:.1} GiB/s -> roofline {roof:.1} MLUPS"
-    );
-    println!("SIMD tier reaches {:.0} % of the host roofline", 100.0 * avx_trt.max(soa_trt) / roof);
-
-    json!({
+    Ok(json!({
         "model_supermuc": sm,
         "model_juqueen": jq,
         "host": {
@@ -420,10 +447,8 @@ fn fig3_kernels(full: bool) -> Value {
                 "ecm_predicted_speedup_core": predicted_core,
                 "ecm_predicted_speedup_saturated": predicted_sat,
             },
-            "bandwidth_gib": bw,
-            "roofline_mlups": roof,
         },
-    })
+    }))
 }
 
 fn print_fig3_model(rows: &[fig3::Fig3Row]) {
@@ -454,7 +479,7 @@ fn print_fig3_model(rows: &[fig3::Fig3Row]) {
 
 /// Fig 4 — ECM model of the TRT kernel at 2.7 GHz and 1.6 GHz, plus the
 /// host-measured saturation point for comparison.
-fn fig4_ecm(full: bool) -> Value {
+fn fig4_ecm(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     section("Fig 4: ECM model, SuperMUC socket");
     let rows = fig4::fig4_series();
     println!("{:<8} {:>12} {:>12}", "cores", "2.7 GHz", "1.6 GHz");
@@ -488,19 +513,19 @@ fn fig4_ecm(full: bool) -> Value {
     let host = measure_mlups(|| kernels::avx::stream_collide_trt(&src, &mut dst, rel), 4);
     println!("host AVX TRT kernel (1 core, host clock): {host:.1} MLUPS");
 
-    json!({
+    Ok(json!({
         "model": rows,
         "retention": fig4::performance_retention(1.6, 2.7),
         "host_mlups": host,
         "inplace_predicted_speedup_core": ecm.inplace_speedup(1),
         "inplace_predicted_speedup_saturated": ecm.inplace_speedup(8),
-    })
+    }))
 }
 
 /// Fig 5 — SMT levels of the optimized TRT kernel on a JUQUEEN node
 /// (model series; the host has no 4-way SMT A2 cores, so there is no
 /// measured analogue — see EXPERIMENTS.md).
-fn fig5_smt(_full: bool) -> Value {
+fn fig5_smt(_: &HarnessArgs) -> Outcome {
     section("Fig 5: SMT scaling on a JUQUEEN node (model)");
     let rows = fig5::fig5_series();
     println!("{:<8} {:>10} {:>10} {:>10}", "cores", "1-way", "2-way", "4-way");
@@ -510,14 +535,14 @@ fn fig5_smt(_full: bool) -> Value {
     }
     println!();
     println!("paper: 4-way SMT is required to saturate the memory interface (76.2 MLUPS roofline)");
-    json!(rows)
+    Ok(json!(rows))
 }
 
 /// Fig 6 — weak scaling on dense regular domains for both machines:
 /// MLUPS/core and MPI share per configuration and core count (model),
 /// plus a real distributed lid-driven-cavity run on the host for the
 /// functional path (ranks as threads).
-fn fig6_weak_dense(full: bool) -> Value {
+fn fig6_weak_dense(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     let mut all = Vec::new();
     for machine in [MachineSpec::supermuc(), MachineSpec::juqueen()] {
         let cells = fig6::paper_cells_per_core(&machine);
@@ -550,18 +575,18 @@ fn fig6_weak_dense(full: bool) -> Value {
         100.0 * r.comm_fraction(),
         r.mass_drift()
     );
-    json!(all)
+    Ok(json!(all))
 }
 
 /// §4.2 headline numbers: paper vs. model reproduction.
-fn tab_headline(_full: bool) -> Value {
+fn tab_headline(_: &HarnessArgs) -> Outcome {
     section("§4.2 headline numbers: paper vs reproduction");
     println!("{:<38} {:>12} {:>12} {:>8}", "quantity", "paper", "ours", "ratio");
     let rows = headline::headlines();
     for r in &rows {
         println!("{:<38} {:>12.1} {:>12.1} {:>8.2}", r.quantity, r.paper, r.ours, r.ours / r.paper);
     }
-    json!(rows)
+    Ok(json!(rows))
 }
 
 /// Fig 7 — weak scaling on the synthetic coronary tree: real domain
@@ -570,7 +595,7 @@ fn tab_headline(_full: bool) -> Value {
 /// Default scale is workstation-friendly (2^4 … 2^12 cores with reduced
 /// block edges); `--full` uses the paper's block sizes and core ranges
 /// (slow: hundreds of thousands of blocks are partitioned geometrically).
-fn fig7_weak_vascular(full: bool) -> Value {
+fn fig7_weak_vascular(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     let tree = paper_tree();
     let mut all = Vec::new();
     for machine in [MachineSpec::supermuc(), MachineSpec::juqueen()] {
@@ -607,7 +632,7 @@ fn fig7_weak_vascular(full: bool) -> Value {
     println!("paper shape: MFLUPS/core and fluid fraction RISE with the core count");
     println!("(better geometric fit of more, smaller blocks), with a late decline on");
     println!("SuperMUC from multi-island communication.");
-    json!(all)
+    Ok(json!(all))
 }
 
 /// The strong-scaling configuration of Fig 8 and §4.3: four threads per
@@ -620,7 +645,7 @@ fn strong_config(cores_per_proc: u32) -> Fig7Config {
 /// resolutions (the paper's 0.1 mm / 2.1 M fluid cells and 0.05 mm /
 /// 16.9 M fluid cells), sweeping block sizes per core count and reporting
 /// the best MFLUPS/core and time steps per second.
-fn fig8_strong_vascular(full: bool) -> Value {
+fn fig8_strong_vascular(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     let tree = paper_tree();
     let targets: Vec<(&str, f64)> = if full {
         vec![("0.1 mm analogue (2.1 M fluid cells)", 2.1e6), ("0.05 mm analogue (16.9 M)", 16.9e6)]
@@ -655,13 +680,13 @@ fn fig8_strong_vascular(full: bool) -> Value {
     println!("paper shape: steps/s rises with cores; SuperMUC sustains efficiency to");
     println!("larger scales than JUQUEEN (framework overhead on slow in-order cores);");
     println!("optimal block size shrinks with the core count.");
-    json!(all)
+    Ok(json!(all))
 }
 
 /// §4.3 / §5 headline numbers for the vascular experiments: the
 /// trillion-fluid-cell discretization, time-step lengths at the finest
 /// resolution, and the strong-scaling peak rates.
-fn tab_vascular_headline(full: bool) -> Value {
+fn tab_vascular_headline(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
     let tree = paper_tree();
 
     section("time-step arithmetic at the paper's finest resolution (§4.3)");
@@ -702,7 +727,7 @@ fn tab_vascular_headline(full: bool) -> Value {
         peak_cores, peak.timesteps_per_s, peak.best_edge
     );
 
-    json!({
+    Ok(json!({
         "dt_us_at_finest_dx": uc.dt * 1e6,
         "weak_cores": cores,
         "weak_blocks": blocks,
@@ -712,39 +737,97 @@ fn tab_vascular_headline(full: bool) -> Value {
         "strong_cores": peak_cores,
         "strong_timesteps_per_s": peak.timesteps_per_s,
         "strong_best_block_edge": peak.best_edge,
-    })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn names(figures: &[Figure]) -> Vec<&'static str> {
-        figures.iter().map(|(n, _)| *n).collect()
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    fn names(entries: &[Entry]) -> Vec<&'static str> {
+        entries.iter().map(|(n, _)| *n).collect()
     }
 
     #[test]
     fn no_name_resolves_to_all_twelve_in_paper_order() {
-        let all = resolve(&[]).unwrap();
-        assert_eq!(names(&all), names(&FIGURES));
-        let mut distinct = names(&all);
+        let (_, all) = resolve(&[]).unwrap();
+        assert_eq!(
+            names(&all),
+            [
+                "fig1_partition",
+                "fig2_two_stage",
+                "tab_forestfile",
+                "tab_roofline",
+                "fig3_kernels",
+                "fig4_ecm",
+                "fig5_smt",
+                "fig6_weak_dense",
+                "tab_headline",
+                "fig7_weak_vascular",
+                "fig8_strong_vascular",
+                "tab_vascular_headline",
+            ]
+        );
+    }
+
+    #[test]
+    fn every_entry_name_is_distinct() {
+        let mut distinct = names(&ENTRIES);
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(distinct.len(), 12, "figure names must be distinct");
+        assert_eq!(distinct.len(), ENTRIES.len(), "entry names must be distinct");
     }
 
     #[test]
     fn names_resolve_in_the_order_given() {
-        let asked = ["tab_roofline".to_string(), "fig3_kernels".to_string()];
-        assert_eq!(names(&resolve(&asked).unwrap()), ["tab_roofline", "fig3_kernels"]);
+        let (_, entries) = resolve(&args(&["tab_roofline", "fig3_kernels"])).unwrap();
+        assert_eq!(names(&entries), ["tab_roofline", "fig3_kernels"]);
+    }
+
+    #[test]
+    fn value_flags_take_their_value_and_names_stay_names() {
+        let (parsed, entries) = resolve(&args(&["--seed", "3", "ablation_resilience"])).unwrap();
+        assert_eq!(names(&entries), ["ablation_resilience"]);
+        assert_eq!(parsed.seed, Some(3));
+        let (parsed, entries) =
+            resolve(&args(&["ablation_overlap", "--json", "--trace", "t.json"])).unwrap();
+        assert_eq!(names(&entries), ["ablation_overlap"]);
+        assert!(parsed.json);
+        assert_eq!(parsed.trace.as_deref(), Some("t.json"));
     }
 
     #[test]
     fn an_unknown_name_is_an_error_listing_the_valid_names() {
-        let err = resolve(&["fig3_kernels".to_string(), "fig9_nope".to_string()]).unwrap_err();
+        let err = resolve(&args(&["fig3_kernels", "fig9_nope"])).unwrap_err();
         assert!(err.contains("`fig9_nope`"), "{err}");
-        for (name, _) in FIGURES {
+        for (name, _) in ENTRIES {
             assert!(err.contains(name), "{name} missing from: {err}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error_listing_the_valid_names() {
+        let err = resolve(&args(&["ablation_jobs", "--job", "60"])).unwrap_err();
+        assert!(err.contains("`--job`"), "{err}");
+        for (name, _) in ENTRIES {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_an_error() {
+        for words in [
+            &["ablation_overlap", "--trace"][..],
+            &["ablation_overlap", "--trace", "--json"],
+            &["--seed", "three", "ablation_resilience"],
+            &["ablation_jobs", "--jobs"],
+        ] {
+            let err = resolve(&args(words)).unwrap_err();
+            assert!(err.contains("valid names"), "{words:?}: {err}");
         }
     }
 }

@@ -1,51 +1,91 @@
-//! Shared helpers for the harness binaries.
+//! The experiment harness behind the `reproduce` binary.
 //!
-//! `reproduce` regenerates the figures and tables of the paper's
-//! evaluation section (the mapping is in DESIGN.md §4); the `ablation_*`,
-//! `obs_overhead` and `validation_matrix` binaries are gates of their own.
-//! Binaries print a human-readable table to stdout; pass `--json` to also
-//! emit the raw series as a JSON report line.
+//! `reproduce [NAME …]` runs named entries: the figures and tables of the
+//! paper's evaluation section (the mapping is in DESIGN.md §4), the
+//! ablations of [`ablations`] and the physics gate
+//! [`validation::matrix`]. Each prints a human-readable table to stdout;
+//! `--json` follows it with the raw series as one JSON report line.
 
+pub mod ablations;
 pub mod validation;
 
 use serde_json::Value;
-use std::sync::Arc;
+use std::str::FromStr;
 use std::time::Instant;
-use trillium_core::scenario::Scenario;
 use trillium_field::{PdfField, Shape, SoaPdfField};
-use trillium_geometry::voxelize::VoxelizeConfig;
-use trillium_geometry::{VascularTree, VascularTreeParams};
 use trillium_kernels::SweepStats;
 use trillium_lattice::{Relaxation, D3Q19};
 
 /// Schema tag stamped on every harness JSON report line.
 pub const BENCH_SCHEMA: &str = "trillium.bench/v1";
 
-/// Parses the common CLI flags of the harness binaries.
+/// The harness command line: `[NAME …] [--json] [--full] [--trace PATH]
+/// [--fault MODE] [--seed N] [--jobs N]`.
+#[derive(Debug, Default)]
 pub struct HarnessArgs {
+    /// The entries asked for, in the order given.
+    pub names: Vec<String>,
     /// Emit machine-readable JSON after the table.
     pub json: bool,
     /// Run at full paper scale (slow) instead of the workstation default.
     pub full: bool,
     /// Write a Chrome `trace_event` file of the run to this path
-    /// (binaries that drive the distributed time loop honor it).
+    /// (`ablation_overlap`).
     pub trace: Option<String>,
+    /// Fault mode of `ablation_resilience`: crash, drop, reorder or dup.
+    pub fault: Option<String>,
+    /// Fault seed of `ablation_resilience`.
+    pub seed: Option<u64>,
+    /// Job count of the `ablation_jobs` soak.
+    pub jobs: Option<usize>,
 }
 
 impl HarnessArgs {
-    /// Reads flags from `std::env::args`.
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let trace = args.iter().position(|a| a == "--trace").and_then(|i| args.get(i + 1)).cloned();
-        HarnessArgs {
-            json: args.iter().any(|a| a == "--json"),
-            full: args.iter().any(|a| a == "--full"),
-            trace,
+    /// Parses the arguments after the program name. An unknown flag, a
+    /// value flag without its value (last, or followed by another flag)
+    /// and a number that does not parse are errors.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let mut out = HarnessArgs::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                out.names.push(arg);
+                continue;
+            }
+            let mut value = || match args.next() {
+                Some(v) if !v.starts_with("--") => Ok(v),
+                _ => Err(format!("`{arg}` needs a value")),
+            };
+            match arg.as_str() {
+                "--json" => out.json = true,
+                "--full" => out.full = true,
+                "--trace" => out.trace = Some(value()?),
+                "--fault" => out.fault = Some(value()?),
+                "--seed" => out.seed = Some(number(&arg, value()?)?),
+                "--jobs" => out.jobs = Some(number(&arg, value()?)?),
+                _ => return Err(format!("unknown flag `{arg}`")),
+            }
         }
+        Ok(out)
     }
 }
 
-/// Wraps a binary's raw JSON payload in the shared report envelope:
+fn number<T: FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|_| format!("`{flag}` takes a number, not `{value}`"))
+}
+
+/// An entry whose contract failed: the payload it still reports, and why.
+pub struct Failed {
+    /// The report the entry would have emitted.
+    pub payload: Value,
+    /// What broke.
+    pub reason: String,
+}
+
+/// What a harness entry returns: its JSON payload, or [`Failed`].
+pub type Outcome = Result<Value, Failed>;
+
+/// Wraps an entry's raw JSON payload in the shared report envelope:
 /// `schema` and `bin` come first, then the payload's own fields. Object
 /// payloads keep their fields at the top level, so existing consumers
 /// keep reading them unchanged; arrays and scalars land under `rows`.
@@ -61,9 +101,9 @@ pub fn bench_report(bin: &str, payload: Value) -> Value {
     Value::Object(fields)
 }
 
-/// Prints the machine-readable report shared by all harness binaries.
-/// The `--json` contract is: exactly one JSON object on the last stdout
-/// line, carrying `schema` and `bin` plus the binary's own fields.
+/// Prints an entry's machine-readable report. The `--json` contract is:
+/// one JSON object on the line after the entry's table, carrying
+/// `schema` and `bin` (the entry's name) plus the entry's own fields.
 pub fn emit_json(bin: &str, payload: Value) {
     println!("{}", bench_report(bin, payload));
 }
@@ -102,28 +142,6 @@ pub fn bench_fields(n: usize) -> (SoaPdfField<D3Q19>, SoaPdfField<D3Q19>) {
 /// The standard relaxation used by all benchmarks (TRT, paper's choice).
 pub fn bench_relaxation() -> Relaxation {
     Relaxation::trt_from_viscosity(0.05)
-}
-
-/// The synthetic vascular tree the schedule ablations run on: 16³-cell
-/// blocks, inflow along the root axis; four generations at `dx` 0.25,
-/// or six at 0.1 when `full`.
-pub fn vascular_scenario(name: &str, full: bool) -> Scenario {
-    let tree = VascularTree::generate(&VascularTreeParams {
-        generations: if full { 6 } else { 4 },
-        root_radius: 1.2,
-        root_length: 7.0,
-        ..Default::default()
-    });
-    Scenario::from_sdf(
-        name,
-        Arc::new(tree),
-        if full { 0.1 } else { 0.25 },
-        [16, 16, 16],
-        0.06,
-        [0.0, 0.0, 0.05],
-        1.0,
-        VoxelizeConfig::default(),
-    )
 }
 
 #[cfg(test)]
