@@ -743,6 +743,7 @@ fn tab_vascular_headline(&HarnessArgs { full, .. }: &HarnessArgs) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trillium_bench::FaultMode;
 
     fn args(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| w.to_string()).collect()
@@ -829,5 +830,13 @@ mod tests {
             let err = resolve(&args(words)).unwrap_err();
             assert!(err.contains("valid names"), "{words:?}: {err}");
         }
+    }
+
+    #[test]
+    fn the_fault_mode_is_parsed_with_the_flags() {
+        let (parsed, _) = resolve(&args(&["ablation_resilience", "--fault", "drop"])).unwrap();
+        assert_eq!(parsed.fault, Some(FaultMode::Drop));
+        let err = resolve(&args(&["ablation_resilience", "--fault", "nope"])).unwrap_err();
+        assert!(err.contains("`nope`") && err.contains("valid names"), "{err}");
     }
 }

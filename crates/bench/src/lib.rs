@@ -32,8 +32,8 @@ pub struct HarnessArgs {
     /// Write a Chrome `trace_event` file of the run to this path
     /// (`ablation_overlap`).
     pub trace: Option<String>,
-    /// Fault mode of `ablation_resilience`: crash, drop, reorder or dup.
-    pub fault: Option<String>,
+    /// Fault mode of `ablation_resilience`.
+    pub fault: Option<FaultMode>,
     /// Fault seed of `ablation_resilience`.
     pub seed: Option<u64>,
     /// Job count of the `ablation_jobs` soak.
@@ -42,8 +42,8 @@ pub struct HarnessArgs {
 
 impl HarnessArgs {
     /// Parses the arguments after the program name. An unknown flag, a
-    /// value flag without its value (last, or followed by another flag)
-    /// and a number that does not parse are errors.
+    /// value flag without its value (last, or followed by another flag),
+    /// a number that does not parse and an unknown fault mode are errors.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = HarnessArgs::default();
         let mut args = args.into_iter();
@@ -60,13 +60,49 @@ impl HarnessArgs {
                 "--json" => out.json = true,
                 "--full" => out.full = true,
                 "--trace" => out.trace = Some(value()?),
-                "--fault" => out.fault = Some(value()?),
+                "--fault" => out.fault = Some(value()?.parse()?),
                 "--seed" => out.seed = Some(number(&arg, value()?)?),
                 "--jobs" => out.jobs = Some(number(&arg, value()?)?),
                 _ => return Err(format!("unknown flag `{arg}`")),
             }
         }
         Ok(out)
+    }
+}
+
+/// The fault plan `ablation_resilience` injects (`--fault`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultMode {
+    /// One rank crashes mid-run.
+    Crash,
+    /// Messages are dropped.
+    Drop,
+    /// Messages are delivered out of order.
+    Reorder,
+    /// Messages are duplicated.
+    Dup,
+}
+
+impl FaultMode {
+    /// The mode as `--fault` names it.
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultMode::Crash => "crash",
+            FaultMode::Drop => "drop",
+            FaultMode::Reorder => "reorder",
+            FaultMode::Dup => "dup",
+        }
+    }
+}
+
+impl FromStr for FaultMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        [FaultMode::Crash, FaultMode::Drop, FaultMode::Reorder, FaultMode::Dup]
+            .into_iter()
+            .find(|m| m.label() == s)
+            .ok_or_else(|| format!("`--fault` takes crash, drop, reorder or dup, not `{s}`"))
     }
 }
 

@@ -429,7 +429,8 @@ pub fn resolved_kernel(scenario: &Scenario) -> String {
 /// (D = 8 cells, ν = 0.008, τ_e ≈ 0.524) both SRT and magic-TRT diverge
 /// within a few hundred steps of the impulsive start, while MRT's
 /// ghost-mode damping keeps the run stable — the exact contrast pinned
-/// by `tests/mrt_equivalence.rs`, not a validation failure.
+/// by `equivalence::mrt_les_survives_where_srt_diverges`, not a
+/// validation failure.
 pub fn is_supported(case: Case, op: Collision) -> bool {
     case != Case::VonKarman || op.is_mrt()
 }

@@ -920,8 +920,8 @@ impl<'a> RankLoop<'a> {
     /// parity, the reverse at odd (AA) parity — and parity is per block
     /// (DESIGN.md §9). Debug builds assert at step start that the plan
     /// fits the blocks and their parity. Gates: `cargo test -q -p
-    /// trillium-comm ghost` and the tests `distributed_consistency`,
-    /// `inplace_equivalence`, `migration_parity` and `observability`.
+    /// trillium-comm ghost` and the tests `equivalence` and
+    /// `observability`.
     ///
     /// A `deadline` bounds every blocking receive. Any error withdraws the
     /// posted receives and leaves the blocks in a torn mid-step state for

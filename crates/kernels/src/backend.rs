@@ -45,7 +45,7 @@
 //! that may run different backends, and the resilience layer replays steps
 //! after recovery. Rounding differences between backends would fork
 //! trajectories at every migration and break the driver's bitwise
-//! recovery guarantees. The `backend_equivalence` gate in CI pins the
+//! recovery guarantees. The `equivalence` gate in CI pins the
 //! equivalence across all four driver schedules.
 
 use crate::inplace::sweep_inplace;

@@ -12,7 +12,7 @@
 //! Because the drivers hand every shape the same 19 values per cell and
 //! the collision is the shared scalar routine, every shape, scheme,
 //! instruction set and region partition is **bitwise identical** — the
-//! property the schedule-invariance gate (`tests/mrt_equivalence.rs`) pins.
+//! property the equivalence gate (`tests/equivalence.rs`) pins.
 //!
 //! The optional Smagorinsky constant turns on the LES closure inside the
 //! shared collision; `None` runs plain MRT with the rates derived from
