@@ -654,12 +654,15 @@ impl Communicator {
 
     /// Control-plane receive: first parked message of `kind` (optionally
     /// from a specific rank), pumping the channel until the deadline.
-    /// Data messages arriving meanwhile are routed like any arrival.
+    /// Data messages arriving meanwhile are routed like any arrival. With
+    /// no such message parked, a `doomed` communicator (the wait can no
+    /// longer succeed) ends the wait as the deadline would.
     fn recv_ctrl(
         &mut self,
         kind: u64,
         from: Option<u32>,
         deadline: Instant,
+        doomed: fn(&Self) -> bool,
     ) -> Result<(u32, Vec<u8>), CommError> {
         loop {
             if let Some(pos) =
@@ -670,7 +673,7 @@ impl Communicator {
                 }
             }
             let now = Instant::now();
-            if now >= deadline {
+            if now >= deadline || doomed(self) {
                 return Err(CommError::Timeout);
             }
             match self.receiver.recv_timeout(deadline - now) {
@@ -702,8 +705,11 @@ impl Communicator {
         if self.rank == 0 {
             let mut verdict = ok;
             let mut heard = 1u32;
+            // A requested recovery or a voter known down fails the round
+            // at once, as its deadline would.
+            let doomed = |c: &Self| c.recover_flag || !c.dead.is_empty();
             while heard < self.size {
-                match self.recv_ctrl(K_AGREE_UP, None, deadline) {
+                match self.recv_ctrl(K_AGREE_UP, None, deadline, doomed) {
                     Ok((_, p)) => {
                         let (Some(r), Some(v)) = (ctrl_u64(&p, 0), ctrl_u64(&p, 1)) else {
                             continue; // truncated vote: ignore like a stale one
@@ -735,11 +741,13 @@ impl Communicator {
             // timeout therefore only means rank 0 has not reached the
             // round yet — keep waiting, unless a cohort recovery was
             // requested (the round is abandoned; the caller must roll
-            // back) or rank 0 is known gone. Giving up early here is
-            // what would de-synchronize checkpoints: this rank would
-            // skip a snapshot its peers committed.
+            // back) or rank 0 is known gone, either of which ends the
+            // wait at once. Giving up otherwise is what would
+            // de-synchronize checkpoints: this rank would skip a
+            // snapshot its peers committed.
+            let doomed = |c: &Self| c.recover_flag || c.dead.contains(&0);
             loop {
-                match self.recv_ctrl(K_AGREE_DOWN, Some(0), Instant::now() + timeout) {
+                match self.recv_ctrl(K_AGREE_DOWN, Some(0), Instant::now() + timeout, doomed) {
                     Ok((_, p)) => {
                         if ctrl_u64(&p, 0) == Some(round) {
                             // A truncated verdict counts as `false`:
@@ -822,7 +830,7 @@ impl Communicator {
             let mut common: std::collections::BTreeSet<u64> = held_steps.iter().copied().collect();
             let mut heard = 1u32;
             while heard < self.size {
-                let (_, p) = self.recv_ctrl(K_JOIN, None, deadline)?;
+                let (_, p) = self.recv_ctrl(K_JOIN, None, deadline, |_| false)?;
                 // Recovery epochs are serialized by the barrier itself,
                 // but a join from an *older* epoch can linger when a
                 // peer timed out of an earlier round this rank never
@@ -857,7 +865,7 @@ impl Communicator {
         } else {
             self.send_ctrl(0, K_JOIN, join);
             restore_step = loop {
-                let (_, p) = self.recv_ctrl(K_GO, Some(0), deadline)?;
+                let (_, p) = self.recv_ctrl(K_GO, Some(0), deadline, |_| false)?;
                 match ctrl_u64(&p, 0) {
                     Some(e) if e == epoch => {
                         // Conservative fallbacks for a torn frame: keep
@@ -875,14 +883,14 @@ impl Communicator {
         self.drain_stale();
         if self.rank == 0 {
             for _ in 1..self.size {
-                self.recv_ctrl(K_DONE, None, deadline)?;
+                self.recv_ctrl(K_DONE, None, deadline, |_| false)?;
             }
             for r in 1..self.size {
                 self.send_ctrl(r, K_RESUME, Vec::new());
             }
         } else {
             self.send_ctrl(0, K_DONE, Vec::new());
-            self.recv_ctrl(K_RESUME, Some(0), deadline)?;
+            self.recv_ctrl(K_RESUME, Some(0), deadline, |_| false)?;
         }
         self.recovery_epoch += 1;
         Ok(restore_step)

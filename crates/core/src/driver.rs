@@ -92,13 +92,12 @@ pub struct RankResult {
     pub energy_initial: f64,
     /// Total fluid kinetic energy after the last step.
     pub energy_final: f64,
-    /// Per-step momentum-exchange force on the boundary cells matched by
-    /// [`DriverConfig::force_mask`], summed over this rank's blocks in
-    /// block order; index = time step. Empty when no mask is set. Under
-    /// rebalancing the per-rank split shifts as blocks migrate — the
-    /// cross-rank sum ([`RunResult::force_series`]) is the physical
-    /// signal.
-    pub force_series: Vec<[f64; 3]>,
+    /// Momentum-exchange force on the boundary cells matched by
+    /// [`DriverConfig::force_mask`], one `(step, packed block id, force)`
+    /// per local block and completed step, in step order. Empty when no
+    /// mask is set. Blocks migrate, so a rank's records are part of the
+    /// signal: [`RunResult::force_series`] folds them into it.
+    pub force_series: Vec<(u64, u64, [f64; 3])>,
     /// Probed velocities: global cell → velocity, for the probes owned by
     /// this rank.
     pub probes: Vec<([i64; 3], [f64; 3])>,
@@ -153,8 +152,6 @@ pub struct RebalanceConfig {
     /// measured ratio bounces for a few epochs after blocks move (migrated
     /// blocks re-seed from one sample) and would otherwise re-fire.
     pub cooldown_epochs: u32,
-    /// EWMA smoothing factor for the per-block cost model.
-    pub ewma_alpha: f64,
     /// Planner knobs (graph-gain floor, partitioner seed, minimum ratio).
     pub plan: PlanOptions,
 }
@@ -166,7 +163,6 @@ impl Default for RebalanceConfig {
             threshold: 1.15,
             hysteresis: 2,
             cooldown_epochs: 2,
-            ewma_alpha: 0.25,
             plan: PlanOptions::default(),
         }
     }
@@ -206,14 +202,6 @@ pub struct RebalanceReport {
     /// seconds_per_step, fluid_cells)`. This is exactly what the planner
     /// consumes — wall-clock cost, not static cell counts.
     pub final_costs: Vec<(u64, f64, u64)>,
-    /// Seconds of ghost-exchange *work* (gather, send, same-rank moves) —
-    /// excludes time blocked in `recv` waiting for neighbors, which on an
-    /// oversubscribed emulation host measures the thread scheduler rather
-    /// than the network.
-    pub comm_work_time: f64,
-    /// Seconds spent at epoch boundaries: the load all-reduce, planning,
-    /// and (when a round fires) block serialization and migration.
-    pub epoch_time: f64,
 }
 
 /// Whole-run outcome: per-rank results plus global accounting.
@@ -273,17 +261,19 @@ impl RunResult {
     }
 
     /// Per-step momentum-exchange force on the masked boundary cells,
-    /// summed across ranks; index = time step. Empty unless the run set
-    /// [`DriverConfig::force_mask`]. Ranks are folded in rank order, so
-    /// the series is deterministic for a fixed rank count.
+    /// summed over every block; index = time step. Empty unless the run
+    /// set [`DriverConfig::force_mask`]. Each step folds its blocks in
+    /// packed-id order, whichever rank swept them, so the series does not
+    /// depend on the decomposition, the schedule or migrations.
     pub fn force_series(&self) -> Vec<[f64; 3]> {
-        let steps = self.ranks.iter().map(|r| r.force_series.len()).max().unwrap_or(0);
+        let mut all: Vec<_> =
+            self.ranks.iter().flat_map(|r| r.force_series.iter().copied()).collect();
+        all.sort_unstable_by_key(|&(t, id, _)| (t, id));
+        let steps = all.last().map_or(0, |&(t, ..)| t as usize + 1);
         let mut out = vec![[0.0; 3]; steps];
-        for r in &self.ranks {
-            for (t, f) in r.force_series.iter().enumerate() {
-                for d in 0..3 {
-                    out[t][d] += f[d];
-                }
+        for (t, _, f) in all {
+            for d in 0..3 {
+                out[t as usize][d] += f[d];
             }
         }
         out
@@ -405,7 +395,9 @@ impl RunResult {
     /// Critical-path *work* seconds: the maximum over ranks of the time
     /// spent computing (kernel + boundary sweeps), doing ghost-exchange
     /// work, and running rebalance epochs (all-reduce, planning,
-    /// migration). Excludes time blocked in `recv` waiting on neighbors.
+    /// migration). Excludes time blocked in `recv` waiting on neighbors:
+    /// under a rebalance hook the exchange work is the `GhostPack` and
+    /// `GhostCopy` spans and the epochs are the `RebalanceEpoch` spans.
     ///
     /// On a real machine wall clock ≈ this maximum, because ranks run
     /// concurrently and the waiting happens *in parallel with* the slow
@@ -421,9 +413,15 @@ impl RunResult {
     pub fn work_wall(&self) -> f64 {
         self.ranks
             .iter()
-            .map(|r| match &r.rebalance {
-                Some(rb) => r.kernel_time + r.boundary_time + rb.comm_work_time + rb.epoch_time,
-                None => r.kernel_time + r.comm_time + r.boundary_time,
+            .map(|r| match (&r.rebalance, &r.obs) {
+                (Some(_), Some(obs)) => {
+                    let span = |kind| obs.total(kind);
+                    r.kernel_time
+                        + r.boundary_time
+                        + (span(SpanKind::GhostPack) + span(SpanKind::GhostCopy))
+                        + span(SpanKind::RebalanceEpoch)
+                }
+                _ => r.kernel_time + r.comm_time + r.boundary_time,
             })
             .fold(0.0f64, f64::max)
     }
@@ -474,9 +472,9 @@ pub struct DriverConfig {
     /// `CellFlags::OBSTACLE` for the cylinder lift/drag signal) into
     /// [`RankResult::force_series`]. Forces are read from the pre-sweep
     /// populations of each block, after its boundary sweep and before its
-    /// stream–collide, in whichever window sweeps it, and folded in
-    /// block order, so both schedules and both update schemes give
-    /// bitwise the same series.
+    /// stream–collide, in whichever window sweeps it, and recorded per
+    /// block, so every decomposition, schedule and update scheme gives
+    /// bitwise the same [`RunResult::force_series`].
     pub force_mask: Option<CellFlags>,
 }
 
@@ -777,7 +775,7 @@ pub struct RankLoop<'a> {
     ctx: GhostCtx,
     pub(crate) rec: Recorder,
     pub(crate) stats: SweepStats,
-    pub(crate) force_series: Vec<[f64; 3]>,
+    pub(crate) force_series: Vec<(u64, u64, [f64; 3])>,
     cfg: DriverConfig,
     threads: usize,
     mass_initial: f64,
@@ -965,17 +963,10 @@ impl<'a> RankLoop<'a> {
         self.drain(odd, deadline).inspect_err(|_| self.comm.withdraw())?;
         self.sweep_ready(true);
 
-        // ---- accounting (infallible: one force sample per completed step) --
+        // ---- accounting (infallible: force samples of completed steps only)
         if self.cfg.force_mask.is_some() {
-            // Folded in block order: the same additions, in the same
-            // sequence, under either schedule.
-            let mut f = [0.0; 3];
-            for bf in &self.ctx.forces {
-                for d in 0..3 {
-                    f[d] += bf[d];
-                }
-            }
-            self.force_series.push(f);
+            let ids = self.view.blocks.iter().map(|lb| lb.id.pack());
+            self.force_series.extend(ids.zip(&self.ctx.forces).map(|(id, &f)| (t, id, f)));
         }
         for (bi, b) in self.blocks.iter().enumerate() {
             let (cells, fluid_cells) = b.sweep_counts();
@@ -1172,6 +1163,9 @@ fn locate_probes(
     out
 }
 
+/// EWMA smoothing factor of the rebalance hook's per-block cost model.
+const EWMA_ALPHA: f64 = 0.25;
+
 /// The rebalance hook: feeds the per-block cost model after every step
 /// and, every [`RebalanceConfig::every_n_steps`] steps, measures the
 /// global imbalance and migrates blocks (state and all) when it persists
@@ -1186,7 +1180,7 @@ struct Rebalancer {
 impl Rebalancer {
     fn new(cfg: RebalanceConfig) -> Self {
         Rebalancer {
-            model: EwmaCostModel::new(cfg.ewma_alpha),
+            model: EwmaCostModel::new(EWMA_ALPHA),
             detector: ImbalanceDetector::new(cfg.threshold, cfg.hysteresis)
                 .with_cooldown(cfg.cooldown_epochs),
             report: RebalanceReport::default(),
@@ -1207,7 +1201,6 @@ impl Rebalancer {
         // underloaded rank spends on its overloaded neighbors and which
         // would make every rank look equally busy.
         let ghost_work = lp.ctx.pack_seconds;
-        self.report.comm_work_time += ghost_work;
         let share = if lp.blocks.is_empty() { 0.0 } else { ghost_work / lp.blocks.len() as f64 };
         for (lb, secs) in lp.view.blocks.iter().zip(&lp.ctx.seconds) {
             self.model.update(lb.id.pack(), secs + share);
@@ -1219,7 +1212,7 @@ impl Rebalancer {
         // span — coordination overhead, not ghost-exchange time.
         let span = lp.rec.open(SpanKind::RebalanceEpoch);
         let out = self.epoch(lp, done, deadline);
-        self.report.epoch_time += lp.rec.close(span);
+        lp.rec.close(span);
         out
     }
 
@@ -1258,16 +1251,10 @@ impl Rebalancer {
                 // A peer's ragged buffer is a torn round like any other.
                 all.extend(decode_records(bytes).map_err(|_| CommError::Protocol)?);
             }
-            let mut plan = plan_rebalance(all, size, &self.cfg.plan);
-            // Drop structurally invalid migrations instead of letting the
-            // transfer protocol fail on them. The plan is computed from
-            // identical input on every rank, so the dropped set is
-            // identical too and the protocol stays symmetric.
-            let dropped = plan.sanitize();
-            lp.rec.metrics().add("rebalance.plan_skipped", dropped.len() as u64);
-            if !plan.migrations.is_empty() {
-                migrated = plan.migrations.len() as u32;
-                for m in plan.migrations.iter().filter(|m| m.from == rank) {
+            let plan = plan_rebalance(all, size, &self.cfg.plan);
+            migrated = plan.migrations().count() as u32;
+            if migrated > 0 {
+                for m in plan.migrations().filter(|m| m.from == rank) {
                     self.model.forget(m.id);
                 }
                 let span = lp.rec.open(SpanKind::Migration);
@@ -1329,8 +1316,7 @@ struct GhostCtx {
     pool: Vec<Vec<u8>>,
     /// Sweep seconds per local block this step.
     seconds: Vec<f64>,
-    /// Per-block masked boundary force this step, folded in block order
-    /// at step end.
+    /// Per-block masked boundary force this step, recorded at step end.
     forces: Vec<[f64; 3]>,
     /// Seconds of this step's gather-and-post and same-rank moves: this
     /// rank's own exchange effort, excluding every blocked wait.

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use trillium_blockforest::{balance_with, morton_balance, skewed_balance, SetupForest};
 use trillium_comm::pdfs_crossing;
 use trillium_lattice::D3Q19;
-use trillium_partition::{partition_kway, Graph, PartitionOptions};
+use trillium_partition::{partition_kway, Graph};
 
 /// How blocks are assigned to processes before a run. It lives here and
 /// not in `trillium-blockforest` because the graph variant needs the
@@ -94,8 +94,7 @@ pub fn edge_cut(forest: &SetupForest) -> f64 {
 /// different ranks, in doubles per step).
 pub fn graph_balance(forest: &mut SetupForest, num_processes: u32, seed: u64) -> f64 {
     let g = block_graph(forest);
-    let opts = PartitionOptions { seed, ..Default::default() };
-    let assign = partition_kway(&g, num_processes as usize, &opts);
+    let assign = partition_kway(&g, num_processes as usize, seed);
     let cut = g.edge_cut(&assign);
     balance_with(forest, num_processes, |i| assign[i]);
     cut

@@ -17,10 +17,10 @@
 use crate::blocksim::BlockSim;
 use crate::checkpoint::{restore_block_full, save_block_full, RestoreError};
 use crate::driver::RankLoop;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Duration;
 use trillium_comm::CommError;
-use trillium_rebalance::{Migration, RebalancePlan};
+use trillium_rebalance::RebalancePlan;
 
 /// Base of the migration tag space: ghost tags are `packed_id << 5 | dir`
 /// with `packed_id < 2^42` (so below `2^47`), collectives start at
@@ -46,8 +46,7 @@ pub enum MigrationError {
     Comm(CommError),
     /// The packed block id does not fit the migration tag space.
     IdTooLarge(u64),
-    /// A valid migration names this rank as source of a block it does
-    /// not hold.
+    /// The plan names this rank as source of a block it does not hold.
     NotHeld(u64),
     /// The new assignment gives this rank a block that neither stayed
     /// nor arrives by a migration.
@@ -93,13 +92,6 @@ pub struct MigrationStats {
     pub sent: u32,
     /// Blocks this rank received.
     pub received: u32,
-    /// Payload bytes sent.
-    pub bytes_sent: u64,
-    /// Migrations naming this rank as source that were skipped because
-    /// they failed [`RebalancePlan::validate_migration`]. Every rank
-    /// validates against the same plan, so the skip set is symmetric —
-    /// no receiver waits for a transfer its sender refused.
-    pub skipped: u32,
 }
 
 /// Executes `plan` on this rank's loop state: sends away blocks it no
@@ -110,14 +102,12 @@ pub struct MigrationStats {
 /// Every rank must call this with the same plan in the same step, like a
 /// collective. Sends are posted before any receive, so the exchange
 /// cannot deadlock regardless of the migration pattern; with a
-/// `deadline` every payload receive is bounded by it.
-///
-/// Migrations that fail [`RebalancePlan::validate_migration`] are
-/// *skipped*, not executed (counted in [`MigrationStats::skipped`]) —
-/// and the corresponding ownership change is suppressed too, so an
-/// invalid entry in a hand-built or decoded plan degrades to a no-op
-/// instead of an error or a stranded receiver. Validation is a pure
-/// function of the shared plan, so every rank skips the same set.
+/// `deadline` every payload receive is bounded by it. A plan whose
+/// records disagree with where the blocks are is a typed error on the
+/// rank that notices: [`MigrationError::NotHeld`] on a named source that
+/// lacks the block, [`MigrationError::Unplanned`] or
+/// [`MigrationError::Orphaned`] where the new view and the held blocks
+/// differ.
 pub fn execute_migrations(
     lp: &mut RankLoop,
     plan: &RebalancePlan,
@@ -125,41 +115,22 @@ pub fn execute_migrations(
 ) -> Result<MigrationStats, MigrationError> {
     let rank = lp.comm.rank();
     let mut stats = MigrationStats::default();
-    let valid: HashSet<u64> = plan
-        .migrations
-        .iter()
-        .filter(|m| plan.validate_migration(m).is_ok())
-        .map(|m| m.id)
-        .collect();
 
     // Phase 1: take the block vector apart by id and post the outgoing
     // blocks.
     let mut held: HashMap<u64, BlockSim> =
         lp.view.blocks.iter().map(|b| b.id.pack()).zip(lp.blocks.drain(..)).collect();
-    for m in plan.migrations.iter().filter(|m| m.from == rank) {
-        if !valid.contains(&m.id) {
-            stats.skipped += 1;
-            continue;
-        }
+    for m in plan.migrations().filter(|m| m.from == rank) {
         let payload = save_block_full(&held.remove(&m.id).ok_or(MigrationError::NotHeld(m.id))?);
         stats.sent += 1;
-        stats.bytes_sent += payload.len() as u64;
         lp.comm.send(m.to, migration_tag(m.id)?, payload);
     }
 
     // Phase 2: apply the new assignment to the global forest and rebuild
     // this rank's view. `distribute` recomputes neighbor links, so ghost
     // messages for the next step go to the right ranks automatically.
-    // Ownership changes whose transfer was skipped are suppressed: the
-    // block stays with its current owner and the view stays consistent
-    // with where the state actually lives.
-    let new_owner: HashMap<u64, u32> = plan
-        .records
-        .iter()
-        .zip(&plan.assignment)
-        .filter(|(r, &a)| a == r.owner || valid.contains(&r.id))
-        .map(|(r, &a)| (r.id, a))
-        .collect();
+    let new_owner: HashMap<u64, u32> =
+        plan.records.iter().map(|r| r.id).zip(plan.assignment.iter().copied()).collect();
     let owners: Vec<u32> = lp
         .forest
         .blocks
@@ -170,20 +141,15 @@ pub fn execute_migrations(
 
     // Phase 3: rebuild the block vector in the new view's order from the
     // blocks that stayed and the ones that arrive.
-    let incoming: HashMap<u64, &Migration> = plan
-        .migrations
-        .iter()
-        .filter(|m| m.to == rank && valid.contains(&m.id))
-        .map(|m| (m.id, m))
-        .collect();
+    let incoming: HashMap<u64, u32> =
+        plan.migrations().filter(|m| m.to == rank).map(|m| (m.id, m.from)).collect();
     for lb in &lp.view.blocks {
         let id = lb.id.pack();
         let sim = match held.remove(&id) {
             Some(sim) => sim,
             None => {
-                let m = incoming.get(&id).ok_or(MigrationError::Unplanned(id))?;
-                let (_, data) =
-                    lp.comm.recv_any_within(&[(m.from, migration_tag(id)?)], deadline)?;
+                let &from = incoming.get(&id).ok_or(MigrationError::Unplanned(id))?;
+                let (_, data) = lp.comm.recv_any_within(&[(from, migration_tag(id)?)], deadline)?;
                 stats.received += 1;
                 let mut sim = restore_block_full(&data, lp.scenario.boundary)
                     .map_err(|error| MigrationError::Restore { id, error })?;

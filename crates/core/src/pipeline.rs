@@ -62,7 +62,6 @@ pub fn setup_domain(
             (VascularTree::INLET_COLOR, CellFlags::VELOCITY),
             (VascularTree::OUTLET_COLOR, CellFlags::PRESSURE),
         ],
-        ..Default::default()
     };
     let scenario =
         Scenario::from_sdf(name, sdf, dx, cells_per_block, viscosity, inflow, 1.0, config)

@@ -328,10 +328,11 @@ impl<'c> Resilience<'c> {
         }
         lp.blocks_replaced();
         lp.stats = ck.stats;
-        // One force sample lands per completed step, so replaying from
-        // `restore_step` must drop the samples of the undone steps —
-        // replay then re-records them bitwise identically.
-        lp.force_series.truncate(restore_step as usize);
+        // Force samples land in step order, one per block and completed
+        // step, so replaying from `restore_step` must drop the samples of
+        // the undone steps — replay then re-records them bitwise.
+        let kept = lp.force_series.partition_point(|&(step, ..)| step < restore_step);
+        lp.force_series.truncate(kept);
         self.report.replayed_steps += t.saturating_sub(restore_step);
         Ok(restore_step)
     }

@@ -119,20 +119,13 @@ pub fn block_fluid_cells<S: SignedDistance + ?Sized>(
     count
 }
 
-/// Configuration of the cell-classification pass.
-#[derive(Clone, Debug)]
+/// Configuration of the cell-classification pass. The boundary hull is
+/// dilated along the D3Q19 stencil.
+#[derive(Clone, Debug, Default)]
 pub struct VoxelizeConfig {
-    /// Stencil for the boundary-hull dilation (usually the D3Q19 stencil).
-    pub stencil: Vec<[i8; 3]>,
     /// Maps a surface color to the boundary flag of hull cells nearest to
     /// surface regions of that color. Colors not listed become no-slip.
     pub color_map: Vec<(u32, CellFlags)>,
-}
-
-impl Default for VoxelizeConfig {
-    fn default() -> Self {
-        VoxelizeConfig { stencil: trillium_lattice::d3q19::C.to_vec(), color_map: Vec::new() }
-    }
 }
 
 impl VoxelizeConfig {
@@ -176,7 +169,7 @@ pub fn voxelize_block<S: SignedDistance + ?Sized>(
         }
     });
     // Hull: first mark generically as no-slip ...
-    flags.dilate_hull(&config.stencil, CellFlags::NOSLIP);
+    flags.dilate_hull(&trillium_lattice::d3q19::C, CellFlags::NOSLIP);
     // ... then refine by surface color.
     if !config.color_map.is_empty() {
         let mut recolor = Vec::new();
@@ -260,7 +253,7 @@ mod tests {
                 flags.set_flags(x, y, z, CellFlags::FLUID);
             }
         }
-        flags.dilate_hull(&config.stencil, CellFlags::NOSLIP);
+        flags.dilate_hull(&trillium_lattice::d3q19::C, CellFlags::NOSLIP);
         for (x, y, z) in shape.with_ghosts().iter() {
             if flags.flags(x, y, z).is_boundary() {
                 let f = config.boundary_flag(sdf.boundary_color(center(x, y, z)));
@@ -357,10 +350,8 @@ mod tests {
     /// recolouring included) on the ghost-inclusive grid.
     #[test]
     fn descent_equals_exhaustive_on_every_domain() {
-        let config = VoxelizeConfig {
-            color_map: vec![(1, CellFlags::VELOCITY), (2, CellFlags::PRESSURE)],
-            ..Default::default()
-        };
+        let config =
+            VoxelizeConfig { color_map: vec![(1, CellFlags::VELOCITY), (2, CellFlags::PRESSURE)] };
         for (seed, (name, sdf)) in domains().into_iter().enumerate() {
             let sdf = sdf.as_ref();
             let mut carved = 0;
@@ -425,10 +416,8 @@ mod tests {
         use crate::sdf::MeshSdf;
         let mesh = TriMesh::make_tube(vec3(0.0, 0.0, 0.0), vec3(0.0, 0.0, 3.0), 0.8, 24, 1, 2);
         let sdf = MeshSdf::new(mesh);
-        let config = VoxelizeConfig {
-            color_map: vec![(1, CellFlags::VELOCITY), (2, CellFlags::PRESSURE)],
-            ..Default::default()
-        };
+        let config =
+            VoxelizeConfig { color_map: vec![(1, CellFlags::VELOCITY), (2, CellFlags::PRESSURE)] };
         let shape = Shape::new(16, 16, 26, 1);
         let dx = 0.15;
         let origin = vec3(-1.2, -1.2, -0.3);

@@ -71,13 +71,14 @@ pub struct ServiceConfig {
     pub cost_budget: f64,
     /// Parked jobs considered per free lane in one packing round.
     pub batch: usize,
-    /// EWMA smoothing for the measured per-template cost model.
-    pub ewma_alpha: f64,
-    /// Failure-detector patience for resilient jobs.
-    pub step_timeout: Duration,
-    /// Recovery-barrier patience for resilient jobs.
-    pub recovery_timeout: Duration,
 }
+
+/// EWMA smoothing for the measured per-template cost model.
+const EWMA_ALPHA: f64 = 0.3;
+/// Failure-detector patience for resilient jobs.
+const STEP_TIMEOUT: Duration = Duration::from_secs(2);
+/// Recovery-barrier patience for resilient jobs.
+const RECOVERY_TIMEOUT: Duration = Duration::from_secs(20);
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -89,9 +90,6 @@ impl Default for ServiceConfig {
             // about refusing the absurd, not tuning throughput.
             cost_budget: 1e12,
             batch: 8,
-            ewma_alpha: 0.3,
-            step_timeout: Duration::from_secs(2),
-            recovery_timeout: Duration::from_secs(20),
         }
     }
 }
@@ -221,7 +219,7 @@ impl JobService {
         let (done_tx, done_rx) = channel();
         JobService {
             lane_free: vec![true; cfg.lanes as usize],
-            measured: EwmaCostModel::new(cfg.ewma_alpha),
+            measured: EwmaCostModel::new(EWMA_ALPHA),
             next_id: 0,
             parked: Vec::new(),
             running_lanes: 0,
@@ -375,11 +373,7 @@ impl JobService {
             self.running_lanes += 1;
             let done = self.done_tx.clone();
             let progress = self.progress.clone();
-            let (step_timeout, recovery_timeout) =
-                (self.cfg.step_timeout, self.cfg.recovery_timeout);
-            self.handles.push(std::thread::spawn(move || {
-                run_lane(lane, jobs, step_timeout, recovery_timeout, progress, done);
-            }));
+            self.handles.push(std::thread::spawn(move || run_lane(lane, jobs, progress, done)));
         }
     }
 
@@ -413,8 +407,6 @@ fn emit_to(progress: &Option<Sender<Value>>, payload: Value) {
 fn run_lane(
     lane: u32,
     jobs: Vec<Parked>,
-    step_timeout: Duration,
-    recovery_timeout: Duration,
     progress: Option<Sender<Value>>,
     done: Sender<LaneReport>,
 ) {
@@ -432,7 +424,7 @@ fn run_lane(
             }),
         );
         let t0 = Instant::now();
-        let result = run_job(&p.spec, step_timeout, recovery_timeout);
+        let result = run_job(&p.spec);
         let run_seconds = t0.elapsed().as_secs_f64();
         let (status, error, recoveries, metrics) = match &result {
             JobResult::Completed { run, recoveries } => {
@@ -475,7 +467,7 @@ fn run_lane(
 /// The one place a job's schedule becomes a run configuration: the
 /// step schedule plus at most one hook, the fault plan (if any) riding
 /// in the resilience part.
-fn run_config(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration) -> RunConfig {
+fn run_config(spec: &JobSpec) -> RunConfig {
     RunConfig {
         driver: DriverConfig {
             collect_pdfs: spec.collect_pdfs,
@@ -484,8 +476,8 @@ fn run_config(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration
         },
         rebalance: (spec.schedule == Schedule::Rebalanced).then(RebalanceConfig::default),
         resilience: (spec.schedule == Schedule::Resilient).then(|| ResilienceConfig {
-            step_timeout,
-            recovery_timeout,
+            step_timeout: STEP_TIMEOUT,
+            recovery_timeout: RECOVERY_TIMEOUT,
             checkpoint_every: 4,
             max_recoveries: match spec.fault {
                 Some(f) if !f.recover => 0,
@@ -507,10 +499,10 @@ fn run_config(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration
 /// boundary: whatever happens inside — a kernel panic, a poisoned
 /// collective, an exhausted recovery budget — comes back as a
 /// [`JobResult`], never as an unwind into the lane worker.
-fn run_job(spec: &JobSpec, step_timeout: Duration, recovery_timeout: Duration) -> JobResult {
+fn run_job(spec: &JobSpec) -> JobResult {
     let scenario = spec.to_scenario();
     let plan = plan_run(&scenario, spec.ranks);
-    let cfg = run_config(spec, step_timeout, recovery_timeout);
+    let cfg = run_config(spec);
     match run_planned(&plan, &scenario, spec.threads, spec.steps, &[], &cfg) {
         Ok(run) => JobResult::Completed { recoveries: run.recoveries(), run },
         Err(error) => JobResult::Failed { error: error.to_string() },

@@ -28,30 +28,19 @@ pub use graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Options controlling the partitioner.
-#[derive(Copy, Clone, Debug)]
-pub struct PartitionOptions {
-    /// Allowed imbalance: max part weight ≤ `tolerance ×` average (1.05 =
-    /// 5 % slack, METIS's default ballpark).
-    pub tolerance: f64,
-    /// RNG seed for matching and seed-vertex tie breaking.
-    pub seed: u64,
-    /// Refinement passes per uncoarsening level.
-    pub refine_passes: usize,
-    /// Stop coarsening when the graph has at most `max(coarse_factor · k,
-    /// 64)` vertices.
-    pub coarse_factor: usize,
-}
-
-impl Default for PartitionOptions {
-    fn default() -> Self {
-        PartitionOptions { tolerance: 1.05, seed: 1, refine_passes: 4, coarse_factor: 16 }
-    }
-}
+/// Allowed imbalance: max part weight ≤ `TOLERANCE ×` average (5 %
+/// slack, METIS's default ballpark).
+const TOLERANCE: f64 = 1.05;
+/// Refinement passes per uncoarsening level.
+const REFINE_PASSES: usize = 4;
+/// Coarsening stops once the graph has at most `max(COARSE_FACTOR · k,
+/// 64)` vertices.
+const COARSE_FACTOR: usize = 16;
 
 /// Partitions `graph` into `k` parts, minimizing edge cut subject to the
-/// balance tolerance. Returns the part index of each vertex.
-pub fn partition_kway(graph: &Graph, k: usize, opts: &PartitionOptions) -> Vec<u32> {
+/// balance tolerance. `seed` drives matching and seed-vertex tie
+/// breaking. Returns the part index of each vertex.
+pub fn partition_kway(graph: &Graph, k: usize, seed: u64) -> Vec<u32> {
     assert!(k >= 1);
     if k == 1 {
         return vec![0; graph.num_vertices()];
@@ -67,10 +56,10 @@ pub fn partition_kway(graph: &Graph, k: usize, opts: &PartitionOptions) -> Vec<u
         return assign;
     }
 
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // ---- coarsening phase --------------------------------------------
-    let coarse_target = (opts.coarse_factor * k).max(64);
+    let coarse_target = (COARSE_FACTOR * k).max(64);
     let mut levels: Vec<(Graph, Vec<usize>)> = Vec::new(); // (finer graph, map fine->coarse)
     let mut current = graph.clone();
     while current.num_vertices() > coarse_target {
@@ -84,8 +73,8 @@ pub fn partition_kway(graph: &Graph, k: usize, opts: &PartitionOptions) -> Vec<u
     }
 
     // ---- initial partition -------------------------------------------
-    let mut assign = initial::greedy_growing(&current, k, opts.tolerance, &mut rng);
-    refine::fm_refine(&current, &mut assign, k, opts.tolerance, opts.refine_passes);
+    let mut assign = initial::greedy_growing(&current, k, TOLERANCE, &mut rng);
+    refine::fm_refine(&current, &mut assign, k, TOLERANCE, REFINE_PASSES);
 
     // ---- uncoarsening + refinement ------------------------------------
     while let Some((finer, map)) = levels.pop() {
@@ -93,7 +82,7 @@ pub fn partition_kway(graph: &Graph, k: usize, opts: &PartitionOptions) -> Vec<u
         for (v, &c) in map.iter().enumerate() {
             fine_assign[v] = assign[c];
         }
-        refine::fm_refine(&finer, &mut fine_assign, k, opts.tolerance, opts.refine_passes);
+        refine::fm_refine(&finer, &mut fine_assign, k, TOLERANCE, REFINE_PASSES);
         assign = fine_assign;
     }
     assign
@@ -131,7 +120,7 @@ mod tests {
         // 16×4×4 bar: the optimal bisection cuts a 4×4 cross-section (16
         // edges); accept anything reasonably close.
         let g = grid_graph(16, 4, 4);
-        let assign = partition_kway(&g, 2, &PartitionOptions::default());
+        let assign = partition_kway(&g, 2, 1);
         let cut = g.edge_cut(&assign);
         assert!(cut <= 32.0, "cut {cut} too large (optimal 16)");
         let bal = g.balance(&assign, 2);
@@ -142,7 +131,7 @@ mod tests {
     fn kway_partition_is_balanced() {
         let g = grid_graph(8, 8, 8);
         for k in [2, 4, 8, 16] {
-            let assign = partition_kway(&g, k, &PartitionOptions::default());
+            let assign = partition_kway(&g, k, 1);
             let bal = g.balance(&assign, k);
             assert!(bal <= 1.10, "k={k}: imbalance {bal}");
             // All parts non-empty.
@@ -159,7 +148,7 @@ mod tests {
         use rand::Rng;
         let g = grid_graph(10, 10, 5);
         let k = 8;
-        let assign = partition_kway(&g, k, &PartitionOptions::default());
+        let assign = partition_kway(&g, k, 1);
         let cut = g.edge_cut(&assign);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let random: Vec<u32> = (0..g.num_vertices()).map(|_| rng.gen_range(0..k as u32)).collect();
@@ -179,7 +168,7 @@ mod tests {
         vwgt[0] = 50.0;
         vwgt[15] = 50.0;
         let g = Graph::from_edges(30, &edges, Some(vwgt));
-        let assign = partition_kway(&g, 2, &PartitionOptions::default());
+        let assign = partition_kway(&g, 2, 1);
         assert_ne!(assign[0], assign[15], "heavy vertices in the same part");
         assert!(g.balance(&assign, 2) < 1.2);
     }
@@ -187,11 +176,11 @@ mod tests {
     #[test]
     fn trivial_cases() {
         let g = grid_graph(4, 4, 1);
-        let one = partition_kway(&g, 1, &PartitionOptions::default());
+        let one = partition_kway(&g, 1, 1);
         assert!(one.iter().all(|&a| a == 0));
         // More parts than vertices.
         let tiny = grid_graph(2, 1, 1);
-        let assign = partition_kway(&tiny, 8, &PartitionOptions::default());
+        let assign = partition_kway(&tiny, 8, 1);
         assert_eq!(assign.len(), 2);
         assert_ne!(assign[0], assign[1]);
     }
@@ -199,9 +188,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = grid_graph(12, 6, 3);
-        let opts = PartitionOptions::default();
-        let a = partition_kway(&g, 4, &opts);
-        let b = partition_kway(&g, 4, &opts);
+        let a = partition_kway(&g, 4, 1);
+        let b = partition_kway(&g, 4, 1);
         assert_eq!(a, b);
     }
 }

@@ -106,7 +106,7 @@ pub fn plan_rebalance_hetero(
     if new_ratio >= old_ratio {
         return RebalancePlan::noop(records, old_ratio);
     }
-    RebalancePlan::adopt(records, assignment, PlanMethod::MortonSfc, old_ratio, new_ratio)
+    RebalancePlan::new(records, assignment, PlanMethod::MortonSfc, old_ratio, new_ratio)
 }
 
 #[cfg(test)]
@@ -179,7 +179,7 @@ mod tests {
         let a = plan_rebalance_hetero(records, &pool, 1.05);
         let b = plan_rebalance_hetero(shuffled, &pool, 1.05);
         assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.migrations, b.migrations);
+        assert!(a.migrations().eq(b.migrations()));
     }
 
     #[test]
@@ -198,6 +198,6 @@ mod tests {
         let pool = RankPool::from_speeds(vec![400.0, 100.0]);
         let plan = plan_rebalance_hetero(records, &pool, 1.05);
         assert_eq!(plan.method, PlanMethod::NoOp);
-        assert!(plan.migrations.is_empty());
+        assert_eq!(plan.migrations().count(), 0);
     }
 }

@@ -41,9 +41,7 @@ pub mod plan;
 
 pub use cost::EwmaCostModel;
 pub use detector::ImbalanceDetector;
-pub use plan::{
-    plan_rebalance, BlockRecord, Migration, PlanError, PlanMethod, PlanOptions, RebalancePlan,
-};
+pub use plan::{plan_rebalance, BlockRecord, Migration, PlanMethod, PlanOptions, RebalancePlan};
 
 /// Golden placement: the owner vectors the four callers of the one curve
 /// cutter (`blockforest::balance::cut_curve`) produced when each still
@@ -54,6 +52,7 @@ mod placement_golden {
     use crate::hetero::{plan_rebalance_hetero, RankPool};
     use crate::{plan_rebalance, BlockRecord, PlanMethod, PlanOptions};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use trillium_blockforest::{morton_balance, skewed_balance, SetupForest};
     use trillium_geometry::vec3::vec3;
@@ -198,6 +197,53 @@ mod placement_golden {
             plan_rebalance_hetero(skewed_records(8, 8), &pool, PlanOptions::default().min_ratio);
         assert_eq!(plan.method, PlanMethod::MortonSfc);
         assert_eq!(digits(plan.assignment), HETERO_ON_8);
+    }
+
+    /// What `execute_migrations` relies on, now that nothing re-checks a
+    /// plan: over 300 seeded record sets (uniform grids and the mixed-level
+    /// forest, 2-8 ranks, most blocks piled on rank 0, shuffled), both
+    /// planners return the input records sorted by id and unique, and an
+    /// owner below the rank count for each.
+    #[test]
+    fn plans_hold_the_sorted_records_and_owners_in_range() {
+        let mut rng = StdRng::seed_from_u64(44);
+        for case in 0..300 {
+            let procs = rng.gen_range(2..9u32);
+            let forest = if case % 3 == 0 {
+                mixed_level()
+            } else {
+                let roots = [0; 3].map(|_| rng.gen_range(1..6usize));
+                uniform(roots, 8)
+            };
+            let mut records: Vec<BlockRecord> = forest
+                .blocks
+                .iter()
+                .map(|b| BlockRecord {
+                    id: b.id.pack(),
+                    owner: if rng.gen_bool(0.7) { 0 } else { rng.gen_range(0..procs) },
+                    coords: b.coords.map(|c| c as u32),
+                    level: b.id.level(),
+                    cost: rng.gen_range(0.5..20.0f64),
+                    fluid_cells: rng.gen_range(1..4096u64),
+                })
+                .collect();
+            records.shuffle(&mut rng);
+            let gain = [0.0, 0.05, 0.9][rng.gen_range(0..3usize)];
+            let opts = PlanOptions { min_graph_gain: gain, ..PlanOptions::default() };
+            let speeds = (0..procs).map(|_| rng.gen_range(0.5..8.0f64)).collect();
+            let plans = [
+                plan_rebalance(records.clone(), procs, &opts),
+                plan_rebalance_hetero(records.clone(), &RankPool::from_speeds(speeds), 0.0),
+            ];
+            records.sort_by_key(|r| r.id);
+            for plan in plans {
+                assert_eq!(plan.records, records, "case {case}: the input records, by id");
+                let sorted = plan.records.windows(2).all(|w| w[0].id < w[1].id);
+                assert!(sorted, "case {case}: unique ids");
+                assert_eq!(plan.assignment.len(), records.len(), "case {case}");
+                assert!(plan.assignment.iter().all(|&a| a < procs), "case {case}: {procs} ranks");
+            }
+        }
     }
 
     /// Equal shares and a pool of equal speeds are the same request, spelled

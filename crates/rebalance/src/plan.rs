@@ -2,7 +2,7 @@
 
 use bytes::{Buf, BufMut};
 use trillium_blockforest::balance::{curve_order, cut_curve, Quotas};
-use trillium_partition::{partition_kway, Graph, PartitionOptions};
+use trillium_partition::{partition_kway, Graph};
 
 /// Everything the planner needs to know about one block, as gathered
 /// from its owning rank. 41 bytes on the wire.
@@ -122,64 +122,16 @@ impl Default for PlanOptions {
     }
 }
 
-/// A defect in a [`RebalancePlan`] detected by validation: a migration
-/// that cannot be executed as stated. Executors skip the offending
-/// migration (and report it) instead of crashing the rank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlanError {
-    /// A migration references a block id absent from the plan records
-    /// (possible after a concurrent refine/owner remap).
-    UnknownBlock {
-        /// Packed id of the missing block.
-        id: u64,
-    },
-    /// A migration's source equals its destination — nothing to move.
-    SelfMigration {
-        /// Packed id of the block.
-        id: u64,
-    },
-    /// A migration's `from` disagrees with the record's current owner,
-    /// so the stated source rank does not hold the block.
-    OwnerMismatch {
-        /// Packed id of the block.
-        id: u64,
-        /// Owner according to the plan records.
-        expected: u32,
-        /// Source rank the migration names.
-        found: u32,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::UnknownBlock { id } => {
-                write!(f, "migration references block {id} missing from the plan records")
-            }
-            PlanError::SelfMigration { id } => {
-                write!(f, "migration of block {id} has identical source and destination")
-            }
-            PlanError::OwnerMismatch { id, expected, found } => {
-                write!(
-                    f,
-                    "migration of block {id} names source rank {found}, records say {expected}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
-/// The agreed outcome of one rebalance decision.
+/// The agreed outcome of one rebalance decision: a new owner per block.
+/// The moves follow from it ([`RebalancePlan::migrations`]), so a plan
+/// cannot name a move its records contradict.
 #[derive(Clone, Debug)]
 pub struct RebalancePlan {
-    /// Records sorted by block id (the canonical order all ranks share).
+    /// Records sorted by block id, unique (the canonical order all ranks
+    /// share).
     pub records: Vec<BlockRecord>,
     /// New owner per record, parallel to `records`.
     pub assignment: Vec<u32>,
-    /// Blocks whose owner changes.
-    pub migrations: Vec<Migration>,
     /// Accepted algorithm.
     pub method: PlanMethod,
     /// Measured max/avg load ratio before the plan.
@@ -189,86 +141,35 @@ pub struct RebalancePlan {
 }
 
 impl RebalancePlan {
-    /// The plan that keeps every block where it is.
-    pub(crate) fn noop(records: Vec<BlockRecord>, old_ratio: f64) -> Self {
-        RebalancePlan {
-            assignment: records.iter().map(|r| r.owner).collect(),
-            migrations: Vec::new(),
-            method: PlanMethod::NoOp,
-            old_ratio,
-            new_ratio: old_ratio,
-            records,
-        }
-    }
-
-    /// The plan that moves every block whose owner `assignment` changes.
-    pub(crate) fn adopt(
+    /// The plan that gives record `i` to `assignment[i]`.
+    ///
+    /// # Panics
+    ///
+    /// If the records are not sorted by id and unique, or the assignment
+    /// does not have one owner per record.
+    pub fn new(
         records: Vec<BlockRecord>,
         assignment: Vec<u32>,
         method: PlanMethod,
         old_ratio: f64,
         new_ratio: f64,
     ) -> Self {
-        let migrations = records
-            .iter()
-            .zip(&assignment)
+        assert!(records.windows(2).all(|w| w[0].id < w[1].id), "records sorted by id, unique");
+        assert_eq!(records.len(), assignment.len(), "one owner per record");
+        RebalancePlan { records, assignment, method, old_ratio, new_ratio }
+    }
+
+    /// The plan that keeps every block where it is.
+    pub(crate) fn noop(records: Vec<BlockRecord>, old_ratio: f64) -> Self {
+        let owners = records.iter().map(|r| r.owner).collect();
+        RebalancePlan::new(records, owners, PlanMethod::NoOp, old_ratio, old_ratio)
+    }
+
+    /// The blocks whose owner changes, in record (id) order.
+    pub fn migrations(&self) -> impl Iterator<Item = Migration> + '_ {
+        (self.records.iter().zip(&self.assignment))
             .filter(|(r, &a)| r.owner != a)
             .map(|(r, &a)| Migration { id: r.id, from: r.owner, to: a })
-            .collect();
-        RebalancePlan { records, assignment, migrations, method, old_ratio, new_ratio }
-    }
-
-    /// Looks up the record of block `id` (binary search — records are
-    /// sorted by id), or reports the defect a migration naming this id
-    /// would have.
-    pub fn record_for(&self, id: u64) -> Result<&BlockRecord, PlanError> {
-        self.records
-            .binary_search_by_key(&id, |r| r.id)
-            .map(|i| &self.records[i])
-            .map_err(|_| PlanError::UnknownBlock { id })
-    }
-
-    /// Checks one migration against the records.
-    pub fn validate_migration(&self, m: &Migration) -> Result<(), PlanError> {
-        let rec = self.record_for(m.id)?;
-        if m.from == m.to {
-            return Err(PlanError::SelfMigration { id: m.id });
-        }
-        if rec.owner != m.from {
-            return Err(PlanError::OwnerMismatch { id: m.id, expected: rec.owner, found: m.from });
-        }
-        Ok(())
-    }
-
-    /// Removes every invalid migration from the plan and returns the
-    /// defects found (empty for the plans [`plan_rebalance`] itself
-    /// produces — this guards plans that were mutated, merged with a
-    /// concurrent refine, or decoded from elsewhere). Deterministic, so
-    /// every rank sanitizing the same plan keeps the same migrations.
-    pub fn sanitize(&mut self) -> Vec<PlanError> {
-        let mut errors = Vec::new();
-        let records = std::mem::take(&mut self.records);
-        self.migrations.retain(|m| {
-            let valid = match records.binary_search_by_key(&m.id, |r| r.id) {
-                Err(_) => Err(PlanError::UnknownBlock { id: m.id }),
-                Ok(_) if m.from == m.to => Err(PlanError::SelfMigration { id: m.id }),
-                Ok(i) if records[i].owner != m.from => Err(PlanError::OwnerMismatch {
-                    id: m.id,
-                    expected: records[i].owner,
-                    found: m.from,
-                }),
-                Ok(_) => Ok(()),
-            };
-            match valid {
-                Ok(()) => true,
-                Err(e) => {
-                    errors.push(e);
-                    false
-                }
-            }
-        });
-        self.records = records;
-        errors
     }
 }
 
@@ -390,8 +291,7 @@ pub fn plan_rebalance(
 
     // Preferred: multilevel k-way partitioning of the cost graph.
     let graph = cost_graph(&records);
-    let popts = PartitionOptions { seed: opts.seed, ..PartitionOptions::default() };
-    let mut graph_assign = partition_kway(&graph, num_ranks as usize, &popts);
+    let mut graph_assign = partition_kway(&graph, num_ranks as usize, opts.seed);
     remap_to_owners(&records, &mut graph_assign, num_ranks);
     let graph_ratio = load_ratio(&records, &graph_assign, num_ranks);
     let graph_gain = (old_ratio - graph_ratio) / old_ratio;
@@ -412,7 +312,7 @@ pub fn plan_rebalance(
             return RebalancePlan::noop(records, old_ratio);
         }
     };
-    RebalancePlan::adopt(records, assignment, method, old_ratio, new_ratio)
+    RebalancePlan::new(records, assignment, method, old_ratio, new_ratio)
 }
 
 #[cfg(test)]
@@ -467,7 +367,7 @@ mod tests {
         let records = grid_records(4, |x, _, _| x % 4, |_, _, _| 1.0);
         let plan = plan_rebalance(records, 4, &PlanOptions::default());
         assert_eq!(plan.method, PlanMethod::NoOp);
-        assert!(plan.migrations.is_empty());
+        assert_eq!(plan.migrations().count(), 0);
         assert!((plan.old_ratio - 1.0).abs() < 1e-12);
     }
 
@@ -477,45 +377,16 @@ mod tests {
         let records = grid_records(4, |x, _, _| if x < 2 { 0 } else { 1 + x % 3 }, |_, _, _| 1.0);
         let plan = plan_rebalance(records, 4, &PlanOptions::default());
         assert_ne!(plan.method, PlanMethod::NoOp);
-        assert!(!plan.migrations.is_empty());
+        assert_ne!(plan.migrations().count(), 0);
         assert!(plan.new_ratio < plan.old_ratio, "{} !< {}", plan.new_ratio, plan.old_ratio);
         assert!(plan.new_ratio < 1.3, "predicted ratio {}", plan.new_ratio);
-        // Every migration's `from` matches the record's owner.
-        for m in &plan.migrations {
-            assert_eq!(plan.validate_migration(m), Ok(()));
-            let rec = plan.record_for(m.id).expect("planned migrations reference known blocks");
-            assert_eq!(rec.owner, m.from);
+        // Every migration names a known block, moves it away from the
+        // record's owner, and to another rank.
+        for m in plan.migrations() {
+            let i = plan.records.binary_search_by_key(&m.id, |r| r.id).expect("a known block");
+            assert_eq!(plan.records[i].owner, m.from);
             assert_ne!(m.from, m.to);
         }
-    }
-
-    #[test]
-    fn record_lookup_reports_unknown_blocks() {
-        let records = grid_records(2, |x, _, _| x, |_, _, _| 1.0);
-        let plan = plan_rebalance(records, 2, &PlanOptions::default());
-        assert!(plan.record_for(1).is_ok());
-        assert_eq!(plan.record_for(0xFFFF), Err(PlanError::UnknownBlock { id: 0xFFFF }));
-    }
-
-    #[test]
-    fn sanitize_drops_invalid_migrations_and_keeps_valid_ones() {
-        let records = grid_records(4, |x, _, _| if x < 2 { 0 } else { 1 + x % 3 }, |_, _, _| 1.0);
-        let mut plan = plan_rebalance(records, 4, &PlanOptions::default());
-        assert!(!plan.migrations.is_empty());
-        let valid = plan.migrations.clone();
-        let owner0 = plan.records[0].owner;
-        // Inject one of each defect, as a concurrent refine/remap would.
-        plan.migrations.push(Migration { id: 0xDEAD_0000_0001, from: 0, to: 1 });
-        plan.migrations.push(Migration { id: plan.records[0].id, from: 2, to: 2 });
-        plan.migrations.push(Migration { id: plan.records[0].id, from: owner0 + 1, to: owner0 });
-        let errors = plan.sanitize();
-        assert_eq!(plan.migrations, valid, "valid migrations survive untouched");
-        assert_eq!(errors.len(), 3);
-        assert!(matches!(errors[0], PlanError::UnknownBlock { id: 0xDEAD_0000_0001 }));
-        assert!(matches!(errors[1], PlanError::SelfMigration { .. }));
-        assert!(matches!(errors[2], PlanError::OwnerMismatch { .. }));
-        // A clean plan sanitizes to itself.
-        assert!(plan.sanitize().is_empty());
     }
 
     #[test]
@@ -527,7 +398,7 @@ mod tests {
         let a = plan_rebalance(records, 4, &PlanOptions::default());
         let b = plan_rebalance(shuffled, 4, &PlanOptions::default());
         assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.migrations, b.migrations);
+        assert!(a.migrations().eq(b.migrations()));
         assert_eq!(a.method, b.method);
     }
 
@@ -583,6 +454,6 @@ mod tests {
         let records = grid_records(2, |_, _, _| 0, |x, _, _| x as f64 + 1.0);
         let plan = plan_rebalance(records, 1, &PlanOptions::default());
         assert_eq!(plan.method, PlanMethod::NoOp);
-        assert!(plan.migrations.is_empty());
+        assert_eq!(plan.migrations().count(), 0);
     }
 }

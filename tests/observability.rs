@@ -214,7 +214,6 @@ fn rebalanced_run_records_migration_metrics() {
     assert!(m.counter("rebalance.rounds") >= 1);
     assert_eq!(m.counter("rebalance.migrations_in"), m.counter("rebalance.migrations_out"));
     assert!(m.counter("rebalance.migrations_in") as u32 >= 1);
-    assert_eq!(m.counter("rebalance.plan_skipped"), 0, "planner output needs no sanitizing");
     // The boundary work gauges follow the blocks: all 8 blocks of the
     // 2×2×2 cavity are corner blocks with equally many links, so after
     // the migrations the gauge over the *final* block count agrees
@@ -234,10 +233,6 @@ fn rebalanced_run_records_migration_metrics() {
     for rr in &r.ranks {
         let obs = rr.obs.as_ref().unwrap();
         assert!(obs.count(SpanKind::RebalanceEpoch) >= 1);
-        // comm_time no longer absorbs epoch coordination: the epoch span
-        // is accounted separately.
-        let report = rr.rebalance.as_ref().unwrap();
-        assert!((report.epoch_time - obs.total(SpanKind::RebalanceEpoch)).abs() < TOL);
     }
 }
 

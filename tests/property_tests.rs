@@ -161,7 +161,7 @@ fn block_id_paths() {
 /// non-empty, balanced parts.
 #[test]
 fn partitioner_balance_property() {
-    use trillium_partition::{partition_kway, Graph, PartitionOptions};
+    use trillium_partition::{partition_kway, Graph};
     for seed in 0..CASES {
         let mut rng = rand::rngs::StdRng::seed_from_u64(400 + seed);
         let nx = rng.gen_range(4usize..9);
@@ -180,7 +180,7 @@ fn partitioner_balance_property() {
             }
         }
         let g = Graph::from_edges(nx * ny, &edges, None);
-        let assign = partition_kway(&g, k, &PartitionOptions::default());
+        let assign = partition_kway(&g, k, 1);
         assert_eq!(assign.len(), nx * ny);
         let mut seen = vec![false; k];
         for &a in &assign {
