@@ -128,6 +128,7 @@ const K_DONE: u64 = 4;
 const K_RESUME: u64 = 5;
 const K_AGREE_UP: u64 = 6;
 const K_AGREE_DOWN: u64 = 7;
+const K_READY: u64 = 8;
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -313,6 +314,15 @@ impl Communicator {
         let seq = self.seq_out[t];
         self.seq_out[t] += 1;
         self.push_raw(to, Message { from: self.rank, seq, tag: CTRL_TAG_BASE + kind, payload });
+    }
+
+    /// A control note outside the per-destination sequence: it takes no
+    /// sequence number, so the data messages after it keep theirs, and
+    /// with them every decision of a fault plan (drawn per number).
+    fn send_note(&mut self, to: u32, kind: u64) {
+        self.counters.ctrl_messages_sent += 1;
+        let tag = CTRL_TAG_BASE + kind;
+        self.push_raw(to, Message { from: self.rank, seq: u64::MAX, tag, payload: Vec::new() });
     }
 
     fn broadcast_ctrl(&mut self, kind: u64, payload: &[u8]) {
@@ -653,15 +663,16 @@ impl Communicator {
     }
 
     /// Control-plane receive: first parked message of `kind` (optionally
-    /// from a specific rank), pumping the channel until the deadline.
-    /// Data messages arriving meanwhile are routed like any arrival. With
-    /// no such message parked, a `doomed` communicator (the wait can no
-    /// longer succeed) ends the wait as the deadline would.
+    /// from a specific rank), pumping the channel until the deadline
+    /// (none: until the message). Data messages arriving meanwhile are
+    /// routed like any arrival. With no such message parked, a `doomed`
+    /// communicator (the wait can no longer succeed) ends the wait as the
+    /// deadline would.
     fn recv_ctrl(
         &mut self,
         kind: u64,
         from: Option<u32>,
-        deadline: Instant,
+        deadline: Option<Instant>,
         doomed: fn(&Self) -> bool,
     ) -> Result<(u32, Vec<u8>), CommError> {
         loop {
@@ -673,15 +684,52 @@ impl Communicator {
                 }
             }
             let now = Instant::now();
-            if now >= deadline || doomed(self) {
+            if deadline.is_some_and(|d| now >= d) || doomed(self) {
                 return Err(CommError::Timeout);
             }
-            match self.receiver.recv_timeout(deadline - now) {
+            let next = match deadline {
+                Some(d) => self.receiver.recv_timeout(d - now),
+                None => self.receiver.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match next {
                 Ok(m) => self.route(m),
                 Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout),
                 Err(RecvTimeoutError::Disconnected) => return Err(CommError::WorldDown),
             }
         }
+    }
+
+    /// Returns once every rank of the cohort has called it: the barrier
+    /// that ends rank construction. It runs on the control plane, as
+    /// [`Communicator::agree_all`] does, with notes that take no sequence
+    /// number: no fault plan touches it or decides differently after it,
+    /// and it adds nothing to [`CommCounters::messages_sent`]. It has no
+    /// deadline, since a slow build is not a failure; a peer known to be
+    /// down ends the wait as [`CommError::RankDown`].
+    pub fn await_cohort(&mut self) -> Result<(), CommError> {
+        // Rank 0 gathers and then releases. No rank leaves before the
+        // release, so a peer down before it is a failure. A released
+        // peer may finish and leave before another rank's release
+        // arrives, so the others wait for rank 0 alone: it releases
+        // them, or fails and leaves, which they see as its down note.
+        let waited = if self.rank == 0 {
+            let doomed = |c: &Self| !c.dead.is_empty();
+            let heard = (1..self.size)
+                .try_for_each(|_| self.recv_ctrl(K_READY, None, None, doomed).map(drop));
+            if heard.is_ok() {
+                for r in 1..self.size {
+                    self.send_note(r, K_READY);
+                }
+            }
+            heard
+        } else {
+            self.send_note(0, K_READY);
+            self.recv_ctrl(K_READY, Some(0), None, |c| c.dead.contains(&0)).map(drop)
+        };
+        waited.map_err(|e| match e {
+            CommError::Timeout => CommError::RankDown(self.dead.iter().copied().min().unwrap_or(0)),
+            e => e,
+        })
     }
 
     /// Global agreement that the step interval completed cleanly: the
@@ -709,7 +757,7 @@ impl Communicator {
             // at once, as its deadline would.
             let doomed = |c: &Self| c.recover_flag || !c.dead.is_empty();
             while heard < self.size {
-                match self.recv_ctrl(K_AGREE_UP, None, deadline, doomed) {
+                match self.recv_ctrl(K_AGREE_UP, None, Some(deadline), doomed) {
                     Ok((_, p)) => {
                         let (Some(r), Some(v)) = (ctrl_u64(&p, 0), ctrl_u64(&p, 1)) else {
                             continue; // truncated vote: ignore like a stale one
@@ -747,7 +795,8 @@ impl Communicator {
             // snapshot its peers committed.
             let doomed = |c: &Self| c.recover_flag || c.dead.contains(&0);
             loop {
-                match self.recv_ctrl(K_AGREE_DOWN, Some(0), Instant::now() + timeout, doomed) {
+                match self.recv_ctrl(K_AGREE_DOWN, Some(0), Some(Instant::now() + timeout), doomed)
+                {
                     Ok((_, p)) => {
                         if ctrl_u64(&p, 0) == Some(round) {
                             // A truncated verdict counts as `false`:
@@ -830,7 +879,7 @@ impl Communicator {
             let mut common: std::collections::BTreeSet<u64> = held_steps.iter().copied().collect();
             let mut heard = 1u32;
             while heard < self.size {
-                let (_, p) = self.recv_ctrl(K_JOIN, None, deadline, |_| false)?;
+                let (_, p) = self.recv_ctrl(K_JOIN, None, Some(deadline), |_| false)?;
                 // Recovery epochs are serialized by the barrier itself,
                 // but a join from an *older* epoch can linger when a
                 // peer timed out of an earlier round this rank never
@@ -865,7 +914,7 @@ impl Communicator {
         } else {
             self.send_ctrl(0, K_JOIN, join);
             restore_step = loop {
-                let (_, p) = self.recv_ctrl(K_GO, Some(0), deadline, |_| false)?;
+                let (_, p) = self.recv_ctrl(K_GO, Some(0), Some(deadline), |_| false)?;
                 match ctrl_u64(&p, 0) {
                     Some(e) if e == epoch => {
                         // Conservative fallbacks for a torn frame: keep
@@ -883,14 +932,14 @@ impl Communicator {
         self.drain_stale();
         if self.rank == 0 {
             for _ in 1..self.size {
-                self.recv_ctrl(K_DONE, None, deadline, |_| false)?;
+                self.recv_ctrl(K_DONE, None, Some(deadline), |_| false)?;
             }
             for r in 1..self.size {
                 self.send_ctrl(r, K_RESUME, Vec::new());
             }
         } else {
             self.send_ctrl(0, K_DONE, Vec::new());
-            self.recv_ctrl(K_RESUME, Some(0), deadline, |_| false)?;
+            self.recv_ctrl(K_RESUME, Some(0), Some(deadline), |_| false)?;
         }
         self.recovery_epoch += 1;
         Ok(restore_step)
@@ -1593,6 +1642,57 @@ mod tests {
             assert!(a);
             assert!(!b);
             assert!(d, "a failed round must not poison later rounds");
+        }
+    }
+
+    /// `await_cohort` releases no rank before the last one arrives, sends
+    /// nothing `messages_sent` counts, leaves the fault plan's decisions
+    /// on later data messages as they were (the same payloads arrive), and
+    /// ends in `RankDown` when a peer dies before it arrives, whether the
+    /// peer is rank 0 or not.
+    #[test]
+    fn await_cohort_is_a_control_plane_barrier() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let arrived = AtomicU32::new(0);
+        let delivered = |barrier: bool| {
+            run_faulted(3, FaultConfig::new(5).with_drops(0.5), |mut c| {
+                if barrier {
+                    if c.rank() == 2 {
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    c.await_cohort().unwrap();
+                    assert_eq!(arrived.load(Ordering::SeqCst), 3, "rank {} left early", c.rank());
+                    assert_eq!(c.counters().messages_sent, 0);
+                }
+                for i in 0..40 {
+                    c.send((c.rank() + 1) % 3, 7, vec![i]);
+                }
+                c.flush_delayed();
+                // Every rank sent before it arrived here, so after the
+                // release every surviving message is queued.
+                c.await_cohort().unwrap();
+                let from = (c.rank() + 2) % 3;
+                std::iter::from_fn(|| probe(&mut c, from, 7)).map(|m| m[0]).collect::<Vec<u8>>()
+            })
+        };
+        let (plain, waited) = (delivered(false), delivered(true));
+        assert!(plain.iter().all(|got| !got.is_empty() && got.len() < 40), "{plain:?}");
+        assert_eq!(plain, waited, "the barrier moved the fault plan's decisions");
+
+        for victim in [0, 2] {
+            let out = World::run_fallible(3, None, |mut c| {
+                if c.rank() == victim {
+                    panic!("rank {victim} fails during its build");
+                }
+                c.await_cohort()
+            });
+            for (rank, r) in out.into_iter().enumerate() {
+                match r {
+                    Err(_) => assert_eq!(rank as u32, victim),
+                    Ok(r) => assert!(matches!(r, Err(CommError::RankDown(_))), "{r:?}"),
+                }
+            }
         }
     }
 

@@ -593,8 +593,12 @@ pub fn plan_run(scenario: &Scenario, num_procs: u32) -> RunPlan {
 /// process, one cohort per plan. A plan that does not fit the world
 /// size or the scenario is [`RecoveryError::PlanMismatch`].
 ///
-/// Per step: [`RankLoop::step`], the rebalance hook, the resilience
-/// hook. Under a resilience hook every blocking receive is bounded by
+/// Before step 0 the ranks wait for each other's build
+/// ([`Communicator::await_cohort`], under [`SpanKind::SetupWait`]); a
+/// peer that died during its build ends the wait as
+/// [`RecoveryError::Comm`]. Per step: [`RankLoop::step`], the rebalance
+/// hook, the resilience hook. Under a resilience hook every blocking
+/// receive is bounded by
 /// [`ResilienceConfig::step_timeout`] and a [`CommError`] anywhere rolls
 /// the cohort back; without one it ends the run as
 /// [`RecoveryError::Comm`]. Fault plans travel with the communicator
@@ -617,6 +621,10 @@ pub fn drive_rank(
     let mut resilience = cfg.resilience.as_ref().map(|rc| Resilience::new(rc, &lp));
     let deadline = cfg.resilience.as_ref().map(|rc| rc.step_timeout);
     lp.comm.set_collective_timeout(deadline);
+    let wait = lp.rec.open(SpanKind::SetupWait);
+    let built = lp.comm.await_cohort();
+    lp.rec.close(wait);
+    built.map_err(|error| RecoveryError::Comm { rank, error })?;
 
     let mut t: u64 = 0;
     // The pending clause is load-bearing: a failure at the *final*
@@ -1538,6 +1546,8 @@ mod tests {
             if comm.rank() == 0 {
                 return Some(drive_rank(comm, &plan, &s, 1, 1, &[], &RunConfig::default()));
             }
+            // A peer is built before it sends: it joins the set-up wait.
+            comm.await_cohort().unwrap();
             answer(&mut comm, 8);
             None
         });

@@ -75,11 +75,12 @@ pub trait FlagOps {
     fn count_fluid(&self) -> usize;
     /// Fraction of interior cells that are fluid.
     fn fluid_fraction(&self) -> f64;
-    /// Marks every non-fluid cell (interior or ghost) that is reachable
+    /// Marks every outside cell (interior or ghost) that is reachable
     /// from an interior fluid cell through one of the stencil directions
-    /// with `boundary`, leaving fluid cells untouched. This is the
-    /// morphological dilation of paper §2.3 computing the boundary hull.
-    fn dilate_hull(&mut self, stencil: &[[i8; 3]], boundary: CellFlags);
+    /// with `boundary`, a flag without the fluid bit, and returns the
+    /// marked cells, each once. This is the morphological dilation of
+    /// paper §2.3 computing the boundary hull.
+    fn dilate_hull(&mut self, stencil: &[[i8; 3]], boundary: CellFlags) -> Vec<[i32; 3]>;
 }
 
 impl FlagOps for FlagField {
@@ -101,37 +102,47 @@ impl FlagOps for FlagField {
         self.count_fluid() as f64 / self.shape().interior_cells() as f64
     }
 
-    fn dilate_hull(&mut self, stencil: &[[i8; 3]], boundary: CellFlags) {
+    fn dilate_hull(&mut self, stencil: &[[i8; 3]], boundary: CellFlags) -> Vec<[i32; 3]> {
+        debug_assert!(!boundary.is_fluid(), "a hull flag must not read as fluid");
         let shape = self.shape();
         let g = shape.ghost as i32;
+        let n = [shape.nx as i32, shape.ny as i32, shape.nz as i32];
+        let stride = [1, shape.ax() as isize, (shape.ax() * shape.ay()) as isize];
+        // Nonzero directions with their offsets in the flag bytes.
+        let dirs: Vec<([i32; 3], isize)> = stencil
+            .iter()
+            .filter(|d| **d != [0, 0, 0])
+            .map(|d| {
+                let d = d.map(i32::from);
+                (d, (0..3).map(|a| d[a] as isize * stride[a]).sum())
+            })
+            .collect();
+        let within = |c: [i32; 3]| (0..3).all(|a| -g <= c[a] && c[a] < n[a] + g);
+        let data = self.data_mut();
         let mut hull = Vec::new();
-        for (x, y, z) in shape.interior().iter() {
-            if !self.flags(x, y, z).is_fluid() {
-                continue;
-            }
-            for d in stencil {
-                if d == &[0, 0, 0] {
-                    continue;
-                }
-                let (nx, ny, nz) = (x + d[0] as i32, y + d[1] as i32, z + d[2] as i32);
-                // Stay within the allocated grid (ghost layer included).
-                if nx < -g
-                    || ny < -g
-                    || nz < -g
-                    || nx >= shape.nx as i32 + g
-                    || ny >= shape.ny as i32 + g
-                    || nz >= shape.nz as i32 + g
-                {
-                    continue;
-                }
-                if self.flags(nx, ny, nz).is_outside() {
-                    hull.push((nx, ny, nz));
+        for z in 0..n[2] {
+            for y in 0..n[1] {
+                let row = shape.idx(0, y, z);
+                for x in 0..n[0] {
+                    let i = row + x as usize;
+                    if !CellFlags(data[i]).is_fluid() {
+                        continue;
+                    }
+                    for &(d, offset) in &dirs {
+                        let c = [x + d[0], y + d[1], z + d[2]];
+                        let j = i.wrapping_add_signed(offset);
+                        // Marking at once is the dilation of the field as
+                        // it was: a marked cell is neither fluid (read)
+                        // nor outside (marked again).
+                        if within(c) && CellFlags(data[j]).is_outside() {
+                            data[j] = boundary.0;
+                            hull.push(c);
+                        }
+                    }
                 }
             }
         }
-        for (x, y, z) in hull {
-            self.set_flags(x, y, z, boundary);
-        }
+        hull
     }
 }
 
@@ -176,7 +187,7 @@ mod tests {
         // exactly the 18 stencil neighbors.
         let mut f = FlagField::new(Shape::cube(5));
         f.set_flags(2, 2, 2, CellFlags::FLUID);
-        f.dilate_hull(&d3q19::C, CellFlags::NOSLIP);
+        let mut hull = f.dilate_hull(&d3q19::C, CellFlags::NOSLIP);
         let mut boundary = 0;
         for (x, y, z) in f.shape().with_ghosts().iter() {
             let fl = f.flags(x, y, z);
@@ -188,6 +199,12 @@ mod tests {
             }
         }
         assert_eq!(boundary, 18);
+        // The marked cells are returned, each once.
+        assert_eq!(hull.len(), 18);
+        hull.sort_unstable();
+        hull.dedup();
+        assert_eq!(hull.len(), 18);
+        assert!(hull.iter().all(|&[x, y, z]| f.flags(x, y, z) == CellFlags::NOSLIP));
         // Fluid cell itself is untouched.
         assert!(f.flags(2, 2, 2).is_fluid());
     }

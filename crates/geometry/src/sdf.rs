@@ -30,6 +30,37 @@ pub trait SignedDistance: Send + Sync {
     fn boundary_color(&self, _p: Vec3) -> u32 {
         0
     }
+
+    /// Lends `f` a distance equal to this one, bit for bit, at every
+    /// point of `region`, and possibly cheaper to query there: a domain
+    /// built from many primitives keeps only those that can be nearest
+    /// somewhere in the box. Outside `region` the lent distance means
+    /// nothing. Callers ask once per box they then query many times; the
+    /// lent distance lives on the stack of this call, so a restriction
+    /// allocates nothing. By default the domain lends itself.
+    fn restricted(&self, _region: &Aabb, f: &mut dyn FnMut(&dyn SignedDistance)) {
+        f(&self)
+    }
+}
+
+/// A reference to a domain is the domain: what lets the default
+/// [`SignedDistance::restricted`] lend `self` as a trait object.
+impl<S: SignedDistance + ?Sized> SignedDistance for &S {
+    fn signed_distance(&self, p: Vec3) -> f64 {
+        (**self).signed_distance(p)
+    }
+    fn bounding_box(&self) -> Aabb {
+        (**self).bounding_box()
+    }
+    fn contains(&self, p: Vec3) -> bool {
+        (**self).contains(p)
+    }
+    fn boundary_color(&self, p: Vec3) -> u32 {
+        (**self).boundary_color(p)
+    }
+    fn restricted(&self, region: &Aabb, f: &mut dyn FnMut(&dyn SignedDistance)) {
+        (**self).restricted(region, f)
+    }
 }
 
 /// Mesh-based signed distance: octree-accelerated closest-triangle query,

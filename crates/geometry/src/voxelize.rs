@@ -9,6 +9,12 @@
 //! are given a boundary condition according to the color of the closest
 //! surface region (the paper uses vertex colors of the closest triangle
 //! `t̂`).
+//!
+//! A box the descent cannot settle with its first query is descended on
+//! the distance [`SignedDistance::restricted`] to it: the same queries
+//! with the same answers, over only the primitives that can be nearest
+//! in the box. The hull is the cell list
+//! [`FlagOps::dilate_hull`] marks, and only those cells ask for a colour.
 
 use crate::mesh::Aabb;
 use crate::sdf::SignedDistance;
@@ -51,7 +57,49 @@ pub fn classify_block<S: SignedDistance + ?Sized>(sdf: &S, bb: &Aabb, cells: [us
 /// [`block_fluid_cells`] tests it. `centre` must be nondecreasing along
 /// each axis, so that every centre of a box lies in the box spanned by its
 /// corner centres.
+///
+/// If the first box is not settled, the rest of the descent queries the
+/// distance [`SignedDistance::restricted`] to the box of its centres,
+/// which every later query point lies in: the same queries, with the same
+/// answers, each over only the primitives near the box.
 fn descend<S, C, F>(sdf: &S, centre: &C, lo: [i32; 3], hi: [i32; 3], inside: &mut F)
+where
+    S: SignedDistance + ?Sized,
+    C: Fn([i32; 3]) -> Vec3,
+    F: FnMut([i32; 3], [i32; 3]),
+{
+    if let Some((lower_hi, upper_lo)) = settle(sdf, centre, lo, hi, inside) {
+        let region = Aabb::new(centre(lo), centre([hi[0] - 1, hi[1] - 1, hi[2] - 1]));
+        sdf.restricted(&region, &mut |near| {
+            subdivide(near, centre, lo, lower_hi, inside);
+            subdivide(near, centre, upper_lo, hi, inside);
+        });
+    }
+}
+
+/// The descent below its first box, on one distance.
+fn subdivide<S, C, F>(sdf: &S, centre: &C, lo: [i32; 3], hi: [i32; 3], inside: &mut F)
+where
+    S: SignedDistance + ?Sized,
+    C: Fn([i32; 3]) -> Vec3,
+    F: FnMut([i32; 3], [i32; 3]),
+{
+    if let Some((lower_hi, upper_lo)) = settle(sdf, centre, lo, hi, inside) {
+        subdivide(sdf, centre, lo, lower_hi, inside);
+        subdivide(sdf, centre, upper_lo, hi, inside);
+    }
+}
+
+/// One box of [`descend`]: settled by one query (an inside box goes to
+/// `inside`), or split along its longest axis, returned as the lower
+/// half's `hi` and the upper half's `lo`.
+fn settle<S, C, F>(
+    sdf: &S,
+    centre: &C,
+    lo: [i32; 3],
+    hi: [i32; 3],
+    inside: &mut F,
+) -> Option<([i32; 3], [i32; 3])>
 where
     S: SignedDistance + ?Sized,
     C: Fn([i32; 3]) -> Vec3,
@@ -59,14 +107,14 @@ where
 {
     let n = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
     if n.contains(&0) {
-        return;
+        return None;
     }
     let first = centre(lo);
     if n == [1, 1, 1] {
         if sdf.contains(first) {
             inside(lo, hi);
         }
-        return;
+        return None;
     }
     let last = centre([hi[0] - 1, hi[1] - 1, hi[2] - 1]);
     let m = (first + last) * 0.5;
@@ -77,7 +125,7 @@ where
         if sd < 0.0 {
             inside(lo, hi);
         }
-        return;
+        return None;
     }
     let axis = if n[0] >= n[1] && n[0] >= n[2] {
         0
@@ -90,8 +138,7 @@ where
     let (mut lower_hi, mut upper_lo) = (hi, lo);
     lower_hi[axis] = mid;
     upper_lo[axis] = mid;
-    descend(sdf, centre, lo, lower_hi, inside);
-    descend(sdf, centre, upper_lo, hi, inside);
+    Some((lower_hi, upper_lo))
 }
 
 /// Counts the cell centers of a block grid lying inside the domain,
@@ -138,9 +185,9 @@ impl VoxelizeConfig {
     }
 }
 
-/// Voxelizes one block: marks fluid cells (cell center inside `Λ`),
-/// computes the boundary hull by dilation and assigns boundary conditions
-/// by the surface color closest to each hull cell.
+/// Voxelizes one block: marks fluid cells (cell center inside `Λ`) by
+/// [`descend`], computes the boundary hull by dilation and assigns
+/// boundary conditions by the surface color closest to each hull cell.
 ///
 /// `origin` is the physical position of the lower corner of interior cell
 /// `(0, 0, 0)`; `dx` the isotropic cell size. Ghost cells are classified
@@ -169,21 +216,14 @@ pub fn voxelize_block<S: SignedDistance + ?Sized>(
         }
     });
     // Hull: first mark generically as no-slip ...
-    flags.dilate_hull(&trillium_lattice::d3q19::C, CellFlags::NOSLIP);
-    // ... then refine by surface color.
+    let hull = flags.dilate_hull(&trillium_lattice::d3q19::C, CellFlags::NOSLIP);
+    // ... then refine the cells it marked by surface color.
     if !config.color_map.is_empty() {
-        let mut recolor = Vec::new();
-        for (x, y, z) in shape.with_ghosts().iter() {
-            if flags.flags(x, y, z).is_boundary() {
-                let color = sdf.boundary_color(center(x, y, z));
-                let f = config.boundary_flag(color);
-                if f != CellFlags::NOSLIP {
-                    recolor.push(((x, y, z), f));
-                }
+        for [x, y, z] in hull {
+            let f = config.boundary_flag(sdf.boundary_color(center(x, y, z)));
+            if f != CellFlags::NOSLIP {
+                flags.set_flags(x, y, z, f);
             }
-        }
-        for ((x, y, z), f) in recolor {
-            flags.set_flags(x, y, z, f);
         }
     }
     flags

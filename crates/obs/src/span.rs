@@ -46,11 +46,15 @@ pub enum SpanKind {
     /// PDF finiteness): once before step 0 and once after the last step.
     /// Outside [`SpanKind::Step`].
     Reduce,
+    /// The wait for every rank's build, once, before step 0: a rank that
+    /// built faster waits here, not in its first exchange. Outside
+    /// [`SpanKind::Step`].
+    SetupWait,
 }
 
 impl SpanKind {
     /// Every kind, in declaration order (== accumulator order).
-    pub const ALL: [SpanKind; 13] = [
+    pub const ALL: [SpanKind; 14] = [
         SpanKind::Step,
         SpanKind::Kernel,
         SpanKind::Boundary,
@@ -64,6 +68,7 @@ impl SpanKind {
         SpanKind::Migration,
         SpanKind::BuildBlocks,
         SpanKind::Reduce,
+        SpanKind::SetupWait,
     ];
 
     /// Number of kinds.
@@ -85,6 +90,7 @@ impl SpanKind {
             SpanKind::Migration => "migration",
             SpanKind::BuildBlocks => "build_blocks",
             SpanKind::Reduce => "reduce",
+            SpanKind::SetupWait => "setup_wait",
         }
     }
 

@@ -57,16 +57,19 @@ fn check_invariants(r: &RunResult, schedule: &str) {
         );
 
         // Set-up and teardown are named: one block-building span, one
-        // reduction pass before step 0 and one after the last step, and
-        // together with the time loop they fit in the wall time.
+        // wait for the other ranks' builds, one reduction pass before
+        // step 0 and one after the last step, and together with the time
+        // loop they fit in the wall time.
         assert_eq!(obs.count(SpanKind::BuildBlocks), 1, "{schedule} rank {rank}");
+        assert_eq!(obs.count(SpanKind::SetupWait), 1, "{schedule} rank {rank}");
         assert_eq!(obs.count(SpanKind::Reduce), 2, "{schedule} rank {rank}");
         let named = obs.total(SpanKind::BuildBlocks)
+            + obs.total(SpanKind::SetupWait)
             + obs.total(SpanKind::Reduce)
             + obs.total(SpanKind::Step);
         assert!(
             named <= rr.wall_time + TOL,
-            "{schedule} rank {rank}: build + reduce + step = {named} exceeds wall {}",
+            "{schedule} rank {rank}: build + wait + reduce + step = {named} exceeds wall {}",
             rr.wall_time
         );
 
@@ -453,6 +456,16 @@ fn trace_events_reproduce_rank_timings_and_round_trip() {
             (obs.trace_total(SpanKind::Boundary) - rr.boundary_time).abs()
                 < 1e-9 * obs.events.len() as f64 + 1e-12
         );
+        // The wait for the other ranks' builds is one span outside the
+        // loop: events are recorded as spans close, so it closes before
+        // the first step does, and it opens before that step opens.
+        let wait: Vec<_> =
+            obs.events.iter().filter(|e| e.name == SpanKind::SetupWait.name()).collect();
+        assert_eq!(wait.len(), 1, "rank {}", rr.rank);
+        let first = |name| obs.events.iter().position(|e| e.name == name).unwrap();
+        let step = &obs.events[first(SpanKind::Step.name())];
+        assert!(first(SpanKind::SetupWait.name()) < first(SpanKind::Step.name()));
+        assert!(wait[0].ts_us <= step.ts_us, "rank {}: the wait is inside step 0", rr.rank);
     }
 
     // The export is valid chrome-trace JSON and survives a parse/print

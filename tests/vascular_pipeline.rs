@@ -159,33 +159,150 @@ fn partition_refinement_increases_resolution() {
     assert!((v1 - v2).abs() / v1 < 0.25, "volumes {v1} vs {v2}");
 }
 
-/// The tree behind a counter of distance queries, to tell which stage
-/// of the pipeline asks the geometry.
+/// The tree behind counters of distance queries and colour calls, to
+/// tell which stage of the pipeline asks the geometry. With `restrict`
+/// it forwards [`SignedDistance::restricted`] and counts the queries of
+/// the distance the tree lends too; without it, it hides the hook and
+/// lends itself, as a domain without one does.
 struct CountingSdf {
     inner: VascularTree,
+    restrict: bool,
     queries: AtomicU64,
+    colors: AtomicU64,
 }
 
 impl CountingSdf {
+    fn new(inner: VascularTree, restrict: bool) -> Arc<Self> {
+        Arc::new(CountingSdf {
+            inner,
+            restrict,
+            queries: AtomicU64::new(0),
+            colors: AtomicU64::new(0),
+        })
+    }
     fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
+    }
+    fn colors(&self) -> u64 {
+        self.colors.load(Ordering::Relaxed)
+    }
+}
+
+/// A distance behind the counters of a [`CountingSdf`].
+struct Counted<'a> {
+    sdf: &'a dyn SignedDistance,
+    counts: &'a CountingSdf,
+}
+
+impl SignedDistance for Counted<'_> {
+    fn signed_distance(&self, p: Vec3) -> f64 {
+        self.counts.queries.fetch_add(1, Ordering::Relaxed);
+        self.sdf.signed_distance(p)
+    }
+    fn bounding_box(&self) -> Aabb {
+        self.sdf.bounding_box()
+    }
+    fn contains(&self, p: Vec3) -> bool {
+        self.counts.queries.fetch_add(1, Ordering::Relaxed);
+        self.sdf.contains(p)
+    }
+    fn boundary_color(&self, p: Vec3) -> u32 {
+        self.counts.colors.fetch_add(1, Ordering::Relaxed);
+        self.sdf.boundary_color(p)
     }
 }
 
 impl SignedDistance for CountingSdf {
     fn signed_distance(&self, p: Vec3) -> f64 {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.inner.signed_distance(p)
+        Counted { sdf: &self.inner, counts: self }.signed_distance(p)
     }
     fn bounding_box(&self) -> Aabb {
         self.inner.bounding_box()
     }
     fn contains(&self, p: Vec3) -> bool {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.inner.contains(p)
+        Counted { sdf: &self.inner, counts: self }.contains(p)
     }
     fn boundary_color(&self, p: Vec3) -> u32 {
-        self.inner.boundary_color(p)
+        Counted { sdf: &self.inner, counts: self }.boundary_color(p)
+    }
+    fn restricted(&self, region: &Aabb, f: &mut dyn FnMut(&dyn SignedDistance)) {
+        if self.restrict {
+            self.inner.restricted(region, &mut |near| f(&Counted { sdf: near, counts: self }));
+        } else {
+            f(self)
+        }
+    }
+}
+
+/// Set-up asks the geometry the same questions whether the tree lends
+/// distances restricted to a box or not: the same classification and
+/// voxelization descent, each query over fewer capsules. The counts on
+/// the small tree are pinned: distance queries to classify the domain,
+/// distance queries to voxelize every block, colour calls.
+#[test]
+fn restriction_keeps_every_setup_query() {
+    let count = |restrict| {
+        let sdf = CountingSdf::new(small_tree(), restrict);
+        let setup = setup_domain(
+            "tree-queries",
+            sdf.clone(),
+            0.3,
+            [8, 8, 8],
+            2,
+            Balancer::Morton,
+            0.08,
+            [0.0, 0.0, 0.04],
+        );
+        let classified = sdf.queries();
+        let flags: Vec<_> = setup
+            .views
+            .iter()
+            .flat_map(|v| &v.blocks)
+            .map(|lb| setup.scenario.block_flags(lb).data().to_vec())
+            .collect();
+        ([classified, sdf.queries() - classified, sdf.colors()], flags)
+    };
+    let (with, without) = (count(true), count(false));
+    assert_eq!(with.0, without.0, "the restriction changed the descent");
+    assert!(with.1 == without.1, "the restriction changed the flags");
+    assert_eq!(with.0, [6641, 11301, 4328]);
+}
+
+/// `Scenario::block_flags` on the benchmark's 5-generation tree, at three
+/// times the workload's `dx`, equals a domain that hides the hook, byte
+/// for byte, on every block.
+#[test]
+fn restricted_block_flags_equal_the_unrestricted_ones() {
+    let tree = || {
+        VascularTree::generate(&VascularTreeParams {
+            generations: 5,
+            root_radius: 1.2,
+            root_length: 7.0,
+            ..Default::default()
+        })
+    };
+    // The workload's `dx` puts 160 000 fluid cells in the tree.
+    let t = tree();
+    let dx = (t.fluid_fraction_estimate(50_000, 7) * t.bounding_box().volume() / 160_000.0).cbrt();
+    let flags = |restrict| {
+        let setup = setup_domain(
+            "tree-flags",
+            CountingSdf::new(tree(), restrict),
+            3.0 * dx,
+            [16; 3],
+            2,
+            Balancer::Graph,
+            0.06,
+            [0.0, 0.0, 0.05],
+        );
+        let blocks: Vec<_> = setup.views.iter().flat_map(|v| &v.blocks).collect();
+        blocks.iter().map(|lb| (lb.id, setup.scenario.block_flags(lb).data().to_vec())).collect()
+    };
+    let (with, without): (Vec<_>, Vec<_>) = (flags(true), flags(false));
+    assert!(with.len() > 10, "only {} blocks", with.len());
+    for ((id, a), (id_b, b)) in with.iter().zip(&without) {
+        assert_eq!(id, id_b);
+        assert!(a == b, "block {id:?}: flags differ");
     }
 }
 
@@ -200,7 +317,7 @@ fn graph_partition_reaches_the_time_loop() {
     const RANKS: u32 = 4;
     const STEPS: u64 = 10;
     let run = |balancer: Balancer| {
-        let sdf = Arc::new(CountingSdf { inner: small_tree(), queries: AtomicU64::new(0) });
+        let sdf = CountingSdf::new(small_tree(), true);
         let setup = setup_domain(
             "tree-partition",
             sdf.clone(),
