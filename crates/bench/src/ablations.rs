@@ -327,9 +327,10 @@ pub fn overlap(args: &HarnessArgs) -> Outcome {
 
 /// Runtime load rebalancing on a skewed vascular run: the same run with
 /// the rebalancer off (monitoring only) and on. The rebalancer feeds
-/// measured per-block seconds — not cell counts — to the repartitioner
-/// and migrates whole blocks between ranks. Reports achieved MLUPS, the
-/// measured max/avg load-ratio history and the final per-block costs.
+/// counted per-block costs — the cells each block's sweep visits — to the
+/// repartitioner and migrates whole blocks between ranks. Reports
+/// achieved MLUPS, the max/avg load-ratio history and the final
+/// per-block costs.
 pub fn rebalance(args: &HarnessArgs) -> Outcome {
     section("Runtime-rebalance ablation on a skewed vascular tree");
     let (scenario, steps) = skewed_vascular("vascular-rebalance", args.full);
@@ -339,16 +340,7 @@ pub fn rebalance(args: &HarnessArgs) -> Outcome {
         run_distributed_composed(&scenario, RANKS, 1, steps, &[], &cfg).expect("unfaulted run")
     };
     let off = run(RebalanceConfig { every_n_steps: epoch, ..RebalanceConfig::monitor_only() });
-    let on = run(RebalanceConfig {
-        every_n_steps: epoch,
-        // Fire on the initial ~2.5x skew but not on the granularity-
-        // limited residual (~1.3-1.5 with ~7 heterogeneous blocks per
-        // rank): re-firing on the residual churns blocks for no gain.
-        threshold: 1.6,
-        hysteresis: 2,
-        cooldown_epochs: 3,
-        ..RebalanceConfig::default()
-    });
+    let on = run(RebalanceConfig { every_n_steps: epoch, ..RebalanceConfig::default() });
     assert!(!off.has_nan() && !on.has_nan(), "run went unstable");
 
     let (m_off, m_on) = (critical_path_mlups(&off), critical_path_mlups(&on));
@@ -369,13 +361,13 @@ pub fn rebalance(args: &HarnessArgs) -> Outcome {
     }
 
     println!();
-    println!("max/avg load ratio over time (measured, EWMA costs):");
+    println!("max/avg load ratio over time (counted costs: cells swept per block):");
     println!("{:<8} {:>12} {:>12}", "step", "off", "on");
     for (a, b) in off.imbalance_history().iter().zip(on.imbalance_history()) {
         println!("{:<8} {:>12.3} {:>12.3}", a.0, a.1, b.1);
     }
 
-    // The planner input: measured seconds per block, not cell counts.
+    // The planner input: the cells each block's sweep visits.
     let costs: Vec<(u64, f64, u64)> = on
         .ranks
         .iter()
@@ -383,30 +375,31 @@ pub fn rebalance(args: &HarnessArgs) -> Outcome {
         .flat_map(|rb| rb.final_costs.iter().copied())
         .collect();
     println!();
-    println!("sample of measured per-block costs driving the repartitioner:");
-    println!("{:<12} {:>16} {:>12}", "block", "cost (us/step)", "fluid cells");
+    println!("sample of counted per-block costs driving the repartitioner:");
+    println!("{:<12} {:>16} {:>12}", "block", "cells swept", "fluid cells");
     for (id, cost, fluid) in costs.iter().take(8) {
-        println!("{:<12} {:>16.2} {:>12}", id, cost * 1e6, fluid);
+        println!("{:<12} {:>16} {:>12}", id, cost, fluid);
     }
 
     println!();
     println!("expect: the monitor-only run stays pinned at its skewed ratio while");
-    println!("the rebalanced run migrates blocks off rank 0 within a few epochs,");
-    println!("drops the measured ratio toward 1, and finishes with higher MLUPS.");
+    println!("the rebalanced run migrates blocks off rank 0 at its first epoch,");
+    println!("drops the counted ratio toward 1, and finishes with higher MLUPS.");
+    println!("The counts repeat exactly from run to run.");
 
     let history = |r: &RunResult| -> Vec<_> {
         r.imbalance_history().iter().map(|&(s, ratio)| vec![s as f64, ratio]).collect()
     };
     let block_costs: Vec<_> = costs
         .iter()
-        .map(|&(id, s, fluid)| json!({"block": id, "measured_cost_seconds": s, "fluid_cells": fluid}))
+        .map(|&(id, cells, fluid)| json!({"block": id, "cells_swept": cells, "fluid_cells": fluid}))
         .collect();
     Ok(json!({
         "scenario": "skewed vascular tree",
         "ranks": RANKS,
         "steps": steps,
         "skew_fraction": SKEW,
-        "cost_source": "measured EWMA wall-clock per block (not cell counts)",
+        "cost_source": "counted: cells swept per block and step",
         "mlups_metric": "critical-path work time, rebalance epochs charged (RunResult::work_wall)",
         "mlups_off": m_off,
         "mlups_on": m_on,
@@ -418,7 +411,7 @@ pub fn rebalance(args: &HarnessArgs) -> Outcome {
         "mass_drift_on": on.mass_drift(),
         "imbalance_history_off": history(&off),
         "imbalance_history_on": history(&on),
-        "measured_block_costs": block_costs
+        "counted_block_costs": block_costs
     }))
 }
 

@@ -6,12 +6,13 @@
 //! sequence number so back-to-back collectives with identical shapes
 //! cannot cross-match.
 //!
-//! Each collective has a fallible `try_*` core returning [`CommError`]
-//! when a participant is down or a frame is torn, plus the historical
-//! infallible wrapper that converts failure into a panic. The resilient
-//! driver and the multi-tenant job runner use the `try_*` forms so a
-//! dead cohort degrades into an error its own controller handles,
-//! instead of a panic that poisons every other tenant of the process.
+//! The collectives are fallible `try_*` calls returning [`CommError`] when
+//! a participant is down or a frame is torn, so a dead cohort degrades
+//! into an error its own controller handles, instead of a panic that
+//! poisons every other tenant of the process. Two infallible wrappers
+//! remain, [`Communicator::barrier`] and
+//! [`Communicator::allreduce_sum_f64`], which panic on failure: the
+//! benchmark's communication probes call them, library code does not.
 
 use crate::runtime::{CommError, Communicator, COLLECTIVE_TAG_BASE};
 
@@ -62,7 +63,10 @@ impl Communicator {
         }
     }
 
-    /// Fallible [`Communicator::broadcast`].
+    /// Broadcasts `data` from `root` to every rank; returns the payload on
+    /// all ranks. This mirrors the paper's setup where one process reads
+    /// the block-structure file or the surface mesh and broadcasts the
+    /// bytes.
     pub fn try_broadcast(
         &mut self,
         root: u32,
@@ -82,27 +86,15 @@ impl Communicator {
         }
     }
 
-    /// Broadcasts `data` from `root` to every rank; returns the payload on
-    /// all ranks. This mirrors the paper's setup where one process reads
-    /// the block-structure file or the surface mesh and broadcasts the
-    /// bytes.
-    pub fn broadcast(&mut self, root: u32, data: Option<Vec<u8>>) -> Vec<u8> {
-        self.try_broadcast(root, data).unwrap_or_else(|e| self.coll_panic("broadcast", e))
-    }
-
-    /// Fallible [`Communicator::allgather_f64`].
+    /// Gathers one `f64` from every rank onto all ranks (allgather),
+    /// ordered by rank.
     pub fn try_allgather_f64(&mut self, value: f64) -> Result<Vec<f64>, CommError> {
         let bytes = self.try_allgather_bytes(value.to_le_bytes().to_vec())?;
         bytes.into_iter().map(|b| frame_f64(&b)).collect()
     }
 
-    /// Gathers one `f64` from every rank onto all ranks (allgather),
-    /// ordered by rank.
-    pub fn allgather_f64(&mut self, value: f64) -> Vec<f64> {
-        self.try_allgather_f64(value).unwrap_or_else(|e| self.coll_panic("allgather_f64", e))
-    }
-
-    /// Fallible [`Communicator::allgather_bytes`].
+    /// Gathers one byte payload from every rank onto all ranks, ordered by
+    /// rank.
     pub fn try_allgather_bytes(&mut self, data: Vec<u8>) -> Result<Vec<Vec<u8>>, CommError> {
         let tag = self.next_coll_tag();
         if self.rank() == 0 {
@@ -137,12 +129,6 @@ impl Communicator {
         }
     }
 
-    /// Gathers one byte payload from every rank onto all ranks, ordered by
-    /// rank.
-    pub fn allgather_bytes(&mut self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        self.try_allgather_bytes(data).unwrap_or_else(|e| self.coll_panic("allgather_bytes", e))
-    }
-
     /// Fallible [`Communicator::allreduce_sum_f64`].
     pub fn try_allreduce_sum_f64(&mut self, value: f64) -> Result<f64, CommError> {
         Ok(self.try_allgather_f64(value)?.iter().sum())
@@ -153,7 +139,10 @@ impl Communicator {
         self.try_allreduce_sum_f64(value).unwrap_or_else(|e| self.coll_panic("allreduce_sum", e))
     }
 
-    /// Fallible [`Communicator::allreduce_minmaxsum_f64`].
+    /// Fused all-reduce of a single `f64` under min, max, and sum at once
+    /// (one collective round instead of three). This is the load-imbalance
+    /// probe: with per-rank load `t`, the imbalance ratio is
+    /// `max * size / sum` and the spread is `max / min`.
     pub fn try_allreduce_minmaxsum_f64(
         &mut self,
         value: f64,
@@ -170,16 +159,7 @@ impl Communicator {
         Ok((min, max, sum))
     }
 
-    /// Fused all-reduce of a single `f64` under min, max, and sum at once
-    /// (one collective round instead of three). This is the load-imbalance
-    /// probe: with per-rank epoch cost `t`, the imbalance ratio is
-    /// `max * size / sum` and the spread is `max / min`.
-    pub fn allreduce_minmaxsum_f64(&mut self, value: f64) -> (f64, f64, f64) {
-        self.try_allreduce_minmaxsum_f64(value)
-            .unwrap_or_else(|e| self.coll_panic("allreduce_minmaxsum", e))
-    }
-
-    /// Fallible [`Communicator::allreduce_sum_u64`].
+    /// All-reduce of a single `u64` with summation.
     pub fn try_allreduce_sum_u64(&mut self, value: u64) -> Result<u64, CommError> {
         let tag = self.next_coll_tag();
         if self.rank() == 0 {
@@ -197,12 +177,6 @@ impl Communicator {
             let b = self.try_recv_raw(0, tag)?;
             frame_u64(&b)
         }
-    }
-
-    /// All-reduce of a single `u64` with summation.
-    pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
-        self.try_allreduce_sum_u64(value)
-            .unwrap_or_else(|e| self.coll_panic("allreduce_sum_u64", e))
     }
 }
 
@@ -231,7 +205,7 @@ mod tests {
     fn broadcast_from_nonzero_root() {
         let out = World::run(4, |mut c| {
             let payload = if c.rank() == 2 { Some(vec![9, 8, 7]) } else { None };
-            c.broadcast(2, payload)
+            c.try_broadcast(2, payload).expect("an unfaulted broadcast")
         });
         for o in out {
             assert_eq!(o, vec![9, 8, 7]);
@@ -240,7 +214,7 @@ mod tests {
 
     #[test]
     fn allgather_is_rank_ordered() {
-        let out = World::run(5, |mut c| c.allgather_f64(c.rank() as f64 * 1.5));
+        let out = World::run(5, |mut c| c.try_allgather_f64(c.rank() as f64 * 1.5).unwrap());
         for o in out {
             assert_eq!(o, vec![0.0, 1.5, 3.0, 4.5, 6.0]);
         }
@@ -250,13 +224,14 @@ mod tests {
     fn reductions() {
         let sums = World::run(6, |mut c| c.allreduce_sum_f64((c.rank() + 1) as f64));
         assert!(sums.iter().all(|&s| s == 21.0));
-        let usums = World::run(4, |mut c| c.allreduce_sum_u64(1 << c.rank()));
+        let usums = World::run(4, |mut c| c.try_allreduce_sum_u64(1 << c.rank()).unwrap());
         assert!(usums.iter().all(|&s| s == 0b1111));
     }
 
     #[test]
     fn fused_minmaxsum_reduction() {
-        let out = World::run(5, |mut c| c.allreduce_minmaxsum_f64((c.rank() + 1) as f64));
+        let out =
+            World::run(5, |mut c| c.try_allreduce_minmaxsum_f64((c.rank() + 1) as f64).unwrap());
         for (min, max, sum) in out {
             assert_eq!(min, 1.0);
             assert_eq!(max, 5.0);

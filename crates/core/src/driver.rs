@@ -38,9 +38,7 @@ use trillium_kernels::SweepStats;
 use trillium_lattice::D3Q19;
 use trillium_obs::{ObsConfig, RankObs, Recorder, SpanKind};
 use trillium_rebalance::plan::{decode_records, encode_records};
-use trillium_rebalance::{
-    plan_rebalance, BlockRecord, EwmaCostModel, ImbalanceDetector, PlanOptions,
-};
+use trillium_rebalance::{plan_rebalance, BlockRecord, PlanOptions};
 
 /// Per-rank outcome of a run.
 #[derive(Clone, Debug)]
@@ -138,39 +136,25 @@ impl RankResult {
 /// Configuration of the runtime load balancer (see `trillium-rebalance`).
 #[derive(Clone, Copy, Debug)]
 pub struct RebalanceConfig {
-    /// Steps per monitoring epoch: the global load ratio is measured (one
-    /// fused min/max/sum all-reduce) every `every_n_steps` steps.
+    /// Steps per monitoring epoch: the global load ratio of the counted
+    /// block costs is taken (one fused min/max/sum all-reduce) every
+    /// `every_n_steps` steps.
     pub every_n_steps: u64,
-    /// Max/avg load ratio above which an epoch counts as imbalanced.
-    /// `f64::INFINITY` turns the subsystem into a pure monitor: costs and
-    /// ratios are recorded but nothing ever migrates.
+    /// Max/avg load ratio above which an epoch plans a migration.
+    /// `f64::INFINITY` turns the subsystem into a pure monitor: ratios
+    /// are recorded but nothing ever migrates.
     pub threshold: f64,
-    /// Consecutive imbalanced epochs required before migration fires.
-    pub hysteresis: u32,
-    /// Epochs to ignore entirely after a migration round, while the EWMA
-    /// cost model re-learns the new assignment. Prevents thrash: the
-    /// measured ratio bounces for a few epochs after blocks move (migrated
-    /// blocks re-seed from one sample) and would otherwise re-fire.
-    pub cooldown_epochs: u32,
-    /// Planner knobs (graph-gain floor, partitioner seed, minimum ratio).
-    pub plan: PlanOptions,
 }
 
 impl Default for RebalanceConfig {
     fn default() -> Self {
-        Self {
-            every_n_steps: 10,
-            threshold: 1.15,
-            hysteresis: 2,
-            cooldown_epochs: 2,
-            plan: PlanOptions::default(),
-        }
+        Self { every_n_steps: 10, threshold: 1.15 }
     }
 }
 
 impl RebalanceConfig {
-    /// A configuration that measures per-block costs and the imbalance
-    /// history but never migrates — the baseline for ablations.
+    /// A configuration that records the imbalance history but never
+    /// migrates — the baseline for ablations.
     pub fn monitor_only() -> Self {
         Self { threshold: f64::INFINITY, ..Self::default() }
     }
@@ -181,7 +165,7 @@ impl RebalanceConfig {
 pub struct EpochReport {
     /// Time step at the end of the epoch.
     pub step: u64,
-    /// Measured max/avg load ratio across ranks at that step.
+    /// Max/avg ratio of the counted load across ranks at that step.
     pub ratio: f64,
     /// Blocks migrated (globally) at this epoch boundary.
     pub migrated: u32,
@@ -198,9 +182,8 @@ pub struct RebalanceReport {
     pub migrations_out: u32,
     /// Number of migration rounds executed.
     pub rebalances: u32,
-    /// Final measured (EWMA) cost per local block: `(packed_id,
-    /// seconds_per_step, fluid_cells)`. This is exactly what the planner
-    /// consumes — wall-clock cost, not static cell counts.
+    /// Final cost per local block: `(packed_id, cells swept per step,
+    /// fluid_cells)` — the cost the planner consumes.
     pub final_costs: Vec<(u64, f64, u64)>,
 }
 
@@ -331,7 +314,7 @@ impl RunResult {
         self.ranks.iter().any(|r| r.has_nan)
     }
 
-    /// Measured imbalance history `(step, max/avg ratio)`, one entry per
+    /// Imbalance history `(step, max/avg ratio)`, one entry per
     /// monitoring epoch. Empty for runs without rebalancing. The ratio is
     /// a global quantity, identical on every rank, so rank 0's copy is
     /// authoritative.
@@ -343,7 +326,7 @@ impl RunResult {
             .unwrap_or_default()
     }
 
-    /// The measured load ratio of the last monitoring epoch, if any.
+    /// The load ratio of the last monitoring epoch, if any.
     pub fn final_load_ratio(&self) -> Option<f64> {
         self.ranks
             .first()
@@ -489,12 +472,6 @@ impl DriverConfig {
         self.obs = ObsConfig::trace();
         self
     }
-
-    /// The same configuration measuring boundary forces on `mask` cells.
-    pub fn with_force_mask(mut self, mask: CellFlags) -> Self {
-        self.force_mask = Some(mask);
-        self
-    }
 }
 
 /// How a run executes: the step schedule plus the two optional
@@ -504,7 +481,7 @@ impl DriverConfig {
 pub struct RunConfig {
     /// The step schedule and what the run records.
     pub driver: DriverConfig,
-    /// Runtime load balancing: measured per-block costs, migration.
+    /// Runtime load balancing: counted per-block costs, migration.
     pub rebalance: Option<RebalanceConfig>,
     /// Bounded waits, coordinated checkpoints and rollback recovery.
     pub resilience: Option<ResilienceConfig>,
@@ -894,11 +871,6 @@ impl<'a> RankLoop<'a> {
         &self.blocks
     }
 
-    /// Mutable access to the blocks (not to their number or order).
-    pub fn blocks_mut(&mut self) -> &mut [BlockSim] {
-        &mut self.blocks
-    }
-
     /// One time step `t`: ghost exchange, boundary sweep, stream–collide.
     ///
     /// One pipeline under both schedules: gather and post → same-rank
@@ -953,12 +925,12 @@ impl<'a> RankLoop<'a> {
         // End of the send phase: release fault-delayed messages now, at a
         // program point, so failure behavior stays deterministic.
         self.comm.flush_delayed();
-        ctx.pack_seconds = pack.finish();
+        pack.finish();
 
         // ---- same-rank moves ----------------------------------------------
         let copy = self.rec.span(SpanKind::GhostCopy);
         self.plan.apply(odd, &mut self.blocks, |b| b.src.data_mut());
-        ctx.pack_seconds += copy.finish();
+        copy.finish();
         let counts =
             ["comm.local_values", "comm.local_rows", "comm.packed_values", "comm.unpacked_values"];
         for (name, n) in counts.into_iter().zip(self.plan.counts()) {
@@ -1171,29 +1143,29 @@ fn locate_probes(
     out
 }
 
-/// EWMA smoothing factor of the rebalance hook's per-block cost model.
-const EWMA_ALPHA: f64 = 0.25;
+/// A block's cost per step: the cells its sweep visits
+/// ([`BlockSim::sweep_counts`], what [`SweepStats::cells`] sums). Fixed
+/// between migrations, so the ratio, the records and every plan built
+/// from them repeat exactly run to run.
+fn block_cost(b: &BlockSim) -> f64 {
+    b.sweep_counts().0 as f64
+}
 
-/// The rebalance hook: feeds the per-block cost model after every step
-/// and, every [`RebalanceConfig::every_n_steps`] steps, measures the
-/// global imbalance and migrates blocks (state and all) when it persists
-/// — planning by `trillium-rebalance`, transfer by [`crate::migrate`].
+/// The rebalance hook: every [`RebalanceConfig::every_n_steps`] steps it
+/// takes the global ratio of the counted block costs and, above
+/// [`RebalanceConfig::threshold`], migrates blocks (state and all) —
+/// planning by `trillium-rebalance`, transfer by [`crate::migrate`]. The
+/// costs do not change between migrations and the planner accepts only a
+/// plan that lowers the ratio by [`PlanOptions::min_graph_gain`], so the
+/// rounds end: every later epoch plans `NoOp`.
 struct Rebalancer {
     cfg: RebalanceConfig,
-    model: EwmaCostModel,
-    detector: ImbalanceDetector,
     report: RebalanceReport,
 }
 
 impl Rebalancer {
     fn new(cfg: RebalanceConfig) -> Self {
-        Rebalancer {
-            model: EwmaCostModel::new(EWMA_ALPHA),
-            detector: ImbalanceDetector::new(cfg.threshold, cfg.hysteresis)
-                .with_cooldown(cfg.cooldown_epochs),
-            report: RebalanceReport::default(),
-            cfg,
-        }
+        Rebalancer { cfg, report: RebalanceReport::default() }
     }
 
     /// Called once `done` steps are complete.
@@ -1203,17 +1175,7 @@ impl Rebalancer {
         done: u64,
         deadline: Option<Duration>,
     ) -> Result<(), MigrationError> {
-        // Feed the cost model from what the step measured under either
-        // schedule: each block's sweep seconds plus an equal share of the
-        // pack-and-post *work* — not the blocked wait, which an
-        // underloaded rank spends on its overloaded neighbors and which
-        // would make every rank look equally busy.
-        let ghost_work = lp.ctx.pack_seconds;
-        let share = if lp.blocks.is_empty() { 0.0 } else { ghost_work / lp.blocks.len() as f64 };
-        for (lb, secs) in lp.view.blocks.iter().zip(&lp.ctx.seconds) {
-            self.model.update(lb.id.pack(), secs + share);
-        }
-        if done % self.cfg.every_n_steps.max(1) != 0 {
+        if !done.is_multiple_of(self.cfg.every_n_steps.max(1)) {
             return Ok(());
         }
         // Epoch work (allreduce, gather, plan, migration) is its own
@@ -1224,7 +1186,7 @@ impl Rebalancer {
         out
     }
 
-    /// Epoch boundary: measure, decide, maybe migrate.
+    /// Epoch boundary: count, decide, maybe migrate.
     fn epoch(
         &mut self,
         lp: &mut RankLoop,
@@ -1232,13 +1194,14 @@ impl Rebalancer {
         deadline: Option<Duration>,
     ) -> Result<(), MigrationError> {
         let (rank, size) = (lp.comm.rank(), lp.comm.size());
-        let (_, max, sum) = lp.comm.try_allreduce_minmaxsum_f64(self.model.total())?;
+        let load = lp.blocks.iter().map(block_cost).sum();
+        let (_, max, sum) = lp.comm.try_allreduce_minmaxsum_f64(load)?;
         let ratio = if sum > 0.0 { max * size as f64 / sum } else { 1.0 };
         let mut migrated = 0u32;
         // The ratio is bitwise identical on every rank (same gathered
-        // values folded in the same order), so the detector decision and
-        // the plan need no extra agreement round.
-        if self.detector.observe(ratio) {
+        // values folded in the same order), so the decision and the plan
+        // need no extra agreement round.
+        if ratio > self.cfg.threshold {
             let records: Vec<BlockRecord> = lp
                 .view
                 .blocks
@@ -1249,7 +1212,7 @@ impl Rebalancer {
                     owner: rank,
                     coords: [lb.coords[0] as u32, lb.coords[1] as u32, lb.coords[2] as u32],
                     level: lb.id.level(),
-                    cost: self.model.cost(lb.id.pack()),
+                    cost: block_cost(b),
                     fluid_cells: b.fluid_cells() as u64,
                 })
                 .collect();
@@ -1259,12 +1222,9 @@ impl Rebalancer {
                 // A peer's ragged buffer is a torn round like any other.
                 all.extend(decode_records(bytes).map_err(|_| CommError::Protocol)?);
             }
-            let plan = plan_rebalance(all, size, &self.cfg.plan);
+            let plan = plan_rebalance(all, size, &PlanOptions::default());
             migrated = plan.migrations().count() as u32;
             if migrated > 0 {
-                for m in plan.migrations().filter(|m| m.from == rank) {
-                    self.model.forget(m.id);
-                }
                 let span = lp.rec.open(SpanKind::Migration);
                 let ms = execute_migrations(lp, &plan, deadline);
                 lp.rec.close(span);
@@ -1282,13 +1242,8 @@ impl Rebalancer {
     }
 
     /// The cohort rolled back to `step`, possibly onto another owner
-    /// assignment. Cost model and detector start over — on every rank
-    /// alike, so decisions stay in lockstep even if the failure tore an
-    /// epoch only some ranks observed — and the epochs about to be
-    /// replayed leave the history.
+    /// assignment: the epochs about to be replayed leave the history.
     fn rolled_back(&mut self, step: u64) {
-        let report = std::mem::take(&mut self.report);
-        *self = Rebalancer { report, ..Rebalancer::new(self.cfg) };
         self.report.epochs.retain(|e| e.step <= step);
     }
 
@@ -1298,7 +1253,7 @@ impl Rebalancer {
             .blocks
             .iter()
             .zip(&lp.blocks)
-            .map(|(lb, b)| (lb.id.pack(), self.model.cost(lb.id.pack()), b.fluid_cells() as u64))
+            .map(|(lb, b)| (lb.id.pack(), block_cost(b), b.fluid_cells() as u64))
             .collect();
         for (id, cost, _) in &self.report.final_costs {
             lp.rec.metrics().gauge(&format!("rebalance.block_cost.{id}"), *cost);
@@ -1326,9 +1281,6 @@ struct GhostCtx {
     seconds: Vec<f64>,
     /// Per-block masked boundary force this step, recorded at step end.
     forces: Vec<[f64; 3]>,
-    /// Seconds of this step's gather-and-post and same-rank moves: this
-    /// rank's own exchange effort, excluding every blocked wait.
-    pack_seconds: f64,
 }
 
 /// Splits `items` into exactly `min(parts, len)` contiguous slices whose

@@ -26,8 +26,8 @@ pub enum Balancer {
     Morton,
     /// Deliberately skewed Morton cut: rank 0 gets this fraction of the
     /// total workload, the rest is split evenly. Exists to exercise the
-    /// runtime rebalancer — a stand-in for estimator error on complex
-    /// geometries, where static cell counts mispredict measured cost.
+    /// runtime rebalancer — a stand-in for a set-up estimate that the
+    /// blocks' counted costs contradict.
     Skewed(f64),
     /// Multilevel graph partitioning (the METIS path): balances fluid
     /// cells and minimizes the ghost volume crossing rank boundaries.

@@ -81,14 +81,15 @@ pub fn setup_domain(
 /// `(id, workload)` pairs, and an allgather reconstructs the identical
 /// global forest on every rank. The result is exactly
 /// [`SetupForest::from_domain`]'s, independent of the rank count
-/// (asserted by tests).
+/// (asserted by tests). A dead peer or a torn gather frame is the
+/// allgather's [`CommError`](trillium_comm::CommError).
 pub fn parallel_classify<S: SignedDistance + ?Sized>(
     comm: &mut trillium_comm::Communicator,
     sdf: &S,
     dx: f64,
     cells_per_block: [usize; 3],
     samples: Option<usize>,
-) -> SetupForest {
+) -> Result<SetupForest, trillium_comm::CommError> {
     use trillium_blockforest::BlockId;
 
     let (domain, roots) = SetupForest::candidate_grid(sdf, dx, cells_per_block);
@@ -132,7 +133,7 @@ pub fn parallel_classify<S: SignedDistance + ?Sized>(
         payload.extend_from_slice(&b.id.pack().to_le_bytes());
         payload.extend_from_slice(&(b.workload as u64).to_le_bytes());
     }
-    let gathered = comm.allgather_bytes(payload);
+    let gathered = comm.try_allgather_bytes(payload)?;
 
     let mut blocks = Vec::new();
     for part in gathered {
@@ -150,7 +151,7 @@ pub fn parallel_classify<S: SignedDistance + ?Sized>(
             ));
         }
     }
-    SetupForest::from_blocks(domain, roots, cells_per_block, blocks)
+    Ok(SetupForest::from_blocks(domain, roots, cells_per_block, blocks))
 }
 
 #[cfg(test)]
@@ -210,6 +211,7 @@ mod tests {
         for procs in [1u32, 3, 7] {
             let forests = World::run(procs, |mut comm| {
                 parallel_classify(&mut comm, &tree, 0.3, [8, 8, 8], None)
+                    .expect("an unfaulted gather")
             });
             for f in &forests {
                 assert_eq!(f.num_blocks(), serial.num_blocks(), "{procs} ranks");

@@ -6,8 +6,8 @@
 //! submit JSON job specs ([`JobSpec`]), the service admits or rejects
 //! them against a `trillium-perfmodel` cost budget, parks them in a
 //! priority queue, bin-packs each scheduling round onto disjoint rank
-//! cohorts with the measured-cost partitioner from
-//! `trillium-rebalance`, runs every job under a `catch_unwind`
+//! cohorts with the block-cost partitioner from `trillium-rebalance`
+//! (costs: measured wall seconds per template), runs every job under a `catch_unwind`
 //! fault-isolation boundary (one job's crash never touches its
 //! neighbors), and streams per-job progress and `trillium-obs` metrics
 //! in the `trillium.bench/v1` envelope.
@@ -26,6 +26,7 @@
 //! assert!(outcomes[0].completed());
 //! ```
 
+mod cost;
 pub mod service;
 pub mod spec;
 

@@ -22,7 +22,7 @@
 //!
 //! Each scheduling round considers up to `batch` parked jobs per free
 //! lane (highest priority first) and bin-packs them onto the free lanes
-//! with [`trillium_rebalance::plan_rebalance`] — the same measured-cost
+//! with [`trillium_rebalance::plan_rebalance`] — the same block-cost
 //! partitioner the runtime rebalancer uses, fed with per-template
 //! *measured* wall seconds (EWMA over completed jobs) where available
 //! and the admission estimate otherwise. Jobs packed onto one lane run
@@ -39,6 +39,7 @@
 //! on this lane and all others — is untouched. The re-entrancy and soak
 //! tests pin this.
 
+use crate::cost::EwmaCostModel;
 use crate::spec::{JobSpec, Schedule};
 use crate::JOBS_SCHEMA;
 use serde_json::{json, Value};
@@ -51,7 +52,7 @@ use trillium_core::driver::{
     plan_run, run_planned, DriverConfig, RebalanceConfig, RunConfig, RunResult,
 };
 use trillium_core::recovery::ResilienceConfig;
-use trillium_rebalance::{plan_rebalance, BlockRecord, EwmaCostModel, PlanOptions};
+use trillium_rebalance::{plan_rebalance, BlockRecord, PlanOptions};
 
 /// Service-assigned job handle, unique per service instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

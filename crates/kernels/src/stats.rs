@@ -1,5 +1,5 @@
 //! Cell-update accounting for MLUPS / MFLUPS reporting and per-sweep
-//! wall-clock timing (the raw signal for runtime load balancing).
+//! wall-clock timing.
 
 /// Counters returned by every kernel sweep.
 ///
@@ -10,8 +10,7 @@
 ///
 /// `seconds` carries measured wall time when the caller timed the sweep
 /// (kernels themselves return it as zero; the block driver fills it in).
-/// It feeds the rebalance subsystem's per-block cost model, where
-/// measured time — not cell counts — is the load signal.
+/// The runtime rebalancer prices a block by its `cells`, not by time.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct SweepStats {
     /// Cells traversed by the kernel (the LUPS numerator).

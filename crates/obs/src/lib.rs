@@ -22,7 +22,7 @@
 //! * **Metrics** — a typed registry ([`MetricsRegistry`]) of `u64`
 //!   counters, `f64` accumulators, gauges and log₂ histograms, keyed by
 //!   name. The drivers feed it message/byte counts, fault-injection
-//!   tallies, checkpoint/rollback counts, per-block EWMA costs and the
+//!   tallies, checkpoint/rollback counts, per-block counted costs and the
 //!   per-step wall-time histogram.
 //! * **Events** — optional per-span capture ([`ObsConfig::events`])
 //!   exportable as Chrome `trace_event` JSON via [`chrome_trace`]: one

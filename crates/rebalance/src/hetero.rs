@@ -9,7 +9,7 @@
 //! not per-rank work — is balanced. It is the same curve cut as every
 //! other placement (`trillium_blockforest::balance::cut_curve`); only the
 //! quotas differ. Where the speeds come from is the caller's business: a
-//! model, a benchmark, or the rates the rebalancer measures.
+//! model or a benchmark.
 
 use crate::plan::{curve_assignment, BlockRecord, PlanMethod, RebalancePlan};
 

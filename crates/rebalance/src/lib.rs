@@ -1,22 +1,17 @@
-//! Runtime load monitoring and distributed rebalance planning.
+//! Distributed rebalance planning.
 //!
 //! The static balancers in `trillium-blockforest` distribute blocks once,
-//! before the run, using cell counts as the workload estimate. At runtime
-//! the estimate drifts: boundary sweeps, sparse coverage, and machine
-//! noise make the *measured* cost per block diverge from its cell count,
-//! and on skewed vascular geometries the divergence is structural. This
-//! crate closes the loop (paper §2.3's "load balancing ... based on the
-//! measured execution times"):
+//! before the run. Blocks migrate later only when the run asks for it:
+//! the rebalance hook in `trillium-core` weighs each block by the cells
+//! its sweep visits — what it holds, as the set-up balancer does (paper
+//! §2.3) — and hands this crate one [`BlockRecord`] per block:
 //!
-//! * [`EwmaCostModel`] — smooths per-block wall-clock samples taken from
-//!   each `stream_collide` sweep and ghost exchange into a stable cost.
-//! * [`ImbalanceDetector`] — turns the global max/avg load ratio into a
-//!   rebalance trigger with hysteresis, so transient spikes don't cause
-//!   migration storms.
 //! * [`plan_rebalance`] — computes a new owner for every block from the
-//!   measured costs, preferring the multilevel graph partitioner and
+//!   records' costs, preferring the multilevel graph partitioner and
 //!   falling back to a Morton space-filling-curve cut when the graph
-//!   gain is below a floor.
+//!   gain is below a floor. A plan that does not lower the load ratio by
+//!   [`PlanOptions::min_graph_gain`] is `NoOp`, so re-planning fixed
+//!   costs ends after finitely many rounds.
 //! * [`hetero::plan_rebalance_hetero`] — the same curve cut with shares
 //!   proportional to the per-rank speeds of a [`hetero::RankPool`], so it
 //!   balances wall time instead of raw cost.
@@ -24,8 +19,8 @@
 //! Both planners place blocks with the one curve cutter of
 //! `trillium_blockforest::balance` (`curve_order` + `cut_curve`), the
 //! mechanism the static set-up balancer uses; they differ from it and
-//! from each other only in the workload (measured cost instead of fluid
-//! cells) and the quotas (equal parts, or `speed_r / Σ speed`).
+//! from each other only in the workload (the record's cost instead of
+//! fluid cells) and the quotas (equal parts, or `speed_r / Σ speed`).
 //!
 //! The crate is deliberately communication-free: callers allgather
 //! [`BlockRecord`]s (via `trillium-comm`) and every rank runs the same
@@ -34,13 +29,9 @@
 //! on a plan lives in `trillium-core::migrate`, next to the block state
 //! it has to serialize.
 
-pub mod cost;
-pub mod detector;
 pub mod hetero;
 pub mod plan;
 
-pub use cost::EwmaCostModel;
-pub use detector::ImbalanceDetector;
 pub use plan::{plan_rebalance, BlockRecord, Migration, PlanMethod, PlanOptions, RebalancePlan};
 
 /// Golden placement: the owner vectors the four callers of the one curve
@@ -199,35 +190,41 @@ mod placement_golden {
         assert_eq!(digits(plan.assignment), HETERO_ON_8);
     }
 
+    /// One of 300 seeded record sets: a uniform grid or the mixed-level
+    /// forest on 2-8 ranks, most blocks piled on rank 0, shuffled.
+    fn seeded_records(rng: &mut StdRng, case: usize) -> (Vec<BlockRecord>, u32) {
+        let procs = rng.gen_range(2..9u32);
+        let forest = if case.is_multiple_of(3) {
+            mixed_level()
+        } else {
+            let roots = [0; 3].map(|_| rng.gen_range(1..6usize));
+            uniform(roots, 8)
+        };
+        let mut records: Vec<BlockRecord> = forest
+            .blocks
+            .iter()
+            .map(|b| BlockRecord {
+                id: b.id.pack(),
+                owner: if rng.gen_bool(0.7) { 0 } else { rng.gen_range(0..procs) },
+                coords: b.coords.map(|c| c as u32),
+                level: b.id.level(),
+                cost: rng.gen_range(0.5..20.0f64),
+                fluid_cells: rng.gen_range(1..4096u64),
+            })
+            .collect();
+        records.shuffle(rng);
+        (records, procs)
+    }
+
     /// What `execute_migrations` relies on, now that nothing re-checks a
-    /// plan: over 300 seeded record sets (uniform grids and the mixed-level
-    /// forest, 2-8 ranks, most blocks piled on rank 0, shuffled), both
-    /// planners return the input records sorted by id and unique, and an
-    /// owner below the rank count for each.
+    /// plan: over the 300 seeded record sets, both planners return the
+    /// input records sorted by id and unique, and an owner below the rank
+    /// count for each.
     #[test]
     fn plans_hold_the_sorted_records_and_owners_in_range() {
         let mut rng = StdRng::seed_from_u64(44);
         for case in 0..300 {
-            let procs = rng.gen_range(2..9u32);
-            let forest = if case % 3 == 0 {
-                mixed_level()
-            } else {
-                let roots = [0; 3].map(|_| rng.gen_range(1..6usize));
-                uniform(roots, 8)
-            };
-            let mut records: Vec<BlockRecord> = forest
-                .blocks
-                .iter()
-                .map(|b| BlockRecord {
-                    id: b.id.pack(),
-                    owner: if rng.gen_bool(0.7) { 0 } else { rng.gen_range(0..procs) },
-                    coords: b.coords.map(|c| c as u32),
-                    level: b.id.level(),
-                    cost: rng.gen_range(0.5..20.0f64),
-                    fluid_cells: rng.gen_range(1..4096u64),
-                })
-                .collect();
-            records.shuffle(&mut rng);
+            let (mut records, procs) = seeded_records(&mut rng, case);
             let gain = [0.0, 0.05, 0.9][rng.gen_range(0..3usize)];
             let opts = PlanOptions { min_graph_gain: gain, ..PlanOptions::default() };
             let speeds = (0..procs).map(|_| rng.gen_range(0.5..8.0f64)).collect();
@@ -244,6 +241,44 @@ mod placement_golden {
                 assert!(plan.assignment.iter().all(|&a| a < procs), "case {case}: {procs} ranks");
             }
         }
+    }
+
+    /// Why the rebalance hook needs no cooldown: its costs are fixed
+    /// between migrations, so re-planning after a round sees exactly the
+    /// plan's own owners. Over the 300 seeded record sets, with the hook's
+    /// options, each accepted round lowers the ratio by at least
+    /// `min_graph_gain` and the rounds reach `NoOp` within the bound that
+    /// follows: a ratio starts at most at `procs` and a plan is `NoOp` at
+    /// or below `min_ratio`.
+    #[test]
+    fn replanning_fixed_costs_reaches_noop() {
+        let opts = PlanOptions::default();
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut longest = 0;
+        for case in 0..300 {
+            let (mut records, procs) = seeded_records(&mut rng, case);
+            let bound =
+                (f64::from(procs) / opts.min_ratio).ln() / -(1.0 - opts.min_graph_gain).ln();
+            let mut rounds = 0;
+            loop {
+                let plan = plan_rebalance(records.clone(), procs, &opts);
+                if plan.method == PlanMethod::NoOp {
+                    assert_eq!(plan.migrations().count(), 0, "case {case}");
+                    break;
+                }
+                let gain = (plan.old_ratio - plan.new_ratio) / plan.old_ratio;
+                assert!(gain >= opts.min_graph_gain, "case {case}, round {rounds}: gain {gain}");
+                rounds += 1;
+                assert!(f64::from(rounds) <= bound + 1.0, "case {case}: {rounds} rounds");
+                records = plan.records.clone();
+                for (r, &a) in records.iter_mut().zip(&plan.assignment) {
+                    r.owner = a;
+                }
+            }
+            longest = longest.max(rounds);
+        }
+        // Far inside the bound: no set takes more than two rounds.
+        assert_eq!(longest, 2, "the longest chain of accepted rounds");
     }
 
     /// Equal shares and a pool of equal speeds are the same request, spelled

@@ -1,4 +1,4 @@
-//! Deterministic repartitioning of the measured-cost block graph.
+//! Deterministic repartitioning of the block-cost graph.
 
 use bytes::{Buf, BufMut};
 use trillium_blockforest::balance::{curve_order, cut_curve, Quotas};
@@ -16,7 +16,8 @@ pub struct BlockRecord {
     pub coords: [u32; 3],
     /// Refinement level (coords scale to the finest level by shifting).
     pub level: u8,
-    /// Measured (EWMA-smoothed) cost per step, seconds.
+    /// Counted cost per step: cells swept. (The job service's lane
+    /// packer puts a job's wall seconds here.)
     pub cost: f64,
     /// Interior fluid cells (proxy for interface size, not for cost).
     pub fluid_cells: u64,
@@ -90,7 +91,7 @@ pub struct Migration {
 /// Which algorithm produced the accepted assignment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMethod {
-    /// Multilevel k-way partitioning of the measured-cost block graph.
+    /// Multilevel k-way partitioning of the block-cost graph.
     Graph,
     /// Morton space-filling-curve cut by cost quota (fallback).
     MortonSfc,
@@ -134,7 +135,7 @@ pub struct RebalancePlan {
     pub assignment: Vec<u32>,
     /// Accepted algorithm.
     pub method: PlanMethod,
-    /// Measured max/avg load ratio before the plan.
+    /// Max/avg load ratio of the records' costs before the plan.
     pub old_ratio: f64,
     /// Predicted max/avg load ratio under the accepted assignment.
     pub new_ratio: f64,
@@ -201,7 +202,7 @@ pub(crate) fn curve_assignment(records: &[BlockRecord], ends: &[f64]) -> Vec<u32
     cut_curve(&order, |i| records[i].cost, Quotas::Ends(ends))
 }
 
-/// Builds the block graph: vertices weighted by measured cost, edges
+/// Builds the block graph: vertices weighted by cost, edges
 /// between face-adjacent blocks weighted by an interface-area proxy
 /// (fluid_cells^(2/3) of the smaller block), so the partitioner trades
 /// cut ghost-exchange volume against load balance.
@@ -404,11 +405,10 @@ mod tests {
 
     #[test]
     fn costs_drive_the_cut_not_cell_counts() {
-        // Equal cell counts everywhere, but the x=0 slab is 10x more
-        // expensive (e.g. boundary-heavy blocks). By cell count the
-        // initial x-parity split is perfectly balanced — only measured
-        // cost reveals the skew, and the planner must split the
-        // expensive slab across both ranks.
+        // Equal fluid cells everywhere, but the x=0 slab costs 10x more.
+        // By fluid cells the initial x-parity split is perfectly
+        // balanced — only the records' cost reveals the skew, and the
+        // planner must split the expensive slab across both ranks.
         let records = grid_records(4, |x, _, _| x % 2, |x, _, _| if x == 0 { 10.0 } else { 1.0 });
         let plan = plan_rebalance(records, 2, &PlanOptions::default());
         assert_ne!(plan.method, PlanMethod::NoOp);

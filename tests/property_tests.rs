@@ -250,10 +250,10 @@ fn collectives_survive_fault_injection() {
             let v = (comm.rank() + 1) as f64 * 0.5;
             comm.barrier();
             let sum = comm.allreduce_sum_f64(v);
-            let (mn, mx, s2) = comm.allreduce_minmaxsum_f64(v);
-            let gathered = comm.allgather_f64(v);
+            let (mn, mx, s2) = comm.try_allreduce_minmaxsum_f64(v).expect("min/max/sum");
+            let gathered = comm.try_allgather_f64(v).expect("allgather");
             comm.barrier();
-            let count = comm.allreduce_sum_u64(1);
+            let count = comm.try_allreduce_sum_u64(1).expect("u64 sum");
             (sum, mn, mx, s2, gathered, count)
         });
         for (rank, result) in results.into_iter().enumerate() {

@@ -27,7 +27,7 @@ fn one_reader_broadcast_setup() {
     let results = World::run(8, |mut comm| {
         // Only rank 0 holds the file content initially.
         let payload = if comm.rank() == 0 { Some(file_bytes.clone()) } else { None };
-        let bytes = comm.broadcast(0, payload);
+        let bytes = comm.try_broadcast(0, payload).expect("an unfaulted broadcast");
         let forest = file::load(&bytes).expect("every rank parses the broadcast file");
         let views = distribute(&forest);
         let mine = &views[comm.rank() as usize];
